@@ -1,7 +1,7 @@
 """Command line entry point.
 
 Subcommands: gen, group, esvm, colabel, run, eval, cv. Exit codes: 0 on
-success, 2 for configuration errors, 3 for data errors.
+success, 1 for solver errors, 2 for configuration errors, 3 for data errors.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, esvm, grouping, io, kernels, pipeline, synthgen
+from . import __version__, esvm, grouping, io, pipeline, synthgen
 from .core import Partition
 from .errors import ConfigError, CoparseError, DataError
 
@@ -39,7 +39,6 @@ def _run_meta(config: pipeline.Config, extra: dict) -> dict:
             "coparse": __version__,
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
-            "numba_enabled": kernels.NUMBA_ENABLED,
         },
         **extra,
     }
@@ -260,49 +259,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("group", help="one grouping pass per image, no propagation")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_group)
+    # the options every pipeline command takes
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--manifest", required=True)
+    common.add_argument("--config", default=None)
+    common.add_argument("--out", required=True)
+    common.add_argument("--seed", type=int, default=None)
+    for name, func, text in [
+        ("group", cmd_group, "one grouping pass per image, no propagation"),
+        ("esvm", cmd_esvm, "run Phase I and export exemplars/propagations"),
+        ("run", cmd_run, "both phases end to end on one corpus"),
+        ("cv", cmd_cv, "k-fold cross validation"),
+    ]:
+        sub.add_parser(name, help=text, parents=[common]).set_defaults(func=func)
 
-    p = sub.add_parser("esvm", help="run Phase I and export exemplars/propagations")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_esvm)
-
-    p = sub.add_parser("colabel", help="Phase II from stored Phase I outputs")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("colabel", help="Phase II from stored Phase I outputs", parents=[common])
     p.add_argument("--phase1", required=True, help="directory written by 'esvm'")
     p.add_argument("--train-manifest", default=None,
                    help="corpus used to fit the label model (default: --manifest)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_colabel)
-
-    p = sub.add_parser("run", help="both phases end to end on one corpus")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="score stored label maps against ground truth")
     p.add_argument("--manifest", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("cv", help="k-fold cross validation")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_cv)
     return parser
 
 

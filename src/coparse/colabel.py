@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import features
-from .core import BACKGROUND, ImageRecord, Partition, Region, regions_of, superpixel_adjacency
+from .core import (BACKGROUND, ImageRecord, Partition, Region, label_components, regions_of,
+                   superpixel_adjacency)
 from .errors import ConfigError, InsufficientDataError, UnknownLabelError
 from .graphcut import LabelingProblem
 
-FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 WIDE_PRIOR_VARIANCE = 0.25   # location prior for labels unseen in training
 
 
@@ -187,23 +186,9 @@ def fit_cooccurrence(label_pairs: list[tuple[int, int]], vocab_size: int) -> np.
 # Ground-truth regions for model fitting
 # ---------------------------------------------------------------------------
 
-def ground_truth_components(gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """4-connected components of a label map: (component map, label per component)."""
-    comp = np.zeros(gt.shape, dtype=np.int64)
-    comp_labels = []
-    next_id = 0
-    for value in np.unique(gt):
-        mask = gt == value
-        lab, n = ndimage.label(mask, structure=FOUR_CONN)
-        comp[mask] = lab[mask] + next_id - 1
-        comp_labels.extend([int(value)] * n)
-        next_id += n
-    return comp, np.asarray(comp_labels, dtype=np.int64)
-
-
 def ground_truth_regions(image: ImageRecord) -> list[tuple[int, np.ndarray, tuple[float, float]]]:
     """(label, histogram, centroid) per ground-truth component."""
-    comp, comp_labels = ground_truth_components(image.ground_truth)
+    comp, comp_labels = label_components(image.ground_truth)
     h, w = comp.shape
     out = []
     for cid in range(comp_labels.size):
@@ -215,12 +200,6 @@ def ground_truth_regions(image: ImageRecord) -> list[tuple[int, np.ndarray, tupl
     return out
 
 
-def ground_truth_adjacent_pairs(gt: np.ndarray) -> list[tuple[int, int]]:
-    comp, comp_labels = ground_truth_components(gt)
-    pairs, _ = superpixel_adjacency(comp)
-    return [(int(comp_labels[u]), int(comp_labels[v])) for u, v in pairs]
-
-
 def image_label_pairs(image: ImageRecord) -> list[tuple[int, int]]:
     """Neighbor label pairs of one training image, deduplicated.
 
@@ -229,8 +208,10 @@ def image_label_pairs(image: ImageRecord) -> list[tuple[int, int]]:
     region adjoin each other). Deduplication keeps the counts presence-based,
     so large-area labels do not drown the table.
     """
-    found = {(int(l), int(l)) for l in np.unique(image.ground_truth)}
-    found.update(ground_truth_adjacent_pairs(image.ground_truth))
+    comp, comp_labels = label_components(image.ground_truth)
+    pairs, _ = superpixel_adjacency(comp)
+    found = {(int(l), int(l)) for l in comp_labels}
+    found.update((int(comp_labels[u]), int(comp_labels[v])) for u, v in pairs)
     return sorted((min(a, b), max(a, b)) for a, b in found)
 
 

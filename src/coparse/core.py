@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
+from scipy.sparse import csgraph
 
 from .errors import MalformedInputError
 
@@ -80,21 +81,18 @@ class Partition:
     @staticmethod
     def from_edge_labels(node_count: int, pairs: np.ndarray, merged: np.ndarray) -> "Partition":
         """Rebuild a partition as connected components of merged pairs."""
-        parent = np.arange(node_count)
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (u, v), m in zip(np.asarray(pairs), np.asarray(merged)):
-            if m:
-                ru, rv = find(int(u)), find(int(v))
-                if ru != rv:
-                    parent[max(ru, rv)] = min(ru, rv)
-        roots = np.array([find(i) for i in range(node_count)])
-        return Partition.from_assignment(roots)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)[np.asarray(merged, dtype=bool)]
+        # both directions of every merged pair, so the strongly connected
+        # components are the connected ones; built straight as CSR, since the
+        # COO conversion and the undirected mode's transpose cost more than
+        # the search on small graphs
+        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=node_count))])
+        graph = sparse.csr_array((np.ones(src.size), dst[np.argsort(src, kind="stable")], indptr),
+                                 shape=(node_count, node_count))
+        _, labels = csgraph.connected_components(graph, connection="strong")
+        return Partition.from_assignment(labels)
 
 
 @dataclass(frozen=True)
@@ -130,16 +128,10 @@ def validate_image_record(record: ImageRecord, vocabulary_size: int | None = Non
         raise MalformedInputError(f"{record.id}: superpixel map shape mismatch")
     if record.contour_map.shape != (h, w):
         raise MalformedInputError(f"{record.id}: contour map shape mismatch")
-    if sp.min() != 0:
-        raise MalformedInputError(f"{record.id}: superpixel ids must start at 0")
-    m = int(sp.max()) + 1
-    counts = np.bincount(sp.ravel(), minlength=m)
-    if (counts == 0).any():
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise MalformedInputError(f"{record.id}: superpixel ids not contiguous (missing {missing})")
+    m = _superpixel_sizes(record.id, sp).size
     # 4-connectivity: each id must form a single connected component
-    n_components, _ = _count_components(sp, m)
-    bad = np.flatnonzero(n_components != 1)
+    _, comp_values = label_components(sp)
+    bad = np.flatnonzero(np.bincount(comp_values, minlength=m) != 1)
     if bad.size:
         raise MalformedInputError(f"{record.id}: superpixel {int(bad[0])} is not 4-connected")
     gt = record.ground_truth
@@ -154,48 +146,42 @@ def validate_image_record(record: ImageRecord, vocabulary_size: int | None = Non
                 raise MalformedInputError(f"{record.id}: tag {tag} outside vocabulary")
 
 
-def _count_components(spmap: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Components per superpixel id via union-find over same-id 4-neighbors."""
-    h, w = spmap.shape
-    idx = np.arange(h * w).reshape(h, w)
-    pairs = []
-    same_h = spmap[:, :-1] == spmap[:, 1:]
-    pairs.append((idx[:, :-1][same_h], idx[:, 1:][same_h]))
-    same_v = spmap[:-1, :] == spmap[1:, :]
-    pairs.append((idx[:-1, :][same_v], idx[1:, :][same_v]))
-    parent = np.arange(h * w)
+def _superpixel_sizes(image_id: str, sp: np.ndarray) -> np.ndarray:
+    """Pixel count per superpixel id; the ids must run 0..M-1 with none missing."""
+    if sp.min() != 0:
+        raise MalformedInputError(f"{image_id}: superpixel ids must start at 0")
+    counts = np.bincount(sp.ravel())
+    if (counts == 0).any():
+        missing = int(np.flatnonzero(counts == 0)[0])
+        raise MalformedInputError(f"{image_id}: superpixel ids not contiguous (missing {missing})")
+    return counts
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for a_arr, b_arr in pairs:
-        for a, b in zip(a_arr.tolist(), b_arr.tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    roots = np.array([find(i) for i in range(h * w)])
-    comp_count = np.zeros(m, dtype=np.int64)
-    flat = spmap.ravel()
-    root_set = np.unique(roots)
-    for r in root_set.tolist():
-        comp_count[flat[r]] += 1
-    return comp_count, roots
+def label_components(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """4-connected components of a non-negative integer raster.
+
+    Returns (component map, value per component). Components are numbered
+    by value, then in ``ndimage.label`` order; each value is labeled inside
+    its bounding box only.
+    """
+    comp = np.empty(values.shape, dtype=np.int64)
+    comp_values: list[int] = []
+    for value, sl in enumerate(ndimage.find_objects(values + 1)):
+        if sl is None:
+            continue
+        mask = values[sl] == value
+        lab, n = ndimage.label(mask)  # the default 2-D structure is the 4-cross
+        comp[sl][mask] = lab[mask] + len(comp_values) - 1
+        comp_values.extend([value] * n)
+    return comp, np.asarray(comp_values, dtype=np.int64)
 
 
 def superpixels_of(image: ImageRecord) -> list[Superpixel]:
     """One Superpixel per map value, ascending ids; deterministic."""
     sp = image.superpixel_map
     h, w = sp.shape
-    if sp.min() != 0:
-        raise MalformedInputError(f"{image.id}: superpixel ids must start at 0")
-    m = int(sp.max()) + 1
-    counts = np.bincount(sp.ravel(), minlength=m)
-    if (counts == 0).any():
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise MalformedInputError(f"{image.id}: superpixel ids not contiguous (missing {missing})")
+    counts = _superpixel_sizes(image.id, sp)
+    m = counts.size
     rows = np.arange(h, dtype=np.float64)[:, None] + 0.5
     cols = np.arange(w, dtype=np.float64)[None, :] + 0.5
     rsum = np.bincount(sp.ravel(), weights=np.broadcast_to(rows, (h, w)).ravel(), minlength=m)

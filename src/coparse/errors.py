@@ -37,6 +37,10 @@ class UnknownLabelError(CoparseError):
     """Label outside the fitted vocabulary."""
 
 
+class SolverError(CoparseError):
+    """A numeric solver failed or returned an inconsistent result (exit code 1)."""
+
+
 class OracleTooLargeError(CoparseError):
     """Exhaustive oracle asked to enumerate beyond its size cap."""
 

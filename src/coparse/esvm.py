@@ -344,7 +344,7 @@ def detect(exemplar: Exemplar, image: ImageRecord,
            ) -> list[DetectionWindow]:
     """Score all windows of one image over the scale set, then NMS at IoU 0.5."""
     cy, cx = exemplar.template
-    w_blocks = np.ascontiguousarray(exemplar.w[:-1])
+    w_blocks = exemplar.w[:-1]
     bias = float(exemplar.w[-1])
     gray = features.luma(image.pixels)
     h, w = gray.shape
@@ -357,10 +357,8 @@ def detect(exemplar: Exemplar, image: ImageRecord,
             continue
         resized = features.bilinear_resize(gray, sh, sw)
         mag, obin = features.orientation_bins(resized)
-        cells = kernels.cell_histograms(np.ascontiguousarray(mag),
-                                        np.ascontiguousarray(obin),
-                                        grid_y, grid_x)
-        blocks = np.ascontiguousarray(features.block_normalize(cells))
+        cells = kernels.cell_histograms(mag, obin, grid_y, grid_x)
+        blocks = features.block_normalize(cells)
         scores = kernels.score_windows(blocks, cy - 1, cx - 1, w_blocks, step) + bias
         win_h = cy * features.CELL
         win_w = cx * features.CELL

@@ -125,11 +125,6 @@ def block_normalize(cells: np.ndarray) -> np.ndarray:
     return blocks / norm
 
 
-def hog_length(template: tuple[int, int]) -> int:
-    cy, cx = template
-    return (cy - 1) * (cx - 1) * 4 * HOG_BINS
-
-
 def hog(patch: np.ndarray, template: tuple[int, int]) -> np.ndarray:
     """HOG descriptor of a patch resampled to the template's pixel grid."""
     cy, cx = template
@@ -142,8 +137,7 @@ def hog(patch: np.ndarray, template: tuple[int, int]) -> np.ndarray:
         raise PatchTooSmallError(f"patch {patch.shape} too small")
     resized = bilinear_resize(patch, cy * CELL, cx * CELL)
     mag, obin = orientation_bins(resized)
-    cells = kernels.cell_histograms(np.ascontiguousarray(mag),
-                                    np.ascontiguousarray(obin), cy, cx)
+    cells = kernels.cell_histograms(mag, obin, cy, cx)
     return block_normalize(cells).ravel()
 
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from . import kernels
-from .errors import MalformedInputError, OracleTooLargeError
+from .errors import MalformedInputError, OracleTooLargeError, SolverError
 
 ORACLE_MAX_STATES = 2_000_000
 
@@ -66,29 +68,20 @@ def max_flow(network: FlowNetwork) -> FlowResult:
     """Max flow with the min-cut side assignment; duality checked internally."""
     ptr, adj_arc, arc_to, cap0, n_arcs = network._csr()
     cap = cap0.copy()
-    if n_arcs == 0:
-        side = np.zeros(network.node_count, dtype=bool)
-        side[network.source] = True
-        return FlowResult(0.0, side, 0.0)
     flow = kernels.dinic(network.node_count, network.source, network.sink,
                          ptr, adj_arc, arc_to, cap)
     # residual reachability from the source defines the cut side
+    frm = np.asarray(network._from, dtype=np.int64)
+    open_arc = cap > 1e-12
+    residual = sparse.csr_array((np.ones(open_arc.sum()), (frm[open_arc], arc_to[open_arc])),
+                                shape=(network.node_count, network.node_count))
     side = np.zeros(network.node_count, dtype=bool)
-    side[network.source] = True
-    stack = [network.source]
-    while stack:
-        v = stack.pop()
-        for p in range(ptr[v], ptr[v + 1]):
-            a = adj_arc[p]
-            u = arc_to[a]
-            if cap[a] > 1e-12 and not side[u]:
-                side[u] = True
-                stack.append(int(u))
-    crossing = side[np.asarray(network._from)] & ~side[np.asarray(network._to)]
+    side[csgraph.breadth_first_order(residual, network.source, return_predecessors=False)] = True
+    crossing = side[frm] & ~side[arc_to]
     forward = np.arange(n_arcs) % 2 == 0
     cut = float(cap0[crossing & forward].sum())
     if abs(cut - flow) > 1e-6 * max(1.0, abs(flow)):
-        raise RuntimeError(f"flow/cut mismatch: flow={flow!r} cut={cut!r}")
+        raise SolverError(f"flow/cut mismatch: flow={flow!r} cut={cut!r}")
     return FlowResult(float(flow), side, cut)
 
 

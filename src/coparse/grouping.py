@@ -24,7 +24,7 @@ from scipy.optimize import linprog
 
 from . import kernels
 from .core import ImageRecord, Partition, PropagationRecord, superpixel_adjacency
-from .errors import InvalidEdgeError, MalformedInputError, OracleTooLargeError
+from .errors import InvalidEdgeError, MalformedInputError, OracleTooLargeError, SolverError
 
 ORACLE_MAX_NODES = 10
 
@@ -206,6 +206,7 @@ class _MulticutSolver:
                         self.pairs.append(key)
                         weights.append(0.0)
         self.n_pairs = len(self.pairs)
+        self._pair_array = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
         self.n_masks = len(instance.mask_constraints)
         self.cost = np.concatenate([
             np.asarray(weights, dtype=np.float64),
@@ -297,7 +298,7 @@ class _MulticutSolver:
         if res.status == 2:
             return None
         if res.status != 0:
-            raise RuntimeError(f"LP solver failed with status {res.status}")
+            raise SolverError(f"LP solver failed with status {res.status}")
         return float(res.fun), np.asarray(res.x)
 
     # -- separation ----------------------------------------------------------
@@ -386,21 +387,9 @@ class _MulticutSolver:
     # -- rounding + local search ---------------------------------------------
 
     def _round(self, x: np.ndarray) -> np.ndarray:
-        n = self.instance.node_count
-        parent = np.arange(n)
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for idx, (u, v) in enumerate(self.pairs):
-            if x[idx] >= 0.5:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[max(ru, rv)] = min(ru, rv)
-        return Partition.from_assignment([find(i) for i in range(n)]).assignment.copy()
+        merged = x[:self.n_pairs] >= 0.5
+        partition = Partition.from_edge_labels(self.instance.node_count, self._pair_array, merged)
+        return partition.assignment.copy()
 
     def _local_improve(self, assign: np.ndarray) -> np.ndarray:
         assign = assign.copy()

@@ -24,12 +24,6 @@ class Corpus:
     vocabulary: tuple[str, ...]
     images: tuple[ImageRecord, ...]
 
-    def label_index(self, name: str) -> int:
-        try:
-            return self.vocabulary.index(name)
-        except ValueError:
-            raise DataError(f"label {name!r} not in vocabulary") from None
-
     def image_by_id(self, image_id: str) -> ImageRecord:
         for rec in self.images:
             if rec.id == image_id:
@@ -132,6 +126,35 @@ def write_pgm8(path, values: np.ndarray) -> None:
 # Manifest
 # ---------------------------------------------------------------------------
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _check_manifest_shape(doc: dict) -> None:
+    """JSON types of the manifest fields; raise DataError naming the entry."""
+    if not _is_str_list(doc["vocabulary"]):
+        raise DataError("manifest vocabulary must be a list of strings")
+    if not isinstance(doc["images"], list):
+        raise DataError("manifest images must be a list")
+    seen_ids = set()
+    for i, entry in enumerate(doc["images"]):
+        if not isinstance(entry, dict):
+            raise DataError(f"manifest image {i} must be an object")
+        name = f"manifest image {i}"
+        if isinstance(entry.get("id"), str):
+            name += f" ({entry['id']!r})"
+        for key in ("id", "image", "superpixels", "contours"):
+            if not isinstance(entry.get(key), str):
+                raise DataError(f"{name}: {key!r} must be a string")
+        if not _is_str_list(entry.get("tags")):
+            raise DataError(f"{name}: 'tags' must be a list of strings")
+        if not isinstance(entry.get("ground_truth"), (str, type(None))):
+            raise DataError(f"{name}: 'ground_truth' must be a string or null")
+        if entry["id"] in seen_ids:
+            raise DataError(f"{name}: duplicate image id")
+        seen_ids.add(entry["id"])
+
+
 def load_corpus(manifest_path) -> Corpus:
     manifest_path = Path(manifest_path)
     try:
@@ -142,6 +165,7 @@ def load_corpus(manifest_path) -> Corpus:
         raise DataError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "vocabulary" not in doc or "images" not in doc:
         raise DataError(f"manifest {manifest_path} missing vocabulary/images")
+    _check_manifest_shape(doc)
     vocabulary = tuple(doc["vocabulary"])
     if not vocabulary or vocabulary[0] != "background":
         raise DataError("vocabulary[0] must be 'background'")

@@ -1,58 +1,30 @@
-"""Hot numeric kernels: numba fast path with a pure-numpy fallback.
+"""Hot numeric kernels, one numpy/Python implementation each.
 
-The dispatch is chosen once at import time. Set ``COPARSE_NUMBA=0`` in the
-environment to force the fallback implementations; by default the jitted
-versions are used whenever numba imports. Both variants stay importable
-(``*_nb`` / ``*_np`` / ``*_py`` suffixes) so the equivalence tests and
-``benchmarks/bench_kernels.py`` can exercise them side by side.
-
-Loop kernels (``*_py``) are written in the numba-compilable subset and are
-the exact source the jitted versions are compiled from. The fallback is the
-vectorized ``*_np`` variant wherever one exists; only Dinic max-flow falls
-back to its Python loop.
+HOG cell accumulation and sliding-window template scoring are vectorized
+with ``np.bincount`` and strided matrix products; the set-partition oracle
+scans a cached table of restricted-growth strings; Dinic max-flow is a plain
+Python loop (Phase II, where it runs, is a small share of a run). The tests
+check the vectorized kernels against straightforward reference loops and
+Dinic through flow/cut duality.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
-
-
-def _env_wants_numba() -> bool:
-    v = os.environ.get("COPARSE_NUMBA", "1").strip().lower()
-    return v not in ("0", "false", "off", "no")
-
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is optional: every kernel has a fallback
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and _env_wants_numba()
 
 
 # ---------------------------------------------------------------------------
 # Orientation-cell histograms (HOG accumulation)
 # ---------------------------------------------------------------------------
 
-def cell_histograms_py(mag, obin, cells_y, cells_x):
+def cell_histograms(mag, obin, cells_y, cells_x):
     """Accumulate 9 orientation bins per 8x8 cell, magnitude weighted.
 
     ``mag`` float64 and ``obin`` int64 rasters; pixels beyond the cell grid
     are ignored.
     """
-    out = np.zeros((cells_y, cells_x, 9), np.float64)
-    for r in range(cells_y * 8):
-        for c in range(cells_x * 8):
-            out[r // 8, c // 8, obin[r, c]] += mag[r, c]
-    return out
-
-
-def cell_histograms_np(mag, obin, cells_y, cells_x):
     h, w = cells_y * 8, cells_x * 8
     rows = np.arange(h)[:, None] // 8
     cols = np.arange(w)[None, :] // 8
@@ -66,32 +38,13 @@ def cell_histograms_np(mag, obin, cells_y, cells_x):
 # Sliding-window template scores over block-normalized descriptors
 # ---------------------------------------------------------------------------
 
-def score_windows_py(blocks, win_by, win_bx, wvec, step):
+def score_windows(blocks, win_by, win_bx, wvec, step):
     """Dot a flattened template weight vector against every window.
 
     ``blocks`` is the (BY, BX, 36) array of block-normalized descriptors for
     one image scale; a window covers ``win_by`` x ``win_bx`` blocks and
     advances ``step`` cells per move.
     """
-    by, bx, d = blocks.shape
-    ny = (by - win_by) // step + 1
-    nx = (bx - win_bx) // step + 1
-    out = np.zeros((ny, nx), np.float64)
-    for i in range(ny):
-        for j in range(nx):
-            s = 0.0
-            for a in range(win_by):
-                for b in range(win_bx):
-                    base = (a * win_bx + b) * d
-                    r0 = i * step + a
-                    c0 = j * step + b
-                    for q in range(d):
-                        s += blocks[r0, c0, q] * wvec[base + q]
-            out[i, j] = s
-    return out
-
-
-def score_windows_np(blocks, win_by, win_bx, wvec, step):
     by, bx, d = blocks.shape
     ny = (by - win_by) // step + 1
     nx = (bx - win_bx) // step + 1
@@ -109,7 +62,7 @@ def score_windows_np(blocks, win_by, win_bx, wvec, step):
 # Max-flow (Dinic: BFS level phases, each reused for many augmentations)
 # ---------------------------------------------------------------------------
 
-def dinic_py(n, s, t, ptr, adj_arc, arc_to, cap):
+def dinic(n, s, t, ptr, adj_arc, arc_to, cap):
     """Max flow on a CSR residual network. Mutates ``cap`` in place.
 
     Arcs come in (forward, reverse) pairs at indices (2k, 2k^1); ``adj_arc``
@@ -185,63 +138,14 @@ def dinic_py(n, s, t, ptr, adj_arc, arc_to, cap):
 # Exhaustive set-partition scan (multicut oracle)
 # ---------------------------------------------------------------------------
 
-def multicut_enumerate_py(n, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_h):
-    """Scan all set partitions of ``n`` nodes in restricted-growth order.
-
-    Objective: sum of edge weights over merged edges minus sum of mask
-    rewards whose superpixels all share a region. Returns the objective and
-    the first partition attaining it.
-    """
-    a = np.zeros(n, np.int64)
-    m = np.zeros(n, np.int64)
-    best = np.inf
-    best_a = np.zeros(n, np.int64)
-    n_edges = edge_u.shape[0]
-    n_masks = mask_h.shape[0]
-    while True:
-        obj = 0.0
-        for e in range(n_edges):
-            if a[edge_u[e]] == a[edge_v[e]]:
-                obj += edge_w[e]
-        for c in range(n_masks):
-            first = a[mask_ids[mask_ptr[c]]]
-            same = True
-            for p in range(mask_ptr[c] + 1, mask_ptr[c + 1]):
-                if a[mask_ids[p]] != first:
-                    same = False
-                    break
-            if same:
-                obj -= mask_h[c]
-        if obj < best:
-            best = obj
-            for i in range(n):
-                best_a[i] = a[i]
-        i = n - 1
-        while i > 0:
-            if a[i] <= m[i - 1]:
-                a[i] += 1
-                if a[i] > m[i - 1]:
-                    m[i] = a[i]
-                else:
-                    m[i] = m[i - 1]
-                for j in range(i + 1, n):
-                    a[j] = 0
-                    m[j] = m[i]
-                break
-            i -= 1
-        if i == 0:
-            break
-    return best, best_a
-
-
 @functools.cache
 def _rgs_table(n):
     """Every restricted-growth string of length ``n``, in lexicographic order.
 
     Column ``k`` (int8, shape ``(n, Bell(n))``) is the ``k``-th set partition
-    that ``multicut_enumerate_py`` visits; node-major rows keep each node's
-    block ids contiguous for the scan. Built on first use from the table for
-    ``n - 1`` and cached read-only.
+    in that order; node-major rows keep each node's block ids contiguous for
+    the scan. Built on first use from the table for ``n - 1`` and cached
+    read-only.
     """
     if n <= 1:
         table = np.zeros((n, 1), np.int8)
@@ -261,12 +165,13 @@ def _rgs_table(n):
     return table
 
 
-def multicut_enumerate_np(n, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_h):
-    """Vectorized ``multicut_enumerate_py``: same scan, same result.
+def multicut_enumerate(n, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_h):
+    """Scan all set partitions of ``n`` nodes in restricted-growth order.
 
-    Each partition's objective is accumulated term by term in the loop's
-    order, so the values are bitwise equal; ``argmin`` picks the first
-    minimum, which is the loop's strict-``<`` tie-break.
+    Objective: sum of edge weights over merged edges minus sum of mask
+    rewards whose superpixels all share a region. Returns the objective and
+    the first partition attaining it: terms are added edge by edge, then
+    mask by mask, and ``argmin`` keeps the first minimum.
     """
     table = _rgs_table(n)
     obj = np.zeros(table.shape[1], np.float64)
@@ -280,30 +185,3 @@ def multicut_enumerate_np(n, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_h)
         np.subtract(obj, mask_h[c], out=obj, where=same)
     best = int(np.argmin(obj))
     return obj[best], table[:, best].astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    cell_histograms_nb = njit(cache=True)(cell_histograms_py)
-    score_windows_nb = njit(cache=True)(score_windows_py)
-    dinic_nb = njit(cache=True)(dinic_py)
-    multicut_enumerate_nb = njit(cache=True)(multicut_enumerate_py)
-else:
-    cell_histograms_nb = None
-    score_windows_nb = None
-    dinic_nb = None
-    multicut_enumerate_nb = None
-
-if NUMBA_ENABLED:
-    cell_histograms = cell_histograms_nb
-    score_windows = score_windows_nb
-    dinic = dinic_nb
-    multicut_enumerate = multicut_enumerate_nb
-else:
-    cell_histograms = cell_histograms_np
-    score_windows = score_windows_np
-    dinic = dinic_py
-    multicut_enumerate = multicut_enumerate_np

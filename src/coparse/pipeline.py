@@ -12,6 +12,7 @@ over labels of per-image recall, skipping images that lack the label.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field, fields
 
@@ -23,6 +24,23 @@ from .core import BACKGROUND, ImageRecord, Partition, regions_of
 from .errors import ConfigError, MalformedInputError
 from .graphcut import alpha_expansion
 from .io import Corpus
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Config field annotation -> (check on the JSON value, what the message asks for);
+# ints are accepted for float fields unchanged, so run-meta.json echoes them as given
+_CONFIG_TYPE_CHECKS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[float, ...]": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+                          and all(_is_number(s) for s in v), "a non-empty list of finite numbers"),
+}
 
 
 @dataclass(frozen=True)
@@ -82,10 +100,16 @@ class Config:
                 raise ConfigError(f"cannot read config: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        known = {f.name for f in fields(Config)}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
+        types = {f.name: f.type for f in fields(Config)}
+        unknown = set(doc) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            accepts, expected = _CONFIG_TYPE_CHECKS[types[key]]
+            if not accepts(value):
+                raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
         if "scales" in doc:
             doc = {**doc, "scales": tuple(doc["scales"])}
         return Config(**doc).validate()

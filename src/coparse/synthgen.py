@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import ImageRecord
+from .core import ImageRecord, label_components
 from .errors import GenerationError, MalformedInputError
 from .io import Corpus
 
@@ -176,14 +176,7 @@ def _superpixels(spec: SceneSpec, gt: np.ndarray, rng: np.random.Generator) -> n
             cell[row_cuts[ri]:row_cuts[ri + 1], col_cuts[ci]:col_cuts[ci + 1]] = cid
             cid += 1
 
-    combo = cell * (gt.max() + 1) + gt
-    spmap = np.zeros((h, w), dtype=np.int64)
-    next_id = 0
-    for value in np.unique(combo):
-        mask = combo == value
-        lab, n = ndimage.label(mask, structure=FOUR_CONN)
-        spmap[mask] = lab[mask] + next_id - 1
-        next_id += n
+    spmap, _ = label_components(cell * (gt.max() + 1) + gt)
     return spmap
 
 

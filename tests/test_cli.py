@@ -1,9 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from coparse import cli, io, synthgen
+from coparse import cli, grouping, io, kernels, synthgen
 
 
 def write_tiny_corpus(tmp_path, n=3, seed=5):
@@ -33,6 +34,12 @@ class TestGen:
         assert corpus.vocabulary == ("background", "blob")
 
 
+def assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestExitCodes:
     def test_unknown_config_key_is_2(self, tmp_path):
         manifest = write_tiny_corpus(tmp_path)
@@ -53,6 +60,54 @@ class TestExitCodes:
                        "--pred", str(tmp_path / "nowhere"),
                        "--out", str(tmp_path / "m.json")])
         assert rc == 3
+
+    @pytest.mark.parametrize("config", [
+        {"k_top": "5"}, {"scales": 5}, {"theta": None}, {"theta": "0.5"}, {"seed": 1.5},
+        {"lambda1": float("nan")},
+    ], ids=["k_top-str", "scales-int", "theta-null", "theta-str", "seed-float", "lambda1-nan"])
+    def test_wrongly_typed_config_value_is_2(self, tmp_path, capsys, config):
+        manifest = write_tiny_corpus(tmp_path, n=1)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        rc = cli.main(["group", "--manifest", str(manifest),
+                       "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert_one_line_error(capsys, "configuration error: ")
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["images"][0].pop("superpixels"),
+        lambda doc: doc.update(images="oops"),
+        lambda doc: doc.update(images=[7]),
+        lambda doc: doc["images"][0].update(tags=5),
+        lambda doc: doc.update(vocabulary=5),
+        lambda doc: doc["images"][1].update(id=doc["images"][0]["id"]),
+    ], ids=["no-superpixels", "images-str", "images-int-entry", "tags-int", "vocabulary-int",
+            "duplicate-id"])
+    def test_malformed_manifest_is_3(self, tmp_path, capsys, edit):
+        manifest = write_tiny_corpus(tmp_path, n=2)
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        rc = cli.main(["group", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert_one_line_error(capsys, "data error: ")
+
+    def test_lp_failure_is_1(self, tmp_path, capsys, monkeypatch):
+        manifest = write_tiny_corpus(tmp_path, n=1)
+        monkeypatch.setattr(grouping, "linprog", lambda *a, **k: SimpleNamespace(status=4))
+        rc = cli.main(["group", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert_one_line_error(capsys, "error: LP solver failed")
+
+    def test_flow_cut_mismatch_is_1(self, tmp_path, capsys, monkeypatch):
+        manifest = write_tiny_corpus(tmp_path, n=1)
+        phase1 = tmp_path / "phase1"
+        assert cli.main(["group", "--manifest", str(manifest), "--out", str(phase1)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(kernels, "dinic", lambda *args: -1.0)
+        rc = cli.main(["colabel", "--manifest", str(manifest), "--phase1", str(phase1),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert_one_line_error(capsys, "error: flow/cut mismatch")
 
 
 class TestGroup:

@@ -1,16 +1,44 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from coparse.core import (
     Partition,
+    label_components,
     regions_of,
     superpixel_adjacency,
     superpixels_of,
     validate_image_record,
 )
 from coparse.errors import MalformedInputError
+from coparse.synthgen import FOUR_CONN
 
 from conftest import make_image
+
+
+def _merged_components_ref(n, pairs, merged):
+    """Smallest node id reachable over merged pairs, by repeated relaxation."""
+    root = np.arange(n)
+    changed = True
+    while changed:
+        changed = False
+        for (u, v), m in zip(pairs, merged):
+            if m and root[u] != root[v]:
+                root[u] = root[v] = min(root[u], root[v])
+                changed = True
+    return root
+
+
+def _label_components_ref(values):
+    """One ``ndimage.label`` over the whole raster per distinct value."""
+    comp = np.zeros(values.shape, dtype=np.int64)
+    comp_values = []
+    for value in np.unique(values):
+        mask = values == value
+        lab, n = ndimage.label(mask, structure=FOUR_CONN)
+        comp[mask] = lab[mask] + len(comp_values) - 1
+        comp_values.extend([int(value)] * n)
+    return comp, np.asarray(comp_values, dtype=np.int64)
 
 
 class TestSuperpixelsOf:
@@ -89,18 +117,41 @@ class TestPartition:
 
     def test_edge_label_round_trip(self):
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(2, 12))
+        for trial in range(100):
+            # complete pair sets first, then sparse ones whose regions are
+            # joined only through multi-hop paths, or split apart
+            sparse = trial >= 50
+            n = int(rng.integers(2, 41 if sparse else 12))
             assignment = rng.integers(0, 4, size=n)
             part = Partition.from_assignment(assignment)
-            pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
+            pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)
+                              if not sparse or rng.uniform() < 0.3], dtype=np.int64).reshape(-1, 2)
             merged = part.edge_labels(pairs)
             rebuilt = Partition.from_edge_labels(n, pairs, merged)
-            assert part.equals(rebuilt)
+            expected = Partition.from_assignment(_merged_components_ref(n, pairs, merged))
+            assert rebuilt.equals(expected)
+            assert np.array_equal(rebuilt.edge_labels(pairs), merged)
+            if not sparse:
+                assert part.equals(rebuilt)
 
     def test_empty_rejected(self):
         with pytest.raises(MalformedInputError):
             Partition.from_assignment([])
+
+
+class TestLabelComponents:
+    def test_matches_whole_raster_labeling(self):
+        rng = np.random.default_rng(12)
+        split_values = 0
+        for _ in range(200):
+            h, w = (int(x) for x in rng.integers(1, 13, size=2))
+            values = rng.integers(0, 4, size=(h, w)) * 3 + int(rng.integers(0, 3))
+            comp, comp_values = label_components(values)
+            ref_comp, ref_values = _label_components_ref(values)
+            assert np.array_equal(comp, ref_comp)
+            assert np.array_equal(comp_values, ref_values)
+            split_values += int((np.bincount(comp_values) > 1).sum())
+        assert split_values > 100
 
 
 class TestValidation:

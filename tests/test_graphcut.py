@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from coparse import graphcut
-from coparse.errors import MalformedInputError, OracleTooLargeError
+from coparse import graphcut, kernels
+from coparse.errors import MalformedInputError, OracleTooLargeError, SolverError
 
 
 def potts_problem(unaries, lam, n_labels=2, chain=True):
@@ -62,6 +62,13 @@ class TestMaxFlow:
         assert min(caps.values()) == 4.0
         assert res.flow == 4.0
         assert res.cut_capacity == 4.0
+
+    def test_flow_cut_mismatch_raises_solver_error(self, monkeypatch):
+        net = graphcut.FlowNetwork(2, 0, 1)
+        net.add_arc(0, 1, 3.0)
+        monkeypatch.setattr(kernels, "dinic", lambda *args: 2.0)
+        with pytest.raises(SolverError):
+            graphcut.max_flow(net)
 
     def test_negative_capacity_rejected(self):
         net = graphcut.FlowNetwork(2, 0, 1)

@@ -1,11 +1,12 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from coparse import grouping
 from coparse.core import PropagationRecord
-from coparse.errors import InvalidEdgeError, MalformedInputError, OracleTooLargeError
+from coparse.errors import InvalidEdgeError, MalformedInputError, OracleTooLargeError, SolverError
 
 from conftest import make_image
 
@@ -160,6 +161,12 @@ class TestSolveMulticut:
         sol = grouping.solve_multicut(inst, 0.5)
         assert sol.objective == pytest.approx(
             grouping.objective_of(inst, sol.partition.assignment, 0.5), abs=1e-12)
+
+    def test_lp_failure_raises_solver_error(self, monkeypatch):
+        inst = grouping.MulticutInstance(node_count=3, edges=((0, 1, 1), (1, 2, 0)))
+        monkeypatch.setattr(grouping, "linprog", lambda *a, **k: SimpleNamespace(status=4))
+        with pytest.raises(SolverError):
+            grouping.solve_multicut(inst, 0.5)
 
 
 class TestBruteForce:
