@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import features
-from .core import (BACKGROUND, ImageRecord, Partition, Region, label_components, regions_of,
+from .core import (BACKGROUND, ImageRecord, Partition, Region, regions_of,
                    superpixel_adjacency)
 from .errors import ConfigError, InsufficientDataError, UnknownLabelError
 from .graphcut import LabelingProblem
@@ -186,9 +186,12 @@ def fit_cooccurrence(label_pairs: list[tuple[int, int]], vocab_size: int) -> np.
 # Ground-truth regions for model fitting
 # ---------------------------------------------------------------------------
 
-def ground_truth_regions(image: ImageRecord) -> list[tuple[int, np.ndarray, tuple[float, float]]]:
-    """(label, histogram, centroid) per ground-truth component."""
-    comp, comp_labels = label_components(image.ground_truth)
+def ground_truth_regions(image: ImageRecord, comp: np.ndarray, comp_labels: np.ndarray
+                         ) -> list[tuple[int, np.ndarray, tuple[float, float]]]:
+    """(label, histogram, centroid) per ground-truth component.
+
+    ``comp, comp_labels`` is ``label_components(image.ground_truth)``.
+    """
     h, w = comp.shape
     out = []
     for cid in range(comp_labels.size):
@@ -200,15 +203,15 @@ def ground_truth_regions(image: ImageRecord) -> list[tuple[int, np.ndarray, tupl
     return out
 
 
-def image_label_pairs(image: ImageRecord) -> list[tuple[int, int]]:
+def image_label_pairs(comp: np.ndarray, comp_labels: np.ndarray) -> list[tuple[int, int]]:
     """Neighbor label pairs of one training image, deduplicated.
 
     Each adjacent component pair contributes its label pair once per image,
     and every present label contributes a self pair (patches inside one
     region adjoin each other). Deduplication keeps the counts presence-based,
-    so large-area labels do not drown the table.
+    so large-area labels do not drown the table. ``comp, comp_labels`` is
+    ``label_components`` of the image's ground truth.
     """
-    comp, comp_labels = label_components(image.ground_truth)
     pairs, _ = superpixel_adjacency(comp)
     found = {(int(l), int(l)) for l in comp_labels}
     found.update((int(comp_labels[u]), int(comp_labels[v])) for u, v in pairs)

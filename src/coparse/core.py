@@ -36,18 +36,6 @@ class ImageRecord:
     def width(self) -> int:
         return self.pixels.shape[1]
 
-    @property
-    def superpixel_count(self) -> int:
-        return int(self.superpixel_map.max()) + 1
-
-
-@dataclass(frozen=True)
-class Superpixel:
-    id: int
-    pixel_count: int
-    centroid: tuple[float, float]          # normalized (row, col)
-    bbox: tuple[int, int, int, int]        # (r0, c0, r1, c1), half-open
-
 
 @dataclass(frozen=True, eq=False)
 class Partition:
@@ -83,16 +71,26 @@ class Partition:
         """Rebuild a partition as connected components of merged pairs."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)[np.asarray(merged, dtype=bool)]
         # both directions of every merged pair, so the strongly connected
-        # components are the connected ones; built straight as CSR, since the
-        # COO conversion and the undirected mode's transpose cost more than
-        # the search on small graphs
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=node_count))])
-        graph = sparse.csr_array((np.ones(src.size), dst[np.argsort(src, kind="stable")], indptr),
-                                 shape=(node_count, node_count))
+        # components are the connected ones
+        graph = pair_graph(node_count, pairs, np.ones(len(pairs)))
         _, labels = csgraph.connected_components(graph, connection="strong")
         return Partition.from_assignment(labels)
+
+
+def pair_graph(node_count: int, pairs: np.ndarray, weights: np.ndarray) -> sparse.csr_array:
+    """Directed CSR graph with both arcs u->v and v->u of every (u, v) pair.
+
+    Built straight as CSR, since the COO conversion and the undirected mode's
+    transpose cost more than the search on small graphs. Zero weights stay
+    stored, and csgraph's directed routines take a stored zero as an arc of
+    length zero.
+    """
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.argsort(src, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=node_count))])
+    return sparse.csr_array((np.concatenate([weights, weights])[order], dst[order], indptr),
+                            shape=(node_count, node_count))
 
 
 @dataclass(frozen=True)
@@ -128,10 +126,16 @@ def validate_image_record(record: ImageRecord, vocabulary_size: int | None = Non
         raise MalformedInputError(f"{record.id}: superpixel map shape mismatch")
     if record.contour_map.shape != (h, w):
         raise MalformedInputError(f"{record.id}: contour map shape mismatch")
-    m = _superpixel_sizes(record.id, sp).size
+    # ids must run 0..M-1 with none missing
+    if sp.min() != 0:
+        raise MalformedInputError(f"{record.id}: superpixel ids must start at 0")
+    counts = np.bincount(sp.ravel())
+    if (counts == 0).any():
+        missing = int(np.flatnonzero(counts == 0)[0])
+        raise MalformedInputError(f"{record.id}: superpixel ids not contiguous (missing {missing})")
     # 4-connectivity: each id must form a single connected component
     _, comp_values = label_components(sp)
-    bad = np.flatnonzero(np.bincount(comp_values, minlength=m) != 1)
+    bad = np.flatnonzero(np.bincount(comp_values, minlength=counts.size) != 1)
     if bad.size:
         raise MalformedInputError(f"{record.id}: superpixel {int(bad[0])} is not 4-connected")
     gt = record.ground_truth
@@ -144,17 +148,6 @@ def validate_image_record(record: ImageRecord, vocabulary_size: int | None = Non
         for tag in record.tags:
             if not 0 <= tag < vocabulary_size:
                 raise MalformedInputError(f"{record.id}: tag {tag} outside vocabulary")
-
-
-def _superpixel_sizes(image_id: str, sp: np.ndarray) -> np.ndarray:
-    """Pixel count per superpixel id; the ids must run 0..M-1 with none missing."""
-    if sp.min() != 0:
-        raise MalformedInputError(f"{image_id}: superpixel ids must start at 0")
-    counts = np.bincount(sp.ravel())
-    if (counts == 0).any():
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise MalformedInputError(f"{image_id}: superpixel ids not contiguous (missing {missing})")
-    return counts
 
 
 def label_components(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,30 +167,6 @@ def label_components(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         comp[sl][mask] = lab[mask] + len(comp_values) - 1
         comp_values.extend([value] * n)
     return comp, np.asarray(comp_values, dtype=np.int64)
-
-
-def superpixels_of(image: ImageRecord) -> list[Superpixel]:
-    """One Superpixel per map value, ascending ids; deterministic."""
-    sp = image.superpixel_map
-    h, w = sp.shape
-    counts = _superpixel_sizes(image.id, sp)
-    m = counts.size
-    rows = np.arange(h, dtype=np.float64)[:, None] + 0.5
-    cols = np.arange(w, dtype=np.float64)[None, :] + 0.5
-    rsum = np.bincount(sp.ravel(), weights=np.broadcast_to(rows, (h, w)).ravel(), minlength=m)
-    csum = np.bincount(sp.ravel(), weights=np.broadcast_to(cols, (h, w)).ravel(), minlength=m)
-    slices = ndimage.find_objects(sp + 1)
-    out = []
-    for i in range(m):
-        sl = slices[i]
-        bbox = (sl[0].start, sl[1].start, sl[0].stop, sl[1].stop)
-        out.append(Superpixel(
-            id=i,
-            pixel_count=int(counts[i]),
-            centroid=(rsum[i] / counts[i] / h, csum[i] / counts[i] / w),
-            bbox=bbox,
-        ))
-    return out
 
 
 def regions_of(image: ImageRecord, partition: Partition) -> list[Region]:

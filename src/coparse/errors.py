@@ -17,10 +17,6 @@ class MalformedInputError(DataError):
     """Input violates a documented invariant."""
 
 
-class InvalidEdgeError(MalformedInputError):
-    """Operation applied to a pair that is not a valid edge."""
-
-
 class PatchTooSmallError(MalformedInputError):
     """Patch or template too small for descriptor extraction."""
 

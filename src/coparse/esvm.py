@@ -327,18 +327,6 @@ def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
 # Propagation
 # ---------------------------------------------------------------------------
 
-def _iou(a, b) -> float:
-    ax0, ay0, ax1, ay1 = a
-    bx0, by0, bx1, by1 = b
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-    return inter / union
-
-
 def detect(exemplar: Exemplar, image: ImageRecord,
            stride: int = 8, scales: tuple[float, ...] = (1.0, 0.8, 1.25)
            ) -> list[DetectionWindow]:
@@ -349,7 +337,7 @@ def detect(exemplar: Exemplar, image: ImageRecord,
     gray = features.luma(image.pixels)
     h, w = gray.shape
     step = max(1, stride // features.CELL)
-    raw_windows = []
+    score_parts, window_parts = [], []
     for s_idx, s in enumerate(scales):
         sh, sw = max(1, int(round(h * s))), max(1, int(round(w * s)))
         grid_y, grid_x = sh // features.CELL, sw // features.CELL
@@ -362,35 +350,39 @@ def detect(exemplar: Exemplar, image: ImageRecord,
         scores = kernels.score_windows(blocks, cy - 1, cx - 1, w_blocks, step) + bias
         win_h = cy * features.CELL
         win_w = cx * features.CELL
-        for i in range(scores.shape[0]):
-            for j in range(scores.shape[1]):
-                ys = i * step * features.CELL
-                xs = j * step * features.CELL
-                x0 = int(round(xs * w / sw))
-                y0 = int(round(ys * h / sh))
-                ww = max(1, int(round(win_w * w / sw)))
-                wh = max(1, int(round(win_h * h / sh)))
-                x0 = min(x0, w - ww)
-                y0 = min(y0, h - wh)
-                raw_windows.append((float(scores[i, j]), s_idx, y0, x0, wh, ww))
-    if not raw_windows:
+        ww = max(1, int(round(win_w * w / sw)))
+        wh = max(1, int(round(win_h * h / sh)))
+        # int / int is correctly rounded and np.round rounds half to even, as
+        # Python's round does, so offsets equal int(round(xs * w / sw))
+        ys = np.arange(scores.shape[0]) * (step * features.CELL)
+        xs = np.arange(scores.shape[1]) * (step * features.CELL)
+        y0 = np.minimum(np.round(ys * h / sh).astype(np.int64), h - wh)
+        x0 = np.minimum(np.round(xs * w / sw).astype(np.int64), w - ww)
+        y0, x0 = np.broadcast_arrays(y0[:, None], x0[None, :])
+        score_parts.append(scores.ravel())
+        window_parts.append(np.stack([np.full(scores.size, s_idx), y0.ravel(), x0.ravel(),
+                                      np.full(scores.size, wh), np.full(scores.size, ww)]))
+    if not score_parts:
         return []
-    raws = np.array([rw[0] for rw in raw_windows])
+    raws = np.concatenate(score_parts)
+    s_idx, y0, x0, wh, ww = np.concatenate(window_parts, axis=1)
     cal = calibrated_score(exemplar.alpha, exemplar.beta, raws)
-    order = sorted(range(len(raw_windows)),
-                   key=lambda i: (-cal[i], -raws[i], raw_windows[i][1],
-                                  raw_windows[i][2], raw_windows[i][3]))
+    order = np.lexsort((x0, y0, s_idx, -raws, -cal))
+    raws, cal, y0, x0, wh, ww = (a[order] for a in (raws, cal, y0, x0, wh, ww))
+    y1, x1 = y0 + wh, x0 + ww
+    area = wh * ww
+    alive = np.ones(order.size, dtype=bool)
     kept: list[DetectionWindow] = []
-    kept_boxes = []
-    for i in order:
-        _, _, y0, x0, wh, ww = raw_windows[i]
-        box = (x0, y0, x0 + ww, y0 + wh)
-        if any(_iou(box, kb) > 0.5 for kb in kept_boxes):
+    for i in range(order.size):
+        if not alive[i]:
             continue
-        kept_boxes.append(box)
-        kept.append(DetectionWindow(image_id=image.id, x=x0, y=y0, width=ww,
-                                    height=wh, raw_score=float(raws[i]),
-                                    calibrated=float(cal[i])))
+        kept.append(DetectionWindow(image_id=image.id, x=int(x0[i]), y=int(y0[i]),
+                                    width=int(ww[i]), height=int(wh[i]),
+                                    raw_score=float(raws[i]), calibrated=float(cal[i])))
+        # IoU is symmetric, so a kept window drops every later one it overlaps
+        inter = (np.maximum(np.minimum(x1, x1[i]) - np.maximum(x0, x0[i]), 0)
+                 * np.maximum(np.minimum(y1, y1[i]) - np.maximum(y0, y0[i]), 0))
+        alive &= inter / (area + area[i] - inter) <= 0.5
     return kept
 
 

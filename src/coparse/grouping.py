@@ -7,24 +7,26 @@ theta makes contour-free edges favor merging; with the raw weights cutting
 everything would always be optimal.
 
 The solver runs the cutting-plane LP over edge merge variables (cycle
-inequalities separated lazily, short chordless cycles first), rounds by
-connected components, polishes with local merge/move search and, when the
-relaxation stays fractional, closes the gap by branching. Instances small
-enough for the exhaustive oracle are therefore solved to proven optimality.
+inequalities separated lazily: short chordless cycles first, then every edge
+whose cut weight exceeds its cheapest detour, all detours from one
+``csgraph.dijkstra`` call per round), rounds by connected components,
+polishes with local merge/move search and, when the relaxation stays
+fractional, closes the gap by branching. Instances small enough for the
+exhaustive oracle are therefore solved to proven optimality.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.sparse import csgraph
 
 from . import kernels
-from .core import ImageRecord, Partition, PropagationRecord, superpixel_adjacency
-from .errors import InvalidEdgeError, MalformedInputError, OracleTooLargeError, SolverError
+from .core import ImageRecord, Partition, PropagationRecord, pair_graph, superpixel_adjacency
+from .errors import MalformedInputError, OracleTooLargeError, SolverError
 
 ORACLE_MAX_NODES = 10
 
@@ -87,18 +89,8 @@ def _mask_active(instance: MulticutInstance, assignment: np.ndarray) -> tuple[bo
 
 
 # ---------------------------------------------------------------------------
-# Contour dissimilarity and mask coverage
+# Mask coverage
 # ---------------------------------------------------------------------------
-
-def edge_dissimilarity(image: ImageRecord, u: int, v: int) -> int:
-    """1 iff a contour pixel lies on the shared boundary of u and v."""
-    pairs, flags = superpixel_adjacency(image.superpixel_map, image.contour_map)
-    key = (min(u, v), max(u, v))
-    idx = np.flatnonzero((pairs[:, 0] == key[0]) & (pairs[:, 1] == key[1]))
-    if idx.size == 0:
-        raise InvalidEdgeError(f"superpixels {u} and {v} are not 4-adjacent")
-    return int(flags[idx[0]])
-
 
 def covered_superpixels(image: ImageRecord, mask: np.ndarray, x: int, y: int) -> list[int]:
     """Superpixels with at least half their pixels under the placed mask."""
@@ -227,14 +219,6 @@ class _MulticutSolver:
             self.adj[u].append((v, idx))
             self.adj[v].append((u, idx))
 
-        eu, ev, ew = [], [], []
-        for u, v, d in instance.edges:
-            eu.append(u)
-            ev.append(v)
-            ew.append(d - theta)
-        self._eu = np.array(eu, dtype=np.int64)
-        self._ev = np.array(ev, dtype=np.int64)
-        self._ew = np.array(ew, dtype=np.float64)
         self._mask_sets = [np.fromiter(sorted(ids), dtype=np.int64)
                            for ids, _ in instance.mask_constraints]
         self._mask_h = np.array([h for _, h in instance.mask_constraints], dtype=np.float64)
@@ -268,7 +252,9 @@ class _MulticutSolver:
     # -- objective over concrete assignments --------------------------------
 
     def _objective(self, assign: np.ndarray) -> float:
-        obj = float(self._ew[assign[self._eu] == assign[self._ev]].sum())
+        m = len(self.instance.edges)  # the instance's edges are the first m pairs
+        pa = self._pair_array
+        obj = float(self.cost[:m][assign[pa[:m, 0]] == assign[pa[:m, 1]]].sum())
         for ids, h in zip(self._mask_sets, self._mask_h):
             vals = assign[ids]
             if (vals == vals[0]).all():
@@ -338,51 +324,33 @@ class _MulticutSolver:
 
     def _separate_paths(self, x: np.ndarray) -> int:
         """Shortest-cycle separation: cut weight of an edge vs. the cheapest
-        detour in cut weights y = 1 - x."""
+        detour in cut weights y = 1 - x.
+
+        Any path that uses edge e costs at least y_e, so dist(u, v) < y_e
+        means the shortest u-v path avoids e and closes a violated cycle
+        with it. One Dijkstra call serves every candidate edge's source.
+        """
         added = 0
         tol = self.SEPARATION_TOL
         y = np.clip(1.0 - x[:self.n_pairs], 0.0, None)
-        for e_idx, (src, dst) in enumerate(self.pairs):
-            if y[e_idx] <= tol:
-                continue
-            dist, prev = self._dijkstra(src, dst, skip_var=e_idx, weights=y,
-                                        limit=y[e_idx] - tol)
-            if dist is None:
-                continue
+        candidates = np.flatnonzero(y > tol)
+        src, dst = self._pair_array[candidates].T
+        sources = np.unique(src)
+        dist, pred = csgraph.dijkstra(pair_graph(self.instance.node_count, self._pair_array, y),
+                                      indices=sources, return_predecessors=True)
+        rows = np.searchsorted(sources, src)
+        violated = dist[rows, dst] < y[candidates] - tol
+        for e_idx, row, node in zip(candidates[violated], rows[violated], dst[violated]):
             path_vars = []
-            node = dst
-            while node != src:
-                pnode, pvar = prev[node]
-                path_vars.append(pvar)
-                node = pnode
-            if self._add_row(e_idx, path_vars):
+            while pred[row, node] >= 0:
+                prev = pred[row, node]
+                path_vars.append(self.pair_index[(min(prev, node), max(prev, node))])
+                node = prev
+            if self._add_row(int(e_idx), path_vars):
                 added += 1
             if added >= 50:
                 break
         return added
-
-    def _dijkstra(self, src: int, dst: int, skip_var: int, weights: np.ndarray,
-                  limit: float):
-        dist = {src: 0.0}
-        prev: dict[int, tuple[int, int]] = {}
-        heap = [(0.0, src)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist.get(node, np.inf):
-                continue
-            if node == dst:
-                return (d, prev) if d < limit else (None, None)
-            for nbr, var in self.adj[node]:
-                if var == skip_var:
-                    continue
-                nd = d + weights[var]
-                if nd >= limit:
-                    continue
-                if nd < dist.get(nbr, np.inf) - 1e-15:
-                    dist[nbr] = nd
-                    prev[nbr] = (node, var)
-                    heapq.heappush(heap, (nd, nbr))
-        return None, None
 
     # -- rounding + local search ---------------------------------------------
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import colabel, esvm, grouping
 from .colabel import LabelModel
-from .core import BACKGROUND, ImageRecord, Partition, regions_of
+from .core import BACKGROUND, ImageRecord, Partition, label_components, regions_of
 from .errors import ConfigError, MalformedInputError
 from .graphcut import alpha_expansion
 from .io import Corpus
@@ -239,11 +239,12 @@ def train_label_model(corpus: Corpus, image_ids: list[str]) -> LabelModel:
         image = corpus.image_by_id(image_id)
         if image.ground_truth is None:
             raise MalformedInputError(f"{image_id}: ground truth required for training")
-        for label, hist, centroid in colabel.ground_truth_regions(image):
+        comp, comp_labels = label_components(image.ground_truth)
+        for label, hist, centroid in colabel.ground_truth_regions(image, comp, comp_labels):
             hists.append(hist)
             labels.append(label)
             centroids.setdefault(label, []).append(centroid)
-        pairs.extend(colabel.image_label_pairs(image))
+        pairs.extend(colabel.image_label_pairs(comp, comp_labels))
     vocab_size = len(corpus.vocabulary)
     appearance = colabel.train_appearance(np.asarray(hists), np.asarray(labels), vocab_size)
     means, covs = colabel.fit_location(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from coparse.core import (
@@ -7,7 +9,6 @@ from coparse.core import (
     label_components,
     regions_of,
     superpixel_adjacency,
-    superpixels_of,
     validate_image_record,
 )
 from coparse.errors import MalformedInputError
@@ -39,38 +40,6 @@ def _label_components_ref(values):
         comp[mask] = lab[mask] + len(comp_values) - 1
         comp_values.extend([int(value)] * n)
     return comp, np.asarray(comp_values, dtype=np.int64)
-
-
-class TestSuperpixelsOf:
-    def test_two_superpixels_counts(self):
-        image = make_image([[0, 0], [1, 1]])
-        sps = superpixels_of(image)
-        assert [s.id for s in sps] == [0, 1]
-        assert [s.pixel_count for s in sps] == [2, 2]
-
-    def test_single_superpixel_centroid_is_center(self):
-        image = make_image(np.zeros((6, 10), dtype=int))
-        (sp,) = superpixels_of(image)
-        assert sp.centroid == (0.5, 0.5)
-        assert sp.pixel_count == 60
-        assert sp.bbox == (0, 0, 6, 10)
-
-    def test_gap_in_ids_rejected(self):
-        image = make_image([[0, 0], [2, 2]])
-        with pytest.raises(MalformedInputError):
-            superpixels_of(image)
-
-    def test_deterministic(self, quad_image):
-        a = superpixels_of(quad_image)
-        b = superpixels_of(quad_image)
-        assert a == b
-
-    def test_centroid_inside_bbox(self, quad_image):
-        h, w = quad_image.superpixel_map.shape
-        for sp in superpixels_of(quad_image):
-            r0, c0, r1, c1 = sp.bbox
-            assert r0 / h <= sp.centroid[0] <= r1 / h
-            assert c0 / w <= sp.centroid[1] <= c1 / w
 
 
 class TestRegionsOf:
@@ -138,6 +107,37 @@ class TestPartition:
         with pytest.raises(MalformedInputError):
             Partition.from_assignment([])
 
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40))
+    def test_from_assignment_idempotent_and_canonical(self, labels):
+        part = Partition.from_assignment(labels)
+        a = part.assignment
+        assert Partition.from_assignment(a).equals(part)
+        # regions are numbered 0, 1, ... in order of first occurrence
+        assert list(dict.fromkeys(a.tolist())) == list(range(part.k))
+        given_labels = np.asarray(labels, dtype=np.int64)
+        assert np.array_equal(given_labels[:, None] == given_labels[None, :],
+                              a[:, None] == a[None, :])
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.data())
+    def test_from_edge_labels_round_trip(self, data):
+        n = data.draw(st.integers(1, 12))
+        part = Partition.from_assignment(data.draw(st.lists(st.integers(0, 4), min_size=n,
+                                                            max_size=n)))
+        all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(all_pairs),
+                                  max_size=len(all_pairs)))
+        pairs = np.array([p for p, k in zip(all_pairs, keep) if k], dtype=np.int64).reshape(-1, 2)
+        merged = part.edge_labels(pairs)
+        rebuilt = Partition.from_edge_labels(n, pairs, merged)
+        assert np.array_equal(rebuilt.edge_labels(pairs), merged)
+        # the rebuilt regions refine the original ones, and equal them on all pairs
+        a, b = part.assignment, rebuilt.assignment
+        assert not ((b[:, None] == b[None, :]) & (a[:, None] != a[None, :])).any()
+        if all(keep):
+            assert rebuilt.equals(part)
+
 
 class TestLabelComponents:
     def test_matches_whole_raster_labeling(self):
@@ -157,6 +157,11 @@ class TestLabelComponents:
 class TestValidation:
     def test_valid_image_passes(self, quad_image):
         validate_image_record(quad_image, vocabulary_size=1)
+
+    def test_gap_in_ids_rejected(self):
+        image = make_image([[0, 0], [2, 2]])
+        with pytest.raises(MalformedInputError):
+            validate_image_record(image)
 
     def test_disconnected_superpixel_rejected(self):
         # id 0 appears in two opposite corners
@@ -193,3 +198,13 @@ class TestAdjacency:
         lookup = {tuple(p): f for p, f in zip(pairs.tolist(), flags.tolist())}
         assert lookup[(0, 1)] == 1
         assert lookup[(2, 3)] == 0
+
+    def test_interior_contour_ignored(self):
+        spmap = np.zeros((6, 6), dtype=int)
+        spmap[:, 3:] = 1
+        contour = np.zeros((6, 6), dtype=bool)
+        assert superpixel_adjacency(spmap, contour)[1].tolist() == [0]
+        contour[:, 0] = True  # deep inside superpixel 0, far from the boundary
+        pairs, flags = superpixel_adjacency(spmap, contour)
+        assert pairs.tolist() == [[0, 1]]
+        assert flags.tolist() == [0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coparse import esvm
+from coparse import esvm, features, kernels
 from coparse.core import Partition, regions_of
 from coparse.errors import InsufficientDataError
 
@@ -143,6 +143,60 @@ def make_detection_corpus():
     return images
 
 
+def _iou(a, b) -> float:
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    iw = min(ax1, bx1) - max(ax0, bx0)
+    ih = min(ay1, by1) - max(ay0, by0)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    return inter / union
+
+
+def _detect_ref(exemplar, image, stride, scales):
+    """Scalar window list, sorted() order and pairwise-IoU greedy NMS."""
+    cy, cx = exemplar.template
+    gray = features.luma(image.pixels)
+    h, w = gray.shape
+    step = max(1, stride // features.CELL)
+    raw_windows = []
+    for s_idx, s in enumerate(scales):
+        sh, sw = max(1, int(round(h * s))), max(1, int(round(w * s)))
+        grid_y, grid_x = sh // features.CELL, sw // features.CELL
+        if grid_y < cy or grid_x < cx:
+            continue
+        mag, obin = features.orientation_bins(features.bilinear_resize(gray, sh, sw))
+        blocks = features.block_normalize(kernels.cell_histograms(mag, obin, grid_y, grid_x))
+        scores = kernels.score_windows(blocks, cy - 1, cx - 1, exemplar.w[:-1], step) \
+            + float(exemplar.w[-1])
+        for i in range(scores.shape[0]):
+            for j in range(scores.shape[1]):
+                ww = max(1, int(round(cx * features.CELL * w / sw)))
+                wh = max(1, int(round(cy * features.CELL * h / sh)))
+                x0 = min(int(round(j * step * features.CELL * w / sw)), w - ww)
+                y0 = min(int(round(i * step * features.CELL * h / sh)), h - wh)
+                raw_windows.append((float(scores[i, j]), s_idx, y0, x0, wh, ww))
+    if not raw_windows:
+        return []
+    raws = np.array([rw[0] for rw in raw_windows])
+    cal = esvm.calibrated_score(exemplar.alpha, exemplar.beta, raws)
+    order = sorted(range(len(raw_windows)),
+                   key=lambda i: (-cal[i], -raws[i], raw_windows[i][1],
+                                  raw_windows[i][2], raw_windows[i][3]))
+    kept, kept_boxes = [], []
+    for i in order:
+        _, _, y0, x0, wh, ww = raw_windows[i]
+        box = (x0, y0, x0 + ww, y0 + wh)
+        if any(_iou(box, kb) > 0.5 for kb in kept_boxes):
+            continue
+        kept_boxes.append(box)
+        kept.append(esvm.DetectionWindow(image_id=image.id, x=x0, y=y0, width=ww, height=wh,
+                                         raw_score=float(raws[i]), calibrated=float(cal[i])))
+    return kept
+
+
 class TestSelection:
     def test_empty_regions(self, quad_image):
         assert esvm.select_regions(quad_image, []) == []
@@ -196,7 +250,21 @@ class TestPropagation:
         top = dets[0]
         bbox = (24, 32, 24 + 48, 32 + 64)  # (x0, y0, x1, y1)
         box = (top.x, top.y, top.x + top.width, top.y + top.height)
-        assert esvm._iou(box, bbox) >= 0.5
+        assert _iou(box, bbox) >= 0.5
+
+    def test_detect_matches_scalar_reference(self):
+        images = make_detection_corpus()
+        regions = regions_of(images[0], Partition.from_assignment([0, 1]))
+        ex = esvm.build_exemplar("e0", images[0], regions[1], images,
+                                 regions[1].mask, 0.5, 0.01, seed=7)
+        # a flat image scores every window alike, so only the tie-breaks order
+        # them; at scale 16/17 every odd window offset lands on a half pixel
+        flat = make_image(np.zeros((170, 136), dtype=np.int64), image_id="flat")
+        for image in images + [flat]:
+            for stride, scales in ((8, (1.0, 0.8, 1.25)), (16, (0.7, 1.1)), (4, (1.0,)),
+                                   (8, (16 / 17,))):
+                assert esvm.detect(ex, image, stride, scales) == \
+                    _detect_ref(ex, image, stride, scales)
 
     def test_nms_and_ordering(self):
         images = make_detection_corpus()
@@ -216,7 +284,7 @@ class TestPropagation:
                     continue
                 box_a = (pa.x, pa.y, pa.x + pa.mask.shape[1], pa.y + pa.mask.shape[0])
                 box_b = (pb.x, pb.y, pb.x + pb.mask.shape[1], pb.y + pb.mask.shape[0])
-                assert esvm._iou(box_a, box_b) <= 0.5
+                assert _iou(box_a, box_b) <= 0.5
 
     def test_masks_inside_bounds(self):
         images = make_detection_corpus()

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coparse import graphcut, kernels
 from coparse.errors import MalformedInputError, OracleTooLargeError, SolverError
@@ -89,6 +91,24 @@ class TestMaxFlow:
             assert res.source_side[0] and not res.source_side[n - 1]
 
 
+    @settings(derandomize=True, deadline=None)
+    @given(st.data())
+    def test_duality_with_float_capacities(self, data):
+        n = data.draw(st.integers(2, 10))
+        arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                            st.floats(0.0, 100.0)), max_size=4 * n))
+        net = graphcut.FlowNetwork(n, 0, n - 1)
+        for u, v, cap in arcs:
+            if u != v:
+                net.add_arc(u, v, cap)
+        res = graphcut.max_flow(net)
+        side = res.source_side
+        assert side[0] and not side[n - 1]
+        cut = sum(cap for u, v, cap in arcs if u != v and side[u] and not side[v])
+        assert res.flow == pytest.approx(cut, rel=1e-9, abs=1e-9)
+        assert res.cut_capacity == pytest.approx(cut, rel=1e-9, abs=1e-9)
+
+
 class TestAlphaExpansion:
     def test_zero_pairwise_gives_unary_argmin(self):
         prob = potts_problem([(0.0, 2.0), (2.0, 0.0), (0.5, 0.1)], 0.0)
@@ -117,6 +137,30 @@ class TestAlphaExpansion:
             res = graphcut.alpha_expansion(prob)
             me = res.move_energies
             assert all(me[i + 1] < me[i] for i in range(len(me) - 1))
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.data())
+    def test_never_raises_the_energy(self, data):
+        # arbitrary tables, non-submodular ones included
+        n = data.draw(st.integers(1, 6))
+        energy = st.floats(-5.0, 5.0)
+        cands = tuple(np.array(sorted(data.draw(st.sets(st.integers(0, 3), min_size=1))))
+                      for _ in range(n))
+        unary = tuple(np.array(data.draw(st.lists(energy, min_size=c.size, max_size=c.size)))
+                      for c in cands)
+        edges = []
+        for u, v in data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+            if u < v:
+                values = data.draw(st.lists(energy, min_size=cands[u].size * cands[v].size,
+                                            max_size=cands[u].size * cands[v].size))
+                edges.append((u, v, np.array(values).reshape(cands[u].size, cands[v].size)))
+        prob = graphcut.LabelingProblem(candidates=cands, unary=unary, edges=tuple(edges))
+        initial = np.array([data.draw(st.sampled_from(c.tolist())) for c in cands])
+        res = graphcut.alpha_expansion(prob, initial=initial)
+        assert res.energy == graphcut.energy_of(prob, res.labeling)
+        assert res.energy <= graphcut.energy_of(prob, initial)
+        steps = (graphcut.energy_of(prob, initial),) + res.move_energies
+        assert all(b < a for a, b in zip(steps, steps[1:]))
 
     def test_candidate_sets_respected(self):
         cands = (np.array([0, 2]), np.array([1, 2]))

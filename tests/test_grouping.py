@@ -6,9 +6,8 @@ import pytest
 
 from coparse import grouping
 from coparse.core import PropagationRecord
-from coparse.errors import InvalidEdgeError, MalformedInputError, OracleTooLargeError, SolverError
+from coparse.errors import MalformedInputError, OracleTooLargeError, SolverError
 
-from conftest import make_image
 
 
 def all_partitions(n):
@@ -57,37 +56,6 @@ class TestInstanceValidation:
         inst = grouping.MulticutInstance(node_count=2, edges=((0, 1, 0),))
         with pytest.raises(MalformedInputError):
             grouping.solve_multicut(inst, 1.5)
-
-
-class TestEdgeDissimilarity:
-    def make_split_image(self, contour):
-        spmap = np.zeros((6, 6), dtype=int)
-        spmap[:, 3:] = 1
-        return make_image(spmap, contour=contour)
-
-    def test_no_contour_gives_zero(self):
-        image = self.make_split_image(np.zeros((6, 6), dtype=bool))
-        assert grouping.edge_dissimilarity(image, 0, 1) == 0
-
-    def test_contour_on_boundary_gives_one(self):
-        contour = np.zeros((6, 6), dtype=bool)
-        contour[:, 3] = True
-        image = self.make_split_image(contour)
-        assert grouping.edge_dissimilarity(image, 0, 1) == 1
-
-    def test_interior_contour_ignored(self):
-        contour = np.zeros((6, 6), dtype=bool)
-        contour[:, 0] = True  # deep inside superpixel 0, far from the boundary
-        image = self.make_split_image(contour)
-        assert grouping.edge_dissimilarity(image, 0, 1) == 0
-
-    def test_non_adjacent_rejected(self):
-        spmap = np.zeros((3, 9), dtype=int)
-        spmap[:, 3:6] = 1
-        spmap[:, 6:] = 2
-        image = make_image(spmap)
-        with pytest.raises(InvalidEdgeError):
-            grouping.edge_dissimilarity(image, 0, 2)
 
 
 class TestMaskConsistency:
@@ -239,6 +207,76 @@ class TestSolverOracleAgreement:
                 node_count=inst.node_count, edges=inst.edges,
                 mask_constraints=((ids, h + 0.5),) + inst.mask_constraints[1:])
             assert grouping.solve_multicut(bumped, 0.5).objective <= base + 1e-9
+
+
+def _floyd_warshall(n, pairs, y, skip):
+    """All-pairs shortest paths over cut weights y, pair ``skip`` removed."""
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for idx, (u, v) in enumerate(pairs):
+        if idx != skip:
+            dist[u, v] = dist[v, u] = y[idx]
+    for k in range(n):
+        dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
+    return dist
+
+
+class TestPathSeparation:
+    def check_rows(self, instance, x):
+        solver = grouping._MulticutSolver(instance, 0.5)
+        first = len(solver.rows)
+        added = solver._separate_paths(x)
+        rows = solver.rows[first:]
+        assert added == len(rows)
+        tol = solver.SEPARATION_TOL
+        pairs = solver._pair_array
+        y = 1.0 - x[:solver.n_pairs]
+        detour = {e: _floyd_warshall(instance.node_count, pairs, y, e)[u, v]
+                  for e, (u, v) in enumerate(pairs) if y[e] > tol}
+        violated = {e for e, d in detour.items() if d < y[e] - tol}
+        chosen = set()
+        for cols, coefs, rhs in rows:
+            e, path = int(cols[0]), [int(c) for c in cols[1:]]
+            assert e in violated and e not in path
+            assert coefs.tolist() == [-1.0] + [1.0] * len(path) and rhs == len(path) - 1
+            # the path's pairs form one simple path between e's endpoints
+            degree = np.bincount(pairs[path].ravel(), minlength=instance.node_count)
+            ends = set(pairs[e].tolist())
+            assert all(degree[node] == (1 if node in ends else 2)
+                       for node in np.flatnonzero(degree))
+            assert len(path) == np.count_nonzero(degree) - 1 and ends <= set(np.flatnonzero(degree))
+            assert x[path].sum() - x[e] > rhs
+            assert y[path].sum() == pytest.approx(detour[e], abs=1e-12)
+            chosen.add(e)
+        # edges are taken in pair order until 50 rows are in
+        assert sorted(chosen) == sorted(violated)[:50]
+        return added
+
+    def test_detour_of_merged_edges(self):
+        # a 5-cycle with one cut edge: its detour has cut weight exactly 0
+        inst = grouping.MulticutInstance(
+            node_count=5, edges=((0, 1, 1), (1, 2, 0), (2, 3, 0), (3, 4, 0), (0, 4, 0)))
+        assert self.check_rows(inst, np.array([0.0, 1.0, 1.0, 1.0, 1.0])) == 1
+
+    def test_matches_floyd_warshall_reference(self):
+        rng = np.random.default_rng(41)
+        total = 0
+        for _ in range(200):
+            inst = random_instance(rng, max_nodes=12)
+            solver = grouping._MulticutSolver(inst, 0.5)
+            n_vars = solver.n_pairs + solver.n_masks
+            # integral entries give zero cut weights and exact ties
+            x = np.where(rng.uniform(size=n_vars) < 0.4,
+                         rng.integers(0, 2, size=n_vars), rng.uniform(size=n_vars))
+            total += self.check_rows(inst, x)
+        assert total > 200
+
+    def test_row_cap(self):
+        rng = np.random.default_rng(43)
+        n = 20
+        inst = grouping.MulticutInstance(
+            node_count=n, edges=tuple((u, v, 0) for u in range(n) for v in range(u + 1, n)))
+        assert self.check_rows(inst, rng.uniform(size=len(inst.edges))) == 50
 
 
 class TestInstanceForImage:

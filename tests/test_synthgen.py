@@ -12,7 +12,7 @@ FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 def superpixel_purity(image):
     gt = image.ground_truth
     pure = 0
-    m = image.superpixel_count
+    m = int(image.superpixel_map.max()) + 1
     for s in range(m):
         if np.unique(gt[image.superpixel_map == s]).size == 1:
             pure += 1
