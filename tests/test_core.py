@@ -198,13 +198,3 @@ class TestAdjacency:
         lookup = {tuple(p): f for p, f in zip(pairs.tolist(), flags.tolist())}
         assert lookup[(0, 1)] == 1
         assert lookup[(2, 3)] == 0
-
-    def test_interior_contour_ignored(self):
-        spmap = np.zeros((6, 6), dtype=int)
-        spmap[:, 3:] = 1
-        contour = np.zeros((6, 6), dtype=bool)
-        assert superpixel_adjacency(spmap, contour)[1].tolist() == [0]
-        contour[:, 0] = True  # deep inside superpixel 0, far from the boundary
-        pairs, flags = superpixel_adjacency(spmap, contour)
-        assert pairs.tolist() == [[0, 1]]
-        assert flags.tolist() == [0]

@@ -8,6 +8,7 @@ from coparse import grouping
 from coparse.core import PropagationRecord
 from coparse.errors import MalformedInputError, OracleTooLargeError, SolverError
 
+from conftest import make_image
 
 
 def all_partitions(n):
@@ -56,6 +57,28 @@ class TestInstanceValidation:
         inst = grouping.MulticutInstance(node_count=2, edges=((0, 1, 0),))
         with pytest.raises(MalformedInputError):
             grouping.solve_multicut(inst, 1.5)
+
+
+class TestEdgeDissimilarity:
+    """The contour dissimilarity d that instance_for_image puts on each edge."""
+
+    def split_image_edges(self, contour):
+        spmap = np.zeros((6, 6), dtype=int)
+        spmap[:, 3:] = 1
+        return grouping.instance_for_image(make_image(spmap, contour=contour), []).edges
+
+    def test_no_contour_gives_zero(self):
+        assert self.split_image_edges(np.zeros((6, 6), dtype=bool)) == ((0, 1, 0),)
+
+    def test_contour_on_boundary_gives_one(self):
+        contour = np.zeros((6, 6), dtype=bool)
+        contour[:, 3] = True
+        assert self.split_image_edges(contour) == ((0, 1, 1),)
+
+    def test_interior_contour_ignored(self):
+        contour = np.zeros((6, 6), dtype=bool)
+        contour[:, 0] = True  # deep inside superpixel 0, far from the boundary
+        assert self.split_image_edges(contour) == ((0, 1, 0),)
 
 
 class TestMaskConsistency:
