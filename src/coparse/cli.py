@@ -30,6 +30,18 @@ def _load_config(args) -> pipeline.Config:
     return cfg
 
 
+def _phase1_meta(phase1: pipeline.Phase1Result) -> dict:
+    return {
+        "phase1_iterations": phase1.iteration_count,
+        "phase1_converged": phase1.converged,
+        "phase1_fixed_point": phase1.fixed_point,
+        "phase1_multicuts_solved": phase1.multicuts_solved,
+        "phase1_multicuts_reused": phase1.multicuts_reused,
+        "phase1_exemplars_trained": phase1.exemplars_trained,
+        "phase1_exemplars_reused": phase1.exemplars_reused,
+    }
+
+
 def _run_meta(config: pipeline.Config, extra: dict) -> dict:
     import numpy
     import scipy
@@ -114,10 +126,7 @@ def cmd_esvm(args) -> int:
     for image in corpus.images:
         region_map = phase1.partitions[image.id].assignment[image.superpixel_map]
         io.write_pgm16(out / f"{image.id}.regions.pgm", region_map)
-    _dump_json(out / "run-meta.json", _run_meta(config, {
-        "phase1_iterations": phase1.iteration_count,
-        "phase1_converged": phase1.converged,
-    }))
+    _dump_json(out / "run-meta.json", _run_meta(config, _phase1_meta(phase1)))
     print(f"phase I: {len(phase1.exemplars)} exemplars, "
           f"{len(phase1.propagations)} propagations, "
           f"{phase1.iteration_count} iterations")
@@ -192,8 +201,7 @@ def cmd_run(args) -> int:
     metrics = pipeline.evaluate(phase2.label_maps, corpus, labeled_ids)
     _dump_json(out / "metrics.json", metrics.to_dict())
     _dump_json(out / "run-meta.json", _run_meta(config, {
-        "phase1_iterations": phase1.iteration_count,
-        "phase1_converged": phase1.converged,
+        **_phase1_meta(phase1),
         "phase2_sweeps": phase2.sweeps,
         "total_energy": phase2.total_energy,
         "note": "metrics are in-sample (model trained on this corpus); use cv for held-out numbers",

@@ -406,6 +406,10 @@ class _MulticutSolver:
     # -- branch and cut --------------------------------------------------------
 
     def solve(self) -> tuple[np.ndarray, float]:
+        if self.n_pairs + self.n_masks == 0:
+            # no edges and no masks: the LP has no variables, and rounding
+            # by connected components leaves every node on its own
+            return np.arange(self.instance.node_count, dtype=np.int64), 0.0
         best_assign: np.ndarray | None = None
         best_obj = np.inf
         stack: list[dict[int, int]] = [{}]

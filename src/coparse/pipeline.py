@@ -3,10 +3,13 @@ once over the batch, and evaluate.
 
 Phase I loops {group -> select + train exemplars -> propagate} and stops
 when no image's partition changed between consecutive iterations (the
-confirming pass counts as an iteration). Phase II builds one multi-image
-graph over the whole batch and minimizes it with alpha-expansion. Metric
-conventions: aPA averages pixel accuracy per image; mAGR is the macro mean
-over labels of per-image recall, skipping images that lack the label.
+confirming pass counts as an iteration). Each run caches its multicut
+solutions and its exemplars (with their propagations) on their exact
+inputs, so a pass repeats no solve or training that an earlier pass of the
+same run already did. Phase II builds one multi-image graph over the whole
+batch and minimizes it with alpha-expansion. Metric conventions: aPA
+averages pixel accuracy per image; mAGR is the macro mean over labels of
+per-image recall, skipping images that lack the label.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -139,25 +142,41 @@ class Phase1Result:
     iteration_count: int
     converged: bool        # terminated before the cap (fixed point or closed orbit)
     fixed_point: bool      # strict consecutive-iteration equality
+    # work done vs. taken from the run's caches; 0 when not computed here
+    multicuts_solved: int = 0
+    multicuts_reused: int = 0
+    exemplars_trained: int = 0
+    exemplars_reused: int = 0
+
+
+def _select_images(corpus: Corpus, image_ids: list[str] | None) -> list[ImageRecord]:
+    """The corpus images named in image_ids (all when None), in corpus order."""
+    if image_ids is None:
+        return list(corpus.images)
+    wanted = set(image_ids)
+    return [rec for rec in corpus.images if rec.id in wanted]
 
 
 # ---------------------------------------------------------------------------
 # Phase I
 # ---------------------------------------------------------------------------
 
-def _group_all(images: list[ImageRecord], propagations, config: Config
-               ) -> dict[str, Partition]:
+def _group_all(images: list[ImageRecord], propagations, config: Config,
+               solved: dict[grouping.MulticutInstance, Partition]) -> dict[str, Partition]:
     partitions = {}
     for image in images:
         props = [p for p in propagations if p.target_image == image.id]
         instance = grouping.instance_for_image(image, props)
-        partitions[image.id] = grouping.solve_multicut(instance, config.theta).partition
+        if instance not in solved:
+            solved[instance] = grouping.solve_multicut(instance, config.theta).partition
+        partitions[image.id] = solved[instance]
     return partitions
 
 
 def _train_and_propagate(images: list[ImageRecord], partitions: dict[str, Partition],
-                         config: Config):
+                         config: Config, trained: dict[tuple, tuple]):
     exemplars: list[esvm.Exemplar] = []
+    propagations = []
     for image in images:
         regions = regions_of(image, partitions[image.id])
         selected = esvm.select_regions(image, regions, config.a_min, config.a_max,
@@ -167,19 +186,24 @@ def _train_and_propagate(images: list[ImageRecord], partitions: dict[str, Partit
         excluded = np.zeros(image.pixels.shape[:2], dtype=bool)
         for k in selected:
             excluded |= regions[k].mask
+        excluded_key = excluded.tobytes()
         for k in selected:
             # content-based id: an unchanged region retrains into the
             # identical exemplar even when other regions renumber, which
             # keeps the iteration's fixed point reachable
             content = zlib.crc32(np.asarray(regions[k].superpixels, dtype=np.int64).tobytes())
             exemplar_id = f"{image.id}:r{content:08x}"
-            exemplars.append(esvm.build_exemplar(
-                exemplar_id, image, regions[k], images, excluded,
-                config.lambda1, config.lambda2, config.seed))
-    propagations = []
-    for exemplar in exemplars:
-        propagations.extend(esvm.propagate(exemplar, images, config.k_top,
-                                           config.stride, config.scales))
+            key = (exemplar_id, regions[k].superpixels, excluded_key)
+            if key not in trained:
+                exemplar = esvm.build_exemplar(
+                    exemplar_id, image, regions[k], images, excluded,
+                    config.lambda1, config.lambda2, config.seed)
+                trained[key] = exemplar, esvm.propagate(exemplar, images, config.k_top,
+                                                        config.stride, config.scales)
+            exemplar, props = trained[key]
+            # the same content may sit at another region index this pass
+            exemplars.append(replace(exemplar, source_region=regions[k].id))
+            propagations.extend(props)
     return exemplars, propagations
 
 
@@ -191,11 +215,18 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     point; a repeat of any earlier joint partition state closes the orbit
     exactly (no new regions can ever appear), so the loop also terminates
     there, reporting fixed_point=False.
+
+    Multicuts are cached on their instance and exemplars on (id, region
+    superpixels, excluded mask); theta, the image set, the training and the
+    propagation settings are fixed within the call, so a hit returns what
+    the same inputs computed.
     """
-    images = [rec for rec in corpus.images
-              if image_ids is None or rec.id in set(image_ids)]
+    images = _select_images(corpus, image_ids)
     if not images:
         raise MalformedInputError("no images selected for co-segmentation")
+    solved: dict[grouping.MulticutInstance, Partition] = {}
+    trained: dict[tuple, tuple] = {}
+    exemplar_count = 0
     exemplars: list[esvm.Exemplar] = []
     propagations: list = []
     previous: dict[str, Partition] | None = None
@@ -205,26 +236,29 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     fixed_point = False
     while iteration < config.max_phase1_iters:
         iteration += 1
-        partitions = _group_all(images, propagations, config)
+        partitions = _group_all(images, propagations, config, solved)
         if previous is not None and all(
                 partitions[i.id].equals(previous[i.id]) for i in images):
             converged = True
             fixed_point = True
             break
         signature = tuple(partitions[i.id].assignment.tobytes() for i in images)
-        if signature in seen:
-            converged = True
-            previous = partitions
-            # refresh exemplars so their source regions exist in the
-            # returned partitions
-            exemplars, propagations = _train_and_propagate(images, partitions, config)
-            break
+        # a repeated state closes the orbit; its exemplars are still refreshed
+        # so their source regions exist in the returned partitions
+        converged = signature in seen
         seen.add(signature)
         previous = partitions
-        exemplars, propagations = _train_and_propagate(images, partitions, config)
+        exemplars, propagations = _train_and_propagate(images, partitions, config, trained)
+        exemplar_count += len(exemplars)
+        if converged:
+            break
     return Phase1Result(partitions=previous, exemplars=exemplars,
                         propagations=propagations, iteration_count=iteration,
-                        converged=converged, fixed_point=fixed_point)
+                        converged=converged, fixed_point=fixed_point,
+                        multicuts_solved=len(solved),
+                        multicuts_reused=iteration * len(images) - len(solved),
+                        exemplars_trained=len(trained),
+                        exemplars_reused=exemplar_count - len(trained))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +303,7 @@ class Phase2Result:
 def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
                    config: Config, image_ids: list[str] | None = None) -> Phase2Result:
     """Joint MAP labeling of the whole batch, painted back to label maps."""
-    images = [rec for rec in corpus.images
-              if image_ids is None or rec.id in set(image_ids)]
+    images = _select_images(corpus, image_ids)
     for image in images:
         for tag in image.tags:
             if not 0 <= tag < len(corpus.vocabulary):
@@ -312,8 +345,7 @@ def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
 
 def evaluate(predictions: dict[str, np.ndarray], corpus: Corpus,
              image_ids: list[str] | None = None) -> Metrics:
-    images = [rec for rec in corpus.images
-              if image_ids is None or rec.id in set(image_ids)]
+    images = _select_images(corpus, image_ids)
     accuracies = []
     recall_lists: dict[int, list[float]] = {}
     for image in images:
@@ -337,8 +369,7 @@ def evaluate(predictions: dict[str, np.ndarray], corpus: Corpus,
 
 def background_fraction(corpus: Corpus, image_ids: list[str] | None = None) -> float:
     """Mean per-image background pixel fraction (the all-background aPA)."""
-    images = [rec for rec in corpus.images
-              if image_ids is None or rec.id in set(image_ids)]
+    images = _select_images(corpus, image_ids)
     fractions = [float((rec.ground_truth == BACKGROUND).mean()) for rec in images]
     return float(np.mean(fractions))
 

@@ -132,6 +132,9 @@ class TestPhasedCommands:
                          "--out", str(phase1)]) == 0
         assert (phase1 / "exemplars.jsonl").exists()
         assert (phase1 / "propagations.json").exists()
+        meta = json.loads((phase1 / "run-meta.json").read_text())
+        exemplar_count = sum(1 for line in (phase1 / "exemplars.jsonl").open() if line.strip())
+        assert meta["phase1_exemplars_trained"] + meta["phase1_exemplars_reused"] >= exemplar_count
 
         out = tmp_path / "labeled"
         assert cli.main(["colabel", "--manifest", str(manifest),
@@ -154,6 +157,10 @@ class TestRunAndEval:
         meta = json.loads((out / "run-meta.json").read_text())
         assert meta["config"]["seed"] == 0
         assert "numpy" in meta["versions"]
+        # every pass groups both images, from the run's cache or by a solve
+        assert (meta["phase1_multicuts_solved"] + meta["phase1_multicuts_reused"]
+                == 2 * meta["phase1_iterations"])
+        assert isinstance(meta["phase1_fixed_point"], bool)
 
         rc = cli.main(["eval", "--manifest", str(manifest), "--pred", str(out),
                        "--out", str(tmp_path / "m.json")])

@@ -153,6 +153,23 @@ class TestSolveMulticut:
         assert sol.objective == pytest.approx(
             grouping.objective_of(inst, sol.partition.assignment, 0.5), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_edgeless_instance_keeps_every_node_apart(self, n, monkeypatch):
+        # no edges and no masks leave the LP without variables
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an instance without variables reached the LP")
+
+        monkeypatch.setattr(grouping, "linprog", no_lp)
+        sol = grouping.solve_multicut(grouping.MulticutInstance(node_count=n, edges=()), 0.5)
+        assert sol.partition.assignment.tolist() == list(range(n))
+        assert sol.objective == 0.0
+        assert sol.mask_active == ()
+
+    def test_single_superpixel_image(self):
+        image = make_image(np.zeros((6, 5), dtype=np.int64))
+        sol = grouping.solve_multicut(grouping.instance_for_image(image, []), 0.5)
+        assert sol.partition.assignment.tolist() == [0]
+
     def test_lp_failure_raises_solver_error(self, monkeypatch):
         inst = grouping.MulticutInstance(node_count=3, edges=((0, 1, 1), (1, 2, 0)))
         monkeypatch.setattr(grouping, "linprog", lambda *a, **k: SimpleNamespace(status=4))

@@ -1,7 +1,11 @@
+import zlib
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from coparse import pipeline, synthgen
+from coparse import esvm, grouping, pipeline, synthgen
+from coparse.core import regions_of
 from coparse.errors import ConfigError, MalformedInputError
 from coparse.io import Corpus
 
@@ -213,3 +217,167 @@ class TestCrossValidate:
         assert a.magr_mean == b.magr_mean
         for key in a.label_maps:
             assert (a.label_maps[key] == b.label_maps[key]).all()
+
+
+# ---------------------------------------------------------------------------
+# Phase I memo: a run caches multicuts and exemplars on their exact inputs.
+# The reference is the uncached loop, which solves, trains and propagates
+# from scratch on every pass.
+# ---------------------------------------------------------------------------
+
+def _reference_group_all(images, propagations, config):
+    partitions = {}
+    for image in images:
+        props = [p for p in propagations if p.target_image == image.id]
+        instance = grouping.instance_for_image(image, props)
+        partitions[image.id] = grouping.solve_multicut(instance, config.theta).partition
+    return partitions
+
+
+def _reference_train_and_propagate(images, partitions, config):
+    exemplars = []
+    for image in images:
+        regions = regions_of(image, partitions[image.id])
+        selected = esvm.select_regions(image, regions, config.a_min, config.a_max,
+                                       config.tau_sel, config.n_sel)
+        if not selected:
+            continue
+        excluded = np.zeros(image.pixels.shape[:2], dtype=bool)
+        for k in selected:
+            excluded |= regions[k].mask
+        for k in selected:
+            content = zlib.crc32(np.asarray(regions[k].superpixels, dtype=np.int64).tobytes())
+            exemplars.append(esvm.build_exemplar(
+                f"{image.id}:r{content:08x}", image, regions[k], images, excluded,
+                config.lambda1, config.lambda2, config.seed))
+    propagations = []
+    for exemplar in exemplars:
+        propagations.extend(esvm.propagate(exemplar, images, config.k_top,
+                                           config.stride, config.scales))
+    return exemplars, propagations
+
+
+def _reference_cosegmentation(corpus, config):
+    images = list(corpus.images)
+    exemplars, propagations = [], []
+    previous, seen = None, set()
+    iteration, converged, fixed_point = 0, False, False
+    while iteration < config.max_phase1_iters:
+        iteration += 1
+        partitions = _reference_group_all(images, propagations, config)
+        if previous is not None and all(
+                partitions[i.id].equals(previous[i.id]) for i in images):
+            converged = fixed_point = True
+            break
+        signature = tuple(partitions[i.id].assignment.tobytes() for i in images)
+        if signature in seen:
+            converged = True
+            previous = partitions
+            exemplars, propagations = _reference_train_and_propagate(images, partitions, config)
+            break
+        seen.add(signature)
+        previous = partitions
+        exemplars, propagations = _reference_train_and_propagate(images, partitions, config)
+    return pipeline.Phase1Result(partitions=previous, exemplars=exemplars,
+                                 propagations=propagations, iteration_count=iteration,
+                                 converged=converged, fixed_point=fixed_point)
+
+
+class _CallLog:
+    """The inputs of every solve_multicut, build_exemplar and propagate call."""
+
+    def __init__(self, monkeypatch):
+        self.solves, self.builds, self.propagations = [], [], []
+        self.first_region = {}   # exemplar id -> region id of its first build
+        solve, build, propagate = grouping.solve_multicut, esvm.build_exemplar, esvm.propagate
+
+        def counted_solve(instance, theta=0.5):
+            self.solves.append((instance, theta))
+            return solve(instance, theta)
+
+        def counted_build(exemplar_id, image, region, corpus_images, excluded,
+                          lam1, lam2, seed):
+            key = (exemplar_id, image.id, region.superpixels, excluded.tobytes(),
+                   tuple(rec.id for rec in corpus_images), lam1, lam2, seed)
+            self.builds.append(key)
+            self.first_region.setdefault(exemplar_id, region.id)
+            return build(exemplar_id, image, region, corpus_images, excluded,
+                         lam1, lam2, seed)
+
+        def counted_propagate(exemplar, corpus_images, k=5, stride=8,
+                              scales=(1.0, 0.8, 1.25)):
+            self.propagations.append((
+                exemplar.id, exemplar.w.tobytes(), exemplar.alpha, exemplar.beta,
+                exemplar.mask.tobytes(), tuple(rec.id for rec in corpus_images),
+                k, stride, tuple(scales)))
+            return propagate(exemplar, corpus_images, k, stride, scales)
+
+        monkeypatch.setattr(grouping, "solve_multicut", counted_solve)
+        monkeypatch.setattr(esvm, "build_exemplar", counted_build)
+        monkeypatch.setattr(esvm, "propagate", counted_propagate)
+
+    def repeats(self):
+        return tuple(len(calls) - len(set(calls))
+                     for calls in (self.solves, self.builds, self.propagations))
+
+
+def _assert_same_records(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert type(a) is type(b)
+        for f in fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+            else:
+                assert x == y, f.name
+
+
+# (scene seed, image count): a 3-image corpus whose Phase I closes an orbit,
+# and a 2-image corpus where a returned exemplar's region kept its
+# superpixels but moved to another index since the exemplar was first built
+MEMO_CASES = {"closed-orbit": (5, 3), "region-index-change": (28, 2)}
+
+
+@pytest.fixture(scope="module", params=sorted(MEMO_CASES))
+def phase1_runs(request):
+    seed, n_images = MEMO_CASES[request.param]
+    corpus = synthgen.generate(synthgen.default_scene_spec(seed=seed), n_images)
+    config = pipeline.Config(seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        reference_log = _CallLog(mp)
+        reference = _reference_cosegmentation(corpus, config)
+    with pytest.MonkeyPatch.context() as mp:
+        log = _CallLog(mp)
+        result = pipeline.run_cosegmentation(corpus, config)
+    # the corpus shows the case it stands for, and the uncached loop repeats work
+    if request.param == "closed-orbit":
+        assert reference.converged and not reference.fixed_point
+    else:
+        assert any(ex.source_region != reference_log.first_region[ex.id]
+                   for ex in reference.exemplars)
+    assert all(reference_log.repeats())
+    return reference, reference_log, result, log
+
+
+class TestPhase1Memo:
+    def test_no_call_repeats_its_inputs(self, phase1_runs):
+        _, _, _, log = phase1_runs
+        assert log.repeats() == (0, 0, 0)
+
+    def test_result_equals_uncached_loop(self, phase1_runs):
+        reference, _, result, _ = phase1_runs
+        assert result.partitions.keys() == reference.partitions.keys()
+        for image_id, partition in reference.partitions.items():
+            assert result.partitions[image_id].equals(partition)
+        _assert_same_records(result.exemplars, reference.exemplars)
+        _assert_same_records(result.propagations, reference.propagations)
+        assert (result.iteration_count, result.converged, result.fixed_point) == \
+            (reference.iteration_count, reference.converged, reference.fixed_point)
+
+    def test_counts_split_the_uncached_calls(self, phase1_runs):
+        _, reference_log, result, log = phase1_runs
+        assert result.multicuts_solved == len(log.solves)
+        assert result.multicuts_solved + result.multicuts_reused == len(reference_log.solves)
+        assert result.exemplars_trained == len(log.builds)
+        assert result.exemplars_trained + result.exemplars_reused == len(reference_log.builds)
