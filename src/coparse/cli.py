@@ -39,6 +39,7 @@ def _phase1_meta(phase1: pipeline.Phase1Result) -> dict:
         "phase1_multicuts_reused": phase1.multicuts_reused,
         "phase1_exemplars_trained": phase1.exemplars_trained,
         "phase1_exemplars_reused": phase1.exemplars_reused,
+        "phase1_esvm_max_duality_gap": phase1.esvm_max_duality_gap,
     }
 
 

@@ -2,9 +2,10 @@
 calibration, and sliding-window propagation of segmentation masks.
 
 One linear classifier is trained per selected region (single positive
-against sampled negatives), its raw responses are mapped through a fitted
-logistic so scores are comparable across exemplars, and the top detections
-place the exemplar's mask into other images.
+against sampled negatives) by solving its SVM dual, a box-constrained QP,
+to optimality; its raw responses are mapped through a fitted logistic so
+scores are comparable across exemplars, and the top detections place the
+exemplar's mask into other images.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class Exemplar:
     source_region: tuple[str, int]
     mask: np.ndarray                   # bool at template pixel resolution
     template: tuple[int, int]          # (cells_y, cells_x)
+    duality_gap: float = 0.0           # of the training; 0 when read from JSON
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,8 @@ def esvm_subgradient(w: np.ndarray, positive: np.ndarray, negatives: np.ndarray,
 class TrainResult:
     w: np.ndarray
     energy: float
-    best_energy_trace: np.ndarray   # best-so-far energy per step, non-increasing
+    best_energy_trace: np.ndarray   # best-so-far energy per solver iteration, non-increasing
+    duality_gap: float
 
 
 def _augment(f: np.ndarray) -> np.ndarray:
@@ -121,10 +124,16 @@ def _augment(f: np.ndarray) -> np.ndarray:
 
 
 def train_esvm(positive: np.ndarray, negatives: list[np.ndarray] | np.ndarray,
-               lam1: float = 0.5, lam2: float = 0.01,
-               iterations: int = 1500, seed: int = 0) -> TrainResult:
-    """Deterministic projected subgradient descent from 3 fixed starts.
+               lam1: float = 0.5, lam2: float = 0.01, seed: int = 0) -> TrainResult:
+    """Minimize ``esvm_energy`` exactly through its dual.
 
+    With the signed rows X = [positive; -negatives] the energy is a linear
+    SVM with C = (lam1, lam2, ..., lam2) per row, whose dual is the box QP
+    min 0.5 a'(XX')a - sum(a), 0 <= a <= C, solved by
+    ``kernels.solve_box_qp``; then w = X'a. The trace holds the best primal
+    energy seen up to each solver iteration plus one entry that also counts
+    the returned ``w``, so it is never empty. The solve is deterministic;
+    ``seed`` is unused.
     Features are taken as given; callers wanting a bias append a constant
     coordinate (build_exemplar does).
     """
@@ -134,42 +143,25 @@ def train_esvm(positive: np.ndarray, negatives: list[np.ndarray] | np.ndarray,
     if lam1 <= 0 or lam2 <= 0:
         raise MalformedInputError("regularization weights must be positive")
     pos = np.asarray(positive, dtype=np.float64)
-    dim = pos.size
-    radius = np.sqrt(2.0 * (lam1 + lam2 * negs.shape[0]))
-    rng = np.random.default_rng([seed, 0x5E5])
-    w = np.stack([
-        np.zeros(dim),
-        pos / (pos @ pos),
-        rng.standard_normal(dim) * 0.01,
-    ])  # the 3 fixed restarts run side by side, one row each
-    n_restarts = w.shape[0]
-    best_local = np.full(n_restarts, np.inf)
-    w_best = w.copy()
-    traces = np.empty((iterations + 1, n_restarts))
-    for t in range(1, iterations + 2):
-        # energy and subgradient share one pass over the margins
-        margin_pos = 1.0 - w @ pos
-        margins_neg = 1.0 + negs @ w.T           # (n_neg, n_restarts)
-        active = margins_neg > 0.0
-        e = (0.5 * (w * w).sum(axis=1) + lam1 * np.maximum(0.0, margin_pos)
-             + lam2 * np.where(active, margins_neg, 0.0).sum(axis=0))
-        improved = e < best_local
-        best_local = np.where(improved, e, best_local)
-        w_best[improved] = w[improved]
-        traces[t - 1] = best_local
-        if t > iterations:
-            break
-        g = w.copy()
-        g[margin_pos > 0.0] -= lam1 * pos
-        g += lam2 * (negs.T @ active).T
-        w = w - g / t   # step 1/t suits the unit-strongly-convex objective
-        norms = np.sqrt((w * w).sum(axis=1))
-        over = norms > radius
-        if over.any():
-            w[over] *= (radius / norms[over])[:, None]
-    winner = int(np.argmin(best_local))
-    return TrainResult(w=w_best[winner], energy=float(best_local[winner]),
-                       best_energy_trace=traces[:, winner].copy())
+    x = np.vstack([pos, -negs])
+    gram = x @ x.T
+    c = np.full(x.shape[0], lam2)
+    c[0] = lam1
+    energies = []
+
+    def record(a):
+        # the energy at w = X'a, from the margins Xw = Ka
+        margins = gram @ a
+        energies.append(0.5 * float(a @ margins)
+                        + float(c @ np.maximum(0.0, 1.0 - margins)))
+
+    alpha, gap = kernels.solve_box_qp(gram, c, callback=record)
+    w = x.T @ alpha
+    energy = esvm_energy(w, pos, negs, lam1, lam2)
+    energies.append(energy)
+    return TrainResult(w=w, energy=energy,
+                       best_energy_trace=np.minimum.accumulate(energies),
+                       duality_gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +251,16 @@ def sample_negatives(corpus_images: list[ImageRecord], image: ImageRecord,
     are drawn round-robin from the other images.
     """
     bh, bw = bbox_hw
-    lum_cache: dict[str, np.ndarray] = {}
-
-    def lum(rec):
-        if rec.id not in lum_cache:
-            lum_cache[rec.id] = features.luma(rec.pixels)
-        return lum_cache[rec.id]
+    # every luminance raster used goes into one flat buffer, and each crop
+    # becomes (start, row pitch, height, width) in it
+    offsets: dict[str, int] = {}
+    rasters: list[np.ndarray] = []
 
     def crop(rec, forbid):
         h, w = rec.pixels.shape[:2]
+        if rec.id not in offsets:
+            offsets[rec.id] = sum(r.size for r in rasters)
+            rasters.append(features.luma(rec.pixels).ravel())
         for _ in range(50):
             sc = rng.uniform(0.8, 1.25)
             ch = min(max(8, int(round(bh * sc))), h)
@@ -276,20 +269,14 @@ def sample_negatives(corpus_images: list[ImageRecord], image: ImageRecord,
             x = int(rng.integers(0, w - cw + 1))
             if forbid is not None and forbid[y + ch // 2, x + cw // 2]:
                 continue
-            return lum(rec)[y:y + ch, x:x + cw]
-        return lum(rec)[0:min(bh, h), 0:min(bw, w)]
+            return offsets[rec.id] + y * w + x, w, ch, cw
+        return offsets[rec.id], w, min(bh, h), min(bw, w)
 
     others = [rec for rec in corpus_images if rec.id != image.id]
-    descs = []
     n_same = count if not others else count // 2
-    for _ in range(n_same):
-        descs.append(features.hog(crop(image, excluded), template))
-    i = 0
-    while len(descs) < count:
-        rec = others[i % len(others)]
-        descs.append(features.hog(crop(rec, None), template))
-        i += 1
-    return np.asarray(descs)
+    crops = [crop(image, excluded) for _ in range(n_same)]
+    crops += [crop(others[i % len(others)], None) for i in range(count - n_same)]
+    return features.hog_crops(np.concatenate(rasters), *zip(*crops), template)
 
 
 def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
@@ -310,7 +297,7 @@ def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
     # bias enters as a constant feature coordinate
     pos_aug = _augment(positive)
     negs_aug = np.hstack([negatives, np.ones((negatives.shape[0], 1))])
-    trained = train_esvm(pos_aug, negs_aug, lam1, lam2, seed=seed)
+    trained = train_esvm(pos_aug, negs_aug, lam1, lam2)
     raws = np.concatenate([[trained.w @ pos_aug], negs_aug @ trained.w])
     flags = np.zeros(raws.size, dtype=bool)
     flags[0] = True
@@ -320,7 +307,8 @@ def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
     if not mask.any():
         mask = np.ones_like(mask)
     return Exemplar(id=exemplar_id, w=trained.w, alpha=cal.alpha, beta=cal.beta,
-                    source_region=region.id, mask=mask, template=template)
+                    source_region=region.id, mask=mask, template=template,
+                    duality_gap=trained.duality_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ CELL = 8
 HOG_BINS = 9
 COLOR_BINS = 8          # per RGB channel
 GRAD_BINS = 16
+HOG_STACK = 10          # crops per HOG stack: keeps its temporaries to a few MB
 
 
 def luma(pixels: np.ndarray) -> np.ndarray:
@@ -27,8 +28,11 @@ def luma(pixels: np.ndarray) -> np.ndarray:
 
 
 def gradients(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d/drow, d/dcol) central differences, one-sided at the borders."""
-    gy, gx = np.gradient(gray.astype(np.float64))
+    """(d/drow, d/dcol) central differences, one-sided at the borders.
+
+    Leading axes, if any, stack independent rasters.
+    """
+    gy, gx = np.gradient(gray.astype(np.float64), axis=(-2, -1))
     return gy, gx
 
 
@@ -77,16 +81,34 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Pixel-center-aligned bilinear resampling of a 2-D float raster."""
     src = np.asarray(img, dtype=np.float64)
     h, w = src.shape
+    return resample_crops(src.ravel(), [0], [w], [h], [w], out_h, out_w)[0]
+
+
+def resample_crops(flat: np.ndarray, start, pitch, heights, widths,
+                   out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resampling of n crops of one flat buffer onto one grid.
+
+    Crop i is the ``heights[i]`` x ``widths[i]`` raster whose rows begin
+    ``pitch[i]`` apart from ``flat[start[i]]``. Output (n, out_h, out_w);
+    each crop is resampled exactly as ``bilinear_resize`` resamples it alone.
+    """
+    def column(v):
+        return np.asarray(v, dtype=np.int64)[:, None]
+
+    h, w = column(heights), column(widths)
     r = (np.arange(out_h) + 0.5) * h / out_h - 0.5
     c = (np.arange(out_w) + 0.5) * w / out_w - 0.5
     r0 = np.clip(np.floor(r).astype(np.int64), 0, h - 1)
     c0 = np.clip(np.floor(c).astype(np.int64), 0, w - 1)
     r1 = np.minimum(r0 + 1, h - 1)
     c1 = np.minimum(c0 + 1, w - 1)
-    fr = np.clip(r - r0, 0.0, 1.0)[:, None]
-    fc = np.clip(c - c0, 0.0, 1.0)[None, :]
-    top = src[r0[:, None], c0] * (1 - fc) + src[r0[:, None], c1] * fc
-    bot = src[r1[:, None], c0] * (1 - fc) + src[r1[:, None], c1] * fc
+    fr = np.clip(r - r0, 0.0, 1.0)[:, :, None]
+    fc = np.clip(c - c0, 0.0, 1.0)[:, None, :]
+    row0 = (column(start) + r0 * column(pitch))[:, :, None]
+    row1 = (column(start) + r1 * column(pitch))[:, :, None]
+    c0, c1 = c0[:, None, :], c1[:, None, :]
+    top = flat[row0 + c0] * (1 - fc) + flat[row0 + c1] * fc
+    bot = flat[row1 + c0] * (1 - fc) + flat[row1 + c1] * fc
     return top * (1 - fr) + bot * fr
 
 
@@ -110,35 +132,56 @@ def orientation_bins(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def block_normalize(cells: np.ndarray) -> np.ndarray:
     """L2-hys over 2x2 cell blocks: normalize, clip at 0.2, renormalize.
 
-    Zero blocks stay zero through the epsilon guard. Input (CY, CX, 9),
-    output (CY-1, CX-1, 36).
+    Zero blocks stay zero through the epsilon guard. Input (..., CY, CX, 9),
+    output (..., CY-1, CX-1, 36).
     """
-    cy, cx, _ = cells.shape
     blocks = np.concatenate([
-        cells[:-1, :-1], cells[:-1, 1:], cells[1:, :-1], cells[1:, 1:],
-    ], axis=2)
+        cells[..., :-1, :-1, :], cells[..., :-1, 1:, :],
+        cells[..., 1:, :-1, :], cells[..., 1:, 1:, :],
+    ], axis=-1)
     eps = 1e-10
-    norm = np.sqrt((blocks ** 2).sum(axis=2, keepdims=True) + eps ** 2)
+    norm = np.sqrt((blocks ** 2).sum(axis=-1, keepdims=True) + eps ** 2)
     blocks = blocks / norm
     blocks = np.minimum(blocks, 0.2)
-    norm = np.sqrt((blocks ** 2).sum(axis=2, keepdims=True) + eps ** 2)
+    norm = np.sqrt((blocks ** 2).sum(axis=-1, keepdims=True) + eps ** 2)
     return blocks / norm
 
 
 def hog(patch: np.ndarray, template: tuple[int, int]) -> np.ndarray:
     """HOG descriptor of a patch resampled to the template's pixel grid."""
-    cy, cx = template
-    if cy < 2 or cx < 2:
-        raise PatchTooSmallError(f"template {template} smaller than 2x2 cells")
     patch = np.asarray(patch, dtype=np.float64)
     if patch.ndim == 3:
         patch = luma(patch)
-    if patch.shape[0] < 2 or patch.shape[1] < 2:
-        raise PatchTooSmallError(f"patch {patch.shape} too small")
-    resized = bilinear_resize(patch, cy * CELL, cx * CELL)
-    mag, obin = orientation_bins(resized)
-    cells = kernels.cell_histograms(mag, obin, cy, cx)
-    return block_normalize(cells).ravel()
+    h, w = patch.shape
+    return hog_crops(patch.ravel(), [0], [w], [h], [w], template)[0]
+
+
+def hog_crops(flat: np.ndarray, start, pitch, heights, widths,
+              template: tuple[int, int]) -> np.ndarray:
+    """HOG descriptors of n crops of one flat luminance buffer, one per row.
+
+    The crops are laid out as in ``resample_crops``; each is resampled to the
+    template's pixel grid, and stacks of up to ``HOG_STACK`` crops go through
+    the gradients, cell histograms and block normalization at once. Row i
+    equals ``hog`` of crop i alone.
+    """
+    cy, cx = template
+    if cy < 2 or cx < 2:
+        raise PatchTooSmallError(f"template {template} smaller than 2x2 cells")
+    start, pitch, heights, widths = (np.asarray(v) for v in (start, pitch, heights, widths))
+    small = (heights < 2) | (widths < 2)
+    if small.any():
+        i = int(np.argmax(small))
+        raise PatchTooSmallError(f"patch {(int(heights[i]), int(widths[i]))} too small")
+    out = np.empty((heights.size, (cy - 1) * (cx - 1) * 4 * HOG_BINS))
+    for i in range(0, heights.size, HOG_STACK):
+        part = slice(i, i + HOG_STACK)
+        resized = resample_crops(flat, start[part], pitch[part], heights[part], widths[part],
+                                 cy * CELL, cx * CELL)
+        mag, obin = orientation_bins(resized)
+        cells = kernels.cell_histograms(mag, obin, cy, cx)
+        out[part] = block_normalize(cells).reshape(len(resized), -1)
+    return out
 
 
 def template_from_bbox(height: int, width: int, max_cells: int = 8) -> tuple[int, int]:

@@ -3,9 +3,11 @@
 HOG cell accumulation and sliding-window template scoring are vectorized
 with ``np.bincount`` and strided matrix products; the set-partition oracle
 scans a cached table of restricted-growth strings; Dinic max-flow is a plain
-Python loop (Phase II, where it runs, is a small share of a run). The tests
-check the vectorized kernels against straightforward reference loops and
-Dinic through flow/cut duality.
+Python loop (Phase II, where it runs, is a small share of a run); the
+box-constrained SVM dual that trains each exemplar is solved by L-BFGS-B.
+The tests check the vectorized kernels against straightforward reference
+loops, Dinic through flow/cut duality and the dual solver through its
+duality gap.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy.optimize import Bounds, minimize
 
 
 # ---------------------------------------------------------------------------
@@ -22,16 +25,21 @@ import numpy as np
 def cell_histograms(mag, obin, cells_y, cells_x):
     """Accumulate 9 orientation bins per 8x8 cell, magnitude weighted.
 
-    ``mag`` float64 and ``obin`` int64 rasters; pixels beyond the cell grid
-    are ignored.
+    ``mag`` float64 and ``obin`` int64 rasters, or stacks of rasters along
+    leading axes; pixels beyond the cell grid are ignored. Each bin adds its
+    pixels in row-major order, so a raster's histogram is the same whether
+    it comes alone or in a stack.
     """
     h, w = cells_y * 8, cells_x * 8
+    lead = mag.shape[:-2]
+    size = cells_y * cells_x * 9
     rows = np.arange(h)[:, None] // 8
     cols = np.arange(w)[None, :] // 8
-    flat = (rows * cells_x + cols) * 9 + obin[:h, :w]
-    out = np.bincount(flat.ravel(), weights=mag[:h, :w].ravel(),
-                      minlength=cells_y * cells_x * 9)
-    return out.reshape(cells_y, cells_x, 9)
+    raster = np.arange(int(np.prod(lead))).reshape(lead + (1, 1)) * size
+    flat = raster + (rows * cells_x + cols) * 9 + obin[..., :h, :w]
+    out = np.bincount(flat.ravel(), weights=mag[..., :h, :w].ravel(),
+                      minlength=raster.size * size)
+    return out.reshape(lead + (cells_y, cells_x, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +64,47 @@ def score_windows(blocks, win_by, win_bx, wvec, step):
                         b:b + (nx - 1) * step + 1:step]
             out += sl @ w[a, b]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Box-constrained SVM dual
+# ---------------------------------------------------------------------------
+
+def solve_box_qp(q, c, callback=None):
+    """Minimise 0.5 a'Qa - sum(a) subject to 0 <= a <= c by L-BFGS-B.
+
+    This is the dual of a bias-free hinge-loss SVM with a C per sample:
+    ``Q[i, j] = y_i y_j k(x_i, x_j)`` and the primal weights are
+    ``w = sum_i a_i y_i phi(x_i)``, so ``(Qa)_i`` is sample i's margin.
+    ``callback(a)`` sees each iterate. Returns ``a`` and the duality gap
+    ``P(w) - D(a)``, which bounds how far ``w`` is from the primal optimum
+    of ``P(w) = 0.5 |w|^2 + sum_i c_i max(0, 1 - (Qa)_i)``; it is never
+    negative in exact arithmetic, so rounding below 0 is reported as 0.
+
+    On ill-conditioned Q, L-BFGS-B can stop after a stalled iteration far
+    from the optimum. So it is restarted from where it stopped, with a
+    fresh curvature memory, for as long as a restart still lowers the
+    objective by more than 1e-10 of its size; the last restart's point is
+    kept only if it did.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    c = np.broadcast_to(np.asarray(c, dtype=np.float64), q.shape[:1])
+
+    def dual(a):
+        qa = q @ a
+        return 0.5 * float(a @ qa) - float(a.sum()), qa - 1.0
+
+    a, f = np.zeros(c.size), 0.0
+    while True:
+        res = minimize(dual, a, jac=True, method="L-BFGS-B",
+                       bounds=Bounds(0.0, c), callback=callback,
+                       options={"ftol": 1e-15, "gtol": 1e-12})
+        if not res.fun < f - 1e-10 * max(1.0, abs(f)):
+            break
+        a, f = res.x, res.fun
+    qa = q @ a
+    gap = float(a @ qa) - float(a.sum()) + float(c @ np.maximum(0.0, 1.0 - qa))
+    return a, max(gap, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -147,14 +147,23 @@ class Phase1Result:
     multicuts_reused: int = 0
     exemplars_trained: int = 0
     exemplars_reused: int = 0
+    esvm_max_duality_gap: float = 0.0   # over the exemplars trained here
 
 
-def _select_images(corpus: Corpus, image_ids: list[str] | None) -> list[ImageRecord]:
-    """The corpus images named in image_ids (all when None), in corpus order."""
+def _select_images(corpus: Corpus, image_ids: list[str] | None,
+                   purpose: str) -> list[ImageRecord]:
+    """The corpus images named in image_ids (all when None), in corpus order.
+
+    Raises MalformedInputError naming the purpose when none is selected.
+    """
     if image_ids is None:
-        return list(corpus.images)
-    wanted = set(image_ids)
-    return [rec for rec in corpus.images if rec.id in wanted]
+        images = list(corpus.images)
+    else:
+        wanted = set(image_ids)
+        images = [rec for rec in corpus.images if rec.id in wanted]
+    if not images:
+        raise MalformedInputError(f"no images selected for {purpose}")
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +230,7 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     propagation settings are fixed within the call, so a hit returns what
     the same inputs computed.
     """
-    images = _select_images(corpus, image_ids)
-    if not images:
-        raise MalformedInputError("no images selected for co-segmentation")
+    images = _select_images(corpus, image_ids, "co-segmentation")
     solved: dict[grouping.MulticutInstance, Partition] = {}
     trained: dict[tuple, tuple] = {}
     exemplar_count = 0
@@ -258,7 +265,9 @@ def run_cosegmentation(corpus: Corpus, config: Config,
                         multicuts_solved=len(solved),
                         multicuts_reused=iteration * len(images) - len(solved),
                         exemplars_trained=len(trained),
-                        exemplars_reused=exemplar_count - len(trained))
+                        exemplars_reused=exemplar_count - len(trained),
+                        esvm_max_duality_gap=max(
+                            (ex.duality_gap for ex, _ in trained.values()), default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +312,7 @@ class Phase2Result:
 def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
                    config: Config, image_ids: list[str] | None = None) -> Phase2Result:
     """Joint MAP labeling of the whole batch, painted back to label maps."""
-    images = _select_images(corpus, image_ids)
+    images = _select_images(corpus, image_ids, "co-labeling")
     for image in images:
         for tag in image.tags:
             if not 0 <= tag < len(corpus.vocabulary):
@@ -345,7 +354,7 @@ def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
 
 def evaluate(predictions: dict[str, np.ndarray], corpus: Corpus,
              image_ids: list[str] | None = None) -> Metrics:
-    images = _select_images(corpus, image_ids)
+    images = _select_images(corpus, image_ids, "evaluation")
     accuracies = []
     recall_lists: dict[int, list[float]] = {}
     for image in images:
@@ -369,7 +378,7 @@ def evaluate(predictions: dict[str, np.ndarray], corpus: Corpus,
 
 def background_fraction(corpus: Corpus, image_ids: list[str] | None = None) -> float:
     """Mean per-image background pixel fraction (the all-background aPA)."""
-    images = _select_images(corpus, image_ids)
+    images = _select_images(corpus, image_ids, "background fraction")
     fractions = [float((rec.ground_truth == BACKGROUND).mean()) for rec in images]
     return float(np.mean(fractions))
 

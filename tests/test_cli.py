@@ -135,6 +135,7 @@ class TestPhasedCommands:
         meta = json.loads((phase1 / "run-meta.json").read_text())
         exemplar_count = sum(1 for line in (phase1 / "exemplars.jsonl").open() if line.strip())
         assert meta["phase1_exemplars_trained"] + meta["phase1_exemplars_reused"] >= exemplar_count
+        assert 0.0 <= meta["phase1_esvm_max_duality_gap"] <= 1e-6
 
         out = tmp_path / "labeled"
         assert cli.main(["colabel", "--manifest", str(manifest),
@@ -161,6 +162,7 @@ class TestRunAndEval:
         assert (meta["phase1_multicuts_solved"] + meta["phase1_multicuts_reused"]
                 == 2 * meta["phase1_iterations"])
         assert isinstance(meta["phase1_fixed_point"], bool)
+        assert 0.0 <= meta["phase1_esvm_max_duality_gap"] <= 1e-6
 
         rc = cli.main(["eval", "--manifest", str(manifest), "--pred", str(out),
                        "--out", str(tmp_path / "m.json")])

@@ -1,11 +1,61 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
-from coparse import esvm, features, kernels
+from coparse import esvm, features, kernels, pipeline, synthgen
 from coparse.core import Partition, regions_of
 from coparse.errors import InsufficientDataError
 
 from conftest import make_image
+
+
+def _subgradient_reference(positive, negatives, lam1, lam2, iterations=1500, seed=0):
+    """The former trainer: projected subgradient steps from 3 fixed starts.
+
+    Returns the best energy it found; the exact dual solve must match or beat it.
+    """
+    negs = np.asarray(negatives, dtype=np.float64)
+    pos = np.asarray(positive, dtype=np.float64)
+    dim = pos.size
+    radius = np.sqrt(2.0 * (lam1 + lam2 * negs.shape[0]))
+    rng = np.random.default_rng([seed, 0x5E5])
+    w = np.stack([np.zeros(dim), pos / (pos @ pos), rng.standard_normal(dim) * 0.01])
+    best = np.full(w.shape[0], np.inf)
+    for t in range(1, iterations + 2):
+        margin_pos = 1.0 - w @ pos
+        margins_neg = 1.0 + negs @ w.T
+        active = margins_neg > 0.0
+        e = (0.5 * (w * w).sum(axis=1) + lam1 * np.maximum(0.0, margin_pos)
+             + lam2 * np.where(active, margins_neg, 0.0).sum(axis=0))
+        best = np.minimum(best, e)
+        if t > iterations:
+            break
+        g = w.copy()
+        g[margin_pos > 0.0] -= lam1 * pos
+        g += lam2 * (negs.T @ active).T
+        w = w - g / t
+        norms = np.sqrt((w * w).sum(axis=1))
+        over = norms > radius
+        if over.any():
+            w[over] *= (radius / norms[over])[:, None]
+    return float(best.min())
+
+
+def _training_instance(seed):
+    """Even seeds: build_exemplar's shape, 1 positive and 200 negatives of
+    HOG-like features plus a bias column. Odd seeds: small Gaussian problems
+    with random weights."""
+    rng = np.random.default_rng(700 + seed)
+    if seed % 2 == 0:
+        cy, cx = (int(v) for v in rng.integers(2, 6, size=2))
+        dim = (cy - 1) * (cx - 1) * 4 * features.HOG_BINS
+        pos = np.append(np.minimum(rng.exponential(0.08, dim), 0.2), 1.0)
+        negs = np.hstack([np.minimum(rng.exponential(0.08, (200, dim)), 0.2),
+                          np.ones((200, 1))])
+        return pos, negs, 0.5, 0.01
+    dim, n_neg = int(rng.integers(1, 30)), int(rng.integers(1, 60))
+    return (rng.standard_normal(dim), rng.standard_normal((n_neg, dim)),
+            float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.001, 0.2)))
 
 
 class TestEnergy:
@@ -79,6 +129,30 @@ class TestTraining:
         with pytest.raises(InsufficientDataError):
             esvm.train_esvm(np.ones(3), np.empty((0, 3)), 0.5, 0.01)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dual_solve_beats_subgradient_reference(self, seed):
+        pos, negs, lam1, lam2 = _training_instance(seed)
+        res = esvm.train_esvm(pos, negs, lam1, lam2)
+        assert res.energy <= _subgradient_reference(pos, negs, lam1, lam2) + 1e-9
+        assert res.energy == esvm.esvm_energy(res.w, pos, negs, lam1, lam2)
+        assert 0.0 <= res.duality_gap <= 1e-6
+        trace = res.best_energy_trace
+        assert trace.size > 0 and (np.diff(trace) <= 0).all()
+        assert trace[-1] <= res.energy
+
+    def test_trace_kept_when_solver_stops_at_start(self, monkeypatch):
+        def stop_at_start(fun, x0, **kwargs):
+            return OptimizeResult(x=np.asarray(x0, dtype=np.float64), fun=fun(x0)[0],
+                                  nit=0, success=True)
+
+        monkeypatch.setattr(kernels, "minimize", stop_at_start)
+        negs = np.random.default_rng(5).standard_normal((30, 20))
+        res = esvm.train_esvm(np.ones(20), negs, 0.5, 0.01)
+        assert not res.w.any()
+        assert res.best_energy_trace.tolist() == [res.energy]
+        assert res.energy == pytest.approx(0.5 + 0.01 * 30)
+        assert res.duality_gap == pytest.approx(0.5 + 0.01 * 30)
+
 
 def logistic_refit_data(alpha, beta, seed, n_points=50, per_point=10):
     """500 scores on a jittered grid; labels match the curve per cell."""
@@ -92,6 +166,85 @@ def logistic_refit_data(alpha, beta, seed, n_points=50, per_point=10):
         scores.extend([s] * per_point)
         labels.extend([True] * k + [False] * (per_point - k))
     return np.asarray(scores), np.asarray(labels)
+
+
+def _hog_reference(patch, template):
+    """The single-crop HOG pipeline written out for one 2-D raster."""
+    cy, cx = template
+    h, w = patch.shape
+    out_h, out_w = cy * features.CELL, cx * features.CELL
+    r = (np.arange(out_h) + 0.5) * h / out_h - 0.5
+    c = (np.arange(out_w) + 0.5) * w / out_w - 0.5
+    r0 = np.clip(np.floor(r).astype(np.int64), 0, h - 1)
+    c0 = np.clip(np.floor(c).astype(np.int64), 0, w - 1)
+    r1 = np.minimum(r0 + 1, h - 1)
+    c1 = np.minimum(c0 + 1, w - 1)
+    fr = np.clip(r - r0, 0.0, 1.0)[:, None]
+    fc = np.clip(c - c0, 0.0, 1.0)[None, :]
+    top = patch[r0[:, None], c0] * (1 - fc) + patch[r0[:, None], c1] * fc
+    bot = patch[r1[:, None], c0] * (1 - fc) + patch[r1[:, None], c1] * fc
+    gy, gx = np.gradient(top * (1 - fr) + bot * fr)
+    theta = np.mod(np.arctan2(gy, gx), np.pi)
+    obin = np.minimum((theta * features.HOG_BINS / np.pi).astype(np.int64),
+                      features.HOG_BINS - 1)
+    cells = kernels.cell_histograms(np.hypot(gx, gy), obin, cy, cx)
+    blocks = np.concatenate([cells[:-1, :-1], cells[:-1, 1:], cells[1:, :-1], cells[1:, 1:]],
+                            axis=2)
+    norm = np.sqrt((blocks ** 2).sum(axis=2, keepdims=True) + 1e-10 ** 2)
+    blocks = np.minimum(blocks / norm, 0.2)
+    norm = np.sqrt((blocks ** 2).sum(axis=2, keepdims=True) + 1e-10 ** 2)
+    return (blocks / norm).ravel()
+
+
+def _sample_negatives_per_crop(corpus_images, image, excluded, bbox_hw, template, count, rng):
+    """The crop draws of sample_negatives, each crop through HOG on its own."""
+    bh, bw = bbox_hw
+
+    def crop(rec, forbid):
+        h, w = rec.pixels.shape[:2]
+        for _ in range(50):
+            sc = rng.uniform(0.8, 1.25)
+            ch = min(max(8, int(round(bh * sc))), h)
+            cw = min(max(8, int(round(bw * sc))), w)
+            y = int(rng.integers(0, h - ch + 1))
+            x = int(rng.integers(0, w - cw + 1))
+            if forbid is not None and forbid[y + ch // 2, x + cw // 2]:
+                continue
+            return features.luma(rec.pixels)[y:y + ch, x:x + cw]
+        return features.luma(rec.pixels)[0:min(bh, h), 0:min(bw, w)]
+
+    others = [rec for rec in corpus_images if rec.id != image.id]
+    n_same = count if not others else count // 2
+    crops = [crop(image, excluded) for _ in range(n_same)]
+    crops += [crop(others[i % len(others)], None) for i in range(count - n_same)]
+    return crops
+
+
+class TestNegatives:
+    def test_batched_hog_equals_per_crop_hog(self, monkeypatch):
+        # every negative set the criterion-8 corpus's Phase I samples
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 3)
+        config = pipeline.Config(seed=8)
+        checked = []
+        sample = esvm.sample_negatives
+
+        def checked_sample(corpus_images, image, excluded, bbox_hw, template, count, rng):
+            ref_rng = np.random.Generator(np.random.PCG64())
+            ref_rng.bit_generator.state = rng.bit_generator.state
+            got = sample(corpus_images, image, excluded, bbox_hw, template, count, rng)
+            crops = _sample_negatives_per_crop(corpus_images, image, excluded, bbox_hw,
+                                               template, count, ref_rng)
+            assert ref_rng.bit_generator.state == rng.bit_generator.state
+            assert got.shape == (count, features.hog(crops[0], template).size)
+            for row, patch in zip(got, crops):
+                assert (row == features.hog(patch, template)).all()
+                assert (row == _hog_reference(patch, template)).all()
+            checked.append(template)
+            return got
+
+        monkeypatch.setattr(esvm, "sample_negatives", checked_sample)
+        pipeline.run_cosegmentation(corpus, config)
+        assert len(checked) >= 3
 
 
 class TestCalibration:

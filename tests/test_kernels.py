@@ -1,8 +1,9 @@
 """Each kernel against a straightforward reference loop."""
 
 import numpy as np
+import pytest
 
-from coparse import kernels
+from coparse import colabel, kernels, pipeline, synthgen
 
 
 def _cell_histograms_ref(mag, obin, cells_y, cells_x):
@@ -78,6 +79,81 @@ class TestCellHistograms:
         a = kernels.cell_histograms(mag, obin, 3, 4)
         b = _cell_histograms_ref(mag, obin, 3, 4)
         assert np.allclose(a, b)
+
+    def test_stack_equals_each_raster(self):
+        rng = np.random.default_rng(1)
+        pairs = [random_cell_inputs(rng, 3, 4) for _ in range(5)]
+        mags, obins = (np.stack(v) for v in zip(*pairs))
+        stacked = kernels.cell_histograms(mags, obins, 3, 4)
+        assert stacked.shape == (5, 3, 4, 9)
+        for out, (mag, obin) in zip(stacked, pairs):
+            assert (out == kernels.cell_histograms(mag, obin, 3, 4)).all()
+
+
+def _svm_dual_instance(rng):
+    """Chi-square RBF kernel SVM dual on random histograms, as colabel builds it."""
+    n = int(rng.integers(2, 50))
+    hists = rng.dirichlet(np.ones(40) * rng.uniform(0.2, 3.0), size=n)
+    y = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
+    dists = colabel.chi_square_matrix(hists, hists)
+    k = np.exp(-dists / max(float(np.median(dists)), 1e-12))
+    return k, y, float(rng.choice([0.1, 1.0, 10.0]))
+
+
+class TestSolveBoxQP:
+    def test_reaches_coordinate_ascent_dual_objective(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            k, y, c = _svm_dual_instance(rng)
+            q = k * np.outer(y, y)
+            alpha, gap = kernels.solve_box_qp(q, c)
+            reference = colabel._dual_coordinate_ascent(k, y, c)
+            dual = alpha.sum() - 0.5 * alpha @ q @ alpha
+            dual_ref = reference.sum() - 0.5 * reference @ q @ reference
+            # equal optima may differ in the last bits of their evaluation
+            assert dual >= dual_ref - 1e-12 * max(1.0, abs(dual_ref))
+            assert ((alpha >= 0.0) & (alpha <= c)).all()
+            margins = q @ alpha
+            primal = 0.5 * alpha @ margins + c * np.maximum(0.0, 1.0 - margins).sum()
+            assert gap == pytest.approx(max(primal - dual, 0.0), abs=1e-12)
+
+    def test_reaches_coordinate_ascent_dual_objective_on_cv_models(self, monkeypatch):
+        # the label models of folds 3 and 4 of the seed-42 10-fold CV each hold
+        # a machine (labels 1 and 3) on which a single L-BFGS-B run stalls far
+        # from the optimum
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=42), 20)
+        ids = [rec.id for rec in corpus.images]
+        folds = pipeline.fold_assignment(ids, 10, 42)
+        captured = []
+        monkeypatch.setattr(colabel, "train_appearance",
+                            lambda hists, labels, vocab_size: captured.append((hists, labels)))
+        for fold in (3, 4):
+            pipeline.train_label_model(corpus, sorted(i for i in ids if folds[i] != fold))
+        checked = 0
+        for hists, labels in captured:
+            dists = colabel.chi_square_matrix(hists, hists)
+            gamma = 1.0 / float(np.median(dists[np.triu_indices(len(hists), k=1)]))
+            present = sorted(set(labels.tolist()))
+            for i, a in enumerate(present):
+                for b in present[i + 1:]:
+                    idx = np.flatnonzero((labels == a) | (labels == b))
+                    y = np.where(labels[idx] == a, 1.0, -1.0)
+                    k = np.exp(-gamma * dists[np.ix_(idx, idx)])
+                    q = k * np.outer(y, y)
+                    alpha, _ = kernels.solve_box_qp(q, 10.0)
+                    reference = colabel._dual_coordinate_ascent(k, y, 10.0)
+                    assert (alpha.sum() - 0.5 * alpha @ q @ alpha
+                            >= reference.sum() - 0.5 * reference @ q @ reference), (a, b)
+                    checked += 1
+        assert checked >= 20
+
+    def test_per_sample_bounds(self):
+        # orthogonal signed rows of norm 2 decouple into min 2a^2 - a, a <= c:
+        # the first bound binds, the second does not
+        x = np.array([[2.0, 0.0], [0.0, 2.0]])
+        alpha, gap = kernels.solve_box_qp(x @ x.T, np.array([0.1, 10.0]))
+        assert alpha == pytest.approx([0.1, 0.25], abs=1e-9)
+        assert gap <= 1e-9
 
 
 class TestScoreWindows:

@@ -93,6 +93,15 @@ class TestEvaluate:
         with pytest.raises(MalformedInputError):
             pipeline.evaluate({"e": np.zeros((3, 3), dtype=int)}, corpus)
 
+    def test_unmatched_image_ids_rejected(self):
+        corpus = self.corpus_2x2()
+        pred = {"e": corpus.images[0].ground_truth.copy()}
+        with pytest.raises(MalformedInputError, match="^no images selected for evaluation$"):
+            pipeline.evaluate(pred, corpus, ["nope"])
+        with pytest.raises(MalformedInputError,
+                           match="^no images selected for background fraction$"):
+            pipeline.background_fraction(corpus, ["nope"])
+
     def test_all_background_equals_background_fraction(self):
         # an instance of the baseline arithmetic with fraction 0.7763 exactly
         gt = np.zeros(10000, dtype=np.int64)
@@ -131,6 +140,29 @@ class TestCosegmentation:
         corpus = uniform_corpus()
         with pytest.raises(MalformedInputError):
             pipeline.run_cosegmentation(corpus, pipeline.Config(), image_ids=["nope"])
+
+    def test_empty_selection_message(self):
+        with pytest.raises(MalformedInputError) as info:
+            pipeline.run_cosegmentation(uniform_corpus(), pipeline.Config(), image_ids=[])
+        assert str(info.value) == "no images selected for co-segmentation"
+
+    def test_max_duality_gap_over_trained_exemplars(self, monkeypatch):
+        gaps = []
+        build = esvm.build_exemplar
+
+        def recorded_build(*args):
+            exemplar = build(*args)
+            gaps.append(exemplar.duality_gap)
+            return exemplar
+
+        monkeypatch.setattr(esvm, "build_exemplar", recorded_build)
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=28), 2)
+        result = pipeline.run_cosegmentation(corpus, pipeline.Config(seed=28))
+        assert len(gaps) == result.exemplars_trained > 0
+        assert result.esvm_max_duality_gap == max(gaps)
+        assert 0.0 < result.esvm_max_duality_gap <= 1e-6
+        assert pipeline.run_cosegmentation(uniform_corpus(), pipeline.Config(seed=1)) \
+            .esvm_max_duality_gap == 0.0
 
 
 class TestColabeling:
