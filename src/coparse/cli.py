@@ -88,6 +88,8 @@ def cmd_gen(args) -> int:
             raise ConfigError(f"bad scene spec: {exc}") from exc
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
+    if spec.seed < 0:
+        raise ConfigError("seed must be >= 0")
     corpus = synthgen.generate(spec, args.n)
     manifest = io.save_corpus(corpus, args.out)
     print(f"wrote {len(corpus.images)} images to {manifest}")

@@ -222,17 +222,10 @@ def image_label_pairs(comp: np.ndarray, comp_labels: np.ndarray) -> list[tuple[i
 # Energies
 # ---------------------------------------------------------------------------
 
-def unary_energy(model: LabelModel, hist: np.ndarray, centroid, label: int,
-                 sharpness: float = 4.0, e_max: float = 20.0) -> float:
-    """-log(sig(a(S - 0.5))) - log(G), clamped to [0, e_max]."""
-    s = float(model.appearance.votes(hist)[label])
-    return unary_value(s, _energy_location_quad(model, label, centroid),
-                       sharpness, e_max)
-
-
 def unary_value(vote: float, neg_log_location: float,
                 sharpness: float = 4.0, e_max: float = 20.0) -> float:
-    """Singleton energy from its two parts; exposed for direct arithmetic checks."""
+    """-log(sig(a(vote - 0.5))) - log(G), clamped to [0, e_max]; the caller
+    passes the second term as ``neg_log_location``."""
     margin = sharpness * (vote - 0.5)
     val = float(np.logaddexp(0.0, -margin)) + neg_log_location
     return float(min(max(val, 0.0), e_max))
@@ -352,8 +345,10 @@ def build_graph(images: list[ImageRecord], partitions: dict[str, Partition],
 
     unary = []
     for region, hist, cand in zip(vertex_regions, hists, candidates):
+        votes = model.appearance.votes(hist)
         unary.append(np.array([
-            unary_energy(model, hist, region.centroid, int(l), sharpness, e_max)
+            unary_value(float(votes[l]), _energy_location_quad(model, int(l), region.centroid),
+                        sharpness, e_max)
             for l in cand]))
 
     interior: list[tuple[int, int]] = []

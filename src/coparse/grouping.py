@@ -73,9 +73,8 @@ def objective_of(instance: MulticutInstance, assignment: np.ndarray, theta: floa
     for u, v, d in instance.edges:
         if assignment[u] == assignment[v]:
             obj += d - theta
-    for ids, h in instance.mask_constraints:
-        vals = {int(assignment[i]) for i in ids}
-        if len(vals) == 1:
+    for (_, h), active in zip(instance.mask_constraints, _mask_active(instance, assignment)):
+        if active:
             obj -= h
     return obj
 
@@ -149,7 +148,7 @@ def brute_force_multicut(instance: MulticutInstance, theta: float) -> MulticutSo
         mask_ids.extend(sorted(ids))
         mask_ptr.append(len(mask_ids))
         mask_h.append(h)
-    _, best_a = kernels.multicut_enumerate(
+    best_obj, best_a = kernels.multicut_enumerate(
         n, eu, ev, ew,
         np.array(mask_ptr, dtype=np.int64),
         np.array(mask_ids, dtype=np.int64),
@@ -157,7 +156,7 @@ def brute_force_multicut(instance: MulticutInstance, theta: float) -> MulticutSo
     partition = Partition.from_assignment(best_a)
     return MulticutSolution(
         partition=partition,
-        objective=objective_of(instance, partition.assignment, theta),
+        objective=float(best_obj),
         mask_active=_mask_active(instance, partition.assignment))
 
 
@@ -169,80 +168,72 @@ class _MulticutSolver:
     INTEGRALITY_TOL = 1e-6
     SEPARATION_TOL = 1e-7
     PRUNE_SLACK = 1e-8
+    NODE_CAP = 500
+    ROOT_ROUNDS = 50
+    CHILD_ROUNDS = 10
 
-    def __init__(self, instance: MulticutInstance, theta: float,
-                 node_cap: int = 500, root_rounds: int = 50, child_rounds: int = 10):
+    def __init__(self, instance: MulticutInstance, theta: float):
         self.instance = instance
-        self.theta = theta
-        self.node_cap = node_cap
-        self.root_rounds = root_rounds
-        self.child_rounds = child_rounds
-        n = instance.node_count
-
-        self.pair_index: dict[tuple[int, int], int] = {}
+        # adj[u][v] is the variable of pair {u, v}; filled in pair order
+        self.adj: list[dict[int, int]] = [{} for _ in range(instance.node_count)]
         self.pairs: list[tuple[int, int]] = []
         weights = []
         for u, v, d in instance.edges:
-            key = (min(u, v), max(u, v))
-            self.pair_index[key] = len(self.pairs)
-            self.pairs.append(key)
+            self._add_pair(min(u, v), max(u, v))
             weights.append(d - theta)
         # auxiliary merge variables so a mask reward can require joint grouping
         for ids, _ in instance.mask_constraints:
             ordered = sorted(ids)
             for i, a in enumerate(ordered):
                 for b in ordered[i + 1:]:
-                    key = (a, b)
-                    if key not in self.pair_index:
-                        self.pair_index[key] = len(self.pairs)
-                        self.pairs.append(key)
+                    if b not in self.adj[a]:
+                        self._add_pair(a, b)
                         weights.append(0.0)
         self.n_pairs = len(self.pairs)
         self._pair_array = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
         self.n_masks = len(instance.mask_constraints)
-        self.cost = np.concatenate([
-            np.asarray(weights, dtype=np.float64),
-            -np.array([h for _, h in instance.mask_constraints], dtype=np.float64),
-        ]) if self.n_masks else np.asarray(weights, dtype=np.float64)
+        self._mask_h = np.array([h for _, h in instance.mask_constraints], dtype=np.float64)
+        self.cost = np.concatenate([np.asarray(weights, dtype=np.float64), -self._mask_h])
 
-        self.rows: list[tuple[np.ndarray, np.ndarray, float]] = []
+        # LP rows as growing COO lists: A_ub[row_of[k], col_of[k]] = coef[k]
+        self.row_of: list[int] = []
+        self.col_of: list[int] = []
+        self.coef: list[float] = []
+        self.rhs: list[float] = []
         self._row_keys: set = set()
         for ci, (ids, _) in enumerate(instance.mask_constraints):
             ordered = sorted(ids)
             for i, a in enumerate(ordered):
                 for b in ordered[i + 1:]:
-                    cols = np.array([self.n_pairs + ci, self.pair_index[(a, b)]])
-                    self.rows.append((cols, np.array([1.0, -1.0]), 0.0))
-
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for idx, (u, v) in enumerate(self.pairs):
-            self.adj[u].append((v, idx))
-            self.adj[v].append((u, idx))
+                    self._append_row([self.n_pairs + ci, self.adj[a][b]], [1.0, -1.0], 0.0)
 
         self._mask_sets = [np.fromiter(sorted(ids), dtype=np.int64)
                            for ids, _ in instance.mask_constraints]
-        self._mask_h = np.array([h for _, h in instance.mask_constraints], dtype=np.float64)
         self._triangles, self._quads = self._enumerate_short_cycles()
+
+    def _add_pair(self, u: int, v: int) -> None:
+        self.adj[u][v] = self.adj[v][u] = len(self.pairs)
+        self.pairs.append((u, v))
 
     def _enumerate_short_cycles(self):
         """Chordless cycles of length 3 and 4 as var-index arrays, found once."""
-        neighbor = [dict(self.adj[u]) for u in range(self.instance.node_count)]
+        adj = self.adj
         triangles = []
         quads = []
         for e_idx, (u, v) in enumerate(self.pairs):
-            for w, e_uw in self.adj[u]:
+            for w, e_uw in adj[u].items():
                 if w == v or w < v:
                     continue
-                e_vw = neighbor[v].get(w)
+                e_vw = adj[v].get(w)
                 if e_vw is not None:
                     triangles.append((e_idx, e_uw, e_vw))
-            for a, e_ua in self.adj[u]:
-                if a == v or a in neighbor[v]:
+            for a, e_ua in adj[u].items():
+                if a == v or a in adj[v]:
                     continue
-                for b, e_vb in self.adj[v]:
-                    if b == u or b == a or b in neighbor[u]:
+                for b, e_vb in adj[v].items():
+                    if b == u or b == a or b in adj[u]:
                         continue
-                    e_ab = neighbor[a].get(b)
+                    e_ab = adj[a].get(b)
                     if e_ab is not None and (u, v) < tuple(sorted((a, b))):
                         quads.append((e_idx, e_ua, e_ab, e_vb))
         tri = np.array(triangles, dtype=np.int64).reshape(-1, 3)
@@ -263,24 +254,21 @@ class _MulticutSolver:
 
     # -- LP ------------------------------------------------------------------
 
+    def _append_row(self, cols: list[int], coefs: list[float], rhs: float) -> None:
+        self.row_of.extend([len(self.rhs)] * len(cols))
+        self.col_of.extend(cols)
+        self.coef.extend(coefs)
+        self.rhs.append(rhs)
+
     def _solve_lp(self, fixed: dict[int, int]):
         n_vars = self.n_pairs + self.n_masks
         bounds = [(0.0, 1.0)] * n_vars
         for var, val in fixed.items():
             bounds[var] = (float(val), float(val))
-        if self.rows:
-            data, rows_i, cols_i, rhs = [], [], [], []
-            for ri, (cols, coefs, b) in enumerate(self.rows):
-                rows_i.extend([ri] * len(cols))
-                cols_i.extend(cols.tolist())
-                data.extend(coefs.tolist())
-                rhs.append(b)
-            a_ub = sparse.csr_matrix((data, (rows_i, cols_i)),
-                                     shape=(len(self.rows), n_vars))
-            res = linprog(self.cost, A_ub=a_ub, b_ub=np.asarray(rhs),
-                          bounds=bounds, method="highs")
-        else:
-            res = linprog(self.cost, bounds=bounds, method="highs")
+        # linprog takes longer over an empty sparse A_ub than over none
+        a_ub = sparse.csr_matrix((self.coef, (self.row_of, self.col_of)),
+                                 shape=(len(self.rhs), n_vars)) if self.rhs else None
+        res = linprog(self.cost, A_ub=a_ub, b_ub=self.rhs, bounds=bounds, method="highs")
         if res.status == 2:
             return None
         if res.status != 0:
@@ -290,13 +278,13 @@ class _MulticutSolver:
     # -- separation ----------------------------------------------------------
 
     def _add_row(self, chosen: int, others: list[int]) -> bool:
+        """Cycle row x_chosen >= sum(others) - (len(others) - 1), once per cycle."""
         key = (chosen, frozenset(others))
         if key in self._row_keys:
             return False
         self._row_keys.add(key)
-        cols = np.array([chosen] + list(others))
-        coefs = np.array([-1.0] + [1.0] * len(others))
-        self.rows.append((cols, coefs, float(len(others) - 1)))
+        self._append_row([chosen] + others, [-1.0] + [1.0] * len(others),
+                         float(len(others) - 1))
         return True
 
     def _separate(self, x: np.ndarray) -> int:
@@ -344,7 +332,7 @@ class _MulticutSolver:
             path_vars = []
             while pred[row, node] >= 0:
                 prev = pred[row, node]
-                path_vars.append(self.pair_index[(min(prev, node), max(prev, node))])
+                path_vars.append(self.adj[prev][node])
                 node = prev
             if self._add_row(int(e_idx), path_vars):
                 added += 1
@@ -362,17 +350,14 @@ class _MulticutSolver:
     def _local_improve(self, assign: np.ndarray) -> np.ndarray:
         assign = assign.copy()
         best = self._objective(assign)
-        neighbor_regions: set[tuple[int, int]] = set()
         for _ in range(100):
             improved = False
-            # merge two touching regions
-            neighbor_regions.clear()
-            for u, v in self.pairs:
-                a, b = int(assign[u]), int(assign[v])
-                if a != b:
-                    neighbor_regions.add((min(a, b), max(a, b)))
+            # merge two touching regions, taken in sorted (a, b) order
+            lo, hi = np.sort(assign[self._pair_array], axis=1).T
+            base = int(assign.max()) + 1
+            touching = np.unique((lo * base + hi)[lo != hi])
             best_delta, best_move = -1e-12, None
-            for a, b in sorted(neighbor_regions):
+            for a, b in zip(*np.divmod(touching, base)):
                 trial = assign.copy()
                 trial[trial == b] = a
                 delta = self._objective(trial) - best
@@ -385,7 +370,7 @@ class _MulticutSolver:
                 continue
             # move one node to a touching region or to a fresh singleton
             for node in range(self.instance.node_count):
-                options = sorted({int(assign[nbr]) for nbr, _ in self.adj[node]}
+                options = sorted({int(assign[nbr]) for nbr in self.adj[node]}
                                  - {int(assign[node])})
                 options.append(int(assign.max()) + 1)
                 for target in options:
@@ -414,10 +399,10 @@ class _MulticutSolver:
         best_obj = np.inf
         stack: list[dict[int, int]] = [{}]
         explored = 0
-        while stack and explored < self.node_cap:
+        while stack and explored < self.NODE_CAP:
             fixed = stack.pop()
             explored += 1
-            rounds = self.root_rounds if explored == 1 else self.child_rounds
+            rounds = self.ROOT_ROUNDS if explored == 1 else self.CHILD_ROUNDS
             lp = self._solve_lp(fixed)
             if lp is None:
                 continue

@@ -150,6 +150,8 @@ def _check_manifest_shape(doc: dict) -> None:
             raise DataError(f"{name}: 'tags' must be a list of strings")
         if not isinstance(entry.get("ground_truth"), (str, type(None))):
             raise DataError(f"{name}: 'ground_truth' must be a string or null")
+        if entry["id"] in ("", ".", "..") or any(c in entry["id"] for c in "/\\"):
+            raise DataError(f"{name}: 'id' must be a plain file name")
         if entry["id"] in seen_ids:
             raise DataError(f"{name}: duplicate image id")
         seen_ids.add(entry["id"])

@@ -89,6 +89,8 @@ class Config:
             raise ConfigError("sigmoid_sharpness must be positive")
         if self.max_phase1_iters < 1 or self.max_sweeps < 1 or self.fold_count < 1:
             raise ConfigError("iteration caps and fold_count must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         return self
 
     @staticmethod

@@ -33,6 +33,12 @@ class TestGen:
         corpus = io.load_corpus(tmp_path / "c" / "manifest.json")
         assert corpus.vocabulary == ("background", "blob")
 
+    def test_gen_negative_seed_is_2(self, tmp_path, capsys):
+        rc = cli.main(["gen", "--n", "1", "--out", str(tmp_path / "c"), "--seed", "-1"])
+        assert rc == 2
+        assert_one_line_error(capsys, "configuration error: ")
+        assert not (tmp_path / "c").exists()
+
 
 def assert_one_line_error(capsys, prefix):
     err = capsys.readouterr().err
@@ -63,8 +69,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("config", [
         {"k_top": "5"}, {"scales": 5}, {"theta": None}, {"theta": "0.5"}, {"seed": 1.5},
-        {"lambda1": float("nan")},
-    ], ids=["k_top-str", "scales-int", "theta-null", "theta-str", "seed-float", "lambda1-nan"])
+        {"lambda1": float("nan")}, {"seed": -1},
+    ], ids=["k_top-str", "scales-int", "theta-null", "theta-str", "seed-float", "lambda1-nan",
+            "seed-negative"])
     def test_wrongly_typed_config_value_is_2(self, tmp_path, capsys, config):
         manifest = write_tiny_corpus(tmp_path, n=1)
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -80,8 +87,10 @@ class TestExitCodes:
         lambda doc: doc["images"][0].update(tags=5),
         lambda doc: doc.update(vocabulary=5),
         lambda doc: doc["images"][1].update(id=doc["images"][0]["id"]),
+        lambda doc: doc["images"][0].update(id="sub/img"),
+        lambda doc: doc["images"][0].update(id="/nonexistent/img"),
     ], ids=["no-superpixels", "images-str", "images-int-entry", "tags-int", "vocabulary-int",
-            "duplicate-id"])
+            "duplicate-id", "id-subdir", "id-absolute"])
     def test_malformed_manifest_is_3(self, tmp_path, capsys, edit):
         manifest = write_tiny_corpus(tmp_path, n=2)
         doc = json.loads(manifest.read_text())

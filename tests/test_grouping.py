@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coparse import grouping
 from coparse.core import PropagationRecord
@@ -209,6 +211,23 @@ class TestBruteForce:
             sol = grouping.brute_force_multicut(inst, 0.5)
             assert sol.objective == pytest.approx(enumerate_optimum(inst, 0.5), abs=1e-12)
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_scan_objective_is_objective_of(self, data):
+        # the oracle reports the scan's own sum: it must equal a recount, bit for bit
+        n = data.draw(st.integers(1, 8))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = tuple((u, v, d) for (u, v), d in zip(pairs, data.draw(
+            st.lists(st.sampled_from([None, 0, 1]), min_size=len(pairs), max_size=len(pairs))))
+            if d is not None)
+        masks = tuple(data.draw(st.lists(st.tuples(
+            st.frozensets(st.integers(0, n - 1), min_size=2), st.floats(0.0, 2.0)),
+            max_size=3))) if n > 1 else ()
+        theta = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        inst = grouping.MulticutInstance(node_count=n, edges=edges, mask_constraints=masks)
+        sol = grouping.brute_force_multicut(inst, theta)
+        assert sol.objective == grouping.objective_of(inst, sol.partition.assignment, theta)
+
 
 def random_instance(rng, max_nodes=10):
     n = int(rng.integers(2, max_nodes + 1))
@@ -264,10 +283,12 @@ def _floyd_warshall(n, pairs, y, skip):
 class TestPathSeparation:
     def check_rows(self, instance, x):
         solver = grouping._MulticutSolver(instance, 0.5)
-        first = len(solver.rows)
+        first = len(solver.rhs)
         added = solver._separate_paths(x)
-        rows = solver.rows[first:]
-        assert added == len(rows)
+        assert added == len(solver.rhs) - first
+        row_of, col_of, coef = (np.array(a) for a in (solver.row_of, solver.col_of, solver.coef))
+        rows = [(col_of[row_of == r], coef[row_of == r], solver.rhs[r])
+                for r in range(first, len(solver.rhs))]
         tol = solver.SEPARATION_TOL
         pairs = solver._pair_array
         y = 1.0 - x[:solver.n_pairs]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,17 @@ class TestManifest:
         doc["images"][0]["tags"] = ["not-a-label"]
         manifest.write_text(json.dumps(doc))
         with pytest.raises(DataError):
+            io.load_corpus(manifest)
+
+    # "sub/img" and an absolute id are among the CLI's malformed-manifest cases
+    @pytest.mark.parametrize("image_id", ["", ".", "..", "a\\b"])
+    def test_image_id_must_be_plain_file_name(self, tmp_path, image_id):
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=3), 1)
+        manifest = io.save_corpus(corpus, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["images"][0]["id"] = image_id
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="plain file name"):
             io.load_corpus(manifest)
 
     def test_empty_corpus_rejected(self, tmp_path):
