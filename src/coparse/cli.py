@@ -71,6 +71,9 @@ def cmd_gen(args) -> int:
             raise ConfigError(f"cannot read scene spec: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"scene spec is not valid JSON: {exc}") from exc
+        pipeline.check_json_types(synthgen.SceneSpec, doc, "scene spec")
+        for label in doc.get("labels", ()):
+            pipeline.check_json_types(synthgen.LabelSpec, label, "scene spec label")
         try:
             labels = tuple(synthgen.LabelSpec(
                 name=l["name"],

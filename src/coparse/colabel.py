@@ -286,14 +286,9 @@ class CoLabelGraph:
 
 
 def region_adjacency(image: ImageRecord, partition: Partition) -> list[tuple[int, int]]:
-    pairs, _ = superpixel_adjacency(image.superpixel_map)
-    assign = partition.assignment
-    out = set()
-    for u, v in pairs:
-        a, b = int(assign[u]), int(assign[v])
-        if a != b:
-            out.add((min(a, b), max(a, b)))
-    return sorted(out)
+    """4-adjacent region pairs (a, b), a < b, sorted."""
+    pairs, _ = superpixel_adjacency(partition.assignment[image.superpixel_map])
+    return [(int(a), int(b)) for a, b in pairs]
 
 
 def match_propagation_target(mask: np.ndarray, x: int, y: int,

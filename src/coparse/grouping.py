@@ -4,7 +4,10 @@ Edges carry a binary contour dissimilarity d; the objective sums the biased
 weight (d - theta) over merged edges and subtracts a reward h for every
 propagation mask whose covered superpixels end up in one region. The bias
 theta makes contour-free edges favor merging; with the raw weights cutting
-everything would always be optimal.
+everything would always be optimal. One kernel,
+``kernels.multicut_objectives``, scores the objective everywhere: the
+exhaustive oracle's table of every partition, each round of the solver's
+local search as a table of trials, and ``objective_of``'s single partition.
 
 The solver runs the cutting-plane LP over edge merge variables (cycle
 inequalities separated lazily: short chordless cycles first, then every edge
@@ -59,6 +62,20 @@ class MulticutInstance:
                 if not 0 <= i < self.node_count:
                     raise MalformedInputError(f"mask id {i} out of range")
 
+    def arrays(self, theta: float):
+        """The objective's terms as ``kernels.multicut_objectives`` takes them:
+        edge endpoints and weights d - theta in edge order, then each mask's
+        sorted superpixels (``mask_ids[mask_ptr[c]:mask_ptr[c + 1]]``) and
+        reward in mask order."""
+        edge_u = np.array([u for u, _, _ in self.edges], dtype=np.int64)
+        edge_v = np.array([v for _, v, _ in self.edges], dtype=np.int64)
+        edge_w = np.array([d - theta for _, _, d in self.edges], dtype=np.float64)
+        mask_ids = np.array([i for ids, _ in self.mask_constraints for i in sorted(ids)],
+                            dtype=np.int64)
+        mask_ptr = np.cumsum([0] + [len(ids) for ids, _ in self.mask_constraints])
+        mask_h = np.array([h for _, h in self.mask_constraints], dtype=np.float64)
+        return edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_h
+
 
 @dataclass(frozen=True)
 class MulticutSolution:
@@ -69,14 +86,8 @@ class MulticutSolution:
 
 def objective_of(instance: MulticutInstance, assignment: np.ndarray, theta: float) -> float:
     """Biased objective of a concrete partition, recomputed from scratch."""
-    obj = 0.0
-    for u, v, d in instance.edges:
-        if assignment[u] == assignment[v]:
-            obj += d - theta
-    for (_, h), active in zip(instance.mask_constraints, _mask_active(instance, assignment)):
-        if active:
-            obj -= h
-    return obj
+    column = np.asarray(assignment)[:, None]
+    return float(kernels.multicut_objectives(column, *instance.arrays(theta))[0])
 
 
 def _mask_active(instance: MulticutInstance, assignment: np.ndarray) -> tuple[bool, ...]:
@@ -137,26 +148,13 @@ def brute_force_multicut(instance: MulticutInstance, theta: float) -> MulticutSo
     n = instance.node_count
     if n > ORACLE_MAX_NODES:
         raise OracleTooLargeError(f"{n} nodes exceeds the oracle cap of {ORACLE_MAX_NODES}")
-    edges = instance.edges
-    eu = np.array([e[0] for e in edges], dtype=np.int64)
-    ev = np.array([e[1] for e in edges], dtype=np.int64)
-    ew = np.array([e[2] - theta for e in edges], dtype=np.float64)
-    mask_ids = []
-    mask_ptr = [0]
-    mask_h = []
-    for ids, h in instance.mask_constraints:
-        mask_ids.extend(sorted(ids))
-        mask_ptr.append(len(mask_ids))
-        mask_h.append(h)
-    best_obj, best_a = kernels.multicut_enumerate(
-        n, eu, ev, ew,
-        np.array(mask_ptr, dtype=np.int64),
-        np.array(mask_ids, dtype=np.int64),
-        np.array(mask_h, dtype=np.float64))
-    partition = Partition.from_assignment(best_a)
+    table = kernels.rgs_table(n)
+    obj = kernels.multicut_objectives(table, *instance.arrays(theta))
+    best = int(np.argmin(obj))  # the first partition attaining the minimum
+    partition = Partition.from_assignment(table[:, best])
     return MulticutSolution(
         partition=partition,
-        objective=float(best_obj),
+        objective=float(obj[best]),
         mask_active=_mask_active(instance, partition.assignment))
 
 
@@ -174,13 +172,12 @@ class _MulticutSolver:
 
     def __init__(self, instance: MulticutInstance, theta: float):
         self.instance = instance
+        self._arrays = instance.arrays(theta)
         # adj[u][v] is the variable of pair {u, v}; filled in pair order
         self.adj: list[dict[int, int]] = [{} for _ in range(instance.node_count)]
         self.pairs: list[tuple[int, int]] = []
-        weights = []
-        for u, v, d in instance.edges:
+        for u, v, _ in instance.edges:
             self._add_pair(min(u, v), max(u, v))
-            weights.append(d - theta)
         # auxiliary merge variables so a mask reward can require joint grouping
         for ids, _ in instance.mask_constraints:
             ordered = sorted(ids)
@@ -188,12 +185,11 @@ class _MulticutSolver:
                 for b in ordered[i + 1:]:
                     if b not in self.adj[a]:
                         self._add_pair(a, b)
-                        weights.append(0.0)
         self.n_pairs = len(self.pairs)
         self._pair_array = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
         self.n_masks = len(instance.mask_constraints)
-        self._mask_h = np.array([h for _, h in instance.mask_constraints], dtype=np.float64)
-        self.cost = np.concatenate([np.asarray(weights, dtype=np.float64), -self._mask_h])
+        _, _, edge_w, _, _, mask_h = self._arrays
+        self.cost = np.concatenate([edge_w, np.zeros(self.n_pairs - edge_w.size), -mask_h])
 
         # LP rows as growing COO lists: A_ub[row_of[k], col_of[k]] = coef[k]
         self.row_of: list[int] = []
@@ -206,9 +202,6 @@ class _MulticutSolver:
             for i, a in enumerate(ordered):
                 for b in ordered[i + 1:]:
                     self._append_row([self.n_pairs + ci, self.adj[a][b]], [1.0, -1.0], 0.0)
-
-        self._mask_sets = [np.fromiter(sorted(ids), dtype=np.int64)
-                           for ids, _ in instance.mask_constraints]
         self._triangles, self._quads = self._enumerate_short_cycles()
 
     def _add_pair(self, u: int, v: int) -> None:
@@ -239,18 +232,6 @@ class _MulticutSolver:
         tri = np.array(triangles, dtype=np.int64).reshape(-1, 3)
         quad = np.array(quads, dtype=np.int64).reshape(-1, 4)
         return tri, quad
-
-    # -- objective over concrete assignments --------------------------------
-
-    def _objective(self, assign: np.ndarray) -> float:
-        m = len(self.instance.edges)  # the instance's edges are the first m pairs
-        pa = self._pair_array
-        obj = float(self.cost[:m][assign[pa[:m, 0]] == assign[pa[:m, 1]]].sum())
-        for ids, h in zip(self._mask_sets, self._mask_h):
-            vals = assign[ids]
-            if (vals == vals[0]).all():
-                obj -= h
-        return obj
 
     # -- LP ------------------------------------------------------------------
 
@@ -344,49 +325,50 @@ class _MulticutSolver:
 
     def _round(self, x: np.ndarray) -> np.ndarray:
         merged = x[:self.n_pairs] >= 0.5
-        partition = Partition.from_edge_labels(self.instance.node_count, self._pair_array, merged)
-        return partition.assignment.copy()
+        return Partition.from_edge_labels(self.instance.node_count, self._pair_array,
+                                          merged).assignment
 
-    def _local_improve(self, assign: np.ndarray) -> np.ndarray:
-        assign = assign.copy()
-        best = self._objective(assign)
+    def _local_improve(self, assign: np.ndarray) -> tuple[np.ndarray, float]:
+        """Merge and move search from ``assign``; returns it improved and its
+        objective.
+
+        Each round scores its trials as int32 tables of assignments. It takes
+        the best merge of two touching regions if that lowers the objective,
+        else the first move of one node that does: nodes ascending, each to
+        its touching regions in sorted order, then to a fresh region.
+        Touching means joined by an edge or a mask's merge variable.
+        """
+        pairs = self._pair_array
+        best = kernels.multicut_objectives(assign[:, None], *self._arrays)[0]
         for _ in range(100):
-            improved = False
-            # merge two touching regions, taken in sorted (a, b) order
-            lo, hi = np.sort(assign[self._pair_array], axis=1).T
+            column = assign.astype(np.int32)[:, None]
             base = int(assign.max()) + 1
-            touching = np.unique((lo * base + hi)[lo != hi])
-            best_delta, best_move = -1e-12, None
-            for a, b in zip(*np.divmod(touching, base)):
-                trial = assign.copy()
-                trial[trial == b] = a
-                delta = self._objective(trial) - best
-                if delta < best_delta:
-                    best_delta, best_move = delta, trial
-            if best_move is not None:
-                assign = Partition.from_assignment(best_move).assignment.copy()
-                best = self._objective(assign)
-                improved = True
+            # merge region b into region a for every touching a < b
+            lo, hi = np.sort(assign[pairs], axis=1).T
+            a, b = np.divmod(np.unique((lo * base + hi)[lo != hi]), base)
+            trials = np.where(column == b.astype(np.int32), a.astype(np.int32), column)
+            objs = kernels.multicut_objectives(trials, *self._arrays)
+            delta = objs - best
+            if delta.size and delta.min() < -1e-12:
+                k = int(np.argmin(delta))
+                assign, best = Partition.from_assignment(trials[:, k]).assignment, objs[k]
                 continue
-            # move one node to a touching region or to a fresh singleton
-            for node in range(self.instance.node_count):
-                options = sorted({int(assign[nbr]) for nbr in self.adj[node]}
-                                 - {int(assign[node])})
-                options.append(int(assign.max()) + 1)
-                for target in options:
-                    trial = assign.copy()
-                    trial[node] = target
-                    trial_obj = self._objective(trial)
-                    if trial_obj < best - 1e-12:
-                        assign = Partition.from_assignment(trial).assignment.copy()
-                        best = trial_obj
-                        improved = True
-                        break
-                if improved:
-                    break
-            if not improved:
+            # move node to region r, every r != assign[node] it touches, plus base
+            ends = np.concatenate([pairs, pairs[:, ::-1]])
+            region = assign[ends[:, 1]]
+            away = region != assign[ends[:, 0]]
+            node, target = np.divmod(np.unique(np.concatenate([
+                ends[away, 0] * (base + 1) + region[away],
+                np.arange(assign.size) * (base + 1) + base])), base + 1)
+            trials = np.repeat(column, node.size, axis=1)
+            trials[node, np.arange(node.size)] = target
+            objs = kernels.multicut_objectives(trials, *self._arrays)
+            better = np.flatnonzero(objs < best - 1e-12)
+            if better.size == 0:
                 break
-        return assign
+            k = int(better[0])
+            assign, best = Partition.from_assignment(trials[:, k]).assignment, objs[k]
+        return assign, float(best)
 
     # -- branch and cut --------------------------------------------------------
 
@@ -416,8 +398,7 @@ class _MulticutSolver:
                 obj, x = lp
             if lp is None:
                 continue
-            cand = self._local_improve(self._round(x))
-            cand_obj = self._objective(cand)
+            cand, cand_obj = self._local_improve(self._round(x))
             if cand_obj < best_obj - 1e-12:
                 best_obj, best_assign = cand_obj, cand
             if obj >= best_obj + self.PRUNE_SLACK:
@@ -436,9 +417,8 @@ class _MulticutSolver:
             stack.append({**fixed, branch_var: second})
             stack.append({**fixed, branch_var: first})
         if best_assign is None:
-            best_assign = self._local_improve(
+            best_assign, best_obj = self._local_improve(
                 np.zeros(self.instance.node_count, dtype=np.int64))
-            best_obj = self._objective(best_assign)
         return best_assign, best_obj
 
 

@@ -1,13 +1,14 @@
 """Hot numeric kernels, one numpy/Python implementation each.
 
 HOG cell accumulation and sliding-window template scoring are vectorized
-with ``np.bincount`` and strided matrix products; the set-partition oracle
-scans a cached table of restricted-growth strings; Dinic max-flow is a plain
-Python loop (Phase II, where it runs, is a small share of a run); the
-box-constrained SVM dual that trains each exemplar is solved by L-BFGS-B.
-The tests check the vectorized kernels against straightforward reference
-loops, Dinic through flow/cut duality and the dual solver through its
-duality gap.
+with ``np.bincount`` and strided matrix products; the multicut objective is
+scored over a node-major table of assignments at once, whether the table
+holds every set partition (the oracle) or one round of the solver's
+local-search trials; Dinic max-flow is a plain Python loop (Phase II, where
+it runs, is a small share of a run); the box-constrained SVM dual that
+trains each exemplar is solved by L-BFGS-B. The tests check the vectorized
+kernels against straightforward reference loops, Dinic through flow/cut
+duality and the dual solver through its duality gap.
 """
 
 from __future__ import annotations
@@ -184,22 +185,21 @@ def dinic(n, s, t, ptr, adj_arc, arc_to, cap):
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive set-partition scan (multicut oracle)
+# Multicut objective over a table of assignments (oracle scan, local search)
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _rgs_table(n):
+def rgs_table(n):
     """Every restricted-growth string of length ``n``, in lexicographic order.
 
     Column ``k`` (int8, shape ``(n, Bell(n))``) is the ``k``-th set partition
-    in that order; node-major rows keep each node's block ids contiguous for
-    the scan. Built on first use from the table for ``n - 1`` and cached
-    read-only.
+    in that order, node-major as ``multicut_objectives`` takes it. Built on
+    first use from the table for ``n - 1`` and cached read-only.
     """
     if n <= 1:
         table = np.zeros((n, 1), np.int8)
     else:
-        prev = _rgs_table(n - 1)
+        prev = rgs_table(n - 1)
         # each prefix is followed by the blocks it already uses plus one new;
         # the last entry counts 0, 1, ... within each prefix's run, summed in
         # int8 so that the build's temporaries stay small
@@ -214,15 +214,15 @@ def _rgs_table(n):
     return table
 
 
-def multicut_enumerate(n, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_h):
-    """Scan all set partitions of ``n`` nodes in restricted-growth order.
+def multicut_objectives(table, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_h):
+    """Multicut objective of every column of a node-major assignment table.
 
-    Objective: sum of edge weights over merged edges minus sum of mask
-    rewards whose superpixels all share a region. Returns the objective and
-    the first partition attaining it: terms are added edge by edge, then
-    mask by mask, and ``argmin`` keeps the first minimum.
+    ``table[i, k]`` is node ``i``'s region in assignment ``k``. The objective
+    sums the weights of merged edges, then subtracts the reward of every
+    mask whose superpixels ``mask_ids[mask_ptr[c]:mask_ptr[c + 1]]`` share a
+    region. Terms are added edge by edge, then mask by mask, in the order
+    given, so an assignment gets the same bits in any table.
     """
-    table = _rgs_table(n)
     obj = np.zeros(table.shape[1], np.float64)
     for e in range(edge_u.shape[0]):
         np.add(obj, edge_w[e], out=obj, where=table[edge_u[e]] == table[edge_v[e]])
@@ -232,5 +232,4 @@ def multicut_enumerate(n, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_h):
         for p in range(mask_ptr[c] + 1, mask_ptr[c + 1]):
             same &= table[mask_ids[p]] == first
         np.subtract(obj, mask_h[c], out=obj, where=same)
-    best = int(np.argmin(obj))
-    return obj[best], table[:, best].astype(np.int64)
+    return obj

@@ -29,21 +29,48 @@ from .graphcut import alpha_expansion
 from .io import Corpus
 
 
-def _is_number(value) -> bool:
-    if isinstance(value, float):
-        return math.isfinite(value)
+def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# Config field annotation -> (check on the JSON value, what the message asks for);
-# ints are accepted for float fields unchanged, so run-meta.json echoes them as given
+def _is_number(value) -> bool:
+    return math.isfinite(value) if isinstance(value, float) else _is_int(value)
+
+
+def _is_list_of(accepts, length=None):
+    """Check for a list of ``length`` items (at least one if None), each accepted."""
+    return lambda v: (isinstance(v, (list, tuple)) and (len(v) == length if length else len(v) > 0)
+                      and all(accepts(s) for s in v))
+
+
+# Field annotation of Config, synthgen.SceneSpec or synthgen.LabelSpec -> (check on
+# the JSON value, what the message asks for); ints are accepted for float fields
+# unchanged, so run-meta.json echoes them as given
 _CONFIG_TYPE_CHECKS = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "int": (_is_int, "an integer"),
     "float": (_is_number, "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "tuple[float, ...]": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
-                          and all(_is_number(s) for s in v), "a non-empty list of finite numbers"),
+    "tuple[float, ...]": (_is_list_of(_is_number), "a non-empty list of finite numbers"),
+    "tuple[float, float]": (_is_list_of(_is_number, 2), "a list of 2 finite numbers"),
+    "tuple[int, int]": (_is_list_of(_is_int, 2), "a list of 2 integers"),
+    "tuple[int, int, int]": (_is_list_of(_is_int, 3), "a list of 3 integers"),
+    "tuple[str, ...]": (_is_list_of(lambda v: isinstance(v, str)), "a non-empty list of strings"),
+    "tuple[LabelSpec, ...]": (_is_list_of(lambda v: isinstance(v, dict)),
+                              "a non-empty list of objects"),
 }
+
+
+def check_json_types(cls, doc, what: str) -> None:
+    """Raise ConfigError unless ``doc`` is a JSON object whose values fit the annotations
+    of the ``cls`` dataclass fields they name; other keys are left to the caller."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in doc.items():
+        if key in types:
+            accepts, expected = _CONFIG_TYPE_CHECKS[types[key]]
+            if not accepts(value):
+                raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -105,16 +132,10 @@ class Config:
                 raise ConfigError(f"cannot read config: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        types = {f.name: f.type for f in fields(Config)}
-        unknown = set(doc) - set(types)
+        check_json_types(Config, doc, "config")
+        unknown = set(doc) - {f.name for f in fields(Config)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in doc.items():
-            accepts, expected = _CONFIG_TYPE_CHECKS[types[key]]
-            if not accepts(value):
-                raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
         if "scales" in doc:
             doc = {**doc, "scales": tuple(doc["scales"])}
         return Config(**doc).validate()

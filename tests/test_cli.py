@@ -19,19 +19,36 @@ class TestGen:
         corpus = io.load_corpus(tmp_path / "c" / "manifest.json")
         assert len(corpus.images) == 2
 
+    SPEC = {
+        "height": 64, "width": 48, "noise_level": 0.0, "seed": 1,
+        "shapes_per_image": [1, 1],
+        "labels": [{"name": "blob", "location_mean": [0.5, 0.5],
+                    "location_sigma": 0.02, "color": [200, 30, 30]}],
+    }
+
     def test_gen_custom_spec(self, tmp_path):
-        spec = {
-            "height": 64, "width": 48, "noise_level": 0.0, "seed": 1,
-            "shapes_per_image": [1, 1],
-            "labels": [{"name": "blob", "location_mean": [0.5, 0.5],
-                        "location_sigma": 0.02, "color": [200, 30, 30]}],
-        }
-        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "spec.json").write_text(json.dumps(self.SPEC))
         rc = cli.main(["gen", "--spec", str(tmp_path / "spec.json"), "--n", "1",
                        "--out", str(tmp_path / "c")])
         assert rc == 0
         corpus = io.load_corpus(tmp_path / "c" / "manifest.json")
         assert corpus.vocabulary == ("background", "blob")
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "x"), ("height", "64"), ("width", 48.0), ("shape_kinds", []),
+        ("shapes_per_image", ["1", "1"]), ("location_sigma", "x"), ("color", ["a", "b", "c"]),
+    ], ids=["seed-str", "height-str", "width-float", "shape-kinds-empty", "shapes-str",
+            "label-sigma-str", "label-color-str"])
+    def test_wrongly_typed_spec_value_is_2(self, tmp_path, capsys, key, value):
+        label = self.SPEC["labels"][0]
+        spec = ({**self.SPEC, "labels": [{**label, key: value}]} if key in label
+                else {**self.SPEC, key: value})
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        rc = cli.main(["gen", "--spec", str(tmp_path / "spec.json"), "--n", "1",
+                       "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert_one_line_error(capsys, "configuration error: scene spec ")
+        assert not (tmp_path / "c").exists()
 
     def test_gen_negative_seed_is_2(self, tmp_path, capsys):
         rc = cli.main(["gen", "--n", "1", "--out", str(tmp_path / "c"), "--seed", "-1"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coparse import grouping
-from coparse.core import PropagationRecord
+from coparse.core import Partition, PropagationRecord
 from coparse.errors import MalformedInputError, OracleTooLargeError, SolverError
 
 from conftest import make_image
@@ -27,13 +27,37 @@ def all_partitions(n):
     return sorted(set(out))
 
 
+def python_objective(instance, assignment, theta):
+    """The biased objective in Python floats: edges, then masks, in order."""
+    obj = 0.0
+    for u, v, d in instance.edges:
+        if assignment[u] == assignment[v]:
+            obj += d - theta
+    for ids, h in instance.mask_constraints:
+        if len({int(assignment[i]) for i in ids}) == 1:
+            obj -= h
+    return obj
+
+
 def enumerate_optimum(instance, theta):
     """Independent oracle: scan partitions in python, return best objective."""
     best = np.inf
     for assign in all_partitions(instance.node_count):
-        obj = grouping.objective_of(instance, np.asarray(assign), theta)
-        best = min(best, obj)
+        best = min(best, python_objective(instance, assign, theta))
     return best
+
+
+def draw_instance(data, max_nodes):
+    """A hypothesis-drawn instance: any edge subset, up to three masks."""
+    n = data.draw(st.integers(1, max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = tuple((u, v, d) for (u, v), d in zip(pairs, data.draw(
+        st.lists(st.sampled_from([None, 0, 1]), min_size=len(pairs), max_size=len(pairs))))
+        if d is not None)
+    masks = tuple(data.draw(st.lists(st.tuples(
+        st.frozensets(st.integers(0, n - 1), min_size=2), st.floats(0.0, 2.0)),
+        max_size=3))) if n > 1 else ()
+    return grouping.MulticutInstance(node_count=n, edges=edges, mask_constraints=masks)
 
 
 class TestInstanceValidation:
@@ -215,18 +239,12 @@ class TestBruteForce:
     @given(st.data())
     def test_scan_objective_is_objective_of(self, data):
         # the oracle reports the scan's own sum: it must equal a recount, bit for bit
-        n = data.draw(st.integers(1, 8))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = tuple((u, v, d) for (u, v), d in zip(pairs, data.draw(
-            st.lists(st.sampled_from([None, 0, 1]), min_size=len(pairs), max_size=len(pairs))))
-            if d is not None)
-        masks = tuple(data.draw(st.lists(st.tuples(
-            st.frozensets(st.integers(0, n - 1), min_size=2), st.floats(0.0, 2.0)),
-            max_size=3))) if n > 1 else ()
+        inst = draw_instance(data, 8)
         theta = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-        inst = grouping.MulticutInstance(node_count=n, edges=edges, mask_constraints=masks)
         sol = grouping.brute_force_multicut(inst, theta)
-        assert sol.objective == grouping.objective_of(inst, sol.partition.assignment, theta)
+        recount = python_objective(inst, sol.partition.assignment, theta)
+        assert sol.objective == recount
+        assert grouping.objective_of(inst, sol.partition.assignment, theta) == recount
 
 
 def random_instance(rng, max_nodes=10):
@@ -266,6 +284,63 @@ class TestSolverOracleAgreement:
                 node_count=inst.node_count, edges=inst.edges,
                 mask_constraints=((ids, h + 0.5),) + inst.mask_constraints[1:])
             assert grouping.solve_multicut(bumped, 0.5).objective <= base + 1e-9
+
+
+def local_improve_reference(solver, assign, theta):
+    """The solver's merge/move search as a scan that scores one trial at a time."""
+    def objective(a):
+        return python_objective(solver.instance, a, theta)
+
+    assign = assign.copy()
+    best = objective(assign)
+    for _ in range(100):
+        improved = False
+        lo, hi = np.sort(assign[solver._pair_array], axis=1).T
+        base = int(assign.max()) + 1
+        best_delta, best_move = -1e-12, None
+        for a, b in zip(*np.divmod(np.unique((lo * base + hi)[lo != hi]), base)):
+            trial = assign.copy()
+            trial[trial == b] = a
+            delta = objective(trial) - best
+            if delta < best_delta:
+                best_delta, best_move = delta, trial
+        if best_move is not None:
+            assign = Partition.from_assignment(best_move).assignment.copy()
+            best = objective(assign)
+            continue
+        for node in range(solver.instance.node_count):
+            options = sorted({int(assign[nbr]) for nbr in solver.adj[node]}
+                             - {int(assign[node])})
+            options.append(int(assign.max()) + 1)
+            for target in options:
+                trial = assign.copy()
+                trial[node] = target
+                trial_obj = objective(trial)
+                if trial_obj < best - 1e-12:
+                    assign = Partition.from_assignment(trial).assignment.copy()
+                    best = trial_obj
+                    improved = True
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+    return assign, best
+
+
+class TestLocalSearch:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_tabled_search_matches_per_trial_scan(self, data):
+        inst = draw_instance(data, 10)
+        start = np.array(data.draw(st.lists(st.integers(0, inst.node_count - 1),
+                                            min_size=inst.node_count,
+                                            max_size=inst.node_count)), dtype=np.int64)
+        solver = grouping._MulticutSolver(inst, 0.5)
+        assign, objective = solver._local_improve(start)
+        ref_assign, ref_objective = local_improve_reference(solver, start, 0.5)
+        assert assign.tolist() == ref_assign.tolist()
+        assert objective == ref_objective
 
 
 def _floyd_warshall(n, pairs, y, skip):

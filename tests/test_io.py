@@ -2,9 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coparse import io, synthgen
 from coparse.errors import DataError
+
+# valid files that the fuzz property truncates and mutates: (reader, bytes)
+PNM_FILES = {
+    "ppm": (io.read_ppm, b"P6\n# comment\n3 2\n255\n" + bytes(range(18))),
+    "pgm8": (io.read_pgm, b"P5\n3 2\n255\n" + bytes(range(6))),
+    "pgm16": (io.read_pgm, b"P5 3\t2 65535\r" + bytes(range(12))),
+}
 
 
 class TestPnm:
@@ -50,6 +59,25 @@ class TestPnm:
         path.write_bytes(b"P5\n1 1\n255\n\x00")
         with pytest.raises(DataError):
             io.read_ppm(path)
+
+    @settings(derandomize=True, deadline=None, max_examples=400,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(sorted(PNM_FILES)), data=st.data())
+    def test_fuzzed_bytes_read_or_raise_data_error(self, tmp_path, kind, data):
+        reader, valid = PNM_FILES[kind]
+        raw = bytearray(valid[:data.draw(st.integers(0, len(valid)), label="keep")])
+        edits = data.draw(st.lists(st.tuples(st.integers(0, len(valid)), st.binary(max_size=6),
+                                             st.booleans()), max_size=3), label="edits")
+        for pos, chunk, insert in edits:
+            pos = min(pos, len(raw))
+            raw[pos:pos if insert else pos + len(chunk)] = chunk
+        path = tmp_path / "fuzz.pnm"
+        path.write_bytes(bytes(raw))
+        try:
+            out = reader(path)
+        except DataError:
+            return
+        assert isinstance(out, np.ndarray)
 
     def test_value_range_enforced(self, tmp_path):
         with pytest.raises(DataError):

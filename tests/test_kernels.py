@@ -33,21 +33,27 @@ def _score_windows_ref(blocks, win_by, win_bx, wvec, step):
     return out
 
 
-def _multicut_enumerate_ref(n, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_h):
+def _multicut_objective_ref(a, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_h):
+    """One assignment's objective in Python floats: edges, then masks, in order."""
+    obj = 0.0
+    for e in range(edge_u.shape[0]):
+        if a[edge_u[e]] == a[edge_v[e]]:
+            obj += float(edge_w[e])
+    for c in range(mask_h.shape[0]):
+        ids = mask_ids[mask_ptr[c]:mask_ptr[c + 1]]
+        if (a[ids] == a[ids[0]]).all():
+            obj -= float(mask_h[c])
+    return obj
+
+
+def _multicut_enumerate_ref(n, *terms):
     """Walk the restricted-growth strings one by one; strict ``<`` keeps the first best."""
     a = np.zeros(n, np.int64)
     m = np.zeros(n, np.int64)
     best = np.inf
     best_a = np.zeros(n, np.int64)
     while True:
-        obj = 0.0
-        for e in range(edge_u.shape[0]):
-            if a[edge_u[e]] == a[edge_v[e]]:
-                obj += edge_w[e]
-        for c in range(mask_h.shape[0]):
-            ids = mask_ids[mask_ptr[c]:mask_ptr[c + 1]]
-            if (a[ids] == a[ids[0]]).all():
-                obj -= mask_h[c]
+        obj = _multicut_objective_ref(a, *terms)
         if obj < best:
             best = obj
             best_a = a.copy()
@@ -171,26 +177,48 @@ class TestScoreWindows:
             assert np.allclose(a, b)
 
 
-class TestMulticutEnumerate:
-    def test_numpy_matches_python(self):
+def random_multicut_terms(rng, n, weights):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.uniform() < 0.6]
+    eu = np.array([p[0] for p in pairs], dtype=np.int64)
+    ev = np.array([p[1] for p in pairs], dtype=np.int64)
+    ew = weights(len(pairs))
+    ids, mask_ptr, mask_h = [], [0], []
+    for _ in range(int(rng.integers(0, 3))):
+        size = int(rng.integers(1, n + 1))
+        ids.extend(sorted(rng.choice(n, size=size, replace=False)))
+        mask_ptr.append(len(ids))
+        mask_h.append(rng.uniform())
+    return (eu, ev, ew, np.array(mask_ptr, dtype=np.int64),
+            np.array(ids, dtype=np.int64), np.array(mask_h, dtype=np.float64))
+
+
+class TestMulticutObjectives:
+    def test_rgs_argmin_matches_python_walk(self):
         rng = np.random.default_rng(6)
         for _ in range(60):
             n = int(rng.integers(1, 9))
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.uniform() < 0.6]
-            eu = np.array([p[0] for p in pairs], dtype=np.int64)
-            ev = np.array([p[1] for p in pairs], dtype=np.int64)
-            ew = rng.integers(0, 2, size=len(pairs)) - 0.5  # ties on purpose
-            ids, mask_ptr, mask_h = [], [0], []
-            for _ in range(int(rng.integers(0, 3))):
-                size = int(rng.integers(1, n + 1))
-                ids.extend(sorted(rng.choice(n, size=size, replace=False)))
-                mask_ptr.append(len(ids))
-                mask_h.append(rng.uniform())
-            args = (n, eu, ev, ew, np.array(mask_ptr, dtype=np.int64),
-                    np.array(ids, dtype=np.int64), np.array(mask_h, dtype=np.float64))
-            obj_ref, a_ref = _multicut_enumerate_ref(*args)
-            obj, a = kernels.multicut_enumerate(*args)
-            assert obj == obj_ref
-            assert a.dtype == np.int64
-            assert np.array_equal(a, a_ref)
+            # weights of +-0.5 tie on purpose
+            terms = random_multicut_terms(rng, n, lambda m: rng.integers(0, 2, size=m) - 0.5)
+            obj_ref, a_ref = _multicut_enumerate_ref(n, *terms)
+            table = kernels.rgs_table(n)
+            obj = kernels.multicut_objectives(table, *terms)
+            best = int(np.argmin(obj))
+            assert obj[best] == obj_ref
+            assert np.array_equal(table[:, best], a_ref)
+
+    def test_every_column_matches_python_scorer(self):
+        # weights d - theta with theta off a power of two round differently
+        # in another order, so equality pins the edge-then-mask order
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            terms = random_multicut_terms(
+                rng, n, lambda m: rng.integers(0, 2, size=m) - rng.uniform(size=m))
+            tables = (kernels.rgs_table(n),
+                      rng.integers(0, n, size=(n, 50)).astype(np.int32))
+            for table in tables:
+                obj = kernels.multicut_objectives(table, *terms)
+                assert obj.dtype == np.float64
+                assert obj.tolist() == [_multicut_objective_ref(table[:, k], *terms)
+                                        for k in range(table.shape[1])]
+
