@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, esvm, grouping, io, pipeline, synthgen
 from .core import Partition
-from .errors import ConfigError, CoparseError, DataError
+from .errors import ConfigError, CoparseError, DataError, MalformedInputError
 
 
 def _dump_json(path, doc) -> None:
@@ -89,6 +89,8 @@ def cmd_gen(args) -> int:
             spec = synthgen.SceneSpec(labels=labels, **doc)
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad scene spec: {exc}") from exc
+        except MalformedInputError as exc:
+            raise ConfigError(f"scene spec value out of range: {exc}") from exc
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     if spec.seed < 0:

@@ -7,6 +7,11 @@ co-occurrence table; exterior edges couple regions of different images that
 were matched by a propagated mask. All energy tables are min-shifted per
 edge to be non-negative and clamped, which leaves the MAP labeling
 unchanged.
+
+Each table is built by broadcasting over the candidate label arrays of its
+vertices: a region's location energies for the whole vocabulary come from
+one batched solve, computed once per region and shared by its unary and its
+exterior edges.
 """
 
 from __future__ import annotations
@@ -28,14 +33,6 @@ WIDE_PRIOR_VARIANCE = 0.25   # location prior for labels unseen in training
 # Appearance: one-vs-one kernel SVM on 40-bin histograms
 # ---------------------------------------------------------------------------
 
-def chi_square_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise chi-square distances between rows of a and rows of b."""
-    num = (a[:, None, :] - b[None, :, :]) ** 2
-    den = a[:, None, :] + b[None, :, :]
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return 0.5 * terms.sum(axis=2)
-
-
 @dataclass(frozen=True)
 class AppearanceModel:
     gamma: float
@@ -53,7 +50,7 @@ class AppearanceModel:
         if not self.machines:
             return s
         for a, b, sv, coef in self.machines:
-            k = np.exp(-self.gamma * chi_square_matrix(hist[None, :], sv)[0])
+            k = np.exp(-self.gamma * features.chi_square_matrix(hist[None, :], sv)[0])
             decision = float(coef @ k)
             s[a if decision >= 0 else b] += 1.0
         return s / len(self.machines)
@@ -88,7 +85,7 @@ def train_appearance(hists: np.ndarray, labels: np.ndarray, vocab_size: int,
     present = sorted(set(int(v) for v in labels))
     if not present:
         raise InsufficientDataError("no training regions")
-    dists = chi_square_matrix(hists, hists)
+    dists = features.chi_square_matrix(hists, hists)
     med = float(np.median(dists[np.triu_indices(len(hists), k=1)])) if len(hists) > 1 else 0.0
     gamma = 1.0 / med if med > 1e-12 else 1.0
     machines = []
@@ -145,29 +142,20 @@ def fit_location(centroids_by_label: dict[int, np.ndarray], vocab_size: int,
     return means, covs
 
 
-def location_quad(model: LabelModel, label: int, point) -> float:
-    """0.5 * squared Mahalanobis distance to the label's location mean."""
-    if not 0 <= label < model.vocab_size:
-        raise UnknownLabelError(f"label {label} outside vocabulary")
-    diff = np.asarray(point, dtype=np.float64) - model.location_mean[label]
-    return 0.5 * float(diff @ np.linalg.solve(model.location_cov[label], diff))
+def location_energies(model: LabelModel, point) -> np.ndarray:
+    """-log of every label's mode-normalized location Gaussian at ``point``.
 
-
-def location_score(model: LabelModel, label: int, point) -> float:
-    """Mode-normalized Gaussian density in (0, 1]; exactly 1 at the mean."""
-    return float(np.exp(-location_quad(model, label, point)))
-
-
-def _energy_location_quad(model: LabelModel, label: int, point) -> float:
-    """Location term as used inside energies.
-
-    Background is exempt: it has no canonical location, and the centroids of
-    whole training-set background components badly misstate where background
-    subregions produced by grouping may sit.
+    Entry l is 0.5 * the squared Mahalanobis distance from ``point`` to label
+    l's mean, so exp(-entry) is in (0, 1] and exactly 1 at the mean.
+    Background is exempt (0): it has no canonical location, and the centroids
+    of whole training-set background components badly misstate where
+    background subregions produced by grouping may sit.
     """
-    if label == BACKGROUND:
-        return 0.0
-    return location_quad(model, label, point)
+    diff = np.asarray(point, dtype=np.float64) - model.location_mean
+    solved = np.linalg.solve(model.location_cov, diff[:, :, None])[:, :, 0]
+    energies = 0.5 * np.vecdot(diff, solved)
+    energies[BACKGROUND] = 0.0
+    return energies
 
 
 def fit_cooccurrence(label_pairs: list[tuple[int, int]], vocab_size: int) -> np.ndarray:
@@ -222,22 +210,23 @@ def image_label_pairs(comp: np.ndarray, comp_labels: np.ndarray) -> list[tuple[i
 # Energies
 # ---------------------------------------------------------------------------
 
-def unary_value(vote: float, neg_log_location: float,
-                sharpness: float = 4.0, e_max: float = 20.0) -> float:
-    """-log(sig(a(vote - 0.5))) - log(G), clamped to [0, e_max]; the caller
-    passes the second term as ``neg_log_location``."""
-    margin = sharpness * (vote - 0.5)
-    val = float(np.logaddexp(0.0, -margin)) + neg_log_location
-    return float(min(max(val, 0.0), e_max))
+def unary_energies(votes: np.ndarray, location: np.ndarray,
+                   sharpness: float, e_max: float) -> np.ndarray:
+    """-log(sig(a(vote - 0.5))) - log(G) per candidate, clamped to [0, e_max];
+    ``location`` holds the -log(G) terms (``location_energies``)."""
+    sigmoid = np.logaddexp(0.0, -sharpness * (votes - 0.5))
+    return np.minimum(np.maximum(sigmoid + location, 0.0), e_max)
 
 
-def interior_appearance(chi2: float, label_m: int, label_n: int, mode: str,
-                        beta_pair: float = 2.0) -> float:
-    """Raw (pre-shift) appearance term of an interior or exterior edge."""
+def pair_appearance(chi2: float, cands_m: np.ndarray, cands_n: np.ndarray,
+                    mode: str, beta_pair: float) -> np.ndarray:
+    """Raw (pre-shift) appearance term of an interior or exterior edge, per
+    candidate pair."""
+    same = cands_m[:, None] == cands_n[None, :]
     if mode == "literal":
-        return chi2 if label_m == label_n else 0.0
+        return np.where(same, chi2, 0.0)
     if mode == "smoothing":
-        return beta_pair * float(np.exp(-chi2)) if label_m != label_n else 0.0
+        return np.where(same, 0.0, beta_pair * float(np.exp(-chi2)))
     raise ConfigError(f"unknown pairwise mode {mode!r}")
 
 
@@ -248,28 +237,23 @@ def _shift_clamp(table: np.ndarray, e_max: float) -> np.ndarray:
 
 def interior_table(model: LabelModel, hist_m: np.ndarray, hist_n: np.ndarray,
                    cands_m: np.ndarray, cands_n: np.ndarray, mode: str,
-                   beta_pair: float = 2.0, e_max: float = 20.0) -> np.ndarray:
-    d = features.chi_square(hist_m, hist_n)
-    table = np.empty((cands_m.size, cands_n.size))
-    for i, lm in enumerate(cands_m):
-        for j, ln in enumerate(cands_n):
-            table[i, j] = (interior_appearance(d, int(lm), int(ln), mode, beta_pair)
-                           - np.log(model.cooccurrence[int(lm), int(ln)]))
-    return _shift_clamp(table, e_max)
+                   beta_pair: float, e_max: float) -> np.ndarray:
+    """Appearance minus log co-occurrence, shifted and clamped."""
+    appearance = pair_appearance(features.chi_square(hist_m, hist_n), cands_m, cands_n,
+                                 mode, beta_pair)
+    return _shift_clamp(appearance - np.log(model.cooccurrence[np.ix_(cands_m, cands_n)]),
+                        e_max)
 
 
-def exterior_table(model: LabelModel, hist_u: np.ndarray, hist_v: np.ndarray,
-                   centroid_u, centroid_v,
+def exterior_table(hist_u: np.ndarray, hist_v: np.ndarray,
+                   location_u: np.ndarray, location_v: np.ndarray,
                    cands_u: np.ndarray, cands_v: np.ndarray, mode: str,
-                   beta_pair: float = 2.0, e_max: float = 20.0) -> np.ndarray:
-    d = features.chi_square(hist_u, hist_v)
-    neg_log_gu = np.array([_energy_location_quad(model, int(l), centroid_u) for l in cands_u])
-    neg_log_gv = np.array([_energy_location_quad(model, int(l), centroid_v) for l in cands_v])
-    table = neg_log_gu[:, None] + neg_log_gv[None, :]
-    for i, lu in enumerate(cands_u):
-        for j, lv in enumerate(cands_v):
-            table[i, j] += interior_appearance(d, int(lu), int(lv), mode, beta_pair)
-    return _shift_clamp(table, e_max)
+                   beta_pair: float, e_max: float) -> np.ndarray:
+    """Both endpoints' location energies (per candidate) plus appearance,
+    shifted and clamped."""
+    appearance = pair_appearance(features.chi_square(hist_u, hist_v), cands_u, cands_v,
+                                 mode, beta_pair)
+    return _shift_clamp((location_u[:, None] + location_v[None, :]) + appearance, e_max)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +267,6 @@ class CoLabelGraph:
     problem: LabelingProblem
     interior_edges: tuple[tuple[int, int], ...]
     exterior_edges: tuple[tuple[int, int], ...]
-
-
-def region_adjacency(image: ImageRecord, partition: Partition) -> list[tuple[int, int]]:
-    """4-adjacent region pairs (a, b), a < b, sorted."""
-    pairs, _ = superpixel_adjacency(partition.assignment[image.superpixel_map])
-    return [(int(a), int(b)) for a, b in pairs]
 
 
 def match_propagation_target(mask: np.ndarray, x: int, y: int,
@@ -314,8 +292,8 @@ def match_propagation_target(mask: np.ndarray, x: int, y: int,
 
 def build_graph(images: list[ImageRecord], partitions: dict[str, Partition],
                 propagations, source_regions: dict[str, tuple[str, int]],
-                model: LabelModel, mode: str = "smoothing", beta_pair: float = 2.0,
-                sharpness: float = 4.0, e_max: float = 20.0) -> CoLabelGraph:
+                model: LabelModel, mode: str, beta_pair: float,
+                sharpness: float, e_max: float) -> CoLabelGraph:
     """Assemble vertices, interior/exterior edges and all energy tables.
 
     ``source_regions`` maps exemplar ids to their source region ids so each
@@ -330,54 +308,49 @@ def build_graph(images: list[ImageRecord], partitions: dict[str, Partition],
         regs = regions_of(image, partitions[image.id])
         regions_by_image[image.id] = regs
         cand = np.array(sorted(set(image.tags) | {BACKGROUND}), dtype=np.int64)
-        if cand.size == 0:
-            raise ConfigError(f"{image.id}: empty candidate label set")
+        if cand[-1] >= model.vocab_size:
+            raise UnknownLabelError(f"{image.id}: tag {cand[-1]} outside the label model's "
+                                    f"vocabulary")
         for region in regs:
             vertex_index[region.id] = len(vertex_regions)
             vertex_regions.append(region)
             hists.append(features.region_histogram(image, region.mask))
             candidates.append(cand)
 
-    unary = []
+    unary, locations = [], []
     for region, hist, cand in zip(vertex_regions, hists, candidates):
-        votes = model.appearance.votes(hist)
-        unary.append(np.array([
-            unary_value(float(votes[l]), _energy_location_quad(model, int(l), region.centroid),
-                        sharpness, e_max)
-            for l in cand]))
+        location = location_energies(model, region.centroid)[cand]
+        unary.append(unary_energies(model.appearance.votes(hist)[cand], location,
+                                    sharpness, e_max))
+        locations.append(location)
 
     interior: list[tuple[int, int]] = []
     for image in images:
-        for a, b in region_adjacency(image, partitions[image.id]):
-            interior.append((vertex_index[(image.id, a)], vertex_index[(image.id, b)]))
+        # 4-adjacent region pairs (a, b), a < b, sorted
+        pairs, _ = superpixel_adjacency(partitions[image.id].assignment[image.superpixel_map])
+        interior.extend((vertex_index[(image.id, int(a))], vertex_index[(image.id, int(b))])
+                        for a, b in pairs)
 
     exterior_set: set[tuple[int, int]] = set()
     for prop in propagations:
         src = source_regions.get(prop.source_exemplar)
-        if src is None or src not in vertex_index:
-            continue
-        if src[0] == prop.target_image or prop.target_image not in regions_by_image:
+        if (src not in vertex_index or src[0] == prop.target_image
+                or prop.target_image not in regions_by_image):
             continue
         target_k = match_propagation_target(prop.mask, prop.x, prop.y,
                                             regions_by_image[prop.target_image])
         if target_k is None:
             continue
-        u = vertex_index[src]
-        v = vertex_index[(prop.target_image, target_k)]
-        if u != v:
-            exterior_set.add((min(u, v), max(u, v)))
+        # the endpoints lie in different images, so they never coincide
+        u, v = vertex_index[src], vertex_index[(prop.target_image, target_k)]
+        exterior_set.add((min(u, v), max(u, v)))
     exterior = sorted(exterior_set)
 
-    edges = []
-    for u, v in interior:
-        table = interior_table(model, hists[u], hists[v], candidates[u],
-                               candidates[v], mode, beta_pair, e_max)
-        edges.append((u, v, table))
-    for u, v in exterior:
-        table = exterior_table(model, hists[u], hists[v],
-                               vertex_regions[u].centroid, vertex_regions[v].centroid,
-                               candidates[u], candidates[v], mode, beta_pair, e_max)
-        edges.append((u, v, table))
+    edges = [(u, v, interior_table(model, hists[u], hists[v], candidates[u], candidates[v],
+                                   mode, beta_pair, e_max)) for u, v in interior]
+    edges += [(u, v, exterior_table(hists[u], hists[v], locations[u], locations[v],
+                                    candidates[u], candidates[v], mode, beta_pair, e_max))
+              for u, v in exterior]
 
     problem = LabelingProblem(candidates=tuple(candidates), unary=tuple(unary),
                               edges=tuple(edges))

@@ -67,14 +67,19 @@ def region_histogram(image, region_mask: np.ndarray) -> np.ndarray:
     return np.concatenate([color, grad])
 
 
+def chi_square_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Chi-square distance 0.5 * sum (a-b)^2 / (a+b) between every row of a
+    and every row of b; zero-denominator terms contribute 0."""
+    num = (a[:, None, :] - b[None, :, :]) ** 2
+    den = a[:, None, :] + b[None, :, :]
+    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return 0.5 * terms.sum(axis=2)
+
+
 def chi_square(a: np.ndarray, b: np.ndarray) -> float:
-    """0.5 * sum (a-b)^2 / (a+b); zero-denominator terms contribute 0."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = a + b
-    num = (a - b) ** 2
-    terms = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
-    return float(0.5 * terms.sum())
+    """Chi-square distance between two histograms (``chi_square_matrix``)."""
+    pair = np.asarray([a, b], dtype=np.float64)
+    return float(chi_square_matrix(pair[:1], pair[1:])[0, 0])
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

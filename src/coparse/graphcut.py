@@ -1,19 +1,20 @@
 """Discrete MAP inference: max-flow/min-cut and alpha-expansion.
 
-The flow solver is a Dinic-style augmenting-path algorithm (each BFS level
-tree is reused for a whole blocking-flow phase) over a CSR residual network
-with deterministic arc ordering. Alpha-expansion sweeps labels in vocabulary
-order, reduces each move to a binary min-cut, truncates non-submodular edge
-terms, and accepts a move only when the true energy strictly decreases.
+The flow solver is Dinic's algorithm over a CSR residual network with
+deterministic arc ordering; its last BFS gives the source side of the cut.
+Alpha-expansion sweeps labels in vocabulary order, reduces each move to a
+binary min-cut, truncates non-submodular edge terms, and accepts a move only
+when the true energy strictly decreases. Labelings are handled as candidate
+positions, from a label -> position table built once per problem, and one
+scorer (``LabelingProblem.energies``) prices every energy that is compared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from . import kernels
 from .errors import MalformedInputError, OracleTooLargeError, SolverError
@@ -46,15 +47,12 @@ class FlowNetwork:
         self._cap.extend([float(capacity), 0.0])
 
     def _csr(self):
-        n_arcs = len(self._to)
+        """(ptr, arc ids per node, arc tails, arc heads, capacities)."""
         frm = np.asarray(self._from, dtype=np.int64)
-        to = np.asarray(self._to, dtype=np.int64)
-        cap = np.asarray(self._cap, dtype=np.float64)
-        order = np.argsort(frm, kind="stable")
         ptr = np.zeros(self.node_count + 1, dtype=np.int64)
         np.add.at(ptr[1:], frm, 1)
-        ptr = np.cumsum(ptr)
-        return ptr, order.astype(np.int64), to, cap, n_arcs
+        return (np.cumsum(ptr), np.argsort(frm, kind="stable"), frm,
+                np.asarray(self._to, dtype=np.int64), np.asarray(self._cap, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -66,20 +64,11 @@ class FlowResult:
 
 def max_flow(network: FlowNetwork) -> FlowResult:
     """Max flow with the min-cut side assignment; duality checked internally."""
-    ptr, adj_arc, arc_to, cap0, n_arcs = network._csr()
-    cap = cap0.copy()
-    flow = kernels.dinic(network.node_count, network.source, network.sink,
-                         ptr, adj_arc, arc_to, cap)
-    # residual reachability from the source defines the cut side
-    frm = np.asarray(network._from, dtype=np.int64)
-    open_arc = cap > 1e-12
-    residual = sparse.csr_array((np.ones(open_arc.sum()), (frm[open_arc], arc_to[open_arc])),
-                                shape=(network.node_count, network.node_count))
-    side = np.zeros(network.node_count, dtype=bool)
-    side[csgraph.breadth_first_order(residual, network.source, return_predecessors=False)] = True
-    crossing = side[frm] & ~side[arc_to]
-    forward = np.arange(n_arcs) % 2 == 0
-    cut = float(cap0[crossing & forward].sum())
+    ptr, adj_arc, arc_from, arc_to, cap0 = network._csr()
+    flow, side = kernels.dinic(network.node_count, network.source, network.sink,
+                               ptr, adj_arc, arc_to, cap0.copy())
+    # forward arcs sit at even indices
+    cut = float(cap0[::2][side[arc_from[::2]] & ~side[arc_to[::2]]].sum())
     if abs(cut - flow) > 1e-6 * max(1.0, abs(flow)):
         raise SolverError(f"flow/cut mismatch: flow={flow!r} cut={cut!r}")
     return FlowResult(float(flow), side, cut)
@@ -94,12 +83,16 @@ class LabelingProblem:
     """Vertices with candidate label sets, unary and pairwise energy tables.
 
     Candidate arrays must be strictly ascending; pairwise tables are indexed
-    by candidate positions of their endpoints.
+    by candidate positions of their endpoints. ``labels`` is the ascending
+    union of the candidate sets, and ``label_positions[i, c]`` the position
+    of ``labels[c]`` among vertex i's candidates, or -1.
     """
 
     candidates: tuple[np.ndarray, ...]
     unary: tuple[np.ndarray, ...]
     edges: tuple[tuple[int, int, np.ndarray], ...] = ()
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
+    label_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.candidates)
@@ -117,24 +110,47 @@ class LabelingProblem:
                 raise MalformedInputError(f"pairwise table shape mismatch on ({u}, {v})")
             if not np.isfinite(table).all():
                 raise MalformedInputError("pairwise table non-finite")
+        labels = np.unique(np.concatenate(self.candidates))
+        table = np.full((n, labels.size), -1, dtype=np.int64)
+        for i, cand in enumerate(self.candidates):
+            table[i, np.searchsorted(labels, cand)] = np.arange(cand.size)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "label_positions", table)
 
     def positions(self, labeling: np.ndarray) -> np.ndarray:
-        pos = np.empty(len(self.candidates), dtype=np.int64)
-        for i, cand in enumerate(self.candidates):
-            j = np.searchsorted(cand, labeling[i])
-            if j >= cand.size or cand[j] != labeling[i]:
-                raise MalformedInputError(
-                    f"label {labeling[i]} not a candidate of vertex {i}")
-            pos[i] = j
+        """Candidate position of each vertex's label."""
+        labeling = np.asarray(labeling)
+        if labeling.shape != (len(self.candidates),):
+            raise MalformedInputError(f"labeling of shape {labeling.shape} for "
+                                      f"{len(self.candidates)} vertices")
+        col = np.minimum(np.searchsorted(self.labels, labeling), self.labels.size - 1)
+        pos = np.where(self.labels[col] == labeling,
+                       self.label_positions[np.arange(labeling.size), col], -1)
+        for i in np.flatnonzero(pos < 0)[:1]:
+            raise MalformedInputError(f"label {labeling[i]} not a candidate of vertex {i}")
         return pos
+
+    def energies(self, pos: np.ndarray, vertex_weight: np.ndarray | None = None,
+                 edge_weight: np.ndarray | None = None) -> np.ndarray:
+        """Energy of each row of a (k, n) table of candidate positions.
+
+        Adds the unary terms vertex by vertex, then the edge terms in order,
+        so a labeling gets the same bits in any table. Optional (k, n) vertex
+        and (k, edges) edge weights scale each term of each row; rows that
+        repeat one labeling with per-image weights split its energy by image.
+        """
+        total = np.zeros(pos.shape[0])
+        for i, unary in enumerate(self.unary):
+            term = unary[pos[:, i]]
+            total += term if vertex_weight is None else term * vertex_weight[:, i]
+        for e, (u, v, table) in enumerate(self.edges):
+            term = table[pos[:, u], pos[:, v]]
+            total += term if edge_weight is None else term * edge_weight[:, e]
+        return total
 
 
 def energy_of(problem: LabelingProblem, labeling: np.ndarray) -> float:
-    pos = problem.positions(np.asarray(labeling))
-    total = sum(float(problem.unary[i][pos[i]]) for i in range(len(pos)))
-    for u, v, table in problem.edges:
-        total += float(table[pos[u], pos[v]])
-    return total
+    return float(problem.energies(problem.positions(labeling)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -145,35 +161,27 @@ class ExpansionResult:
     sweeps: int
 
 
-def _argmin_unary(problem: LabelingProblem) -> np.ndarray:
-    return np.array([int(problem.candidates[i][int(np.argmin(problem.unary[i]))])
-                     for i in range(len(problem.candidates))], dtype=np.int64)
-
-
 def alpha_expansion(problem: LabelingProblem,
                     initial: np.ndarray | None = None,
                     max_sweeps: int = 10) -> ExpansionResult:
     """Move-making minimization; sweeps labels in ascending (vocabulary) order."""
     if initial is None:
-        labeling = _argmin_unary(problem)
-    else:
-        labeling = np.asarray(initial, dtype=np.int64).copy()
-    problem.positions(labeling)  # validates against the candidate sets
-    energy = energy_of(problem, labeling)
-    cand_sets = [set(int(c) for c in cand) for cand in problem.candidates]
-    labels = sorted(set().union(*cand_sets))
+        initial = [cand[np.argmin(un)] for cand, un in zip(problem.candidates, problem.unary)]
+    labeling = np.asarray(initial, dtype=np.int64).copy()
+    pos = problem.positions(labeling)  # validates against the candidate sets
+    energy = float(problem.energies(pos[None])[0])
     move_energies: list[float] = []
     sweeps_done = 0
     for _ in range(max_sweeps):
         sweeps_done += 1
         changed = False
-        for alpha in labels:
-            proposal = _expansion_move(problem, labeling, alpha, cand_sets)
+        for col in range(problem.labels.size):
+            proposal = _expansion_move(problem, labeling, pos, col)
             if proposal is None:
                 continue
-            new_energy = energy_of(problem, proposal)
+            new_energy = float(problem.energies(proposal[1][None])[0])
             if new_energy < energy - 1e-12:
-                labeling = proposal
+                labeling, pos = proposal
                 energy = new_energy
                 move_energies.append(energy)
                 changed = True
@@ -183,22 +191,20 @@ def alpha_expansion(problem: LabelingProblem,
                            move_energies=tuple(move_energies), sweeps=sweeps_done)
 
 
-def _expansion_move(problem: LabelingProblem, labeling: np.ndarray, alpha: int,
-                    cand_sets: list[set[int]]) -> np.ndarray | None:
-    n = len(problem.candidates)
-    movers = [i for i in range(n) if alpha in cand_sets[i] and labeling[i] != alpha]
-    if not movers:
+def _expansion_move(problem: LabelingProblem, labeling: np.ndarray, pos_cur: np.ndarray,
+                    col: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Best alpha-expansion of ``labeling`` (candidate positions ``pos_cur``)
+    for alpha = ``problem.labels[col]``, as (labeling, positions)."""
+    alpha = problem.labels[col]
+    pos_alpha = problem.label_positions[:, col]
+    movers = np.flatnonzero((pos_alpha >= 0) & (labeling != alpha))
+    if movers.size == 0:
         return None
-    node_of = {v: i for i, v in enumerate(movers)}
-    m = len(movers)
-    pos_cur = problem.positions(labeling)
-    pos_alpha = [int(np.searchsorted(problem.candidates[i], alpha)) for i in range(n)]
+    node_of = {int(v): i for i, v in enumerate(movers)}
+    m = movers.size
 
-    theta0 = np.zeros(m)   # cost of keeping the current label
-    theta1 = np.zeros(m)   # cost of switching to alpha
-    for i, v in enumerate(movers):
-        theta0[i] = problem.unary[v][pos_cur[v]]
-        theta1[i] = problem.unary[v][pos_alpha[v]]
+    theta0 = np.array([problem.unary[v][pos_cur[v]] for v in movers])   # keep the label
+    theta1 = np.array([problem.unary[v][pos_alpha[v]] for v in movers])  # switch to alpha
 
     pair_arcs: list[tuple[int, int, float]] = []
     for u, v, table in problem.edges:
@@ -235,12 +241,11 @@ def _expansion_move(problem: LabelingProblem, labeling: np.ndarray, alpha: int,
             net.add_arc(i, sink, -delta)    # cut when i keeps its label
     for iu, iv, cap in pair_arcs:
         net.add_arc(iu, iv, cap)
-    result = max_flow(net)
-    proposal = labeling.copy()
-    for i, v in enumerate(movers):
-        if not result.source_side[i]:
-            proposal[v] = alpha
-    return proposal
+    switch = movers[~max_flow(net).source_side[:m]]
+    labeling, pos = labeling.copy(), pos_cur.copy()
+    labeling[switch] = alpha
+    pos[switch] = pos_alpha[switch]
+    return labeling, pos
 
 
 def brute_force_map(problem: LabelingProblem) -> tuple[np.ndarray, float]:
@@ -248,33 +253,22 @@ def brute_force_map(problem: LabelingProblem) -> tuple[np.ndarray, float]:
     smallest labeling (candidates are ascending, so position order is label
     order)."""
     sizes = [cand.size for cand in problem.candidates]
-    total = 1
-    for s in sizes:
-        total *= s
-        if total > ORACLE_MAX_STATES:
-            raise OracleTooLargeError(
-                f"state space exceeds {ORACLE_MAX_STATES}")
-    n = len(sizes)
+    total = math.prod(sizes)
+    if total > ORACLE_MAX_STATES:
+        raise OracleTooLargeError(f"state space exceeds {ORACLE_MAX_STATES}")
     best_energy = np.inf
     best_pos: np.ndarray | None = None
     chunk = 1 << 18
     # vertex 0 varies slowest so enumeration order is lexicographic
-    strides = np.ones(n, dtype=np.int64)
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
+    strides = np.cumprod([1] + sizes[:0:-1], dtype=np.int64)[::-1]
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         idx = np.arange(start, stop, dtype=np.int64)
         pos = (idx[:, None] // strides[None, :]) % np.asarray(sizes, dtype=np.int64)[None, :]
-        energy = np.zeros(stop - start)
-        for i in range(n):
-            energy += problem.unary[i][pos[:, i]]
-        for u, v, table in problem.edges:
-            energy += table[pos[:, u], pos[:, v]]
+        energy = problem.energies(pos)
         j = int(np.argmin(energy))
         if energy[j] < best_energy:
             best_energy = float(energy[j])
             best_pos = pos[j].copy()
-    labeling = np.array([int(problem.candidates[i][best_pos[i]]) for i in range(n)],
-                        dtype=np.int64)
+    labeling = np.array([cand[p] for cand, p in zip(problem.candidates, best_pos)], np.int64)
     return labeling, best_energy

@@ -10,6 +10,7 @@ vocabulary (index 0 must be "background").
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,8 +127,19 @@ def write_pgm8(path, values: np.ndarray) -> None:
 # Manifest
 # ---------------------------------------------------------------------------
 
+MAX_ID_BYTES = 200   # <id>.<kind>.pgm stays within a 255-byte file name
+
+
 def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _path_bytes(text: str) -> bytes:
+    """``text`` as a file-system path; it holds a NUL if no file can have that name."""
+    try:
+        return os.fsencode(text)
+    except UnicodeEncodeError:
+        return b"\0"
 
 
 def _check_manifest_shape(doc: dict) -> None:
@@ -150,8 +162,13 @@ def _check_manifest_shape(doc: dict) -> None:
             raise DataError(f"{name}: 'tags' must be a list of strings")
         if not isinstance(entry.get("ground_truth"), (str, type(None))):
             raise DataError(f"{name}: 'ground_truth' must be a string or null")
+        for key in ("id", "image", "superpixels", "contours", "ground_truth"):
+            if b"\0" in _path_bytes(entry.get(key) or ""):
+                raise DataError(f"{name}: {key!r} holds a NUL or unencodable character")
         if entry["id"] in ("", ".", "..") or any(c in entry["id"] for c in "/\\"):
             raise DataError(f"{name}: 'id' must be a plain file name")
+        if len(_path_bytes(entry["id"])) > MAX_ID_BYTES:
+            raise DataError(f"{name}: 'id' must be at most {MAX_ID_BYTES} bytes long")
         if entry["id"] in seen_ids:
             raise DataError(f"{name}: duplicate image id")
         seen_ids.add(entry["id"])

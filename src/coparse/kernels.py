@@ -117,7 +117,8 @@ def dinic(n, s, t, ptr, adj_arc, arc_to, cap):
 
     Arcs come in (forward, reverse) pairs at indices (2k, 2k^1); ``adj_arc``
     lists arc ids per node in insertion order so augmenting order is
-    deterministic. Returns the flow value.
+    deterministic. Returns the flow value and the source side of a minimum
+    cut: the nodes that the last BFS (the one that misses ``t``) reached.
     """
     eps = 1e-12
     level = np.empty(n, np.int64)
@@ -126,8 +127,7 @@ def dinic(n, s, t, ptr, adj_arc, arc_to, cap):
     queue = np.empty(n, np.int64)
     flow = 0.0
     while True:
-        for i in range(n):
-            level[i] = -1
+        level[:] = -1
         level[s] = 0
         queue[0] = s
         qh, qt = 0, 1
@@ -143,8 +143,7 @@ def dinic(n, s, t, ptr, adj_arc, arc_to, cap):
                     qt += 1
         if level[t] < 0:
             break
-        for i in range(n):
-            itp[i] = ptr[i]
+        itp[:] = ptr[:-1]
         v = s
         while True:
             if v == t:
@@ -181,7 +180,7 @@ def dinic(n, s, t, ptr, adj_arc, arc_to, cap):
                     break
                 level[v] = -1
                 v = arc_to[parent[v] ^ 1]
-    return flow
+    return flow, level >= 0
 
 
 # ---------------------------------------------------------------------------

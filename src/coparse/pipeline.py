@@ -73,6 +73,11 @@ def check_json_types(cls, doc, what: str) -> None:
                 raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
 
 
+# detection resizes every image by each scale, so its memory and time grow
+# with the square of the largest, and upsampling further adds no detail
+MAX_SCALE = 4.0
+
+
 @dataclass(frozen=True)
 class Config:
     theta: float = 0.5
@@ -90,7 +95,7 @@ class Config:
     beta_pair: float = 2.0
     # one-vs-one vote fractions cap at 2/V, so the sigmoid needs to be much
     # sharper than its formula-level default of 4 to spread the appearance
-    # cue; see the energy arithmetic in colabel.unary_value
+    # cue; see the energy arithmetic in colabel.unary_energies
     sigmoid_sharpness: float = 20.0
     max_phase1_iters: int = 10
     max_sweeps: int = 10
@@ -104,8 +109,8 @@ class Config:
             raise ConfigError("lambda1 and lambda2 must be positive")
         if self.k_top < 0 or self.stride < 1 or self.n_sel < 0:
             raise ConfigError("k_top/n_sel must be >= 0 and stride >= 1")
-        if not self.scales or any(s <= 0 for s in self.scales):
-            raise ConfigError("scales must be positive")
+        if not self.scales or any(not 0 < s <= MAX_SCALE for s in self.scales):
+            raise ConfigError(f"scales must be positive and at most {MAX_SCALE}")
         if not 0.0 <= self.a_min < self.a_max <= 1.0:
             raise ConfigError("need 0 <= a_min < a_max <= 1")
         if self.tau_sel < 0 or self.e_max <= 0 or self.beta_pair < 0:
@@ -347,26 +352,21 @@ def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
                                 config.e_max)
     result = alpha_expansion(graph.problem, max_sweeps=config.max_sweeps)
 
-    label_maps = {}
-    for image in images:
-        label_maps[image.id] = np.zeros(image.pixels.shape[:2], dtype=np.int64)
+    label_maps = {image.id: np.zeros(image.pixels.shape[:2], dtype=np.int64) for image in images}
     for idx, region in enumerate(graph.vertex_regions):
         label_maps[region.id[0]][region.mask] = int(result.labeling[idx])
 
+    # one row per image: its vertices' unaries, plus half of an edge's term for
+    # each end in the image, so interior edges count whole and exterior ones half
+    row = {image.id: r for r, image in enumerate(images)}
+    image_of = np.array([row[region.id[0]] for region in graph.vertex_regions])
+    ends = image_of[np.array([(u, v) for u, v, _ in graph.problem.edges], int).reshape(-1, 2)]
+    rows = np.arange(len(images))[:, None]
+    edge_weight = ((ends[:, 0] == rows) * 1.0 + (ends[:, 1] == rows)) * 0.5
     pos = graph.problem.positions(result.labeling)
-    per_image = {image.id: 0.0 for image in images}
-    for idx, region in enumerate(graph.vertex_regions):
-        per_image[region.id[0]] += float(graph.problem.unary[idx][pos[idx]])
-    interior = set(graph.interior_edges)
-    for u, v, table in graph.problem.edges:
-        contribution = float(table[pos[u], pos[v]])
-        img_u = graph.vertex_regions[u].id[0]
-        img_v = graph.vertex_regions[v].id[0]
-        if (u, v) in interior:
-            per_image[img_u] += contribution
-        else:
-            per_image[img_u] += contribution / 2.0
-            per_image[img_v] += contribution / 2.0
+    split = graph.problem.energies(np.broadcast_to(pos, (len(images), pos.size)),
+                                   (image_of == rows) * 1.0, edge_weight)
+    per_image = {image.id: float(split[row[image.id]]) for image in images}
     return Phase2Result(label_maps=label_maps, total_energy=result.energy,
                         per_image_energy=per_image, sweeps=result.sweeps)
 

@@ -30,6 +30,12 @@ class LabelSpec:
     color_sigma: float = 12.0
     size_range: tuple[float, float] = (0.18, 0.30)  # shape side as fraction of min dim
 
+    def __post_init__(self):
+        if not (0.0 <= self.location_mean[0] <= 1.0 and 0.0 <= self.location_mean[1] <= 1.0):
+            raise MalformedInputError(f"{self.name}: location mean outside [0,1]^2")
+        if self.location_sigma < 0 or self.color_sigma < 0:
+            raise MalformedInputError(f"{self.name}: location and color sigmas must be >= 0")
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -46,10 +52,13 @@ class SceneSpec:
     def __post_init__(self):
         if not 0.0 <= self.noise_level <= 0.3:
             raise MalformedInputError("noise level must lie in [0, 0.3]")
-        for spec in self.labels:
-            if not (0.0 <= spec.location_mean[0] <= 1.0
-                    and 0.0 <= spec.location_mean[1] <= 1.0):
-                raise MalformedInputError(f"{spec.name}: location mean outside [0,1]^2")
+        if self.height < 1 or self.width < 1 or self.cell_size < 1 or self.cell_jitter < 0:
+            raise MalformedInputError("height, width and cell_size must be >= 1 and "
+                                      "cell_jitter >= 0")
+        lo, hi = self.shapes_per_image
+        if not 0 <= lo <= min(hi, len(self.labels)):
+            raise MalformedInputError(f"shapes_per_image {list(self.shapes_per_image)} needs "
+                                      f"0 <= low <= high and low <= {len(self.labels)} labels")
 
 
 def default_scene_spec(seed: int = 42) -> SceneSpec:

@@ -1,10 +1,16 @@
+import contextlib
+import io as stdio
 import json
+import shutil
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coparse import cli, grouping, io, kernels, synthgen
+from coparse import cli, grouping, io, kernels, pipeline, synthgen
 
 
 def write_tiny_corpus(tmp_path, n=3, seed=5):
@@ -40,6 +46,22 @@ class TestGen:
     ], ids=["seed-str", "height-str", "width-float", "shape-kinds-empty", "shapes-str",
             "label-sigma-str", "label-color-str"])
     def test_wrongly_typed_spec_value_is_2(self, tmp_path, capsys, key, value):
+        label = self.SPEC["labels"][0]
+        spec = ({**self.SPEC, "labels": [{**label, key: value}]} if key in label
+                else {**self.SPEC, key: value})
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        rc = cli.main(["gen", "--spec", str(tmp_path / "spec.json"), "--n", "1",
+                       "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert_one_line_error(capsys, "configuration error: scene spec ")
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("cell_size", 0), ("height", 0), ("shapes_per_image", [3, 1]), ("cell_jitter", -5),
+        ("location_sigma", -0.1),
+    ], ids=["cell-size-0", "height-0", "shapes-reversed", "jitter-negative",
+            "label-sigma-negative"])
+    def test_out_of_range_spec_value_is_2(self, tmp_path, capsys, key, value):
         label = self.SPEC["labels"][0]
         spec = ({**self.SPEC, "labels": [{**label, key: value}]} if key in label
                 else {**self.SPEC, key: value})
@@ -86,9 +108,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("config", [
         {"k_top": "5"}, {"scales": 5}, {"theta": None}, {"theta": "0.5"}, {"seed": 1.5},
-        {"lambda1": float("nan")}, {"seed": -1},
+        {"lambda1": float("nan")}, {"seed": -1}, {"scales": [1.7e308]}, {"scales": [1.0, 4.5]},
     ], ids=["k_top-str", "scales-int", "theta-null", "theta-str", "seed-float", "lambda1-nan",
-            "seed-negative"])
+            "seed-negative", "scales-overflow", "scales-above-4"])
     def test_wrongly_typed_config_value_is_2(self, tmp_path, capsys, config):
         manifest = write_tiny_corpus(tmp_path, n=1)
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -106,8 +128,13 @@ class TestExitCodes:
         lambda doc: doc["images"][1].update(id=doc["images"][0]["id"]),
         lambda doc: doc["images"][0].update(id="sub/img"),
         lambda doc: doc["images"][0].update(id="/nonexistent/img"),
+        lambda doc: doc["images"][0].update(id="a\x00b"),
+        lambda doc: doc["images"][0].update(id="x" * 300),
+        lambda doc: doc["images"][0].update(image="a\x00b"),
+        lambda doc: doc["images"][0].update(superpixels="\ud800"),
     ], ids=["no-superpixels", "images-str", "images-int-entry", "tags-int", "vocabulary-int",
-            "duplicate-id", "id-subdir", "id-absolute"])
+            "duplicate-id", "id-subdir", "id-absolute", "id-nul", "id-too-long", "image-nul",
+            "superpixels-surrogate"])
     def test_malformed_manifest_is_3(self, tmp_path, capsys, edit):
         manifest = write_tiny_corpus(tmp_path, n=2)
         doc = json.loads(manifest.read_text())
@@ -129,11 +156,105 @@ class TestExitCodes:
         phase1 = tmp_path / "phase1"
         assert cli.main(["group", "--manifest", str(manifest), "--out", str(phase1)]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(kernels, "dinic", lambda *args: -1.0)
+        monkeypatch.setattr(kernels, "dinic", lambda n, s, *args: (-1.0, np.arange(n) == s))
         rc = cli.main(["colabel", "--manifest", str(manifest), "--phase1", str(phase1),
                        "--out", str(tmp_path / "out")])
         assert rc == 1
         assert_one_line_error(capsys, "error: flow/cut mismatch")
+
+
+# file names a fuzzed manifest or config may hold: the corpus's own files,
+# path specials, a NUL, an unencodable surrogate and an over-long name
+FUZZ_TEXT = ["", ".", "..", "a\x00b", "\ud800", "x" * 300, "background", "blob", "manifest.json",
+             "img0000.ppm", "img0000.sp.pgm", "img0000.contour.pgm", "img0000.gt.pgm"]
+FUZZ_NUMBER = st.sampled_from([0, 1, -1, 2, 50, 2 ** 63, 0.0, 1e-300, 5e-324, 0.5,
+                               1.0 - 1e-16, 4.0, 1e6, 1.7e308])
+FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | FUZZ_NUMBER | st.floats() | st.integers() | st.text(max_size=6)
+    | st.sampled_from(FUZZ_TEXT),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+# config values of each field's JSON type; any JSON value now and then
+FUZZ_CONFIG_TYPED = {
+    "int": st.sampled_from([0, 1, -1, 2, 50, 2 ** 63]),
+    "float": FUZZ_NUMBER,
+    "str": st.sampled_from(["smoothing", "literal", "potts"]),
+    "tuple[float, ...]": st.lists(FUZZ_NUMBER, min_size=1, max_size=3),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """One 48x40 one-garment image, so that `run` with a valid config takes about a second."""
+    spec = synthgen.SceneSpec(height=48, width=40, noise_level=0.0, seed=1,
+                              shapes_per_image=(1, 1), labels=(
+                                  synthgen.LabelSpec("blob", (0.5, 0.5), 0.02, (200, 30, 30)),))
+    return io.save_corpus(synthgen.generate(spec, 1), tmp_path_factory.mktemp("fuzz") / "corpus")
+
+
+def run_quietly(argv):
+    """Exit code and standard error of one in-process CLI run; raises what it raises."""
+    err = stdio.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+class TestFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_fuzzed_manifest_exits_0_or_3(self, fuzz_corpus, data):
+        doc = json.loads(fuzz_corpus.read_text())
+        for _ in range(data.draw(st.integers(1, 2))):
+            # mostly one image entry's fields, which reach the file system
+            where = data.draw(st.sampled_from(["image"] * 4 + ["top", "vocabulary"]))
+            if where == "top":
+                key, target = data.draw(st.sampled_from(["vocabulary", "images"])), doc
+            elif where == "image" and isinstance(doc.get("images"), list) and doc["images"]:
+                target = doc["images"][data.draw(st.integers(0, len(doc["images"]) - 1))]
+                key = data.draw(st.sampled_from(["id", "image", "superpixels", "contours",
+                                                 "ground_truth", "tags"]))
+            elif where == "vocabulary" and isinstance(doc.get("vocabulary"), list):
+                doc["vocabulary"].append(data.draw(st.sampled_from(FUZZ_TEXT) | FUZZ_JSON))
+                continue
+            else:
+                continue
+            if not isinstance(target, dict):
+                continue
+            change = data.draw(st.sampled_from(["drop", "text", "json"]))
+            if change == "drop":
+                target.pop(key, None)
+            else:
+                target[key] = data.draw(st.sampled_from(FUZZ_TEXT) if change == "text"
+                                        else FUZZ_JSON)
+        manifest = fuzz_corpus.parent / "fuzzed.json"
+        manifest.write_text(json.dumps(doc))
+        out = fuzz_corpus.parent.parent / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        code, err = run_quietly(["group", "--manifest", str(manifest), "--out", str(out)])
+        assert code in (0, 3)
+        assert err.count("\n") == (code != 0) and "Traceback" not in err
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_fuzzed_config_exits_0_2_or_3(self, fuzz_corpus, data):
+        config = {}
+        for field in data.draw(st.lists(st.sampled_from(fields(pipeline.Config)), min_size=1,
+                                        max_size=2)):
+            wrong_type = data.draw(st.integers(0, 3)) == 3
+            config[field.name] = data.draw(FUZZ_JSON if wrong_type
+                                           else FUZZ_CONFIG_TYPED[field.type])
+        if data.draw(st.integers(0, 9)) == 9:
+            config["no_such_key"] = 1
+        path = fuzz_corpus.parent.parent / "config.json"
+        path.write_text(json.dumps(config))
+        out = fuzz_corpus.parent.parent / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        code, err = run_quietly(["run", "--manifest", str(fuzz_corpus), "--config", str(path),
+                                 "--out", str(out)])
+        assert code in (0, 2, 3)
+        assert err.count("\n") == (code != 0) and "Traceback" not in err
 
 
 class TestGroup:

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from coparse import colabel
+from coparse import colabel, features
 from coparse.core import Partition, PropagationRecord
-from coparse.errors import UnknownLabelError
+from coparse.errors import ConfigError, UnknownLabelError
+from coparse.pipeline import Config
 
 from conftest import make_image
+
+# the energy settings of a default pipeline run
+ENERGY = dict(mode=Config.pairwise_mode, beta_pair=Config.beta_pair,
+              sharpness=Config.sigmoid_sharpness, e_max=Config.e_max)
 
 
 def random_histograms(rng, n, hot_bins):
@@ -90,30 +95,52 @@ class TestLocation:
 
     def test_score_is_one_at_mean(self):
         model = simple_model(mu={1: (0.3, 0.7)})
-        assert colabel.location_score(model, 1, (0.3, 0.7)) == pytest.approx(1.0)
+        score = np.exp(-colabel.location_energies(model, (0.3, 0.7)))
+        assert score[1] == pytest.approx(1.0)
 
     def test_equal_mahalanobis_equal_scores(self):
         model = simple_model()
-        s1 = colabel.location_score(model, 1, (0.5 + 0.02, 0.5))
-        s2 = colabel.location_score(model, 1, (0.5 - 0.02, 0.5))
-        assert s1 == pytest.approx(s2)
+        s1 = np.exp(-colabel.location_energies(model, (0.5 + 0.02, 0.5)))
+        s2 = np.exp(-colabel.location_energies(model, (0.5 - 0.02, 0.5)))
+        assert s1[1] == pytest.approx(s2[1])
 
     def test_one_sigma_principal_axis(self):
         pts = np.array([[0.5 + d, 0.5] for d in (-0.1, -0.05, 0.0, 0.05, 0.1)])
-        means, covs = colabel.fit_location({0: pts}, 3)
+        means, covs = colabel.fit_location({1: pts}, 3)
         base = simple_model()
         model = colabel.LabelModel(vocabulary=base.vocabulary,
                                    appearance=base.appearance,
                                    location_mean=means, location_cov=covs,
                                    cooccurrence=base.cooccurrence)
-        sigma = float(np.sqrt(covs[0][0, 0]))
-        score = colabel.location_score(model, 0, (0.5 + sigma, 0.5))
-        assert score == pytest.approx(np.exp(-0.5))
+        sigma = float(np.sqrt(covs[1][0, 0]))
+        score = np.exp(-colabel.location_energies(model, (0.5 + sigma, 0.5)))
+        assert score[1] == pytest.approx(np.exp(-0.5))
+
+    def test_background_is_exempt(self):
+        model = simple_model(mu={0: (0.1, 0.1)})
+        assert colabel.location_energies(model, (0.9, 0.9))[0] == 0.0
+
+    def test_matches_per_label_solve_bit_for_bit(self):
+        rng = np.random.default_rng(10)
+        base = simple_model()
+        for _ in range(300):
+            spread = rng.normal(0.0, 0.1, size=(3, 2, 2))
+            covs = spread @ spread.transpose(0, 2, 1) + 1e-3 * np.eye(2)
+            model = colabel.LabelModel(vocabulary=base.vocabulary, appearance=base.appearance,
+                                       location_mean=rng.uniform(0, 1, size=(3, 2)),
+                                       location_cov=covs, cooccurrence=base.cooccurrence)
+            point = tuple(rng.uniform(0, 1, size=2))
+            got = colabel.location_energies(model, point)
+            for label in (1, 2):
+                diff = np.asarray(point) - model.location_mean[label]
+                assert got[label] == 0.5 * float(diff @ np.linalg.solve(covs[label], diff))
 
     def test_unknown_label_rejected(self):
         model = simple_model()
+        image = make_image(np.zeros((4, 4), dtype=int), tags=(9,))
+        parts = {image.id: Partition.from_assignment([0])}
         with pytest.raises(UnknownLabelError):
-            colabel.location_score(model, 9, (0.5, 0.5))
+            colabel.build_graph([image], parts, [], {}, model, **ENERGY)
 
 
 class TestCooccurrence:
@@ -137,27 +164,68 @@ class TestCooccurrence:
         assert (psi > 0).all()
 
 
+def unary_one(vote, location, sharpness=4.0, e_max=20.0):
+    return float(colabel.unary_energies(np.array([vote]), np.array([location]),
+                                        sharpness, e_max)[0])
+
+
+def appearance_one(chi2, label_m, label_n, mode, beta_pair=2.0):
+    return float(colabel.pair_appearance(chi2, np.array([label_m]), np.array([label_n]),
+                                         mode, beta_pair)[0, 0])
+
+
+def scalar_unary(vote, location, sharpness, e_max):
+    """Reference: one candidate's unary, as a scalar formula."""
+    val = float(np.logaddexp(0.0, -(sharpness * (vote - 0.5)))) + location
+    return float(min(max(val, 0.0), e_max))
+
+
+def scalar_appearance(chi2, label_m, label_n, mode, beta_pair):
+    """Reference: one candidate pair's raw appearance term."""
+    if mode == "literal":
+        return chi2 if label_m == label_n else 0.0
+    return beta_pair * float(np.exp(-chi2)) if label_m != label_n else 0.0
+
+
 class TestEnergies:
     def test_unary_midpoint(self):
-        assert colabel.unary_value(0.5, 0.0) == pytest.approx(np.log(2))
+        assert unary_one(0.5, 0.0) == pytest.approx(np.log(2))
 
     def test_unary_clamps_at_e_max(self):
-        assert colabel.unary_value(0.5, 1e9) == 20.0
+        assert unary_one(0.5, 1e9) == 20.0
 
     def test_unary_worked_example(self):
         # vote 1, one sigma off the mean: -log(sig(2)) + 0.5
-        val = colabel.unary_value(1.0, 0.5, sharpness=4.0)
+        val = unary_one(1.0, 0.5, sharpness=4.0)
         assert val == pytest.approx(0.1269 + 0.5, abs=1e-4)
 
+    def test_unary_per_candidate(self):
+        # the worked examples above, as one vertex with three candidates
+        vals = colabel.unary_energies(np.array([0.5, 1.0, 0.5]), np.array([0.0, 0.5, 1e9]),
+                                      4.0, 20.0)
+        assert vals == pytest.approx([np.log(2), 0.1269 + 0.5, 20.0], abs=1e-4)
+
     def test_interior_appearance_literal_equal_labels(self):
-        assert colabel.interior_appearance(0.0, 1, 1, "literal") == 0.0
-        assert colabel.interior_appearance(0.7, 1, 1, "literal") == pytest.approx(0.7)
-        assert colabel.interior_appearance(0.7, 1, 2, "literal") == 0.0
+        assert appearance_one(0.0, 1, 1, "literal") == 0.0
+        assert appearance_one(0.7, 1, 1, "literal") == pytest.approx(0.7)
+        assert appearance_one(0.7, 1, 2, "literal") == 0.0
 
     def test_interior_appearance_smoothing(self):
-        assert colabel.interior_appearance(0.3, 1, 1, "smoothing") == 0.0
-        val = colabel.interior_appearance(1.0, 1, 2, "smoothing", beta_pair=2.0)
+        assert appearance_one(0.3, 1, 1, "smoothing") == 0.0
+        val = appearance_one(1.0, 1, 2, "smoothing", beta_pair=2.0)
         assert val == pytest.approx(2.0 * np.exp(-1.0))
+
+    def test_appearance_per_candidate_pair(self):
+        cands_m, cands_n = np.array([0, 1, 2]), np.array([1, 2])
+        literal = colabel.pair_appearance(0.7, cands_m, cands_n, "literal", 2.0)
+        assert literal.tolist() == [[0.0, 0.0], [0.7, 0.0], [0.0, 0.7]]
+        smooth = colabel.pair_appearance(1.0, cands_m, cands_n, "smoothing", 2.0)
+        off = 2.0 * np.exp(-1.0)
+        assert smooth == pytest.approx(np.array([[off, off], [0.0, off], [off, 0.0]]))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError):
+            colabel.pair_appearance(0.5, np.array([0]), np.array([0]), "potts", 2.0)
 
     def test_interior_table_min_shift_and_clamp(self):
         model = simple_model()
@@ -166,7 +234,7 @@ class TestEnergies:
         h2 = random_histograms(rng, 1, [20, 21])[0]
         cands = np.array([0, 1, 2])
         for mode in ("smoothing", "literal"):
-            table = colabel.interior_table(model, h1, h2, cands, cands, mode)
+            table = colabel.interior_table(model, h1, h2, cands, cands, mode, 2.0, 20.0)
             assert table.min() == pytest.approx(0.0, abs=1e-12)
             assert table.max() <= 20.0
             assert np.isfinite(table).all()
@@ -175,27 +243,65 @@ class TestEnergies:
         model = simple_model(mu={1: (0.2, 0.8)})
         h = random_histograms(np.random.default_rng(7), 1, [10, 11])[0]
         cands = np.array([1, 2])
-        table = colabel.exterior_table(model, h, h, (0.2, 0.8), (0.2, 0.8),
-                                       cands, cands, "smoothing")
+        location = colabel.location_energies(model, (0.2, 0.8))[cands]
+        table = colabel.exterior_table(h, h, location, location, cands, cands,
+                                       "smoothing", 2.0, 20.0)
         assert table[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_exterior_symmetric_for_equal_histograms(self):
         model = simple_model()
         h = random_histograms(np.random.default_rng(8), 1, [10, 11])[0]
         cands = np.array([0, 1, 2])
-        table = colabel.exterior_table(model, h, h, (0.45, 0.5), (0.45, 0.5),
-                                       cands, cands, "smoothing")
+        location = colabel.location_energies(model, (0.45, 0.5))[cands]
+        table = colabel.exterior_table(h, h, location, location, cands, cands,
+                                       "smoothing", 2.0, 20.0)
         assert np.allclose(table, table.T)
 
     def test_exterior_preshift_half_nat(self):
         # G_u = exp(-0.5), G_v = 1, equal labels, chi2 = 0 -> raw 0.5
         model = simple_model(mu={1: (0.3, 0.5)})
         sigma = float(np.sqrt(model.location_cov[1][0, 0]))
-        h = random_histograms(np.random.default_rng(9), 1, [10])[0]
-        q_u = colabel.location_quad(model, 1, (0.3 + sigma, 0.5))
-        q_v = colabel.location_quad(model, 1, (0.3, 0.5))
-        raw = q_u + q_v + colabel.interior_appearance(0.0, 1, 1, "smoothing")
+        q_u = colabel.location_energies(model, (0.3 + sigma, 0.5))[1]
+        q_v = colabel.location_energies(model, (0.3, 0.5))[1]
+        raw = q_u + q_v + appearance_one(0.0, 1, 1, "smoothing")
         assert raw == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("mode", ["smoothing", "literal"])
+    def test_tables_match_scalar_formulas_bit_for_bit(self, mode):
+        base = simple_model(mu={1: (0.3, 0.6), 2: (0.7, 0.4)})
+        # wide location Gaussians, so that few entries reach the clamp
+        model = colabel.LabelModel(vocabulary=base.vocabulary, appearance=base.appearance,
+                                   location_mean=base.location_mean,
+                                   location_cov=np.tile(0.05 * np.eye(2), (3, 1, 1)),
+                                   cooccurrence=base.cooccurrence)
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            h_u, h_v = rng.dirichlet(np.full(40, 0.5), size=2)
+            cands_u = np.flatnonzero(rng.uniform(size=3) < 0.7)
+            cands_v = np.flatnonzero(rng.uniform(size=3) < 0.7)
+            if cands_u.size == 0 or cands_v.size == 0:
+                continue
+            votes = rng.dirichlet(np.ones(3))
+            loc_u = colabel.location_energies(model, tuple(rng.uniform(size=2)))[cands_u]
+            loc_v = colabel.location_energies(model, tuple(rng.uniform(size=2)))[cands_v]
+            chi2 = features.chi_square(h_u, h_v)
+            sharpness = float(rng.choice([4.0, 20.0]))
+            unary = colabel.unary_energies(votes[cands_u], loc_u, sharpness, 20.0)
+            assert unary.tolist() == [scalar_unary(float(votes[l]), float(g), sharpness, 20.0)
+                                      for l, g in zip(cands_u, loc_u)]
+            interior = np.array([[scalar_appearance(chi2, m, n, mode, 2.0)
+                                  - np.log(model.cooccurrence[m, n]) for n in cands_v]
+                                 for m in cands_u])
+            exterior = loc_u[:, None] + loc_v[None, :]
+            exterior += [[scalar_appearance(chi2, m, n, mode, 2.0) for n in cands_v]
+                         for m in cands_u]
+            for got, raw in [
+                (colabel.interior_table(model, h_u, h_v, cands_u, cands_v, mode, 2.0, 20.0),
+                 interior),
+                (colabel.exterior_table(h_u, h_v, loc_u, loc_v, cands_u, cands_v, mode,
+                                        2.0, 20.0), exterior),
+            ]:
+                assert got.tolist() == np.minimum(raw - raw.min(), 20.0).tolist()
 
 
 class TestBuildGraph:
@@ -210,7 +316,7 @@ class TestBuildGraph:
         model = simple_model()
         image = self.two_region_image()
         parts = {image.id: Partition.from_assignment([0, 1])}
-        graph = colabel.build_graph([image], parts, [], {}, model)
+        graph = colabel.build_graph([image], parts, [], {}, model, **ENERGY)
         assert len(graph.interior_edges) == 1
         assert graph.exterior_edges == ()
         assert len(graph.problem.candidates) == 2
@@ -229,7 +335,7 @@ class TestBuildGraph:
                               x=4, y=0, mask=mask, score=0.8),
         ]
         graph = colabel.build_graph([a, b], parts, props,
-                                    {"e": ("gA", 1)}, model)
+                                    {"e": ("gA", 1)}, model, **ENERGY)
         assert len(graph.exterior_edges) == 1  # deduplicated
         u, v = graph.exterior_edges[0]
         assert graph.vertex_regions[u].id == ("gA", 1)
@@ -242,7 +348,7 @@ class TestBuildGraph:
         image = make_image(spmap, tags=(0, 1, 2), image_id="tri")
         model = simple_model()
         parts = {image.id: Partition.from_assignment([0, 1, 2])}
-        graph = colabel.build_graph([image], parts, [], {}, model)
+        graph = colabel.build_graph([image], parts, [], {}, model, **ENERGY)
         assert sorted(graph.interior_edges) == [(0, 1), (0, 2), (1, 2)]
 
     def test_self_image_propagation_ignored(self):
@@ -251,14 +357,15 @@ class TestBuildGraph:
         parts = {a.id: Partition.from_assignment([0, 1])}
         props = [PropagationRecord(source_exemplar="e", target_image="gA",
                                    x=4, y=0, mask=np.ones((8, 4), bool), score=0.9)]
-        graph = colabel.build_graph([a], parts, props, {"e": ("gA", 1)}, model)
+        graph = colabel.build_graph([a], parts, props, {"e": ("gA", 1)}, model,
+                                    **ENERGY)
         assert graph.exterior_edges == ()
 
     def test_energy_tables_in_range(self):
         model = simple_model()
         a = self.two_region_image("gA")
         parts = {a.id: Partition.from_assignment([0, 1])}
-        graph = colabel.build_graph([a], parts, [], {}, model)
+        graph = colabel.build_graph([a], parts, [], {}, model, **ENERGY)
         for u in graph.problem.unary:
             assert ((u >= 0) & (u <= 20.0)).all()
         for _, _, table in graph.problem.edges:

@@ -98,6 +98,20 @@ class TestChiSquare:
             d = features.chi_square(a, b)
             assert 0.0 <= d <= 1.0 + 1e-12
 
+    def test_matrix_entries_are_pair_distances(self):
+        rng = np.random.default_rng(5)
+        a = rng.dirichlet(np.full(40, 0.3), size=6)
+        b = rng.dirichlet(np.full(40, 0.3), size=5)
+        a[a < 0.01] = 0.0   # shared empty bins take the zero-denominator branch
+        b[b < 0.01] = 0.0
+        matrix = features.chi_square_matrix(a, b)
+        assert matrix.shape == (6, 5)
+        for i in range(6):
+            for j in range(5):
+                assert matrix[i, j] == features.chi_square(a[i], b[j])
+                plain = sum(0.5 * (x - y) ** 2 / (x + y) for x, y in zip(a[i], b[j]) if x + y > 0)
+                assert matrix[i, j] == pytest.approx(plain, rel=1e-12)
+
 
 class TestHog:
     def test_constant_patch_all_zero(self):

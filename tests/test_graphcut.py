@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from coparse import graphcut, kernels
 from coparse.errors import MalformedInputError, OracleTooLargeError, SolverError
@@ -19,6 +21,58 @@ def potts_problem(unaries, lam, n_labels=2, chain=True):
     else:
         edges = ()
     return graphcut.LabelingProblem(candidates=cands, unary=unary, edges=edges)
+
+
+def draw_problem(data, n_max=6, n_labels=4):
+    """Random candidate sets with arbitrary (non-submodular) float tables."""
+    n = data.draw(st.integers(1, n_max))
+    energy = st.floats(-5.0, 5.0)
+    cands = tuple(np.array(sorted(data.draw(st.sets(st.integers(0, n_labels - 1), min_size=1))))
+                  for _ in range(n))
+    unary = tuple(np.array(data.draw(st.lists(energy, min_size=c.size, max_size=c.size)))
+                  for c in cands)
+    edges = []
+    for u, v in data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+        if u < v:
+            values = data.draw(st.lists(energy, min_size=cands[u].size * cands[v].size,
+                                        max_size=cands[u].size * cands[v].size))
+            edges.append((u, v, np.array(values).reshape(cands[u].size, cands[v].size)))
+    return graphcut.LabelingProblem(candidates=cands, unary=unary, edges=tuple(edges))
+
+
+def python_energy(problem, pos, vertex_weight=None, edge_weight=None):
+    """Reference scorer: one labeling's terms in a plain loop, unaries first."""
+    total = 0.0
+    for i, unary in enumerate(problem.unary):
+        term = float(unary[pos[i]])
+        total += term if vertex_weight is None else term * vertex_weight[i]
+    for e, (u, v, table) in enumerate(problem.edges):
+        term = float(table[pos[u], pos[v]])
+        total += term if edge_weight is None else term * edge_weight[e]
+    return total
+
+
+def python_positions(problem, labeling):
+    """Reference: each vertex's label looked up in its own candidate array."""
+    pos = []
+    for i, cand in enumerate(problem.candidates):
+        j = int(np.searchsorted(cand, labeling[i]))
+        if j >= cand.size or cand[j] != labeling[i]:
+            return None
+        pos.append(j)
+    return pos
+
+
+def residual_source_side(network, cap):
+    """Reference: BFS from the source over arcs of residual capacity > 1e-12."""
+    frm = np.asarray(network._from)
+    to = np.asarray(network._to)
+    open_arc = cap > 1e-12
+    residual = sparse.csr_array((np.ones(open_arc.sum()), (frm[open_arc], to[open_arc])),
+                                shape=(network.node_count, network.node_count))
+    side = np.zeros(network.node_count, dtype=bool)
+    side[csgraph.breadth_first_order(residual, network.source, return_predecessors=False)] = True
+    return side
 
 
 def exhaustive_energy(problem):
@@ -68,7 +122,8 @@ class TestMaxFlow:
     def test_flow_cut_mismatch_raises_solver_error(self, monkeypatch):
         net = graphcut.FlowNetwork(2, 0, 1)
         net.add_arc(0, 1, 3.0)
-        monkeypatch.setattr(kernels, "dinic", lambda *args: 2.0)
+        # a flow of 2 with only the source on its side: the cut carries 3
+        monkeypatch.setattr(kernels, "dinic", lambda n, s, *args: (2.0, np.arange(n) == s))
         with pytest.raises(SolverError):
             graphcut.max_flow(net)
 
@@ -108,6 +163,71 @@ class TestMaxFlow:
         assert res.flow == pytest.approx(cut, rel=1e-9, abs=1e-9)
         assert res.cut_capacity == pytest.approx(cut, rel=1e-9, abs=1e-9)
 
+    def test_dinic_side_is_residual_reachability(self):
+        rng = np.random.default_rng(47)
+        for trial in range(200):
+            n = int(rng.integers(2, 30))
+            net = graphcut.FlowNetwork(n, 0, n - 1)
+            for _ in range(int(rng.integers(0, 5 * n))):
+                u, v = rng.integers(0, n, size=2)
+                if u != v:
+                    # integer, float, and tiny capacities near the 1e-12 residual test
+                    cap = [rng.integers(0, 20), rng.uniform(0.0, 10.0),
+                           rng.choice([0.0, 1e-13, 1e-11, 1e-6, 1.0])][trial % 3]
+                    net.add_arc(int(u), int(v), float(cap))
+            ptr, adj_arc, _, arc_to, cap0 = net._csr()
+            cap = cap0.copy()
+            flow, side = kernels.dinic(n, 0, n - 1, ptr, adj_arc, arc_to, cap)
+            assert side.tolist() == residual_source_side(net, cap).tolist()
+            assert flow == graphcut.max_flow(net).flow
+
+
+class TestScorer:
+    @settings(derandomize=True, deadline=None)
+    @given(st.data())
+    def test_energies_match_python_loop(self, data):
+        prob = draw_problem(data)
+        n, m = len(prob.candidates), len(prob.edges)
+        k = data.draw(st.integers(1, 8))
+        pos = np.array([[data.draw(st.integers(0, c.size - 1)) for c in prob.candidates]
+                        for _ in range(k)], dtype=np.int64)
+        weight = st.sampled_from([0.0, 0.5, 1.0])
+        vertex_weight = np.array(data.draw(st.lists(weight, min_size=k * n, max_size=k * n)))
+        edge_weight = np.array(data.draw(st.lists(weight, min_size=k * m, max_size=k * m)))
+        vertex_weight, edge_weight = vertex_weight.reshape(k, n), edge_weight.reshape(k, m)
+        plain = prob.energies(pos)
+        weighted = prob.energies(pos, vertex_weight, edge_weight)
+        for r in range(k):
+            assert plain[r] == python_energy(prob, pos[r])
+            assert weighted[r] == python_energy(prob, pos[r], vertex_weight[r], edge_weight[r])
+            labeling = np.array([c[p] for c, p in zip(prob.candidates, pos[r])])
+            assert graphcut.energy_of(prob, labeling) == plain[r]
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.data())
+    def test_positions_match_per_vertex_lookup(self, data):
+        prob = draw_problem(data, n_labels=5)
+        labeling = np.array(data.draw(st.lists(st.integers(-1, 5), min_size=len(prob.candidates),
+                                               max_size=len(prob.candidates))))
+        expected = python_positions(prob, labeling)
+        if expected is None:
+            with pytest.raises(MalformedInputError):
+                prob.positions(labeling)
+        else:
+            assert prob.positions(labeling).tolist() == expected
+
+    def test_label_position_table(self):
+        cands = (np.array([0, 2]), np.array([2, 5]), np.array([5]))
+        prob = graphcut.LabelingProblem(candidates=cands,
+                                        unary=tuple(np.zeros(c.size) for c in cands))
+        assert prob.labels.tolist() == [0, 2, 5]
+        assert prob.label_positions.tolist() == [[0, 1, -1], [-1, 0, 1], [-1, -1, 0]]
+
+    def test_wrong_length_labeling_rejected(self):
+        prob = potts_problem([(0.0, 1.0), (1.0, 0.0)], 1.0)
+        with pytest.raises(MalformedInputError):
+            prob.positions(np.array([0]))
+
 
 class TestAlphaExpansion:
     def test_zero_pairwise_gives_unary_argmin(self):
@@ -142,19 +262,8 @@ class TestAlphaExpansion:
     @given(st.data())
     def test_never_raises_the_energy(self, data):
         # arbitrary tables, non-submodular ones included
-        n = data.draw(st.integers(1, 6))
-        energy = st.floats(-5.0, 5.0)
-        cands = tuple(np.array(sorted(data.draw(st.sets(st.integers(0, 3), min_size=1))))
-                      for _ in range(n))
-        unary = tuple(np.array(data.draw(st.lists(energy, min_size=c.size, max_size=c.size)))
-                      for c in cands)
-        edges = []
-        for u, v in data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
-            if u < v:
-                values = data.draw(st.lists(energy, min_size=cands[u].size * cands[v].size,
-                                            max_size=cands[u].size * cands[v].size))
-                edges.append((u, v, np.array(values).reshape(cands[u].size, cands[v].size)))
-        prob = graphcut.LabelingProblem(candidates=cands, unary=unary, edges=tuple(edges))
+        prob = draw_problem(data)
+        cands = prob.candidates
         initial = np.array([data.draw(st.sampled_from(c.tolist())) for c in cands])
         res = graphcut.alpha_expansion(prob, initial=initial)
         assert res.energy == graphcut.energy_of(prob, res.labeling)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coparse import colabel, kernels, pipeline, synthgen
+from coparse import colabel, features, kernels, pipeline, synthgen
 
 
 def _cell_histograms_ref(mag, obin, cells_y, cells_x):
@@ -101,7 +101,7 @@ def _svm_dual_instance(rng):
     n = int(rng.integers(2, 50))
     hists = rng.dirichlet(np.ones(40) * rng.uniform(0.2, 3.0), size=n)
     y = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
-    dists = colabel.chi_square_matrix(hists, hists)
+    dists = features.chi_square_matrix(hists, hists)
     k = np.exp(-dists / max(float(np.median(dists)), 1e-12))
     return k, y, float(rng.choice([0.1, 1.0, 10.0]))
 
@@ -137,7 +137,7 @@ class TestSolveBoxQP:
             pipeline.train_label_model(corpus, sorted(i for i in ids if folds[i] != fold))
         checked = 0
         for hists, labels in captured:
-            dists = colabel.chi_square_matrix(hists, hists)
+            dists = features.chi_square_matrix(hists, hists)
             gamma = 1.0 / float(np.median(dists[np.triu_indices(len(hists), k=1)]))
             present = sorted(set(labels.tolist()))
             for i, a in enumerate(present):

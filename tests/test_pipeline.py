@@ -229,6 +229,38 @@ class TestColabeling:
                     merged[idx] = solo.label_maps[image.id][ys[0], xs[0]]
         assert joint.total_energy <= energy_of(graph.problem, merged) + 1e-9
 
+    def test_per_image_energy_matches_plain_split(self, monkeypatch):
+        from coparse import colabel
+
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 3)
+        config = pipeline.Config(seed=8)
+        model = pipeline.train_label_model(corpus, [r.id for r in corpus.images])
+        phase1 = pipeline.run_cosegmentation(corpus, config)
+        graphs = []
+        build_graph = colabel.build_graph
+        monkeypatch.setattr(colabel, "build_graph",
+                            lambda *a: graphs.append(build_graph(*a)) or graphs[-1])
+        result = pipeline.run_colabeling(corpus, phase1, model, config)
+        graph, = graphs
+        assert graph.exterior_edges
+        # reference: each image's unaries, its interior edges and half of each
+        # exterior edge it touches, added term by term
+        pos = graph.problem.positions(np.array([
+            result.label_maps[r.id[0]][r.mask][0] for r in graph.vertex_regions]))
+        expected = {image.id: 0.0 for image in corpus.images}
+        for idx, region in enumerate(graph.vertex_regions):
+            expected[region.id[0]] += float(graph.problem.unary[idx][pos[idx]])
+        for u, v, table in graph.problem.edges:
+            term = float(table[pos[u], pos[v]])
+            image_u, image_v = graph.vertex_regions[u].id[0], graph.vertex_regions[v].id[0]
+            if (u, v) in graph.interior_edges:
+                expected[image_u] += term
+            else:
+                expected[image_u] += term / 2.0
+                expected[image_v] += term / 2.0
+        assert result.per_image_energy == expected
+        assert sum(expected.values()) == pytest.approx(result.total_energy, rel=1e-12)
+
 
 class TestCrossValidate:
     def test_small_cv_runs_and_aggregates(self):
