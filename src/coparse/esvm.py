@@ -69,12 +69,22 @@ def region_saliency(image: ImageRecord, region: Region,
     return centrality * contrast
 
 
+def _bbox(mask: np.ndarray) -> tuple[int, int, int, int]:
+    """Row and column bounds (r0, r1, c0, c1) of a non-empty mask."""
+    ys, xs = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    return int(ys[0]), int(ys[-1]) + 1, int(xs[0]), int(xs[-1]) + 1
+
+
 def select_regions(image: ImageRecord, regions: list[Region],
                    a_min: float = 0.02, a_max: float = 0.6,
                    tau_sel: float = 0.05, n_sel: int = 4) -> list[int]:
-    """Region indices ranked by saliency, thresholded and capped."""
+    """Region indices ranked by saliency, thresholded and capped; a region
+    whose bounding box is too thin for a HOG patch is never selected."""
     scored = []
     for region in regions:
+        r0, r1, c0, c1 = _bbox(region.mask)
+        if min(r1 - r0, c1 - c0) < features.MIN_PATCH_SIDE:
+            continue
         s = region_saliency(image, region, a_min, a_max)
         if s > tau_sel:
             scored.append((-s, region.id[1]))
@@ -283,9 +293,7 @@ def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
                    corpus_images: list[ImageRecord], excluded: np.ndarray,
                    lam1: float, lam2: float, seed: int) -> Exemplar:
     """Train and calibrate one exemplar from a selected region."""
-    ys, xs = np.nonzero(region.mask)
-    r0, r1 = int(ys.min()), int(ys.max()) + 1
-    c0, c1 = int(xs.min()), int(xs.max()) + 1
+    r0, r1, c0, c1 = _bbox(region.mask)
     template = features.template_from_bbox(r1 - r0, c1 - c0)
     cy, cx = template
     patch = features.luma(image.pixels)[r0:r1, c0:c1]

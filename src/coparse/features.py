@@ -19,6 +19,7 @@ HOG_BINS = 9
 COLOR_BINS = 8          # per RGB channel
 GRAD_BINS = 16
 HOG_STACK = 10          # crops per HOG stack: keeps its temporaries to a few MB
+MIN_PATCH_SIDE = 2      # pixels: the shortest crop side HOG accepts
 
 
 def luma(pixels: np.ndarray) -> np.ndarray:
@@ -174,7 +175,7 @@ def hog_crops(flat: np.ndarray, start, pitch, heights, widths,
     if cy < 2 or cx < 2:
         raise PatchTooSmallError(f"template {template} smaller than 2x2 cells")
     start, pitch, heights, widths = (np.asarray(v) for v in (start, pitch, heights, widths))
-    small = (heights < 2) | (widths < 2)
+    small = (heights < MIN_PATCH_SIDE) | (widths < MIN_PATCH_SIDE)
     if small.any():
         i = int(np.argmax(small))
         raise PatchTooSmallError(f"patch {(int(heights[i]), int(widths[i]))} too small")

@@ -12,8 +12,9 @@ local search as a table of trials, and ``objective_of``'s single partition.
 The solver runs the cutting-plane LP over edge merge variables (cycle
 inequalities separated lazily: short chordless cycles first, then every edge
 whose cut weight exceeds its cheapest detour, all detours from one
-``csgraph.dijkstra`` call per round), rounds by connected components,
-polishes with local merge/move search and, when the relaxation stays
+``csgraph.dijkstra`` call per round), solves each LP cold on scipy's bundled
+HiGHS with the options ``linprog(method="highs")`` sets, rounds by connected
+components, polishes with local merge/move search and, when the relaxation stays
 fractional, closes the gap by branching. Instances small enough for the
 exhaustive oracle are therefore solved to proven optimality.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csgraph
 
 from . import kernels
@@ -82,6 +83,9 @@ class MulticutSolution:
     partition: Partition
     objective: float
     mask_active: tuple[bool, ...]
+    lp_solves: int = 0                 # LPs the cutting-plane solver ran
+    nodes: int = 0                     # branch-and-bound nodes it explored
+    proven_optimal: bool = True        # false when NODE_CAP left nodes unexplored
 
 
 def objective_of(instance: MulticutInstance, assignment: np.ndarray, theta: float) -> float:
@@ -162,6 +166,47 @@ def brute_force_multicut(instance: MulticutInstance, theta: float) -> MulticutSo
 # Cutting-plane solver with branch-and-cut closure
 # ---------------------------------------------------------------------------
 
+# linprog(method="highs")'s settings: presolve on, dual simplex, no output
+_HIGHS_OPTIONS = highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+
+
+def _solve_highs(cost: np.ndarray, a: sparse.csc_matrix, rhs: np.ndarray,
+                 lower: np.ndarray, upper: np.ndarray):
+    """min cost @ x s.t. a @ x <= rhs, lower <= x <= upper, by one cold HiGHS
+    solve on the model ``linprog(method="highs")`` builds.
+
+    Returns the model status and, when it is optimal, the objective and x.
+    """
+    n_rows, n_cols = a.shape
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a.indptr.tolist()
+    lp.a_matrix_.index_ = a.indices.tolist()
+    lp.a_matrix_.value_ = a.data.tolist()
+    lp.col_cost_ = cost
+    lp.col_lower_ = lower.tolist()
+    lp.col_upper_ = upper.tolist()
+    lp.row_lower_ = [-np.inf] * n_rows
+    lp.row_upper_ = rhs.tolist()
+    solver = highs._Highs()
+    solver.passOptions(_HIGHS_OPTIONS)
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        return highs.HighsModelStatus.kModelError, None, None
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        return status, None, None
+    return (status, solver.getInfo().objective_function_value,
+            np.array(solver.getSolution().col_value))
+
+
 class _MulticutSolver:
     INTEGRALITY_TOL = 1e-6
     SEPARATION_TOL = 1e-7
@@ -191,11 +236,18 @@ class _MulticutSolver:
         _, _, edge_w, _, _, mask_h = self._arrays
         self.cost = np.concatenate([edge_w, np.zeros(self.n_pairs - edge_w.size), -mask_h])
 
-        # LP rows as growing COO lists: A_ub[row_of[k], col_of[k]] = coef[k]
+        # LP rows as growing COO lists: A_ub[row_of[k], col_of[k]] = coef[k];
+        # _rows() mirrors them as arrays, converting only the rows added since
+        # its last call
         self.row_of: list[int] = []
         self.col_of: list[int] = []
         self.coef: list[float] = []
         self.rhs: list[float] = []
+        self._row_arrays = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                            np.empty(0), np.empty(0))
+        # search counters; proven_optimal turns false when NODE_CAP stops it
+        self.lp_solves = self.nodes = 0
+        self.proven_optimal = True
         self._row_keys: set = set()
         for ci, (ids, _) in enumerate(instance.mask_constraints):
             ordered = sorted(ids)
@@ -241,20 +293,36 @@ class _MulticutSolver:
         self.coef.extend(coefs)
         self.rhs.append(rhs)
 
+    def _rows(self):
+        """The LP rows as arrays (row, col, coef, rhs); only the rows appended
+        since the last call are converted."""
+        row, col, coef, rhs = self._row_arrays
+        if rhs.size < len(self.rhs):
+            nnz = row.size
+            self._row_arrays = row, col, coef, rhs = (
+                np.concatenate([row, np.array(self.row_of[nnz:], dtype=np.int64)]),
+                np.concatenate([col, np.array(self.col_of[nnz:], dtype=np.int64)]),
+                np.concatenate([coef, np.array(self.coef[nnz:], dtype=np.float64)]),
+                np.concatenate([rhs, np.array(self.rhs[rhs.size:], dtype=np.float64)]))
+        return row, col, coef, rhs
+
     def _solve_lp(self, fixed: dict[int, int]):
+        """(objective, x) of the LP with ``fixed`` variables held at their
+        0/1 values, or None when those fixings make it infeasible."""
         n_vars = self.n_pairs + self.n_masks
-        bounds = [(0.0, 1.0)] * n_vars
+        lower, upper = np.zeros(n_vars), np.ones(n_vars)
         for var, val in fixed.items():
-            bounds[var] = (float(val), float(val))
-        # linprog takes longer over an empty sparse A_ub than over none
-        a_ub = sparse.csr_matrix((self.coef, (self.row_of, self.col_of)),
-                                 shape=(len(self.rhs), n_vars)) if self.rhs else None
-        res = linprog(self.cost, A_ub=a_ub, b_ub=self.rhs, bounds=bounds, method="highs")
-        if res.status == 2:
+            lower[var] = upper[var] = val
+        row, col, coef, rhs = self._rows()
+        a_ub = sparse.csr_matrix((coef, (row, col)), shape=(rhs.size, n_vars)).tocsc()
+        self.lp_solves += 1
+        status, fun, x = _solve_highs(self.cost, a_ub, rhs, lower, upper)
+        # linprog reports a model HiGHS refuses to load as infeasible, too
+        if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):
             return None
-        if res.status != 0:
-            raise SolverError(f"LP solver failed with status {res.status}")
-        return float(res.fun), np.asarray(res.x)
+        if status != highs.HighsModelStatus.kOptimal:
+            raise SolverError(f"LP solver failed with HiGHS model status {status.name}")
+        return fun, x
 
     # -- separation ----------------------------------------------------------
 
@@ -380,11 +448,10 @@ class _MulticutSolver:
         best_assign: np.ndarray | None = None
         best_obj = np.inf
         stack: list[dict[int, int]] = [{}]
-        explored = 0
-        while stack and explored < self.NODE_CAP:
+        while stack and self.nodes < self.NODE_CAP:
             fixed = stack.pop()
-            explored += 1
-            rounds = self.ROOT_ROUNDS if explored == 1 else self.CHILD_ROUNDS
+            self.nodes += 1
+            rounds = self.ROOT_ROUNDS if self.nodes == 1 else self.CHILD_ROUNDS
             lp = self._solve_lp(fixed)
             if lp is None:
                 continue
@@ -416,6 +483,7 @@ class _MulticutSolver:
             first, second = (1, 0) if hi_first else (0, 1)
             stack.append({**fixed, branch_var: second})
             stack.append({**fixed, branch_var: first})
+        self.proven_optimal = not stack
         if best_assign is None:
             best_assign, best_obj = self._local_improve(
                 np.zeros(self.instance.node_count, dtype=np.int64))
@@ -434,4 +502,6 @@ def solve_multicut(instance: MulticutInstance, theta: float = 0.5) -> MulticutSo
     return MulticutSolution(
         partition=partition,
         objective=objective_of(instance, partition.assignment, theta),
-        mask_active=_mask_active(instance, partition.assignment))
+        mask_active=_mask_active(instance, partition.assignment),
+        lp_solves=solver.lp_solves, nodes=solver.nodes,
+        proven_optimal=solver.proven_optimal)

@@ -3,7 +3,6 @@ import io as stdio
 import json
 import shutil
 from dataclasses import fields
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,7 +145,8 @@ class TestExitCodes:
 
     def test_lp_failure_is_1(self, tmp_path, capsys, monkeypatch):
         manifest = write_tiny_corpus(tmp_path, n=1)
-        monkeypatch.setattr(grouping, "linprog", lambda *a, **k: SimpleNamespace(status=4))
+        monkeypatch.setattr(grouping, "_solve_highs",
+                            lambda *a: (grouping.highs.HighsModelStatus.kSolveError, None, None))
         rc = cli.main(["group", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert_one_line_error(capsys, "error: LP solver failed")
@@ -184,13 +184,17 @@ FUZZ_CONFIG_TYPED = {
 }
 
 
+# 48x40 one-garment images, so that `run` with a valid config takes about a second
+FUZZ_SPEC = synthgen.SceneSpec(height=48, width=40, noise_level=0.0, seed=1,
+                               shapes_per_image=(1, 1), labels=(
+                                   synthgen.LabelSpec("blob", (0.5, 0.5), 0.02, (200, 30, 30)),))
+
+
 @pytest.fixture(scope="module")
 def fuzz_corpus(tmp_path_factory):
-    """One 48x40 one-garment image, so that `run` with a valid config takes about a second."""
-    spec = synthgen.SceneSpec(height=48, width=40, noise_level=0.0, seed=1,
-                              shapes_per_image=(1, 1), labels=(
-                                  synthgen.LabelSpec("blob", (0.5, 0.5), 0.02, (200, 30, 30)),))
-    return io.save_corpus(synthgen.generate(spec, 1), tmp_path_factory.mktemp("fuzz") / "corpus")
+    """One FUZZ_SPEC image."""
+    return io.save_corpus(synthgen.generate(FUZZ_SPEC, 1),
+                          tmp_path_factory.mktemp("fuzz") / "corpus")
 
 
 def run_quietly(argv):
@@ -255,6 +259,16 @@ class TestFuzz:
                                  "--out", str(out)])
         assert code in (0, 2, 3)
         assert err.count("\n") == (code != 0) and "Traceback" not in err
+
+    def test_no_area_floor_skips_regions_too_thin_for_hog(self, tmp_path):
+        # with a_min 0, two images hold a salient region one pixel across;
+        # selecting it ended in "data error: patch (1, 1) too small"
+        manifest = io.save_corpus(synthgen.generate(FUZZ_SPEC, 2), tmp_path / "corpus")
+        (tmp_path / "config.json").write_text(json.dumps({"a_min": 0.0}))
+        code, err = run_quietly(["run", "--manifest", str(manifest),
+                                 "--config", str(tmp_path / "config.json"),
+                                 "--out", str(tmp_path / "out")])
+        assert (code, err) == (0, "")
 
 
 class TestGroup:

@@ -382,6 +382,18 @@ class TestSelection:
         assert s_center > s_corner > 0.0
         assert esvm.select_regions(image, regions)[0] == 1
 
+    def test_region_too_thin_for_hog_is_skipped(self):
+        # a salient centered line one pixel wide passes a zero area floor
+        h, w = 64, 64
+        pixels = np.full((h, w, 3), 50, dtype=np.uint8)
+        spmap = np.zeros((h, w), dtype=np.int64)
+        pixels[16:48, 32] = (220, 220, 60)
+        spmap[16:48, 32] = 1
+        image = make_image(spmap, pixels=pixels, image_id="line")
+        regions = regions_of(image, Partition.from_assignment([0, 1]))
+        assert esvm.region_saliency(image, regions[1], 0.0, 0.6) > 0.05
+        assert esvm.select_regions(image, regions, a_min=0.0) == []
+
 
 class TestPropagation:
     def test_k_zero_empty(self):

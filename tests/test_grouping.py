@@ -1,10 +1,11 @@
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from coparse import grouping
 from coparse.core import Partition, PropagationRecord
@@ -185,7 +186,7 @@ class TestSolveMulticut:
         def no_lp(*args, **kwargs):
             raise AssertionError("an instance without variables reached the LP")
 
-        monkeypatch.setattr(grouping, "linprog", no_lp)
+        monkeypatch.setattr(grouping, "_solve_highs", no_lp)
         sol = grouping.solve_multicut(grouping.MulticutInstance(node_count=n, edges=()), 0.5)
         assert sol.partition.assignment.tolist() == list(range(n))
         assert sol.objective == 0.0
@@ -198,9 +199,79 @@ class TestSolveMulticut:
 
     def test_lp_failure_raises_solver_error(self, monkeypatch):
         inst = grouping.MulticutInstance(node_count=3, edges=((0, 1, 1), (1, 2, 0)))
-        monkeypatch.setattr(grouping, "linprog", lambda *a, **k: SimpleNamespace(status=4))
-        with pytest.raises(SolverError):
+        monkeypatch.setattr(grouping, "_solve_highs",
+                            lambda *a: (grouping.highs.HighsModelStatus.kSolveError, None, None))
+        with pytest.raises(SolverError, match="kSolveError"):
             grouping.solve_multicut(inst, 0.5)
+
+
+# a branching instance: its root LP stays fractional (3 nodes, 4 LPs)
+BRANCHING = grouping.MulticutInstance(
+    node_count=4, edges=((0, 1, 1), (0, 2, 0), (0, 3, 1), (1, 2, 0), (1, 3, 1), (2, 3, 0)))
+
+
+class TestSolverCounters:
+    def test_hand_counts(self):
+        # a path has no cycle to separate: one node, one LP
+        path = grouping.MulticutInstance(node_count=3, edges=((0, 1, 1), (1, 2, 0)))
+        sol = grouping.solve_multicut(path, 0.5)
+        assert (sol.lp_solves, sol.nodes, sol.proven_optimal) == (1, 1, True)
+        sol = grouping.solve_multicut(grouping.MulticutInstance(node_count=2, edges=()), 0.5)
+        assert (sol.lp_solves, sol.nodes, sol.proven_optimal) == (0, 0, True)
+        sol = grouping.solve_multicut(BRANCHING, 0.5)
+        assert (sol.lp_solves, sol.nodes, sol.proven_optimal) == (4, 3, True)
+
+    def test_node_cap_clears_proven_optimal(self, monkeypatch):
+        monkeypatch.setattr(grouping._MulticutSolver, "NODE_CAP", 1)
+        sol = grouping.solve_multicut(BRANCHING, 0.5)
+        assert sol.nodes == 1 and not sol.proven_optimal
+
+
+def linprog_reference(solver, fixed):
+    """The solver's LP as scipy.optimize.linprog(method="highs") solves it."""
+    n_vars = solver.n_pairs + solver.n_masks
+    bounds = [(0.0, 1.0)] * n_vars
+    for var, val in fixed.items():
+        bounds[var] = (float(val), float(val))
+    a_ub = sparse.csr_matrix((solver.coef, (solver.row_of, solver.col_of)),
+                             shape=(len(solver.rhs), n_vars)) if solver.rhs else None
+    return linprog(solver.cost, A_ub=a_ub, b_ub=solver.rhs, bounds=bounds, method="highs")
+
+
+class TestHighsLp:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_solve_lp_is_linprog_bit_for_bit(self, data):
+        inst = draw_instance(data, 8)
+        solver = grouping._MulticutSolver(inst, 0.5)
+        n_vars = solver.n_pairs + solver.n_masks
+        assume(n_vars > 0)
+        value = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+        # several LPs on one solver, separation rows added between them, so
+        # the row arrays grow as in the cutting-plane loop; zero rounds and
+        # no masks leave the LP without rows
+        for _ in range(data.draw(st.integers(1, 3))):
+            # random 0/1 fixings; contradictory ones make the LP infeasible
+            fixed = data.draw(st.dictionaries(st.integers(0, n_vars - 1), st.integers(0, 1),
+                                              max_size=n_vars))
+            got = solver._solve_lp(fixed)
+            ref = linprog_reference(solver, fixed)
+            assert ref.status in (0, 2)
+            if ref.status == 2:
+                assert got is None
+            else:
+                assert got[0] == ref.fun and got[1].tobytes() == ref.x.tobytes()
+            x = np.array(data.draw(st.lists(value, min_size=n_vars, max_size=n_vars)))
+            solver._separate(x)
+
+    def test_contradictory_fixings_are_infeasible(self):
+        # a mask row z <= x_ab: the mask joined while a and b stay apart
+        inst = grouping.MulticutInstance(node_count=3, edges=((0, 1, 0), (1, 2, 0)),
+                                         mask_constraints=((frozenset({0, 2}), 0.5),))
+        solver = grouping._MulticutSolver(inst, 0.5)
+        fixed = {solver.n_pairs: 1, solver.adj[0][2]: 0}
+        assert linprog_reference(solver, fixed).status == 2
+        assert solver._solve_lp(fixed) is None
 
 
 class TestBruteForce:
