@@ -40,6 +40,10 @@ def _phase1_meta(phase1: pipeline.Phase1Result) -> dict:
         "phase1_exemplars_trained": phase1.exemplars_trained,
         "phase1_exemplars_reused": phase1.exemplars_reused,
         "phase1_esvm_max_duality_gap": phase1.esvm_max_duality_gap,
+        "phase1_multicut_lp_solves": phase1.multicut_lp_solves,
+        "phase1_multicut_nodes": phase1.multicut_nodes,
+        "phase1_multicut_cuts": phase1.multicut_cuts,
+        "phase1_multicuts_unproven": phase1.multicuts_unproven,
     }
 
 
@@ -211,6 +215,7 @@ def cmd_run(args) -> int:
     _dump_json(out / "run-meta.json", _run_meta(config, {
         **_phase1_meta(phase1),
         "phase2_sweeps": phase2.sweeps,
+        "phase2_converged": phase2.converged,
         "total_energy": phase2.total_energy,
         "note": "metrics are in-sample (model trained on this corpus); use cv for held-out numbers",
     }))

@@ -159,6 +159,7 @@ class ExpansionResult:
     energy: float
     move_energies: tuple[float, ...]   # energy after every accepted move
     sweeps: int
+    converged: bool          # false when max_sweeps ran out while a sweep still moved
 
 
 def alpha_expansion(problem: LabelingProblem,
@@ -172,6 +173,7 @@ def alpha_expansion(problem: LabelingProblem,
     energy = float(problem.energies(pos[None])[0])
     move_energies: list[float] = []
     sweeps_done = 0
+    changed = False
     for _ in range(max_sweeps):
         sweeps_done += 1
         changed = False
@@ -188,7 +190,8 @@ def alpha_expansion(problem: LabelingProblem,
         if not changed:
             break
     return ExpansionResult(labeling=labeling, energy=energy,
-                           move_energies=tuple(move_energies), sweeps=sweeps_done)
+                           move_energies=tuple(move_energies), sweeps=sweeps_done,
+                           converged=not changed)
 
 
 def _expansion_move(problem: LabelingProblem, labeling: np.ndarray, pos_cur: np.ndarray,

@@ -9,12 +9,16 @@ everything would always be optimal. One kernel,
 exhaustive oracle's table of every partition, each round of the solver's
 local search as a table of trials, and ``objective_of``'s single partition.
 
-The solver runs the cutting-plane LP over edge merge variables (cycle
-inequalities separated lazily: short chordless cycles first, then every edge
-whose cut weight exceeds its cheapest detour, all detours from one
-``csgraph.dijkstra`` call per round), solves each LP cold on scipy's bundled
-HiGHS with the options ``linprog(method="highs")`` sets, rounds by connected
-components, polishes with local merge/move search and, when the relaxation stays
+The solver runs the cutting-plane LP over edge merge variables. A mask c
+over superpixels S earns its reward through z_c <= x_e for each edge e inside
+S and, when S induces several components, for one merge variable joining
+min(S) to the smallest node of each other component; on integer points that
+holds exactly when S lies in one region. Cycle inequalities are separated
+lazily (short chordless cycles first, then every edge whose cut weight
+exceeds its cheapest detour, all detours from one ``csgraph.dijkstra`` call
+per round). Each LP is solved cold on scipy's bundled HiGHS with the options
+``linprog(method="highs")`` sets; the solver rounds by connected components,
+polishes with local merge/move search and, when the relaxation stays
 fractional, closes the gap by branching. Instances small enough for the
 exhaustive oracle are therefore solved to proven optimality.
 """
@@ -85,6 +89,7 @@ class MulticutSolution:
     mask_active: tuple[bool, ...]
     lp_solves: int = 0                 # LPs the cutting-plane solver ran
     nodes: int = 0                     # branch-and-bound nodes it explored
+    cuts: int = 0                      # cycle rows separation added to the LP
     proven_optimal: bool = True        # false when NODE_CAP left nodes unexplored
 
 
@@ -223,13 +228,24 @@ class _MulticutSolver:
         self.pairs: list[tuple[int, int]] = []
         for u, v, _ in instance.edges:
             self._add_pair(min(u, v), max(u, v))
-        # auxiliary merge variables so a mask reward can require joint grouping
+        # mask c over S: z_c <= x of each edge inside S, and of a pair joining
+        # min(S) to the smallest node of each other component of the subgraph
+        # S induces, added as a variable unless it is one already
+        edge_pairs = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
+        mask_vars: list[list[int]] = []
         for ids, _ in instance.mask_constraints:
-            ordered = sorted(ids)
-            for i, a in enumerate(ordered):
-                for b in ordered[i + 1:]:
-                    if b not in self.adj[a]:
-                        self._add_pair(a, b)
+            ordered = np.array(sorted(ids), dtype=np.int64)
+            local = np.searchsorted(ordered, edge_pairs)
+            inside = np.flatnonzero(
+                (ordered[np.minimum(local, ordered.size - 1)] == edge_pairs).all(axis=1))
+            component = Partition.from_edge_labels(ordered.size, local[inside],
+                                                   np.ones(inside.size, dtype=bool)).assignment
+            _, heads = np.unique(component, return_index=True)
+            root, others = int(ordered[0]), ordered[heads[1:]].tolist()
+            for b in others:
+                if b not in self.adj[root]:
+                    self._add_pair(root, b)
+            mask_vars.append(inside.tolist() + [self.adj[root][b] for b in others])
         self.n_pairs = len(self.pairs)
         self._pair_array = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
         self.n_masks = len(instance.mask_constraints)
@@ -248,12 +264,10 @@ class _MulticutSolver:
         # search counters; proven_optimal turns false when NODE_CAP stops it
         self.lp_solves = self.nodes = 0
         self.proven_optimal = True
-        self._row_keys: set = set()
-        for ci, (ids, _) in enumerate(instance.mask_constraints):
-            ordered = sorted(ids)
-            for i, a in enumerate(ordered):
-                for b in ordered[i + 1:]:
-                    self._append_row([self.n_pairs + ci, self.adj[a][b]], [1.0, -1.0], 0.0)
+        self._row_keys: set = set()      # one key per cycle row added
+        for ci, variables in enumerate(mask_vars):
+            for var in variables:
+                self._append_row([self.n_pairs + ci, var], [1.0, -1.0], 0.0)
         self._triangles, self._quads = self._enumerate_short_cycles()
 
     def _add_pair(self, u: int, v: int) -> None:
@@ -503,5 +517,5 @@ def solve_multicut(instance: MulticutInstance, theta: float = 0.5) -> MulticutSo
         partition=partition,
         objective=objective_of(instance, partition.assignment, theta),
         mask_active=_mask_active(instance, partition.assignment),
-        lp_solves=solver.lp_solves, nodes=solver.nodes,
+        lp_solves=solver.lp_solves, nodes=solver.nodes, cuts=len(solver._row_keys),
         proven_optimal=solver.proven_optimal)

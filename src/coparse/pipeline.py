@@ -176,6 +176,11 @@ class Phase1Result:
     exemplars_trained: int = 0
     exemplars_reused: int = 0
     esvm_max_duality_gap: float = 0.0   # over the exemplars trained here
+    # sums over the multicuts solved here (not the reused ones)
+    multicut_lp_solves: int = 0
+    multicut_nodes: int = 0
+    multicut_cuts: int = 0
+    multicuts_unproven: int = 0        # stopped by the node cap
 
 
 def _select_images(corpus: Corpus, image_ids: list[str] | None,
@@ -199,14 +204,15 @@ def _select_images(corpus: Corpus, image_ids: list[str] | None,
 # ---------------------------------------------------------------------------
 
 def _group_all(images: list[ImageRecord], propagations, config: Config,
-               solved: dict[grouping.MulticutInstance, Partition]) -> dict[str, Partition]:
+               solved: dict[grouping.MulticutInstance, grouping.MulticutSolution]
+               ) -> dict[str, Partition]:
     partitions = {}
     for image in images:
         props = [p for p in propagations if p.target_image == image.id]
         instance = grouping.instance_for_image(image, props)
         if instance not in solved:
-            solved[instance] = grouping.solve_multicut(instance, config.theta).partition
-        partitions[image.id] = solved[instance]
+            solved[instance] = grouping.solve_multicut(instance, config.theta)
+        partitions[image.id] = solved[instance].partition
     return partitions
 
 
@@ -259,7 +265,7 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     the same inputs computed.
     """
     images = _select_images(corpus, image_ids, "co-segmentation")
-    solved: dict[grouping.MulticutInstance, Partition] = {}
+    solved: dict[grouping.MulticutInstance, grouping.MulticutSolution] = {}
     trained: dict[tuple, tuple] = {}
     exemplar_count = 0
     exemplars: list[esvm.Exemplar] = []
@@ -295,7 +301,11 @@ def run_cosegmentation(corpus: Corpus, config: Config,
                         exemplars_trained=len(trained),
                         exemplars_reused=exemplar_count - len(trained),
                         esvm_max_duality_gap=max(
-                            (ex.duality_gap for ex, _ in trained.values()), default=0.0))
+                            (ex.duality_gap for ex, _ in trained.values()), default=0.0),
+                        multicut_lp_solves=sum(s.lp_solves for s in solved.values()),
+                        multicut_nodes=sum(s.nodes for s in solved.values()),
+                        multicut_cuts=sum(s.cuts for s in solved.values()),
+                        multicuts_unproven=sum(not s.proven_optimal for s in solved.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +345,7 @@ class Phase2Result:
     total_energy: float
     per_image_energy: dict[str, float]
     sweeps: int
+    converged: bool          # false when the sweep cap stopped a sweep that still moved
 
 
 def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
@@ -368,7 +379,8 @@ def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
                                    (image_of == rows) * 1.0, edge_weight)
     per_image = {image.id: float(split[row[image.id]]) for image in images}
     return Phase2Result(label_maps=label_maps, total_energy=result.energy,
-                        per_image_energy=per_image, sweeps=result.sweeps)
+                        per_image_energy=per_image, sweeps=result.sweeps,
+                        converged=result.converged)
 
 
 # ---------------------------------------------------------------------------

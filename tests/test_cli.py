@@ -297,6 +297,8 @@ class TestPhasedCommands:
         exemplar_count = sum(1 for line in (phase1 / "exemplars.jsonl").open() if line.strip())
         assert meta["phase1_exemplars_trained"] + meta["phase1_exemplars_reused"] >= exemplar_count
         assert 0.0 <= meta["phase1_esvm_max_duality_gap"] <= 1e-6
+        assert meta["phase1_multicut_lp_solves"] >= meta["phase1_multicuts_solved"]
+        assert meta["phase1_multicuts_unproven"] == 0
 
         out = tmp_path / "labeled"
         assert cli.main(["colabel", "--manifest", str(manifest),
@@ -324,6 +326,12 @@ class TestRunAndEval:
                 == 2 * meta["phase1_iterations"])
         assert isinstance(meta["phase1_fixed_point"], bool)
         assert 0.0 <= meta["phase1_esvm_max_duality_gap"] <= 1e-6
+        # solver counters over the multicuts the run solved, and the sweep cap
+        assert meta["phase1_multicut_nodes"] >= meta["phase1_multicuts_solved"]
+        assert meta["phase1_multicut_lp_solves"] >= meta["phase1_multicut_nodes"]
+        assert meta["phase1_multicut_cuts"] >= 0
+        assert meta["phase1_multicuts_unproven"] == 0
+        assert meta["phase2_converged"] is True
 
         rc = cli.main(["eval", "--manifest", str(manifest), "--pred", str(out),
                        "--out", str(tmp_path / "m.json")])

@@ -222,8 +222,9 @@ def _sample_negatives_per_crop(corpus_images, image, excluded, bbox_hw, template
 
 class TestNegatives:
     def test_batched_hog_equals_per_crop_hog(self, monkeypatch):
-        # every negative set the criterion-8 corpus's Phase I samples
-        corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 3)
+        # every negative set Phase I samples on four images of the criterion-8
+        # scene, whose iterations train exemplars of at least three templates
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 4)
         config = pipeline.Config(seed=8)
         checked = []
         sample = esvm.sample_negatives

@@ -248,6 +248,16 @@ class TestAlphaExpansion:
         assert best == 2.0
         assert res.energy == pytest.approx(best)
 
+    def test_sweep_cap_clears_converged(self):
+        # the second sweep still moves (6.0 -> 5.0); only the third is quiet
+        prob = potts_problem([(0, 2, 0), (3, 3, 0), (3, 1, 3), (2, 2, 3)], 2.0, n_labels=3)
+        full = graphcut.alpha_expansion(prob)
+        assert (full.sweeps, full.converged, full.energy) == (3, True, 5.0)
+        for cap in (1, 2):
+            capped = graphcut.alpha_expansion(prob, max_sweeps=cap)
+            assert (capped.sweeps, capped.converged) == (cap, False)
+        assert graphcut.alpha_expansion(prob, max_sweeps=1).energy == 6.0
+
     def test_moves_strictly_decrease(self):
         rng = np.random.default_rng(37)
         for _ in range(20):

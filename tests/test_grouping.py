@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from coparse import grouping
 from coparse.core import Partition, PropagationRecord
@@ -215,16 +215,60 @@ class TestSolverCounters:
         # a path has no cycle to separate: one node, one LP
         path = grouping.MulticutInstance(node_count=3, edges=((0, 1, 1), (1, 2, 0)))
         sol = grouping.solve_multicut(path, 0.5)
-        assert (sol.lp_solves, sol.nodes, sol.proven_optimal) == (1, 1, True)
+        assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (1, 1, 0, True)
         sol = grouping.solve_multicut(grouping.MulticutInstance(node_count=2, edges=()), 0.5)
-        assert (sol.lp_solves, sol.nodes, sol.proven_optimal) == (0, 0, True)
+        assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (0, 0, 0, True)
+        # the root LP merges the three edges at node 2 and cuts the others:
+        # one row for each of the three triangles through node 2
         sol = grouping.solve_multicut(BRANCHING, 0.5)
-        assert (sol.lp_solves, sol.nodes, sol.proven_optimal) == (4, 3, True)
+        assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (4, 3, 3, True)
 
     def test_node_cap_clears_proven_optimal(self, monkeypatch):
         monkeypatch.setattr(grouping._MulticutSolver, "NODE_CAP", 1)
         sol = grouping.solve_multicut(BRANCHING, 0.5)
         assert sol.nodes == 1 and not sol.proven_optimal
+
+
+def mask_rows(solver):
+    """The mask rows z_c <= x_ab of a fresh solver, as (c, (a, b)) in row order.
+
+    Before any separation every row is a mask row, stored as its z_c entry
+    then its x_ab entry."""
+    cols = np.array(solver.col_of).reshape(-1, 2)
+    assert (np.array(solver.coef).reshape(-1, 2) == [1.0, -1.0]).all()
+    return [(int(z) - solver.n_pairs, solver.pairs[int(x)]) for z, x in cols]
+
+
+class TestMaskEncoding:
+    """A mask adds a row per edge inside it and per extra induced component."""
+
+    def test_path_mask_adds_a_row_per_edge_and_no_pair(self):
+        # the mask covers the path 0-1-2-3-4; node 5 closes a cycle outside it
+        edges = ((0, 1, 0), (1, 2, 1), (2, 3, 0), (3, 4, 0), (4, 5, 1), (0, 5, 0))
+        inst = grouping.MulticutInstance(node_count=6, edges=edges,
+                                         mask_constraints=((frozenset(range(5)), 0.5),))
+        solver = grouping._MulticutSolver(inst, 0.5)
+        assert solver.n_pairs == len(edges)
+        assert mask_rows(solver) == [(0, (0, 1)), (0, (1, 2)), (0, (2, 3)), (0, (3, 4))]
+
+    def test_two_components_add_one_pair_between_their_smallest_nodes(self):
+        # {1, 2} and {3, 4} meet only through node 5, outside the mask; the
+        # second mask's components are joined by the same pair, added once
+        edges = ((0, 1, 0), (1, 2, 0), (2, 5, 0), (5, 4, 0), (4, 3, 1))
+        inst = grouping.MulticutInstance(node_count=6, edges=edges, mask_constraints=(
+            (frozenset({4, 3, 2, 1}), 0.5), (frozenset({1, 3}), 0.2)))
+        solver = grouping._MulticutSolver(inst, 0.5)
+        assert solver.n_pairs == len(edges) + 1
+        assert solver.pairs[-1] == (1, 3)
+        assert mask_rows(solver) == [(0, (1, 2)), (0, (3, 4)), (0, (1, 3)), (1, (1, 3))]
+
+    def test_clique_mask_keeps_the_row_of_every_pair(self):
+        edges = tuple((u, v, (u + v) % 2) for u in range(4) for v in range(u + 1, 4))
+        inst = grouping.MulticutInstance(node_count=5, edges=edges + ((3, 4, 0),),
+                                         mask_constraints=((frozenset(range(4)), 0.5),))
+        solver = grouping._MulticutSolver(inst, 0.5)
+        assert solver.n_pairs == len(edges) + 1
+        assert mask_rows(solver) == [(0, pair) for pair in itertools.combinations(range(4), 2)]
 
 
 def linprog_reference(solver, fixed):
@@ -334,7 +378,48 @@ def random_instance(rng, max_nodes=10):
                                      mask_constraints=tuple(masks))
 
 
+def draw_grid_instance(data):
+    """11 to 25 nodes on a grid with a few chords, up to three masks grown
+    along edges with an occasional jump (so a mask may induce several
+    components)."""
+    rnd = data.draw(st.randoms(use_true_random=False))
+    n, width = rnd.randint(11, 25), rnd.randint(3, 5)
+    pairs = {(i, i + 1) for i in range(n - 1) if (i + 1) % width} | \
+        {(i, i + width) for i in range(n - width)}
+    for _ in range(rnd.randint(0, 4)):
+        u, v = sorted(rnd.sample(range(n), 2))
+        pairs.add((u, v))
+    edges = tuple((u, v, int(rnd.random() < 0.4)) for u, v in sorted(pairs))
+    neighbours = {i: set() for i in range(n)}
+    for u, v in pairs:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    masks = []
+    for _ in range(rnd.randint(0, 3)):
+        mask = {rnd.randrange(n)}
+        for _ in range(rnd.randint(1, 7)):
+            frontier = sorted(set().union(*(neighbours[i] for i in mask)) - mask)
+            if frontier and rnd.random() > 0.15:
+                mask.add(rnd.choice(frontier))
+            else:
+                mask.add(rnd.randrange(n))
+        if len(mask) >= 2:
+            masks.append((frozenset(mask), rnd.uniform(0.0, 2.0)))
+    return (grouping.MulticutInstance(node_count=n, edges=edges, mask_constraints=tuple(masks)),
+            rnd.uniform(0.05, 0.95))
+
+
 class TestSolverOracleAgreement:
+    @settings(derandomize=True, deadline=None, max_examples=35)
+    @given(st.data())
+    def test_larger_instances_match_milp(self, data):
+        # beyond the exhaustive oracle's reach: path separation, branching
+        # and the masks' component pairs at work
+        inst, theta = draw_grid_instance(data)
+        sol = grouping.solve_multicut(inst, theta)
+        assert sol.proven_optimal
+        assert sol.objective == pytest.approx(milp_optimum(inst, theta), abs=1e-9)
+
     def test_random_instances_match_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
@@ -355,6 +440,43 @@ class TestSolverOracleAgreement:
                 node_count=inst.node_count, edges=inst.edges,
                 mask_constraints=((ids, h + 0.5),) + inst.mask_constraints[1:])
             assert grouping.solve_multicut(bumped, 0.5).objective <= base + 1e-9
+
+
+def milp_optimum(instance, theta):
+    """Independent exact optimum for larger instances: a MILP over every pair.
+
+    One 0/1 merge variable per node pair, all 3 C(n, 3) transitivity rows,
+    and z_c <= x_ab for every pair of mask c; the optimum's partition is
+    rescored with ``python_objective``.
+    """
+    n = instance.node_count
+    pairs = list(itertools.combinations(range(n), 2))
+    var = {pair: i for i, pair in enumerate(pairs)}
+    n_masks = len(instance.mask_constraints)
+    cost = np.zeros(len(pairs) + n_masks)
+    for u, v, d in instance.edges:
+        cost[var[min(u, v), max(u, v)]] += d - theta
+    for c, (_, h) in enumerate(instance.mask_constraints):
+        cost[len(pairs) + c] = -h
+    rows = []   # (columns, coefficients, right-hand side)
+    for i, j, k in itertools.combinations(range(n), 3):
+        sides = [var[i, j], var[j, k], var[i, k]]
+        for out in range(3):   # two merged sides merge the third
+            rows.append((sides, [-1.0 if s == out else 1.0 for s in range(3)], 1.0))
+    for c, (ids, _) in enumerate(instance.mask_constraints):
+        for pair in itertools.combinations(sorted(ids), 2):
+            rows.append(([len(pairs) + c, var[pair]], [1.0, -1.0], 0.0))
+    a = sparse.csr_matrix((np.concatenate([v for _, v, _ in rows]),
+                           np.concatenate([c for c, _, _ in rows]),
+                           np.cumsum([0] + [len(c) for c, _, _ in rows])),
+                          shape=(len(rows), cost.size))
+    res = milp(cost, integrality=np.ones(cost.size), bounds=Bounds(0, 1),
+               constraints=LinearConstraint(a, -np.inf, [r for _, _, r in rows]),
+               options={"mip_rel_gap": 0.0})
+    assert res.status == 0
+    merged = np.array([pair for pair, x in zip(pairs, res.x) if x > 0.5]).reshape(-1, 2)
+    assign = Partition.from_edge_labels(n, merged, np.ones(len(merged), dtype=bool)).assignment
+    return python_objective(instance, assign, theta)
 
 
 def local_improve_reference(solver, assign, theta):

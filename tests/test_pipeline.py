@@ -352,12 +352,14 @@ class _CallLog:
 
     def __init__(self, monkeypatch):
         self.solves, self.builds, self.propagations = [], [], []
+        self.solutions = []      # what each solve_multicut call returned
         self.first_region = {}   # exemplar id -> region id of its first build
         solve, build, propagate = grouping.solve_multicut, esvm.build_exemplar, esvm.propagate
 
         def counted_solve(instance, theta=0.5):
             self.solves.append((instance, theta))
-            return solve(instance, theta)
+            self.solutions.append(solve(instance, theta))
+            return self.solutions[-1]
 
         def counted_build(exemplar_id, image, region, corpus_images, excluded,
                           lam1, lam2, seed):
@@ -400,7 +402,7 @@ def _assert_same_records(got, expected):
 # (scene seed, image count): a 3-image corpus whose Phase I closes an orbit,
 # and a 2-image corpus where a returned exemplar's region kept its
 # superpixels but moved to another index since the exemplar was first built
-MEMO_CASES = {"closed-orbit": (5, 3), "region-index-change": (28, 2)}
+MEMO_CASES = {"closed-orbit": (34, 3), "region-index-change": (28, 2)}
 
 
 @pytest.fixture(scope="module", params=sorted(MEMO_CASES))
@@ -445,3 +447,12 @@ class TestPhase1Memo:
         assert result.multicuts_solved + result.multicuts_reused == len(reference_log.solves)
         assert result.exemplars_trained == len(log.builds)
         assert result.exemplars_trained + result.exemplars_reused == len(reference_log.builds)
+
+    def test_multicut_counters_sum_the_solves(self, phase1_runs):
+        _, _, result, log = phase1_runs
+        solutions = log.solutions
+        assert result.multicut_lp_solves == sum(s.lp_solves for s in solutions)
+        assert result.multicut_nodes == sum(s.nodes for s in solutions)
+        assert result.multicut_cuts == sum(s.cuts for s in solutions)
+        assert result.multicuts_unproven == sum(not s.proven_optimal for s in solutions) == 0
+        assert result.multicut_cuts > 0 and result.multicut_nodes >= result.multicuts_solved
