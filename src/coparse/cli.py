@@ -40,6 +40,7 @@ def _phase1_meta(phase1: pipeline.Phase1Result) -> dict:
         "phase1_exemplars_trained": phase1.exemplars_trained,
         "phase1_exemplars_reused": phase1.exemplars_reused,
         "phase1_esvm_max_duality_gap": phase1.esvm_max_duality_gap,
+        "phase1_esvm_degenerate_calibrations": phase1.esvm_degenerate_calibrations,
         "phase1_multicut_lp_solves": phase1.multicut_lp_solves,
         "phase1_multicut_nodes": phase1.multicut_nodes,
         "phase1_multicut_cuts": phase1.multicut_cuts,
@@ -111,7 +112,7 @@ def cmd_group(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for image in corpus.images:
-        instance = grouping.instance_for_image(image, [])
+        instance = grouping.instance_for_image(image, [], grouping.superpixel_graph(image))
         solution = grouping.solve_multicut(instance, config.theta)
         region_map = solution.partition.assignment[image.superpixel_map]
         io.write_pgm16(out / f"{image.id}.regions.pgm", region_map)
@@ -180,7 +181,8 @@ def cmd_colabel(args) -> int:
         propagations = [esvm.propagation_from_json(doc)
                         for doc in json.loads(prop_path.read_text())]
     train_corpus = corpus if args.train_manifest is None else io.load_corpus(args.train_manifest)
-    model = pipeline.train_label_model(train_corpus, [r.id for r in train_corpus.images])
+    model = pipeline.train_label_model(
+        train_corpus.vocabulary, [pipeline.ground_truth_rows(r) for r in train_corpus.images])
     phase1 = pipeline.Phase1Result(partitions=partitions, exemplars=exemplars,
                                    propagations=propagations, iteration_count=0,
                                    converged=True, fixed_point=True)
@@ -202,20 +204,23 @@ def cmd_run(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    labeled_ids = [rec.id for rec in corpus.images if rec.ground_truth is not None]
-    if not labeled_ids:
+    labeled = [rec for rec in corpus.images if rec.ground_truth is not None]
+    if not labeled:
         raise DataError("run requires ground truth for label-model training")
-    model = pipeline.train_label_model(corpus, labeled_ids)
+    model = pipeline.train_label_model(corpus.vocabulary,
+                                       [pipeline.ground_truth_rows(rec) for rec in labeled])
     phase1 = pipeline.run_cosegmentation(corpus, config)
     phase2 = pipeline.run_colabeling(corpus, phase1, model, config)
     for image_id, label_map in sorted(phase2.label_maps.items()):
         io.write_pgm16(out / f"{image_id}.labels.pgm", label_map)
-    metrics = pipeline.evaluate(phase2.label_maps, corpus, labeled_ids)
+    metrics = pipeline.evaluate(phase2.label_maps, corpus, [rec.id for rec in labeled])
     _dump_json(out / "metrics.json", metrics.to_dict())
     _dump_json(out / "run-meta.json", _run_meta(config, {
         **_phase1_meta(phase1),
         "phase2_sweeps": phase2.sweeps,
         "phase2_converged": phase2.converged,
+        "phase2_truncated_terms": phase2.truncated_terms,
+        "label_model_sweep_capped_machines": model.appearance.sweep_capped,
         "total_energy": phase2.total_energy,
         "note": "metrics are in-sample (model trained on this corpus); use cv for held-out numbers",
     }))

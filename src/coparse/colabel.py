@@ -40,6 +40,7 @@ class AppearanceModel:
     # per label pair (a, b) with a < b: support vectors and signed dual coefs
     machines: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
     vocab_size: int
+    sweep_capped: int = 0   # machines whose dual ascent stopped at its sweep cap
 
     def votes(self, hist: np.ndarray) -> np.ndarray:
         """Fraction of pairwise votes per label; sums to 1 over trained labels."""
@@ -57,8 +58,12 @@ class AppearanceModel:
 
 
 def _dual_coordinate_ascent(kernel: np.ndarray, y: np.ndarray, c: float,
-                            max_sweeps: int = 200) -> np.ndarray:
-    """Box-constrained dual ascent for a bias-free kernel SVM."""
+                            max_sweeps: int = 200) -> tuple[np.ndarray, bool]:
+    """Box-constrained dual ascent for a bias-free kernel SVM.
+
+    Returns the dual variables and whether ``max_sweeps`` stopped the loop
+    before a sweep moved every variable by less than 1e-8.
+    """
     n = y.size
     alpha = np.zeros(n)
     f = np.zeros(n)   # f_i = sum_j alpha_j y_j K_ij
@@ -73,8 +78,8 @@ def _dual_coordinate_ascent(kernel: np.ndarray, y: np.ndarray, c: float,
                 f += delta * y[i] * kernel[:, i]
                 biggest = max(biggest, abs(delta))
         if biggest < 1e-8:
-            break
-    return alpha
+            return alpha, False
+    return alpha, True
 
 
 def train_appearance(hists: np.ndarray, labels: np.ndarray, vocab_size: int,
@@ -89,17 +94,20 @@ def train_appearance(hists: np.ndarray, labels: np.ndarray, vocab_size: int,
     med = float(np.median(dists[np.triu_indices(len(hists), k=1)])) if len(hists) > 1 else 0.0
     gamma = 1.0 / med if med > 1e-12 else 1.0
     machines = []
+    capped = 0
     for i, a in enumerate(present):
         for b in present[i + 1:]:
             sel = (labels == a) | (labels == b)
             idx = np.flatnonzero(sel)
             y = np.where(labels[idx] == a, 1.0, -1.0)
             k = np.exp(-gamma * dists[np.ix_(idx, idx)])
-            alpha = _dual_coordinate_ascent(k, y, c)
+            alpha, hit_cap = _dual_coordinate_ascent(k, y, c)
+            capped += hit_cap
             keep = alpha > 1e-12
             machines.append((a, b, hists[idx[keep]], alpha[keep] * y[keep]))
     return AppearanceModel(gamma=gamma, trained_labels=tuple(present),
-                           machines=tuple(machines), vocab_size=vocab_size)
+                           machines=tuple(machines), vocab_size=vocab_size,
+                           sweep_capped=capped)
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +186,21 @@ def ground_truth_regions(image: ImageRecord, comp: np.ndarray, comp_labels: np.n
                          ) -> list[tuple[int, np.ndarray, tuple[float, float]]]:
     """(label, histogram, centroid) per ground-truth component.
 
-    ``comp, comp_labels`` is ``label_components(image.ground_truth)``.
+    ``comp, comp_labels`` is ``label_components(image.ground_truth)``. The
+    image's maps are built once and every component's histogram comes from
+    one ``features.region_histograms`` pass.
     """
     h, w = comp.shape
-    out = []
-    for cid in range(comp_labels.size):
-        mask = comp == cid
-        ys, xs = np.nonzero(mask)
-        n = ys.size
-        centroid = ((ys.sum() + 0.5 * n) / n / h, (xs.sum() + 0.5 * n) / n / w)
-        out.append((int(comp_labels[cid]), features.region_histogram(image, mask), centroid))
-    return out
+    count = comp_labels.size
+    hists = features.region_histograms(features.image_maps(image.pixels), comp, count)
+    flat = comp.ravel()
+    n = np.bincount(flat, minlength=count)
+    # whole-number sums, so exact in float64 and equal to the integer sums
+    ys = np.bincount(flat, weights=np.repeat(np.arange(h), w), minlength=count)
+    xs = np.bincount(flat, weights=np.tile(np.arange(w), h), minlength=count)
+    return [(int(comp_labels[cid]), hists[cid],
+             ((ys[cid] + 0.5 * n[cid]) / n[cid] / h, (xs[cid] + 0.5 * n[cid]) / n[cid] / w))
+            for cid in range(count)]
 
 
 def image_label_pairs(comp: np.ndarray, comp_labels: np.ndarray) -> list[tuple[int, int]]:
@@ -305,8 +317,12 @@ def build_graph(images: list[ImageRecord], partitions: dict[str, Partition],
     candidates: list[np.ndarray] = []
     regions_by_image: dict[str, list[Region]] = {}
     for image in images:
-        regs = regions_of(image, partitions[image.id])
+        partition = partitions[image.id]
+        regs = regions_of(image, partition)
         regions_by_image[image.id] = regs
+        hists.extend(features.region_histograms(features.image_maps(image.pixels),
+                                                partition.assignment[image.superpixel_map],
+                                                partition.k))
         cand = np.array(sorted(set(image.tags) | {BACKGROUND}), dtype=np.int64)
         if cand[-1] >= model.vocab_size:
             raise UnknownLabelError(f"{image.id}: tag {cand[-1]} outside the label model's "
@@ -314,7 +330,6 @@ def build_graph(images: list[ImageRecord], partitions: dict[str, Partition],
         for region in regs:
             vertex_index[region.id] = len(vertex_regions)
             vertex_regions.append(region)
-            hists.append(features.region_histogram(image, region.mask))
             candidates.append(cand)
 
     unary, locations = [], []

@@ -35,6 +35,7 @@ class Exemplar:
     mask: np.ndarray                   # bool at template pixel resolution
     template: tuple[int, int]          # (cells_y, cells_x)
     duality_gap: float = 0.0           # of the training; 0 when read from JSON
+    degenerate_calibration: bool = False   # the logistic fit fell back; False from JSON
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,10 @@ class DetectionWindow:
 # Region selection
 # ---------------------------------------------------------------------------
 
-def region_saliency(image: ImageRecord, region: Region,
+def region_saliency(maps: features.ImageMaps, region: Region,
                     a_min: float, a_max: float) -> float:
-    """Area-gated centrality times contrast against the border band."""
+    """Area-gated centrality times contrast against the border band of the
+    region's image, whose maps are ``maps``."""
     if not a_min <= region.area_fraction <= a_max:
         return 0.0
     dy = region.centroid[0] - 0.5
@@ -64,8 +66,8 @@ def region_saliency(image: ImageRecord, region: Region,
     if not band.any():
         return 0.0
     contrast = features.chi_square(
-        features.region_histogram(image, region.mask),
-        features.region_histogram(image, band))
+        features.region_histogram(maps, region.mask),
+        features.region_histogram(maps, band))
     return centrality * contrast
 
 
@@ -75,7 +77,7 @@ def _bbox(mask: np.ndarray) -> tuple[int, int, int, int]:
     return int(ys[0]), int(ys[-1]) + 1, int(xs[0]), int(xs[-1]) + 1
 
 
-def select_regions(image: ImageRecord, regions: list[Region],
+def select_regions(maps: features.ImageMaps, regions: list[Region],
                    a_min: float = 0.02, a_max: float = 0.6,
                    tau_sel: float = 0.05, n_sel: int = 4) -> list[int]:
     """Region indices ranked by saliency, thresholded and capped; a region
@@ -85,7 +87,7 @@ def select_regions(image: ImageRecord, regions: list[Region],
         r0, r1, c0, c1 = _bbox(region.mask)
         if min(r1 - r0, c1 - c0) < features.MIN_PATCH_SIDE:
             continue
-        s = region_saliency(image, region, a_min, a_max)
+        s = region_saliency(maps, region, a_min, a_max)
         if s > tau_sel:
             scored.append((-s, region.id[1]))
     scored.sort()
@@ -254,11 +256,13 @@ def exemplar_seed(global_seed: int, exemplar_id: str) -> list[int]:
 def sample_negatives(corpus_images: list[ImageRecord], image: ImageRecord,
                      excluded: np.ndarray, bbox_hw: tuple[int, int],
                      template: tuple[int, int], count: int,
-                     rng: np.random.Generator) -> np.ndarray:
+                     rng: np.random.Generator,
+                     maps: dict[str, features.ImageMaps]) -> np.ndarray:
     """HOG descriptors of random crops avoiding the selected foreground.
 
     Half the crops come from this image (center outside ``excluded``), half
-    are drawn round-robin from the other images.
+    are drawn round-robin from the other images. ``maps`` holds each
+    image's maps by id; the crops are cut from their luma.
     """
     bh, bw = bbox_hw
     # every luminance raster used goes into one flat buffer, and each crop
@@ -270,7 +274,7 @@ def sample_negatives(corpus_images: list[ImageRecord], image: ImageRecord,
         h, w = rec.pixels.shape[:2]
         if rec.id not in offsets:
             offsets[rec.id] = sum(r.size for r in rasters)
-            rasters.append(features.luma(rec.pixels).ravel())
+            rasters.append(maps[rec.id].luma.ravel())
         for _ in range(50):
             sc = rng.uniform(0.8, 1.25)
             ch = min(max(8, int(round(bh * sc))), h)
@@ -291,17 +295,19 @@ def sample_negatives(corpus_images: list[ImageRecord], image: ImageRecord,
 
 def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
                    corpus_images: list[ImageRecord], excluded: np.ndarray,
-                   lam1: float, lam2: float, seed: int) -> Exemplar:
-    """Train and calibrate one exemplar from a selected region."""
+                   lam1: float, lam2: float, seed: int,
+                   maps: dict[str, features.ImageMaps]) -> Exemplar:
+    """Train and calibrate one exemplar from a selected region; ``maps``
+    holds the maps of ``image`` and of every corpus image by id."""
     r0, r1, c0, c1 = _bbox(region.mask)
     template = features.template_from_bbox(r1 - r0, c1 - c0)
     cy, cx = template
-    patch = features.luma(image.pixels)[r0:r1, c0:c1]
+    patch = maps[image.id].luma[r0:r1, c0:c1]
     positive = features.hog(patch, template)
     rng = np.random.default_rng(exemplar_seed(seed, exemplar_id))
     negatives = sample_negatives(corpus_images, image, excluded,
                                  (r1 - r0, c1 - c0), template,
-                                 NEGATIVES_PER_EXEMPLAR, rng)
+                                 NEGATIVES_PER_EXEMPLAR, rng, maps)
     # bias enters as a constant feature coordinate
     pos_aug = _augment(positive)
     negs_aug = np.hstack([negatives, np.ones((negatives.shape[0], 1))])
@@ -316,7 +322,8 @@ def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
         mask = np.ones_like(mask)
     return Exemplar(id=exemplar_id, w=trained.w, alpha=cal.alpha, beta=cal.beta,
                     source_region=region.id, mask=mask, template=template,
-                    duality_gap=trained.duality_gap)
+                    duality_gap=trained.duality_gap,
+                    degenerate_calibration=cal.degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +331,25 @@ def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
 # ---------------------------------------------------------------------------
 
 def detect(exemplar: Exemplar, image: ImageRecord,
+           pyramid: features.HogPyramid,
            stride: int = 8, scales: tuple[float, ...] = (1.0, 0.8, 1.25)
            ) -> list[DetectionWindow]:
-    """Score all windows of one image over the scale set, then NMS at IoU 0.5."""
+    """Score all windows of one image over the scale set, then NMS at IoU 0.5.
+
+    ``pyramid`` is ``features.hog_pyramid`` of the image's luma over (at
+    least) ``scales``.
+    """
     cy, cx = exemplar.template
     w_blocks = exemplar.w[:-1]
     bias = float(exemplar.w[-1])
-    gray = features.luma(image.pixels)
-    h, w = gray.shape
+    h, w = image.pixels.shape[:2]
     step = max(1, stride // features.CELL)
     score_parts, window_parts = [], []
     for s_idx, s in enumerate(scales):
-        sh, sw = max(1, int(round(h * s))), max(1, int(round(w * s)))
-        grid_y, grid_x = sh // features.CELL, sw // features.CELL
-        if grid_y < cy or grid_x < cx:
+        sh, sw, blocks = pyramid[s]
+        # a window of cy x cx cells covers (cy - 1) x (cx - 1) blocks
+        if blocks.shape[0] < cy - 1 or blocks.shape[1] < cx - 1:
             continue
-        resized = features.bilinear_resize(gray, sh, sw)
-        mag, obin = features.orientation_bins(resized)
-        cells = kernels.cell_histograms(mag, obin, grid_y, grid_x)
-        blocks = features.block_normalize(cells)
         scores = kernels.score_windows(blocks, cy - 1, cx - 1, w_blocks, step) + bias
         win_h = cy * features.CELL
         win_w = cx * features.CELL
@@ -383,15 +390,18 @@ def detect(exemplar: Exemplar, image: ImageRecord,
 
 
 def propagate(exemplar: Exemplar, corpus_images: list[ImageRecord],
+              pyramids: dict[str, features.HogPyramid],
               k: int = 5, stride: int = 8,
               scales: tuple[float, ...] = (1.0, 0.8, 1.25)
               ) -> list[PropagationRecord]:
-    """Global top-k NMS-filtered detections, each carrying the resized mask."""
+    """Global top-k NMS-filtered detections, each carrying the resized mask;
+    ``pyramids`` holds each corpus image's HOG pyramid by id."""
     if k <= 0:
         return []
     windows: list[DetectionWindow] = []
     for image in corpus_images:
-        windows.extend(detect(exemplar, image, stride=stride, scales=scales))
+        windows.extend(detect(exemplar, image, pyramids[image.id], stride=stride,
+                              scales=scales))
     windows.sort(key=lambda d: (-d.calibrated, -d.raw_score, d.image_id, d.y, d.x))
     records = []
     for det in windows[:k]:

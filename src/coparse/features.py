@@ -4,10 +4,13 @@ Two descriptor families: a 40-bin region histogram (24 color bins, 8 per RGB
 channel, plus 16 gradient-orientation bins weighted by gradient magnitude)
 compared with a bounded chi-square distance, and a classic HOG descriptor
 (8x8 cells, 9 unsigned orientation bins, 2x2 blocks, L2-hys) for template
-detection.
+detection. The callers build each image's ``ImageMaps`` and HOG pyramid once
+per call and pass them to every stage that reads the image's pixels.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +23,9 @@ COLOR_BINS = 8          # per RGB channel
 GRAD_BINS = 16
 HOG_STACK = 10          # crops per HOG stack: keeps its temporaries to a few MB
 MIN_PATCH_SIDE = 2      # pixels: the shortest crop side HOG accepts
+
+# scale -> (resized height, resized width, HOG blocks), as hog_pyramid builds it
+HogPyramid = dict[float, tuple[int, int, np.ndarray]]
 
 
 def luma(pixels: np.ndarray) -> np.ndarray:
@@ -37,35 +43,60 @@ def gradients(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gy, gx
 
 
-def region_histogram(image, region_mask: np.ndarray) -> np.ndarray:
-    """40-bin appearance histogram of the masked pixels.
+@dataclass(frozen=True)
+class ImageMaps:
+    """Per-pixel appearance maps of one image, built once by ``image_maps``."""
 
-    Color and gradient halves are each normalized to mass 0.5; a region with
-    zero gradient energy gets a uniform gradient half.
+    luma: np.ndarray        # (H, W) float64
+    magnitude: np.ndarray   # (H, W) float64 gradient magnitude
+    grad_bin: np.ndarray    # (H, W) uint8 signed-orientation bin, 0..GRAD_BINS-1
+    color_bin: np.ndarray   # (H, W, 3) uint8 bin per RGB channel, 0..COLOR_BINS-1
+
+
+def image_maps(pixels: np.ndarray) -> ImageMaps:
+    """Luma, gradient magnitude and the histogram bin indexes of every pixel."""
+    gray = luma(pixels)
+    gy, gx = gradients(gray)
+    theta = np.mod(np.arctan2(gy, gx), 2.0 * np.pi)
+    grad_bin = np.minimum((theta * GRAD_BINS / (2.0 * np.pi)).astype(np.int64), GRAD_BINS - 1)
+    color_bin = pixels.astype(np.int64) * COLOR_BINS // 256
+    return ImageMaps(luma=gray, magnitude=np.hypot(gx, gy),
+                     grad_bin=grad_bin.astype(np.uint8), color_bin=color_bin.astype(np.uint8))
+
+
+def region_histograms(maps: ImageMaps, label_map: np.ndarray, count: int) -> np.ndarray:
+    """(count, 40) appearance histograms of the regions 0..count-1 of a label map.
+
+    One ``np.bincount`` pass counts the color bins of every region and one
+    sums the gradient magnitude per orientation bin; each bin adds its
+    pixels in row-major order. Color and gradient halves are each normalized
+    to mass 0.5; a region with zero gradient energy gets a uniform gradient
+    half, and an empty one a zero color half.
     """
-    mask = np.asarray(region_mask, dtype=bool)
-    if mask.shape != image.pixels.shape[:2]:
-        raise DegenerateRegionError(f"{image.id}: mask shape mismatch")
-    if not mask.any():
-        raise DegenerateRegionError(f"{image.id}: empty region mask")
-    px = image.pixels[mask]
-    color = np.zeros(3 * COLOR_BINS)
-    for ch in range(3):
-        bins = px[:, ch].astype(np.int64) * COLOR_BINS // 256
-        color[ch * COLOR_BINS:(ch + 1) * COLOR_BINS] = np.bincount(bins, minlength=COLOR_BINS)
-    color *= 0.5 / color.sum()
+    labels = np.asarray(label_map, dtype=np.int64)
+    if labels.shape != maps.luma.shape:
+        raise DegenerateRegionError("region map shape mismatch")
+    channel = np.arange(3) * COLOR_BINS
+    color_index = (labels[..., None] * (3 * COLOR_BINS) + channel) + maps.color_bin
+    color = np.bincount(color_index.ravel(), minlength=count * 3 * COLOR_BINS)
+    color = color[:count * 3 * COLOR_BINS].reshape(count, 3 * COLOR_BINS).astype(np.float64)
+    grad = np.bincount((labels * GRAD_BINS + maps.grad_bin).ravel(),
+                       weights=maps.magnitude.ravel(), minlength=count * GRAD_BINS)
+    grad = grad[:count * GRAD_BINS].reshape(count, GRAD_BINS)
+    color_total, grad_total = color.sum(axis=1), grad.sum(axis=1)
+    color *= np.divide(0.5, color_total, out=np.zeros(count), where=color_total > 0)[:, None]
+    grad *= np.divide(0.5, grad_total, out=np.zeros(count), where=grad_total > 0)[:, None]
+    grad[grad_total <= 0.0] = 0.5 / GRAD_BINS
+    return np.concatenate([color, grad], axis=1)
 
-    gy, gx = gradients(luma(image.pixels))
-    mag = np.hypot(gx[mask], gy[mask])
-    theta = np.mod(np.arctan2(gy[mask], gx[mask]), 2.0 * np.pi)
-    obin = np.minimum((theta * GRAD_BINS / (2.0 * np.pi)).astype(np.int64), GRAD_BINS - 1)
-    grad = np.bincount(obin, weights=mag, minlength=GRAD_BINS)
-    total = grad.sum()
-    if total <= 0.0:
-        grad = np.full(GRAD_BINS, 0.5 / GRAD_BINS)
-    else:
-        grad *= 0.5 / total
-    return np.concatenate([color, grad])
+
+def region_histogram(maps: ImageMaps, region_mask: np.ndarray) -> np.ndarray:
+    """40-bin appearance histogram of the masked pixels (``region_histograms``
+    of the two-label map the mask makes)."""
+    mask = np.asarray(region_mask, dtype=bool)
+    if not mask.any():
+        raise DegenerateRegionError("empty region mask")
+    return region_histograms(maps, mask, 2)[1]
 
 
 def chi_square_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,10 +160,19 @@ def nearest_resize_mask(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def orientation_bins(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Magnitude and unsigned 9-bin orientation index per pixel."""
     gy, gx = gradients(gray)
-    mag = np.hypot(gx, gy)
-    theta = np.mod(np.arctan2(gy, gx), np.pi)
-    obin = np.minimum((theta * HOG_BINS / np.pi).astype(np.int64), HOG_BINS - 1)
-    return mag, obin
+    return np.hypot(gx, gy), unsigned_bins(np.arctan2(gy, gx))
+
+
+def unsigned_bins(theta: np.ndarray) -> np.ndarray:
+    """HOG bin of each angle in [-pi, pi], the bin of ``np.mod(theta, np.pi)``.
+
+    Overwrites ``theta``. An angle of exactly pi goes to 0 first, as
+    ``np.mod`` sends it; each negative angle then gains pi, the sum
+    ``np.mod`` forms for it, without ``np.mod``'s slower ufunc.
+    """
+    theta[theta == np.pi] = 0.0
+    np.add(theta, np.pi, out=theta, where=theta < 0.0)
+    return np.minimum((theta * HOG_BINS / np.pi).astype(np.int64), HOG_BINS - 1)
 
 
 def block_normalize(cells: np.ndarray) -> np.ndarray:
@@ -188,6 +228,27 @@ def hog_crops(flat: np.ndarray, start, pitch, heights, widths,
         cells = kernels.cell_histograms(mag, obin, cy, cx)
         out[part] = block_normalize(cells).reshape(len(resized), -1)
     return out
+
+
+def hog_pyramid(gray: np.ndarray, scales) -> HogPyramid:
+    """HOG blocks of a whole luminance raster at each scale, for detection.
+
+    Maps each scale s to (sh, sw, blocks): the raster resized to
+    sh x sw = round(H * s) x round(W * s) (at least 1), binned into its
+    (sh // CELL) x (sw // CELL) cells and block-normalized. A grid under 2x2
+    cells holds no block, so its blocks array is empty.
+    """
+    h, w = gray.shape
+    pyramid = {}
+    for s in scales:
+        sh, sw = max(1, int(round(h * s))), max(1, int(round(w * s)))
+        grid_y, grid_x = sh // CELL, sw // CELL
+        blocks = np.empty((0, 0, 4 * HOG_BINS))
+        if grid_y >= 2 and grid_x >= 2:
+            mag, obin = orientation_bins(bilinear_resize(gray, sh, sw))
+            blocks = block_normalize(kernels.cell_histograms(mag, obin, grid_y, grid_x))
+        pyramid[s] = sh, sw, blocks
+    return pyramid
 
 
 def template_from_bbox(height: int, width: int, max_cells: int = 8) -> tuple[int, int]:

@@ -160,6 +160,7 @@ class ExpansionResult:
     move_energies: tuple[float, ...]   # energy after every accepted move
     sweeps: int
     converged: bool          # false when max_sweeps ran out while a sweep still moved
+    truncated_terms: int = 0   # non-submodular edge terms truncated over every move built
 
 
 def alpha_expansion(problem: LabelingProblem,
@@ -173,6 +174,7 @@ def alpha_expansion(problem: LabelingProblem,
     energy = float(problem.energies(pos[None])[0])
     move_energies: list[float] = []
     sweeps_done = 0
+    truncated = 0
     changed = False
     for _ in range(max_sweeps):
         sweeps_done += 1
@@ -181,9 +183,11 @@ def alpha_expansion(problem: LabelingProblem,
             proposal = _expansion_move(problem, labeling, pos, col)
             if proposal is None:
                 continue
-            new_energy = float(problem.energies(proposal[1][None])[0])
+            new_labeling, new_pos, move_truncated = proposal
+            truncated += move_truncated
+            new_energy = float(problem.energies(new_pos[None])[0])
             if new_energy < energy - 1e-12:
-                labeling, pos = proposal
+                labeling, pos = new_labeling, new_pos
                 energy = new_energy
                 move_energies.append(energy)
                 changed = True
@@ -191,13 +195,14 @@ def alpha_expansion(problem: LabelingProblem,
             break
     return ExpansionResult(labeling=labeling, energy=energy,
                            move_energies=tuple(move_energies), sweeps=sweeps_done,
-                           converged=not changed)
+                           converged=not changed, truncated_terms=truncated)
 
 
 def _expansion_move(problem: LabelingProblem, labeling: np.ndarray, pos_cur: np.ndarray,
-                    col: int) -> tuple[np.ndarray, np.ndarray] | None:
+                    col: int) -> tuple[np.ndarray, np.ndarray, int] | None:
     """Best alpha-expansion of ``labeling`` (candidate positions ``pos_cur``)
-    for alpha = ``problem.labels[col]``, as (labeling, positions)."""
+    for alpha = ``problem.labels[col]``, as (labeling, positions, number of
+    edge terms truncated)."""
     alpha = problem.labels[col]
     pos_alpha = problem.label_positions[:, col]
     movers = np.flatnonzero((pos_alpha >= 0) & (labeling != alpha))
@@ -210,6 +215,7 @@ def _expansion_move(problem: LabelingProblem, labeling: np.ndarray, pos_cur: np.
     theta1 = np.array([problem.unary[v][pos_alpha[v]] for v in movers])  # switch to alpha
 
     pair_arcs: list[tuple[int, int, float]] = []
+    truncated = 0
     for u, v, table in problem.edges:
         u_mov, v_mov = u in node_of, v in node_of
         if u_mov and v_mov:
@@ -219,6 +225,7 @@ def _expansion_move(problem: LabelingProblem, labeling: np.ndarray, pos_cur: np.
             d = float(table[pos_alpha[u], pos_alpha[v]])
             if a + d > b + c:
                 d = b + c - a   # truncate the both-switch cost to restore submodularity
+                truncated += 1
             iu, iv = node_of[u], node_of[v]
             theta1[iu] += c - a
             theta1[iv] += d - c
@@ -248,7 +255,7 @@ def _expansion_move(problem: LabelingProblem, labeling: np.ndarray, pos_cur: np.
     labeling, pos = labeling.copy(), pos_cur.copy()
     labeling[switch] = alpha
     pos[switch] = pos_alpha[switch]
-    return labeling, pos
+    return labeling, pos, truncated
 
 
 def brute_force_map(problem: LabelingProblem) -> tuple[np.ndarray, float]:

@@ -111,41 +111,54 @@ def _mask_active(instance: MulticutInstance, assignment: np.ndarray) -> tuple[bo
 # Mask coverage
 # ---------------------------------------------------------------------------
 
-def covered_superpixels(image: ImageRecord, mask: np.ndarray, x: int, y: int) -> list[int]:
-    """Superpixels with at least half their pixels under the placed mask."""
-    mh, mw = mask.shape
+@dataclass(frozen=True)
+class SuperpixelGraph:
+    """The parts of a grouping instance that depend on the image alone."""
+
+    edges: tuple[tuple[int, int, int], ...]   # (u, v, d): 4-adjacent pairs, contour flag d
+    sizes: np.ndarray                         # (M,) pixels per superpixel
+
+
+def superpixel_graph(image: ImageRecord) -> SuperpixelGraph:
+    """Contour-flagged superpixel adjacency and superpixel sizes of an image."""
+    pairs, dflags = superpixel_adjacency(image.superpixel_map, image.contour_map)
     spmap = image.superpixel_map
-    m = int(spmap.max()) + 1
-    window = spmap[y:y + mh, x:x + mw]
+    return SuperpixelGraph(
+        edges=tuple((int(u), int(v), int(d)) for (u, v), d in zip(pairs, dflags)),
+        sizes=np.bincount(spmap.ravel(), minlength=int(spmap.max()) + 1))
+
+
+def covered_superpixels(image: ImageRecord, graph: SuperpixelGraph, mask: np.ndarray,
+                        x: int, y: int) -> list[int]:
+    """Superpixels with at least half their pixels under the placed mask;
+    ``graph`` is the image's ``superpixel_graph``."""
+    mh, mw = mask.shape
+    window = image.superpixel_map[y:y + mh, x:x + mw]
     if window.shape != (mh, mw):
         raise MalformedInputError("mask placed outside image bounds")
-    under = np.bincount(window[np.asarray(mask, dtype=bool)], minlength=m)
-    counts = np.bincount(spmap.ravel(), minlength=m)
-    return [int(i) for i in np.flatnonzero(2 * under >= counts)]
+    under = np.bincount(window[np.asarray(mask, dtype=bool)], minlength=graph.sizes.size)
+    return [int(i) for i in np.flatnonzero(2 * under >= graph.sizes)]
 
 
-def mask_consistency(image: ImageRecord, covered: set[int] | list[int]) -> float:
+def mask_consistency(graph: SuperpixelGraph, covered: set[int] | list[int]) -> float:
     """Normalized total area of the covered superpixels."""
     ids = sorted(set(int(i) for i in covered))
     if not ids:
         return 0.0
-    spmap = image.superpixel_map
-    counts = np.bincount(spmap.ravel(), minlength=int(spmap.max()) + 1)
-    return float(sum(counts[i] for i in ids)) / spmap.size
+    return float(sum(graph.sizes[i] for i in ids)) / int(graph.sizes.sum())
 
 
-def instance_for_image(image: ImageRecord,
-                       propagations: list[PropagationRecord]) -> MulticutInstance:
-    """Assemble the per-image grouping instance from contours and masks."""
-    pairs, dflags = superpixel_adjacency(image.superpixel_map, image.contour_map)
-    edges = tuple((int(u), int(v), int(d)) for (u, v), d in zip(pairs, dflags))
+def instance_for_image(image: ImageRecord, propagations: list[PropagationRecord],
+                       graph: SuperpixelGraph) -> MulticutInstance:
+    """Assemble the per-image grouping instance from contours and masks;
+    ``graph`` is the image's ``superpixel_graph``."""
     masks = []
     for prop in propagations:
-        covered = covered_superpixels(image, prop.mask, prop.x, prop.y)
+        covered = covered_superpixels(image, graph, prop.mask, prop.x, prop.y)
         if len(covered) >= 2:
-            masks.append((frozenset(covered), mask_consistency(image, covered)))
-    return MulticutInstance(node_count=int(image.superpixel_map.max()) + 1,
-                            edges=edges, mask_constraints=tuple(masks))
+            masks.append((frozenset(covered), mask_consistency(graph, covered)))
+    return MulticutInstance(node_count=graph.sizes.size, edges=graph.edges,
+                            mask_constraints=tuple(masks))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ when no image's partition changed between consecutive iterations (the
 confirming pass counts as an iteration). Each run caches its multicut
 solutions and its exemplars (with their propagations) on their exact
 inputs, so a pass repeats no solve or training that an earlier pass of the
-same run already did. Phase II builds one multi-image graph over the whole
+same run already did, and builds each image's appearance maps, HOG pyramid
+and superpixel graph once. Phase II builds one multi-image graph over the whole
 batch and minimizes it with alpha-expansion. Metric conventions: aPA
 averages pixel accuracy per image; mAGR is the macro mean over labels of
 per-image recall, skipping images that lack the label.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import colabel, esvm, grouping
+from . import colabel, esvm, features, grouping
 from .colabel import LabelModel
 from .core import BACKGROUND, ImageRecord, Partition, label_components, regions_of
 from .errors import ConfigError, MalformedInputError
@@ -176,6 +177,7 @@ class Phase1Result:
     exemplars_trained: int = 0
     exemplars_reused: int = 0
     esvm_max_duality_gap: float = 0.0   # over the exemplars trained here
+    esvm_degenerate_calibrations: int = 0   # of the exemplars trained here
     # sums over the multicuts solved here (not the reused ones)
     multicut_lp_solves: int = 0
     multicut_nodes: int = 0
@@ -204,12 +206,12 @@ def _select_images(corpus: Corpus, image_ids: list[str] | None,
 # ---------------------------------------------------------------------------
 
 def _group_all(images: list[ImageRecord], propagations, config: Config,
-               solved: dict[grouping.MulticutInstance, grouping.MulticutSolution]
-               ) -> dict[str, Partition]:
+               solved: dict[grouping.MulticutInstance, grouping.MulticutSolution],
+               graphs: dict[str, grouping.SuperpixelGraph]) -> dict[str, Partition]:
     partitions = {}
     for image in images:
         props = [p for p in propagations if p.target_image == image.id]
-        instance = grouping.instance_for_image(image, props)
+        instance = grouping.instance_for_image(image, props, graphs[image.id])
         if instance not in solved:
             solved[instance] = grouping.solve_multicut(instance, config.theta)
         partitions[image.id] = solved[instance].partition
@@ -217,12 +219,14 @@ def _group_all(images: list[ImageRecord], propagations, config: Config,
 
 
 def _train_and_propagate(images: list[ImageRecord], partitions: dict[str, Partition],
-                         config: Config, trained: dict[tuple, tuple]):
+                         config: Config, trained: dict[tuple, tuple],
+                         maps: dict[str, features.ImageMaps],
+                         pyramids: dict[str, features.HogPyramid]):
     exemplars: list[esvm.Exemplar] = []
     propagations = []
     for image in images:
         regions = regions_of(image, partitions[image.id])
-        selected = esvm.select_regions(image, regions, config.a_min, config.a_max,
+        selected = esvm.select_regions(maps[image.id], regions, config.a_min, config.a_max,
                                        config.tau_sel, config.n_sel)
         if not selected:
             continue
@@ -240,9 +244,10 @@ def _train_and_propagate(images: list[ImageRecord], partitions: dict[str, Partit
             if key not in trained:
                 exemplar = esvm.build_exemplar(
                     exemplar_id, image, regions[k], images, excluded,
-                    config.lambda1, config.lambda2, config.seed)
-                trained[key] = exemplar, esvm.propagate(exemplar, images, config.k_top,
-                                                        config.stride, config.scales)
+                    config.lambda1, config.lambda2, config.seed, maps)
+                trained[key] = exemplar, esvm.propagate(exemplar, images, pyramids,
+                                                        config.k_top, config.stride,
+                                                        config.scales)
             exemplar, props = trained[key]
             # the same content may sit at another region index this pass
             exemplars.append(replace(exemplar, source_region=regions[k].id))
@@ -262,9 +267,14 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     Multicuts are cached on their instance and exemplars on (id, region
     superpixels, excluded mask); theta, the image set, the training and the
     propagation settings are fixed within the call, so a hit returns what
-    the same inputs computed.
+    the same inputs computed. Each image's superpixel graph, appearance maps
+    and HOG pyramid are built once, up front, and read by every iteration.
     """
     images = _select_images(corpus, image_ids, "co-segmentation")
+    graphs = {image.id: grouping.superpixel_graph(image) for image in images}
+    maps = {image.id: features.image_maps(image.pixels) for image in images}
+    pyramids = {image.id: features.hog_pyramid(maps[image.id].luma, config.scales)
+                for image in images}
     solved: dict[grouping.MulticutInstance, grouping.MulticutSolution] = {}
     trained: dict[tuple, tuple] = {}
     exemplar_count = 0
@@ -277,7 +287,7 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     fixed_point = False
     while iteration < config.max_phase1_iters:
         iteration += 1
-        partitions = _group_all(images, propagations, config, solved)
+        partitions = _group_all(images, propagations, config, solved, graphs)
         if previous is not None and all(
                 partitions[i.id].equals(previous[i.id]) for i in images):
             converged = True
@@ -289,7 +299,8 @@ def run_cosegmentation(corpus: Corpus, config: Config,
         converged = signature in seen
         seen.add(signature)
         previous = partitions
-        exemplars, propagations = _train_and_propagate(images, partitions, config, trained)
+        exemplars, propagations = _train_and_propagate(images, partitions, config, trained,
+                                                       maps, pyramids)
         exemplar_count += len(exemplars)
         if converged:
             break
@@ -302,6 +313,8 @@ def run_cosegmentation(corpus: Corpus, config: Config,
                         exemplars_reused=exemplar_count - len(trained),
                         esvm_max_duality_gap=max(
                             (ex.duality_gap for ex, _ in trained.values()), default=0.0),
+                        esvm_degenerate_calibrations=sum(
+                            ex.degenerate_calibration for ex, _ in trained.values()),
                         multicut_lp_solves=sum(s.lp_solves for s in solved.values()),
                         multicut_nodes=sum(s.nodes for s in solved.values()),
                         multicut_cuts=sum(s.cuts for s in solved.values()),
@@ -312,26 +325,34 @@ def run_cosegmentation(corpus: Corpus, config: Config,
 # Label model fitting (supervised, on ground-truth regions)
 # ---------------------------------------------------------------------------
 
-def train_label_model(corpus: Corpus, image_ids: list[str]) -> LabelModel:
+def ground_truth_rows(image: ImageRecord) -> tuple[list, list[tuple[int, int]]]:
+    """One training image's rows: (label, histogram, centroid) per
+    ground-truth component, and its neighbor label pairs."""
+    if image.ground_truth is None:
+        raise MalformedInputError(f"{image.id}: ground truth required for training")
+    comp, comp_labels = label_components(image.ground_truth)
+    return (colabel.ground_truth_regions(image, comp, comp_labels),
+            colabel.image_label_pairs(comp, comp_labels))
+
+
+def train_label_model(vocabulary: tuple[str, ...], rows) -> LabelModel:
+    """Fit the label model to the ``ground_truth_rows`` of the training
+    images, taken in the order given."""
     hists, labels = [], []
     centroids: dict[int, list] = {}
     pairs: list[tuple[int, int]] = []
-    for image_id in image_ids:
-        image = corpus.image_by_id(image_id)
-        if image.ground_truth is None:
-            raise MalformedInputError(f"{image_id}: ground truth required for training")
-        comp, comp_labels = label_components(image.ground_truth)
-        for label, hist, centroid in colabel.ground_truth_regions(image, comp, comp_labels):
+    for regions, image_pairs in rows:
+        for label, hist, centroid in regions:
             hists.append(hist)
             labels.append(label)
             centroids.setdefault(label, []).append(centroid)
-        pairs.extend(colabel.image_label_pairs(comp, comp_labels))
-    vocab_size = len(corpus.vocabulary)
+        pairs.extend(image_pairs)
+    vocab_size = len(vocabulary)
     appearance = colabel.train_appearance(np.asarray(hists), np.asarray(labels), vocab_size)
     means, covs = colabel.fit_location(
         {l: np.asarray(v) for l, v in centroids.items()}, vocab_size)
     psi = colabel.fit_cooccurrence(pairs, vocab_size)
-    return LabelModel(vocabulary=corpus.vocabulary, appearance=appearance,
+    return LabelModel(vocabulary=vocabulary, appearance=appearance,
                       location_mean=means, location_cov=covs, cooccurrence=psi)
 
 
@@ -346,6 +367,7 @@ class Phase2Result:
     per_image_energy: dict[str, float]
     sweeps: int
     converged: bool          # false when the sweep cap stopped a sweep that still moved
+    truncated_terms: int = 0   # non-submodular edge terms the expansion moves truncated
 
 
 def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
@@ -380,7 +402,7 @@ def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
     per_image = {image.id: float(split[row[image.id]]) for image in images}
     return Phase2Result(label_maps=label_maps, total_energy=result.energy,
                         per_image_energy=per_image, sweeps=result.sweeps,
-                        converged=result.converged)
+                        converged=result.converged, truncated_terms=result.truncated_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +474,20 @@ class CrossValidationResult:
 
 
 def cross_validate(corpus: Corpus, config: Config) -> CrossValidationResult:
+    """Each image's ground-truth rows are built the first time a fold trains
+    on it, and every later fold takes them from this call's own dict."""
     ids = [rec.id for rec in corpus.images]
     assignment = fold_assignment(ids, config.fold_count, config.seed)
     outcomes = []
     all_maps: dict[str, np.ndarray] = {}
+    rows: dict[str, tuple] = {}
     for fold in range(config.fold_count):
         test_ids = sorted(i for i in ids if assignment[i] == fold)
         train_ids = sorted(i for i in ids if assignment[i] != fold)
-        model = train_label_model(corpus, train_ids)
+        for image_id in train_ids:
+            if image_id not in rows:
+                rows[image_id] = ground_truth_rows(corpus.image_by_id(image_id))
+        model = train_label_model(corpus.vocabulary, [rows[i] for i in train_ids])
         phase1 = run_cosegmentation(corpus, config, test_ids)
         phase2 = run_colabeling(corpus, phase1, model, config, test_ids)
         metrics = evaluate(phase2.label_maps, corpus, test_ids)

@@ -245,7 +245,8 @@ def test_criterion_9_energy_model_sanity():
     corpus = synthgen.generate(synthgen.default_scene_spec(seed=9), 3)
     # the criterion is about the assembled tables, not phase-1 convergence
     config = pipeline.Config(seed=9, max_phase1_iters=3)
-    model = pipeline.train_label_model(corpus, [r.id for r in corpus.images])
+    model = pipeline.train_label_model(
+        corpus.vocabulary, [pipeline.ground_truth_rows(r) for r in corpus.images])
     phase1 = pipeline.run_cosegmentation(corpus, config)
     from coparse import colabel
 

@@ -332,6 +332,11 @@ class TestRunAndEval:
         assert meta["phase1_multicut_cuts"] >= 0
         assert meta["phase1_multicuts_unproven"] == 0
         assert meta["phase2_converged"] is True
+        # the silent conditions: degenerate calibrations, truncated terms and
+        # appearance machines stopped by their sweep cap
+        assert meta["phase1_esvm_degenerate_calibrations"] == 0
+        assert meta["phase2_truncated_terms"] >= 0
+        assert meta["label_model_sweep_capped_machines"] >= 0
 
         rc = cli.main(["eval", "--manifest", str(manifest), "--pred", str(out),
                        "--out", str(tmp_path / "m.json")])

@@ -66,6 +66,30 @@ class TestAppearance:
                 correct += int(np.argmax(model.votes(t)) == label)
         assert correct == 40
 
+    def test_machines_at_sweep_cap_counted(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        hists = np.vstack([random_histograms(rng, 12, [0, 1, 2]),
+                           random_histograms(rng, 12, [0, 1, 30]),
+                           random_histograms(rng, 12, [30, 31, 32])])
+        labels = np.repeat([0, 1, 2], 12)
+        capped = []
+        ascent = colabel._dual_coordinate_ascent
+
+        def recorded(kernel, y, c):
+            alpha, hit = ascent(kernel, y, c, max_sweeps=3)
+            capped.append(hit)
+            return alpha, hit
+
+        monkeypatch.setattr(colabel, "_dual_coordinate_ascent", recorded)
+        model = colabel.train_appearance(hists, labels, vocab_size=3)
+        assert len(capped) == 3 and any(capped)
+        assert model.sweep_capped == sum(capped)
+        # one sweep over a single sample reaches its optimum; the second
+        # moves nothing, which ends the loop before its cap
+        kernel, y = np.ones((1, 1)), np.ones(1)
+        assert ascent(kernel, y, 10.0, max_sweeps=2)[1] is False
+        assert ascent(kernel, y, 10.0, max_sweeps=1)[1] is True
+
     def test_votes_sum_to_one(self):
         model = simple_model()
         rng = np.random.default_rng(3)

@@ -9,6 +9,15 @@ from coparse.errors import InsufficientDataError
 from conftest import make_image
 
 
+def maps_of(images):
+    return {image.id: features.image_maps(image.pixels) for image in images}
+
+
+def pyramids_of(images, scales=(1.0, 0.8, 1.25)):
+    return {image.id: features.hog_pyramid(features.luma(image.pixels), scales)
+            for image in images}
+
+
 def _subgradient_reference(positive, negatives, lam1, lam2, iterations=1500, seed=0):
     """The former trainer: projected subgradient steps from 3 fixed starts.
 
@@ -229,10 +238,10 @@ class TestNegatives:
         checked = []
         sample = esvm.sample_negatives
 
-        def checked_sample(corpus_images, image, excluded, bbox_hw, template, count, rng):
+        def checked_sample(corpus_images, image, excluded, bbox_hw, template, count, rng, maps):
             ref_rng = np.random.Generator(np.random.PCG64())
             ref_rng.bit_generator.state = rng.bit_generator.state
-            got = sample(corpus_images, image, excluded, bbox_hw, template, count, rng)
+            got = sample(corpus_images, image, excluded, bbox_hw, template, count, rng, maps)
             crops = _sample_negatives_per_crop(corpus_images, image, excluded, bbox_hw,
                                                template, count, ref_rng)
             assert ref_rng.bit_generator.state == rng.bit_generator.state
@@ -321,8 +330,11 @@ def _detect_ref(exemplar, image, stride, scales):
         grid_y, grid_x = sh // features.CELL, sw // features.CELL
         if grid_y < cy or grid_x < cx:
             continue
-        mag, obin = features.orientation_bins(features.bilinear_resize(gray, sh, sw))
-        blocks = features.block_normalize(kernels.cell_histograms(mag, obin, grid_y, grid_x))
+        gy, gx = np.gradient(features.bilinear_resize(gray, sh, sw))
+        obin = np.minimum((np.mod(np.arctan2(gy, gx), np.pi) * features.HOG_BINS / np.pi)
+                          .astype(np.int64), features.HOG_BINS - 1)
+        cells = kernels.cell_histograms(np.hypot(gx, gy), obin, grid_y, grid_x)
+        blocks = features.block_normalize(cells)
         scores = kernels.score_windows(blocks, cy - 1, cx - 1, exemplar.w[:-1], step) \
             + float(exemplar.w[-1])
         for i in range(scores.shape[0]):
@@ -353,18 +365,19 @@ def _detect_ref(exemplar, image, stride, scales):
 
 class TestSelection:
     def test_empty_regions(self, quad_image):
-        assert esvm.select_regions(quad_image, []) == []
+        assert esvm.select_regions(features.image_maps(quad_image.pixels), []) == []
 
     def test_area_gate(self):
         images = make_detection_corpus()
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
         # background region occupies ~75% of the frame: above a_max
-        assert esvm.region_saliency(images[0], regions[0], 0.02, 0.6) == 0.0
+        maps = features.image_maps(images[0].pixels)
+        assert esvm.region_saliency(maps, regions[0], 0.02, 0.6) == 0.0
 
     def test_centered_contrast_region_selected_first(self):
         images = make_detection_corpus()
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
-        selected = esvm.select_regions(images[0], regions)
+        selected = esvm.select_regions(features.image_maps(images[0].pixels), regions)
         assert selected[0] == 1
 
     def test_centered_region_outranks_border_sliver_of_equal_area(self):
@@ -378,10 +391,11 @@ class TestSelection:
         spmap[0:16, 0:16] = 2
         image = make_image(spmap, pixels=pixels, image_id="rank")
         regions = regions_of(image, Partition.from_assignment([0, 1, 2]))
-        s_center = esvm.region_saliency(image, regions[1], 0.02, 0.6)
-        s_corner = esvm.region_saliency(image, regions[2], 0.02, 0.6)
+        maps = features.image_maps(image.pixels)
+        s_center = esvm.region_saliency(maps, regions[1], 0.02, 0.6)
+        s_corner = esvm.region_saliency(maps, regions[2], 0.02, 0.6)
         assert s_center > s_corner > 0.0
-        assert esvm.select_regions(image, regions)[0] == 1
+        assert esvm.select_regions(maps, regions)[0] == 1
 
     def test_region_too_thin_for_hog_is_skipped(self):
         # a salient centered line one pixel wide passes a zero area floor
@@ -392,8 +406,9 @@ class TestSelection:
         spmap[16:48, 32] = 1
         image = make_image(spmap, pixels=pixels, image_id="line")
         regions = regions_of(image, Partition.from_assignment([0, 1]))
-        assert esvm.region_saliency(image, regions[1], 0.0, 0.6) > 0.05
-        assert esvm.select_regions(image, regions, a_min=0.0) == []
+        maps = features.image_maps(image.pixels)
+        assert esvm.region_saliency(maps, regions[1], 0.0, 0.6) > 0.05
+        assert esvm.select_regions(maps, regions, a_min=0.0) == []
 
 
 class TestPropagation:
@@ -402,16 +417,16 @@ class TestPropagation:
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
         excluded = regions[1].mask
         ex = esvm.build_exemplar("e0", images[0], regions[1], images, excluded,
-                                 0.5, 0.01, seed=7)
-        assert esvm.propagate(ex, images, k=0) == []
+                                 0.5, 0.01, seed=7, maps=maps_of(images))
+        assert esvm.propagate(ex, images, pyramids_of(images), k=0) == []
 
     def test_self_detection_overlaps_source(self):
         images = make_detection_corpus()
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
         excluded = regions[1].mask
         ex = esvm.build_exemplar("e0", images[0], regions[1], images, excluded,
-                                 0.5, 0.01, seed=7)
-        dets = esvm.detect(ex, images[0])
+                                 0.5, 0.01, seed=7, maps=maps_of(images))
+        dets = esvm.detect(ex, images[0], pyramids_of(images)[images[0].id])
         assert dets
         top = dets[0]
         bbox = (24, 32, 24 + 48, 32 + 64)  # (x0, y0, x1, y1)
@@ -422,14 +437,17 @@ class TestPropagation:
         images = make_detection_corpus()
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
         ex = esvm.build_exemplar("e0", images[0], regions[1], images,
-                                 regions[1].mask, 0.5, 0.01, seed=7)
+                                 regions[1].mask, 0.5, 0.01, seed=7, maps=maps_of(images))
         # a flat image scores every window alike, so only the tie-breaks order
         # them; at scale 16/17 every odd window offset lands on a half pixel
         flat = make_image(np.zeros((170, 136), dtype=np.int64), image_id="flat")
+        settings = ((8, (1.0, 0.8, 1.25)), (16, (0.7, 1.1)), (4, (1.0,)), (8, (16 / 17,)))
+        every_scale = sorted({s for _, scales in settings for s in scales})
         for image in images + [flat]:
-            for stride, scales in ((8, (1.0, 0.8, 1.25)), (16, (0.7, 1.1)), (4, (1.0,)),
-                                   (8, (16 / 17,))):
-                assert esvm.detect(ex, image, stride, scales) == \
+            # one pyramid per image serves every call, whatever its scale subset
+            pyramid = features.hog_pyramid(features.luma(image.pixels), every_scale)
+            for stride, scales in settings:
+                assert esvm.detect(ex, image, pyramid, stride, scales) == \
                     _detect_ref(ex, image, stride, scales)
 
     def test_nms_and_ordering(self):
@@ -437,8 +455,8 @@ class TestPropagation:
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
         excluded = regions[1].mask
         ex = esvm.build_exemplar("e0", images[0], regions[1], images, excluded,
-                                 0.5, 0.01, seed=7)
-        props = esvm.propagate(ex, images, k=8)
+                                 0.5, 0.01, seed=7, maps=maps_of(images))
+        props = esvm.propagate(ex, images, pyramids_of(images), k=8)
         assert len(props) <= 8
         scores = [p.score for p in props]
         assert scores == sorted(scores, reverse=True)
@@ -456,8 +474,8 @@ class TestPropagation:
         images = make_detection_corpus()
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
         ex = esvm.build_exemplar("e0", images[0], regions[1], images,
-                                 regions[1].mask, 0.5, 0.01, seed=7)
-        for p in esvm.propagate(ex, images, k=6):
+                                 regions[1].mask, 0.5, 0.01, seed=7, maps=maps_of(images))
+        for p in esvm.propagate(ex, images, pyramids_of(images), k=6):
             h, w = p.mask.shape
             img = next(i for i in images if i.id == p.target_image)
             assert 0 <= p.x and p.x + w <= img.width

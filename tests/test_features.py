@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coparse import features
 from coparse.errors import DegenerateRegionError, PatchTooSmallError
@@ -14,7 +16,7 @@ def full_mask(image):
 class TestRegionHistogram:
     def test_uniform_midgray(self):
         image = make_image(np.zeros((8, 8), dtype=int))  # pixels default to 128
-        hist = features.region_histogram(image, full_mask(image))
+        hist = features.region_histogram(features.image_maps(image.pixels), full_mask(image))
         color, grad = hist[:24], hist[24:]
         # value 128 falls in bin 4 of each 8-bin channel histogram
         expected_bins = {4, 8 + 4, 16 + 4}
@@ -29,7 +31,7 @@ class TestRegionHistogram:
         image = make_image(np.zeros((10, 12), dtype=int), pixels=pixels)
         mask = np.zeros((10, 12), dtype=bool)
         mask[2:7, 3:9] = True
-        hist = features.region_histogram(image, mask)
+        hist = features.region_histogram(features.image_maps(image.pixels), mask)
         assert abs(hist.sum() - 1.0) <= 1e-9
         assert (hist >= 0).all()
 
@@ -37,7 +39,7 @@ class TestRegionHistogram:
         pixels = np.zeros((8, 8, 3), dtype=np.uint8)
         pixels[:, 4:] = 255
         image = make_image(np.zeros((8, 8), dtype=int), pixels=pixels)
-        hist = features.region_histogram(image, full_mask(image))
+        hist = features.region_histogram(features.image_maps(image.pixels), full_mask(image))
         color = hist[:24]
         # per channel: equal mass in the lowest and highest intensity bins
         for ch in range(3):
@@ -48,7 +50,8 @@ class TestRegionHistogram:
     def test_empty_mask_rejected(self):
         image = make_image(np.zeros((4, 4), dtype=int))
         with pytest.raises(DegenerateRegionError):
-            features.region_histogram(image, np.zeros((4, 4), dtype=bool))
+            features.region_histogram(features.image_maps(image.pixels),
+                                      np.zeros((4, 4), dtype=bool))
 
     def test_matches_direct_binning_oracle(self):
         rng = np.random.default_rng(9)
@@ -56,7 +59,7 @@ class TestRegionHistogram:
         image = make_image(np.zeros((9, 9), dtype=int), pixels=pixels)
         mask = rng.uniform(size=(9, 9)) < 0.5
         mask[0, 0] = True
-        hist = features.region_histogram(image, mask)
+        hist = features.region_histogram(features.image_maps(image.pixels), mask)
         # independent oracle: count color bins by explicit iteration
         expected = np.zeros(24)
         for r in range(9):
@@ -66,6 +69,78 @@ class TestRegionHistogram:
                         expected[ch * 8 + int(pixels[r, c, ch]) * 8 // 256] += 1
         expected *= 0.5 / expected.sum()
         assert np.allclose(hist[:24], expected)
+
+
+def _masked_histogram(pixels, mask):
+    """The 40-bin histogram gathered from the masked pixels alone."""
+    px = pixels[mask]
+    color = np.zeros(24)
+    for ch in range(3):
+        color[ch * 8:(ch + 1) * 8] = np.bincount(px[:, ch].astype(np.int64) * 8 // 256,
+                                                 minlength=8)
+    color *= 0.5 / color.sum()
+    gy, gx = np.gradient(features.luma(pixels))
+    theta = np.mod(np.arctan2(gy[mask], gx[mask]), 2.0 * np.pi)
+    obin = np.minimum((theta * 16 / (2.0 * np.pi)).astype(np.int64), 15)
+    grad = np.bincount(obin, weights=np.hypot(gx[mask], gy[mask]), minlength=16)
+    total = grad.sum()
+    grad = np.full(16, 0.5 / 16) if total <= 0.0 else grad * (0.5 / total)
+    return np.concatenate([color, grad])
+
+
+class TestRegionHistograms:
+    def test_equals_per_mask_histograms_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            h, w = (int(v) for v in rng.integers(6, 40, size=2))
+            pixels = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+            # a flat block whose inner pixels have no gradient at all
+            pixels[:5, :5] = rng.integers(0, 256, size=3, dtype=np.uint8)
+            count = int(rng.integers(2, 30))
+            labels = rng.integers(1, count, size=(h, w))
+            labels[1:4, 1:4] = 0
+            maps = features.image_maps(pixels)
+            hists = features.region_histograms(maps, labels, count)
+            assert hists.shape == (count, 40)
+            assert (hists[0, 24:] == 0.5 / 16).all()
+            for k in np.unique(labels):
+                mask = labels == k
+                assert (hists[k] == features.region_histogram(maps, mask)).all()
+                assert (hists[k] == _masked_histogram(pixels, mask)).all()
+
+    def test_maps_hold_small_indexes(self):
+        pixels = np.random.default_rng(3).integers(0, 256, size=(7, 9, 3), dtype=np.uint8)
+        maps = features.image_maps(pixels)
+        assert maps.grad_bin.dtype == maps.color_bin.dtype == np.uint8
+        assert maps.luma.dtype == maps.magnitude.dtype == np.float64
+        assert (maps.color_bin == pixels // 32).all()
+        assert maps.grad_bin.max() < features.GRAD_BINS
+
+
+# A non-finite angle (never an arctan2 of finite gradients) casts to an
+# out-of-range integer on both paths; the bins agree where the platform
+# casts NaN and both infinities to one value, as x86-64 does.
+with np.errstate(invalid="ignore"):
+    _CAST_NONFINITE_ALIKE = len(set(np.array([np.nan, np.inf, -np.inf]).astype(np.int64))) == 1
+EDGE_ANGLES = [0.0, -0.0, np.pi, -np.pi, np.nextafter(np.pi, 0.0), -np.nextafter(np.pi, 0.0),
+               -5e-324, -1e-300, -1e-17, -2e-16, 1e-300] \
+    + ([np.inf, -np.inf] if _CAST_NONFINITE_ALIKE else [])
+
+
+class TestUnsignedBins:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(EDGE_ANGLES),
+                              st.floats(-np.pi, np.pi, allow_nan=False)),
+                    min_size=1, max_size=40))
+    def test_equals_mod_pi_binning(self, angles):
+        theta = np.array(angles, dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            expected = np.minimum((np.mod(theta, np.pi) * features.HOG_BINS / np.pi)
+                                  .astype(np.int64), features.HOG_BINS - 1)
+            assert (features.unsigned_bins(theta) == expected).all()
+
+    def test_pi_and_minus_pi_share_bin_zero(self):
+        assert features.unsigned_bins(np.array([np.pi, -np.pi, -0.0])).tolist() == [0, 0, 0]
 
 
 class TestChiSquare:

@@ -258,6 +258,21 @@ class TestAlphaExpansion:
             assert (capped.sweeps, capped.converged) == (cap, False)
         assert graphcut.alpha_expansion(prob, max_sweeps=1).energy == 6.0
 
+    def test_truncated_terms_counted(self):
+        # both vertices start at label 0; expanding label 1 over the edge
+        # costs a + d = 0 + 5 > b + c = 0, so its term is truncated once,
+        # and the move, worse in true energy, is rejected
+        table = np.array([[0.0, 0.0], [0.0, 5.0]])
+        cands = (np.array([0, 1]), np.array([0, 1]))
+        prob = graphcut.LabelingProblem(candidates=cands, unary=(np.zeros(2), np.zeros(2)),
+                                        edges=((0, 1, table),))
+        res = graphcut.alpha_expansion(prob)
+        assert (res.labeling.tolist(), res.energy, res.sweeps) == ([0, 0], 0.0, 1)
+        assert res.truncated_terms == 1
+        # Potts terms are metric, so no expansion move truncates them
+        potts = potts_problem([(0, 2, 0), (3, 3, 0), (3, 1, 3), (2, 2, 3)], 2.0, n_labels=3)
+        assert graphcut.alpha_expansion(potts).truncated_terms == 0
+
     def test_moves_strictly_decrease(self):
         rng = np.random.default_rng(37)
         for _ in range(20):

@@ -92,7 +92,8 @@ class TestEdgeDissimilarity:
     def split_image_edges(self, contour):
         spmap = np.zeros((6, 6), dtype=int)
         spmap[:, 3:] = 1
-        return grouping.instance_for_image(make_image(spmap, contour=contour), []).edges
+        image = make_image(spmap, contour=contour)
+        return grouping.instance_for_image(image, [], grouping.superpixel_graph(image)).edges
 
     def test_no_contour_gives_zero(self):
         assert self.split_image_edges(np.zeros((6, 6), dtype=bool)) == ((0, 1, 0),)
@@ -110,28 +111,30 @@ class TestEdgeDissimilarity:
 
 class TestMaskConsistency:
     def test_whole_image(self, quad_image):
-        assert grouping.mask_consistency(quad_image, {0, 1, 2, 3}) == 1.0
+        assert grouping.mask_consistency(grouping.superpixel_graph(quad_image), {0, 1, 2, 3}) == 1.0
 
     def test_empty(self, quad_image):
-        assert grouping.mask_consistency(quad_image, set()) == 0.0
+        assert grouping.mask_consistency(grouping.superpixel_graph(quad_image), set()) == 0.0
 
     def test_half(self, quad_image):
-        assert grouping.mask_consistency(quad_image, {0, 3}) == 0.5
+        assert grouping.mask_consistency(grouping.superpixel_graph(quad_image), {0, 3}) == 0.5
 
 
 class TestCoveredSuperpixels:
     def test_half_coverage_threshold(self, quad_image):
+        graph = grouping.superpixel_graph(quad_image)
         # mask over the top half covers superpixels 0 and 1 fully
         mask = np.ones((2, 4), dtype=bool)
-        assert grouping.covered_superpixels(quad_image, mask, 0, 0) == [0, 1]
+        assert grouping.covered_superpixels(quad_image, graph, mask, 0, 0) == [0, 1]
 
     def test_partial_below_half_excluded(self, quad_image):
+        graph = grouping.superpixel_graph(quad_image)
         # one row only: covers 50% of superpixels 0 and 1 -> still included
         mask = np.ones((1, 4), dtype=bool)
-        assert grouping.covered_superpixels(quad_image, mask, 0, 1) == [0, 1]
+        assert grouping.covered_superpixels(quad_image, graph, mask, 0, 1) == [0, 1]
         # a single pixel: 25% of superpixel 0 -> excluded
         tiny = np.ones((1, 1), dtype=bool)
-        assert grouping.covered_superpixels(quad_image, tiny, 0, 0) == []
+        assert grouping.covered_superpixels(quad_image, graph, tiny, 0, 0) == []
 
 
 class TestSolveMulticut:
@@ -194,7 +197,8 @@ class TestSolveMulticut:
 
     def test_single_superpixel_image(self):
         image = make_image(np.zeros((6, 5), dtype=np.int64))
-        sol = grouping.solve_multicut(grouping.instance_for_image(image, []), 0.5)
+        instance = grouping.instance_for_image(image, [], grouping.superpixel_graph(image))
+        sol = grouping.solve_multicut(instance, 0.5)
         assert sol.partition.assignment.tolist() == [0]
 
     def test_lp_failure_raises_solver_error(self, monkeypatch):
@@ -612,7 +616,8 @@ class TestInstanceForImage:
     def test_assembles_edges_and_masks(self, quad_image):
         prop = PropagationRecord(source_exemplar="e", target_image=quad_image.id,
                                  x=0, y=0, mask=np.ones((2, 4), dtype=bool), score=0.9)
-        inst = grouping.instance_for_image(quad_image, [prop])
+        inst = grouping.instance_for_image(quad_image, [prop],
+                                           grouping.superpixel_graph(quad_image))
         assert inst.node_count == 4
         assert len(inst.edges) == 4
         assert inst.mask_constraints == ((frozenset({0, 1}), 0.5),)

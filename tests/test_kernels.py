@@ -113,7 +113,7 @@ class TestSolveBoxQP:
             k, y, c = _svm_dual_instance(rng)
             q = k * np.outer(y, y)
             alpha, gap = kernels.solve_box_qp(q, c)
-            reference = colabel._dual_coordinate_ascent(k, y, c)
+            reference, _ = colabel._dual_coordinate_ascent(k, y, c)
             dual = alpha.sum() - 0.5 * alpha @ q @ alpha
             dual_ref = reference.sum() - 0.5 * reference @ q @ reference
             # equal optima may differ in the last bits of their evaluation
@@ -134,7 +134,9 @@ class TestSolveBoxQP:
         monkeypatch.setattr(colabel, "train_appearance",
                             lambda hists, labels, vocab_size: captured.append((hists, labels)))
         for fold in (3, 4):
-            pipeline.train_label_model(corpus, sorted(i for i in ids if folds[i] != fold))
+            pipeline.train_label_model(corpus.vocabulary, [
+                pipeline.ground_truth_rows(corpus.image_by_id(i))
+                for i in sorted(i for i in ids if folds[i] != fold)])
         checked = 0
         for hists, labels in captured:
             dists = features.chi_square_matrix(hists, hists)
@@ -147,7 +149,7 @@ class TestSolveBoxQP:
                     k = np.exp(-gamma * dists[np.ix_(idx, idx)])
                     q = k * np.outer(y, y)
                     alpha, _ = kernels.solve_box_qp(q, 10.0)
-                    reference = colabel._dual_coordinate_ascent(k, y, 10.0)
+                    reference, _ = colabel._dual_coordinate_ascent(k, y, 10.0)
                     assert (alpha.sum() - 0.5 * alpha @ q @ alpha
                             >= reference.sum() - 0.5 * reference @ q @ reference), (a, b)
                     checked += 1

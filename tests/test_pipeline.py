@@ -4,12 +4,18 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from coparse import esvm, grouping, pipeline, synthgen
-from coparse.core import regions_of
+from coparse import esvm, features, grouping, pipeline, synthgen
+from coparse.core import regions_of, superpixel_adjacency
 from coparse.errors import ConfigError, MalformedInputError
 from coparse.io import Corpus
 
 from conftest import make_image
+
+
+def fit_label_model(corpus):
+    """The label model trained on every image of the corpus."""
+    return pipeline.train_label_model(
+        corpus.vocabulary, [pipeline.ground_truth_rows(r) for r in corpus.images])
 
 
 def uniform_corpus(n_images=2):
@@ -165,6 +171,19 @@ class TestCosegmentation:
             .esvm_max_duality_gap == 0.0
 
 
+    def test_degenerate_calibrations_counted(self, monkeypatch):
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=28), 2)
+        config = pipeline.Config(seed=28)
+        # every exemplar calibrates against one positive and its negatives,
+        # so a degenerate fit has to be forced: here every score is positive
+        assert pipeline.run_cosegmentation(corpus, config).esvm_degenerate_calibrations == 0
+        calibrate = esvm.calibrate
+        monkeypatch.setattr(esvm, "calibrate",
+                            lambda scores, flags: calibrate(scores, np.ones_like(flags)))
+        result = pipeline.run_cosegmentation(corpus, config)
+        assert result.esvm_degenerate_calibrations == result.exemplars_trained > 0
+
+
 class TestColabeling:
     def test_single_background_image_all_background(self):
         corpus = uniform_corpus(n_images=1)
@@ -178,7 +197,9 @@ class TestColabeling:
                            gt=shirt_gt, tags=(0, 1), image_id="train")
         full = Corpus(vocabulary=corpus.vocabulary,
                       images=corpus.images + (train,))
-        model = pipeline.train_label_model(full, ["flat0", "train"])
+        model = pipeline.train_label_model(
+            full.vocabulary, [pipeline.ground_truth_rows(full.image_by_id(i))
+                              for i in ("flat0", "train")])
         phase1 = pipeline.run_cosegmentation(full, config, ["flat0"])
         phase2 = pipeline.run_colabeling(full, phase1, model, config, ["flat0"])
         assert (phase2.label_maps["flat0"] == 0).all()
@@ -186,7 +207,7 @@ class TestColabeling:
     def test_output_labels_within_tags(self):
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=13), 4)
         config = pipeline.Config(seed=13)
-        model = pipeline.train_label_model(corpus, [r.id for r in corpus.images])
+        model = fit_label_model(corpus)
         phase1 = pipeline.run_cosegmentation(corpus, config)
         phase2 = pipeline.run_colabeling(corpus, phase1, model, config)
         for image in corpus.images:
@@ -196,12 +217,15 @@ class TestColabeling:
     def test_literal_pairwise_mode_end_to_end(self):
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=13), 2)
         config = pipeline.Config(seed=13, pairwise_mode="literal")
-        model = pipeline.train_label_model(corpus, [r.id for r in corpus.images])
+        model = fit_label_model(corpus)
         phase1 = pipeline.run_cosegmentation(corpus, config)
         phase2 = pipeline.run_colabeling(corpus, phase1, model, config)
         assert np.isfinite(phase2.total_energy)
         metrics = pipeline.evaluate(phase2.label_maps, corpus)
         assert metrics.apa > 0.5
+        # a literal appearance term charges label agreement, which some
+        # expansion moves cannot represent without truncation
+        assert phase2.truncated_terms > 0
 
     def test_joint_energy_not_worse_than_independent(self):
         from coparse import colabel
@@ -209,7 +233,7 @@ class TestColabeling:
 
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=13), 4)
         config = pipeline.Config(seed=13)
-        model = pipeline.train_label_model(corpus, [r.id for r in corpus.images])
+        model = fit_label_model(corpus)
         phase1 = pipeline.run_cosegmentation(corpus, config)
         joint = pipeline.run_colabeling(corpus, phase1, model, config)
 
@@ -234,7 +258,7 @@ class TestColabeling:
 
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 3)
         config = pipeline.Config(seed=8)
-        model = pipeline.train_label_model(corpus, [r.id for r in corpus.images])
+        model = fit_label_model(corpus)
         phase1 = pipeline.run_cosegmentation(corpus, config)
         graphs = []
         build_graph = colabel.build_graph
@@ -283,6 +307,133 @@ class TestCrossValidate:
             assert (a.label_maps[key] == b.label_maps[key]).all()
 
 
+    def test_fold_models_equal_models_trained_alone(self, monkeypatch):
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=21), 6)
+        config = pipeline.Config(seed=21, fold_count=3)
+        trained = []
+        train = pipeline.train_label_model
+
+        def recorded_train(vocabulary, rows):
+            trained.append(train(vocabulary, rows))
+            return trained[-1]
+
+        monkeypatch.setattr(pipeline, "train_label_model", recorded_train)
+        pipeline.cross_validate(corpus, config)
+        monkeypatch.undo()
+        ids = [rec.id for rec in corpus.images]
+        folds = pipeline.fold_assignment(ids, config.fold_count, config.seed)
+        assert len(trained) == config.fold_count
+        for fold, model in enumerate(trained):
+            alone = fit_label_model(Corpus(
+                vocabulary=corpus.vocabulary,
+                images=tuple(corpus.image_by_id(i)
+                             for i in sorted(i for i in ids if folds[i] != fold))))
+            got, want = model.appearance, alone.appearance
+            assert (got.gamma, got.trained_labels) == (want.gamma, want.trained_labels)
+            assert len(got.machines) == len(want.machines) > 0
+            for (a, b, sv, coef), (a2, b2, sv2, coef2) in zip(got.machines, want.machines):
+                assert (a, b) == (a2, b2)
+                assert sv.tobytes() == sv2.tobytes() and coef.tobytes() == coef2.tobytes()
+            for name in ("location_mean", "location_cov", "cooccurrence"):
+                assert getattr(model, name).tobytes() == getattr(alone, name).tobytes()
+
+
+class TestFeaturesBuiltOncePerCall:
+    """Each stage builds an image's maps, and Phase I its HOG pyramid and
+    superpixel graph, once per call, and keeps nothing past the call."""
+
+    @staticmethod
+    def count_builds(monkeypatch, corpus):
+        image_of = {id(rec.pixels): rec.id for rec in corpus.images}
+        builds = {"maps": [], "pyramids": [], "graphs": []}
+        image_maps, hog_pyramid = features.image_maps, features.hog_pyramid
+        superpixel_graph = grouping.superpixel_graph
+
+        def counted_maps(pixels):
+            builds["maps"].append(image_of[id(pixels)])
+            return image_maps(pixels)
+
+        def counted_pyramid(gray, scales):
+            builds["pyramids"].append(tuple(scales))
+            return hog_pyramid(gray, scales)
+
+        def counted_graph(image):
+            builds["graphs"].append(image.id)
+            return superpixel_graph(image)
+
+        monkeypatch.setattr(features, "image_maps", counted_maps)
+        monkeypatch.setattr(features, "hog_pyramid", counted_pyramid)
+        monkeypatch.setattr(grouping, "superpixel_graph", counted_graph)
+        return builds
+
+    def test_one_build_per_image_per_stage(self, monkeypatch):
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 3)
+        config = pipeline.Config(seed=8)
+        ids = sorted(rec.id for rec in corpus.images)
+        builds = self.count_builds(monkeypatch, corpus)
+        model = fit_label_model(corpus)
+        assert sorted(builds["maps"]) == ids
+        builds["maps"].clear()
+        phase1 = pipeline.run_cosegmentation(corpus, config)
+        assert phase1.iteration_count >= 2 and phase1.exemplars_trained > 0
+        assert sorted(builds["maps"]) == sorted(builds["graphs"]) == ids
+        assert len(builds["pyramids"]) == len(ids)
+        builds["maps"].clear()
+        pipeline.run_colabeling(corpus, phase1, model, config)
+        assert sorted(builds["maps"]) == ids
+        assert len(builds["pyramids"]) == len(ids)
+
+    def test_cross_validate_builds_as_much_on_a_second_call(self, monkeypatch):
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=21), 4)
+        config = pipeline.Config(seed=21, fold_count=2)
+        builds = self.count_builds(monkeypatch, corpus)
+        counts = []
+        for _ in range(2):
+            pipeline.cross_validate(corpus, config)
+            counts.append({name: len(calls) for name, calls in builds.items()})
+            for calls in builds.values():
+                calls.clear()
+        # ground-truth rows once per image, then each image's Phase I and II
+        # in the fold that tests it
+        assert counts[0] == counts[1] == {"maps": 12, "pyramids": 4, "graphs": 4}
+
+
+def _instance_from_scratch(image, propagations):
+    """The grouping instance assembled from the image alone, with no shared structure."""
+    spmap = image.superpixel_map
+    m = int(spmap.max()) + 1
+    pairs, dflags = superpixel_adjacency(spmap, image.contour_map)
+    counts = np.bincount(spmap.ravel(), minlength=m)
+    masks = []
+    for prop in propagations:
+        mh, mw = prop.mask.shape
+        under = np.bincount(spmap[prop.y:prop.y + mh, prop.x:prop.x + mw][prop.mask],
+                            minlength=m)
+        covered = np.flatnonzero(2 * under >= counts)
+        if covered.size >= 2:
+            masks.append((frozenset(int(i) for i in covered),
+                          float(counts[covered].sum()) / spmap.size))
+    return grouping.MulticutInstance(
+        node_count=m, edges=tuple((int(u), int(v), int(d)) for (u, v), d in zip(pairs, dflags)),
+        mask_constraints=tuple(masks))
+
+
+def test_instances_equal_instances_from_scratch(monkeypatch):
+    corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 3)
+    build = grouping.instance_for_image
+    checked = []
+
+    def checked_build(image, propagations, graph):
+        instance = build(image, propagations, graph)
+        assert instance == _instance_from_scratch(image, propagations)
+        checked.append(len(instance.mask_constraints))
+        return instance
+
+    monkeypatch.setattr(grouping, "instance_for_image", checked_build)
+    pipeline.run_cosegmentation(corpus, pipeline.Config(seed=8))
+    assert len(checked) >= 6 and max(checked) > 0
+
+
 # ---------------------------------------------------------------------------
 # Phase I memo: a run caches multicuts and exemplars on their exact inputs.
 # The reference is the uncached loop, which solves, trains and propagates
@@ -293,16 +444,17 @@ def _reference_group_all(images, propagations, config):
     partitions = {}
     for image in images:
         props = [p for p in propagations if p.target_image == image.id]
-        instance = grouping.instance_for_image(image, props)
+        instance = grouping.instance_for_image(image, props, grouping.superpixel_graph(image))
         partitions[image.id] = grouping.solve_multicut(instance, config.theta).partition
     return partitions
 
 
 def _reference_train_and_propagate(images, partitions, config):
+    maps = {image.id: features.image_maps(image.pixels) for image in images}
     exemplars = []
     for image in images:
         regions = regions_of(image, partitions[image.id])
-        selected = esvm.select_regions(image, regions, config.a_min, config.a_max,
+        selected = esvm.select_regions(maps[image.id], regions, config.a_min, config.a_max,
                                        config.tau_sel, config.n_sel)
         if not selected:
             continue
@@ -313,10 +465,12 @@ def _reference_train_and_propagate(images, partitions, config):
             content = zlib.crc32(np.asarray(regions[k].superpixels, dtype=np.int64).tobytes())
             exemplars.append(esvm.build_exemplar(
                 f"{image.id}:r{content:08x}", image, regions[k], images, excluded,
-                config.lambda1, config.lambda2, config.seed))
+                config.lambda1, config.lambda2, config.seed, maps))
+    pyramids = {image.id: features.hog_pyramid(maps[image.id].luma, config.scales)
+                for image in images}
     propagations = []
     for exemplar in exemplars:
-        propagations.extend(esvm.propagate(exemplar, images, config.k_top,
+        propagations.extend(esvm.propagate(exemplar, images, pyramids, config.k_top,
                                            config.stride, config.scales))
     return exemplars, propagations
 
@@ -362,21 +516,21 @@ class _CallLog:
             return self.solutions[-1]
 
         def counted_build(exemplar_id, image, region, corpus_images, excluded,
-                          lam1, lam2, seed):
+                          lam1, lam2, seed, maps):
             key = (exemplar_id, image.id, region.superpixels, excluded.tobytes(),
                    tuple(rec.id for rec in corpus_images), lam1, lam2, seed)
             self.builds.append(key)
             self.first_region.setdefault(exemplar_id, region.id)
             return build(exemplar_id, image, region, corpus_images, excluded,
-                         lam1, lam2, seed)
+                         lam1, lam2, seed, maps)
 
-        def counted_propagate(exemplar, corpus_images, k=5, stride=8,
+        def counted_propagate(exemplar, corpus_images, pyramids, k=5, stride=8,
                               scales=(1.0, 0.8, 1.25)):
             self.propagations.append((
                 exemplar.id, exemplar.w.tobytes(), exemplar.alpha, exemplar.beta,
                 exemplar.mask.tobytes(), tuple(rec.id for rec in corpus_images),
                 k, stride, tuple(scales)))
-            return propagate(exemplar, corpus_images, k, stride, scales)
+            return propagate(exemplar, corpus_images, pyramids, k, stride, scales)
 
         monkeypatch.setattr(grouping, "solve_multicut", counted_solve)
         monkeypatch.setattr(esvm, "build_exemplar", counted_build)
