@@ -41,6 +41,8 @@ def _phase1_meta(phase1: pipeline.Phase1Result) -> dict:
         "phase1_exemplars_reused": phase1.exemplars_reused,
         "phase1_esvm_max_duality_gap": phase1.esvm_max_duality_gap,
         "phase1_esvm_degenerate_calibrations": phase1.esvm_degenerate_calibrations,
+        "phase1_esvm_unmoved_calibrations": phase1.esvm_unmoved_calibrations,
+        "phase1_images_changed": list(phase1.images_changed),
         "phase1_multicut_lp_solves": phase1.multicut_lp_solves,
         "phase1_multicut_nodes": phase1.multicut_nodes,
         "phase1_multicut_cuts": phase1.multicut_cuts,
@@ -130,7 +132,7 @@ def cmd_esvm(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    phase1 = pipeline.run_cosegmentation(corpus, config)
+    phase1 = pipeline.run_cosegmentation(corpus, config, pipeline.build_maps(corpus.images))
     with open(out / "exemplars.jsonl", "w") as f:
         for exemplar in phase1.exemplars:
             f.write(json.dumps(esvm.exemplar_to_json(exemplar), sort_keys=True) + "\n")
@@ -180,13 +182,19 @@ def cmd_colabel(args) -> int:
     if prop_path.exists():
         propagations = [esvm.propagation_from_json(doc)
                         for doc in json.loads(prop_path.read_text())]
-    train_corpus = corpus if args.train_manifest is None else io.load_corpus(args.train_manifest)
+    maps = pipeline.build_maps(corpus.images)
+    if args.train_manifest is None:
+        train_corpus, train_maps = corpus, maps
+    else:
+        train_corpus = io.load_corpus(args.train_manifest)
+        train_maps = pipeline.build_maps(train_corpus.images)
     model = pipeline.train_label_model(
-        train_corpus.vocabulary, [pipeline.ground_truth_rows(r) for r in train_corpus.images])
+        train_corpus.vocabulary,
+        [pipeline.ground_truth_rows(r, train_maps[r.id]) for r in train_corpus.images])
     phase1 = pipeline.Phase1Result(partitions=partitions, exemplars=exemplars,
                                    propagations=propagations, iteration_count=0,
                                    converged=True, fixed_point=True)
-    phase2 = pipeline.run_colabeling(corpus, phase1, model, config)
+    phase2 = pipeline.run_colabeling(corpus, phase1, model, config, maps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for image_id, label_map in sorted(phase2.label_maps.items()):
@@ -207,10 +215,11 @@ def cmd_run(args) -> int:
     labeled = [rec for rec in corpus.images if rec.ground_truth is not None]
     if not labeled:
         raise DataError("run requires ground truth for label-model training")
-    model = pipeline.train_label_model(corpus.vocabulary,
-                                       [pipeline.ground_truth_rows(rec) for rec in labeled])
-    phase1 = pipeline.run_cosegmentation(corpus, config)
-    phase2 = pipeline.run_colabeling(corpus, phase1, model, config)
+    maps = pipeline.build_maps(corpus.images)
+    model = pipeline.train_label_model(
+        corpus.vocabulary, [pipeline.ground_truth_rows(rec, maps[rec.id]) for rec in labeled])
+    phase1 = pipeline.run_cosegmentation(corpus, config, maps)
+    phase2 = pipeline.run_colabeling(corpus, phase1, model, config, maps)
     for image_id, label_map in sorted(phase2.label_maps.items()):
         io.write_pgm16(out / f"{image_id}.labels.pgm", label_map)
     metrics = pipeline.evaluate(phase2.label_maps, corpus, [rec.id for rec in labeled])

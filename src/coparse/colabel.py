@@ -16,12 +16,12 @@ exterior edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import features
-from .core import (BACKGROUND, ImageRecord, Partition, Region, regions_of,
+from .core import (BACKGROUND, ImageRecord, Partition, Region, region_moments, regions_of,
                    superpixel_adjacency)
 from .errors import ConfigError, InsufficientDataError, UnknownLabelError
 from .graphcut import LabelingProblem
@@ -41,6 +41,23 @@ class AppearanceModel:
     machines: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
     vocab_size: int
     sweep_capped: int = 0   # machines whose dual ascent stopped at its sweep cap
+    # every machine's support vectors, stacked once; machine i owns the rows
+    # bounds[i]:bounds[i + 1]
+    support: np.ndarray = field(init=False, repr=False)
+    bounds: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        svs = [sv for _, _, sv, _ in self.machines]
+        object.__setattr__(self, "support", np.vstack(svs) if svs else np.empty((0, 0)))
+        sizes = [len(sv) for sv in svs]
+        object.__setattr__(self, "bounds", tuple(np.cumsum([0] + sizes).tolist()))
+
+    def decisions(self, hist: np.ndarray) -> np.ndarray:
+        """Every machine's decision value on one histogram; one kernel row
+        against the stacked support vectors serves them all."""
+        k = np.exp(-self.gamma * features.chi_square_matrix(hist[None, :], self.support)[0])
+        return np.array([float(coef @ k[lo:hi]) for (_, _, _, coef), lo, hi
+                         in zip(self.machines, self.bounds, self.bounds[1:])])
 
     def votes(self, hist: np.ndarray) -> np.ndarray:
         """Fraction of pairwise votes per label; sums to 1 over trained labels."""
@@ -50,36 +67,39 @@ class AppearanceModel:
             return s
         if not self.machines:
             return s
-        for a, b, sv, coef in self.machines:
-            k = np.exp(-self.gamma * features.chi_square_matrix(hist[None, :], sv)[0])
-            decision = float(coef @ k)
+        for (a, b, _, _), decision in zip(self.machines, self.decisions(hist)):
             s[a if decision >= 0 else b] += 1.0
         return s / len(self.machines)
 
 
 def _dual_coordinate_ascent(kernel: np.ndarray, y: np.ndarray, c: float,
                             max_sweeps: int = 200) -> tuple[np.ndarray, bool]:
-    """Box-constrained dual ascent for a bias-free kernel SVM.
+    """Box-constrained dual ascent for a bias-free kernel SVM, y in {-1, 1}.
 
     Returns the dual variables and whether ``max_sweeps`` stopped the loop
-    before a sweep moved every variable by less than 1e-8.
+    before a sweep moved every variable by less than 1e-8. The loop runs on
+    Python floats: each step touches one variable and one kernel column.
     """
     n = y.size
-    alpha = np.zeros(n)
-    f = np.zeros(n)   # f_i = sum_j alpha_j y_j K_ij
+    signs = y.tolist()
+    diagonal = np.diagonal(kernel).tolist()
+    # column i of the kernel signed by y_i, the change of f per unit of alpha_i
+    columns = (y[:, None] * kernel.T).tolist()
+    alpha = [0.0] * n
+    f = [0.0] * n   # f_j = sum_i alpha_i y_i K_ji
     for _ in range(max_sweeps):
         biggest = 0.0
         for i in range(n):
-            new = alpha[i] + (1.0 - y[i] * f[i]) / kernel[i, i]
+            new = alpha[i] + (1.0 - signs[i] * f[i]) / diagonal[i]
             new = min(max(new, 0.0), c)
             delta = new - alpha[i]
             if delta != 0.0:
                 alpha[i] = new
-                f += delta * y[i] * kernel[:, i]
+                f = [fj + delta * kj for fj, kj in zip(f, columns[i])]
                 biggest = max(biggest, abs(delta))
         if biggest < 1e-8:
-            return alpha, False
-    return alpha, True
+            return np.array(alpha), False
+    return np.array(alpha), True
 
 
 def train_appearance(hists: np.ndarray, labels: np.ndarray, vocab_size: int,
@@ -182,25 +202,18 @@ def fit_cooccurrence(label_pairs: list[tuple[int, int]], vocab_size: int) -> np.
 # Ground-truth regions for model fitting
 # ---------------------------------------------------------------------------
 
-def ground_truth_regions(image: ImageRecord, comp: np.ndarray, comp_labels: np.ndarray
+def ground_truth_regions(maps: features.ImageMaps, comp: np.ndarray, comp_labels: np.ndarray
                          ) -> list[tuple[int, np.ndarray, tuple[float, float]]]:
     """(label, histogram, centroid) per ground-truth component.
 
-    ``comp, comp_labels`` is ``label_components(image.ground_truth)``. The
-    image's maps are built once and every component's histogram comes from
-    one ``features.region_histograms`` pass.
+    ``maps`` are the image's maps and ``comp, comp_labels`` is
+    ``label_components`` of its ground truth; every component's histogram
+    comes from one ``features.region_histograms`` pass.
     """
-    h, w = comp.shape
     count = comp_labels.size
-    hists = features.region_histograms(features.image_maps(image.pixels), comp, count)
-    flat = comp.ravel()
-    n = np.bincount(flat, minlength=count)
-    # whole-number sums, so exact in float64 and equal to the integer sums
-    ys = np.bincount(flat, weights=np.repeat(np.arange(h), w), minlength=count)
-    xs = np.bincount(flat, weights=np.tile(np.arange(w), h), minlength=count)
-    return [(int(comp_labels[cid]), hists[cid],
-             ((ys[cid] + 0.5 * n[cid]) / n[cid] / h, (xs[cid] + 0.5 * n[cid]) / n[cid] / w))
-            for cid in range(count)]
+    hists = features.region_histograms(maps, comp, count)
+    _, rows, cols = region_moments(comp, count)
+    return [(int(comp_labels[cid]), hists[cid], (rows[cid], cols[cid])) for cid in range(count)]
 
 
 def image_label_pairs(comp: np.ndarray, comp_labels: np.ndarray) -> list[tuple[int, int]]:
@@ -304,12 +317,13 @@ def match_propagation_target(mask: np.ndarray, x: int, y: int,
 
 def build_graph(images: list[ImageRecord], partitions: dict[str, Partition],
                 propagations, source_regions: dict[str, tuple[str, int]],
-                model: LabelModel, mode: str, beta_pair: float,
-                sharpness: float, e_max: float) -> CoLabelGraph:
+                model: LabelModel, maps: dict[str, features.ImageMaps],
+                mode: str, beta_pair: float, sharpness: float, e_max: float) -> CoLabelGraph:
     """Assemble vertices, interior/exterior edges and all energy tables.
 
     ``source_regions`` maps exemplar ids to their source region ids so each
-    propagation can be anchored on its source side.
+    propagation can be anchored on its source side; ``maps`` holds each
+    image's maps by id.
     """
     vertex_regions: list[Region] = []
     vertex_index: dict[tuple[str, int], int] = {}
@@ -320,7 +334,7 @@ def build_graph(images: list[ImageRecord], partitions: dict[str, Partition],
         partition = partitions[image.id]
         regs = regions_of(image, partition)
         regions_by_image[image.id] = regs
-        hists.extend(features.region_histograms(features.image_maps(image.pixels),
+        hists.extend(features.region_histograms(maps[image.id],
                                                 partition.assignment[image.superpixel_map],
                                                 partition.k))
         cand = np.array(sorted(set(image.tags) | {BACKGROUND}), dtype=np.int64)

@@ -154,44 +154,60 @@ def label_components(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """4-connected components of a non-negative integer raster.
 
     Returns (component map, value per component). Components are numbered
-    by value, then in ``ndimage.label`` order; each value is labeled inside
-    its bounding box only.
+    by value, then by their first pixel in raster order. One
+    ``ndimage.label`` runs over a grid that interleaves the pixels with
+    their links to the right and below, each set iff the two pixels hold
+    the same value; a component's first grid cell is its first pixel.
     """
-    comp = np.empty(values.shape, dtype=np.int64)
-    comp_values: list[int] = []
-    for value, sl in enumerate(ndimage.find_objects(values + 1)):
-        if sl is None:
-            continue
-        mask = values[sl] == value
-        lab, n = ndimage.label(mask)  # the default 2-D structure is the 4-cross
-        comp[sl][mask] = lab[mask] + len(comp_values) - 1
-        comp_values.extend([value] * n)
-    return comp, np.asarray(comp_values, dtype=np.int64)
+    h, w = values.shape
+    grid = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
+    grid[::2, ::2] = True
+    grid[::2, 1::2] = values[:, :-1] == values[:, 1:]
+    grid[1::2, ::2] = values[:-1, :] == values[1:, :]
+    labels, count = ndimage.label(grid)  # the default 2-D structure is the 4-cross
+    labels = labels[::2, ::2] - 1
+    comp_values = np.empty(count, dtype=np.int64)
+    comp_values[labels] = values   # every pixel of a component holds its value
+    order = np.argsort(comp_values, kind="stable")
+    rank = np.empty(count, dtype=np.int64)
+    rank[order] = np.arange(count)
+    return rank[labels], comp_values[order]
+
+
+def region_moments(label_map: np.ndarray, count: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel count and normalized centroid row and column of the labels
+    0..count-1 of a label map, each by one ``np.bincount`` pass."""
+    h, w = label_map.shape
+    flat = label_map.ravel()
+    n = np.bincount(flat, minlength=count)
+    # whole-number sums, so exact in float64 and equal to the integer sums
+    ys = np.bincount(flat, weights=np.repeat(np.arange(h), w), minlength=count)
+    xs = np.bincount(flat, weights=np.tile(np.arange(w), h), minlength=count)
+    return n, (ys + 0.5 * n) / n / h, (xs + 0.5 * n) / n / w
 
 
 def regions_of(image: ImageRecord, partition: Partition) -> list[Region]:
     """Materialize partition regions with masks, centroids and areas."""
     sp = image.superpixel_map
     m = int(sp.max()) + 1
-    if partition.assignment.shape[0] != m:
+    assignment = partition.assignment
+    if assignment.shape[0] != m:
         raise MalformedInputError(
-            f"{image.id}: partition length {partition.assignment.shape[0]} != superpixel count {m}")
-    h, w = sp.shape
-    region_map = partition.assignment[sp]
-    out = []
-    for k in range(partition.k):
-        mask = region_map == k
-        ys, xs = np.nonzero(mask)
-        n = ys.size
-        members = tuple(int(j) for j in np.flatnonzero(partition.assignment == k))
-        out.append(Region(
-            id=(image.id, k),
-            superpixels=members,
-            mask=mask,
-            centroid=((ys.sum() + 0.5 * n) / n / h, (xs.sum() + 0.5 * n) / n / w),
-            area_fraction=n / (h * w),
-        ))
-    return out
+            f"{image.id}: partition length {assignment.shape[0]} != superpixel count {m}")
+    region_map = assignment[sp]
+    k = partition.k
+    n, rows, cols = region_moments(region_map, k)
+    # region i's superpixels, ascending, are members[bounds[i]:bounds[i + 1]]
+    members = np.argsort(assignment, kind="stable").tolist()
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(assignment, minlength=k))]).tolist()
+    rows, cols = rows.tolist(), cols.tolist()
+    return [Region(id=(image.id, i),
+                   superpixels=tuple(members[bounds[i]:bounds[i + 1]]),
+                   mask=region_map == i,
+                   centroid=(rows[i], cols[i]),
+                   area_fraction=int(n[i]) / sp.size)
+            for i in range(k)]
 
 
 def superpixel_adjacency(spmap: np.ndarray, contour: np.ndarray | None = None):

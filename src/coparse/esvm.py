@@ -23,6 +23,7 @@ from .errors import InsufficientDataError, MalformedInputError
 
 NEGATIVES_PER_EXEMPLAR = 200
 CALIBRATION_RIDGE = 1e-3   # keeps alpha finite on separable score sets
+BAND_WIDTH = 5             # pixels: the saliency band's reach around a region
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,7 @@ class Exemplar:
     template: tuple[int, int]          # (cells_y, cells_x)
     duality_gap: float = 0.0           # of the training; 0 when read from JSON
     degenerate_calibration: bool = False   # the logistic fit fell back; False from JSON
+    unmoved_calibration: bool = False      # the fit took no step; False from JSON
 
 
 @dataclass(frozen=True)
@@ -56,18 +58,29 @@ class DetectionWindow:
 def region_saliency(maps: features.ImageMaps, region: Region,
                     a_min: float, a_max: float) -> float:
     """Area-gated centrality times contrast against the border band of the
-    region's image, whose maps are ``maps``."""
+    region's image, whose maps are ``maps``.
+
+    The band is the ring that ``BAND_WIDTH`` 4-neighbour dilations add to the
+    mask, so it lies inside the mask's bounding box grown by ``BAND_WIDTH``;
+    both histograms are taken on that window, whose pixels each region adds
+    in the same row-major order as on the whole image.
+    """
     if not a_min <= region.area_fraction <= a_max:
         return 0.0
     dy = region.centroid[0] - 0.5
     dx = region.centroid[1] - 0.5
     centrality = float(np.exp(-(dy * dy + dx * dx) / 0.18))
-    band = ndimage.binary_dilation(region.mask, iterations=5) & ~region.mask
+    r0, r1, c0, c1 = _bbox(region.mask)
+    h, w = region.mask.shape
+    rows = slice(max(r0 - BAND_WIDTH, 0), min(r1 + BAND_WIDTH, h))
+    cols = slice(max(c0 - BAND_WIDTH, 0), min(c1 + BAND_WIDTH, w))
+    mask = region.mask[rows, cols]
+    band = ndimage.binary_dilation(mask, iterations=BAND_WIDTH) & ~mask
     if not band.any():
         return 0.0
-    contrast = features.chi_square(
-        features.region_histogram(maps, region.mask),
-        features.region_histogram(maps, band))
+    local = maps.window(rows, cols)
+    contrast = features.chi_square(features.region_histogram(local, mask),
+                                   features.region_histogram(local, band))
     return centrality * contrast
 
 
@@ -185,6 +198,7 @@ class CalibrationResult:
     alpha: float
     beta: float
     degenerate: bool = False
+    unmoved: bool = False   # a two-class fit that accepted no Newton step
 
 
 def calibrated_score(alpha: float, beta: float, raw) -> np.ndarray | float:
@@ -196,7 +210,8 @@ def calibrate(scores: np.ndarray, is_positive: np.ndarray) -> CalibrationResult:
 
     A small ridge on alpha keeps the fit finite when the classes are
     separable. Single-class inputs fall back to (1, mean score) and are
-    flagged degenerate.
+    flagged degenerate; a fit that accepts no step returns its start, the
+    same (1, mean score), and is flagged unmoved.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(is_positive, dtype=bool).astype(np.float64)
@@ -212,6 +227,7 @@ def calibrate(scores: np.ndarray, is_positive: np.ndarray) -> CalibrationResult:
                      - ridge * a * a)
 
     ll = loglik(alpha, beta)
+    moved = False
     for _ in range(100):
         z = alpha * (s - beta)
         p = 1.0 / (1.0 + np.exp(-z))
@@ -240,9 +256,10 @@ def calibrate(scores: np.ndarray, is_positive: np.ndarray) -> CalibrationResult:
             scale *= 0.5
         if not improved:
             break
+        moved = True
         if abs(g_a) < 1e-9 and abs(g_b) < 1e-9:
             break
-    return CalibrationResult(alpha=float(alpha), beta=float(beta))
+    return CalibrationResult(alpha=float(alpha), beta=float(beta), unmoved=not moved)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +340,8 @@ def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
     return Exemplar(id=exemplar_id, w=trained.w, alpha=cal.alpha, beta=cal.beta,
                     source_region=region.id, mask=mask, template=template,
                     duality_gap=trained.duality_gap,
-                    degenerate_calibration=cal.degenerate)
+                    degenerate_calibration=cal.degenerate,
+                    unmoved_calibration=cal.unmoved)
 
 
 # ---------------------------------------------------------------------------

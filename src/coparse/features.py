@@ -52,6 +52,11 @@ class ImageMaps:
     grad_bin: np.ndarray    # (H, W) uint8 signed-orientation bin, 0..GRAD_BINS-1
     color_bin: np.ndarray   # (H, W, 3) uint8 bin per RGB channel, 0..COLOR_BINS-1
 
+    def window(self, rows: slice, cols: slice) -> "ImageMaps":
+        """The maps of one rectangle of the image, as views."""
+        return ImageMaps(luma=self.luma[rows, cols], magnitude=self.magnitude[rows, cols],
+                         grad_bin=self.grad_bin[rows, cols], color_bin=self.color_bin[rows, cols])
+
 
 def image_maps(pixels: np.ndarray) -> ImageMaps:
     """Luma, gradient magnitude and the histogram bin indexes of every pixel."""

@@ -6,9 +6,11 @@ when no image's partition changed between consecutive iterations (the
 confirming pass counts as an iteration). Each run caches its multicut
 solutions and its exemplars (with their propagations) on their exact
 inputs, so a pass repeats no solve or training that an earlier pass of the
-same run already did, and builds each image's appearance maps, HOG pyramid
-and superpixel graph once. Phase II builds one multi-image graph over the whole
-batch and minimizes it with alpha-expansion. Metric conventions: aPA
+same run already did, and builds each image's HOG pyramid and superpixel
+graph once. A command builds each image's appearance maps once
+(``build_maps``) and hands them to the ground-truth rows, Phase I and
+Phase II. Phase II builds one multi-image graph over the whole batch and
+minimizes it with alpha-expansion. Metric conventions: aPA
 averages pixel accuracy per image; mAGR is the macro mean over labels of
 per-image recall, skipping images that lack the label.
 """
@@ -178,11 +180,15 @@ class Phase1Result:
     exemplars_reused: int = 0
     esvm_max_duality_gap: float = 0.0   # over the exemplars trained here
     esvm_degenerate_calibrations: int = 0   # of the exemplars trained here
+    esvm_unmoved_calibrations: int = 0      # of the exemplars trained here
     # sums over the multicuts solved here (not the reused ones)
     multicut_lp_solves: int = 0
     multicut_nodes: int = 0
     multicut_cuts: int = 0
     multicuts_unproven: int = 0        # stopped by the node cap
+    # per iteration, the images whose partition differs from the previous
+    # iteration's (every image in the first)
+    images_changed: tuple[int, ...] = ()
 
 
 def _select_images(corpus: Corpus, image_ids: list[str] | None,
@@ -199,6 +205,11 @@ def _select_images(corpus: Corpus, image_ids: list[str] | None,
     if not images:
         raise MalformedInputError(f"no images selected for {purpose}")
     return images
+
+
+def build_maps(images) -> dict[str, features.ImageMaps]:
+    """Each image's ``features.ImageMaps`` by id."""
+    return {image.id: features.image_maps(image.pixels) for image in images}
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +267,7 @@ def _train_and_propagate(images: list[ImageRecord], partitions: dict[str, Partit
 
 
 def run_cosegmentation(corpus: Corpus, config: Config,
+                       maps: dict[str, features.ImageMaps],
                        image_ids: list[str] | None = None) -> Phase1Result:
     """Iterate grouping/training/propagation until regions stop changing.
 
@@ -267,12 +279,12 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     Multicuts are cached on their instance and exemplars on (id, region
     superpixels, excluded mask); theta, the image set, the training and the
     propagation settings are fixed within the call, so a hit returns what
-    the same inputs computed. Each image's superpixel graph, appearance maps
-    and HOG pyramid are built once, up front, and read by every iteration.
+    the same inputs computed. ``maps`` holds each selected image's maps by
+    id; each image's superpixel graph and HOG pyramid are built once, up
+    front, and read by every iteration.
     """
     images = _select_images(corpus, image_ids, "co-segmentation")
     graphs = {image.id: grouping.superpixel_graph(image) for image in images}
-    maps = {image.id: features.image_maps(image.pixels) for image in images}
     pyramids = {image.id: features.hog_pyramid(maps[image.id].luma, config.scales)
                 for image in images}
     solved: dict[grouping.MulticutInstance, grouping.MulticutSolution] = {}
@@ -285,11 +297,13 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     iteration = 0
     converged = False
     fixed_point = False
+    images_changed: list[int] = []
     while iteration < config.max_phase1_iters:
         iteration += 1
         partitions = _group_all(images, propagations, config, solved, graphs)
-        if previous is not None and all(
-                partitions[i.id].equals(previous[i.id]) for i in images):
+        images_changed.append(len(images) if previous is None else sum(
+            not partitions[i.id].equals(previous[i.id]) for i in images))
+        if images_changed[-1] == 0:
             converged = True
             fixed_point = True
             break
@@ -315,23 +329,28 @@ def run_cosegmentation(corpus: Corpus, config: Config,
                             (ex.duality_gap for ex, _ in trained.values()), default=0.0),
                         esvm_degenerate_calibrations=sum(
                             ex.degenerate_calibration for ex, _ in trained.values()),
+                        esvm_unmoved_calibrations=sum(
+                            ex.unmoved_calibration for ex, _ in trained.values()),
                         multicut_lp_solves=sum(s.lp_solves for s in solved.values()),
                         multicut_nodes=sum(s.nodes for s in solved.values()),
                         multicut_cuts=sum(s.cuts for s in solved.values()),
-                        multicuts_unproven=sum(not s.proven_optimal for s in solved.values()))
+                        multicuts_unproven=sum(not s.proven_optimal for s in solved.values()),
+                        images_changed=tuple(images_changed))
 
 
 # ---------------------------------------------------------------------------
 # Label model fitting (supervised, on ground-truth regions)
 # ---------------------------------------------------------------------------
 
-def ground_truth_rows(image: ImageRecord) -> tuple[list, list[tuple[int, int]]]:
+def ground_truth_rows(image: ImageRecord, maps: features.ImageMaps
+                      ) -> tuple[list, list[tuple[int, int]]]:
     """One training image's rows: (label, histogram, centroid) per
-    ground-truth component, and its neighbor label pairs."""
+    ground-truth component, and its neighbor label pairs; ``maps`` are the
+    image's maps."""
     if image.ground_truth is None:
         raise MalformedInputError(f"{image.id}: ground truth required for training")
     comp, comp_labels = label_components(image.ground_truth)
-    return (colabel.ground_truth_regions(image, comp, comp_labels),
+    return (colabel.ground_truth_regions(maps, comp, comp_labels),
             colabel.image_label_pairs(comp, comp_labels))
 
 
@@ -371,8 +390,10 @@ class Phase2Result:
 
 
 def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
-                   config: Config, image_ids: list[str] | None = None) -> Phase2Result:
-    """Joint MAP labeling of the whole batch, painted back to label maps."""
+                   config: Config, maps: dict[str, features.ImageMaps],
+                   image_ids: list[str] | None = None) -> Phase2Result:
+    """Joint MAP labeling of the whole batch, painted back to label maps;
+    ``maps`` holds each selected image's maps by id."""
     images = _select_images(corpus, image_ids, "co-labeling")
     for image in images:
         for tag in image.tags:
@@ -380,7 +401,7 @@ def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
                 raise ConfigError(f"{image.id}: tag {tag} outside vocabulary")
     source_regions = {ex.id: ex.source_region for ex in phase1.exemplars}
     graph = colabel.build_graph(images, phase1.partitions, phase1.propagations,
-                                source_regions, model, config.pairwise_mode,
+                                source_regions, model, maps, config.pairwise_mode,
                                 config.beta_pair, config.sigmoid_sharpness,
                                 config.e_max)
     result = alpha_expansion(graph.problem, max_sweeps=config.max_sweeps)
@@ -474,24 +495,26 @@ class CrossValidationResult:
 
 
 def cross_validate(corpus: Corpus, config: Config) -> CrossValidationResult:
-    """Each image's ground-truth rows are built the first time a fold trains
-    on it, and every later fold takes them from this call's own dict."""
+    """Each image's maps are built once per call; its ground-truth rows are
+    built the first time a fold trains on it, and every later fold takes
+    them from this call's own dict."""
     ids = [rec.id for rec in corpus.images]
     assignment = fold_assignment(ids, config.fold_count, config.seed)
+    maps = build_maps(corpus.images)
     outcomes = []
-    all_maps: dict[str, np.ndarray] = {}
+    label_maps: dict[str, np.ndarray] = {}
     rows: dict[str, tuple] = {}
     for fold in range(config.fold_count):
         test_ids = sorted(i for i in ids if assignment[i] == fold)
         train_ids = sorted(i for i in ids if assignment[i] != fold)
         for image_id in train_ids:
             if image_id not in rows:
-                rows[image_id] = ground_truth_rows(corpus.image_by_id(image_id))
+                rows[image_id] = ground_truth_rows(corpus.image_by_id(image_id), maps[image_id])
         model = train_label_model(corpus.vocabulary, [rows[i] for i in train_ids])
-        phase1 = run_cosegmentation(corpus, config, test_ids)
-        phase2 = run_colabeling(corpus, phase1, model, config, test_ids)
+        phase1 = run_cosegmentation(corpus, config, maps, test_ids)
+        phase2 = run_colabeling(corpus, phase1, model, config, maps, test_ids)
         metrics = evaluate(phase2.label_maps, corpus, test_ids)
-        all_maps.update(phase2.label_maps)
+        label_maps.update(phase2.label_maps)
         outcomes.append(FoldOutcome(fold=fold, test_ids=tuple(test_ids),
                                     metrics=metrics,
                                     phase1_iterations=phase1.iteration_count,
@@ -502,4 +525,4 @@ def cross_validate(corpus: Corpus, config: Config) -> CrossValidationResult:
         folds=tuple(outcomes),
         apa_mean=float(apas.mean()), apa_std=float(apas.std()),
         magr_mean=float(magrs.mean()), magr_std=float(magrs.std()),
-        label_maps=all_maps)
+        label_maps=label_maps)

@@ -245,14 +245,15 @@ def test_criterion_9_energy_model_sanity():
     corpus = synthgen.generate(synthgen.default_scene_spec(seed=9), 3)
     # the criterion is about the assembled tables, not phase-1 convergence
     config = pipeline.Config(seed=9, max_phase1_iters=3)
+    maps = pipeline.build_maps(corpus.images)
     model = pipeline.train_label_model(
-        corpus.vocabulary, [pipeline.ground_truth_rows(r) for r in corpus.images])
-    phase1 = pipeline.run_cosegmentation(corpus, config)
+        corpus.vocabulary, [pipeline.ground_truth_rows(r, maps[r.id]) for r in corpus.images])
+    phase1 = pipeline.run_cosegmentation(corpus, config, maps)
     from coparse import colabel
 
     source_regions = {e.id: e.source_region for e in phase1.exemplars}
     graph = colabel.build_graph(list(corpus.images), phase1.partitions,
-                                phase1.propagations, source_regions, model,
+                                phase1.propagations, source_regions, model, maps,
                                 config.pairwise_mode, config.beta_pair,
                                 config.sigmoid_sharpness, config.e_max)
     for u in graph.problem.unary:

@@ -299,6 +299,7 @@ class TestPhasedCommands:
         assert 0.0 <= meta["phase1_esvm_max_duality_gap"] <= 1e-6
         assert meta["phase1_multicut_lp_solves"] >= meta["phase1_multicuts_solved"]
         assert meta["phase1_multicuts_unproven"] == 0
+        assert len(meta["phase1_images_changed"]) == meta["phase1_iterations"]
 
         out = tmp_path / "labeled"
         assert cli.main(["colabel", "--manifest", str(manifest),
@@ -335,8 +336,13 @@ class TestRunAndEval:
         # the silent conditions: degenerate calibrations, truncated terms and
         # appearance machines stopped by their sweep cap
         assert meta["phase1_esvm_degenerate_calibrations"] == 0
+        assert 0 <= meta["phase1_esvm_unmoved_calibrations"] <= meta["phase1_exemplars_trained"]
         assert meta["phase2_truncated_terms"] >= 0
         assert meta["label_model_sweep_capped_machines"] >= 0
+        # changed images per Phase I iteration: both images first, none at a fixed point
+        changed = meta["phase1_images_changed"]
+        assert len(changed) == meta["phase1_iterations"] and changed[0] == 2
+        assert (changed[-1] == 0) == meta["phase1_fixed_point"]
 
         rc = cli.main(["eval", "--manifest", str(manifest), "--pred", str(out),
                        "--out", str(tmp_path / "m.json")])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coparse import colabel, features
 from coparse.core import Partition, PropagationRecord
 from coparse.errors import ConfigError, UnknownLabelError
-from coparse.pipeline import Config
+from coparse.pipeline import Config, build_maps
 
 from conftest import make_image
 
@@ -20,6 +22,14 @@ def random_histograms(rng, n, hot_bins):
         weights = rng.uniform(0.5, 1.0, size=len(hot_bins))
         out[i, hot_bins] = weights / weights.sum()
     return out
+
+
+def _decisions_per_machine(model, hist):
+    """Decision values with one kernel row per machine, against its own
+    support vectors."""
+    return np.array([
+        float(coef @ np.exp(-model.gamma * features.chi_square_matrix(hist[None, :], sv)[0]))
+        for _, _, sv, coef in model.machines])
 
 
 def simple_model(vocab=("background", "a", "b"), mu=None):
@@ -89,6 +99,23 @@ class TestAppearance:
         kernel, y = np.ones((1, 1)), np.ones(1)
         assert ascent(kernel, y, 10.0, max_sweeps=2)[1] is False
         assert ascent(kernel, y, 10.0, max_sweeps=1)[1] is True
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5))
+    def test_batched_decisions_equal_per_machine_decisions(self, seed, n_labels):
+        rng = np.random.default_rng(seed)
+        families = [list(rng.choice(40, size=3, replace=False)) for _ in range(n_labels)]
+        sizes = rng.integers(1, 8, size=n_labels)
+        hists = np.vstack([random_histograms(rng, n, hot) for n, hot in zip(sizes, families)])
+        labels = np.repeat(np.arange(n_labels), sizes)
+        model = colabel.train_appearance(hists, labels, vocab_size=n_labels + 1)
+        for hist in np.vstack([hists[:3], rng.dirichlet(np.ones(40), size=5)]):
+            got = model.decisions(hist)
+            assert got.tobytes() == _decisions_per_machine(model, hist).tobytes()
+            votes = np.zeros(n_labels + 1)
+            for (a, b, _, _), decision in zip(model.machines, got):
+                votes[a if decision >= 0 else b] += 1.0
+            assert model.votes(hist).tobytes() == (votes / len(model.machines)).tobytes()
 
     def test_votes_sum_to_one(self):
         model = simple_model()
@@ -164,7 +191,7 @@ class TestLocation:
         image = make_image(np.zeros((4, 4), dtype=int), tags=(9,))
         parts = {image.id: Partition.from_assignment([0])}
         with pytest.raises(UnknownLabelError):
-            colabel.build_graph([image], parts, [], {}, model, **ENERGY)
+            colabel.build_graph([image], parts, [], {}, model, build_maps([image]), **ENERGY)
 
 
 class TestCooccurrence:
@@ -340,7 +367,7 @@ class TestBuildGraph:
         model = simple_model()
         image = self.two_region_image()
         parts = {image.id: Partition.from_assignment([0, 1])}
-        graph = colabel.build_graph([image], parts, [], {}, model, **ENERGY)
+        graph = colabel.build_graph([image], parts, [], {}, model, build_maps([image]), **ENERGY)
         assert len(graph.interior_edges) == 1
         assert graph.exterior_edges == ()
         assert len(graph.problem.candidates) == 2
@@ -359,7 +386,7 @@ class TestBuildGraph:
                               x=4, y=0, mask=mask, score=0.8),
         ]
         graph = colabel.build_graph([a, b], parts, props,
-                                    {"e": ("gA", 1)}, model, **ENERGY)
+                                    {"e": ("gA", 1)}, model, build_maps([a, b]), **ENERGY)
         assert len(graph.exterior_edges) == 1  # deduplicated
         u, v = graph.exterior_edges[0]
         assert graph.vertex_regions[u].id == ("gA", 1)
@@ -372,7 +399,7 @@ class TestBuildGraph:
         image = make_image(spmap, tags=(0, 1, 2), image_id="tri")
         model = simple_model()
         parts = {image.id: Partition.from_assignment([0, 1, 2])}
-        graph = colabel.build_graph([image], parts, [], {}, model, **ENERGY)
+        graph = colabel.build_graph([image], parts, [], {}, model, build_maps([image]), **ENERGY)
         assert sorted(graph.interior_edges) == [(0, 1), (0, 2), (1, 2)]
 
     def test_self_image_propagation_ignored(self):
@@ -382,14 +409,14 @@ class TestBuildGraph:
         props = [PropagationRecord(source_exemplar="e", target_image="gA",
                                    x=4, y=0, mask=np.ones((8, 4), bool), score=0.9)]
         graph = colabel.build_graph([a], parts, props, {"e": ("gA", 1)}, model,
-                                    **ENERGY)
+                                    build_maps([a]), **ENERGY)
         assert graph.exterior_edges == ()
 
     def test_energy_tables_in_range(self):
         model = simple_model()
         a = self.two_region_image("gA")
         parts = {a.id: Partition.from_assignment([0, 1])}
-        graph = colabel.build_graph([a], parts, [], {}, model, **ENERGY)
+        graph = colabel.build_graph([a], parts, [], {}, model, build_maps([a]), **ENERGY)
         for u in graph.problem.unary:
             assert ((u >= 0) & (u <= 20.0)).all()
         for _, _, table in graph.problem.edges:

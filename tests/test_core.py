@@ -6,6 +6,7 @@ from scipy import ndimage
 
 from coparse.core import (
     Partition,
+    Region,
     label_components,
     regions_of,
     superpixel_adjacency,
@@ -42,6 +43,36 @@ def _label_components_ref(values):
     return comp, np.asarray(comp_values, dtype=np.int64)
 
 
+def _regions_of_loop(image, partition):
+    """One ``np.nonzero`` of the full-image mask per region."""
+    sp = image.superpixel_map
+    h, w = sp.shape
+    region_map = partition.assignment[sp]
+    out = []
+    for k in range(partition.k):
+        mask = region_map == k
+        ys, xs = np.nonzero(mask)
+        n = ys.size
+        out.append(Region(
+            id=(image.id, k),
+            superpixels=tuple(int(j) for j in np.flatnonzero(partition.assignment == k)),
+            mask=mask,
+            centroid=((ys.sum() + 0.5 * n) / n / h, (xs.sum() + 0.5 * n) / n / w),
+            area_fraction=n / (h * w),
+        ))
+    return out
+
+
+# rasters of small values, so same-value components touch, wrap around holes
+# and leave gaps in the values
+RASTERS = st.tuples(st.integers(1, 14), st.integers(1, 14), st.integers(0, 2 ** 32 - 1),
+                    st.sampled_from([(0, 1), (0, 3), (2, 5, 9), (0, 1, 2, 3, 4, 5, 6, 7)]))
+
+
+def _raster(h, w, seed, alphabet):
+    return np.random.default_rng(seed).choice(np.asarray(alphabet, dtype=np.int64), size=(h, w))
+
+
 class TestRegionsOf:
     def test_identity_partition(self, quad_image):
         part = Partition.from_assignment([0, 1, 2, 3])
@@ -68,6 +99,21 @@ class TestRegionsOf:
     def test_length_mismatch_rejected(self, quad_image):
         with pytest.raises(MalformedInputError):
             regions_of(quad_image, Partition.from_assignment([0, 0]))
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(RASTERS, st.integers(1, 6))
+    def test_equals_per_region_loop(self, drawn, groups):
+        spmap, _ = label_components(_raster(*drawn))
+        m = int(spmap.max()) + 1
+        assignment = np.random.default_rng(drawn[2]).integers(0, groups, size=m)
+        image = make_image(spmap, image_id="r")
+        part = Partition.from_assignment(assignment)
+        got, want = regions_of(image, part), _regions_of_loop(image, part)
+        assert len(got) == len(want) == part.k
+        for a, b in zip(got, want):
+            assert (a.id, a.superpixels, a.label) == (b.id, b.superpixels, b.label)
+            assert a.mask.dtype == b.mask.dtype and np.array_equal(a.mask, b.mask)
+            assert a.centroid == b.centroid and a.area_fraction == b.area_fraction
 
     def test_random_partitions_cover_exactly(self, quad_image):
         rng = np.random.default_rng(3)
@@ -140,6 +186,27 @@ class TestPartition:
 
 
 class TestLabelComponents:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(RASTERS)
+    def test_equals_per_value_labeling(self, drawn):
+        values = _raster(*drawn)
+        comp, comp_values = label_components(values)
+        ref_comp, ref_values = _label_components_ref(values)
+        assert comp.dtype == ref_comp.dtype and np.array_equal(comp, ref_comp)
+        assert comp_values.dtype == ref_values.dtype and np.array_equal(comp_values, ref_values)
+
+    @pytest.mark.parametrize("values", [
+        [[4]],                                         # a single pixel
+        [[1, 1, 1], [1, 0, 1], [1, 1, 1]],             # a ring around a hole
+        [[7, 0, 7], [0, 7, 0], [7, 0, 7]],             # diagonal pixels stay apart
+        [[0, 0, 9], [3, 3, 9], [0, 9, 9]],             # gaps in the values
+    ])
+    def test_hand_cases_equal_per_value_labeling(self, values):
+        values = np.asarray(values, dtype=np.int64)
+        comp, comp_values = label_components(values)
+        ref_comp, ref_values = _label_components_ref(values)
+        assert np.array_equal(comp, ref_comp) and np.array_equal(comp_values, ref_values)
+
     def test_matches_whole_raster_labeling(self):
         rng = np.random.default_rng(12)
         split_values = 0

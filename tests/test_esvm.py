@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.optimize import OptimizeResult
 
 from coparse import esvm, features, kernels, pipeline, synthgen
-from coparse.core import Partition, regions_of
+from coparse.core import Partition, label_components, regions_of
 from coparse.errors import InsufficientDataError
 
 from conftest import make_image
@@ -253,7 +256,7 @@ class TestNegatives:
             return got
 
         monkeypatch.setattr(esvm, "sample_negatives", checked_sample)
-        pipeline.run_cosegmentation(corpus, config)
+        pipeline.run_cosegmentation(corpus, config, pipeline.build_maps(corpus.images))
         assert len(checked) >= 3
 
 
@@ -289,6 +292,22 @@ class TestCalibration:
         assert cal.degenerate
         assert cal.alpha == 1.0
         assert cal.beta == pytest.approx(0.5)
+        assert not cal.unmoved
+
+    def test_separable_scores_leave_the_fit_unmoved(self):
+        # one positive above every negative, as build_exemplar scores them
+        rng = np.random.default_rng(4)
+        scores = np.concatenate([[1.0], rng.normal(-1.0, 0.2, 200)])
+        flags = np.zeros(scores.size, dtype=bool)
+        flags[0] = True
+        cal = esvm.calibrate(scores, flags)
+        assert cal.unmoved and not cal.degenerate
+        assert (cal.alpha, cal.beta) == (1.0, float(scores.mean()))
+
+    def test_overlapping_scores_move_the_fit(self):
+        scores, labels = logistic_refit_data(2.0, 0.3, 0)
+        cal = esvm.calibrate(scores, labels)
+        assert not cal.unmoved and cal.alpha != 1.0
 
 
 def make_detection_corpus():
@@ -363,7 +382,40 @@ def _detect_ref(exemplar, image, stride, scales):
     return kept
 
 
+def _region_saliency_full(maps, region, a_min, a_max):
+    """Saliency with the dilation and both histograms over the whole image."""
+    if not a_min <= region.area_fraction <= a_max:
+        return 0.0
+    dy = region.centroid[0] - 0.5
+    dx = region.centroid[1] - 0.5
+    centrality = float(np.exp(-(dy * dy + dx * dx) / 0.18))
+    band = ndimage.binary_dilation(region.mask, iterations=5) & ~region.mask
+    if not band.any():
+        return 0.0
+    contrast = features.chi_square(features.region_histogram(maps, region.mask),
+                                   features.region_histogram(maps, band))
+    return centrality * contrast
+
+
 class TestSelection:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(2, 12), st.integers(2, 12), st.integers(1, 4), st.integers(1, 5),
+           st.integers(0, 2 ** 32 - 1))
+    def test_windowed_saliency_equals_full_image(self, blocks_y, blocks_x, side, groups, seed):
+        # blocky regions of random pixels, many of them on the image border
+        rng = np.random.default_rng(seed)
+        coarse = rng.integers(0, 3, size=(blocks_y, blocks_x))
+        spmap, _ = label_components(np.kron(coarse, np.ones((side, side), dtype=np.int64)))
+        h, w = spmap.shape
+        pixels = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        image = make_image(spmap, pixels=pixels)
+        m = int(spmap.max()) + 1
+        regions = regions_of(image, Partition.from_assignment(rng.integers(0, groups, size=m)))
+        maps = features.image_maps(pixels)
+        for region in regions:
+            assert (esvm.region_saliency(maps, region, 0.0, 1.0)
+                    == _region_saliency_full(maps, region, 0.0, 1.0))
+
     def test_empty_regions(self, quad_image):
         assert esvm.select_regions(features.image_maps(quad_image.pixels), []) == []
 

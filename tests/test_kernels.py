@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coparse import colabel, features, kernels, pipeline, synthgen
 
@@ -106,6 +108,41 @@ def _svm_dual_instance(rng):
     return k, y, float(rng.choice([0.1, 1.0, 10.0]))
 
 
+def _dual_coordinate_ascent_numpy(kernel, y, c, max_sweeps=200):
+    """The dual loop on numpy arrays, updating f by a whole kernel column."""
+    n = y.size
+    alpha = np.zeros(n)
+    f = np.zeros(n)
+    for _ in range(max_sweeps):
+        biggest = 0.0
+        for i in range(n):
+            new = alpha[i] + (1.0 - y[i] * f[i]) / kernel[i, i]
+            new = min(max(new, 0.0), c)
+            delta = new - alpha[i]
+            if delta != 0.0:
+                alpha[i] = new
+                f += delta * y[i] * kernel[:, i]
+                biggest = max(biggest, abs(delta))
+        if biggest < 1e-8:
+            return alpha, False
+    return alpha, True
+
+
+class TestDualCoordinateAscent:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 5, 200]), st.booleans())
+    def test_equals_numpy_loop(self, seed, max_sweeps, asymmetric):
+        k, y, c = _svm_dual_instance(np.random.default_rng(seed))
+        if asymmetric:
+            # the loop reads columns, so a kernel that is not symmetric tells
+            # columns from rows
+            k = k * np.random.default_rng(seed + 1).uniform(0.9, 1.1, size=k.shape)
+        alpha, capped = colabel._dual_coordinate_ascent(k, y, c, max_sweeps)
+        ref_alpha, ref_capped = _dual_coordinate_ascent_numpy(k, y, c, max_sweeps)
+        assert alpha.dtype == ref_alpha.dtype and alpha.tobytes() == ref_alpha.tobytes()
+        assert capped is ref_capped
+
+
 class TestSolveBoxQP:
     def test_reaches_coordinate_ascent_dual_objective(self):
         rng = np.random.default_rng(11)
@@ -133,9 +170,10 @@ class TestSolveBoxQP:
         captured = []
         monkeypatch.setattr(colabel, "train_appearance",
                             lambda hists, labels, vocab_size: captured.append((hists, labels)))
+        maps = pipeline.build_maps(corpus.images)
         for fold in (3, 4):
             pipeline.train_label_model(corpus.vocabulary, [
-                pipeline.ground_truth_rows(corpus.image_by_id(i))
+                pipeline.ground_truth_rows(corpus.image_by_id(i), maps[i])
                 for i in sorted(i for i in ids if folds[i] != fold)])
         checked = 0
         for hists, labels in captured:

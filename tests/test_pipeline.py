@@ -1,10 +1,11 @@
+import json
 import zlib
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from coparse import esvm, features, grouping, pipeline, synthgen
+from coparse import cli, esvm, features, grouping, io, pipeline, synthgen
 from coparse.core import regions_of, superpixel_adjacency
 from coparse.errors import ConfigError, MalformedInputError
 from coparse.io import Corpus
@@ -14,8 +15,15 @@ from conftest import make_image
 
 def fit_label_model(corpus):
     """The label model trained on every image of the corpus."""
+    maps = pipeline.build_maps(corpus.images)
     return pipeline.train_label_model(
-        corpus.vocabulary, [pipeline.ground_truth_rows(r) for r in corpus.images])
+        corpus.vocabulary, [pipeline.ground_truth_rows(r, maps[r.id]) for r in corpus.images])
+
+
+def cosegment(corpus, config, image_ids=None):
+    """Phase I on maps built for the call."""
+    return pipeline.run_cosegmentation(corpus, config, pipeline.build_maps(corpus.images),
+                                       image_ids)
 
 
 def uniform_corpus(n_images=2):
@@ -128,7 +136,7 @@ class TestCosegmentation:
     def test_stable_corpus_confirms_fixed_point_in_two_iterations(self):
         corpus = uniform_corpus()
         config = pipeline.Config(seed=1)
-        result = pipeline.run_cosegmentation(corpus, config)
+        result = cosegment(corpus, config)
         # no exemplar passes the gates, so iteration 2 confirms iteration 1
         assert result.exemplars == []
         assert result.iteration_count == 2
@@ -137,19 +145,19 @@ class TestCosegmentation:
     def test_rerun_reproduces_partitions(self):
         corpus = uniform_corpus()
         config = pipeline.Config(seed=1)
-        a = pipeline.run_cosegmentation(corpus, config)
-        b = pipeline.run_cosegmentation(corpus, config)
+        a = cosegment(corpus, config)
+        b = cosegment(corpus, config)
         for key in a.partitions:
             assert a.partitions[key].equals(b.partitions[key])
 
     def test_empty_selection_rejected(self):
         corpus = uniform_corpus()
         with pytest.raises(MalformedInputError):
-            pipeline.run_cosegmentation(corpus, pipeline.Config(), image_ids=["nope"])
+            cosegment(corpus, pipeline.Config(), image_ids=["nope"])
 
     def test_empty_selection_message(self):
         with pytest.raises(MalformedInputError) as info:
-            pipeline.run_cosegmentation(uniform_corpus(), pipeline.Config(), image_ids=[])
+            cosegment(uniform_corpus(), pipeline.Config(), image_ids=[])
         assert str(info.value) == "no images selected for co-segmentation"
 
     def test_max_duality_gap_over_trained_exemplars(self, monkeypatch):
@@ -163,12 +171,11 @@ class TestCosegmentation:
 
         monkeypatch.setattr(esvm, "build_exemplar", recorded_build)
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=28), 2)
-        result = pipeline.run_cosegmentation(corpus, pipeline.Config(seed=28))
+        result = cosegment(corpus, pipeline.Config(seed=28))
         assert len(gaps) == result.exemplars_trained > 0
         assert result.esvm_max_duality_gap == max(gaps)
         assert 0.0 < result.esvm_max_duality_gap <= 1e-6
-        assert pipeline.run_cosegmentation(uniform_corpus(), pipeline.Config(seed=1)) \
-            .esvm_max_duality_gap == 0.0
+        assert cosegment(uniform_corpus(), pipeline.Config(seed=1)).esvm_max_duality_gap == 0.0
 
 
     def test_degenerate_calibrations_counted(self, monkeypatch):
@@ -176,12 +183,36 @@ class TestCosegmentation:
         config = pipeline.Config(seed=28)
         # every exemplar calibrates against one positive and its negatives,
         # so a degenerate fit has to be forced: here every score is positive
-        assert pipeline.run_cosegmentation(corpus, config).esvm_degenerate_calibrations == 0
+        assert cosegment(corpus, config).esvm_degenerate_calibrations == 0
         calibrate = esvm.calibrate
         monkeypatch.setattr(esvm, "calibrate",
                             lambda scores, flags: calibrate(scores, np.ones_like(flags)))
-        result = pipeline.run_cosegmentation(corpus, config)
+        result = cosegment(corpus, config)
         assert result.esvm_degenerate_calibrations == result.exemplars_trained > 0
+
+
+    def test_unmoved_calibrations_counted(self, monkeypatch):
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=28), 2)
+        config = pipeline.Config(seed=28)
+        fits = []
+        calibrate = esvm.calibrate
+
+        def recorded(scores, flags):
+            fits.append((np.asarray(scores, dtype=np.float64), calibrate(scores, flags)))
+            return fits[-1][1]
+
+        monkeypatch.setattr(esvm, "calibrate", recorded)
+        result = cosegment(corpus, config)
+        assert len(fits) == result.exemplars_trained > 0
+        unmoved = [(scores, cal) for scores, cal in fits if cal.unmoved]
+        assert result.esvm_unmoved_calibrations == len(unmoved) > 0
+        for scores, cal in unmoved:
+            assert (cal.alpha, cal.beta) == (1.0, float(scores.mean()))
+        # with every other score positive the classes overlap, and each fit moves
+        monkeypatch.setattr(esvm, "calibrate", lambda scores, flags: calibrate(
+            scores, np.arange(flags.size) % 2 == 0))
+        moved = cosegment(corpus, config)
+        assert moved.exemplars_trained > 0 and moved.esvm_unmoved_calibrations == 0
 
 
 class TestColabeling:
@@ -197,19 +228,21 @@ class TestColabeling:
                            gt=shirt_gt, tags=(0, 1), image_id="train")
         full = Corpus(vocabulary=corpus.vocabulary,
                       images=corpus.images + (train,))
+        maps = pipeline.build_maps(full.images)
         model = pipeline.train_label_model(
-            full.vocabulary, [pipeline.ground_truth_rows(full.image_by_id(i))
+            full.vocabulary, [pipeline.ground_truth_rows(full.image_by_id(i), maps[i])
                               for i in ("flat0", "train")])
-        phase1 = pipeline.run_cosegmentation(full, config, ["flat0"])
-        phase2 = pipeline.run_colabeling(full, phase1, model, config, ["flat0"])
+        phase1 = pipeline.run_cosegmentation(full, config, maps, ["flat0"])
+        phase2 = pipeline.run_colabeling(full, phase1, model, config, maps, ["flat0"])
         assert (phase2.label_maps["flat0"] == 0).all()
 
     def test_output_labels_within_tags(self):
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=13), 4)
         config = pipeline.Config(seed=13)
         model = fit_label_model(corpus)
-        phase1 = pipeline.run_cosegmentation(corpus, config)
-        phase2 = pipeline.run_colabeling(corpus, phase1, model, config)
+        maps = pipeline.build_maps(corpus.images)
+        phase1 = pipeline.run_cosegmentation(corpus, config, maps)
+        phase2 = pipeline.run_colabeling(corpus, phase1, model, config, maps)
         for image in corpus.images:
             allowed = set(image.tags) | {0}
             assert set(np.unique(phase2.label_maps[image.id])) <= allowed
@@ -218,8 +251,9 @@ class TestColabeling:
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=13), 2)
         config = pipeline.Config(seed=13, pairwise_mode="literal")
         model = fit_label_model(corpus)
-        phase1 = pipeline.run_cosegmentation(corpus, config)
-        phase2 = pipeline.run_colabeling(corpus, phase1, model, config)
+        maps = pipeline.build_maps(corpus.images)
+        phase1 = pipeline.run_cosegmentation(corpus, config, maps)
+        phase2 = pipeline.run_colabeling(corpus, phase1, model, config, maps)
         assert np.isfinite(phase2.total_energy)
         metrics = pipeline.evaluate(phase2.label_maps, corpus)
         assert metrics.apa > 0.5
@@ -234,19 +268,20 @@ class TestColabeling:
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=13), 4)
         config = pipeline.Config(seed=13)
         model = fit_label_model(corpus)
-        phase1 = pipeline.run_cosegmentation(corpus, config)
-        joint = pipeline.run_colabeling(corpus, phase1, model, config)
+        maps = pipeline.build_maps(corpus.images)
+        phase1 = pipeline.run_cosegmentation(corpus, config, maps)
+        joint = pipeline.run_colabeling(corpus, phase1, model, config, maps)
 
         # label each image independently, then score the merged labeling on
         # the joint multi-image graph
         source_regions = {e.id: e.source_region for e in phase1.exemplars}
         graph = colabel.build_graph(list(corpus.images), phase1.partitions,
-                                    phase1.propagations, source_regions, model,
+                                    phase1.propagations, source_regions, model, maps,
                                     config.pairwise_mode, config.beta_pair,
                                     config.sigmoid_sharpness, config.e_max)
         merged = np.empty(len(graph.vertex_regions), dtype=np.int64)
         for image in corpus.images:
-            solo = pipeline.run_colabeling(corpus, phase1, model, config, [image.id])
+            solo = pipeline.run_colabeling(corpus, phase1, model, config, maps, [image.id])
             for idx, region in enumerate(graph.vertex_regions):
                 if region.id[0] == image.id:
                     ys, xs = np.nonzero(region.mask)
@@ -259,12 +294,13 @@ class TestColabeling:
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 3)
         config = pipeline.Config(seed=8)
         model = fit_label_model(corpus)
-        phase1 = pipeline.run_cosegmentation(corpus, config)
+        maps = pipeline.build_maps(corpus.images)
+        phase1 = pipeline.run_cosegmentation(corpus, config, maps)
         graphs = []
         build_graph = colabel.build_graph
         monkeypatch.setattr(colabel, "build_graph",
                             lambda *a: graphs.append(build_graph(*a)) or graphs[-1])
-        result = pipeline.run_colabeling(corpus, phase1, model, config)
+        result = pipeline.run_colabeling(corpus, phase1, model, config, maps)
         graph, = graphs
         assert graph.exterior_edges
         # reference: each image's unaries, its interior edges and half of each
@@ -339,18 +375,18 @@ class TestCrossValidate:
 
 
 class TestFeaturesBuiltOncePerCall:
-    """Each stage builds an image's maps, and Phase I its HOG pyramid and
-    superpixel graph, once per call, and keeps nothing past the call."""
+    """A command builds each image's maps once, and Phase I its HOG pyramid
+    and superpixel graph once per call; nothing is kept past the call."""
 
     @staticmethod
     def count_builds(monkeypatch, corpus):
-        image_of = {id(rec.pixels): rec.id for rec in corpus.images}
+        image_of = {rec.pixels.tobytes(): rec.id for rec in corpus.images}
         builds = {"maps": [], "pyramids": [], "graphs": []}
         image_maps, hog_pyramid = features.image_maps, features.hog_pyramid
         superpixel_graph = grouping.superpixel_graph
 
         def counted_maps(pixels):
-            builds["maps"].append(image_of[id(pixels)])
+            builds["maps"].append(image_of[pixels.tobytes()])
             return image_maps(pixels)
 
         def counted_pyramid(gray, scales):
@@ -366,22 +402,19 @@ class TestFeaturesBuiltOncePerCall:
         monkeypatch.setattr(grouping, "superpixel_graph", counted_graph)
         return builds
 
-    def test_one_build_per_image_per_stage(self, monkeypatch):
+    def test_run_builds_once_per_image(self, monkeypatch, tmp_path):
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 3)
-        config = pipeline.Config(seed=8)
+        manifest = io.save_corpus(corpus, tmp_path / "corpus")
         ids = sorted(rec.id for rec in corpus.images)
         builds = self.count_builds(monkeypatch, corpus)
-        model = fit_label_model(corpus)
-        assert sorted(builds["maps"]) == ids
-        builds["maps"].clear()
-        phase1 = pipeline.run_cosegmentation(corpus, config)
-        assert phase1.iteration_count >= 2 and phase1.exemplars_trained > 0
+        out = tmp_path / "out"
+        assert cli.main(["run", "--manifest", str(manifest), "--out", str(out),
+                         "--seed", "8"]) == 0
+        meta = json.loads((out / "run-meta.json").read_text())
+        assert meta["phase1_iterations"] >= 2 and meta["phase1_exemplars_trained"] > 0
+        # the ground-truth rows, Phase I and Phase II read one build per image
         assert sorted(builds["maps"]) == sorted(builds["graphs"]) == ids
-        assert len(builds["pyramids"]) == len(ids)
-        builds["maps"].clear()
-        pipeline.run_colabeling(corpus, phase1, model, config)
-        assert sorted(builds["maps"]) == ids
-        assert len(builds["pyramids"]) == len(ids)
+        assert builds["pyramids"] == [tuple(pipeline.Config().scales)] * len(ids)
 
     def test_cross_validate_builds_as_much_on_a_second_call(self, monkeypatch):
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=21), 4)
@@ -393,9 +426,9 @@ class TestFeaturesBuiltOncePerCall:
             counts.append({name: len(calls) for name, calls in builds.items()})
             for calls in builds.values():
                 calls.clear()
-        # ground-truth rows once per image, then each image's Phase I and II
-        # in the fold that tests it
-        assert counts[0] == counts[1] == {"maps": 12, "pyramids": 4, "graphs": 4}
+        # maps once per image for every fold's ground-truth rows, Phase I and
+        # Phase II; a pyramid and a graph in the fold that tests the image
+        assert counts[0] == counts[1] == {"maps": 4, "pyramids": 4, "graphs": 4}
 
 
 def _instance_from_scratch(image, propagations):
@@ -430,7 +463,7 @@ def test_instances_equal_instances_from_scratch(monkeypatch):
         return instance
 
     monkeypatch.setattr(grouping, "instance_for_image", checked_build)
-    pipeline.run_cosegmentation(corpus, pipeline.Config(seed=8))
+    cosegment(corpus, pipeline.Config(seed=8))
     assert len(checked) >= 6 and max(checked) > 0
 
 
@@ -478,11 +511,13 @@ def _reference_train_and_propagate(images, partitions, config):
 def _reference_cosegmentation(corpus, config):
     images = list(corpus.images)
     exemplars, propagations = [], []
-    previous, seen = None, set()
+    previous, seen, changed = None, set(), []
     iteration, converged, fixed_point = 0, False, False
     while iteration < config.max_phase1_iters:
         iteration += 1
         partitions = _reference_group_all(images, propagations, config)
+        changed.append(sum(previous is None or not np.array_equal(
+            partitions[i.id].assignment, previous[i.id].assignment) for i in images))
         if previous is not None and all(
                 partitions[i.id].equals(previous[i.id]) for i in images):
             converged = fixed_point = True
@@ -498,7 +533,8 @@ def _reference_cosegmentation(corpus, config):
         exemplars, propagations = _reference_train_and_propagate(images, partitions, config)
     return pipeline.Phase1Result(partitions=previous, exemplars=exemplars,
                                  propagations=propagations, iteration_count=iteration,
-                                 converged=converged, fixed_point=fixed_point)
+                                 converged=converged, fixed_point=fixed_point,
+                                 images_changed=tuple(changed))
 
 
 class _CallLog:
@@ -569,7 +605,7 @@ def phase1_runs(request):
         reference = _reference_cosegmentation(corpus, config)
     with pytest.MonkeyPatch.context() as mp:
         log = _CallLog(mp)
-        result = pipeline.run_cosegmentation(corpus, config)
+        result = cosegment(corpus, config)
     # the corpus shows the case it stands for, and the uncached loop repeats work
     if request.param == "closed-orbit":
         assert reference.converged and not reference.fixed_point
@@ -594,6 +630,9 @@ class TestPhase1Memo:
         _assert_same_records(result.propagations, reference.propagations)
         assert (result.iteration_count, result.converged, result.fixed_point) == \
             (reference.iteration_count, reference.converged, reference.fixed_point)
+        assert result.images_changed == reference.images_changed
+        assert len(result.images_changed) == result.iteration_count
+        assert (result.images_changed[-1] == 0) == result.fixed_point
 
     def test_counts_split_the_uncached_calls(self, phase1_runs):
         _, reference_log, result, log = phase1_runs
