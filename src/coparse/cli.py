@@ -68,6 +68,11 @@ def _run_meta(config: pipeline.Config, extra: dict) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _with_tuples(doc: dict) -> dict:
+    """A checked JSON object's lists as tuples, as the spec dataclasses hold them."""
+    return {key: tuple(value) if isinstance(value, list) else value for key, value in doc.items()}
+
+
 def cmd_gen(args) -> int:
     if args.spec is None:
         spec = synthgen.default_scene_spec()
@@ -82,18 +87,9 @@ def cmd_gen(args) -> int:
         for label in doc.get("labels", ()):
             pipeline.check_json_types(synthgen.LabelSpec, label, "scene spec label")
         try:
-            labels = tuple(synthgen.LabelSpec(
-                name=l["name"],
-                location_mean=tuple(l["location_mean"]),
-                location_sigma=l["location_sigma"],
-                color=tuple(l["color"]),
-                color_sigma=l.get("color_sigma", 12.0),
-                size_range=tuple(l.get("size_range", (0.18, 0.30))),
-            ) for l in doc.pop("labels"))
-            for key in ("shapes_per_image", "shape_kinds"):
-                if key in doc:
-                    doc[key] = tuple(doc[key])
-            spec = synthgen.SceneSpec(labels=labels, **doc)
+            labels = tuple(synthgen.LabelSpec(**_with_tuples(label))
+                           for label in doc.pop("labels"))
+            spec = synthgen.SceneSpec(labels=labels, **_with_tuples(doc))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad scene spec: {exc}") from exc
         except MalformedInputError as exc:
@@ -155,15 +151,36 @@ def _partitions_from_dir(corpus, phase1_dir: Path) -> dict[str, Partition]:
         if not path.exists():
             raise DataError(f"missing region map {path}")
         region_map = io.read_pgm(path)
-        if region_map.shape != image.superpixel_map.shape:
+        sp = image.superpixel_map
+        if region_map.shape != sp.shape:
             raise DataError(f"{path}: region map shape mismatch")
-        # the region index at any one pixel of a superpixel is its assignment
-        flat_sp = image.superpixel_map.ravel()
-        order = np.argsort(flat_sp, kind="stable")
-        first = np.searchsorted(flat_sp[order], np.arange(flat_sp.max() + 1))
-        partitions[image.id] = Partition.from_assignment(
-            region_map.ravel()[order[first]])
+        # a superpixel's assignment is its region index, checked constant over it
+        assignment = np.empty(int(sp.max()) + 1, dtype=np.int64)
+        assignment[sp] = region_map
+        split = sp[assignment[sp] != region_map]
+        if split.size:
+            raise DataError(f"{path}: superpixel {int(split[0])} lies in more than one region")
+        partitions[image.id] = Partition.from_assignment(assignment)
     return partitions
+
+
+def _phase1_records(phase1_dir: Path) -> list[list]:
+    """The exemplars and propagations ``esvm`` wrote (none for a missing
+    file); a malformed file raises DataError naming it."""
+    loaded = []
+    for name, parse, from_json in (
+            ("exemplars.jsonl", lambda text: [json.loads(line) for line in text.splitlines()
+                                              if line.strip()], esvm.exemplar_from_json),
+            ("propagations.json", json.loads, esvm.propagation_from_json)):
+        path = phase1_dir / name
+        try:
+            docs = parse(path.read_text()) if path.exists() else []
+            if not isinstance(docs, list):
+                raise TypeError(f"expected a JSON array, got {type(docs).__name__}")
+            loaded.append([from_json(doc) for doc in docs])
+        except (OSError, DataError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    return loaded
 
 
 def cmd_colabel(args) -> int:
@@ -171,17 +188,7 @@ def cmd_colabel(args) -> int:
     config = _load_config(args)
     phase1_dir = Path(args.phase1)
     partitions = _partitions_from_dir(corpus, phase1_dir)
-    exemplars = []
-    exemplar_path = phase1_dir / "exemplars.jsonl"
-    if exemplar_path.exists():
-        with open(exemplar_path) as f:
-            exemplars = [esvm.exemplar_from_json(json.loads(line))
-                         for line in f if line.strip()]
-    propagations = []
-    prop_path = phase1_dir / "propagations.json"
-    if prop_path.exists():
-        propagations = [esvm.propagation_from_json(doc)
-                        for doc in json.loads(prop_path.read_text())]
+    exemplars, propagations = _phase1_records(phase1_dir)
     maps = pipeline.build_maps(corpus.images)
     if args.train_manifest is None:
         train_corpus, train_maps = corpus, maps

@@ -23,7 +23,7 @@ import numpy as np
 from . import features
 from .core import (BACKGROUND, ImageRecord, Partition, Region, region_moments, regions_of,
                    superpixel_adjacency)
-from .errors import ConfigError, InsufficientDataError, UnknownLabelError
+from .errors import ConfigError, InsufficientDataError, MalformedInputError, UnknownLabelError
 from .graphcut import LabelingProblem
 
 WIDE_PRIOR_VARIANCE = 0.25   # location prior for labels unseen in training
@@ -288,7 +288,6 @@ def exterior_table(hist_u: np.ndarray, hist_v: np.ndarray,
 @dataclass(frozen=True)
 class CoLabelGraph:
     vertex_regions: tuple[Region, ...]
-    vertex_index: dict[tuple[str, int], int]
     problem: LabelingProblem
     interior_edges: tuple[tuple[int, int], ...]
     exterior_edges: tuple[tuple[int, int], ...]
@@ -297,21 +296,20 @@ class CoLabelGraph:
 def match_propagation_target(mask: np.ndarray, x: int, y: int,
                              regions: list[Region],
                              min_iou: float = 0.3) -> int | None:
-    """Region index with maximal overlap/union against the placed mask."""
-    mh, mw = mask.shape
-    mask_area = int(mask.sum())
-    best_iou, best_k = 0.0, None
-    for region in regions:
-        window = region.mask[y:y + mh, x:x + mw]
-        overlap = int((window & mask).sum())
-        if overlap == 0:
-            continue
-        union = int(region.mask.sum()) + mask_area - overlap
-        iou = overlap / union
-        if iou > best_iou:
-            best_iou, best_k = iou, region.id[1]
-    if best_k is not None and best_iou >= min_iou:
-        return best_k
+    """Index of the first of ``regions`` (of one partition, so sharing its region
+    map) with maximal overlap/union against the placed mask, or None below
+    ``min_iou`` or without overlap; MalformedInputError if the mask leaves the image."""
+    region_map = regions[0].region_map
+    (mh, mw), (h, w) = mask.shape, region_map.shape
+    if x < 0 or y < 0 or x + mw > w or y + mh > h:
+        raise MalformedInputError(f"{regions[0].id[0]}: a {mh}x{mw} mask placed at "
+                                  f"x={x}, y={y} leaves the {h}x{w} image")
+    ks = np.array([region.id[1] for region in regions])
+    overlap = np.bincount(region_map[y:y + mh, x:x + mw][mask], minlength=ks.max() + 1)[ks]
+    iou = overlap / (np.array([region.area for region in regions]) + int(mask.sum()) - overlap)
+    best = int(np.argmax(iou))
+    if 0.0 < iou[best] and iou[best] >= min_iou:
+        return int(ks[best])
     return None
 
 
@@ -326,25 +324,25 @@ def build_graph(images: list[ImageRecord], partitions: dict[str, Partition],
     image's maps by id.
     """
     vertex_regions: list[Region] = []
-    vertex_index: dict[tuple[str, int], int] = {}
     hists: list[np.ndarray] = []
     candidates: list[np.ndarray] = []
+    interior: list[tuple[int, int]] = []
     regions_by_image: dict[str, list[Region]] = {}
     for image in images:
-        partition = partitions[image.id]
-        regs = regions_of(image, partition)
-        regions_by_image[image.id] = regs
-        hists.extend(features.region_histograms(maps[image.id],
-                                                partition.assignment[image.superpixel_map],
-                                                partition.k))
+        regs = regions_by_image[image.id] = regions_of(image, partitions[image.id])
+        region_map = regs[0].region_map
+        hists.extend(features.region_histograms(maps[image.id], region_map, len(regs)))
         cand = np.array(sorted(set(image.tags) | {BACKGROUND}), dtype=np.int64)
         if cand[-1] >= model.vocab_size:
             raise UnknownLabelError(f"{image.id}: tag {cand[-1]} outside the label model's "
                                     f"vocabulary")
-        for region in regs:
-            vertex_index[region.id] = len(vertex_regions)
-            vertex_regions.append(region)
-            candidates.append(cand)
+        candidates.extend([cand] * len(regs))
+        # 4-adjacent region pairs (a, b), a < b, sorted
+        first = len(vertex_regions)
+        pairs, _ = superpixel_adjacency(region_map)
+        interior.extend((first + int(a), first + int(b)) for a, b in pairs)
+        vertex_regions.extend(regs)
+    vertex_of = {region.id: v for v, region in enumerate(vertex_regions)}
 
     unary, locations = [], []
     for region, hist, cand in zip(vertex_regions, hists, candidates):
@@ -353,17 +351,10 @@ def build_graph(images: list[ImageRecord], partitions: dict[str, Partition],
                                     sharpness, e_max))
         locations.append(location)
 
-    interior: list[tuple[int, int]] = []
-    for image in images:
-        # 4-adjacent region pairs (a, b), a < b, sorted
-        pairs, _ = superpixel_adjacency(partitions[image.id].assignment[image.superpixel_map])
-        interior.extend((vertex_index[(image.id, int(a))], vertex_index[(image.id, int(b))])
-                        for a, b in pairs)
-
     exterior_set: set[tuple[int, int]] = set()
     for prop in propagations:
         src = source_regions.get(prop.source_exemplar)
-        if (src not in vertex_index or src[0] == prop.target_image
+        if (src not in vertex_of or src[0] == prop.target_image
                 or prop.target_image not in regions_by_image):
             continue
         target_k = match_propagation_target(prop.mask, prop.x, prop.y,
@@ -371,7 +362,7 @@ def build_graph(images: list[ImageRecord], partitions: dict[str, Partition],
         if target_k is None:
             continue
         # the endpoints lie in different images, so they never coincide
-        u, v = vertex_index[src], vertex_index[(prop.target_image, target_k)]
+        u, v = vertex_of[src], vertex_of[(prop.target_image, target_k)]
         exterior_set.add((min(u, v), max(u, v)))
     exterior = sorted(exterior_set)
 
@@ -383,6 +374,5 @@ def build_graph(images: list[ImageRecord], partitions: dict[str, Partition],
 
     problem = LabelingProblem(candidates=tuple(candidates), unary=tuple(unary),
                               edges=tuple(edges))
-    return CoLabelGraph(vertex_regions=tuple(vertex_regions),
-                        vertex_index=vertex_index, problem=problem,
+    return CoLabelGraph(vertex_regions=tuple(vertex_regions), problem=problem,
                         interior_edges=tuple(interior), exterior_edges=tuple(exterior))

@@ -95,12 +95,19 @@ def pair_graph(node_count: int, pairs: np.ndarray, weights: np.ndarray) -> spars
 
 @dataclass(frozen=True)
 class Region:
+    """One region of a partition, a view of the partition's region map: its
+    pixels are those where ``region_map == id[1]``."""
+
     id: tuple[str, int]                 # (image id, region index)
     superpixels: tuple[int, ...]
-    mask: np.ndarray                    # (H, W) bool
+    region_map: np.ndarray              # (H, W) int64, read-only, shared by the partition
+    bbox: tuple[slice, slice]           # row and column bounds of the region's pixels
+    area: int                           # pixel count
     centroid: tuple[float, float]       # normalized (row, col)
-    area_fraction: float
-    label: int | None = None
+
+    @property
+    def area_fraction(self) -> float:
+        return self.area / self.region_map.size
 
 
 @dataclass(frozen=True)
@@ -188,7 +195,7 @@ def region_moments(label_map: np.ndarray, count: int
 
 
 def regions_of(image: ImageRecord, partition: Partition) -> list[Region]:
-    """Materialize partition regions with masks, centroids and areas."""
+    """Materialize a partition's regions as views of its one region map."""
     sp = image.superpixel_map
     m = int(sp.max()) + 1
     assignment = partition.assignment
@@ -196,17 +203,18 @@ def regions_of(image: ImageRecord, partition: Partition) -> list[Region]:
         raise MalformedInputError(
             f"{image.id}: partition length {assignment.shape[0]} != superpixel count {m}")
     region_map = assignment[sp]
+    region_map.flags.writeable = False
     k = partition.k
     n, rows, cols = region_moments(region_map, k)
+    boxes = ndimage.find_objects(region_map + 1, max_label=k)
     # region i's superpixels, ascending, are members[bounds[i]:bounds[i + 1]]
     members = np.argsort(assignment, kind="stable").tolist()
     bounds = np.concatenate([[0], np.cumsum(np.bincount(assignment, minlength=k))]).tolist()
-    rows, cols = rows.tolist(), cols.tolist()
+    n, rows, cols = n.tolist(), rows.tolist(), cols.tolist()
     return [Region(id=(image.id, i),
                    superpixels=tuple(members[bounds[i]:bounds[i + 1]]),
-                   mask=region_map == i,
-                   centroid=(rows[i], cols[i]),
-                   area_fraction=int(n[i]) / sp.size)
+                   region_map=region_map, bbox=boxes[i], area=n[i],
+                   centroid=(rows[i], cols[i]))
             for i in range(k)]
 
 

@@ -61,20 +61,20 @@ def region_saliency(maps: features.ImageMaps, region: Region,
     region's image, whose maps are ``maps``.
 
     The band is the ring that ``BAND_WIDTH`` 4-neighbour dilations add to the
-    mask, so it lies inside the mask's bounding box grown by ``BAND_WIDTH``;
-    both histograms are taken on that window, whose pixels each region adds
-    in the same row-major order as on the whole image.
+    region, so it lies inside the region's bounding box grown by
+    ``BAND_WIDTH``; both histograms are taken on that window, whose pixels
+    each region adds in the same row-major order as on the whole image.
     """
     if not a_min <= region.area_fraction <= a_max:
         return 0.0
     dy = region.centroid[0] - 0.5
     dx = region.centroid[1] - 0.5
     centrality = float(np.exp(-(dy * dy + dx * dx) / 0.18))
-    r0, r1, c0, c1 = _bbox(region.mask)
-    h, w = region.mask.shape
-    rows = slice(max(r0 - BAND_WIDTH, 0), min(r1 + BAND_WIDTH, h))
-    cols = slice(max(c0 - BAND_WIDTH, 0), min(c1 + BAND_WIDTH, w))
-    mask = region.mask[rows, cols]
+    box_rows, box_cols = region.bbox
+    h, w = region.region_map.shape
+    rows = slice(max(box_rows.start - BAND_WIDTH, 0), min(box_rows.stop + BAND_WIDTH, h))
+    cols = slice(max(box_cols.start - BAND_WIDTH, 0), min(box_cols.stop + BAND_WIDTH, w))
+    mask = region.region_map[rows, cols] == region.id[1]
     band = ndimage.binary_dilation(mask, iterations=BAND_WIDTH) & ~mask
     if not band.any():
         return 0.0
@@ -84,12 +84,6 @@ def region_saliency(maps: features.ImageMaps, region: Region,
     return centrality * contrast
 
 
-def _bbox(mask: np.ndarray) -> tuple[int, int, int, int]:
-    """Row and column bounds (r0, r1, c0, c1) of a non-empty mask."""
-    ys, xs = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
-    return int(ys[0]), int(ys[-1]) + 1, int(xs[0]), int(xs[-1]) + 1
-
-
 def select_regions(maps: features.ImageMaps, regions: list[Region],
                    a_min: float = 0.02, a_max: float = 0.6,
                    tau_sel: float = 0.05, n_sel: int = 4) -> list[int]:
@@ -97,8 +91,8 @@ def select_regions(maps: features.ImageMaps, regions: list[Region],
     whose bounding box is too thin for a HOG patch is never selected."""
     scored = []
     for region in regions:
-        r0, r1, c0, c1 = _bbox(region.mask)
-        if min(r1 - r0, c1 - c0) < features.MIN_PATCH_SIDE:
+        rows, cols = region.bbox
+        if min(rows.stop - rows.start, cols.stop - cols.start) < features.MIN_PATCH_SIDE:
             continue
         s = region_saliency(maps, region, a_min, a_max)
         if s > tau_sel:
@@ -316,14 +310,14 @@ def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
                    maps: dict[str, features.ImageMaps]) -> Exemplar:
     """Train and calibrate one exemplar from a selected region; ``maps``
     holds the maps of ``image`` and of every corpus image by id."""
-    r0, r1, c0, c1 = _bbox(region.mask)
-    template = features.template_from_bbox(r1 - r0, c1 - c0)
+    rows, cols = region.bbox
+    bbox_hw = (rows.stop - rows.start, cols.stop - cols.start)
+    template = features.template_from_bbox(*bbox_hw)
     cy, cx = template
-    patch = maps[image.id].luma[r0:r1, c0:c1]
+    patch = maps[image.id].luma[rows, cols]
     positive = features.hog(patch, template)
     rng = np.random.default_rng(exemplar_seed(seed, exemplar_id))
-    negatives = sample_negatives(corpus_images, image, excluded,
-                                 (r1 - r0, c1 - c0), template,
+    negatives = sample_negatives(corpus_images, image, excluded, bbox_hw, template,
                                  NEGATIVES_PER_EXEMPLAR, rng, maps)
     # bias enters as a constant feature coordinate
     pos_aug = _augment(positive)
@@ -333,7 +327,7 @@ def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
     flags = np.zeros(raws.size, dtype=bool)
     flags[0] = True
     cal = calibrate(raws, flags)
-    mask = features.nearest_resize_mask(region.mask[r0:r1, c0:c1],
+    mask = features.nearest_resize_mask(region.region_map[rows, cols] == region.id[1],
                                         cy * features.CELL, cx * features.CELL)
     if not mask.any():
         mask = np.ones_like(mask)
@@ -446,18 +440,18 @@ def mask_to_rle(mask: np.ndarray) -> dict:
 
 
 def mask_from_rle(doc: dict) -> np.ndarray:
-    shape = tuple(doc["shape"])
-    total = int(np.prod(shape))
-    flat = np.zeros(total, dtype=bool)
-    pos, value = 0, 0
-    for run in doc["runs"]:
-        if value:
-            flat[pos:pos + run] = True
-        pos += run
-        value ^= 1
-    if pos != total:
+    shape, runs = tuple(doc["shape"]), doc["runs"]
+    if len(shape) != 2 or not all(isinstance(n, int) and n >= 0 for n in (*shape, *runs)):
+        raise MalformedInputError("mask shape must be 2-D, run lengths non-negative integers")
+    if sum(runs) != shape[0] * shape[1]:
         raise MalformedInputError("run lengths do not cover the mask")
-    return flat.reshape(shape)
+    return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(shape)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise MalformedInputError(f"expected a string, got {value!r}")
+    return value
 
 
 def exemplar_to_json(exemplar: Exemplar) -> dict:
@@ -474,10 +468,10 @@ def exemplar_to_json(exemplar: Exemplar) -> dict:
 
 
 def exemplar_from_json(doc: dict) -> Exemplar:
+    image_id, index = doc["source_region"]
     w = np.frombuffer(base64.b64decode(doc["w"]), dtype="<f8").astype(np.float64)
-    return Exemplar(id=doc["id"], w=w, alpha=float(doc["alpha"]),
-                    beta=float(doc["beta"]),
-                    source_region=(doc["source_region"][0], int(doc["source_region"][1])),
+    return Exemplar(id=_text(doc["id"]), w=w, alpha=float(doc["alpha"]),
+                    beta=float(doc["beta"]), source_region=(_text(image_id), int(index)),
                     mask=mask_from_rle(doc["mask"]),
                     template=(int(doc["template"][0]), int(doc["template"][1])))
 
@@ -495,6 +489,6 @@ def propagation_to_json(record: PropagationRecord) -> dict:
 
 def propagation_from_json(doc: dict) -> PropagationRecord:
     return PropagationRecord(
-        source_exemplar=doc["exemplar"], target_image=doc["image"],
+        source_exemplar=_text(doc["exemplar"]), target_image=_text(doc["image"]),
         x=int(doc["x"]), y=int(doc["y"]), mask=mask_from_rle(doc["mask"]),
         score=float(doc["score"]))

@@ -524,11 +524,11 @@ def solve_multicut(instance: MulticutInstance, theta: float = 0.5) -> MulticutSo
     if not isinstance(instance, MulticutInstance):
         raise MalformedInputError("expected a MulticutInstance")
     solver = _MulticutSolver(instance, theta)
-    assign, _ = solver.solve()
+    assign, objective = solver.solve()
     partition = Partition.from_assignment(assign)
     return MulticutSolution(
         partition=partition,
-        objective=objective_of(instance, partition.assignment, theta),
+        objective=objective,
         mask_active=_mask_active(instance, partition.assignment),
         lp_solves=solver.lp_solves, nodes=solver.nodes, cuts=len(solver._row_keys),
         proven_optimal=solver.proven_optimal)

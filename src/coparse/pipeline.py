@@ -241,9 +241,7 @@ def _train_and_propagate(images: list[ImageRecord], partitions: dict[str, Partit
                                        config.tau_sel, config.n_sel)
         if not selected:
             continue
-        excluded = np.zeros(image.pixels.shape[:2], dtype=bool)
-        for k in selected:
-            excluded |= regions[k].mask
+        excluded = np.isin(regions[0].region_map, selected)
         excluded_key = excluded.tobytes()
         for k in selected:
             # content-based id: an unchanged region retrains into the
@@ -406,9 +404,10 @@ def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
                                 config.e_max)
     result = alpha_expansion(graph.problem, max_sweeps=config.max_sweeps)
 
-    label_maps = {image.id: np.zeros(image.pixels.shape[:2], dtype=np.int64) for image in images}
-    for idx, region in enumerate(graph.vertex_regions):
-        label_maps[region.id[0]][region.mask] = int(result.labeling[idx])
+    # an image's regions are consecutive vertices from its region 0 on, so
+    # one lookup through its region map paints it
+    label_maps = {region.id[0]: result.labeling[v + region.region_map]
+                  for v, region in enumerate(graph.vertex_regions) if region.id[1] == 0}
 
     # one row per image: its vertices' unaries, plus half of an edge's term for
     # each end in the image, so interior edges count whole and exterior ones half

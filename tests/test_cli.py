@@ -71,6 +71,20 @@ class TestGen:
         assert_one_line_error(capsys, "configuration error: scene spec ")
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("where", ["label", "scene"])
+    def test_unknown_spec_key_is_2(self, tmp_path, capsys, where):
+        label = self.SPEC["labels"][0]
+        spec = ({**self.SPEC, "labels": [{**label, "colour_sigma": 5.0}]} if where == "label"
+                else {**self.SPEC, "colour_sigma": 5.0})
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        rc = cli.main(["gen", "--spec", str(tmp_path / "spec.json"), "--n", "1",
+                       "--out", str(tmp_path / "c")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: bad scene spec: ") and "colour_sigma" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "c").exists()
+
     def test_gen_negative_seed_is_2(self, tmp_path, capsys):
         rc = cli.main(["gen", "--n", "1", "--out", str(tmp_path / "c"), "--seed", "-1"])
         assert rc == 2
@@ -310,6 +324,91 @@ class TestPhasedCommands:
         for image in corpus.images:
             labels = io.read_pgm(out / f"{image.id}.labels.pgm")
             assert set(np.unique(labels)) <= set(image.tags) | {0}
+
+
+# a well-formed exemplar of image 0's region 0 and its propagation into image 1
+EXEMPLAR = {"id": "e", "w": "AAAAAAAA8D8=", "alpha": 1.0, "beta": 0.0,
+            "source_region": ["img0000", 0], "template": [2, 2],
+            "mask": {"shape": [2, 2], "runs": [0, 4]}}
+PROPAGATION = {"exemplar": "e", "image": "img0001", "x": 0, "y": 0, "score": 0.5,
+               "mask": {"shape": [4, 4], "runs": [0, 16]}}
+
+
+@pytest.fixture(scope="module")
+def grouped_corpus(tmp_path_factory):
+    """A two-image corpus and the region maps ``group`` wrote for it."""
+    root = tmp_path_factory.mktemp("grouped")
+    manifest = write_tiny_corpus(root, n=2)
+    assert run_quietly(["group", "--manifest", str(manifest), "--out", str(root / "p1")])[0] == 0
+    return manifest, root / "p1"
+
+
+class TestMalformedPhase1:
+    def colabel(self, grouped_corpus, tmp_path, files):
+        manifest, grouped = grouped_corpus
+        phase1 = tmp_path / "phase1"
+        shutil.copytree(grouped, phase1)
+        for name, text in files.items():
+            (phase1 / name).write_text(text)
+        return run_quietly(["colabel", "--manifest", str(manifest), "--phase1", str(phase1),
+                            "--out", str(tmp_path / "out")])
+
+    def test_well_formed_records_are_read(self, grouped_corpus, tmp_path):
+        code, err = self.colabel(grouped_corpus, tmp_path, {
+            "exemplars.jsonl": json.dumps(EXEMPLAR) + "\n",
+            "propagations.json": json.dumps([PROPAGATION])})
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("name, text", [
+        ("exemplars.jsonl", json.dumps(EXEMPLAR)[:40] + "\n"),
+        ("exemplars.jsonl", json.dumps({**EXEMPLAR, "w": "A"}) + "\n"),
+        ("exemplars.jsonl", json.dumps({**EXEMPLAR, "alpha": [1]}) + "\n"),
+        ("exemplars.jsonl", json.dumps({**EXEMPLAR, "source_region": [["img0000"], 0]}) + "\n"),
+        ("exemplars.jsonl", "[1, 2]\n"),
+        ("propagations.json", json.dumps([{"exemplar": "x"}])),
+        ("propagations.json", json.dumps(PROPAGATION)),
+        ("propagations.json", json.dumps([{**PROPAGATION, "x": "left"}])),
+        ("propagations.json", json.dumps([{**PROPAGATION, "exemplar": ["e"]}])),
+        ("propagations.json", json.dumps([{**PROPAGATION, "mask": {"shape": [16],
+                                                                   "runs": [0, 16]}}])),
+        ("propagations.json", json.dumps([{**PROPAGATION, "mask": {"shape": [4, 4],
+                                                                   "runs": [0, 20, -4]}}])),
+        ("propagations.json", "[{"),
+    ], ids=["exemplar-truncated", "exemplar-bad-base64", "exemplar-alpha-list",
+            "exemplar-region-list", "exemplar-not-object", "propagation-missing-keys",
+            "propagations-not-array", "propagation-x-str", "propagation-exemplar-list",
+            "propagation-mask-1d", "propagation-negative-run", "propagations-truncated"])
+    def test_malformed_record_is_3(self, grouped_corpus, tmp_path, name, text):
+        code, err = self.colabel(grouped_corpus, tmp_path, {name: text})
+        assert code == 3
+        assert err.startswith(f"data error: {tmp_path / 'phase1' / name}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("x, y", [(-1, 0), (0, -4), (1000, 0), (0, 1000)])
+    def test_mask_outside_image_is_3(self, grouped_corpus, tmp_path, x, y):
+        code, err = self.colabel(grouped_corpus, tmp_path, {
+            "exemplars.jsonl": json.dumps(EXEMPLAR) + "\n",
+            "propagations.json": json.dumps([{**PROPAGATION, "x": x, "y": y}])})
+        assert code == 3
+        assert err.startswith("data error: img0001: a 4x4 mask placed at ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_region_map_splitting_a_superpixel_is_3(self, grouped_corpus, tmp_path):
+        manifest, grouped = grouped_corpus
+        image = io.load_corpus(manifest).images[0]
+        # superpixel 0 keeps its region but for one pixel
+        region_map = io.read_pgm(grouped / f"{image.id}.regions.pgm")
+        ys, xs = np.nonzero(image.superpixel_map == 0)
+        region_map[ys[0], xs[0]] = region_map.max() + 1
+        shutil.copytree(grouped, tmp_path / "phase1")
+        io.write_pgm16(tmp_path / "phase1" / f"{image.id}.regions.pgm", region_map)
+        code, err = run_quietly(["colabel", "--manifest", str(manifest),
+                                 "--phase1", str(tmp_path / "phase1"),
+                                 "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert err.startswith("data error: ")
+        assert "superpixel 0 lies in more than one region" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestRunAndEval:

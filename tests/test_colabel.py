@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coparse import colabel, features
-from coparse.core import Partition, PropagationRecord
-from coparse.errors import ConfigError, UnknownLabelError
+from coparse.core import Partition, PropagationRecord, Region, label_components, regions_of
+from coparse.errors import ConfigError, MalformedInputError, UnknownLabelError
 from coparse.pipeline import Config, build_maps
 
 from conftest import make_image
@@ -424,27 +424,91 @@ class TestBuildGraph:
             assert table.max() <= 20.0
 
 
+def _match_loop(mask, x, y, regions, min_iou=0.3):
+    """The per-region loop over full-image masks: the first region of
+    strictly largest IoU."""
+    mh, mw = mask.shape
+    mask_area = int(mask.sum())
+    best_iou, best_k = 0.0, None
+    for region in regions:
+        full = region.region_map == region.id[1]
+        overlap = int((full[y:y + mh, x:x + mw] & mask).sum())
+        if overlap == 0:
+            continue
+        iou = overlap / (int(full.sum()) + mask_area - overlap)
+        if iou > best_iou:
+            best_iou, best_k = iou, region.id[1]
+    if best_k is not None and best_iou >= min_iou:
+        return best_k
+    return None
+
+
+def _halves():
+    """The regions of an 8x8 image split into left and right halves."""
+    spmap = np.zeros((8, 8), dtype=np.int64)
+    spmap[:, 4:] = 1
+    return regions_of(make_image(spmap, image_id="i"), Partition.from_assignment([0, 1]))
+
+
 class TestMatchTarget:
     def test_best_overlap_wins(self):
-        from coparse.core import Region
-
         m1 = np.zeros((8, 8), dtype=bool)
         m1[:, :4] = True
-        m2 = ~m1
+        region_map = (~m1).astype(np.int64)
+        region_map.flags.writeable = False
         regions = [
-            Region(id=("i", 0), superpixels=(0,), mask=m1, centroid=(0.5, 0.25),
-                   area_fraction=0.5),
-            Region(id=("i", 1), superpixels=(1,), mask=m2, centroid=(0.5, 0.75),
-                   area_fraction=0.5),
+            Region(id=("i", 0), superpixels=(0,), region_map=region_map,
+                   bbox=(slice(0, 8), slice(0, 4)), area=32, centroid=(0.5, 0.25)),
+            Region(id=("i", 1), superpixels=(1,), region_map=region_map,
+                   bbox=(slice(0, 8), slice(4, 8)), area=32, centroid=(0.5, 0.75)),
         ]
         mask = np.ones((8, 3), dtype=bool)
         assert colabel.match_propagation_target(mask, 5, 0, regions) == 1
 
     def test_low_overlap_rejected(self):
-        from coparse.core import Region
-
-        m1 = np.ones((8, 8), dtype=bool)
-        regions = [Region(id=("i", 0), superpixels=(0,), mask=m1,
-                          centroid=(0.5, 0.5), area_fraction=1.0)]
+        region_map = np.zeros((8, 8), dtype=np.int64)
+        regions = [Region(id=("i", 0), superpixels=(0,), region_map=region_map,
+                          bbox=(slice(0, 8), slice(0, 8)), area=64, centroid=(0.5, 0.5))]
         mask = np.ones((2, 2), dtype=bool)  # IoU = 4/64 < 0.3
         assert colabel.match_propagation_target(mask, 0, 0, regions) is None
+
+    def test_tie_goes_to_the_first_region(self):
+        regions = _halves()
+        mask = np.ones((8, 4), dtype=bool)   # 16 pixels of each half: IoU 1/3 each
+        assert colabel.match_propagation_target(mask, 2, 0, regions) == 0
+        assert colabel.match_propagation_target(mask, 2, 0, regions[::-1]) == 1
+
+    def test_no_overlap_is_no_match(self):
+        regions = _halves()
+        mask = np.zeros((3, 3), dtype=bool)
+        assert colabel.match_propagation_target(mask, 0, 0, regions, min_iou=0.0) is None
+
+    @pytest.mark.parametrize("x, y, shape", [(-1, 0, (2, 2)), (0, -1, (2, 2)),
+                                             (7, 0, (2, 2)), (0, 7, (2, 2)),
+                                             (0, 0, (9, 1))])
+    def test_mask_outside_image_rejected(self, x, y, shape):
+        with pytest.raises(MalformedInputError, match="leaves the 8x8 image"):
+            colabel.match_propagation_target(np.ones(shape, dtype=bool), x, y, _halves())
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_equals_per_region_loop(self, data):
+        h, w = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
+        # a tiny alphabet makes equal-area regions, so equal IoUs, common
+        values = np.array(data.draw(st.lists(st.integers(0, 2), min_size=h * w,
+                                             max_size=h * w))).reshape(h, w)
+        spmap, _ = label_components(values)
+        m = int(spmap.max()) + 1
+        assignment = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        regions = regions_of(make_image(spmap, image_id="i"),
+                             Partition.from_assignment(assignment))
+        regions = data.draw(st.permutations(regions))
+        mh, mw = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
+        # windows flush with each border are drawn as often as inner ones
+        y = data.draw(st.sampled_from([0, h - mh]) | st.integers(0, h - mh))
+        x = data.draw(st.sampled_from([0, w - mw]) | st.integers(0, w - mw))
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=mh * mw,
+                                           max_size=mh * mw))).reshape(mh, mw)
+        min_iou = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+        assert (colabel.match_propagation_target(mask, x, y, regions, min_iou)
+                == _match_loop(mask, x, y, regions, min_iou))

@@ -50,15 +50,16 @@ def _regions_of_loop(image, partition):
     region_map = partition.assignment[sp]
     out = []
     for k in range(partition.k):
-        mask = region_map == k
-        ys, xs = np.nonzero(mask)
+        ys, xs = np.nonzero(region_map == k)
         n = ys.size
         out.append(Region(
             id=(image.id, k),
             superpixels=tuple(int(j) for j in np.flatnonzero(partition.assignment == k)),
-            mask=mask,
+            region_map=region_map,
+            bbox=(slice(int(ys.min()), int(ys.max()) + 1),
+                  slice(int(xs.min()), int(xs.max()) + 1)),
+            area=n,
             centroid=((ys.sum() + 0.5 * n) / n / h, (xs.sum() + 0.5 * n) / n / w),
-            area_fraction=n / (h * w),
         ))
     return out
 
@@ -89,8 +90,9 @@ class TestRegionsOf:
         regions = regions_of(quad_image, part)
         assert len(regions) == 2
         # independent set-union check on the masks
-        union = regions[0].mask | regions[1].mask
-        overlap = regions[0].mask & regions[1].mask
+        masks = [r.region_map == r.id[1] for r in regions]
+        union = masks[0] | masks[1]
+        overlap = masks[0] & masks[1]
         assert union.all()
         assert not overlap.any()
         assert regions[0].superpixels == (0, 1)
@@ -111,9 +113,14 @@ class TestRegionsOf:
         got, want = regions_of(image, part), _regions_of_loop(image, part)
         assert len(got) == len(want) == part.k
         for a, b in zip(got, want):
-            assert (a.id, a.superpixels, a.label) == (b.id, b.superpixels, b.label)
-            assert a.mask.dtype == b.mask.dtype and np.array_equal(a.mask, b.mask)
+            assert (a.id, a.superpixels, a.bbox, a.area) == (b.id, b.superpixels, b.bbox, b.area)
+            mask_a, mask_b = a.region_map == a.id[1], b.region_map == b.id[1]
+            assert mask_a.dtype == mask_b.dtype and np.array_equal(mask_a, mask_b)
             assert a.centroid == b.centroid and a.area_fraction == b.area_fraction
+            # one read-only map, shared by every region of the partition
+            assert a.region_map is got[0].region_map and not a.region_map.flags.writeable
+            assert a.region_map.dtype == b.region_map.dtype
+            assert np.array_equal(a.region_map, b.region_map)
 
     def test_random_partitions_cover_exactly(self, quad_image):
         rng = np.random.default_rng(3)
@@ -121,7 +128,7 @@ class TestRegionsOf:
         for _ in range(20):
             part = Partition.from_assignment(rng.integers(0, 3, size=4))
             regions = regions_of(quad_image, part)
-            assert sum(r.mask.sum() for r in regions) == total
+            assert sum((r.region_map == r.id[1]).sum() for r in regions) == total
 
 
 class TestPartition:

@@ -389,10 +389,11 @@ def _region_saliency_full(maps, region, a_min, a_max):
     dy = region.centroid[0] - 0.5
     dx = region.centroid[1] - 0.5
     centrality = float(np.exp(-(dy * dy + dx * dx) / 0.18))
-    band = ndimage.binary_dilation(region.mask, iterations=5) & ~region.mask
+    mask = region.region_map == region.id[1]
+    band = ndimage.binary_dilation(mask, iterations=5) & ~mask
     if not band.any():
         return 0.0
-    contrast = features.chi_square(features.region_histogram(maps, region.mask),
+    contrast = features.chi_square(features.region_histogram(maps, mask),
                                    features.region_histogram(maps, band))
     return centrality * contrast
 
@@ -467,7 +468,7 @@ class TestPropagation:
     def test_k_zero_empty(self):
         images = make_detection_corpus()
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
-        excluded = regions[1].mask
+        excluded = regions[1].region_map == 1
         ex = esvm.build_exemplar("e0", images[0], regions[1], images, excluded,
                                  0.5, 0.01, seed=7, maps=maps_of(images))
         assert esvm.propagate(ex, images, pyramids_of(images), k=0) == []
@@ -475,7 +476,7 @@ class TestPropagation:
     def test_self_detection_overlaps_source(self):
         images = make_detection_corpus()
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
-        excluded = regions[1].mask
+        excluded = regions[1].region_map == 1
         ex = esvm.build_exemplar("e0", images[0], regions[1], images, excluded,
                                  0.5, 0.01, seed=7, maps=maps_of(images))
         dets = esvm.detect(ex, images[0], pyramids_of(images)[images[0].id])
@@ -489,7 +490,8 @@ class TestPropagation:
         images = make_detection_corpus()
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
         ex = esvm.build_exemplar("e0", images[0], regions[1], images,
-                                 regions[1].mask, 0.5, 0.01, seed=7, maps=maps_of(images))
+                                 regions[1].region_map == 1, 0.5, 0.01, seed=7,
+                                 maps=maps_of(images))
         # a flat image scores every window alike, so only the tie-breaks order
         # them; at scale 16/17 every odd window offset lands on a half pixel
         flat = make_image(np.zeros((170, 136), dtype=np.int64), image_id="flat")
@@ -505,7 +507,7 @@ class TestPropagation:
     def test_nms_and_ordering(self):
         images = make_detection_corpus()
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
-        excluded = regions[1].mask
+        excluded = regions[1].region_map == 1
         ex = esvm.build_exemplar("e0", images[0], regions[1], images, excluded,
                                  0.5, 0.01, seed=7, maps=maps_of(images))
         props = esvm.propagate(ex, images, pyramids_of(images), k=8)
@@ -526,7 +528,8 @@ class TestPropagation:
         images = make_detection_corpus()
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
         ex = esvm.build_exemplar("e0", images[0], regions[1], images,
-                                 regions[1].mask, 0.5, 0.01, seed=7, maps=maps_of(images))
+                                 regions[1].region_map == 1, 0.5, 0.01, seed=7,
+                                 maps=maps_of(images))
         for p in esvm.propagate(ex, images, pyramids_of(images), k=6):
             h, w = p.mask.shape
             img = next(i for i in images if i.id == p.target_image)

@@ -365,6 +365,16 @@ class TestBruteForce:
         assert sol.objective == recount
         assert grouping.objective_of(inst, sol.partition.assignment, theta) == recount
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_solver_objective_is_objective_of(self, data):
+        # the solver reports its search's own sum: it must equal a fresh
+        # objective_of of the partition it returns, bit for bit
+        inst = draw_instance(data, 12)
+        theta = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        sol = grouping.solve_multicut(inst, theta)
+        assert sol.objective == grouping.objective_of(inst, sol.partition.assignment, theta)
+
 
 def random_instance(rng, max_nodes=10):
     n = int(rng.integers(2, max_nodes + 1))

@@ -284,7 +284,7 @@ class TestColabeling:
             solo = pipeline.run_colabeling(corpus, phase1, model, config, maps, [image.id])
             for idx, region in enumerate(graph.vertex_regions):
                 if region.id[0] == image.id:
-                    ys, xs = np.nonzero(region.mask)
+                    ys, xs = np.nonzero(region.region_map == region.id[1])
                     merged[idx] = solo.label_maps[image.id][ys[0], xs[0]]
         assert joint.total_energy <= energy_of(graph.problem, merged) + 1e-9
 
@@ -306,7 +306,8 @@ class TestColabeling:
         # reference: each image's unaries, its interior edges and half of each
         # exterior edge it touches, added term by term
         pos = graph.problem.positions(np.array([
-            result.label_maps[r.id[0]][r.mask][0] for r in graph.vertex_regions]))
+            result.label_maps[r.id[0]][r.region_map == r.id[1]][0]
+            for r in graph.vertex_regions]))
         expected = {image.id: 0.0 for image in corpus.images}
         for idx, region in enumerate(graph.vertex_regions):
             expected[region.id[0]] += float(graph.problem.unary[idx][pos[idx]])
@@ -493,7 +494,7 @@ def _reference_train_and_propagate(images, partitions, config):
             continue
         excluded = np.zeros(image.pixels.shape[:2], dtype=bool)
         for k in selected:
-            excluded |= regions[k].mask
+            excluded |= regions[k].region_map == k
         for k in selected:
             content = zlib.crc32(np.asarray(regions[k].superpixels, dtype=np.int64).tobytes())
             exemplars.append(esvm.build_exemplar(
