@@ -41,7 +41,6 @@ def _phase1_meta(phase1: pipeline.Phase1Result) -> dict:
         "phase1_exemplars_reused": phase1.exemplars_reused,
         "phase1_esvm_max_duality_gap": phase1.esvm_max_duality_gap,
         "phase1_esvm_degenerate_calibrations": phase1.esvm_degenerate_calibrations,
-        "phase1_esvm_unmoved_calibrations": phase1.esvm_unmoved_calibrations,
         "phase1_images_changed": list(phase1.images_changed),
         "phase1_multicut_lp_solves": phase1.multicut_lp_solves,
         "phase1_multicut_nodes": phase1.multicut_nodes,
@@ -189,11 +188,27 @@ def cmd_colabel(args) -> int:
     phase1_dir = Path(args.phase1)
     partitions = _partitions_from_dir(corpus, phase1_dir)
     exemplars, propagations = _phase1_records(phase1_dir)
+    for exemplar in exemplars:
+        image_id, index = exemplar.source_region
+        if image_id not in partitions or not 0 <= index < partitions[image_id].k:
+            raise DataError(f"{phase1_dir / 'exemplars.jsonl'}: exemplar {exemplar.id!r} has "
+                            f"no source region {index} in image {image_id!r}")
+    exemplar_ids = {exemplar.id for exemplar in exemplars}
+    for prop in propagations:
+        if prop.source_exemplar not in exemplar_ids:
+            raise DataError(f"{phase1_dir / 'propagations.json'}: unknown exemplar "
+                            f"{prop.source_exemplar!r}")
+        if prop.target_image not in partitions:
+            raise DataError(f"{phase1_dir / 'propagations.json'}: unknown image "
+                            f"{prop.target_image!r}")
     maps = pipeline.build_maps(corpus.images)
     if args.train_manifest is None:
         train_corpus, train_maps = corpus, maps
     else:
         train_corpus = io.load_corpus(args.train_manifest)
+        if train_corpus.vocabulary != corpus.vocabulary:
+            raise DataError(f"--train-manifest vocabulary {list(train_corpus.vocabulary)} "
+                            f"differs from the manifest's {list(corpus.vocabulary)}")
         train_maps = pipeline.build_maps(train_corpus.images)
     model = pipeline.train_label_model(
         train_corpus.vocabulary,

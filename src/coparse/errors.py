@@ -41,5 +41,5 @@ class OracleTooLargeError(CoparseError):
     """Exhaustive oracle asked to enumerate beyond its size cap."""
 
 
-class GenerationError(CoparseError):
-    """Synthetic scene could not be realized."""
+class GenerationError(ConfigError):
+    """Synthetic scene could not be realized from its spec (exit code 2)."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.special import expit
 
 from . import features, kernels
 from .core import ImageRecord, PropagationRecord, Region
@@ -37,7 +38,6 @@ class Exemplar:
     template: tuple[int, int]          # (cells_y, cells_x)
     duality_gap: float = 0.0           # of the training; 0 when read from JSON
     degenerate_calibration: bool = False   # the logistic fit fell back; False from JSON
-    unmoved_calibration: bool = False      # the fit took no step; False from JSON
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,6 @@ class CalibrationResult:
     alpha: float
     beta: float
     degenerate: bool = False
-    unmoved: bool = False   # a two-class fit that accepted no Newton step
 
 
 def calibrated_score(alpha: float, beta: float, raw) -> np.ndarray | float:
@@ -200,60 +199,45 @@ def calibrated_score(alpha: float, beta: float, raw) -> np.ndarray | float:
 
 
 def calibrate(scores: np.ndarray, is_positive: np.ndarray) -> CalibrationResult:
-    """Fit the logistic (alpha, beta) by damped Newton on the log-likelihood.
+    """Fit the logistic (alpha, beta) by Newton's method on the log-likelihood.
 
-    A small ridge on alpha keeps the fit finite when the classes are
-    separable. Single-class inputs fall back to (1, mean score) and are
-    flagged degenerate; a fit that accepts no step returns its start, the
-    same (1, mean score), and is flagged unmoved.
+    The fit runs over p = (alpha, c) with z = alpha*s - c, so beta = c/alpha;
+    there the log-likelihood, less a small ridge on alpha that keeps the fit
+    finite when the classes are separable, is concave and a Newton step
+    halved until it does not lower the objective always ascends. Halving also
+    keeps alpha positive, so the calibrated score increases with the raw one.
+    Single-class inputs fall back to (1, mean score) and are flagged
+    degenerate.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(is_positive, dtype=bool).astype(np.float64)
     if y.min() == y.max():
         return CalibrationResult(alpha=1.0, beta=float(s.mean()), degenerate=True)
-    ridge = CALIBRATION_RIDGE
-    alpha, beta = 1.0, float(s.mean())
+    x = np.stack([s, -np.ones_like(s)], axis=1)
+    ridge = np.array([CALIBRATION_RIDGE, 0.0])
 
-    def loglik(a, b):
-        z = a * (s - b)
+    def objective(p):
+        z = x @ p
         # log sigma(z) computed stably for both signs
-        return float((y * -np.logaddexp(0.0, -z) + (1 - y) * -np.logaddexp(0.0, z)).sum()
-                     - ridge * a * a)
+        return float(-(y * np.logaddexp(0.0, -z) + (1 - y) * np.logaddexp(0.0, z)).sum()
+                     - ridge @ p ** 2)
 
-    ll = loglik(alpha, beta)
-    moved = False
+    p = np.array([1.0, float(s.mean())])
+    value = objective(p)
     for _ in range(100):
-        z = alpha * (s - beta)
-        p = 1.0 / (1.0 + np.exp(-z))
-        r = y - p
-        pq = p * (1.0 - p)
-        g_a = float((r * (s - beta)).sum()) - 2.0 * ridge * alpha
-        g_b = float(-alpha * r.sum())
-        h_aa = -float((pq * (s - beta) ** 2).sum()) - 2.0 * ridge
-        h_bb = -float(alpha * alpha * pq.sum())
-        h_ab = float(alpha * (pq * (s - beta)).sum()) - float(r.sum())
-        hess = np.array([[h_aa, h_ab], [h_ab, h_bb]]) - 1e-9 * np.eye(2)
-        try:
-            step = np.linalg.solve(hess, -np.array([g_a, g_b]))
-        except np.linalg.LinAlgError:
+        q = expit(x @ p)
+        grad = x.T @ (y - q) - 2.0 * ridge * p
+        if np.abs(grad).max() < 1e-9:
             break
-        scale = 1.0
-        improved = False
-        for _ in range(30):
-            na, nb = alpha + scale * step[0], beta + scale * step[1]
-            if na > 1e-6:
-                nll = loglik(na, nb)
-                if nll > ll + 1e-12:
-                    alpha, beta, ll = na, nb, nll
-                    improved = True
-                    break
-            scale *= 0.5
-        if not improved:
-            break
-        moved = True
-        if abs(g_a) < 1e-9 and abs(g_b) < 1e-9:
-            break
-    return CalibrationResult(alpha=float(alpha), beta=float(beta), unmoved=not moved)
+        step = np.linalg.solve(x.T @ (x * (q * (1.0 - q))[:, None]) + np.diag(2.0 * ridge),
+                               grad)
+        trial = p + step
+        # a step small enough to leave p unchanged ends the halving
+        while trial[0] <= 1e-6 or (trial_value := objective(trial)) < value:
+            step *= 0.5
+            trial = p + step
+        p, value = trial, trial_value
+    return CalibrationResult(alpha=float(p[0]), beta=float(p[1] / p[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +318,7 @@ def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
     return Exemplar(id=exemplar_id, w=trained.w, alpha=cal.alpha, beta=cal.beta,
                     source_region=region.id, mask=mask, template=template,
                     duality_gap=trained.duality_gap,
-                    degenerate_calibration=cal.degenerate,
-                    unmoved_calibration=cal.unmoved)
+                    degenerate_calibration=cal.degenerate)
 
 
 # ---------------------------------------------------------------------------

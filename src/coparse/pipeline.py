@@ -180,7 +180,6 @@ class Phase1Result:
     exemplars_reused: int = 0
     esvm_max_duality_gap: float = 0.0   # over the exemplars trained here
     esvm_degenerate_calibrations: int = 0   # of the exemplars trained here
-    esvm_unmoved_calibrations: int = 0      # of the exemplars trained here
     # sums over the multicuts solved here (not the reused ones)
     multicut_lp_solves: int = 0
     multicut_nodes: int = 0
@@ -327,8 +326,6 @@ def run_cosegmentation(corpus: Corpus, config: Config,
                             (ex.duality_gap for ex, _ in trained.values()), default=0.0),
                         esvm_degenerate_calibrations=sum(
                             ex.degenerate_calibration for ex, _ in trained.values()),
-                        esvm_unmoved_calibrations=sum(
-                            ex.unmoved_calibration for ex, _ in trained.values()),
                         multicut_lp_solves=sum(s.lp_solves for s in solved.values()),
                         multicut_nodes=sum(s.nodes for s in solved.values()),
                         multicut_cuts=sum(s.cuts for s in solved.values()),

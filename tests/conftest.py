@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coparse.core import ImageRecord
+from coparse.esvm import CALIBRATION_RIDGE
 
 
 def make_image(spmap, pixels=None, contour=None, gt=None, tags=(0,), image_id="test"):
@@ -20,6 +21,17 @@ def make_image(spmap, pixels=None, contour=None, gt=None, tags=(0,), image_id="t
         contour_map=np.asarray(contour, dtype=bool),
         ground_truth=None if gt is None else np.asarray(gt, dtype=np.int64),
     )
+
+
+def assert_calibration_stationary(scores, labels, cal):
+    """The gradient of ``esvm.calibrate``'s objective in (alpha, c), with
+    z = alpha*s - c, vanishes at ``cal`` to 1e-6 relative."""
+    scores = np.asarray(scores, dtype=np.float64)
+    c = cal.alpha * cal.beta
+    r = np.asarray(labels, dtype=np.float64) - 1.0 / (1.0 + np.exp(-(cal.alpha * scores - c)))
+    grad_alpha = float(r @ scores) - 2.0 * CALIBRATION_RIDGE * cal.alpha
+    assert abs(grad_alpha) <= 1e-6 * max(1.0, float(np.abs(scores).sum()))
+    assert abs(float(r.sum())) <= 1e-6 * scores.size
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from coparse import esvm, features, kernels, pipeline, synthgen
 from coparse.core import Partition, label_components, regions_of
 from coparse.errors import InsufficientDataError
 
-from conftest import make_image
+from conftest import assert_calibration_stationary, make_image
 
 
 def maps_of(images):
@@ -180,6 +180,13 @@ def logistic_refit_data(alpha, beta, seed, n_points=50, per_point=10):
     return np.asarray(scores), np.asarray(labels)
 
 
+def penalized_loglik(scores, labels, alpha, c):
+    """The objective ``calibrate`` maximizes, at z = alpha*s - c."""
+    z = alpha * scores - c
+    return float(-np.where(labels, np.logaddexp(0.0, -z), np.logaddexp(0.0, z)).sum()
+                 - esvm.CALIBRATION_RIDGE * alpha ** 2)
+
+
 def _hog_reference(patch, template):
     """The single-crop HOG pipeline written out for one 2-D raster."""
     cy, cx = template
@@ -292,22 +299,42 @@ class TestCalibration:
         assert cal.degenerate
         assert cal.alpha == 1.0
         assert cal.beta == pytest.approx(0.5)
-        assert not cal.unmoved
 
-    def test_separable_scores_leave_the_fit_unmoved(self):
-        # one positive above every negative, as build_exemplar scores them
+    def test_separable_scores_move_the_fit(self):
+        # one positive above every negative, as build_exemplar scores them;
+        # the ridge keeps this fit finite
         rng = np.random.default_rng(4)
         scores = np.concatenate([[1.0], rng.normal(-1.0, 0.2, 200)])
         flags = np.zeros(scores.size, dtype=bool)
         flags[0] = True
         cal = esvm.calibrate(scores, flags)
-        assert cal.unmoved and not cal.degenerate
-        assert (cal.alpha, cal.beta) == (1.0, float(scores.mean()))
+        assert not cal.degenerate
+        assert cal.alpha != 1.0 and cal.beta != float(scores.mean())
+        assert_calibration_stationary(scores, flags, cal)
 
     def test_overlapping_scores_move_the_fit(self):
         scores, labels = logistic_refit_data(2.0, 0.3, 0)
         cal = esvm.calibrate(scores, labels)
-        assert not cal.unmoved and cal.alpha != 1.0
+        assert cal.alpha != 1.0
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(st.floats(-20, 20), min_size=1, max_size=60),
+           st.lists(st.floats(-20, 20), min_size=1, max_size=60), st.booleans())
+    def test_fit_is_the_penalized_optimum(self, positives, negatives, separable):
+        # the best alpha is positive only when the positives score higher on
+        # average, so the draws are shifted to make them: above every negative
+        # when separable, else just their mean above the negatives' mean
+        positives = np.asarray(positives)
+        floor = max(negatives) if separable else np.mean(negatives)
+        positives = positives + max(0.0, floor + 0.5 - (positives.min() if separable
+                                                         else positives.mean()))
+        scores = np.concatenate([positives, negatives])
+        labels = np.arange(scores.size) < positives.size
+        cal = esvm.calibrate(scores, labels)
+        assert not cal.degenerate and cal.alpha > 0
+        assert_calibration_stationary(scores, labels, cal)
+        start = penalized_loglik(scores, labels, 1.0, float(scores.mean()))
+        assert penalized_loglik(scores, labels, cal.alpha, cal.alpha * cal.beta) >= start
 
 
 def make_detection_corpus():

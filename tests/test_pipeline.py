@@ -10,7 +10,7 @@ from coparse.core import regions_of, superpixel_adjacency
 from coparse.errors import ConfigError, MalformedInputError
 from coparse.io import Corpus
 
-from conftest import make_image
+from conftest import assert_calibration_stationary, make_image
 
 
 def fit_label_model(corpus):
@@ -191,28 +191,22 @@ class TestCosegmentation:
         assert result.esvm_degenerate_calibrations == result.exemplars_trained > 0
 
 
-    def test_unmoved_calibrations_counted(self, monkeypatch):
-        corpus = synthgen.generate(synthgen.default_scene_spec(seed=28), 2)
-        config = pipeline.Config(seed=28)
+    def test_every_calibration_reaches_its_fit(self, monkeypatch):
+        # criterion 8's corpus; each fit sees one positive and 200 negatives
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 3)
         fits = []
         calibrate = esvm.calibrate
 
         def recorded(scores, flags):
-            fits.append((np.asarray(scores, dtype=np.float64), calibrate(scores, flags)))
-            return fits[-1][1]
+            fits.append((scores, flags, calibrate(scores, flags)))
+            return fits[-1][2]
 
         monkeypatch.setattr(esvm, "calibrate", recorded)
-        result = cosegment(corpus, config)
+        result = cosegment(corpus, pipeline.Config(seed=8))
         assert len(fits) == result.exemplars_trained > 0
-        unmoved = [(scores, cal) for scores, cal in fits if cal.unmoved]
-        assert result.esvm_unmoved_calibrations == len(unmoved) > 0
-        for scores, cal in unmoved:
-            assert (cal.alpha, cal.beta) == (1.0, float(scores.mean()))
-        # with every other score positive the classes overlap, and each fit moves
-        monkeypatch.setattr(esvm, "calibrate", lambda scores, flags: calibrate(
-            scores, np.arange(flags.size) % 2 == 0))
-        moved = cosegment(corpus, config)
-        assert moved.exemplars_trained > 0 and moved.esvm_unmoved_calibrations == 0
+        for scores, flags, cal in fits:
+            assert cal.alpha != 1.0 and not cal.degenerate
+            assert_calibration_stationary(scores, flags, cal)
 
 
 class TestColabeling:
