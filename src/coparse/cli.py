@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, esvm, grouping, io, pipeline, synthgen
-from .core import Partition
+from .core import Partition, regions_of
 from .errors import ConfigError, CoparseError, DataError, MalformedInputError
 
 
@@ -134,8 +134,7 @@ def cmd_esvm(args) -> int:
     _dump_json(out / "propagations.json",
                [esvm.propagation_to_json(p) for p in phase1.propagations])
     for image in corpus.images:
-        region_map = phase1.partitions[image.id].assignment[image.superpixel_map]
-        io.write_pgm16(out / f"{image.id}.regions.pgm", region_map)
+        io.write_pgm16(out / f"{image.id}.regions.pgm", phase1.regions[image.id][0].region_map)
     _dump_json(out / "run-meta.json", _run_meta(config, _phase1_meta(phase1)))
     print(f"phase I: {len(phase1.exemplars)} exemplars, "
           f"{len(phase1.propagations)} propagations, "
@@ -213,7 +212,8 @@ def cmd_colabel(args) -> int:
     model = pipeline.train_label_model(
         train_corpus.vocabulary,
         [pipeline.ground_truth_rows(r, train_maps[r.id]) for r in train_corpus.images])
-    phase1 = pipeline.Phase1Result(partitions=partitions, exemplars=exemplars,
+    regions = {image.id: regions_of(image, partitions[image.id]) for image in corpus.images}
+    phase1 = pipeline.Phase1Result(partitions=partitions, regions=regions, exemplars=exemplars,
                                    propagations=propagations, iteration_count=0,
                                    converged=True, fixed_point=True)
     phase2 = pipeline.run_colabeling(corpus, phase1, model, config, maps)

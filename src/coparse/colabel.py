@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import features
-from .core import (BACKGROUND, ImageRecord, Partition, Region, region_moments, regions_of,
-                   superpixel_adjacency)
+from .core import BACKGROUND, ImageRecord, Region, region_moments, superpixel_adjacency
 from .errors import ConfigError, InsufficientDataError, MalformedInputError, UnknownLabelError
 from .graphcut import LabelingProblem
 
@@ -313,12 +312,13 @@ def match_propagation_target(mask: np.ndarray, x: int, y: int,
     return None
 
 
-def build_graph(images: list[ImageRecord], partitions: dict[str, Partition],
+def build_graph(images: list[ImageRecord], regions: dict[str, list[Region]],
                 propagations, source_regions: dict[str, tuple[str, int]],
                 model: LabelModel, maps: dict[str, features.ImageMaps],
                 mode: str, beta_pair: float, sharpness: float, e_max: float) -> CoLabelGraph:
     """Assemble vertices, interior/exterior edges and all energy tables.
 
+    ``regions`` holds each image's ``regions_of`` its partition by id;
     ``source_regions`` maps exemplar ids to their source region ids so each
     propagation can be anchored on its source side; ``maps`` holds each
     image's maps by id.
@@ -327,9 +327,9 @@ def build_graph(images: list[ImageRecord], partitions: dict[str, Partition],
     hists: list[np.ndarray] = []
     candidates: list[np.ndarray] = []
     interior: list[tuple[int, int]] = []
-    regions_by_image: dict[str, list[Region]] = {}
+    regions_by_image = {image.id: regions[image.id] for image in images}
     for image in images:
-        regs = regions_by_image[image.id] = regions_of(image, partitions[image.id])
+        regs = regions_by_image[image.id]
         region_map = regs[0].region_map
         hists.extend(features.region_histograms(maps[image.id], region_map, len(regs)))
         cand = np.array(sorted(set(image.tags) | {BACKGROUND}), dtype=np.int64)

@@ -327,12 +327,17 @@ def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
 
 def detect(exemplar: Exemplar, image: ImageRecord,
            pyramid: features.HogPyramid,
-           stride: int = 8, scales: tuple[float, ...] = (1.0, 0.8, 1.25)
-           ) -> list[DetectionWindow]:
+           stride: int = 8, scales: tuple[float, ...] = (1.0, 0.8, 1.25),
+           k: int | None = None) -> list[DetectionWindow]:
     """Score all windows of one image over the scale set, then NMS at IoU 0.5.
 
     ``pyramid`` is ``features.hog_pyramid`` of the image's luma over (at
-    least) ``scales``.
+    least) ``scales``. Windows are ranked by raw score, then scale index, row
+    and column; ``calibrate`` keeps alpha positive, so that is also the order
+    of the calibrated score, which is computed only for the windows returned.
+    With ``k``, NMS stops once k windows are kept and the next live window
+    scores below the last kept one, so every window tied with the k-th is
+    still kept and a global top k over several images is unchanged.
     """
     cy, cx = exemplar.template
     w_blocks = exemplar.w[:-1]
@@ -364,24 +369,27 @@ def detect(exemplar: Exemplar, image: ImageRecord,
         return []
     raws = np.concatenate(score_parts)
     s_idx, y0, x0, wh, ww = np.concatenate(window_parts, axis=1)
-    cal = calibrated_score(exemplar.alpha, exemplar.beta, raws)
-    order = np.lexsort((x0, y0, s_idx, -raws, -cal))
-    raws, cal, y0, x0, wh, ww = (a[order] for a in (raws, cal, y0, x0, wh, ww))
+    order = np.lexsort((x0, y0, s_idx, -raws))
+    raws, y0, x0, wh, ww = (a[order] for a in (raws, y0, x0, wh, ww))
     y1, x1 = y0 + wh, x0 + ww
     area = wh * ww
     alive = np.ones(order.size, dtype=bool)
-    kept: list[DetectionWindow] = []
+    kept: list[int] = []
     for i in range(order.size):
         if not alive[i]:
             continue
-        kept.append(DetectionWindow(image_id=image.id, x=int(x0[i]), y=int(y0[i]),
-                                    width=int(ww[i]), height=int(wh[i]),
-                                    raw_score=float(raws[i]), calibrated=float(cal[i])))
+        if k is not None and len(kept) >= k and (not kept or raws[i] < raws[kept[-1]]):
+            break
+        kept.append(i)
         # IoU is symmetric, so a kept window drops every later one it overlaps
         inter = (np.maximum(np.minimum(x1, x1[i]) - np.maximum(x0, x0[i]), 0)
                  * np.maximum(np.minimum(y1, y1[i]) - np.maximum(y0, y0[i]), 0))
         alive &= inter / (area + area[i] - inter) <= 0.5
-    return kept
+    cal = calibrated_score(exemplar.alpha, exemplar.beta, raws[kept])
+    return [DetectionWindow(image_id=image.id, x=int(x0[i]), y=int(y0[i]),
+                            width=int(ww[i]), height=int(wh[i]),
+                            raw_score=float(raws[i]), calibrated=float(c))
+            for i, c in zip(kept, cal)]
 
 
 def propagate(exemplar: Exemplar, corpus_images: list[ImageRecord],
@@ -390,14 +398,17 @@ def propagate(exemplar: Exemplar, corpus_images: list[ImageRecord],
               scales: tuple[float, ...] = (1.0, 0.8, 1.25)
               ) -> list[PropagationRecord]:
     """Global top-k NMS-filtered detections, each carrying the resized mask;
-    ``pyramids`` holds each corpus image's HOG pyramid by id."""
+    ``pyramids`` holds each corpus image's HOG pyramid by id. Each image's
+    NMS stops after its own top k (and the windows tied with its k-th), the
+    most any one image can place in the global top k."""
     if k <= 0:
         return []
     windows: list[DetectionWindow] = []
     for image in corpus_images:
         windows.extend(detect(exemplar, image, pyramids[image.id], stride=stride,
-                              scales=scales))
-    windows.sort(key=lambda d: (-d.calibrated, -d.raw_score, d.image_id, d.y, d.x))
+                              scales=scales, k=k))
+    # the raw-score order is the calibrated one, as alpha > 0
+    windows.sort(key=lambda d: (-d.raw_score, d.image_id, d.y, d.x))
     records = []
     for det in windows[:k]:
         mask = features.nearest_resize_mask(exemplar.mask, det.height, det.width)

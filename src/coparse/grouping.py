@@ -6,19 +6,22 @@ propagation mask whose covered superpixels end up in one region. The bias
 theta makes contour-free edges favor merging; with the raw weights cutting
 everything would always be optimal. One kernel,
 ``kernels.multicut_objectives``, scores the objective everywhere: the
-exhaustive oracle's table of every partition, each round of the solver's
-local search as a table of trials, and ``objective_of``'s single partition.
+exhaustive oracle's table of every partition, the local-search trials whose
+objective change lies near a decision, and ``objective_of``'s single
+partition.
 
 The solver runs the cutting-plane LP over edge merge variables. A mask c
 over superpixels S earns its reward through z_c <= x_e for each edge e inside
 S and, when S induces several components, for one merge variable joining
 min(S) to the smallest node of each other component; on integer points that
 holds exactly when S lies in one region. Cycle inequalities are separated
-lazily (short chordless cycles first, then every edge whose cut weight
-exceeds its cheapest detour, all detours from one ``csgraph.dijkstra`` call
-per round). Each LP is solved cold on scipy's bundled HiGHS with the options
+lazily (short chordless cycles, enumerated once with array operations, first;
+then every edge whose cut weight exceeds its cheapest detour, all detours
+from one ``csgraph.dijkstra`` call per round). Each LP goes to scipy's
+bundled HiGHS as row-wise arrays and is solved cold with the options
 ``linprog(method="highs")`` sets; the solver rounds by connected components,
-polishes with local merge/move search and, when the relaxation stays
+polishes with local merge/move search, which scores its trials by objective
+deltas and rescores only near-ties exactly, and, when the relaxation stays
 fractional, closes the gap by branching. Instances small enough for the
 exhaustive oracle are therefore solved to proven optimality.
 """
@@ -28,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csgraph
 
@@ -193,29 +195,33 @@ _HIGHS_OPTIONS.log_to_console = False
 _HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
 
 
-def _solve_highs(cost: np.ndarray, a: sparse.csc_matrix, rhs: np.ndarray,
-                 lower: np.ndarray, upper: np.ndarray):
-    """min cost @ x s.t. a @ x <= rhs, lower <= x <= upper, by one cold HiGHS
-    solve on the model ``linprog(method="highs")`` builds.
+def _solve_highs(cost: np.ndarray, row: np.ndarray, col: np.ndarray, coef: np.ndarray,
+                 rhs: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """min cost @ x s.t. A @ x <= rhs, lower <= x <= upper, by one cold HiGHS
+    solve, where A holds ``coef`` at (``row``, ``col``) with ``row``
+    non-decreasing.
 
-    Returns the model status and, when it is optimal, the objective and x.
+    A goes to HiGHS row-wise, as arrays; HiGHS stores it column-wise with
+    row indexes ascending, which is the model ``linprog(method="highs")``
+    builds. A model without rows is passed column-wise, since HiGHS refuses
+    an empty row-wise matrix. Returns the model status and, when it is
+    optimal, the objective and x.
     """
-    n_rows, n_cols = a.shape
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr.tolist()
-    lp.a_matrix_.index_ = a.indices.tolist()
-    lp.a_matrix_.value_ = a.data.tolist()
-    lp.col_cost_ = cost
-    lp.col_lower_ = lower.tolist()
-    lp.col_upper_ = upper.tolist()
-    lp.row_lower_ = [-np.inf] * n_rows
-    lp.row_upper_ = rhs.tolist()
+    n_cols, n_rows = cost.size, rhs.size
+    if n_rows:
+        matrix_format = highs.MatrixFormat.kRowwise
+        start = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n_rows)[:-1])])
+    else:
+        matrix_format = highs.MatrixFormat.kColwise
+        start = np.zeros(n_cols, dtype=np.int64)
     solver = highs._Highs()
     solver.passOptions(_HIGHS_OPTIONS)
-    if solver.passModel(lp) == highs.HighsStatus.kError:
+    # an empty integrality array is refused, so every column is marked continuous
+    status = solver.passModel(
+        n_cols, n_rows, coef.size, int(matrix_format), int(highs.ObjSense.kMinimize), 0.0,
+        cost, lower, upper, np.full(n_rows, -np.inf), rhs,
+        start.astype(np.int32), col.astype(np.int32), coef, np.zeros(n_cols, dtype=np.int32))
+    if status == highs.HighsStatus.kError:
         return highs.HighsModelStatus.kModelError, None, None
     solver.run()
     status = solver.getModelStatus()
@@ -223,6 +229,11 @@ def _solve_highs(cost: np.ndarray, a: sparse.csc_matrix, rhs: np.ndarray,
         return status, None, None
     return (status, solver.getInfo().objective_function_value,
             np.array(solver.getSolution().col_value))
+
+
+def _sums(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """float64 sums of ``weights`` by ``index`` into ``size`` bins."""
+    return np.bincount(index, weights=weights, minlength=size).astype(np.float64, copy=False)
 
 
 class _MulticutSolver:
@@ -264,6 +275,10 @@ class _MulticutSolver:
         self.n_masks = len(instance.mask_constraints)
         _, _, edge_w, _, _, mask_h = self._arrays
         self.cost = np.concatenate([edge_w, np.zeros(self.n_pairs - edge_w.size), -mask_h])
+        # bound on how far a local-search delta, summed in any order, lies
+        # from the difference of two objectives summed in the kernel's order
+        self._tau = (2.0 * (edge_w.size + mask_h.size + 2) * np.finfo(np.float64).eps
+                     * (np.abs(edge_w).sum() + mask_h.sum()))
 
         # LP rows as growing COO lists: A_ub[row_of[k], col_of[k]] = coef[k];
         # _rows() mirrors them as arrays, converting only the rows added since
@@ -288,28 +303,57 @@ class _MulticutSolver:
         self.pairs.append((u, v))
 
     def _enumerate_short_cycles(self):
-        """Chordless cycles of length 3 and 4 as var-index arrays, found once."""
-        adj = self.adj
-        triangles = []
-        quads = []
-        for e_idx, (u, v) in enumerate(self.pairs):
-            for w, e_uw in adj[u].items():
-                if w == v or w < v:
-                    continue
-                e_vw = adj[v].get(w)
-                if e_vw is not None:
-                    triangles.append((e_idx, e_uw, e_vw))
-            for a, e_ua in adj[u].items():
-                if a == v or a in adj[v]:
-                    continue
-                for b, e_vb in adj[v].items():
-                    if b == u or b == a or b in adj[u]:
-                        continue
-                    e_ab = adj[a].get(b)
-                    if e_ab is not None and (u, v) < tuple(sorted((a, b))):
-                        quads.append((e_idx, e_ua, e_ab, e_vb))
-        tri = np.array(triangles, dtype=np.int64).reshape(-1, 3)
-        quad = np.array(quads, dtype=np.int64).reshape(-1, 4)
+        """Chordless cycles of length 3 and 4 as var-index arrays, found once.
+
+        Each pair (u, v), u < v, is expanded over the arcs out of u (and, for
+        quads, then over those out of v), every node's arcs in the order its
+        pairs were added. So triangles (e_uv, e_uw, e_vw), w > v, come in
+        (e_uv, e_uw) order and quads (e_uv, e_ua, e_ab, e_vb), whose chords
+        {a, v} and {u, b} are not pairs and whose (u, v) is below the sorted
+        (a, b), in (e_uv, e_ua, e_vb) order. Pairs are looked up among the
+        sorted keys u * n + v.
+        """
+        n = self.instance.node_count
+        pairs = self._pair_array
+        u, v = pairs.T
+        src, pair_ids = np.concatenate([u, v]), np.tile(np.arange(self.n_pairs), 2)
+        arc_order = np.lexsort((pair_ids, src))
+        arc_node, arc_pair = np.concatenate([v, u])[arc_order], pair_ids[arc_order]
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+        keys = u * n + v
+        key_order = np.argsort(keys)
+        sorted_keys = keys[key_order]
+
+        def pair_of(a, b):
+            """Index of pair {a, b}, or -1 where there is none."""
+            q = np.minimum(a, b) * n + np.maximum(a, b)
+            pos = np.minimum(np.searchsorted(sorted_keys, q), sorted_keys.size - 1)
+            return np.where(sorted_keys[pos] == q, key_order[pos], -1)
+
+        def expand(nodes):
+            """(position in ``nodes``, arc) for every arc out of each node, in order."""
+            counts = ptr[nodes + 1] - ptr[nodes]
+            at = np.repeat(np.arange(nodes.size), counts)
+            arc = (np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
+                   + ptr[nodes][at])
+            return at, arc
+
+        e, arc = expand(u)
+        w, e_uw = arc_node[arc], arc_pair[arc]
+        e_vw = pair_of(v[e], w)
+        tri = np.stack([e, e_uw, e_vw], axis=1)[(w > v[e]) & (e_vw >= 0)]
+
+        # the quads' a ranges over the same neighbours w of u
+        keep = (w != v[e]) & (e_vw < 0)
+        e, a, e_ua = e[keep], w[keep], e_uw[keep]
+        at, arc = expand(v[e])
+        e, a, e_ua = e[at], a[at], e_ua[at]
+        b, e_vb = arc_node[arc], arc_pair[arc]
+        e_ab = pair_of(a, b)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keep = ((b != u[e]) & (b != a) & (pair_of(u[e], b) < 0) & (e_ab >= 0)
+                & ((u[e] < lo) | ((u[e] == lo) & (v[e] < hi))))
+        quad = np.stack([e, e_ua, e_ab, e_vb], axis=1)[keep]
         return tri, quad
 
     # -- LP ------------------------------------------------------------------
@@ -340,10 +384,8 @@ class _MulticutSolver:
         lower, upper = np.zeros(n_vars), np.ones(n_vars)
         for var, val in fixed.items():
             lower[var] = upper[var] = val
-        row, col, coef, rhs = self._rows()
-        a_ub = sparse.csr_matrix((coef, (row, col)), shape=(rhs.size, n_vars)).tocsc()
         self.lp_solves += 1
-        status, fun, x = _solve_highs(self.cost, a_ub, rhs, lower, upper)
+        status, fun, x = _solve_highs(self.cost, *self._rows(), lower, upper)
         # linprog reports a model HiGHS refuses to load as infeasible, too
         if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):
             return None
@@ -427,43 +469,123 @@ class _MulticutSolver:
         """Merge and move search from ``assign``; returns it improved and its
         objective.
 
-        Each round scores its trials as int32 tables of assignments. It takes
-        the best merge of two touching regions if that lowers the objective,
-        else the first move of one node that does: nodes ascending, each to
-        its touching regions in sorted order, then to a fresh region.
-        Touching means joined by an edge or a mask's merge variable.
+        Each round takes the best merge of two touching regions if that
+        lowers the objective by more than 1e-12, else the first move of one
+        node that does: nodes ascending, each to its touching regions in
+        sorted order, then to a fresh region. Touching means joined by an
+        edge or a mask's merge variable.
+
+        Every trial's objective change is first computed from the terms it
+        changes (``_merge_deltas``, ``_move_deltas``). Such a delta is within
+        ``_tau`` of the difference of the two objectives as
+        ``kernels.multicut_objectives`` sums them. So only the trials whose
+        delta could lie on the other side of the decision (within 2 tau of
+        the smallest merge delta, within tau of the move threshold and not
+        after the first move surely below it) are scored by the kernel, and
+        the decision and the objective kept are those of scoring every trial
+        with it.
         """
         pairs = self._pair_array
+        tau = self._tau
         best = kernels.multicut_objectives(assign[:, None], *self._arrays)[0]
         for _ in range(100):
             column = assign.astype(np.int32)[:, None]
             base = int(assign.max()) + 1
             # merge region b into region a for every touching a < b
             lo, hi = np.sort(assign[pairs], axis=1).T
-            a, b = np.divmod(np.unique((lo * base + hi)[lo != hi]), base)
-            trials = np.where(column == b.astype(np.int32), a.astype(np.int32), column)
-            objs = kernels.multicut_objectives(trials, *self._arrays)
-            delta = objs - best
-            if delta.size and delta.min() < -1e-12:
-                k = int(np.argmin(delta))
-                assign, best = Partition.from_assignment(trials[:, k]).assignment, objs[k]
-                continue
+            keys = np.unique((lo * base + hi)[lo != hi])
+            approx = self._merge_deltas(assign, base, lo, hi, keys)
+            if keys.size and approx.min() - tau < -1e-12:
+                a, b = np.divmod(keys[approx <= approx.min() + 2 * tau], base)
+                trials = np.where(column == b.astype(np.int32), a.astype(np.int32), column)
+                objs = kernels.multicut_objectives(trials, *self._arrays)
+                delta = objs - best
+                if delta.min() < -1e-12:
+                    k = int(np.argmin(delta))
+                    assign, best = Partition.from_assignment(trials[:, k]).assignment, objs[k]
+                    continue
             # move node to region r, every r != assign[node] it touches, plus base
             ends = np.concatenate([pairs, pairs[:, ::-1]])
             region = assign[ends[:, 1]]
             away = region != assign[ends[:, 0]]
-            node, target = np.divmod(np.unique(np.concatenate([
-                ends[away, 0] * (base + 1) + region[away],
-                np.arange(assign.size) * (base + 1) + base])), base + 1)
+            keys = np.unique(np.concatenate([ends[away, 0] * (base + 1) + region[away],
+                                             np.arange(assign.size) * (base + 1) + base]))
+            approx = self._move_deltas(assign, base, keys)
+            threshold = best - 1e-12
+            gap = threshold - best
+            maybe = approx <= gap + tau
+            sure = np.flatnonzero(approx < gap - tau)
+            if sure.size:
+                maybe[sure[0] + 1:] = False
+            node, target = np.divmod(keys[maybe], base + 1)
             trials = np.repeat(column, node.size, axis=1)
             trials[node, np.arange(node.size)] = target
             objs = kernels.multicut_objectives(trials, *self._arrays)
-            better = np.flatnonzero(objs < best - 1e-12)
+            better = np.flatnonzero(objs < threshold)
             if better.size == 0:
                 break
             k = int(better[0])
             assign, best = Partition.from_assignment(trials[:, k]).assignment, objs[k]
         return assign, float(best)
+
+    def _mask_regions(self, assign: np.ndarray):
+        """Per mask: its superpixels' regions, its lowest and highest region,
+        whether it lies in exactly those two, and how many of its superpixels
+        lie in each."""
+        _, _, _, mask_ptr, mask_ids, _ = self._arrays
+        starts, sizes = mask_ptr[:-1], np.diff(mask_ptr)
+        r = assign[mask_ids]
+        lo = np.minimum.reduceat(r, starts)
+        hi = np.maximum.reduceat(r, starts)
+        in_lo, in_hi = r == np.repeat(lo, sizes), r == np.repeat(hi, sizes)
+        two = np.logical_and.reduceat(in_lo | in_hi, starts) & (lo != hi)
+        return r, lo, hi, two, np.add.reduceat(in_lo, starts), np.add.reduceat(in_hi, starts)
+
+    def _merge_deltas(self, assign, base, lo, hi, keys) -> np.ndarray:
+        """Objective change of merging each region pair ``keys`` (a * base +
+        b): the weights of the edges between a and b, less the rewards of
+        the masks whose superpixels lie exactly in a and b."""
+        _, _, edge_w, _, _, mask_h = self._arrays
+        n_edges = edge_w.size
+        cross = lo[:n_edges] != hi[:n_edges]
+        delta = _sums(np.searchsorted(keys, (lo * base + hi)[:n_edges][cross]),
+                      edge_w[cross], keys.size)
+        if mask_h.size:
+            _, m_lo, m_hi, two, _, _ = self._mask_regions(assign)
+            delta -= _sums(np.searchsorted(keys, m_lo[two] * base + m_hi[two]),
+                           mask_h[two], keys.size)
+        return delta
+
+    def _move_deltas(self, assign, base, keys) -> np.ndarray:
+        """Objective change of moving each node to each region of ``keys``
+        (node * (base + 1) + region): the weights of its edges into the
+        target, less those of its edges within its own region, plus the
+        rewards of the masks it leaves incomplete, less those of the masks it
+        completes."""
+        _, _, edge_w, mask_ptr, mask_ids, mask_h = self._arrays
+        n = assign.size
+        u, v = self._pair_array[:edge_w.size].T
+        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+        w = np.concatenate([edge_w, edge_w])
+        region = assign[dst]
+        away = region != assign[src]
+        delta = _sums(np.searchsorted(keys, src[away] * (base + 1) + region[away]),
+                      w[away], keys.size)
+        lose = _sums(src[~away], w[~away], n)
+        if mask_h.size:
+            r, m_lo, m_hi, two, n_lo, n_hi = self._mask_regions(assign)
+            owner = np.repeat(np.arange(mask_h.size), np.diff(mask_ptr))
+            active = (m_lo == m_hi)[owner]
+            lose -= _sums(mask_ids[active], mask_h[owner[active]], n)
+            # a mask on two regions is completed by the lone superpixel of one
+            # of them moving to the other
+            alone_lo = (two & (n_lo == 1))[owner] & (r == m_lo[owner])
+            alone_hi = (two & (n_hi == 1))[owner] & (r == m_hi[owner])
+            alone = alone_lo | alone_hi
+            to = np.where(alone_lo, m_hi[owner], m_lo[owner])[alone]
+            delta -= _sums(np.searchsorted(keys, mask_ids[alone] * (base + 1) + to),
+                           mask_h[owner[alone]], keys.size)
+        return delta - lose[keys // (base + 1)]
 
     # -- branch and cut --------------------------------------------------------
 

@@ -3,12 +3,13 @@
 HOG cell accumulation and sliding-window template scoring are vectorized
 with ``np.bincount`` and strided matrix products; the multicut objective is
 scored over a node-major table of assignments at once, whether the table
-holds every set partition (the oracle) or one round of the solver's
-local-search trials; Dinic max-flow is a plain Python loop (Phase II, where
-it runs, is a small share of a run); the box-constrained SVM dual that
-trains each exemplar is solved by L-BFGS-B. The tests check the vectorized
-kernels against straightforward reference loops, Dinic through flow/cut
-duality and the dual solver through its duality gap.
+holds every set partition (the oracle, looped over edge by edge) or the few
+local-search trials the solver rescores (summed by one ``np.cumsum``, the
+same additions in the same order); Dinic max-flow is a plain Python loop
+(Phase II, where it runs, is a small share of a run); the box-constrained
+SVM dual that trains each exemplar is solved by L-BFGS-B. The tests check
+the vectorized kernels against straightforward reference loops, Dinic
+through flow/cut duality and the dual solver through its duality gap.
 """
 
 from __future__ import annotations
@@ -187,6 +188,9 @@ def dinic(n, s, t, ptr, adj_arc, arc_to, cap):
 # Multicut objective over a table of assignments (oracle scan, local search)
 # ---------------------------------------------------------------------------
 
+NARROW_COLUMNS = 64   # widest table multicut_objectives sums with one cumsum
+
+
 @functools.cache
 def rgs_table(n):
     """Every restricted-growth string of length ``n``, in lexicographic order.
@@ -221,7 +225,24 @@ def multicut_objectives(table, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_
     mask whose superpixels ``mask_ids[mask_ptr[c]:mask_ptr[c + 1]]`` share a
     region. Terms are added edge by edge, then mask by mask, in the order
     given, so an assignment gets the same bits in any table.
+
+    A table of at most ``NARROW_COLUMNS`` columns (a few trials of the local
+    search) is summed by one ``np.cumsum`` down a (1 + edges + masks, K)
+    array of its terms, a zero for each edge or mask that does not count: the
+    same additions in the same order, since adding zero leaves a sum
+    unchanged. A wider table (the oracle's) loops over the edges and masks,
+    each step one pass over the columns, and never holds that array.
     """
+    if table.shape[1] <= NARROW_COLUMNS:
+        rows = table[mask_ids]
+        same = np.logical_and.reduceat(
+            rows == np.repeat(rows[mask_ptr[:-1]], np.diff(mask_ptr), axis=0),
+            mask_ptr[:-1], axis=0) if mask_h.size else np.empty((0, table.shape[1]), bool)
+        terms = np.concatenate([
+            np.zeros((1, table.shape[1])),
+            np.where(table[edge_u] == table[edge_v], edge_w[:, None], 0.0),
+            np.where(same, -mask_h[:, None], 0.0)])
+        return np.cumsum(terms, axis=0)[-1]
     obj = np.zeros(table.shape[1], np.float64)
     for e in range(edge_u.shape[0]):
         np.add(obj, edge_w[e], out=obj, where=table[edge_u[e]] == table[edge_v[e]])

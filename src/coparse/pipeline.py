@@ -26,7 +26,7 @@ import numpy as np
 
 from . import colabel, esvm, features, grouping
 from .colabel import LabelModel
-from .core import BACKGROUND, ImageRecord, Partition, label_components, regions_of
+from .core import BACKGROUND, ImageRecord, Partition, Region, label_components, regions_of
 from .errors import ConfigError, MalformedInputError
 from .graphcut import alpha_expansion
 from .io import Corpus
@@ -168,6 +168,7 @@ class Metrics:
 @dataclass(frozen=True)
 class Phase1Result:
     partitions: dict[str, Partition]
+    regions: dict[str, list[Region]]   # each image's ``regions_of`` its partition
     exemplars: list[esvm.Exemplar]
     propagations: list
     iteration_count: int
@@ -228,14 +229,14 @@ def _group_all(images: list[ImageRecord], propagations, config: Config,
     return partitions
 
 
-def _train_and_propagate(images: list[ImageRecord], partitions: dict[str, Partition],
+def _train_and_propagate(images: list[ImageRecord], regions_by_image: dict[str, list[Region]],
                          config: Config, trained: dict[tuple, tuple],
                          maps: dict[str, features.ImageMaps],
                          pyramids: dict[str, features.HogPyramid]):
     exemplars: list[esvm.Exemplar] = []
     propagations = []
     for image in images:
-        regions = regions_of(image, partitions[image.id])
+        regions = regions_by_image[image.id]
         selected = esvm.select_regions(maps[image.id], regions, config.a_min, config.a_max,
                                        config.tau_sel, config.n_sel)
         if not selected:
@@ -278,7 +279,8 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     propagation settings are fixed within the call, so a hit returns what
     the same inputs computed. ``maps`` holds each selected image's maps by
     id; each image's superpixel graph and HOG pyramid are built once, up
-    front, and read by every iteration.
+    front, and read by every iteration, and its regions are built again only
+    in an iteration that changed its partition.
     """
     images = _select_images(corpus, image_ids, "co-segmentation")
     graphs = {image.id: grouping.superpixel_graph(image) for image in images}
@@ -290,6 +292,7 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     exemplars: list[esvm.Exemplar] = []
     propagations: list = []
     previous: dict[str, Partition] | None = None
+    regions: dict[str, list[Region]] = {}
     seen: set[tuple] = set()
     iteration = 0
     converged = False
@@ -298,9 +301,10 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     while iteration < config.max_phase1_iters:
         iteration += 1
         partitions = _group_all(images, propagations, config, solved, graphs)
-        images_changed.append(len(images) if previous is None else sum(
-            not partitions[i.id].equals(previous[i.id]) for i in images))
-        if images_changed[-1] == 0:
+        changed = [image for image in images
+                   if previous is None or not partitions[image.id].equals(previous[image.id])]
+        images_changed.append(len(changed))
+        if not changed:
             converged = True
             fixed_point = True
             break
@@ -310,12 +314,14 @@ def run_cosegmentation(corpus: Corpus, config: Config,
         converged = signature in seen
         seen.add(signature)
         previous = partitions
-        exemplars, propagations = _train_and_propagate(images, partitions, config, trained,
+        regions = {**regions, **{image.id: regions_of(image, partitions[image.id])
+                                 for image in changed}}
+        exemplars, propagations = _train_and_propagate(images, regions, config, trained,
                                                        maps, pyramids)
         exemplar_count += len(exemplars)
         if converged:
             break
-    return Phase1Result(partitions=previous, exemplars=exemplars,
+    return Phase1Result(partitions=previous, regions=regions, exemplars=exemplars,
                         propagations=propagations, iteration_count=iteration,
                         converged=converged, fixed_point=fixed_point,
                         multicuts_solved=len(solved),
@@ -395,7 +401,7 @@ def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
             if not 0 <= tag < len(corpus.vocabulary):
                 raise ConfigError(f"{image.id}: tag {tag} outside vocabulary")
     source_regions = {ex.id: ex.source_region for ex in phase1.exemplars}
-    graph = colabel.build_graph(images, phase1.partitions, phase1.propagations,
+    graph = colabel.build_graph(images, phase1.regions, phase1.propagations,
                                 source_regions, model, maps, config.pairwise_mode,
                                 config.beta_pair, config.sigmoid_sharpness,
                                 config.e_max)

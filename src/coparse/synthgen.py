@@ -118,6 +118,10 @@ def _generate_image(spec: SceneSpec, image_id: str,
             frac = rng.uniform(*label_spec.size_range)
             sh = max(16, int(round(frac * min_dim * rng.uniform(0.9, 1.2))))
             sw = max(16, int(round(frac * min_dim)))
+            # a side that leaves no room for the 2-pixel margins is redrawn;
+            # clipping its centre would leave the shape without pixels
+            if sh // 2 + 2 > h - sh // 2 - 3 or sw // 2 + 2 > w - sw // 2 - 3:
+                continue
             # clip location draws at 2.5 sigma: keeps the mean, caps collisions
             dy = np.clip(rng.normal(0.0, label_spec.location_sigma), -2.5 * label_spec.location_sigma,
                          2.5 * label_spec.location_sigma)

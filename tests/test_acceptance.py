@@ -252,7 +252,7 @@ def test_criterion_9_energy_model_sanity():
     from coparse import colabel
 
     source_regions = {e.id: e.source_region for e in phase1.exemplars}
-    graph = colabel.build_graph(list(corpus.images), phase1.partitions,
+    graph = colabel.build_graph(list(corpus.images), phase1.regions,
                                 phase1.propagations, source_regions, model, maps,
                                 config.pairwise_mode, config.beta_pair,
                                 config.sigmoid_sharpness, config.e_max)

@@ -97,6 +97,20 @@ class TestGen:
         assert_one_line_error(capsys, "configuration error: img0000: could not place label ")
         assert not (tmp_path / "c").exists()
 
+    def test_shapes_too_wide_for_their_margins_are_2(self, tmp_path, capsys):
+        # at 64x48 some drawn sides leave no room for the 2-pixel margins;
+        # those are redrawn, not clipped to an empty mask that would count
+        # as placed, so the second label cannot be placed
+        label = {**self.SPEC["labels"][0], "size_range": [0.9, 0.95]}
+        spec = {**self.SPEC, "shapes_per_image": [2, 2],
+                "labels": [label, {**label, "name": "pants"}]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        rc = cli.main(["gen", "--spec", str(tmp_path / "spec.json"), "--n", "1",
+                       "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert_one_line_error(capsys, "configuration error: img0000: could not place label ")
+        assert not (tmp_path / "c").exists()
+
     def test_gen_negative_seed_is_2(self, tmp_path, capsys):
         rc = cli.main(["gen", "--n", "1", "--out", str(tmp_path / "c"), "--seed", "-1"])
         assert rc == 2

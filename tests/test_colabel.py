@@ -32,6 +32,11 @@ def _decisions_per_machine(model, hist):
         for _, _, sv, coef in model.machines])
 
 
+def regions_for(images, parts):
+    """Each image's regions of its partition in ``parts``, by id."""
+    return {image.id: regions_of(image, parts[image.id]) for image in images}
+
+
 def simple_model(vocab=("background", "a", "b"), mu=None):
     """Small fitted model with controllable location means."""
     rng = np.random.default_rng(0)
@@ -191,7 +196,8 @@ class TestLocation:
         image = make_image(np.zeros((4, 4), dtype=int), tags=(9,))
         parts = {image.id: Partition.from_assignment([0])}
         with pytest.raises(UnknownLabelError):
-            colabel.build_graph([image], parts, [], {}, model, build_maps([image]), **ENERGY)
+            colabel.build_graph([image], regions_for([image], parts), [], {}, model,
+                                build_maps([image]), **ENERGY)
 
 
 class TestCooccurrence:
@@ -367,7 +373,8 @@ class TestBuildGraph:
         model = simple_model()
         image = self.two_region_image()
         parts = {image.id: Partition.from_assignment([0, 1])}
-        graph = colabel.build_graph([image], parts, [], {}, model, build_maps([image]), **ENERGY)
+        graph = colabel.build_graph([image], regions_for([image], parts), [], {}, model,
+                                    build_maps([image]), **ENERGY)
         assert len(graph.interior_edges) == 1
         assert graph.exterior_edges == ()
         assert len(graph.problem.candidates) == 2
@@ -385,7 +392,7 @@ class TestBuildGraph:
             PropagationRecord(source_exemplar="e", target_image="gB",
                               x=4, y=0, mask=mask, score=0.8),
         ]
-        graph = colabel.build_graph([a, b], parts, props,
+        graph = colabel.build_graph([a, b], regions_for([a, b], parts), props,
                                     {"e": ("gA", 1)}, model, build_maps([a, b]), **ENERGY)
         assert len(graph.exterior_edges) == 1  # deduplicated
         u, v = graph.exterior_edges[0]
@@ -399,7 +406,8 @@ class TestBuildGraph:
         image = make_image(spmap, tags=(0, 1, 2), image_id="tri")
         model = simple_model()
         parts = {image.id: Partition.from_assignment([0, 1, 2])}
-        graph = colabel.build_graph([image], parts, [], {}, model, build_maps([image]), **ENERGY)
+        graph = colabel.build_graph([image], regions_for([image], parts), [], {}, model,
+                                    build_maps([image]), **ENERGY)
         assert sorted(graph.interior_edges) == [(0, 1), (0, 2), (1, 2)]
 
     def test_self_image_propagation_ignored(self):
@@ -408,7 +416,7 @@ class TestBuildGraph:
         parts = {a.id: Partition.from_assignment([0, 1])}
         props = [PropagationRecord(source_exemplar="e", target_image="gA",
                                    x=4, y=0, mask=np.ones((8, 4), bool), score=0.9)]
-        graph = colabel.build_graph([a], parts, props, {"e": ("gA", 1)}, model,
+        graph = colabel.build_graph([a], regions_for([a], parts), props, {"e": ("gA", 1)}, model,
                                     build_maps([a]), **ENERGY)
         assert graph.exterior_edges == ()
 
@@ -416,7 +424,8 @@ class TestBuildGraph:
         model = simple_model()
         a = self.two_region_image("gA")
         parts = {a.id: Partition.from_assignment([0, 1])}
-        graph = colabel.build_graph([a], parts, [], {}, model, build_maps([a]), **ENERGY)
+        graph = colabel.build_graph([a], regions_for([a], parts), [], {}, model,
+                                    build_maps([a]), **ENERGY)
         for u in graph.problem.unary:
             assert ((u >= 0) & (u <= 20.0)).all()
         for _, _, table in graph.problem.edges:

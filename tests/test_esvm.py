@@ -565,6 +565,57 @@ class TestPropagation:
             assert 0.0 < p.score < 1.0
 
 
+def _propagate_ref(exemplar, images, pyramids, k, stride, scales):
+    """Full NMS on every image, then one global sort on (calibrated, raw,
+    image, row, column), as (image, x, y, height, width, score)."""
+    windows = [det for image in images
+               for det in esvm.detect(exemplar, image, pyramids[image.id], stride, scales)]
+    windows.sort(key=lambda d: (-d.calibrated, -d.raw_score, d.image_id, d.y, d.x))
+    return [(d.image_id, d.x, d.y, d.height, d.width, d.calibrated) for d in windows[:k]]
+
+
+class TestEarlyStoppingNms:
+    def exemplar(self, images):
+        regions = regions_of(images[0], Partition.from_assignment([0, 1]))
+        return esvm.build_exemplar("e0", images[0], regions[1], images,
+                                   regions[1].region_map == 1, 0.5, 0.01, seed=7,
+                                   maps=maps_of(images))
+
+    def test_propagate_equals_full_nms_and_a_global_sort(self):
+        images = make_detection_corpus()
+        ex = self.exemplar(images)
+        # uniform images score every window alike: every window ties with
+        # the k-th, and only the image, row and column order them
+        flats = [make_image(np.zeros((96, 80), dtype=np.int64), image_id=f"flat{i}")
+                 for i in (1, 0)]
+        for corpus in (images, flats, images + flats, flats[:1]):
+            for stride, scales in ((8, (1.0, 0.8, 1.25)), (16, (0.7, 1.1)), (8, (1.0,))):
+                pyramids = pyramids_of(corpus, scales)
+                for k in (1, 2, 3, 5, 8, 40, 1000):
+                    got = [(p.target_image, p.x, p.y, *p.mask.shape, p.score)
+                           for p in esvm.propagate(ex, corpus, pyramids, k, stride, scales)]
+                    assert got == _propagate_ref(ex, corpus, pyramids, k, stride, scales)
+
+    def test_detect_stops_after_the_ties_of_the_kth(self):
+        images = make_detection_corpus()
+        ex = self.exemplar(images)
+        flat = make_image(np.zeros((96, 80), dtype=np.int64), image_id="flat")
+        for image in images + [flat]:
+            pyramid = pyramids_of([image])[image.id]
+            full = esvm.detect(ex, image, pyramid)
+            for k in (1, 2, 4, 9):
+                got = esvm.detect(ex, image, pyramid, k=k)
+                assert got == full[:len(got)]
+                assert len(got) >= min(k, len(full))
+                # what is left scores below the last window kept
+                assert all(d.raw_score < got[-1].raw_score for d in full[len(got):])
+                assert all(d.raw_score == got[k - 1].raw_score for d in got[k - 1:])
+        # a uniform image's windows all tie, so none is dropped
+        pyramid = pyramids_of([flat])[flat.id]
+        assert esvm.detect(ex, flat, pyramid, k=1) == esvm.detect(ex, flat, pyramid)
+        assert esvm.detect(ex, flat, pyramid, k=0) == []
+
+
 class TestSerialization:
     def test_rle_round_trip(self):
         rng = np.random.default_rng(6)

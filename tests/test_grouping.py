@@ -550,6 +550,153 @@ class TestLocalSearch:
         assert objective == ref_objective
 
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_delta_search_matches_per_trial_scan_for_any_theta(self, data):
+        # weights d - theta off a power of two and zero rewards make the
+        # deltas round differently from the kernel's sums and tie masks at 0
+        inst = draw_instance(data, 12)
+        rewards = data.draw(st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0),
+                                     min_size=len(inst.mask_constraints),
+                                     max_size=len(inst.mask_constraints)))
+        inst = grouping.MulticutInstance(
+            node_count=inst.node_count, edges=inst.edges,
+            mask_constraints=tuple((ids, h) for (ids, _), h in zip(inst.mask_constraints,
+                                                                  rewards)))
+        theta = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        start = np.array(data.draw(st.lists(st.integers(0, inst.node_count - 1),
+                                            min_size=inst.node_count,
+                                            max_size=inst.node_count)), dtype=np.int64)
+        solver = grouping._MulticutSolver(inst, theta)
+        ref_assign, ref_objective = local_improve_reference(solver, start, theta)
+        # a huge tolerance rescores every trial: the decisions must not
+        # depend on how many trials are rescored
+        for scale in (1.0, 1e12):
+            solver._tau = grouping._MulticutSolver(inst, theta)._tau * scale + scale * 1e-300
+            assign, objective = solver._local_improve(start)
+            assert assign.tolist() == ref_assign.tolist()
+            assert objective == ref_objective
+
+    @pytest.mark.parametrize("inst, theta, start", [
+        (grouping.MulticutInstance(6, ((0, 2, 0), (0, 3, 1), (0, 4, 0), (0, 5, 1), (1, 3, 1),
+                                       (1, 5, 1), (2, 3, 1), (2, 4, 1), (2, 5, 0), (3, 4, 0)),
+                                   mask_constraints=((frozenset({0, 2}), 0.3),)),
+         0.7, [2, 1, 0, 3, 2, 1]),
+        (grouping.MulticutInstance(7, ((0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 6, 1), (1, 2, 0),
+                                       (1, 3, 1), (1, 6, 1), (2, 3, 1), (2, 4, 1), (2, 5, 0),
+                                       (3, 4, 0), (3, 5, 0), (3, 6, 0), (4, 5, 1), (4, 6, 1))),
+         0.6, [1, 1, 2, 0, 1, 0, 3]),
+        # a large reward rounds the objectives to steps above 1e-12: a move
+        # whose delta is exactly 0 lowers the kernel's sum past the threshold
+        (grouping.MulticutInstance(4, ((0, 1, 1), (1, 2, 0)), mask_constraints=(
+            (frozenset({1, 2, 3}), 30000.710317528315), (frozenset({0, 1}), 0.1))),
+         0.9, [0, 1, 0, 1]),
+        # ... and a move whose delta is below the threshold does not
+        (grouping.MulticutInstance(4, ((0, 1, 1), (0, 2, 0), (0, 3, 1), (1, 2, 0), (1, 3, 0),
+                                       (2, 3, 1)), mask_constraints=(
+            (frozenset({0, 3}), 30000.159064133455), (frozenset({0, 1, 2, 3}), 0.1))),
+         0.3, [0, 0, 0, 0]),
+    ])
+    def test_near_ties_are_rescored(self, inst, theta, start):
+        # on these instances some trial's delta and its kernel difference
+        # fall on opposite sides of a decision, so deciding on the deltas
+        # alone (no tolerance) takes another path than the per-trial scan
+        start = np.array(start, dtype=np.int64)
+        solver = grouping._MulticutSolver(inst, theta)
+        ref_assign, ref_objective = local_improve_reference(solver, start, theta)
+        assign, objective = solver._local_improve(start)
+        assert assign.tolist() == ref_assign.tolist() and objective == ref_objective
+        solver._tau = 0.0
+        assert solver._local_improve(start)[0].tolist() != ref_assign.tolist()
+
+    def test_delta_search_matches_per_trial_scan_on_grids(self):
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            inst = random_grid_instance(rng)
+            theta = float(rng.uniform(0.05, 0.95))
+            solver = grouping._MulticutSolver(inst, theta)
+            start = rng.integers(0, 4, size=inst.node_count)
+            assign, objective = solver._local_improve(start)
+            ref_assign, ref_objective = local_improve_reference(solver, start, theta)
+            assert assign.tolist() == ref_assign.tolist()
+            assert objective == ref_objective
+
+
+def random_grid_instance(rng):
+    """A 4-connected grid of up to 36 nodes with contour flags, and up to four
+    masks over grid blocks, some of them with zero reward."""
+    rows, cols = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+    n = rows * cols
+    edges = [(i, i + 1, int(rng.integers(0, 2))) for i in range(n) if (i + 1) % cols]
+    edges += [(i, i + cols, int(rng.integers(0, 2))) for i in range(n - cols)]
+    masks = []
+    for _ in range(int(rng.integers(0, 5))):
+        r0, c0 = int(rng.integers(0, rows)), int(rng.integers(0, cols))
+        ids = frozenset(r * cols + c for r in range(r0, min(r0 + 2, rows))
+                        for c in range(c0, min(c0 + 3, cols)))
+        if len(ids) >= 2:
+            masks.append((ids, float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))))
+    order = rng.permutation(len(edges))
+    return grouping.MulticutInstance(node_count=n, edges=tuple(edges[i] for i in order),
+                                     mask_constraints=tuple(masks))
+
+
+def short_cycles_reference(solver):
+    """Chordless 3- and 4-cycles by walking each node's neighbour dict."""
+    adj = solver.adj
+    triangles, quads = [], []
+    for e_idx, (u, v) in enumerate(solver.pairs):
+        for w, e_uw in adj[u].items():
+            if w > v and w in adj[v]:
+                triangles.append((e_idx, e_uw, adj[v][w]))
+        for a, e_ua in adj[u].items():
+            if a == v or a in adj[v]:
+                continue
+            for b, e_vb in adj[v].items():
+                if b == u or b == a or b in adj[u]:
+                    continue
+                if b in adj[a] and (u, v) < tuple(sorted((a, b))):
+                    quads.append((e_idx, e_ua, adj[a][b], e_vb))
+    return (np.array(triangles, dtype=np.int64).reshape(-1, 3),
+            np.array(quads, dtype=np.int64).reshape(-1, 4))
+
+
+class TestShortCycles:
+    def check(self, inst):
+        solver = grouping._MulticutSolver(inst, 0.5)
+        triangles, quads = short_cycles_reference(solver)
+        assert solver._triangles.dtype == solver._quads.dtype == np.int64
+        assert solver._triangles.tolist() == triangles.tolist()
+        assert solver._quads.tolist() == quads.tolist()
+        return len(triangles), len(quads)
+
+    def test_hand_cases(self):
+        square = ((0, 1, 0), (1, 2, 0), (2, 3, 0), (0, 3, 0))
+        # the square once from each of its two pairs below the opposite pair
+        assert self.check(grouping.MulticutInstance(4, square)) == (0, 2)
+        # the chord 0-2 splits the square into two triangles
+        assert self.check(grouping.MulticutInstance(4, square + ((0, 2, 1),))) == (2, 0)
+        assert self.check(grouping.MulticutInstance(1, ())) == (0, 0)
+        # a mask's merge variable closes cycles too
+        assert self.check(grouping.MulticutInstance(
+            4, ((0, 1, 0), (1, 2, 0), (2, 3, 0)),
+            mask_constraints=((frozenset({0, 3}), 0.5),))) == (0, 2)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_equals_neighbour_walk(self, data):
+        inst = draw_instance(data, 12)
+        # the edge order sets the pair order, and with it the cycle order
+        order = data.draw(st.permutations(range(len(inst.edges))))
+        self.check(grouping.MulticutInstance(
+            node_count=inst.node_count, edges=tuple(inst.edges[i] for i in order),
+            mask_constraints=inst.mask_constraints))
+
+    def test_equals_neighbour_walk_on_grids(self):
+        rng = np.random.default_rng(59)
+        assert sum(self.check(random_grid_instance(rng))[1] for _ in range(100)) > 0
+
+
 def _floyd_warshall(n, pairs, y, skip):
     """All-pairs shortest paths over cut weights y, pair ``skip`` removed."""
     dist = np.full((n, n), np.inf)

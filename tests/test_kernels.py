@@ -262,3 +262,28 @@ class TestMulticutObjectives:
                 assert obj.tolist() == [_multicut_objective_ref(table[:, k], *terms)
                                         for k in range(table.shape[1])]
 
+
+    @pytest.mark.parametrize("seed", [8, 9])
+    def test_narrow_and_wide_tables_give_the_same_bits(self, seed, monkeypatch):
+        # the cumsum over a narrow table and the per-edge loop over a wide
+        # one add the same terms in the same order; zero rewards and edge
+        # weights d - theta are included
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            terms = random_multicut_terms(
+                rng, n, lambda m: rng.integers(0, 2, size=m) - rng.uniform(size=m))
+            terms = terms[:5] + (np.where(rng.uniform(size=terms[5].size) < 0.3, 0.0,
+                                          terms[5]),)
+            table = rng.integers(0, n, size=(n, int(rng.integers(0, 200)))).astype(
+                rng.choice([np.int8, np.int32, np.int64]))
+            got = {}
+            for columns in (table.shape[1], -1):
+                monkeypatch.setattr(kernels, "NARROW_COLUMNS", columns)
+                got[columns] = kernels.multicut_objectives(table, *terms)
+            assert got[table.shape[1]].tobytes() == got[-1].tobytes()
+            # each column alone, as the local search's rescoring takes it
+            monkeypatch.undo()
+            for k in range(min(table.shape[1], 5)):
+                one = kernels.multicut_objectives(table[:, k:k + 1], *terms)
+                assert one.tobytes() == got[-1][k:k + 1].tobytes()

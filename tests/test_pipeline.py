@@ -269,7 +269,7 @@ class TestColabeling:
         # label each image independently, then score the merged labeling on
         # the joint multi-image graph
         source_regions = {e.id: e.source_region for e in phase1.exemplars}
-        graph = colabel.build_graph(list(corpus.images), phase1.partitions,
+        graph = colabel.build_graph(list(corpus.images), phase1.regions,
                                     phase1.propagations, source_regions, model, maps,
                                     config.pairwise_mode, config.beta_pair,
                                     config.sigmoid_sharpness, config.e_max)
@@ -426,6 +426,45 @@ class TestFeaturesBuiltOncePerCall:
         assert counts[0] == counts[1] == {"maps": 4, "pyramids": 4, "graphs": 4}
 
 
+class TestRegionsBuiltOncePerPartition:
+    """Phase I builds an image's regions when its partition changes and
+    Phase II takes the final ones; ``colabel`` builds them once per image."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = []
+
+        def counted(image, partition):
+            built.append((image.id, partition.assignment.tobytes()))
+            return regions_of(image, partition)
+
+        from coparse import colabel
+        for module in (pipeline, cli, colabel):
+            monkeypatch.setattr(module, "regions_of", counted, raising=False)
+        return built
+
+    def test_run_builds_the_regions_of_each_changed_partition(self, monkeypatch, tmp_path):
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 3)
+        manifest = io.save_corpus(corpus, tmp_path / "corpus")
+        built = self.count_builds(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--manifest", str(manifest), "--out", str(out),
+                         "--seed", "8"]) == 0
+        changed = json.loads((out / "run-meta.json").read_text())["phase1_images_changed"]
+        assert changed[0] == 3 and changed[-1] == 0
+        assert len(built) == sum(changed) and len(set(built)) == len(built)
+
+    def test_colabel_builds_the_regions_of_each_image_once(self, monkeypatch, tmp_path):
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 2)
+        manifest = io.save_corpus(corpus, tmp_path / "corpus")
+        assert cli.main(["esvm", "--manifest", str(manifest), "--out", str(tmp_path / "p1"),
+                         "--seed", "8"]) == 0
+        built = self.count_builds(monkeypatch)
+        assert cli.main(["colabel", "--manifest", str(manifest), "--phase1",
+                         str(tmp_path / "p1"), "--out", str(tmp_path / "out")]) == 0
+        assert sorted(image_id for image_id, _ in built) == [rec.id for rec in corpus.images]
+
+
 def _instance_from_scratch(image, propagations):
     """The grouping instance assembled from the image alone, with no shared structure."""
     spmap = image.superpixel_map
@@ -526,7 +565,8 @@ def _reference_cosegmentation(corpus, config):
         seen.add(signature)
         previous = partitions
         exemplars, propagations = _reference_train_and_propagate(images, partitions, config)
-    return pipeline.Phase1Result(partitions=previous, exemplars=exemplars,
+    regions = {image.id: regions_of(image, previous[image.id]) for image in images}
+    return pipeline.Phase1Result(partitions=previous, regions=regions, exemplars=exemplars,
                                  propagations=propagations, iteration_count=iteration,
                                  converged=converged, fixed_point=fixed_point,
                                  images_changed=tuple(changed))

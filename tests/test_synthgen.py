@@ -122,3 +122,17 @@ class TestValidationErrors:
         with pytest.raises(MalformedInputError):
             synthgen.SceneSpec(labels=(
                 synthgen.LabelSpec("x", (1.4, 0.5), 0.02, (10, 10, 10)),))
+
+
+class TestShapeMargins:
+    def test_every_placed_shape_has_pixels(self):
+        # at 64x48 a side of 0.9 to 0.95 of the width sometimes leaves no
+        # room for the 2-pixel margins; such a draw is redrawn, so the label
+        # is always in the image
+        spec = synthgen.SceneSpec(
+            height=64, width=48, shapes_per_image=(1, 1), noise_level=0.0, seed=3,
+            labels=(synthgen.LabelSpec("blob", (0.5, 0.5), 0.02, (200, 30, 30),
+                                       size_range=(0.9, 0.95)),))
+        for image in synthgen.generate(spec, 12).images:
+            assert image.tags == frozenset({0, 1})
+            assert (image.ground_truth == 1).any()
