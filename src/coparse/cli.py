@@ -73,15 +73,12 @@ def _with_tuples(doc: dict) -> dict:
 
 
 def cmd_gen(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     if args.spec is None:
         spec = synthgen.default_scene_spec()
     else:
-        try:
-            doc = json.loads(Path(args.spec).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read scene spec: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scene spec is not valid JSON: {exc}") from exc
+        doc = io.read_json(args.spec, ConfigError, "scene spec")
         pipeline.check_json_types(synthgen.SceneSpec, doc, "scene spec")
         for label in doc.get("labels", ()):
             pipeline.check_json_types(synthgen.LabelSpec, label, "scene spec label")
@@ -176,7 +173,8 @@ def _phase1_records(phase1_dir: Path) -> list[list]:
             if not isinstance(docs, list):
                 raise TypeError(f"expected a JSON array, got {type(docs).__name__}")
             loaded.append([from_json(doc) for doc in docs])
-        except (OSError, DataError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (OSError, DataError, KeyError, TypeError, ValueError, OverflowError,
+                RecursionError) as exc:
             raise DataError(f"{path}: {type(exc).__name__}: {exc}") from exc
     return loaded
 
@@ -358,6 +356,11 @@ def main(argv=None) -> int:
     except CoparseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # every input is read through io, which raises DataError, so this is
+        # an output that cannot be written
+        print(f"configuration error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,16 +14,19 @@ The solver runs the cutting-plane LP over edge merge variables. A mask c
 over superpixels S earns its reward through z_c <= x_e for each edge e inside
 S and, when S induces several components, for one merge variable joining
 min(S) to the smallest node of each other component; on integer points that
-holds exactly when S lies in one region. Cycle inequalities are separated
-lazily (short chordless cycles, enumerated once with array operations, first;
-then every edge whose cut weight exceeds its cheapest detour, all detours
-from one ``csgraph.dijkstra`` call per round). Each LP goes to scipy's
-bundled HiGHS as row-wise arrays and is solved cold with the options
-``linprog(method="highs")`` sets; the solver rounds by connected components,
-polishes with local merge/move search, which scores its trials by objective
-deltas and rescores only near-ties exactly, and, when the relaxation stays
-fractional, closes the gap by branching. Instances small enough for the
-exhaustive oracle are therefore solved to proven optimality.
+holds exactly when S lies in one region. Each structure is built once per
+instance: one sorted index of the pairs, where cycle and path rows look
+their pairs up; the LP rows, stored by their start offsets; and the local
+search's arc and mask arrays. Cycle inequalities are separated lazily (short
+chordless cycles, enumerated once, first; then every edge whose cut weight
+exceeds its cheapest detour, all detours from one ``csgraph.dijkstra`` call
+per round). Each LP goes to scipy's bundled HiGHS as those row-wise arrays
+and is solved cold with the options ``linprog(method="highs")`` sets; the
+solver rounds by connected components, polishes with local merge/move
+search, which scores its trials by objective deltas and rescores only
+near-ties exactly, and, when the relaxation stays fractional, closes the gap
+by branching. Instances small enough for the exhaustive oracle are therefore
+solved to proven optimality.
 """
 
 from __future__ import annotations
@@ -102,11 +105,8 @@ def objective_of(instance: MulticutInstance, assignment: np.ndarray, theta: floa
 
 
 def _mask_active(instance: MulticutInstance, assignment: np.ndarray) -> tuple[bool, ...]:
-    out = []
-    for ids, _ in instance.mask_constraints:
-        vals = {int(assignment[i]) for i in ids}
-        out.append(len(vals) == 1)
-    return tuple(out)
+    return tuple(len({int(assignment[i]) for i in ids}) == 1
+                 for ids, _ in instance.mask_constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -195,32 +195,29 @@ _HIGHS_OPTIONS.log_to_console = False
 _HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
 
 
-def _solve_highs(cost: np.ndarray, row: np.ndarray, col: np.ndarray, coef: np.ndarray,
+def _solve_highs(cost: np.ndarray, start: np.ndarray, col: np.ndarray, coef: np.ndarray,
                  rhs: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     """min cost @ x s.t. A @ x <= rhs, lower <= x <= upper, by one cold HiGHS
-    solve, where A holds ``coef`` at (``row``, ``col``) with ``row``
-    non-decreasing.
+    solve, where row r of A holds ``coef[k]`` at column ``col[k]`` for k from
+    ``start[r]`` to the next row's start (``start`` and ``col`` int32).
 
-    A goes to HiGHS row-wise, as arrays; HiGHS stores it column-wise with
-    row indexes ascending, which is the model ``linprog(method="highs")``
-    builds. A model without rows is passed column-wise, since HiGHS refuses
-    an empty row-wise matrix. Returns the model status and, when it is
-    optimal, the objective and x.
+    A goes to HiGHS row-wise, as these arrays; HiGHS stores it column-wise
+    with row indexes ascending, which is the model ``linprog(method="highs")``
+    builds. A model without rows goes column-wise, with zero column starts,
+    since HiGHS refuses an empty row-wise matrix. Returns the model status
+    and, when it is optimal, the objective and x.
     """
     n_cols, n_rows = cost.size, rhs.size
-    if n_rows:
-        matrix_format = highs.MatrixFormat.kRowwise
-        start = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n_rows)[:-1])])
-    else:
-        matrix_format = highs.MatrixFormat.kColwise
-        start = np.zeros(n_cols, dtype=np.int64)
+    matrix_format = highs.MatrixFormat.kRowwise if n_rows else highs.MatrixFormat.kColwise
+    if not n_rows:
+        start = np.zeros(n_cols, dtype=np.int32)
     solver = highs._Highs()
     solver.passOptions(_HIGHS_OPTIONS)
     # an empty integrality array is refused, so every column is marked continuous
     status = solver.passModel(
         n_cols, n_rows, coef.size, int(matrix_format), int(highs.ObjSense.kMinimize), 0.0,
         cost, lower, upper, np.full(n_rows, -np.inf), rhs,
-        start.astype(np.int32), col.astype(np.int32), coef, np.zeros(n_cols, dtype=np.int32))
+        start, col, coef, np.zeros(n_cols, dtype=np.int32))
     if status == highs.HighsStatus.kError:
         return highs.HighsModelStatus.kModelError, None, None
     solver.run()
@@ -247,15 +244,14 @@ class _MulticutSolver:
     def __init__(self, instance: MulticutInstance, theta: float):
         self.instance = instance
         self._arrays = instance.arrays(theta)
-        # adj[u][v] is the variable of pair {u, v}; filled in pair order
-        self.adj: list[dict[int, int]] = [{} for _ in range(instance.node_count)]
-        self.pairs: list[tuple[int, int]] = []
-        for u, v, _ in instance.edges:
-            self._add_pair(min(u, v), max(u, v))
+        n = instance.node_count
+        edge_u, edge_v, edge_w, mask_ptr, _, mask_h = self._arrays
+        edge_pairs = np.stack([np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)], axis=1)
         # mask c over S: z_c <= x of each edge inside S, and of a pair joining
         # min(S) to the smallest node of each other component of the subgraph
-        # S induces, added as a variable unless it is one already
-        edge_pairs = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
+        # S induces. Such a pair is never an edge, since an edge inside S
+        # joins one component; masks share it, numbered after the edges.
+        extra: dict[tuple[int, int], int] = {}
         mask_vars: list[list[int]] = []
         for ids, _ in instance.mask_constraints:
             ordered = np.array(sorted(ids), dtype=np.int64)
@@ -265,30 +261,43 @@ class _MulticutSolver:
             component = Partition.from_edge_labels(ordered.size, local[inside],
                                                    np.ones(inside.size, dtype=bool)).assignment
             _, heads = np.unique(component, return_index=True)
-            root, others = int(ordered[0]), ordered[heads[1:]].tolist()
-            for b in others:
-                if b not in self.adj[root]:
-                    self._add_pair(root, b)
-            mask_vars.append(inside.tolist() + [self.adj[root][b] for b in others])
-        self.n_pairs = len(self.pairs)
-        self._pair_array = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
-        self.n_masks = len(instance.mask_constraints)
-        _, _, edge_w, _, _, mask_h = self._arrays
+            root = int(ordered[0])
+            mask_vars.append(inside.tolist() + [
+                extra.setdefault((root, b), edge_w.size + len(extra))
+                for b in ordered[heads[1:]].tolist()])
+        # pair p joins _pair_array[p] = (u, v), u < v: the edges in edge
+        # order, then the masks' extra pairs
+        self._pair_array = np.concatenate(
+            [edge_pairs, np.array(list(extra), dtype=np.int64).reshape(-1, 2)])
+        self.n_pairs, self.n_masks = len(self._pair_array), len(instance.mask_constraints)
+        # _pair_of's index: the keys u * n + v sorted, then n * n, which no
+        # pair has, so every lookup lands on an entry
+        u, v = self._pair_array.T
+        keys = u * n + v
+        key_order = np.argsort(keys)
+        self._pair_keys = np.append(keys[key_order], n * n)
+        self._pair_ids = np.append(key_order, -1)
         self.cost = np.concatenate([edge_w, np.zeros(self.n_pairs - edge_w.size), -mask_h])
+        # both arcs of every pair, with its weight (0 for a mask's extra
+        # pair), and each mask entry's owner, for cycles and local search
+        self._arc_src, self._arc_dst = np.concatenate([u, v]), np.concatenate([v, u])
+        self._arc_w = np.tile(self.cost[:self.n_pairs], 2)
+        self._nodes = np.arange(n)
+        self._mask_starts, self._mask_sizes = mask_ptr[:-1], np.diff(mask_ptr)
+        self._mask_owner = np.repeat(np.arange(self.n_masks), self._mask_sizes)
         # bound on how far a local-search delta, summed in any order, lies
         # from the difference of two objectives summed in the kernel's order
         self._tau = (2.0 * (edge_w.size + mask_h.size + 2) * np.finfo(np.float64).eps
                      * (np.abs(edge_w).sum() + mask_h.sum()))
 
-        # LP rows as growing COO lists: A_ub[row_of[k], col_of[k]] = coef[k];
-        # _rows() mirrors them as arrays, converting only the rows added since
-        # its last call
-        self.row_of: list[int] = []
+        # LP rows as growing lists: row r holds coef[k] at column col_of[k]
+        # for k from row_start[r] up to the next row's start; _rows() mirrors
+        # them as arrays, converting only the rows added since its last call
+        self.row_start: list[int] = []
         self.col_of: list[int] = []
         self.coef: list[float] = []
         self.rhs: list[float] = []
-        self._row_arrays = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                            np.empty(0), np.empty(0))
+        self._row_arrays = (np.empty(0, dtype=np.int32),) * 2 + (np.empty(0),) * 2
         # search counters; proven_optimal turns false when NODE_CAP stops it
         self.lp_solves = self.nodes = 0
         self.proven_optimal = True
@@ -298,37 +307,29 @@ class _MulticutSolver:
                 self._append_row([self.n_pairs + ci, var], [1.0, -1.0], 0.0)
         self._triangles, self._quads = self._enumerate_short_cycles()
 
-    def _add_pair(self, u: int, v: int) -> None:
-        self.adj[u][v] = self.adj[v][u] = len(self.pairs)
-        self.pairs.append((u, v))
+    def _pair_of(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Index of each pair {a, b}, or -1 where there is none."""
+        n = self.instance.node_count
+        q = np.minimum(a, b) * n + np.maximum(a, b)
+        pos = np.searchsorted(self._pair_keys, q)
+        return np.where(self._pair_keys[pos] == q, self._pair_ids[pos], -1)
 
     def _enumerate_short_cycles(self):
         """Chordless cycles of length 3 and 4 as var-index arrays, found once.
 
         Each pair (u, v), u < v, is expanded over the arcs out of u (and, for
-        quads, then over those out of v), every node's arcs in the order its
-        pairs were added. So triangles (e_uv, e_uw, e_vw), w > v, come in
-        (e_uv, e_uw) order and quads (e_uv, e_ua, e_ab, e_vb), whose chords
-        {a, v} and {u, b} are not pairs and whose (u, v) is below the sorted
-        (a, b), in (e_uv, e_ua, e_vb) order. Pairs are looked up among the
-        sorted keys u * n + v.
+        quads, then over those out of v), every node's arcs in pair order.
+        So triangles (e_uv, e_uw, e_vw), w > v, come in (e_uv, e_uw) order
+        and quads (e_uv, e_ua, e_ab, e_vb), whose chords {a, v} and {u, b}
+        are not pairs and whose (u, v) is below the sorted (a, b), in
+        (e_uv, e_ua, e_vb) order.
         """
         n = self.instance.node_count
-        pairs = self._pair_array
-        u, v = pairs.T
-        src, pair_ids = np.concatenate([u, v]), np.tile(np.arange(self.n_pairs), 2)
-        arc_order = np.lexsort((pair_ids, src))
-        arc_node, arc_pair = np.concatenate([v, u])[arc_order], pair_ids[arc_order]
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
-        keys = u * n + v
-        key_order = np.argsort(keys)
-        sorted_keys = keys[key_order]
-
-        def pair_of(a, b):
-            """Index of pair {a, b}, or -1 where there is none."""
-            q = np.minimum(a, b) * n + np.maximum(a, b)
-            pos = np.minimum(np.searchsorted(sorted_keys, q), sorted_keys.size - 1)
-            return np.where(sorted_keys[pos] == q, key_order[pos], -1)
+        u, v = self._pair_array.T
+        pair_ids = np.tile(np.arange(self.n_pairs), 2)
+        arc_order = np.lexsort((pair_ids, self._arc_src))
+        arc_node, arc_pair = self._arc_dst[arc_order], pair_ids[arc_order]
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(self._arc_src, minlength=n))])
 
         def expand(nodes):
             """(position in ``nodes``, arc) for every arc out of each node, in order."""
@@ -340,7 +341,7 @@ class _MulticutSolver:
 
         e, arc = expand(u)
         w, e_uw = arc_node[arc], arc_pair[arc]
-        e_vw = pair_of(v[e], w)
+        e_vw = self._pair_of(v[e], w)
         tri = np.stack([e, e_uw, e_vw], axis=1)[(w > v[e]) & (e_vw >= 0)]
 
         # the quads' a ranges over the same neighbours w of u
@@ -349,9 +350,9 @@ class _MulticutSolver:
         at, arc = expand(v[e])
         e, a, e_ua = e[at], a[at], e_ua[at]
         b, e_vb = arc_node[arc], arc_pair[arc]
-        e_ab = pair_of(a, b)
+        e_ab = self._pair_of(a, b)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        keep = ((b != u[e]) & (b != a) & (pair_of(u[e], b) < 0) & (e_ab >= 0)
+        keep = ((b != u[e]) & (b != a) & (self._pair_of(u[e], b) < 0) & (e_ab >= 0)
                 & ((u[e] < lo) | ((u[e] == lo) & (v[e] < hi))))
         quad = np.stack([e, e_ua, e_ab, e_vb], axis=1)[keep]
         return tri, quad
@@ -359,23 +360,23 @@ class _MulticutSolver:
     # -- LP ------------------------------------------------------------------
 
     def _append_row(self, cols: list[int], coefs: list[float], rhs: float) -> None:
-        self.row_of.extend([len(self.rhs)] * len(cols))
+        self.row_start.append(len(self.col_of))
         self.col_of.extend(cols)
         self.coef.extend(coefs)
         self.rhs.append(rhs)
 
     def _rows(self):
-        """The LP rows as arrays (row, col, coef, rhs); only the rows appended
-        since the last call are converted."""
-        row, col, coef, rhs = self._row_arrays
+        """The LP rows as arrays (start, col, coef, rhs), as ``_solve_highs``
+        takes them; only the rows appended since the last call are converted."""
+        start, col, coef, rhs = self._row_arrays
         if rhs.size < len(self.rhs):
-            nnz = row.size
-            self._row_arrays = row, col, coef, rhs = (
-                np.concatenate([row, np.array(self.row_of[nnz:], dtype=np.int64)]),
-                np.concatenate([col, np.array(self.col_of[nnz:], dtype=np.int64)]),
+            nnz = col.size
+            self._row_arrays = start, col, coef, rhs = (
+                np.concatenate([start, np.array(self.row_start[rhs.size:], dtype=np.int32)]),
+                np.concatenate([col, np.array(self.col_of[nnz:], dtype=np.int32)]),
                 np.concatenate([coef, np.array(self.coef[nnz:], dtype=np.float64)]),
                 np.concatenate([rhs, np.array(self.rhs[rhs.size:], dtype=np.float64)]))
-        return row, col, coef, rhs
+        return start, col, coef, rhs
 
     def _solve_lp(self, fixed: dict[int, int]):
         """(objective, x) of the LP with ``fixed`` variables held at their
@@ -406,17 +407,12 @@ class _MulticutSolver:
         return True
 
     def _separate(self, x: np.ndarray) -> int:
-        added = self._separate_short_cycles(x)
-        if added:
-            return added
-        return self._separate_paths(x)
+        return self._separate_short_cycles(x) or self._separate_paths(x)
 
     def _separate_short_cycles(self, x: np.ndarray) -> int:
         added = 0
         tol = self.SEPARATION_TOL
         for cycles, rhs in ((self._triangles, 1.0), (self._quads, 2.0)):
-            if cycles.size == 0:
-                continue
             vals = x[cycles]
             totals = vals.sum(axis=1)
             # chosen edge e violates when sum(others) - x_e > len - 2
@@ -447,12 +443,12 @@ class _MulticutSolver:
         rows = np.searchsorted(sources, src)
         violated = dist[rows, dst] < y[candidates] - tol
         for e_idx, row, node in zip(candidates[violated], rows[violated], dst[violated]):
-            path_vars = []
+            path = [node]
             while pred[row, node] >= 0:
-                prev = pred[row, node]
-                path_vars.append(self.adj[prev][node])
-                node = prev
-            if self._add_row(int(e_idx), path_vars):
+                node = pred[row, node]
+                path.append(node)
+            path = np.array(path, dtype=np.int64)
+            if self._add_row(int(e_idx), self._pair_of(path[1:], path[:-1]).tolist()):
                 added += 1
             if added >= 50:
                 break
@@ -485,14 +481,13 @@ class _MulticutSolver:
         the decision and the objective kept are those of scoring every trial
         with it.
         """
-        pairs = self._pair_array
         tau = self._tau
         best = kernels.multicut_objectives(assign[:, None], *self._arrays)[0]
         for _ in range(100):
             column = assign.astype(np.int32)[:, None]
             base = int(assign.max()) + 1
             # merge region b into region a for every touching a < b
-            lo, hi = np.sort(assign[pairs], axis=1).T
+            lo, hi = np.sort(assign[self._pair_array], axis=1).T
             keys = np.unique((lo * base + hi)[lo != hi])
             approx = self._merge_deltas(assign, base, lo, hi, keys)
             if keys.size and approx.min() - tau < -1e-12:
@@ -505,11 +500,10 @@ class _MulticutSolver:
                     assign, best = Partition.from_assignment(trials[:, k]).assignment, objs[k]
                     continue
             # move node to region r, every r != assign[node] it touches, plus base
-            ends = np.concatenate([pairs, pairs[:, ::-1]])
-            region = assign[ends[:, 1]]
-            away = region != assign[ends[:, 0]]
-            keys = np.unique(np.concatenate([ends[away, 0] * (base + 1) + region[away],
-                                             np.arange(assign.size) * (base + 1) + base]))
+            region = assign[self._arc_dst]
+            away = region != assign[self._arc_src]
+            keys = np.unique(np.concatenate([self._arc_src[away] * (base + 1) + region[away],
+                                             self._nodes * (base + 1) + base]))
             approx = self._move_deltas(assign, base, keys)
             threshold = best - 1e-12
             gap = threshold - best
@@ -532,8 +526,8 @@ class _MulticutSolver:
         """Per mask: its superpixels' regions, its lowest and highest region,
         whether it lies in exactly those two, and how many of its superpixels
         lie in each."""
-        _, _, _, mask_ptr, mask_ids, _ = self._arrays
-        starts, sizes = mask_ptr[:-1], np.diff(mask_ptr)
+        _, _, _, _, mask_ids, _ = self._arrays
+        starts, sizes = self._mask_starts, self._mask_sizes
         r = assign[mask_ids]
         lo = np.minimum.reduceat(r, starts)
         hi = np.maximum.reduceat(r, starts)
@@ -562,19 +556,17 @@ class _MulticutSolver:
         target, less those of its edges within its own region, plus the
         rewards of the masks it leaves incomplete, less those of the masks it
         completes."""
-        _, _, edge_w, mask_ptr, mask_ids, mask_h = self._arrays
+        _, _, _, _, mask_ids, mask_h = self._arrays
         n = assign.size
-        u, v = self._pair_array[:edge_w.size].T
-        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-        w = np.concatenate([edge_w, edge_w])
-        region = assign[dst]
+        src, w = self._arc_src, self._arc_w
+        region = assign[self._arc_dst]
         away = region != assign[src]
         delta = _sums(np.searchsorted(keys, src[away] * (base + 1) + region[away]),
                       w[away], keys.size)
         lose = _sums(src[~away], w[~away], n)
         if mask_h.size:
             r, m_lo, m_hi, two, n_lo, n_hi = self._mask_regions(assign)
-            owner = np.repeat(np.arange(mask_h.size), np.diff(mask_ptr))
+            owner = self._mask_owner
             active = (m_lo == m_hi)[owner]
             lose -= _sums(mask_ids[active], mask_h[owner[active]], n)
             # a mask on two regions is completed by the lone superpixel of one
@@ -602,35 +594,26 @@ class _MulticutSolver:
             self.nodes += 1
             rounds = self.ROOT_ROUNDS if self.nodes == 1 else self.CHILD_ROUNDS
             lp = self._solve_lp(fixed)
+            for _ in range(rounds):
+                if lp is None or self._separate(lp[1]) == 0:
+                    break
+                lp = self._solve_lp(fixed)
             if lp is None:
                 continue
             obj, x = lp
-            for _ in range(rounds):
-                if self._separate(x) == 0:
-                    break
-                lp = self._solve_lp(fixed)
-                if lp is None:
-                    break
-                obj, x = lp
-            if lp is None:
-                continue
             cand, cand_obj = self._local_improve(self._round(x))
             if cand_obj < best_obj - 1e-12:
                 best_obj, best_assign = cand_obj, cand
             if obj >= best_obj + self.PRUNE_SLACK:
                 continue
             frac = np.abs(x[:self.n_pairs] - 0.5)
-            order = np.argsort(frac, kind="stable")
-            branch_var = None
-            for idx in order:
-                if frac[idx] < 0.5 - self.INTEGRALITY_TOL and int(idx) not in fixed:
-                    branch_var = int(idx)
-                    break
+            branch_var = next((int(i) for i in np.argsort(frac, kind="stable")
+                               if frac[i] < 0.5 - self.INTEGRALITY_TOL and int(i) not in fixed),
+                              None)
             if branch_var is None:
                 continue  # integral and cycle-consistent: node fully solved
-            hi_first = x[branch_var] >= 0.5
-            first, second = (1, 0) if hi_first else (0, 1)
-            stack.append({**fixed, branch_var: second})
+            first = int(x[branch_var] >= 0.5)   # the nearer value is explored first
+            stack.append({**fixed, branch_var: 1 - first})
             stack.append({**fixed, branch_var: first})
         self.proven_optimal = not stack
         if best_assign is None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ImageRecord, validate_image_record
-from .errors import DataError, MalformedInputError
+from .errors import CoparseError, DataError, MalformedInputError
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,24 @@ class Corpus:
             if rec.id == image_id:
                 return rec
         raise DataError(f"no image with id {image_id!r}")
+
+
+def read_json(path, error: type[CoparseError], what: str):
+    """The JSON document in the UTF-8 file ``path``; a file that cannot be
+    read or is not UTF-8 JSON raises ``error`` naming ``what`` and ``path``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, nested too deep
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _read_bytes(path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +91,7 @@ def _read_pnm_header(data: bytes, expected_magic: bytes):
 
 
 def read_ppm(path) -> np.ndarray:
-    data = Path(path).read_bytes()
+    data = _read_bytes(path)
     w, h, maxval, pos = _read_pnm_header(data, b"P6")
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit PPM supported")
@@ -93,7 +111,7 @@ def write_ppm(path, pixels: np.ndarray) -> None:
 
 def read_pgm(path) -> np.ndarray:
     """Read P5; 16-bit samples are big-endian per the PGM standard."""
-    data = Path(path).read_bytes()
+    data = _read_bytes(path)
     w, h, maxval, pos = _read_pnm_header(data, b"P5")
     sample_bytes = 2 if maxval > 255 else 1
     if len(data) - pos < h * w * sample_bytes:
@@ -176,12 +194,7 @@ def _check_manifest_shape(doc: dict) -> None:
 
 def load_corpus(manifest_path) -> Corpus:
     manifest_path = Path(manifest_path)
-    try:
-        doc = json.loads(manifest_path.read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    doc = read_json(manifest_path, DataError, "manifest")
     if not isinstance(doc, dict) or "vocabulary" not in doc or "images" not in doc:
         raise DataError(f"manifest {manifest_path} missing vocabulary/images")
     _check_manifest_shape(doc)
@@ -194,15 +207,12 @@ def load_corpus(manifest_path) -> Corpus:
     images = []
     for entry in doc["images"]:
         image_id = entry["id"]
-        try:
-            pixels = read_ppm(base / entry["image"])
-            spmap = read_pgm(base / entry["superpixels"])
-            contours = read_pgm(base / entry["contours"]) > 0
-            gt = None
-            if entry.get("ground_truth"):
-                gt = read_pgm(base / entry["ground_truth"])
-        except OSError as exc:
-            raise DataError(f"{image_id}: cannot read raster: {exc}") from exc
+        pixels = read_ppm(base / entry["image"])
+        spmap = read_pgm(base / entry["superpixels"])
+        contours = read_pgm(base / entry["contours"]) > 0
+        gt = None
+        if entry.get("ground_truth"):
+            gt = read_pgm(base / entry["ground_truth"])
         tags = []
         for name in entry["tags"]:
             if name not in vocabulary:

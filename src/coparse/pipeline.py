@@ -17,7 +17,6 @@ per-image recall, skipping images that lack the label.
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from dataclasses import dataclass, field, fields, replace
@@ -29,7 +28,7 @@ from .colabel import LabelModel
 from .core import BACKGROUND, ImageRecord, Partition, Region, label_components, regions_of
 from .errors import ConfigError, MalformedInputError
 from .graphcut import alpha_expansion
-from .io import Corpus
+from .io import Corpus, read_json
 
 
 def _is_int(value) -> bool:
@@ -122,8 +121,8 @@ class Config:
             raise ConfigError("pairwise_mode must be 'smoothing' or 'literal'")
         if self.sigmoid_sharpness <= 0:
             raise ConfigError("sigmoid_sharpness must be positive")
-        if self.max_phase1_iters < 1 or self.max_sweeps < 1 or self.fold_count < 1:
-            raise ConfigError("iteration caps and fold_count must be >= 1")
+        if self.max_phase1_iters < 1 or self.max_sweeps < 1 or self.fold_count < 2:
+            raise ConfigError("iteration caps must be >= 1 and fold_count >= 2")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         return self
@@ -133,13 +132,7 @@ class Config:
         if isinstance(path_or_dict, dict):
             doc = path_or_dict
         else:
-            try:
-                with open(path_or_dict) as f:
-                    doc = json.load(f)
-            except OSError as exc:
-                raise ConfigError(f"cannot read config: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            doc = read_json(path_or_dict, ConfigError, "config")
         check_json_types(Config, doc, "config")
         unknown = set(doc) - {f.name for f in fields(Config)}
         if unknown:

@@ -111,6 +111,13 @@ class TestGen:
         assert_one_line_error(capsys, "configuration error: img0000: could not place label ")
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_gen_no_images_is_2(self, tmp_path, capsys, n):
+        rc = cli.main(["gen", "--n", n, "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert_one_line_error(capsys, "configuration error: --n ")
+        assert not (tmp_path / "c").exists()
+
     def test_gen_negative_seed_is_2(self, tmp_path, capsys):
         rc = cli.main(["gen", "--n", "1", "--out", str(tmp_path / "c"), "--seed", "-1"])
         assert rc == 2
@@ -201,6 +208,91 @@ class TestExitCodes:
                        "--out", str(tmp_path / "out")])
         assert rc == 1
         assert_one_line_error(capsys, "error: flow/cut mismatch")
+
+
+NOT_UTF8 = b'{"seed": "\xff\xfe"}'
+TOO_DEEP = b"[" * 100000 + b"]" * 100000
+
+
+class TestBadFiles:
+    """A file that cannot be read or written ends in one line, not a traceback."""
+
+    @pytest.mark.parametrize("text", [NOT_UTF8, TOO_DEEP], ids=["not-utf8", "too-deep"])
+    def test_config_not_json_is_2(self, tmp_path, capsys, text):
+        manifest = write_tiny_corpus(tmp_path, n=1)
+        (tmp_path / "cfg.json").write_bytes(text)
+        rc = cli.main(["group", "--manifest", str(manifest),
+                       "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert_one_line_error(capsys, "configuration error: config ")
+
+    @pytest.mark.parametrize("text", [NOT_UTF8, TOO_DEEP], ids=["not-utf8", "too-deep"])
+    def test_scene_spec_not_json_is_2(self, tmp_path, capsys, text):
+        (tmp_path / "spec.json").write_bytes(text)
+        rc = cli.main(["gen", "--spec", str(tmp_path / "spec.json"), "--n", "1",
+                       "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert_one_line_error(capsys, "configuration error: scene spec ")
+
+    @pytest.mark.parametrize("text", [NOT_UTF8, TOO_DEEP], ids=["not-utf8", "too-deep"])
+    def test_manifest_not_json_is_3(self, tmp_path, capsys, text):
+        manifest = write_tiny_corpus(tmp_path, n=1)
+        manifest.write_bytes(text)
+        rc = cli.main(["group", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert_one_line_error(capsys, "data error: manifest ")
+
+    def test_raster_that_is_a_directory_is_3(self, tmp_path, capsys):
+        manifest = write_tiny_corpus(tmp_path, n=1)
+        doc = json.loads(manifest.read_text())
+        doc["images"][0]["contours"] = "."
+        manifest.write_text(json.dumps(doc))
+        rc = cli.main(["group", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert_one_line_error(capsys, "data error: cannot read ")
+
+    def test_prediction_that_is_a_directory_is_3(self, tmp_path, capsys):
+        manifest = write_tiny_corpus(tmp_path, n=1)
+        image_id = json.loads(manifest.read_text())["images"][0]["id"]
+        (tmp_path / "pred" / f"{image_id}.labels.pgm").mkdir(parents=True)
+        rc = cli.main(["eval", "--manifest", str(manifest), "--pred", str(tmp_path / "pred"),
+                       "--out", str(tmp_path / "m.json")])
+        assert rc == 3
+        assert_one_line_error(capsys, "data error: cannot read ")
+
+    def test_region_map_that_is_a_directory_is_3(self, grouped_corpus, tmp_path):
+        manifest, grouped = grouped_corpus
+        phase1 = tmp_path / "phase1"
+        shutil.copytree(grouped, phase1)
+        region_map = sorted(phase1.glob("*.regions.pgm"))[0]
+        region_map.unlink()
+        region_map.mkdir()
+        rc, err = run_quietly(["colabel", "--manifest", str(manifest), "--phase1", str(phase1),
+                               "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert err.startswith("data error: cannot read ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_out_naming_a_file_is_2(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        inputs = (["--n", "1"] if command == "gen"
+                  else ["--manifest", str(write_tiny_corpus(tmp_path, n=1))])
+        rc = cli.main([command, *inputs, "--out", str(taken)])
+        assert rc == 2
+        assert_one_line_error(capsys, "configuration error: cannot write output: ")
+        assert taken.read_text() == ""
+
+    def test_eval_out_in_a_missing_directory_is_2(self, tmp_path, capsys):
+        manifest = write_tiny_corpus(tmp_path, n=1)
+        corpus = io.load_corpus(manifest)
+        (tmp_path / "pred").mkdir()
+        for image in corpus.images:
+            io.write_pgm16(tmp_path / "pred" / f"{image.id}.labels.pgm", image.ground_truth)
+        rc = cli.main(["eval", "--manifest", str(manifest), "--pred", str(tmp_path / "pred"),
+                       "--out", str(tmp_path / "missing" / "m.json")])
+        assert rc == 2
+        assert_one_line_error(capsys, "configuration error: cannot write output: ")
 
 
 # file names a fuzzed manifest or config may hold: the corpus's own files,
@@ -400,10 +492,12 @@ class TestMalformedPhase1:
         ("propagations.json", json.dumps([{**PROPAGATION, "mask": {"shape": [4, 4],
                                                                    "runs": [0, 20, -4]}}])),
         ("propagations.json", "[{"),
+        ("propagations.json", "[" * 100000 + "]" * 100000),
     ], ids=["exemplar-truncated", "exemplar-bad-base64", "exemplar-alpha-list",
             "exemplar-region-list", "exemplar-not-object", "propagation-missing-keys",
             "propagations-not-array", "propagation-x-str", "propagation-exemplar-list",
-            "propagation-mask-1d", "propagation-negative-run", "propagations-truncated"])
+            "propagation-mask-1d", "propagation-negative-run", "propagations-truncated",
+            "propagations-too-deep"])
     def test_malformed_record_is_3(self, grouped_corpus, tmp_path, name, text):
         code, err = self.colabel(grouped_corpus, tmp_path, {name: text})
         assert code == 3
@@ -525,3 +619,13 @@ class TestCv:
         doc = json.loads((out / "metrics.json").read_text())
         assert len(doc["folds"]) == 2
         assert 0.0 <= doc["aPA_mean"] <= 1.0
+
+    def test_one_fold_is_2(self, tmp_path, capsys):
+        manifest = write_tiny_corpus(tmp_path, n=2, seed=15)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fold_count": 1}))
+        rc = cli.main(["cv", "--manifest", str(manifest), "--config", str(cfg),
+                       "--out", str(tmp_path / "cv")])
+        assert rc == 2
+        assert_one_line_error(capsys, "configuration error: iteration caps must be >= 1 and "
+                                      "fold_count >= 2")

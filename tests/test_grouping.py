@@ -233,14 +233,24 @@ class TestSolverCounters:
         assert sol.nodes == 1 and not sol.proven_optimal
 
 
+def neighbour_dicts(solver):
+    """adj[u][v] = index of pair {u, v}, each node's dict filled in pair order."""
+    adj = [{} for _ in range(solver.instance.node_count)]
+    for idx, (u, v) in enumerate(solver._pair_array.tolist()):
+        adj[u][v] = adj[v][u] = idx
+    return adj
+
+
 def mask_rows(solver):
     """The mask rows z_c <= x_ab of a fresh solver, as (c, (a, b)) in row order.
 
     Before any separation every row is a mask row, stored as its z_c entry
     then its x_ab entry."""
+    assert solver.row_start == list(range(0, len(solver.col_of), 2))
     cols = np.array(solver.col_of).reshape(-1, 2)
     assert (np.array(solver.coef).reshape(-1, 2) == [1.0, -1.0]).all()
-    return [(int(z) - solver.n_pairs, solver.pairs[int(x)]) for z, x in cols]
+    return [(int(z) - solver.n_pairs, tuple(solver._pair_array[int(x)].tolist()))
+            for z, x in cols]
 
 
 class TestMaskEncoding:
@@ -263,7 +273,7 @@ class TestMaskEncoding:
             (frozenset({4, 3, 2, 1}), 0.5), (frozenset({1, 3}), 0.2)))
         solver = grouping._MulticutSolver(inst, 0.5)
         assert solver.n_pairs == len(edges) + 1
-        assert solver.pairs[-1] == (1, 3)
+        assert solver._pair_array[-1].tolist() == [1, 3]
         assert mask_rows(solver) == [(0, (1, 2)), (0, (3, 4)), (0, (1, 3)), (1, (1, 3))]
 
     def test_clique_mask_keeps_the_row_of_every_pair(self):
@@ -275,13 +285,38 @@ class TestMaskEncoding:
         assert mask_rows(solver) == [(0, pair) for pair in itertools.combinations(range(4), 2)]
 
 
+class TestPairIndex:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_pair_of_finds_every_pair_and_only_pairs(self, data):
+        inst = draw_instance(data, 12)
+        # edges in any order, each with its endpoints either way round
+        order = data.draw(st.permutations(range(len(inst.edges))))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+        edges = tuple((v, u, d) if flip else (u, v, d)
+                      for (u, v, d), flip in zip((inst.edges[i] for i in order), flips))
+        inst = grouping.MulticutInstance(node_count=inst.node_count, edges=edges,
+                                         mask_constraints=inst.mask_constraints)
+        solver = grouping._MulticutSolver(inst, 0.5)
+        pairs = [tuple(p) for p in solver._pair_array.tolist()]
+        # the edges in edge order, then mask pairs that repeat no pair
+        assert pairs[:len(edges)] == [(min(u, v), max(u, v)) for u, v, _ in edges]
+        assert all(u < v for u, v in pairs) and len(set(pairs)) == len(pairs)
+        n = inst.node_count
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+        index = {pair: idx for idx, pair in enumerate(pairs)}
+        expected = [index.get((min(x, y), max(x, y)), -1) for x, y in zip(a, b)]
+        assert solver._pair_of(a, b).tolist() == expected
+        assert solver._pair_of(b, a).tolist() == expected
+
+
 def linprog_reference(solver, fixed):
     """The solver's LP as scipy.optimize.linprog(method="highs") solves it."""
     n_vars = solver.n_pairs + solver.n_masks
     bounds = [(0.0, 1.0)] * n_vars
     for var, val in fixed.items():
         bounds[var] = (float(val), float(val))
-    a_ub = sparse.csr_matrix((solver.coef, (solver.row_of, solver.col_of)),
+    a_ub = sparse.csr_matrix((solver.coef, solver.col_of, solver.row_start + [len(solver.coef)]),
                              shape=(len(solver.rhs), n_vars)) if solver.rhs else None
     return linprog(solver.cost, A_ub=a_ub, b_ub=solver.rhs, bounds=bounds, method="highs")
 
@@ -317,7 +352,7 @@ class TestHighsLp:
         inst = grouping.MulticutInstance(node_count=3, edges=((0, 1, 0), (1, 2, 0)),
                                          mask_constraints=((frozenset({0, 2}), 0.5),))
         solver = grouping._MulticutSolver(inst, 0.5)
-        fixed = {solver.n_pairs: 1, solver.adj[0][2]: 0}
+        fixed = {solver.n_pairs: 1, int(solver._pair_of(np.array([0]), np.array([2]))[0]): 0}
         assert linprog_reference(solver, fixed).status == 2
         assert solver._solve_lp(fixed) is None
 
@@ -498,6 +533,7 @@ def local_improve_reference(solver, assign, theta):
     def objective(a):
         return python_objective(solver.instance, a, theta)
 
+    adj = neighbour_dicts(solver)
     assign = assign.copy()
     best = objective(assign)
     for _ in range(100):
@@ -516,7 +552,7 @@ def local_improve_reference(solver, assign, theta):
             best = objective(assign)
             continue
         for node in range(solver.instance.node_count):
-            options = sorted({int(assign[nbr]) for nbr in solver.adj[node]}
+            options = sorted({int(assign[nbr]) for nbr in adj[node]}
                              - {int(assign[node])})
             options.append(int(assign.max()) + 1)
             for target in options:
@@ -643,9 +679,9 @@ def random_grid_instance(rng):
 
 def short_cycles_reference(solver):
     """Chordless 3- and 4-cycles by walking each node's neighbour dict."""
-    adj = solver.adj
+    adj = neighbour_dicts(solver)
     triangles, quads = [], []
-    for e_idx, (u, v) in enumerate(solver.pairs):
+    for e_idx, (u, v) in enumerate(solver._pair_array.tolist()):
         for w, e_uw in adj[u].items():
             if w > v and w in adj[v]:
                 triangles.append((e_idx, e_uw, adj[v][w]))
@@ -715,8 +751,9 @@ class TestPathSeparation:
         first = len(solver.rhs)
         added = solver._separate_paths(x)
         assert added == len(solver.rhs) - first
-        row_of, col_of, coef = (np.array(a) for a in (solver.row_of, solver.col_of, solver.coef))
-        rows = [(col_of[row_of == r], coef[row_of == r], solver.rhs[r])
+        col_of, coef = np.array(solver.col_of), np.array(solver.coef)
+        bounds = solver.row_start + [col_of.size]
+        rows = [(col_of[bounds[r]:bounds[r + 1]], coef[bounds[r]:bounds[r + 1]], solver.rhs[r])
                 for r in range(first, len(solver.rhs))]
         tol = solver.SEPARATION_TOL
         pairs = solver._pair_array
