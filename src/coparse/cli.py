@@ -30,25 +30,6 @@ def _load_config(args) -> pipeline.Config:
     return cfg
 
 
-def _phase1_meta(phase1: pipeline.Phase1Result) -> dict:
-    return {
-        "phase1_iterations": phase1.iteration_count,
-        "phase1_converged": phase1.converged,
-        "phase1_fixed_point": phase1.fixed_point,
-        "phase1_multicuts_solved": phase1.multicuts_solved,
-        "phase1_multicuts_reused": phase1.multicuts_reused,
-        "phase1_exemplars_trained": phase1.exemplars_trained,
-        "phase1_exemplars_reused": phase1.exemplars_reused,
-        "phase1_esvm_max_duality_gap": phase1.esvm_max_duality_gap,
-        "phase1_esvm_degenerate_calibrations": phase1.esvm_degenerate_calibrations,
-        "phase1_images_changed": list(phase1.images_changed),
-        "phase1_multicut_lp_solves": phase1.multicut_lp_solves,
-        "phase1_multicut_nodes": phase1.multicut_nodes,
-        "phase1_multicut_cuts": phase1.multicut_cuts,
-        "phase1_multicuts_unproven": phase1.multicuts_unproven,
-    }
-
-
 def _run_meta(config: pipeline.Config, extra: dict) -> dict:
     import numpy
     import scipy
@@ -132,7 +113,7 @@ def cmd_esvm(args) -> int:
                [esvm.propagation_to_json(p) for p in phase1.propagations])
     for image in corpus.images:
         io.write_pgm16(out / f"{image.id}.regions.pgm", phase1.regions[image.id][0].region_map)
-    _dump_json(out / "run-meta.json", _run_meta(config, _phase1_meta(phase1)))
+    _dump_json(out / "run-meta.json", _run_meta(config, phase1.counters()))
     print(f"phase I: {len(phase1.exemplars)} exemplars, "
           f"{len(phase1.propagations)} propagations, "
           f"{phase1.iteration_count} iterations")
@@ -245,10 +226,8 @@ def cmd_run(args) -> int:
     metrics = pipeline.evaluate(phase2.label_maps, corpus, [rec.id for rec in labeled])
     _dump_json(out / "metrics.json", metrics.to_dict())
     _dump_json(out / "run-meta.json", _run_meta(config, {
-        **_phase1_meta(phase1),
-        "phase2_sweeps": phase2.sweeps,
-        "phase2_converged": phase2.converged,
-        "phase2_truncated_terms": phase2.truncated_terms,
+        **phase1.counters(),
+        **phase2.counters(),
         "label_model_sweep_capped_machines": model.appearance.sweep_capped,
         "total_energy": phase2.total_energy,
         "note": "metrics are in-sample (model trained on this corpus); use cv for held-out numbers",
@@ -294,7 +273,8 @@ def cmd_cv(args) -> int:
             "phase1_converged": o.phase1_converged,
         } for o in result.folds],
     })
-    _dump_json(out / "run-meta.json", _run_meta(config, {}))
+    _dump_json(out / "run-meta.json", _run_meta(config, {
+        "folds": [{"fold": o.fold, **o.counters} for o in result.folds]}))
     print(f"cv aPA={result.apa_mean:.4f}±{result.apa_std:.4f} "
           f"mAGR={result.magr_mean:.4f}±{result.magr_std:.4f}")
     return 0

@@ -10,7 +10,10 @@ same run already did, and builds each image's HOG pyramid and superpixel
 graph once. A command builds each image's appearance maps once
 (``build_maps``) and hands them to the ground-truth rows, Phase I and
 Phase II. Phase II builds one multi-image graph over the whole batch and
-minimizes it with alpha-expansion. Metric conventions: aPA
+minimizes it with alpha-expansion. ``cross_validate`` trains every fold's
+label model in one forked worker process while the parent runs the folds'
+Phase I, since a label model reads only training ground truth and Phase I
+only the test images. Metric conventions: aPA
 averages pixel accuracy per image; mAGR is the macro mean over labels of
 per-image recall, skipping images that lack the label.
 """
@@ -18,7 +21,10 @@ per-image recall, skipping images that lack the label.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import zlib
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -26,7 +32,7 @@ import numpy as np
 from . import colabel, esvm, features, grouping
 from .colabel import LabelModel
 from .core import BACKGROUND, ImageRecord, Partition, Region, label_components, regions_of
-from .errors import ConfigError, MalformedInputError
+from .errors import ConfigError, MalformedInputError, SolverError
 from .graphcut import alpha_expansion
 from .io import Corpus, read_json
 
@@ -182,6 +188,25 @@ class Phase1Result:
     # per iteration, the images whose partition differs from the previous
     # iteration's (every image in the first)
     images_changed: tuple[int, ...] = ()
+
+    def counters(self) -> dict:
+        """What the run did, under the names ``run-meta.json`` gives it."""
+        return {
+            "phase1_iterations": self.iteration_count,
+            "phase1_converged": self.converged,
+            "phase1_fixed_point": self.fixed_point,
+            "phase1_multicuts_solved": self.multicuts_solved,
+            "phase1_multicuts_reused": self.multicuts_reused,
+            "phase1_exemplars_trained": self.exemplars_trained,
+            "phase1_exemplars_reused": self.exemplars_reused,
+            "phase1_esvm_max_duality_gap": self.esvm_max_duality_gap,
+            "phase1_esvm_degenerate_calibrations": self.esvm_degenerate_calibrations,
+            "phase1_images_changed": list(self.images_changed),
+            "phase1_multicut_lp_solves": self.multicut_lp_solves,
+            "phase1_multicut_nodes": self.multicut_nodes,
+            "phase1_multicut_cuts": self.multicut_cuts,
+            "phase1_multicuts_unproven": self.multicuts_unproven,
+        }
 
 
 def _select_images(corpus: Corpus, image_ids: list[str] | None,
@@ -382,6 +407,11 @@ class Phase2Result:
     converged: bool          # false when the sweep cap stopped a sweep that still moved
     truncated_terms: int = 0   # non-submodular edge terms the expansion moves truncated
 
+    def counters(self) -> dict:
+        """What the run did, under the names ``run-meta.json`` gives it."""
+        return {"phase2_sweeps": self.sweeps, "phase2_converged": self.converged,
+                "phase2_truncated_terms": self.truncated_terms}
+
 
 def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
                    config: Config, maps: dict[str, features.ImageMaps],
@@ -477,6 +507,9 @@ class FoldOutcome:
     metrics: Metrics
     phase1_iterations: int
     phase1_converged: bool
+    # the fold's Phase I and Phase II counters and its label model's
+    # sweep-capped machines, as ``coparse run`` writes them; no timings
+    counters: dict
 
 
 @dataclass(frozen=True)
@@ -489,31 +522,53 @@ class CrossValidationResult:
     label_maps: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
 
 
+def _fold_model(vocabulary: tuple[str, ...], rows) -> LabelModel:
+    """``train_label_model`` looked up when called: the pool pickles this
+    function by name, which works even while ``train_label_model`` is
+    replaced by a closure (as a tracer does)."""
+    return train_label_model(vocabulary, rows)
+
+
 def cross_validate(corpus: Corpus, config: Config) -> CrossValidationResult:
-    """Each image's maps are built once per call; its ground-truth rows are
-    built the first time a fold trains on it, and every later fold takes
-    them from this call's own dict."""
+    """Each image's maps and ground-truth rows are built once per call, up
+    front, so an image without ground truth fails before any fold runs.
+
+    A fold's label model reads only its training rows and its Phase I only
+    its test images, so the models train in one forked worker process while
+    the parent runs Phase I, and each fold's Phase II waits only for its own
+    model. If the worker dies, a ``SolverError`` says so; a package error
+    raised in it reaches the caller with its own type. On any error the
+    models not yet started are dropped and the worker is joined.
+    """
     ids = [rec.id for rec in corpus.images]
     assignment = fold_assignment(ids, config.fold_count, config.seed)
     maps = build_maps(corpus.images)
-    outcomes = []
-    label_maps: dict[str, np.ndarray] = {}
-    rows: dict[str, tuple] = {}
-    for fold in range(config.fold_count):
-        test_ids = sorted(i for i in ids if assignment[i] == fold)
-        train_ids = sorted(i for i in ids if assignment[i] != fold)
-        for image_id in train_ids:
-            if image_id not in rows:
-                rows[image_id] = ground_truth_rows(corpus.image_by_id(image_id), maps[image_id])
-        model = train_label_model(corpus.vocabulary, [rows[i] for i in train_ids])
-        phase1 = run_cosegmentation(corpus, config, maps, test_ids)
-        phase2 = run_colabeling(corpus, phase1, model, config, maps, test_ids)
-        metrics = evaluate(phase2.label_maps, corpus, test_ids)
-        label_maps.update(phase2.label_maps)
-        outcomes.append(FoldOutcome(fold=fold, test_ids=tuple(test_ids),
-                                    metrics=metrics,
-                                    phase1_iterations=phase1.iteration_count,
-                                    phase1_converged=phase1.converged))
+    # with at least two folds every image trains some fold
+    rows = {rec.id: ground_truth_rows(rec, maps[rec.id]) for rec in corpus.images}
+    pool = ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        models = [pool.submit(_fold_model, corpus.vocabulary,
+                              [rows[i] for i in sorted(ids) if assignment[i] != fold])
+                  for fold in range(config.fold_count)]
+        outcomes = []
+        label_maps: dict[str, np.ndarray] = {}
+        for fold in range(config.fold_count):
+            test_ids = sorted(i for i in ids if assignment[i] == fold)
+            phase1 = run_cosegmentation(corpus, config, maps, test_ids)
+            model = models[fold].result()
+            phase2 = run_colabeling(corpus, phase1, model, config, maps, test_ids)
+            metrics = evaluate(phase2.label_maps, corpus, test_ids)
+            label_maps.update(phase2.label_maps)
+            outcomes.append(FoldOutcome(
+                fold=fold, test_ids=tuple(test_ids), metrics=metrics,
+                phase1_iterations=phase1.iteration_count,
+                phase1_converged=phase1.converged,
+                counters={**phase1.counters(), **phase2.counters(),
+                          "label_model_sweep_capped_machines": model.appearance.sweep_capped}))
+    except BrokenProcessPool as exc:
+        raise SolverError(f"label model worker stopped: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
     apas = np.array([o.metrics.apa for o in outcomes])
     magrs = np.array([o.metrics.magr for o in outcomes])
     return CrossValidationResult(

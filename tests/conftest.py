@@ -1,8 +1,17 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from coparse.core import ImageRecord
 from coparse.esvm import CALIBRATION_RIDGE
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Every test joins the processes it starts."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def make_image(spmap, pixels=None, contour=None, gt=None, tags=(0,), image_id="test"):

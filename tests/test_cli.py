@@ -1,6 +1,7 @@
 import contextlib
 import io as stdio
 import json
+import os
 import shutil
 from dataclasses import fields, replace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coparse import cli, grouping, io, kernels, pipeline, synthgen
+from coparse import cli, colabel, grouping, io, kernels, pipeline, synthgen
 
 
 def write_tiny_corpus(tmp_path, n=3, seed=5):
@@ -619,6 +620,80 @@ class TestCv:
         doc = json.loads((out / "metrics.json").read_text())
         assert len(doc["folds"]) == 2
         assert 0.0 <= doc["aPA_mean"] <= 1.0
+
+    def test_run_meta_has_fold_counters_and_same_bytes(self, tmp_path):
+        manifest = write_tiny_corpus(tmp_path, n=4, seed=15)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fold_count": 2, "seed": 15}))
+        metas = []
+        for name in ("a", "b"):
+            assert cli.main(["cv", "--manifest", str(manifest), "--config", str(cfg),
+                             "--out", str(tmp_path / name)]) == 0
+            metas.append((tmp_path / name / "run-meta.json").read_bytes())
+        assert metas[0] == metas[1]
+        folds = json.loads(metas[0])["folds"]
+        assert [f["fold"] for f in folds] == [0, 1]
+        metrics = json.loads((tmp_path / "a" / "metrics.json").read_text())["folds"]
+        for fold, summary in zip(folds, metrics):
+            assert set(fold) == {
+                "fold", "phase1_iterations", "phase1_converged", "phase1_fixed_point",
+                "phase1_multicuts_solved", "phase1_multicuts_reused",
+                "phase1_exemplars_trained", "phase1_exemplars_reused",
+                "phase1_esvm_max_duality_gap", "phase1_esvm_degenerate_calibrations",
+                "phase1_images_changed", "phase1_multicut_lp_solves", "phase1_multicut_nodes",
+                "phase1_multicut_cuts", "phase1_multicuts_unproven", "phase2_sweeps",
+                "phase2_converged", "phase2_truncated_terms",
+                "label_model_sweep_capped_machines"}
+            assert fold["phase1_iterations"] == summary["phase1_iterations"]
+            assert fold["phase1_converged"] == summary["phase1_converged"]
+            assert len(fold["phase1_images_changed"]) == fold["phase1_iterations"]
+            assert fold["phase1_multicuts_solved"] >= len(summary["test_ids"])
+            assert fold["phase2_sweeps"] >= 1
+
+    def test_missing_training_ground_truth_is_3_before_any_multicut(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        manifest = write_tiny_corpus(tmp_path, n=4, seed=15)
+        doc = json.loads(manifest.read_text())
+        ids = [entry["id"] for entry in doc["images"]]
+        # an image fold 0 tests: the serial CV would solve fold 0 before reading it
+        missing = min(i for i, fold in pipeline.fold_assignment(ids, 2, 15).items() if fold == 0)
+        for entry in doc["images"]:
+            if entry["id"] == missing:
+                entry["ground_truth"] = None
+        manifest.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fold_count": 2, "seed": 15}))
+        solved = []
+        solve = grouping.solve_multicut
+
+        def counted(*args):
+            solved.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(grouping, "solve_multicut", counted)
+        rc = cli.main(["cv", "--manifest", str(manifest), "--config", str(cfg),
+                       "--out", str(tmp_path / "cv")])
+        assert rc == 3
+        assert_one_line_error(capsys, f"data error: {missing}: ground truth required")
+        assert solved == []
+
+    def test_worker_that_dies_is_1(self, tmp_path, capsys, monkeypatch):
+        manifest = write_tiny_corpus(tmp_path, n=4, seed=15)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fold_count": 2, "seed": 15}))
+        parent = os.getpid()
+
+        def die(*_args):
+            # the forked worker inherits the patch; the parent never trains
+            if os.getpid() == parent:
+                raise AssertionError("label model trained in the calling process")
+            os._exit(9)
+
+        monkeypatch.setattr(colabel, "train_appearance", die)
+        rc = cli.main(["cv", "--manifest", str(manifest), "--config", str(cfg),
+                       "--out", str(tmp_path / "cv")])
+        assert rc == 1
+        assert_one_line_error(capsys, "error: label model worker stopped: ")
 
     def test_one_fold_is_2(self, tmp_path, capsys):
         manifest = write_tiny_corpus(tmp_path, n=2, seed=15)

@@ -1,13 +1,15 @@
 import json
+import multiprocessing
 import zlib
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from coparse import cli, esvm, features, grouping, io, pipeline, synthgen
+from coparse import cli, colabel, esvm, features, grouping, io, pipeline, synthgen
 from coparse.core import regions_of, superpixel_adjacency
-from coparse.errors import ConfigError, MalformedInputError
+from coparse.errors import (ConfigError, InsufficientDataError, MalformedInputError,
+                            SolverError)
 from coparse.io import Corpus
 
 from conftest import assert_calibration_stationary, make_image
@@ -342,13 +344,14 @@ class TestCrossValidate:
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=21), 6)
         config = pipeline.Config(seed=21, fold_count=3)
         trained = []
-        train = pipeline.train_label_model
+        colabeling = pipeline.run_colabeling
 
-        def recorded_train(vocabulary, rows):
-            trained.append(train(vocabulary, rows))
-            return trained[-1]
+        def recorded_colabeling(corpus, phase1, model, *args):
+            # Phase II runs in the parent and takes each fold's model there
+            trained.append(model)
+            return colabeling(corpus, phase1, model, *args)
 
-        monkeypatch.setattr(pipeline, "train_label_model", recorded_train)
+        monkeypatch.setattr(pipeline, "run_colabeling", recorded_colabeling)
         pipeline.cross_validate(corpus, config)
         monkeypatch.undo()
         ids = [rec.id for rec in corpus.images]
@@ -367,6 +370,48 @@ class TestCrossValidate:
                 assert sv.tobytes() == sv2.tobytes() and coef.tobytes() == coef2.tobytes()
             for name in ("location_mean", "location_cov", "cooccurrence"):
                 assert getattr(model, name).tobytes() == getattr(alone, name).tobytes()
+
+    def test_train_label_model_replaced_by_a_closure(self, monkeypatch, tmp_path):
+        """A tracer replaces ``train_label_model`` with a closure, which cannot
+        be pickled; the forked worker still calls it, once per fold."""
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=21), 4)
+        config = pipeline.Config(seed=21, fold_count=2)
+        plain = pipeline.cross_validate(corpus, config)
+        calls = tmp_path / "calls"
+        train = pipeline.train_label_model
+
+        def wrapped(vocabulary, rows):
+            with open(calls, "a") as f:
+                f.write(f"{len(rows)}\n")
+            return train(vocabulary, rows)
+
+        monkeypatch.setattr(pipeline, "train_label_model", wrapped)
+        traced = pipeline.cross_validate(corpus, config)
+        assert calls.read_text().split() == ["2", "2"]
+        assert traced.folds == plain.folds
+        for key in plain.label_maps:
+            assert traced.label_maps[key].tobytes() == plain.label_maps[key].tobytes()
+
+    def test_worker_package_error_keeps_its_type(self, monkeypatch):
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=21), 4)
+
+        def no_fit(*_args):
+            raise InsufficientDataError("no machine to fit")
+
+        monkeypatch.setattr(colabel, "train_appearance", no_fit)
+        with pytest.raises(InsufficientDataError, match="no machine to fit"):
+            pipeline.cross_validate(corpus, pipeline.Config(seed=21, fold_count=2))
+
+    def test_failed_fold_leaves_no_worker(self, monkeypatch):
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=21), 6)
+
+        def failing(*_args):
+            raise SolverError("fold 0 fails")
+
+        monkeypatch.setattr(grouping, "solve_multicut", failing)
+        with pytest.raises(SolverError, match="fold 0 fails"):
+            pipeline.cross_validate(corpus, pipeline.Config(seed=21, fold_count=3))
+        assert multiprocessing.active_children() == []
 
 
 class TestFeaturesBuiltOncePerCall:
