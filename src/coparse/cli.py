@@ -6,6 +6,13 @@ success, 1 for solver errors, 2 for configuration errors, 3 for data errors.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, set before numpy loads: the output bytes then do not hang on
+# the host's thread count, and BLAS does not compete with the CV's worker
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import argparse
 import json
 import sys
@@ -13,31 +20,34 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, esvm, grouping, io, pipeline, synthgen
 from .core import Partition, regions_of
-from .errors import ConfigError, CoparseError, DataError, MalformedInputError
+from .errors import ConfigError, CoparseError, DataError
 
 
 def _dump_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _load_config(args) -> pipeline.Config:
-    cfg = pipeline.Config() if args.config is None else pipeline.Config.from_json(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed).validate()
-    return cfg
+def _inputs(args) -> tuple[io.Corpus, pipeline.Config, Path]:
+    """A pipeline command's corpus, its config and its output directory, created."""
+    corpus = io.load_corpus(args.manifest)
+    config = pipeline.Config() if args.config is None else pipeline.Config.from_json(args.config)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed).validate()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return corpus, config, out
 
 
 def _run_meta(config: pipeline.Config, extra: dict) -> dict:
-    import numpy
-    import scipy
     return {
         "config": config.to_dict(),
         "versions": {
             "coparse": __version__,
-            "numpy": numpy.__version__,
+            "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
         **extra,
@@ -48,29 +58,16 @@ def _run_meta(config: pipeline.Config, extra: dict) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _with_tuples(doc: dict) -> dict:
-    """A checked JSON object's lists as tuples, as the spec dataclasses hold them."""
-    return {key: tuple(value) if isinstance(value, list) else value for key, value in doc.items()}
-
-
 def cmd_gen(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     if args.spec is None:
         spec = synthgen.default_scene_spec()
     else:
-        doc = io.read_json(args.spec, ConfigError, "scene spec")
-        pipeline.check_json_types(synthgen.SceneSpec, doc, "scene spec")
-        for label in doc.get("labels", ()):
-            pipeline.check_json_types(synthgen.LabelSpec, label, "scene spec label")
-        try:
-            labels = tuple(synthgen.LabelSpec(**_with_tuples(label))
-                           for label in doc.pop("labels"))
-            spec = synthgen.SceneSpec(labels=labels, **_with_tuples(doc))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad scene spec: {exc}") from exc
-        except MalformedInputError as exc:
-            raise ConfigError(f"scene spec value out of range: {exc}") from exc
+        spec = io.dataclass_from_json(
+            synthgen.SceneSpec, io.read_json(args.spec, ConfigError, "scene spec"), "scene spec",
+            labels=lambda labels: tuple(io.dataclass_from_json(synthgen.LabelSpec, label,
+                                                               "scene spec") for label in labels))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     if spec.seed < 0:
@@ -82,10 +79,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_group(args) -> int:
-    corpus = io.load_corpus(args.manifest)
-    config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    corpus, config, out = _inputs(args)
     for image in corpus.images:
         instance = grouping.instance_for_image(image, [], grouping.superpixel_graph(image))
         solution = grouping.solve_multicut(instance, config.theta)
@@ -101,10 +95,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_esvm(args) -> int:
-    corpus = io.load_corpus(args.manifest)
-    config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    corpus, config, out = _inputs(args)
     phase1 = pipeline.run_cosegmentation(corpus, config, pipeline.build_maps(corpus.images))
     with open(out / "exemplars.jsonl", "w") as f:
         for exemplar in phase1.exemplars:
@@ -124,8 +115,6 @@ def _partitions_from_dir(corpus, phase1_dir: Path) -> dict[str, Partition]:
     partitions = {}
     for image in corpus.images:
         path = phase1_dir / f"{image.id}.regions.pgm"
-        if not path.exists():
-            raise DataError(f"missing region map {path}")
         region_map = io.read_pgm(path)
         sp = image.superpixel_map
         if region_map.shape != sp.shape:
@@ -151,18 +140,17 @@ def _phase1_records(phase1_dir: Path) -> list[list]:
         path = phase1_dir / name
         try:
             docs = parse(path.read_text()) if path.exists() else []
-            if not isinstance(docs, list):
-                raise TypeError(f"expected a JSON array, got {type(docs).__name__}")
-            loaded.append([from_json(doc) for doc in docs])
-        except (OSError, DataError, KeyError, TypeError, ValueError, OverflowError,
-                RecursionError) as exc:
-            raise DataError(f"{path}: {type(exc).__name__}: {exc}") from exc
+            loaded.append([from_json(doc) for doc in io.check_json_type(
+                docs, "tuple[dict, ...]", DataError, "the file")])
+        except (OSError, ValueError, RecursionError, OverflowError, DataError) as exc:
+            # ValueError: not UTF-8, not JSON or not base64; OverflowError: a
+            # mask run too long for numpy
+            raise DataError(f"{path}: {exc}") from exc
     return loaded
 
 
 def cmd_colabel(args) -> int:
-    corpus = io.load_corpus(args.manifest)
-    config = _load_config(args)
+    corpus, config, out = _inputs(args)
     phase1_dir = Path(args.phase1)
     partitions = _partitions_from_dir(corpus, phase1_dir)
     exemplars, propagations = _phase1_records(phase1_dir)
@@ -196,8 +184,6 @@ def cmd_colabel(args) -> int:
                                    propagations=propagations, iteration_count=0,
                                    converged=True, fixed_point=True)
     phase2 = pipeline.run_colabeling(corpus, phase1, model, config, maps)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for image_id, label_map in sorted(phase2.label_maps.items()):
         io.write_pgm16(out / f"{image_id}.labels.pgm", label_map)
     _dump_json(out / "energy.json", {
@@ -209,10 +195,7 @@ def cmd_colabel(args) -> int:
 
 
 def cmd_run(args) -> int:
-    corpus = io.load_corpus(args.manifest)
-    config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    corpus, config, out = _inputs(args)
     labeled = [rec for rec in corpus.images if rec.ground_truth is not None]
     if not labeled:
         raise DataError("run requires ground truth for label-model training")
@@ -239,13 +222,8 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     corpus = io.load_corpus(args.manifest)
-    pred_dir = Path(args.pred)
-    predictions = {}
-    for image in corpus.images:
-        path = pred_dir / f"{image.id}.labels.pgm"
-        if not path.exists():
-            raise DataError(f"missing prediction {path}")
-        predictions[image.id] = io.read_pgm(path)
+    predictions = {image.id: io.read_pgm(Path(args.pred) / f"{image.id}.labels.pgm")
+                   for image in corpus.images}
     metrics = pipeline.evaluate(predictions, corpus)
     _dump_json(args.out, metrics.to_dict())
     print(f"aPA={metrics.apa:.4f} mAGR={metrics.magr:.4f}")
@@ -253,10 +231,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    corpus = io.load_corpus(args.manifest)
-    config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    corpus, config, out = _inputs(args)
     result = pipeline.cross_validate(corpus, config)
     for image_id, label_map in sorted(result.label_maps.items()):
         io.write_pgm16(out / f"{image_id}.labels.pgm", label_map)

@@ -128,6 +128,8 @@ def validate_image_record(record: ImageRecord, vocabulary_size: int | None = Non
     if px.ndim != 3 or px.shape[2] != 3 or px.dtype != np.uint8:
         raise MalformedInputError(f"{record.id}: pixels must be (H, W, 3) uint8")
     h, w = px.shape[:2]
+    if h < 2 or w < 2:   # the features take a gradient along both axes
+        raise MalformedInputError(f"{record.id}: image is {h}x{w} pixels, under 2x2")
     sp = record.superpixel_map
     if sp.shape != (h, w):
         raise MalformedInputError(f"{record.id}: superpixel map shape mismatch")

@@ -20,7 +20,8 @@ from scipy.special import expit
 
 from . import features, kernels
 from .core import ImageRecord, PropagationRecord, Region
-from .errors import InsufficientDataError, MalformedInputError
+from .errors import DataError, InsufficientDataError, MalformedInputError
+from .io import check_json_types
 
 NEGATIVES_PER_EXEMPLAR = 200
 CALIBRATION_RIDGE = 1e-3   # keeps alpha finite on separable score sets
@@ -433,19 +434,22 @@ def mask_to_rle(mask: np.ndarray) -> dict:
     return {"shape": list(mask.shape), "runs": counts}
 
 
-def mask_from_rle(doc: dict) -> np.ndarray:
-    shape, runs = tuple(doc["shape"]), doc["runs"]
-    if len(shape) != 2 or not all(isinstance(n, int) and n >= 0 for n in (*shape, *runs)):
-        raise MalformedInputError("mask shape must be 2-D, run lengths non-negative integers")
+_RLE_TYPES = {"shape": "tuple[int, int]", "runs": "tuple[int, ...]"}
+_EXEMPLAR_TYPES = {"id": "str", "w": "str", "alpha": "float", "beta": "float",
+                   "source_region": "tuple[str, int]", "template": "tuple[int, int]",
+                   "mask": "dict"}
+_PROPAGATION_TYPES = {"exemplar": "str", "image": "str", "x": "int", "y": "int",
+                      "score": "float", "mask": "dict"}
+
+
+def mask_from_rle(doc) -> np.ndarray:
+    rle = check_json_types(doc, _RLE_TYPES, DataError, "mask")
+    shape, runs = rle["shape"], rle["runs"]
+    if min(shape + runs) < 0:
+        raise MalformedInputError("mask shape and run lengths must be non-negative")
     if sum(runs) != shape[0] * shape[1]:
         raise MalformedInputError("run lengths do not cover the mask")
     return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(shape)
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise MalformedInputError(f"expected a string, got {value!r}")
-    return value
 
 
 def exemplar_to_json(exemplar: Exemplar) -> dict:
@@ -461,13 +465,12 @@ def exemplar_to_json(exemplar: Exemplar) -> dict:
     }
 
 
-def exemplar_from_json(doc: dict) -> Exemplar:
-    image_id, index = doc["source_region"]
-    w = np.frombuffer(base64.b64decode(doc["w"]), dtype="<f8").astype(np.float64)
-    return Exemplar(id=_text(doc["id"]), w=w, alpha=float(doc["alpha"]),
-                    beta=float(doc["beta"]), source_region=(_text(image_id), int(index)),
-                    mask=mask_from_rle(doc["mask"]),
-                    template=(int(doc["template"][0]), int(doc["template"][1])))
+def exemplar_from_json(doc) -> Exemplar:
+    rec = check_json_types(doc, _EXEMPLAR_TYPES, DataError, "exemplar")
+    w = np.frombuffer(base64.b64decode(rec["w"]), dtype="<f8").astype(np.float64)
+    return Exemplar(id=rec["id"], w=w, alpha=rec["alpha"], beta=rec["beta"],
+                    source_region=rec["source_region"], mask=mask_from_rle(rec["mask"]),
+                    template=rec["template"])
 
 
 def propagation_to_json(record: PropagationRecord) -> dict:
@@ -481,8 +484,8 @@ def propagation_to_json(record: PropagationRecord) -> dict:
     }
 
 
-def propagation_from_json(doc: dict) -> PropagationRecord:
-    return PropagationRecord(
-        source_exemplar=_text(doc["exemplar"]), target_image=_text(doc["image"]),
-        x=int(doc["x"]), y=int(doc["y"]), mask=mask_from_rle(doc["mask"]),
-        score=float(doc["score"]))
+def propagation_from_json(doc) -> PropagationRecord:
+    rec = check_json_types(doc, _PROPAGATION_TYPES, DataError, "propagation")
+    return PropagationRecord(source_exemplar=rec["exemplar"], target_image=rec["image"],
+                             x=rec["x"], y=rec["y"], mask=mask_from_rle(rec["mask"]),
+                             score=rec["score"])

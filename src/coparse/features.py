@@ -199,10 +199,8 @@ def block_normalize(cells: np.ndarray) -> np.ndarray:
 
 
 def hog(patch: np.ndarray, template: tuple[int, int]) -> np.ndarray:
-    """HOG descriptor of a patch resampled to the template's pixel grid."""
+    """HOG descriptor of a 2-D luminance patch resampled to the template's pixel grid."""
     patch = np.asarray(patch, dtype=np.float64)
-    if patch.ndim == 3:
-        patch = luma(patch)
     h, w = patch.shape
     return hog_crops(patch.ravel(), [0], [w], [h], [w], template)[0]
 

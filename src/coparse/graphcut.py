@@ -163,14 +163,12 @@ class ExpansionResult:
     truncated_terms: int = 0   # non-submodular edge terms truncated over every move built
 
 
-def alpha_expansion(problem: LabelingProblem,
-                    initial: np.ndarray | None = None,
-                    max_sweeps: int = 10) -> ExpansionResult:
-    """Move-making minimization; sweeps labels in ascending (vocabulary) order."""
-    if initial is None:
-        initial = [cand[np.argmin(un)] for cand, un in zip(problem.candidates, problem.unary)]
-    labeling = np.asarray(initial, dtype=np.int64).copy()
-    pos = problem.positions(labeling)  # validates against the candidate sets
+def alpha_expansion(problem: LabelingProblem, max_sweeps: int = 10) -> ExpansionResult:
+    """Move-making minimization from each vertex's lowest unary; sweeps labels
+    in ascending (vocabulary) order."""
+    labeling = np.array([cand[np.argmin(un)]
+                         for cand, un in zip(problem.candidates, problem.unary)], dtype=np.int64)
+    pos = problem.positions(labeling)
     energy = float(problem.energies(pos[None])[0])
     move_energies: list[float] = []
     sweeps_done = 0

@@ -1,4 +1,5 @@
-"""Corpus serialization: binary PPM/PGM rasters and the JSON manifest.
+"""Corpus serialization: binary PPM/PGM rasters and the JSON manifest, and
+the field-type table every JSON document coparse reads is checked against.
 
 Images are 8-bit binary PPM (P6). Superpixel maps, region maps and label
 maps are 16-bit binary PGM (P5) with big-endian samples. Contour maps are
@@ -10,14 +11,16 @@ vocabulary (index 0 must be "background").
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass
+import reprlib
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import ImageRecord, validate_image_record
-from .errors import CoparseError, DataError, MalformedInputError
+from .errors import CoparseError, ConfigError, DataError, MalformedInputError
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,91 @@ def read_json(path, error: type[CoparseError], what: str):
         raise error(f"cannot read {what} {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, nested too deep
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# JSON field types
+# ---------------------------------------------------------------------------
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return math.isfinite(value) if isinstance(value, float) else _is_int(value)
+
+
+def _is_list(*items):
+    """Check for a list of one item per check in ``items`` or, when ``items``
+    ends in ``...``, of any number of items its first check accepts."""
+    if items[-1] is ...:
+        return lambda v: isinstance(v, (list, tuple)) and all(items[0](x) for x in v)
+    return lambda v: (isinstance(v, (list, tuple)) and len(v) == len(items)
+                      and all(accepts(x) for accepts, x in zip(items, v)))
+
+
+_IS_STR, _IS_OBJECT = (lambda v: isinstance(v, str)), (lambda v: isinstance(v, dict))
+
+# Field type -> (check on the JSON value, what the message asks for). The
+# annotations of pipeline.Config, synthgen.SceneSpec and synthgen.LabelSpec,
+# and the field tables of the manifest and the Phase I records, are its keys.
+# Ints pass for floats unchanged, so run-meta.json echoes them as given.
+JSON_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "str": (_IS_STR, "a string"),
+    "str | None": (lambda v: v is None or _IS_STR(v), "a string or null"),
+    "dict": (_IS_OBJECT, "an object"),
+    "tuple[dict, ...]": (_is_list(_IS_OBJECT, ...), "a list of objects"),
+    "tuple[LabelSpec, ...]": (_is_list(_IS_OBJECT, ...), "a list of objects"),
+    "tuple[float, ...]": (_is_list(_is_number, ...), "a list of finite numbers"),
+    "tuple[float, float]": (_is_list(_is_number, _is_number), "a list of 2 finite numbers"),
+    "tuple[int, ...]": (_is_list(_is_int, ...), "a list of integers"),
+    "tuple[int, int]": (_is_list(_is_int, _is_int), "a list of 2 integers"),
+    "tuple[int, int, int]": (_is_list(_is_int, _is_int, _is_int), "a list of 3 integers"),
+    "tuple[str, int]": (_is_list(_IS_STR, _is_int), "a list of a string and an integer"),
+    "tuple[str, ...]": (_is_list(_IS_STR, ...), "a list of strings"),
+}
+
+
+def check_json_type(value, field_type: str, error: type[CoparseError], what: str):
+    """``value``, a list as a tuple, if it fits ``field_type`` in JSON_TYPES;
+    else raise ``error`` naming ``what``."""
+    accepts, expected = JSON_TYPES[field_type]
+    if not accepts(value):
+        raise error(f"{what} must be {expected}, got {reprlib.repr(value)}")
+    return tuple(value) if isinstance(value, list) else value
+
+
+def check_json_types(doc, types: dict[str, str], error: type[CoparseError], what: str,
+                     required=None) -> dict:
+    """``check_json_type`` of each value of the JSON object ``doc`` under a key
+    of ``types``, by key; other keys are ignored. Raise ``error`` naming
+    ``what`` if ``doc`` lacks a key of ``required`` (default: of ``types``)."""
+    check_json_type(doc, "dict", error, what)
+    for key in types if required is None else required:
+        if key not in doc:
+            raise error(f"{what} lacks key {key!r}")
+    return {key: check_json_type(doc[key], types[key], error, f"{what} key {key!r}")
+            for key in types if key in doc}
+
+
+def dataclass_from_json(cls, doc, what: str, **decode):
+    """The ``cls`` dataclass from the JSON object ``doc``, which must give every
+    field without a default, no other key, and values that fit the field
+    annotations; ``decode[name]`` maps field ``name``'s checked value. Raise
+    ConfigError naming ``what`` otherwise, or if ``cls`` rejects a value."""
+    types = {f.name: f.type for f in fields(cls)}
+    values = check_json_types(doc, types, ConfigError, what, required=[
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING])
+    unknown = sorted(set(doc) - set(types))
+    if unknown:
+        raise ConfigError(f"bad {what}: unknown keys {unknown}")
+    try:
+        return cls(**{key: decode[key](value) if key in decode else value
+                      for key, value in values.items()})
+    except MalformedInputError as exc:
+        raise ConfigError(f"{what} value out of range: {exc}") from exc
 
 
 def _read_bytes(path) -> bytes:
@@ -148,8 +236,9 @@ def write_pgm8(path, values: np.ndarray) -> None:
 MAX_ID_BYTES = 200   # <id>.<kind>.pgm stays within a 255-byte file name
 
 
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+_MANIFEST_TYPES = {"vocabulary": "tuple[str, ...]", "images": "tuple[dict, ...]"}
+_IMAGE_TYPES = {"id": "str", "image": "str", "superpixels": "str", "contours": "str",
+                "tags": "tuple[str, ...]", "ground_truth": "str | None"}
 
 
 def _path_bytes(text: str) -> bytes:
@@ -160,53 +249,33 @@ def _path_bytes(text: str) -> bytes:
         return b"\0"
 
 
-def _check_manifest_shape(doc: dict) -> None:
-    """JSON types of the manifest fields; raise DataError naming the entry."""
-    if not _is_str_list(doc["vocabulary"]):
-        raise DataError("manifest vocabulary must be a list of strings")
-    if not isinstance(doc["images"], list):
-        raise DataError("manifest images must be a list")
-    seen_ids = set()
-    for i, entry in enumerate(doc["images"]):
-        if not isinstance(entry, dict):
-            raise DataError(f"manifest image {i} must be an object")
-        name = f"manifest image {i}"
-        if isinstance(entry.get("id"), str):
-            name += f" ({entry['id']!r})"
-        for key in ("id", "image", "superpixels", "contours"):
-            if not isinstance(entry.get(key), str):
-                raise DataError(f"{name}: {key!r} must be a string")
-        if not _is_str_list(entry.get("tags")):
-            raise DataError(f"{name}: 'tags' must be a list of strings")
-        if not isinstance(entry.get("ground_truth"), (str, type(None))):
-            raise DataError(f"{name}: 'ground_truth' must be a string or null")
-        for key in ("id", "image", "superpixels", "contours", "ground_truth"):
-            if b"\0" in _path_bytes(entry.get(key) or ""):
-                raise DataError(f"{name}: {key!r} holds a NUL or unencodable character")
-        if entry["id"] in ("", ".", "..") or any(c in entry["id"] for c in "/\\"):
-            raise DataError(f"{name}: 'id' must be a plain file name")
-        if len(_path_bytes(entry["id"])) > MAX_ID_BYTES:
-            raise DataError(f"{name}: 'id' must be at most {MAX_ID_BYTES} bytes long")
-        if entry["id"] in seen_ids:
-            raise DataError(f"{name}: duplicate image id")
-        seen_ids.add(entry["id"])
-
-
 def load_corpus(manifest_path) -> Corpus:
     manifest_path = Path(manifest_path)
-    doc = read_json(manifest_path, DataError, "manifest")
-    if not isinstance(doc, dict) or "vocabulary" not in doc or "images" not in doc:
-        raise DataError(f"manifest {manifest_path} missing vocabulary/images")
-    _check_manifest_shape(doc)
-    vocabulary = tuple(doc["vocabulary"])
+    what = f"manifest {manifest_path}"
+    manifest = check_json_types(read_json(manifest_path, DataError, "manifest"),
+                                _MANIFEST_TYPES, DataError, what)
+    vocabulary = manifest["vocabulary"]
     if not vocabulary or vocabulary[0] != "background":
         raise DataError("vocabulary[0] must be 'background'")
     if len(set(vocabulary)) != len(vocabulary):
         raise DataError("vocabulary has duplicate labels")
     base = manifest_path.parent
-    images = []
-    for entry in doc["images"]:
+    images, seen_ids = [], set()
+    for i, entry in enumerate(manifest["images"]):
+        entry = check_json_types(entry, _IMAGE_TYPES, DataError, f"{what} image {i}",
+                                 required=[key for key in _IMAGE_TYPES if key != "ground_truth"])
         image_id = entry["id"]
+        name = f"{what} image {i} ({image_id!r})"
+        for key in ("id", "image", "superpixels", "contours", "ground_truth"):
+            if b"\0" in _path_bytes(entry.get(key) or ""):
+                raise DataError(f"{name}: {key!r} holds a NUL or unencodable character")
+        if image_id in ("", ".", "..") or any(c in image_id for c in "/\\"):
+            raise DataError(f"{name}: 'id' must be a plain file name")
+        if len(_path_bytes(image_id)) > MAX_ID_BYTES:
+            raise DataError(f"{name}: 'id' must be at most {MAX_ID_BYTES} bytes long")
+        if image_id in seen_ids:
+            raise DataError(f"{name}: duplicate image id")
+        seen_ids.add(image_id)
         pixels = read_ppm(base / entry["image"])
         spmap = read_pgm(base / entry["superpixels"])
         contours = read_pgm(base / entry["contours"]) > 0
@@ -214,10 +283,10 @@ def load_corpus(manifest_path) -> Corpus:
         if entry.get("ground_truth"):
             gt = read_pgm(base / entry["ground_truth"])
         tags = []
-        for name in entry["tags"]:
-            if name not in vocabulary:
-                raise DataError(f"{image_id}: tag {name!r} not in vocabulary")
-            tags.append(vocabulary.index(name))
+        for label in entry["tags"]:
+            if label not in vocabulary:
+                raise DataError(f"{image_id}: tag {label!r} not in vocabulary")
+            tags.append(vocabulary.index(label))
         rec = ImageRecord(
             id=image_id,
             pixels=pixels,
@@ -226,10 +295,7 @@ def load_corpus(manifest_path) -> Corpus:
             contour_map=contours,
             ground_truth=gt,
         )
-        try:
-            validate_image_record(rec, vocabulary_size=len(vocabulary))
-        except MalformedInputError as exc:
-            raise DataError(str(exc)) from exc
+        validate_image_record(rec, vocabulary_size=len(vocabulary))   # a DataError
         images.append(rec)
     if not images:
         raise DataError("manifest lists no images")

@@ -20,12 +20,11 @@ per-image recall, skipping images that lack the label.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -34,51 +33,7 @@ from .colabel import LabelModel
 from .core import BACKGROUND, ImageRecord, Partition, Region, label_components, regions_of
 from .errors import ConfigError, MalformedInputError, SolverError
 from .graphcut import alpha_expansion
-from .io import Corpus, read_json
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return math.isfinite(value) if isinstance(value, float) else _is_int(value)
-
-
-def _is_list_of(accepts, length=None):
-    """Check for a list of ``length`` items (at least one if None), each accepted."""
-    return lambda v: (isinstance(v, (list, tuple)) and (len(v) == length if length else len(v) > 0)
-                      and all(accepts(s) for s in v))
-
-
-# Field annotation of Config, synthgen.SceneSpec or synthgen.LabelSpec -> (check on
-# the JSON value, what the message asks for); ints are accepted for float fields
-# unchanged, so run-meta.json echoes them as given
-_CONFIG_TYPE_CHECKS = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a finite number"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "tuple[float, ...]": (_is_list_of(_is_number), "a non-empty list of finite numbers"),
-    "tuple[float, float]": (_is_list_of(_is_number, 2), "a list of 2 finite numbers"),
-    "tuple[int, int]": (_is_list_of(_is_int, 2), "a list of 2 integers"),
-    "tuple[int, int, int]": (_is_list_of(_is_int, 3), "a list of 3 integers"),
-    "tuple[str, ...]": (_is_list_of(lambda v: isinstance(v, str)), "a non-empty list of strings"),
-    "tuple[LabelSpec, ...]": (_is_list_of(lambda v: isinstance(v, dict)),
-                              "a non-empty list of objects"),
-}
-
-
-def check_json_types(cls, doc, what: str) -> None:
-    """Raise ConfigError unless ``doc`` is a JSON object whose values fit the annotations
-    of the ``cls`` dataclass fields they name; other keys are left to the caller."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    types = {f.name: f.type for f in fields(cls)}
-    for key, value in doc.items():
-        if key in types:
-            accepts, expected = _CONFIG_TYPE_CHECKS[types[key]]
-            if not accepts(value):
-                raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
+from .io import Corpus, dataclass_from_json, read_json
 
 
 # detection resizes every image by each scale, so its memory and time grow
@@ -136,21 +91,12 @@ class Config:
     @staticmethod
     def from_json(path_or_dict) -> "Config":
         if isinstance(path_or_dict, dict):
-            doc = path_or_dict
-        else:
-            doc = read_json(path_or_dict, ConfigError, "config")
-        check_json_types(Config, doc, "config")
-        unknown = set(doc) - {f.name for f in fields(Config)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "scales" in doc:
-            doc = {**doc, "scales": tuple(doc["scales"])}
-        return Config(**doc).validate()
+            return dataclass_from_json(Config, path_or_dict, "config").validate()
+        doc = read_json(path_or_dict, ConfigError, "config")
+        return dataclass_from_json(Config, doc, f"config {path_or_dict}").validate()
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(Config)}
-        out["scales"] = list(self.scales)
-        return out
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .errors import GenerationError, MalformedInputError
 from .io import Corpus
 
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+SHAPE_KINDS = ("rect", "ellipse")
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class SceneSpec:
     width: int = 96
     labels: tuple[LabelSpec, ...] = ()
     shapes_per_image: tuple[int, int] = (1, 4)
-    shape_kinds: tuple[str, ...] = ("rect", "ellipse")
+    shape_kinds: tuple[str, ...] = SHAPE_KINDS
     noise_level: float = 0.02
     cell_size: int = 12
     cell_jitter: int = 3
@@ -52,9 +53,17 @@ class SceneSpec:
     def __post_init__(self):
         if not 0.0 <= self.noise_level <= 0.3:
             raise MalformedInputError("noise level must lie in [0, 0.3]")
-        if self.height < 1 or self.width < 1 or self.cell_size < 1 or self.cell_jitter < 0:
-            raise MalformedInputError("height, width and cell_size must be >= 1 and "
+        # features need a gradient along both axes, so an image is at least 2x2
+        if self.height < 2 or self.width < 2 or self.cell_size < 1 or self.cell_jitter < 0:
+            raise MalformedInputError("height and width must be >= 2, cell_size >= 1 and "
                                       "cell_jitter >= 0")
+        if not self.shape_kinds or not set(self.shape_kinds) <= set(SHAPE_KINDS):
+            raise MalformedInputError(f"shape_kinds {list(self.shape_kinds)} must be some of "
+                                      f"{list(SHAPE_KINDS)}")
+        names = [label.name for label in self.labels]
+        if not names or "background" in names or len(set(names)) < len(names):
+            raise MalformedInputError(f"label names {names} must be one or more distinct "
+                                      "names other than 'background'")
         lo, hi = self.shapes_per_image
         if not 0 <= lo <= min(hi, len(self.labels)):
             raise MalformedInputError(f"shapes_per_image {list(self.shapes_per_image)} needs "

@@ -1,4 +1,9 @@
 import multiprocessing
+import os
+
+# one BLAS thread, as the CLI and perfbench run; set before numpy loads
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 import pytest

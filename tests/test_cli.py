@@ -58,9 +58,12 @@ class TestGen:
 
     @pytest.mark.parametrize("key, value", [
         ("cell_size", 0), ("height", 0), ("shapes_per_image", [3, 1]), ("cell_jitter", -5),
-        ("location_sigma", -0.1),
+        ("location_sigma", -0.1), ("height", 1), ("width", 1),
+        ("shape_kinds", ["rect", "triangle"]), ("name", "background"),
+        ("labels", SPEC["labels"] * 2),
     ], ids=["cell-size-0", "height-0", "shapes-reversed", "jitter-negative",
-            "label-sigma-negative"])
+            "label-sigma-negative", "height-1", "width-1", "unknown-kind", "background-label",
+            "duplicate-labels"])
     def test_out_of_range_spec_value_is_2(self, tmp_path, capsys, key, value):
         label = self.SPEC["labels"][0]
         spec = ({**self.SPEC, "labels": [{**label, key: value}]} if key in label
@@ -190,6 +193,48 @@ class TestExitCodes:
         rc = cli.main(["group", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
         assert rc == 3
         assert_one_line_error(capsys, "data error: ")
+
+    @pytest.mark.parametrize("key, value", [("k_top", 5.0), ("scales", [1.0, True])],
+                             ids=["k_top-float", "scales-bool"])
+    def test_wrongly_typed_config_value_names_the_file(self, tmp_path, capsys, key, value):
+        manifest = write_tiny_corpus(tmp_path, n=1)
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        rc = cli.main(["group", "--manifest", str(manifest),
+                       "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert_one_line_error(capsys, f"configuration error: config {tmp_path / 'cfg.json'} "
+                                      f"key {key!r} must be ")
+
+    @pytest.mark.parametrize("key, value", [("tags", ["shirt", 1]), ("ground_truth", 5),
+                                            ("contours", True)],
+                             ids=["tags-int-item", "ground-truth-int", "contours-bool"])
+    def test_wrongly_typed_manifest_value_names_the_file(self, tmp_path, capsys, key, value):
+        manifest = write_tiny_corpus(tmp_path, n=2)
+        doc = json.loads(manifest.read_text())
+        doc["images"][1][key] = value
+        manifest.write_text(json.dumps(doc))
+        rc = cli.main(["group", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert_one_line_error(capsys, f"data error: manifest {manifest} image 1 key {key!r} "
+                                      "must be ")
+
+    @pytest.mark.parametrize("command", ["run", "esvm", "cv"])
+    @pytest.mark.parametrize("shape", [(1, 40), (40, 1)], ids=["1-high", "1-wide"])
+    def test_image_under_2x2_is_3(self, tmp_path, capsys, command, shape):
+        # the features' np.gradient raised a ValueError on such an image
+        image = synthgen.generate(FUZZ_SPEC, 1).images[0]
+        tiny = replace(image, id="tiny", pixels=np.zeros((*shape, 3), dtype=np.uint8),
+                       superpixel_map=np.zeros(shape, dtype=np.int64),
+                       contour_map=np.zeros(shape, dtype=bool),
+                       ground_truth=np.zeros(shape, dtype=np.int64), tags=frozenset({0}))
+        corpus = io.Corpus(vocabulary=("background", "blob"), images=(image, tiny))
+        manifest = io.save_corpus(corpus, tmp_path / "corpus")
+        (tmp_path / "cfg.json").write_text(json.dumps({"fold_count": 2}))
+        rc = cli.main([command, "--manifest", str(manifest), "--config", str(tmp_path / "cfg.json"),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert_one_line_error(capsys, f"data error: tiny: image is {shape[0]}x{shape[1]} "
+                                      "pixels, under 2x2")
 
     def test_lp_failure_is_1(self, tmp_path, capsys, monkeypatch):
         manifest = write_tiny_corpus(tmp_path, n=1)
@@ -503,6 +548,33 @@ class TestMalformedPhase1:
         code, err = self.colabel(grouped_corpus, tmp_path, {name: text})
         assert code == 3
         assert err.startswith(f"data error: {tmp_path / 'phase1' / name}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("source_region", ["img0000", "0"]), ("alpha", "nan"), ("beta", float("nan")),
+        ("template", [2, 2.0]),
+    ], ids=["region-index-str", "alpha-str-nan", "beta-nan", "template-float"])
+    def test_wrongly_typed_exemplar_value_is_3(self, grouped_corpus, tmp_path, key, value):
+        # each was coerced, or passed as it was, and colabel exited 0
+        code, err = self.colabel(grouped_corpus, tmp_path, {
+            "exemplars.jsonl": json.dumps({**EXEMPLAR, key: value}) + "\n",
+            "propagations.json": json.dumps([PROPAGATION])})
+        path = tmp_path / "phase1" / "exemplars.jsonl"
+        assert code == 3
+        assert err.startswith(f"data error: {path}: exemplar key {key!r} must be ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("x", "0"), ("x", 0.7), ("x", True), ("score", "0.5"), ("score", None),
+    ], ids=["x-str", "x-float", "x-bool", "score-str", "score-null"])
+    def test_wrongly_typed_propagation_value_is_3(self, grouped_corpus, tmp_path, key, value):
+        # each was coerced, or passed as it was, and colabel exited 0
+        code, err = self.colabel(grouped_corpus, tmp_path, {
+            "exemplars.jsonl": json.dumps(EXEMPLAR) + "\n",
+            "propagations.json": json.dumps([{**PROPAGATION, key: value}])})
+        path = tmp_path / "phase1" / "propagations.json"
+        assert code == 3
+        assert err.startswith(f"data error: {path}: propagation key {key!r} must be ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("x, y", [(-1, 0), (0, -4), (1000, 0), (0, 1000)])

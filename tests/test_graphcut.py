@@ -288,9 +288,8 @@ class TestAlphaExpansion:
     def test_never_raises_the_energy(self, data):
         # arbitrary tables, non-submodular ones included
         prob = draw_problem(data)
-        cands = prob.candidates
-        initial = np.array([data.draw(st.sampled_from(c.tolist())) for c in cands])
-        res = graphcut.alpha_expansion(prob, initial=initial)
+        initial = [cand[np.argmin(un)] for cand, un in zip(prob.candidates, prob.unary)]
+        res = graphcut.alpha_expansion(prob)
         assert res.energy == graphcut.energy_of(prob, res.labeling)
         assert res.energy <= graphcut.energy_of(prob, initial)
         steps = (graphcut.energy_of(prob, initial),) + res.move_energies
@@ -306,10 +305,10 @@ class TestAlphaExpansion:
         assert res.labeling[0] in {0, 2}
         assert res.labeling[1] in {1, 2}
 
-    def test_invalid_initial_labeling_rejected(self):
+    def test_labeling_outside_candidates_rejected(self):
         prob = potts_problem([(0.0, 1.0)], 0.0)
         with pytest.raises(MalformedInputError):
-            graphcut.alpha_expansion(prob, initial=np.array([7]))
+            graphcut.energy_of(prob, np.array([7]))
 
     def test_non_submodular_literal_tables_still_decrease(self):
         # tables rewarding equal labels can violate submodularity after shifts
