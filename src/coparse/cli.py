@@ -129,14 +129,17 @@ def _partitions_from_dir(corpus, phase1_dir: Path) -> dict[str, Partition]:
     return partitions
 
 
-def _phase1_records(phase1_dir: Path) -> list[list]:
+def _phase1_records(phase1_dir: Path, corpus) -> list[list]:
     """The exemplars and propagations ``esvm`` wrote (none for a missing
-    file); a malformed file raises DataError naming it."""
+    file), each propagation placed inside a ``corpus`` image; a malformed
+    file raises DataError naming it."""
+    shapes = {image.id: image.superpixel_map.shape for image in corpus.images}
     loaded = []
     for name, parse, from_json in (
             ("exemplars.jsonl", lambda text: [json.loads(line) for line in text.splitlines()
                                               if line.strip()], esvm.exemplar_from_json),
-            ("propagations.json", json.loads, esvm.propagation_from_json)):
+            ("propagations.json", json.loads,
+             lambda doc: esvm.propagation_from_json(doc, shapes))):
         path = phase1_dir / name
         try:
             docs = parse(path.read_text()) if path.exists() else []
@@ -153,7 +156,7 @@ def cmd_colabel(args) -> int:
     corpus, config, out = _inputs(args)
     phase1_dir = Path(args.phase1)
     partitions = _partitions_from_dir(corpus, phase1_dir)
-    exemplars, propagations = _phase1_records(phase1_dir)
+    exemplars, propagations = _phase1_records(phase1_dir, corpus)
     for exemplar in exemplars:
         image_id, index = exemplar.source_region
         if image_id not in partitions or not 0 <= index < partitions[image_id].k:
@@ -164,9 +167,6 @@ def cmd_colabel(args) -> int:
         if prop.source_exemplar not in exemplar_ids:
             raise DataError(f"{phase1_dir / 'propagations.json'}: unknown exemplar "
                             f"{prop.source_exemplar!r}")
-        if prop.target_image not in partitions:
-            raise DataError(f"{phase1_dir / 'propagations.json'}: unknown image "
-                            f"{prop.target_image!r}")
     maps = pipeline.build_maps(corpus.images)
     if args.train_manifest is None:
         train_corpus, train_maps = corpus, maps
@@ -190,6 +190,7 @@ def cmd_colabel(args) -> int:
         "total_energy": phase2.total_energy,
         "per_image_energy": dict(sorted(phase2.per_image_energy.items())),
     })
+    _dump_json(out / "run-meta.json", _run_meta(config, phase2.counters()))
     print(f"co-labeling energy {phase2.total_energy:.6f} over {len(phase2.label_maps)} images")
     return 0
 

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import features
-from .core import BACKGROUND, ImageRecord, Region, region_moments, superpixel_adjacency
-from .errors import ConfigError, InsufficientDataError, MalformedInputError, UnknownLabelError
+from .core import (BACKGROUND, ImageRecord, Region, labels_under_mask, region_moments,
+                   superpixel_adjacency)
+from .errors import ConfigError, InsufficientDataError, UnknownLabelError
 from .graphcut import LabelingProblem
 
 WIDE_PRIOR_VARIANCE = 0.25   # location prior for labels unseen in training
@@ -298,13 +299,9 @@ def match_propagation_target(mask: np.ndarray, x: int, y: int,
     """Index of the first of ``regions`` (of one partition, so sharing its region
     map) with maximal overlap/union against the placed mask, or None below
     ``min_iou`` or without overlap; MalformedInputError if the mask leaves the image."""
-    region_map = regions[0].region_map
-    (mh, mw), (h, w) = mask.shape, region_map.shape
-    if x < 0 or y < 0 or x + mw > w or y + mh > h:
-        raise MalformedInputError(f"{regions[0].id[0]}: a {mh}x{mw} mask placed at "
-                                  f"x={x}, y={y} leaves the {h}x{w} image")
     ks = np.array([region.id[1] for region in regions])
-    overlap = np.bincount(region_map[y:y + mh, x:x + mw][mask], minlength=ks.max() + 1)[ks]
+    overlap = labels_under_mask(regions[0].region_map, mask, x, y, regions[0].id[0],
+                                ks.max() + 1)[ks]
     iou = overlap / (np.array([region.area for region in regions]) + int(mask.sum()) - overlap)
     best = int(np.argmax(iou))
     if 0.0 < iou[best] and iou[best] >= min_iou:

@@ -122,6 +122,26 @@ class PropagationRecord:
     score: float                         # calibrated detection score in (0, 1)
 
 
+def check_placement(mask_shape: tuple[int, int], x: int, y: int,
+                    image_shape: tuple[int, int], image_id: str) -> None:
+    """MalformedInputError unless a mask of ``mask_shape`` with its top-left
+    pixel at column x, row y lies wholly inside the image."""
+    (mh, mw), (h, w) = mask_shape, image_shape
+    if x < 0 or y < 0 or x + mw > w or y + mh > h:
+        raise MalformedInputError(f"{image_id}: a {mh}x{mw} mask placed at "
+                                  f"x={x}, y={y} leaves the {h}x{w} image")
+
+
+def labels_under_mask(label_map: np.ndarray, mask: np.ndarray, x: int, y: int,
+                      image_id: str, minlength: int = 0) -> np.ndarray:
+    """Pixel count of each value of ``label_map`` under ``mask`` placed with
+    its top-left pixel at column x, row y; ``check_placement`` first."""
+    check_placement(mask.shape, x, y, label_map.shape, image_id)
+    mh, mw = mask.shape
+    return np.bincount(label_map[y:y + mh, x:x + mw][np.asarray(mask, dtype=bool)],
+                       minlength=minlength)
+
+
 def validate_image_record(record: ImageRecord, vocabulary_size: int | None = None) -> None:
     """Check the full set of raster invariants; raise MalformedInputError."""
     px = record.pixels

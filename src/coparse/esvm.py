@@ -19,7 +19,7 @@ from scipy import ndimage
 from scipy.special import expit
 
 from . import features, kernels
-from .core import ImageRecord, PropagationRecord, Region
+from .core import ImageRecord, PropagationRecord, Region, check_placement
 from .errors import DataError, InsufficientDataError, MalformedInputError
 from .io import check_json_types
 
@@ -442,14 +442,23 @@ _PROPAGATION_TYPES = {"exemplar": "str", "image": "str", "x": "int", "y": "int",
                       "score": "float", "mask": "dict"}
 
 
-def mask_from_rle(doc) -> np.ndarray:
+def _rle(doc) -> tuple[tuple[int, int], tuple[int, ...]]:
+    """The declared shape and run lengths of a run-length document."""
     rle = check_json_types(doc, _RLE_TYPES, DataError, "mask")
     shape, runs = rle["shape"], rle["runs"]
     if min(shape + runs) < 0:
         raise MalformedInputError("mask shape and run lengths must be non-negative")
+    return shape, runs
+
+
+def _expand_rle(shape: tuple[int, int], runs: tuple[int, ...]) -> np.ndarray:
     if sum(runs) != shape[0] * shape[1]:
         raise MalformedInputError("run lengths do not cover the mask")
     return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(shape)
+
+
+def mask_from_rle(doc) -> np.ndarray:
+    return _expand_rle(*_rle(doc))
 
 
 def exemplar_to_json(exemplar: Exemplar) -> dict:
@@ -466,11 +475,22 @@ def exemplar_to_json(exemplar: Exemplar) -> dict:
 
 
 def exemplar_from_json(doc) -> Exemplar:
+    """An exemplar as ``build_exemplar`` makes it: a template of at least
+    2x2 cells, one weight per HOG feature of it plus the bias, and a mask of
+    its pixel grid, checked before the mask is built."""
     rec = check_json_types(doc, _EXEMPLAR_TYPES, DataError, "exemplar")
     w = np.frombuffer(base64.b64decode(rec["w"]), dtype="<f8").astype(np.float64)
+    cy, cx = template = rec["template"]
+    if min(template) < 2 or w.size != (cy - 1) * (cx - 1) * 4 * features.HOG_BINS + 1:
+        raise MalformedInputError(f"exemplar {rec['id']!r}: {w.size} weights do not fit "
+                                  f"a {cy}x{cx}-cell template")
+    shape, runs = _rle(rec["mask"])
+    if shape != (cy * features.CELL, cx * features.CELL):
+        raise MalformedInputError(f"exemplar {rec['id']!r}: a {shape[0]}x{shape[1]} mask "
+                                  f"is not the pixel grid of its {cy}x{cx}-cell template")
     return Exemplar(id=rec["id"], w=w, alpha=rec["alpha"], beta=rec["beta"],
-                    source_region=rec["source_region"], mask=mask_from_rle(rec["mask"]),
-                    template=rec["template"])
+                    source_region=rec["source_region"], mask=_expand_rle(shape, runs),
+                    template=template)
 
 
 def propagation_to_json(record: PropagationRecord) -> dict:
@@ -484,8 +504,17 @@ def propagation_to_json(record: PropagationRecord) -> dict:
     }
 
 
-def propagation_from_json(doc) -> PropagationRecord:
+def propagation_from_json(doc, image_shapes: dict[str, tuple[int, int]] | None = None
+                          ) -> PropagationRecord:
+    """A propagation record. With ``image_shapes`` ((height, width) by image
+    id), its image must be one of them and its placed mask must lie inside
+    it, checked before the mask is built."""
     rec = check_json_types(doc, _PROPAGATION_TYPES, DataError, "propagation")
+    shape, runs = _rle(rec["mask"])
+    if image_shapes is not None:
+        if rec["image"] not in image_shapes:
+            raise DataError(f"unknown image {rec['image']!r}")
+        check_placement(shape, rec["x"], rec["y"], image_shapes[rec["image"]], rec["image"])
     return PropagationRecord(source_exemplar=rec["exemplar"], target_image=rec["image"],
-                             x=rec["x"], y=rec["y"], mask=mask_from_rle(rec["mask"]),
+                             x=rec["x"], y=rec["y"], mask=_expand_rle(shape, runs),
                              score=rec["score"])

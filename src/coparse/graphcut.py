@@ -130,6 +130,11 @@ class LabelingProblem:
             raise MalformedInputError(f"label {labeling[i]} not a candidate of vertex {i}")
         return pos
 
+    def lowest_unary(self) -> np.ndarray:
+        """Each vertex's candidate of lowest unary energy, the first on ties."""
+        return np.array([cand[np.argmin(un)] for cand, un in zip(self.candidates, self.unary)],
+                        dtype=np.int64)
+
     def energies(self, pos: np.ndarray, vertex_weight: np.ndarray | None = None,
                  edge_weight: np.ndarray | None = None) -> np.ndarray:
         """Energy of each row of a (k, n) table of candidate positions.
@@ -166,8 +171,7 @@ class ExpansionResult:
 def alpha_expansion(problem: LabelingProblem, max_sweeps: int = 10) -> ExpansionResult:
     """Move-making minimization from each vertex's lowest unary; sweeps labels
     in ascending (vocabulary) order."""
-    labeling = np.array([cand[np.argmin(un)]
-                         for cand, un in zip(problem.candidates, problem.unary)], dtype=np.int64)
+    labeling = problem.lowest_unary()
     pos = problem.positions(labeling)
     energy = float(problem.energies(pos[None])[0])
     move_energies: list[float] = []

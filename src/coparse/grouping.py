@@ -6,9 +6,8 @@ propagation mask whose covered superpixels end up in one region. The bias
 theta makes contour-free edges favor merging; with the raw weights cutting
 everything would always be optimal. One kernel,
 ``kernels.multicut_objectives``, scores the objective everywhere: the
-exhaustive oracle's table of every partition, the local-search trials whose
-objective change lies near a decision, and ``objective_of``'s single
-partition.
+exhaustive oracle's table of every partition, each rounded LP point of the
+solver, and ``objective_of``'s single partition.
 
 The solver runs the cutting-plane LP over edge merge variables. A mask c
 over superpixels S earns its reward through z_c <= x_e for each edge e inside
@@ -16,17 +15,16 @@ S and, when S induces several components, for one merge variable joining
 min(S) to the smallest node of each other component; on integer points that
 holds exactly when S lies in one region. Each structure is built once per
 instance: one sorted index of the pairs, where cycle and path rows look
-their pairs up; the LP rows, stored by their start offsets; and the local
-search's arc and mask arrays. Cycle inequalities are separated lazily (short
-chordless cycles, enumerated once, first; then every edge whose cut weight
-exceeds its cheapest detour, all detours from one ``csgraph.dijkstra`` call
-per round). Each LP goes to scipy's bundled HiGHS as those row-wise arrays
-and is solved cold with the options ``linprog(method="highs")`` sets; the
-solver rounds by connected components, polishes with local merge/move
-search, which scores its trials by objective deltas and rescores only
-near-ties exactly, and, when the relaxation stays fractional, closes the gap
-by branching. Instances small enough for the exhaustive oracle are therefore
-solved to proven optimality.
+their pairs up, and the LP rows, stored by their start offsets. Cycle
+inequalities are separated lazily (short chordless cycles, enumerated once,
+first; then every edge whose cut weight exceeds its cheapest detour, all
+detours from one ``csgraph.dijkstra`` call per round). Each LP goes to
+scipy's bundled HiGHS as those row-wise arrays and is solved cold with the
+options ``linprog(method="highs")`` sets. Every branch-and-bound node rounds
+its LP point by connected components of the merged pairs, scores that
+partition as its candidate, and branches while the relaxation stays
+fractional (Kappes et al., EMMCVPR 2011). Instances small enough for the
+exhaustive oracle are therefore solved to proven optimality.
 """
 
 from __future__ import annotations
@@ -38,7 +36,8 @@ from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csgraph
 
 from . import kernels
-from .core import ImageRecord, Partition, PropagationRecord, pair_graph, superpixel_adjacency
+from .core import (ImageRecord, Partition, PropagationRecord, labels_under_mask, pair_graph,
+                   superpixel_adjacency)
 from .errors import MalformedInputError, OracleTooLargeError, SolverError
 
 ORACLE_MAX_NODES = 10
@@ -134,11 +133,7 @@ def covered_superpixels(image: ImageRecord, graph: SuperpixelGraph, mask: np.nda
                         x: int, y: int) -> list[int]:
     """Superpixels with at least half their pixels under the placed mask;
     ``graph`` is the image's ``superpixel_graph``."""
-    mh, mw = mask.shape
-    window = image.superpixel_map[y:y + mh, x:x + mw]
-    if window.shape != (mh, mw):
-        raise MalformedInputError("mask placed outside image bounds")
-    under = np.bincount(window[np.asarray(mask, dtype=bool)], minlength=graph.sizes.size)
+    under = labels_under_mask(image.superpixel_map, mask, x, y, image.id, graph.sizes.size)
     return [int(i) for i in np.flatnonzero(2 * under >= graph.sizes)]
 
 
@@ -228,11 +223,6 @@ def _solve_highs(cost: np.ndarray, start: np.ndarray, col: np.ndarray, coef: np.
             np.array(solver.getSolution().col_value))
 
 
-def _sums(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """float64 sums of ``weights`` by ``index`` into ``size`` bins."""
-    return np.bincount(index, weights=weights, minlength=size).astype(np.float64, copy=False)
-
-
 class _MulticutSolver:
     INTEGRALITY_TOL = 1e-6
     SEPARATION_TOL = 1e-7
@@ -245,7 +235,7 @@ class _MulticutSolver:
         self.instance = instance
         self._arrays = instance.arrays(theta)
         n = instance.node_count
-        edge_u, edge_v, edge_w, mask_ptr, _, mask_h = self._arrays
+        edge_u, edge_v, edge_w, _, _, mask_h = self._arrays
         edge_pairs = np.stack([np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)], axis=1)
         # mask c over S: z_c <= x of each edge inside S, and of a pair joining
         # min(S) to the smallest node of each other component of the subgraph
@@ -278,18 +268,6 @@ class _MulticutSolver:
         self._pair_keys = np.append(keys[key_order], n * n)
         self._pair_ids = np.append(key_order, -1)
         self.cost = np.concatenate([edge_w, np.zeros(self.n_pairs - edge_w.size), -mask_h])
-        # both arcs of every pair, with its weight (0 for a mask's extra
-        # pair), and each mask entry's owner, for cycles and local search
-        self._arc_src, self._arc_dst = np.concatenate([u, v]), np.concatenate([v, u])
-        self._arc_w = np.tile(self.cost[:self.n_pairs], 2)
-        self._nodes = np.arange(n)
-        self._mask_starts, self._mask_sizes = mask_ptr[:-1], np.diff(mask_ptr)
-        self._mask_owner = np.repeat(np.arange(self.n_masks), self._mask_sizes)
-        # bound on how far a local-search delta, summed in any order, lies
-        # from the difference of two objectives summed in the kernel's order
-        self._tau = (2.0 * (edge_w.size + mask_h.size + 2) * np.finfo(np.float64).eps
-                     * (np.abs(edge_w).sum() + mask_h.sum()))
-
         # LP rows as growing lists: row r holds coef[k] at column col_of[k]
         # for k from row_start[r] up to the next row's start; _rows() mirrors
         # them as arrays, converting only the rows added since its last call
@@ -326,10 +304,11 @@ class _MulticutSolver:
         """
         n = self.instance.node_count
         u, v = self._pair_array.T
+        arc_src, arc_dst = np.concatenate([u, v]), np.concatenate([v, u])
         pair_ids = np.tile(np.arange(self.n_pairs), 2)
-        arc_order = np.lexsort((pair_ids, self._arc_src))
-        arc_node, arc_pair = self._arc_dst[arc_order], pair_ids[arc_order]
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(self._arc_src, minlength=n))])
+        arc_order = np.lexsort((pair_ids, arc_src))
+        arc_node, arc_pair = arc_dst[arc_order], pair_ids[arc_order]
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(arc_src, minlength=n))])
 
         def expand(nodes):
             """(position in ``nodes``, arc) for every arc out of each node, in order."""
@@ -454,130 +433,12 @@ class _MulticutSolver:
                 break
         return added
 
-    # -- rounding + local search ---------------------------------------------
+    # -- rounding -------------------------------------------------------------
 
     def _round(self, x: np.ndarray) -> np.ndarray:
         merged = x[:self.n_pairs] >= 0.5
         return Partition.from_edge_labels(self.instance.node_count, self._pair_array,
                                           merged).assignment
-
-    def _local_improve(self, assign: np.ndarray) -> tuple[np.ndarray, float]:
-        """Merge and move search from ``assign``; returns it improved and its
-        objective.
-
-        Each round takes the best merge of two touching regions if that
-        lowers the objective by more than 1e-12, else the first move of one
-        node that does: nodes ascending, each to its touching regions in
-        sorted order, then to a fresh region. Touching means joined by an
-        edge or a mask's merge variable.
-
-        Every trial's objective change is first computed from the terms it
-        changes (``_merge_deltas``, ``_move_deltas``). Such a delta is within
-        ``_tau`` of the difference of the two objectives as
-        ``kernels.multicut_objectives`` sums them. So only the trials whose
-        delta could lie on the other side of the decision (within 2 tau of
-        the smallest merge delta, within tau of the move threshold and not
-        after the first move surely below it) are scored by the kernel, and
-        the decision and the objective kept are those of scoring every trial
-        with it.
-        """
-        tau = self._tau
-        best = kernels.multicut_objectives(assign[:, None], *self._arrays)[0]
-        for _ in range(100):
-            column = assign.astype(np.int32)[:, None]
-            base = int(assign.max()) + 1
-            # merge region b into region a for every touching a < b
-            lo, hi = np.sort(assign[self._pair_array], axis=1).T
-            keys = np.unique((lo * base + hi)[lo != hi])
-            approx = self._merge_deltas(assign, base, lo, hi, keys)
-            if keys.size and approx.min() - tau < -1e-12:
-                a, b = np.divmod(keys[approx <= approx.min() + 2 * tau], base)
-                trials = np.where(column == b.astype(np.int32), a.astype(np.int32), column)
-                objs = kernels.multicut_objectives(trials, *self._arrays)
-                delta = objs - best
-                if delta.min() < -1e-12:
-                    k = int(np.argmin(delta))
-                    assign, best = Partition.from_assignment(trials[:, k]).assignment, objs[k]
-                    continue
-            # move node to region r, every r != assign[node] it touches, plus base
-            region = assign[self._arc_dst]
-            away = region != assign[self._arc_src]
-            keys = np.unique(np.concatenate([self._arc_src[away] * (base + 1) + region[away],
-                                             self._nodes * (base + 1) + base]))
-            approx = self._move_deltas(assign, base, keys)
-            threshold = best - 1e-12
-            gap = threshold - best
-            maybe = approx <= gap + tau
-            sure = np.flatnonzero(approx < gap - tau)
-            if sure.size:
-                maybe[sure[0] + 1:] = False
-            node, target = np.divmod(keys[maybe], base + 1)
-            trials = np.repeat(column, node.size, axis=1)
-            trials[node, np.arange(node.size)] = target
-            objs = kernels.multicut_objectives(trials, *self._arrays)
-            better = np.flatnonzero(objs < threshold)
-            if better.size == 0:
-                break
-            k = int(better[0])
-            assign, best = Partition.from_assignment(trials[:, k]).assignment, objs[k]
-        return assign, float(best)
-
-    def _mask_regions(self, assign: np.ndarray):
-        """Per mask: its superpixels' regions, its lowest and highest region,
-        whether it lies in exactly those two, and how many of its superpixels
-        lie in each."""
-        _, _, _, _, mask_ids, _ = self._arrays
-        starts, sizes = self._mask_starts, self._mask_sizes
-        r = assign[mask_ids]
-        lo = np.minimum.reduceat(r, starts)
-        hi = np.maximum.reduceat(r, starts)
-        in_lo, in_hi = r == np.repeat(lo, sizes), r == np.repeat(hi, sizes)
-        two = np.logical_and.reduceat(in_lo | in_hi, starts) & (lo != hi)
-        return r, lo, hi, two, np.add.reduceat(in_lo, starts), np.add.reduceat(in_hi, starts)
-
-    def _merge_deltas(self, assign, base, lo, hi, keys) -> np.ndarray:
-        """Objective change of merging each region pair ``keys`` (a * base +
-        b): the weights of the edges between a and b, less the rewards of
-        the masks whose superpixels lie exactly in a and b."""
-        _, _, edge_w, _, _, mask_h = self._arrays
-        n_edges = edge_w.size
-        cross = lo[:n_edges] != hi[:n_edges]
-        delta = _sums(np.searchsorted(keys, (lo * base + hi)[:n_edges][cross]),
-                      edge_w[cross], keys.size)
-        if mask_h.size:
-            _, m_lo, m_hi, two, _, _ = self._mask_regions(assign)
-            delta -= _sums(np.searchsorted(keys, m_lo[two] * base + m_hi[two]),
-                           mask_h[two], keys.size)
-        return delta
-
-    def _move_deltas(self, assign, base, keys) -> np.ndarray:
-        """Objective change of moving each node to each region of ``keys``
-        (node * (base + 1) + region): the weights of its edges into the
-        target, less those of its edges within its own region, plus the
-        rewards of the masks it leaves incomplete, less those of the masks it
-        completes."""
-        _, _, _, _, mask_ids, mask_h = self._arrays
-        n = assign.size
-        src, w = self._arc_src, self._arc_w
-        region = assign[self._arc_dst]
-        away = region != assign[src]
-        delta = _sums(np.searchsorted(keys, src[away] * (base + 1) + region[away]),
-                      w[away], keys.size)
-        lose = _sums(src[~away], w[~away], n)
-        if mask_h.size:
-            r, m_lo, m_hi, two, n_lo, n_hi = self._mask_regions(assign)
-            owner = self._mask_owner
-            active = (m_lo == m_hi)[owner]
-            lose -= _sums(mask_ids[active], mask_h[owner[active]], n)
-            # a mask on two regions is completed by the lone superpixel of one
-            # of them moving to the other
-            alone_lo = (two & (n_lo == 1))[owner] & (r == m_lo[owner])
-            alone_hi = (two & (n_hi == 1))[owner] & (r == m_hi[owner])
-            alone = alone_lo | alone_hi
-            to = np.where(alone_lo, m_hi[owner], m_lo[owner])[alone]
-            delta -= _sums(np.searchsorted(keys, mask_ids[alone] * (base + 1) + to),
-                           mask_h[owner[alone]], keys.size)
-        return delta - lose[keys // (base + 1)]
 
     # -- branch and cut --------------------------------------------------------
 
@@ -601,7 +462,8 @@ class _MulticutSolver:
             if lp is None:
                 continue
             obj, x = lp
-            cand, cand_obj = self._local_improve(self._round(x))
+            cand = self._round(x)
+            cand_obj = kernels.multicut_objectives(cand[:, None], *self._arrays)[0]
             if cand_obj < best_obj - 1e-12:
                 best_obj, best_assign = cand_obj, cand
             if obj >= best_obj + self.PRUNE_SLACK:
@@ -617,9 +479,9 @@ class _MulticutSolver:
             stack.append({**fixed, branch_var: first})
         self.proven_optimal = not stack
         if best_assign is None:
-            best_assign, best_obj = self._local_improve(
-                np.zeros(self.instance.node_count, dtype=np.int64))
-        return best_assign, best_obj
+            # x = 0 satisfies every row, so only a failed root LP gets here
+            raise SolverError("the multicut's root LP has no solution")
+        return best_assign, float(best_obj)
 
 
 def solve_multicut(instance: MulticutInstance, theta: float = 0.5) -> MulticutSolution:

@@ -3,9 +3,9 @@
 HOG cell accumulation and sliding-window template scoring are vectorized
 with ``np.bincount`` and strided matrix products; the multicut objective is
 scored over a node-major table of assignments at once, whether the table
-holds every set partition (the oracle, looped over edge by edge) or the few
-local-search trials the solver rescores (summed by one ``np.cumsum``, the
-same additions in the same order); Dinic max-flow is a plain Python loop
+holds every set partition (the oracle, looped over edge by edge once it is
+wide) or one column (a rounded LP point of the solver, summed by one
+``np.cumsum``: the same additions in the same order); Dinic max-flow is a plain Python loop
 (Phase II, where it runs, is a small share of a run); the box-constrained
 SVM dual that trains each exemplar is solved by L-BFGS-B. The tests check
 the vectorized kernels against straightforward reference loops, Dinic
@@ -185,10 +185,12 @@ def dinic(n, s, t, ptr, adj_arc, arc_to, cap):
 
 
 # ---------------------------------------------------------------------------
-# Multicut objective over a table of assignments (oracle scan, local search)
+# Multicut objective over a table of assignments (oracle scan, rounded points)
 # ---------------------------------------------------------------------------
 
-NARROW_COLUMNS = 64   # widest table multicut_objectives sums with one cumsum
+# widest table multicut_objectives sums with one cumsum: a single column, or
+# the oracle's whole table for n <= 5 (Bell(5) = 52)
+NARROW_COLUMNS = 64
 
 
 @functools.cache
@@ -226,11 +228,11 @@ def multicut_objectives(table, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_
     region. Terms are added edge by edge, then mask by mask, in the order
     given, so an assignment gets the same bits in any table.
 
-    A table of at most ``NARROW_COLUMNS`` columns (a few trials of the local
-    search) is summed by one ``np.cumsum`` down a (1 + edges + masks, K)
-    array of its terms, a zero for each edge or mask that does not count: the
-    same additions in the same order, since adding zero leaves a sum
-    unchanged. A wider table (the oracle's) loops over the edges and masks,
+    A table of at most ``NARROW_COLUMNS`` columns (one rounded LP point, or
+    the oracle's table for n <= 5) is summed by one ``np.cumsum`` down a
+    (1 + edges + masks, K) array of its terms, a zero for each edge or mask
+    that does not count: the same additions in the same order, since adding
+    zero leaves a sum unchanged. A wider table (the oracle's) loops over the edges and masks,
     each step one pass over the columns, and never holds that array.
     """
     if table.shape[1] <= NARROW_COLUMNS:

@@ -352,11 +352,17 @@ class Phase2Result:
     sweeps: int
     converged: bool          # false when the sweep cap stopped a sweep that still moved
     truncated_terms: int = 0   # non-submodular edge terms the expansion moves truncated
+    # vertices whose final label is not their lowest-unary one (the
+    # expansion's start), and the pixels of their regions
+    overruled_vertices: int = 0
+    overruled_pixels: int = 0
 
     def counters(self) -> dict:
         """What the run did, under the names ``run-meta.json`` gives it."""
         return {"phase2_sweeps": self.sweeps, "phase2_converged": self.converged,
-                "phase2_truncated_terms": self.truncated_terms}
+                "phase2_truncated_terms": self.truncated_terms,
+                "phase2_overruled_vertices": self.overruled_vertices,
+                "phase2_overruled_pixels": self.overruled_pixels}
 
 
 def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
@@ -392,9 +398,13 @@ def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
     split = graph.problem.energies(np.broadcast_to(pos, (len(images), pos.size)),
                                    (image_of == rows) * 1.0, edge_weight)
     per_image = {image.id: float(split[row[image.id]]) for image in images}
+    overruled = np.flatnonzero(result.labeling != graph.problem.lowest_unary())
     return Phase2Result(label_maps=label_maps, total_energy=result.energy,
                         per_image_energy=per_image, sweeps=result.sweeps,
-                        converged=result.converged, truncated_terms=result.truncated_terms)
+                        converged=result.converged, truncated_terms=result.truncated_terms,
+                        overruled_vertices=int(overruled.size),
+                        overruled_pixels=sum(int(graph.vertex_regions[v].area)
+                                             for v in overruled))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import io as stdio
 import json
@@ -484,16 +485,24 @@ class TestPhasedCommands:
                          "--phase1", str(phase1), "--out", str(out)]) == 0
         energy = json.loads((out / "energy.json").read_text())
         assert np.isfinite(energy["total_energy"])
+        # the Phase II counters, with the config and versions, and no timings
+        meta = json.loads((out / "run-meta.json").read_text())
+        assert set(meta) == {"config", "versions", "phase2_sweeps", "phase2_converged",
+                             "phase2_truncated_terms", "phase2_overruled_vertices",
+                             "phase2_overruled_pixels"}
+        assert meta["config"]["seed"] == 0 and "numpy" in meta["versions"]
+        assert meta["phase2_sweeps"] >= 1 and meta["phase2_overruled_vertices"] >= 0
         corpus = io.load_corpus(manifest)
         for image in corpus.images:
             labels = io.read_pgm(out / f"{image.id}.labels.pgm")
             assert set(np.unique(labels)) <= set(image.tags) | {0}
 
 
-# a well-formed exemplar of image 0's region 0 and its propagation into image 1
-EXEMPLAR = {"id": "e", "w": "AAAAAAAA8D8=", "alpha": 1.0, "beta": 0.0,
-            "source_region": ["img0000", 0], "template": [2, 2],
-            "mask": {"shape": [2, 2], "runs": [0, 4]}}
+# a well-formed exemplar of image 0's region 0 (a 2x2-cell template: 36 HOG
+# weights and the bias, a 16x16 mask) and its propagation into image 1
+EXEMPLAR = {"id": "e", "w": base64.b64encode(np.ones(37, dtype="<f8").tobytes()).decode(),
+            "alpha": 1.0, "beta": 0.0, "source_region": ["img0000", 0], "template": [2, 2],
+            "mask": {"shape": [16, 16], "runs": [0, 256]}}
 PROPAGATION = {"exemplar": "e", "image": "img0001", "x": 0, "y": 0, "score": 0.5,
                "mask": {"shape": [4, 4], "runs": [0, 16]}}
 
@@ -582,9 +591,39 @@ class TestMalformedPhase1:
         code, err = self.colabel(grouped_corpus, tmp_path, {
             "exemplars.jsonl": json.dumps(EXEMPLAR) + "\n",
             "propagations.json": json.dumps([{**PROPAGATION, "x": x, "y": y}])})
+        path = tmp_path / "phase1" / "propagations.json"
         assert code == 3
-        assert err.startswith("data error: img0001: a 4x4 mask placed at ")
+        assert err.startswith(f"data error: {path}: img0001: a 4x4 mask placed at ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_oversized_propagation_mask_is_3(self, grouped_corpus, tmp_path):
+        # a 931 GiB mask: its shape is checked against the image before it is
+        # built, which used to end in numpy's _ArrayMemoryError traceback
+        mask = {"shape": [1000000, 1000000], "runs": [0, 1000000000000]}
+        code, err = self.colabel(grouped_corpus, tmp_path, {
+            "exemplars.jsonl": json.dumps(EXEMPLAR) + "\n",
+            "propagations.json": json.dumps([{**PROPAGATION, "mask": mask}])})
+        path = tmp_path / "phase1" / "propagations.json"
+        assert code == 3
+        assert err == (f"data error: {path}: img0001: a 1000000x1000000 mask placed at "
+                       f"x=0, y=0 leaves the 128x96 image\n")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"mask": {"shape": [2, 2], "runs": [0, 4]}},
+         "a 2x2 mask is not the pixel grid of its 2x2-cell template"),
+        ({"template": [1000000, 1000000], "mask": {"shape": [8000000, 8000000],
+                                                   "runs": [0, 64000000000000]}},
+         "37 weights do not fit a 1000000x1000000-cell template"),
+        ({"template": [1, 2]}, "37 weights do not fit a 1x2-cell template"),
+    ], ids=["mask-off-template", "huge-template", "template-under-2x2"])
+    def test_exemplar_mask_off_its_template_is_3(self, grouped_corpus, tmp_path, change,
+                                                 message):
+        code, err = self.colabel(grouped_corpus, tmp_path, {
+            "exemplars.jsonl": json.dumps({**EXEMPLAR, **change}) + "\n",
+            "propagations.json": json.dumps([PROPAGATION])})
+        path = tmp_path / "phase1" / "exemplars.jsonl"
+        assert code == 3
+        assert err == f"data error: {path}: exemplar 'e': {message}\n"
 
     @pytest.mark.parametrize("exemplar, propagation, message", [
         ({}, {"exemplar": "nope"}, "propagations.json: unknown exemplar 'nope'"),
@@ -714,8 +753,8 @@ class TestCv:
                 "phase1_esvm_max_duality_gap", "phase1_esvm_degenerate_calibrations",
                 "phase1_images_changed", "phase1_multicut_lp_solves", "phase1_multicut_nodes",
                 "phase1_multicut_cuts", "phase1_multicuts_unproven", "phase2_sweeps",
-                "phase2_converged", "phase2_truncated_terms",
-                "label_model_sweep_capped_machines"}
+                "phase2_converged", "phase2_truncated_terms", "phase2_overruled_vertices",
+                "phase2_overruled_pixels", "label_model_sweep_capped_machines"}
             assert fold["phase1_iterations"] == summary["phase1_iterations"]
             assert fold["phase1_converged"] == summary["phase1_converged"]
             assert len(fold["phase1_images_changed"]) == fold["phase1_iterations"]

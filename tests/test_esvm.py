@@ -630,9 +630,10 @@ class TestSerialization:
         assert (esvm.mask_from_rle(doc) == mask).all()
 
     def test_exemplar_json_round_trip(self):
-        ex = esvm.Exemplar(id="img:r1", w=np.arange(5, dtype=np.float64),
+        # a 2x2-cell template: 36 HOG weights and the bias, a 16x16 mask
+        ex = esvm.Exemplar(id="img:r1", w=np.arange(37, dtype=np.float64),
                            alpha=1.5, beta=-0.25, source_region=("img", 1),
-                           mask=np.eye(4, dtype=bool), template=(2, 2))
+                           mask=np.eye(16, dtype=bool), template=(2, 2))
         back = esvm.exemplar_from_json(esvm.exemplar_to_json(ex))
         assert back.id == ex.id
         assert np.array_equal(back.w, ex.w)

@@ -136,6 +136,18 @@ class TestCoveredSuperpixels:
         tiny = np.ones((1, 1), dtype=bool)
         assert grouping.covered_superpixels(quad_image, graph, tiny, 0, 0) == []
 
+    @pytest.mark.parametrize("x, y, shape", [(0, -3, (2, 10)), (-4, 0, (10, 2)),
+                                             (0, 9, (2, 10)), (9, 0, (10, 2)),
+                                             (0, -1, (12, 10))])
+    def test_mask_outside_image_rejected(self, x, y, shape):
+        # superpixel i is row i; a slice from a negative start wraps, so a
+        # mask at y = -3 used to read rows 7 and 8 and cover superpixels 7, 8
+        image = make_image(np.repeat(np.arange(10), 10).reshape(10, 10), image_id="rows")
+        mask = np.ones(shape, dtype=bool)
+        message = f"rows: a {shape[0]}x{shape[1]} mask placed at x={x}, y={y} leaves the 10x10"
+        with pytest.raises(MalformedInputError, match=message):
+            grouping.covered_superpixels(image, grouping.superpixel_graph(image), mask, x, y)
+
 
 class TestSolveMulticut:
     def test_all_merge_with_mask(self):
@@ -206,6 +218,16 @@ class TestSolveMulticut:
         monkeypatch.setattr(grouping, "_solve_highs",
                             lambda *a: (grouping.highs.HighsModelStatus.kSolveError, None, None))
         with pytest.raises(SolverError, match="kSolveError"):
+            grouping.solve_multicut(inst, 0.5)
+
+    @pytest.mark.parametrize("status", ["kInfeasible", "kModelError"])
+    def test_root_lp_without_solution_raises_solver_error(self, monkeypatch, status):
+        # the LP without fixings is feasible (x = 0), so a root LP reported
+        # infeasible or refused leaves no partition to return
+        inst = grouping.MulticutInstance(node_count=3, edges=((0, 1, 1), (1, 2, 0)))
+        monkeypatch.setattr(grouping, "_solve_highs", lambda *a: (
+            getattr(grouping.highs.HighsModelStatus, status), None, None))
+        with pytest.raises(SolverError, match="root LP"):
             grouping.solve_multicut(inst, 0.5)
 
 
@@ -526,136 +548,6 @@ def milp_optimum(instance, theta):
     merged = np.array([pair for pair, x in zip(pairs, res.x) if x > 0.5]).reshape(-1, 2)
     assign = Partition.from_edge_labels(n, merged, np.ones(len(merged), dtype=bool)).assignment
     return python_objective(instance, assign, theta)
-
-
-def local_improve_reference(solver, assign, theta):
-    """The solver's merge/move search as a scan that scores one trial at a time."""
-    def objective(a):
-        return python_objective(solver.instance, a, theta)
-
-    adj = neighbour_dicts(solver)
-    assign = assign.copy()
-    best = objective(assign)
-    for _ in range(100):
-        improved = False
-        lo, hi = np.sort(assign[solver._pair_array], axis=1).T
-        base = int(assign.max()) + 1
-        best_delta, best_move = -1e-12, None
-        for a, b in zip(*np.divmod(np.unique((lo * base + hi)[lo != hi]), base)):
-            trial = assign.copy()
-            trial[trial == b] = a
-            delta = objective(trial) - best
-            if delta < best_delta:
-                best_delta, best_move = delta, trial
-        if best_move is not None:
-            assign = Partition.from_assignment(best_move).assignment.copy()
-            best = objective(assign)
-            continue
-        for node in range(solver.instance.node_count):
-            options = sorted({int(assign[nbr]) for nbr in adj[node]}
-                             - {int(assign[node])})
-            options.append(int(assign.max()) + 1)
-            for target in options:
-                trial = assign.copy()
-                trial[node] = target
-                trial_obj = objective(trial)
-                if trial_obj < best - 1e-12:
-                    assign = Partition.from_assignment(trial).assignment.copy()
-                    best = trial_obj
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
-            break
-    return assign, best
-
-
-class TestLocalSearch:
-    @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(st.data())
-    def test_tabled_search_matches_per_trial_scan(self, data):
-        inst = draw_instance(data, 10)
-        start = np.array(data.draw(st.lists(st.integers(0, inst.node_count - 1),
-                                            min_size=inst.node_count,
-                                            max_size=inst.node_count)), dtype=np.int64)
-        solver = grouping._MulticutSolver(inst, 0.5)
-        assign, objective = solver._local_improve(start)
-        ref_assign, ref_objective = local_improve_reference(solver, start, 0.5)
-        assert assign.tolist() == ref_assign.tolist()
-        assert objective == ref_objective
-
-
-    @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(st.data())
-    def test_delta_search_matches_per_trial_scan_for_any_theta(self, data):
-        # weights d - theta off a power of two and zero rewards make the
-        # deltas round differently from the kernel's sums and tie masks at 0
-        inst = draw_instance(data, 12)
-        rewards = data.draw(st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0),
-                                     min_size=len(inst.mask_constraints),
-                                     max_size=len(inst.mask_constraints)))
-        inst = grouping.MulticutInstance(
-            node_count=inst.node_count, edges=inst.edges,
-            mask_constraints=tuple((ids, h) for (ids, _), h in zip(inst.mask_constraints,
-                                                                  rewards)))
-        theta = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-        start = np.array(data.draw(st.lists(st.integers(0, inst.node_count - 1),
-                                            min_size=inst.node_count,
-                                            max_size=inst.node_count)), dtype=np.int64)
-        solver = grouping._MulticutSolver(inst, theta)
-        ref_assign, ref_objective = local_improve_reference(solver, start, theta)
-        # a huge tolerance rescores every trial: the decisions must not
-        # depend on how many trials are rescored
-        for scale in (1.0, 1e12):
-            solver._tau = grouping._MulticutSolver(inst, theta)._tau * scale + scale * 1e-300
-            assign, objective = solver._local_improve(start)
-            assert assign.tolist() == ref_assign.tolist()
-            assert objective == ref_objective
-
-    @pytest.mark.parametrize("inst, theta, start", [
-        (grouping.MulticutInstance(6, ((0, 2, 0), (0, 3, 1), (0, 4, 0), (0, 5, 1), (1, 3, 1),
-                                       (1, 5, 1), (2, 3, 1), (2, 4, 1), (2, 5, 0), (3, 4, 0)),
-                                   mask_constraints=((frozenset({0, 2}), 0.3),)),
-         0.7, [2, 1, 0, 3, 2, 1]),
-        (grouping.MulticutInstance(7, ((0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 6, 1), (1, 2, 0),
-                                       (1, 3, 1), (1, 6, 1), (2, 3, 1), (2, 4, 1), (2, 5, 0),
-                                       (3, 4, 0), (3, 5, 0), (3, 6, 0), (4, 5, 1), (4, 6, 1))),
-         0.6, [1, 1, 2, 0, 1, 0, 3]),
-        # a large reward rounds the objectives to steps above 1e-12: a move
-        # whose delta is exactly 0 lowers the kernel's sum past the threshold
-        (grouping.MulticutInstance(4, ((0, 1, 1), (1, 2, 0)), mask_constraints=(
-            (frozenset({1, 2, 3}), 30000.710317528315), (frozenset({0, 1}), 0.1))),
-         0.9, [0, 1, 0, 1]),
-        # ... and a move whose delta is below the threshold does not
-        (grouping.MulticutInstance(4, ((0, 1, 1), (0, 2, 0), (0, 3, 1), (1, 2, 0), (1, 3, 0),
-                                       (2, 3, 1)), mask_constraints=(
-            (frozenset({0, 3}), 30000.159064133455), (frozenset({0, 1, 2, 3}), 0.1))),
-         0.3, [0, 0, 0, 0]),
-    ])
-    def test_near_ties_are_rescored(self, inst, theta, start):
-        # on these instances some trial's delta and its kernel difference
-        # fall on opposite sides of a decision, so deciding on the deltas
-        # alone (no tolerance) takes another path than the per-trial scan
-        start = np.array(start, dtype=np.int64)
-        solver = grouping._MulticutSolver(inst, theta)
-        ref_assign, ref_objective = local_improve_reference(solver, start, theta)
-        assign, objective = solver._local_improve(start)
-        assert assign.tolist() == ref_assign.tolist() and objective == ref_objective
-        solver._tau = 0.0
-        assert solver._local_improve(start)[0].tolist() != ref_assign.tolist()
-
-    def test_delta_search_matches_per_trial_scan_on_grids(self):
-        rng = np.random.default_rng(53)
-        for _ in range(40):
-            inst = random_grid_instance(rng)
-            theta = float(rng.uniform(0.05, 0.95))
-            solver = grouping._MulticutSolver(inst, theta)
-            start = rng.integers(0, 4, size=inst.node_count)
-            assign, objective = solver._local_improve(start)
-            ref_assign, ref_objective = local_improve_reference(solver, start, theta)
-            assert assign.tolist() == ref_assign.tolist()
-            assert objective == ref_objective
 
 
 def random_grid_instance(rng):

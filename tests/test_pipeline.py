@@ -243,6 +243,29 @@ class TestColabeling:
             allowed = set(image.tags) | {0}
             assert set(np.unique(phase2.label_maps[image.id])) <= allowed
 
+    def test_overruled_counters_count_labels_off_the_unary_argmin(self):
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=11), 2)
+        config = pipeline.Config(seed=11)
+        model = fit_label_model(corpus)
+        maps = pipeline.build_maps(corpus.images)
+        phase1 = pipeline.run_cosegmentation(corpus, config, maps)
+        phase2 = pipeline.run_colabeling(corpus, phase1, model, config, maps)
+        graph = colabel.build_graph(
+            list(corpus.images), phase1.regions, phase1.propagations,
+            {ex.id: ex.source_region for ex in phase1.exemplars}, model, maps,
+            config.pairwise_mode, config.beta_pair, config.sigmoid_sharpness, config.e_max)
+        vertices = pixels = 0
+        for region, cand, unary in zip(graph.vertex_regions, graph.problem.candidates,
+                                       graph.problem.unary):
+            final = phase2.label_maps[region.id[0]][region.region_map == region.id[1]]
+            if final[0] != cand[int(np.argmin(unary))]:
+                vertices += 1
+                pixels += final.size
+        assert vertices > 0
+        counters = phase2.counters()
+        assert (counters["phase2_overruled_vertices"],
+                counters["phase2_overruled_pixels"]) == (vertices, pixels)
+
     def test_literal_pairwise_mode_end_to_end(self):
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=13), 2)
         config = pipeline.Config(seed=13, pairwise_mode="literal")
