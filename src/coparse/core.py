@@ -133,7 +133,7 @@ def check_placement(mask_shape: tuple[int, int], x: int, y: int,
 
 
 def labels_under_mask(label_map: np.ndarray, mask: np.ndarray, x: int, y: int,
-                      image_id: str, minlength: int = 0) -> np.ndarray:
+                      image_id: str, minlength: int) -> np.ndarray:
     """Pixel count of each value of ``label_map`` under ``mask`` placed with
     its top-left pixel at column x, row y; ``check_placement`` first."""
     check_placement(mask.shape, x, y, label_map.shape, image_id)

@@ -457,10 +457,6 @@ def _expand_rle(shape: tuple[int, int], runs: tuple[int, ...]) -> np.ndarray:
     return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(shape)
 
 
-def mask_from_rle(doc) -> np.ndarray:
-    return _expand_rle(*_rle(doc))
-
-
 def exemplar_to_json(exemplar: Exemplar) -> dict:
     return {
         "id": exemplar.id,
@@ -504,17 +500,15 @@ def propagation_to_json(record: PropagationRecord) -> dict:
     }
 
 
-def propagation_from_json(doc, image_shapes: dict[str, tuple[int, int]] | None = None
-                          ) -> PropagationRecord:
-    """A propagation record. With ``image_shapes`` ((height, width) by image
-    id), its image must be one of them and its placed mask must lie inside
-    it, checked before the mask is built."""
+def propagation_from_json(doc, image_shapes: dict[str, tuple[int, int]]) -> PropagationRecord:
+    """A propagation record whose image is one of ``image_shapes`` ((height,
+    width) by image id) and whose placed mask lies inside it, checked before
+    the mask is built."""
     rec = check_json_types(doc, _PROPAGATION_TYPES, DataError, "propagation")
     shape, runs = _rle(rec["mask"])
-    if image_shapes is not None:
-        if rec["image"] not in image_shapes:
-            raise DataError(f"unknown image {rec['image']!r}")
-        check_placement(shape, rec["x"], rec["y"], image_shapes[rec["image"]], rec["image"])
+    if rec["image"] not in image_shapes:
+        raise DataError(f"unknown image {rec['image']!r}")
+    check_placement(shape, rec["x"], rec["y"], image_shapes[rec["image"]], rec["image"])
     return PropagationRecord(source_exemplar=rec["exemplar"], target_image=rec["image"],
                              x=rec["x"], y=rec["y"], mask=_expand_rle(shape, runs),
                              score=rec["score"])

@@ -351,11 +351,11 @@ class Phase2Result:
     per_image_energy: dict[str, float]
     sweeps: int
     converged: bool          # false when the sweep cap stopped a sweep that still moved
-    truncated_terms: int = 0   # non-submodular edge terms the expansion moves truncated
+    truncated_terms: int     # non-submodular edge terms the expansion moves truncated
     # vertices whose final label is not their lowest-unary one (the
     # expansion's start), and the pixels of their regions
-    overruled_vertices: int = 0
-    overruled_pixels: int = 0
+    overruled_vertices: int
+    overruled_pixels: int
 
     def counters(self) -> dict:
         """What the run did, under the names ``run-meta.json`` gives it."""

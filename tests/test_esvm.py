@@ -6,7 +6,7 @@ from scipy import ndimage
 from scipy.optimize import OptimizeResult
 
 from coparse import esvm, features, kernels, pipeline, synthgen
-from coparse.core import Partition, label_components, regions_of
+from coparse.core import Partition, PropagationRecord, label_components, regions_of
 from coparse.errors import InsufficientDataError
 
 from conftest import assert_calibration_stationary, make_image
@@ -616,18 +616,27 @@ class TestEarlyStoppingNms:
         assert esvm.detect(ex, flat, pyramid, k=0) == []
 
 
+def rle_round_trip(mask: np.ndarray) -> tuple[dict, np.ndarray]:
+    """The run lengths of ``mask`` and the mask read back from them, as a
+    propagation placed at the top-left of an image of the mask's size."""
+    rec = PropagationRecord(source_exemplar="e", target_image="img", x=0, y=0,
+                            mask=mask, score=0.5)
+    doc = esvm.propagation_to_json(rec)
+    return doc["mask"], esvm.propagation_from_json(doc, {"img": mask.shape}).mask
+
+
 class TestSerialization:
     def test_rle_round_trip(self):
         rng = np.random.default_rng(6)
         mask = rng.uniform(size=(13, 7)) < 0.4
-        doc = esvm.mask_to_rle(mask)
-        assert (esvm.mask_from_rle(doc) == mask).all()
+        _, back = rle_round_trip(mask)
+        assert (back == mask).all()
 
     def test_rle_leading_ones(self):
         mask = np.array([[True, True, False]])
-        doc = esvm.mask_to_rle(mask)
+        doc, back = rle_round_trip(mask)
         assert doc["runs"][0] == 0
-        assert (esvm.mask_from_rle(doc) == mask).all()
+        assert (back == mask).all()
 
     def test_exemplar_json_round_trip(self):
         # a 2x2-cell template: 36 HOG weights and the bias, a 16x16 mask
@@ -643,11 +652,9 @@ class TestSerialization:
         assert back.template == ex.template
 
     def test_propagation_json_round_trip(self):
-        from coparse.core import PropagationRecord
-
         rec = PropagationRecord(source_exemplar="e", target_image="img",
                                 x=3, y=9, mask=np.ones((2, 3), dtype=bool), score=0.75)
-        back = esvm.propagation_from_json(esvm.propagation_to_json(rec))
+        back = esvm.propagation_from_json(esvm.propagation_to_json(rec), {"img": (11, 6)})
         assert back.source_exemplar == rec.source_exemplar
         assert back.target_image == rec.target_image
         assert (back.x, back.y, back.score) == (3, 9, 0.75)
