@@ -2,11 +2,11 @@
 
 The per-region singleton energy combines a one-vs-one kernel-SVM appearance
 vote with a per-label location Gaussian. Interior edges couple adjacent
-regions of one image through appearance compatibility and a smoothed label
-co-occurrence table; exterior edges couple regions of different images that
-were matched by a propagated mask. All energy tables are min-shifted per
-edge to be non-negative and clamped, which leaves the MAP labeling
-unchanged.
+regions of one image through appearance compatibility and the pointwise
+mutual information of a smoothed label co-occurrence table; exterior edges
+couple regions of different images that were matched by a propagated mask.
+All energy tables are min-shifted per edge to be non-negative and clamped,
+which leaves the MAP labeling unchanged.
 
 Each table is built by broadcasting over the candidate label arrays of its
 vertices: a region's location energies for the whole vocabulary come from
@@ -263,11 +263,16 @@ def _shift_clamp(table: np.ndarray, e_max: float) -> np.ndarray:
 def interior_table(model: LabelModel, hist_m: np.ndarray, hist_n: np.ndarray,
                    cands_m: np.ndarray, cands_n: np.ndarray, mode: str,
                    beta_pair: float, e_max: float) -> np.ndarray:
-    """Appearance minus log co-occurrence, shifted and clamped."""
+    """Appearance minus the pointwise mutual information log psi(a, b) /
+    (p(a) p(b)) of the label pair, shifted and clamped; p is the row sum of
+    the co-occurrence table psi. Plain -log psi mostly measures how often
+    each label occurs, so each edge would pull toward background."""
     appearance = pair_appearance(features.chi_square(hist_m, hist_n), cands_m, cands_n,
                                  mode, beta_pair)
-    return _shift_clamp(appearance - np.log(model.cooccurrence[np.ix_(cands_m, cands_n)]),
-                        e_max)
+    psi = model.cooccurrence
+    p = psi.sum(axis=1)
+    pmi = psi[np.ix_(cands_m, cands_n)] / (p[cands_m][:, None] * p[cands_n][None, :])
+    return _shift_clamp(appearance - np.log(pmi), e_max)
 
 
 def exterior_table(hist_u: np.ndarray, hist_v: np.ndarray,

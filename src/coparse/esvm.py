@@ -139,10 +139,6 @@ class TrainResult:
     duality_gap: float
 
 
-def _augment(f: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.asarray(f, dtype=np.float64), [1.0]])
-
-
 def train_esvm(positive: np.ndarray, negatives: list[np.ndarray] | np.ndarray,
                lam1: float = 0.5, lam2: float = 0.01, seed: int = 0) -> TrainResult:
     """Minimize ``esvm_energy`` exactly through its dual.
@@ -249,63 +245,109 @@ def exemplar_seed(global_seed: int, exemplar_id: str) -> list[int]:
     return [global_seed, zlib.crc32(exemplar_id.encode())]
 
 
+def region_template(region: Region) -> tuple[int, int]:
+    """The cell grid of an exemplar trained on ``region``."""
+    rows, cols = region.bbox
+    return features.template_from_bbox(rows.stop - rows.start, cols.stop - cols.start)
+
+
+def fits(blocks: np.ndarray, template: tuple[int, int]) -> bool:
+    """Whether a pyramid level's blocks hold a window of ``template``: a
+    window of cy x cx cells covers (cy - 1) x (cx - 1) blocks."""
+    return blocks.shape[0] >= template[0] - 1 and blocks.shape[1] >= template[1] - 1
+
+
+def window_boxes(level_y, level_x, template: tuple[int, int], level_shape, image_shape):
+    """(y0, x0, height, width) in image pixels of the template windows at
+    pixel (level_y, level_x) of pyramid levels of shape ``level_shape`` (sh,
+    sw), mapped back by the level's scale and kept inside the image. int /
+    int is correctly rounded and np.round rounds half to even, as Python's
+    round does, so y0 is int(round(level_y * h / sh)) capped at h - height."""
+    cy, cx = template
+    (sh, sw), (h, w) = level_shape, image_shape
+    wh = np.maximum(1, np.round(cy * features.CELL * h / sh).astype(np.int64))
+    ww = np.maximum(1, np.round(cx * features.CELL * w / sw).astype(np.int64))
+    y0 = np.minimum(np.round(level_y * h / sh).astype(np.int64), h - wh)
+    x0 = np.minimum(np.round(level_x * w / sw).astype(np.int64), w - ww)
+    return y0, x0, wh, ww
+
+
 def sample_negatives(corpus_images: list[ImageRecord], image: ImageRecord,
-                     excluded: np.ndarray, bbox_hw: tuple[int, int],
-                     template: tuple[int, int], count: int,
+                     excluded: np.ndarray, template: tuple[int, int], count: int,
                      rng: np.random.Generator,
-                     maps: dict[str, features.ImageMaps]) -> np.ndarray:
-    """HOG descriptors of random crops avoiding the selected foreground.
+                     pyramids: dict[str, features.HogPyramid]) -> np.ndarray:
+    """Template windows of the images' HOG pyramids, avoiding the selected
+    foreground, one per row.
 
-    Half the crops come from this image (center outside ``excluded``), half
-    are drawn round-robin from the other images. ``maps`` holds each
-    image's maps by id; the crops are cut from their luma.
+    A window is ``blocks[y:y + cy - 1, x:x + cx - 1]`` of a random level that
+    fits the template, at a random block position (y, x): the vector that
+    ``detect`` scores there. Half the windows come from this image: each
+    takes the first of 50 draws whose box in image pixels lies at most half
+    in ``excluded``, or else the top-left window of the first fitting level.
+    The other half, after them, come round-robin from the other images with
+    a fitting level; when this image has no fitting level they are all the
+    windows, and when no other image has one there are none. ``pyramids``
+    holds each image's ``features.hog_pyramid`` by id; some image must have
+    a fitting level.
     """
-    bh, bw = bbox_hw
-    # every luminance raster used goes into one flat buffer, and each crop
-    # becomes (start, row pitch, height, width) in it
-    offsets: dict[str, int] = {}
-    rasters: list[np.ndarray] = []
+    cy, cx = template
+    levels = {rec.id: [level for level in pyramids[rec.id].values() if fits(level[2], template)]
+              for rec in [image, *corpus_images]}
+    others = [rec.id for rec in corpus_images if rec.id != image.id and levels[rec.id]]
+    n_same = 0 if not levels[image.id] else count if not others else count // 2
 
-    def crop(rec, forbid):
-        h, w = rec.pixels.shape[:2]
-        if rec.id not in offsets:
-            offsets[rec.id] = sum(r.size for r in rasters)
-            rasters.append(maps[rec.id].luma.ravel())
-        for _ in range(50):
-            sc = rng.uniform(0.8, 1.25)
-            ch = min(max(8, int(round(bh * sc))), h)
-            cw = min(max(8, int(round(bw * sc))), w)
-            y = int(rng.integers(0, h - ch + 1))
-            x = int(rng.integers(0, w - cw + 1))
-            if forbid is not None and forbid[y + ch // 2, x + cw // 2]:
-                continue
-            return offsets[rec.id] + y * w + x, w, ch, cw
-        return offsets[rec.id], w, min(bh, h), min(bw, w)
+    def draw(image_id, shape):
+        """Level index, block row and column of random windows, and each
+        one's level as (sh, sw, rows, columns of window positions)."""
+        which = rng.integers(len(levels[image_id]), size=shape)
+        table = np.array([(sh, sw, blocks.shape[0] - cy + 2, blocks.shape[1] - cx + 2)
+                          for sh, sw, blocks in levels[image_id]])[which]
+        return which, rng.integers(table[..., 2]), rng.integers(table[..., 3]), table
 
-    others = [rec for rec in corpus_images if rec.id != image.id]
-    n_same = count if not others else count // 2
-    crops = [crop(image, excluded) for _ in range(n_same)]
-    crops += [crop(others[i % len(others)], None) for i in range(count - n_same)]
-    return features.hog_crops(np.concatenate(rasters), *zip(*crops), template)
+    def window(image_id, level, y, x):
+        return levels[image_id][level][2][y:y + cy - 1, x:x + cx - 1]
+
+    rows = []
+    if n_same:
+        which, ys, xs, table = draw(image.id, (n_same, 50))
+        y0, x0, wh, ww = window_boxes(ys * features.CELL, xs * features.CELL, template,
+                                      (table[..., 0], table[..., 1]), excluded.shape)
+        integral = np.pad(excluded.cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
+        inside = (integral[y0 + wh, x0 + ww] - integral[y0, x0 + ww]
+                  - integral[y0 + wh, x0] + integral[y0, x0])
+        allowed = 2 * inside <= wh * ww
+        first = np.arange(n_same), allowed.argmax(axis=1)
+        # a window without an allowed draw becomes (0, 0, 0)
+        rows = [window(image.id, *pick)
+                for pick in zip(*(a[first] * allowed[first] for a in (which, ys, xs)))]
+    k = len(others)
+    rest = [[window(image_id, *pick)
+             for pick in zip(*draw(image_id, len(range(j, count - n_same, k)))[:3])]
+            for j, image_id in enumerate(others)]
+    # window i of the rest is window i // k of others[i % k]
+    rows += [rest[i % k][i // k] for i in range(count - n_same)]
+    return np.stack(rows).reshape(count, -1)
 
 
 def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
                    corpus_images: list[ImageRecord], excluded: np.ndarray,
                    lam1: float, lam2: float, seed: int,
-                   maps: dict[str, features.ImageMaps]) -> Exemplar:
+                   maps: dict[str, features.ImageMaps],
+                   pyramids: dict[str, features.HogPyramid]) -> Exemplar:
     """Train and calibrate one exemplar from a selected region; ``maps``
-    holds the maps of ``image`` and of every corpus image by id."""
+    holds the maps of ``image`` and ``pyramids`` the HOG pyramid of every
+    corpus image by id, and the region's template must fit a level of one
+    of them. The positive is the HOG of the region's luma patch and the
+    negatives are pyramid windows (``sample_negatives``)."""
     rows, cols = region.bbox
-    bbox_hw = (rows.stop - rows.start, cols.stop - cols.start)
-    template = features.template_from_bbox(*bbox_hw)
+    template = region_template(region)
     cy, cx = template
-    patch = maps[image.id].luma[rows, cols]
-    positive = features.hog(patch, template)
+    positive = features.hog(maps[image.id].luma[rows, cols], template)
     rng = np.random.default_rng(exemplar_seed(seed, exemplar_id))
-    negatives = sample_negatives(corpus_images, image, excluded, bbox_hw, template,
-                                 NEGATIVES_PER_EXEMPLAR, rng, maps)
+    negatives = sample_negatives(corpus_images, image, excluded, template,
+                                 NEGATIVES_PER_EXEMPLAR, rng, pyramids)
     # bias enters as a constant feature coordinate
-    pos_aug = _augment(positive)
+    pos_aug = np.append(positive, 1.0)
     negs_aug = np.hstack([negatives, np.ones((negatives.shape[0], 1))])
     trained = train_esvm(pos_aug, negs_aug, lam1, lam2)
     raws = np.concatenate([[trained.w @ pos_aug], negs_aug @ trained.w])
@@ -343,25 +385,17 @@ def detect(exemplar: Exemplar, image: ImageRecord,
     cy, cx = exemplar.template
     w_blocks = exemplar.w[:-1]
     bias = float(exemplar.w[-1])
-    h, w = image.pixels.shape[:2]
     step = max(1, stride // features.CELL)
     score_parts, window_parts = [], []
     for s_idx, s in enumerate(scales):
         sh, sw, blocks = pyramid[s]
-        # a window of cy x cx cells covers (cy - 1) x (cx - 1) blocks
-        if blocks.shape[0] < cy - 1 or blocks.shape[1] < cx - 1:
+        if not fits(blocks, exemplar.template):
             continue
         scores = kernels.score_windows(blocks, cy - 1, cx - 1, w_blocks, step) + bias
-        win_h = cy * features.CELL
-        win_w = cx * features.CELL
-        ww = max(1, int(round(win_w * w / sw)))
-        wh = max(1, int(round(win_h * h / sh)))
-        # int / int is correctly rounded and np.round rounds half to even, as
-        # Python's round does, so offsets equal int(round(xs * w / sw))
         ys = np.arange(scores.shape[0]) * (step * features.CELL)
         xs = np.arange(scores.shape[1]) * (step * features.CELL)
-        y0 = np.minimum(np.round(ys * h / sh).astype(np.int64), h - wh)
-        x0 = np.minimum(np.round(xs * w / sw).astype(np.int64), w - ww)
+        y0, x0, wh, ww = window_boxes(ys, xs, exemplar.template, (sh, sw),
+                                      image.pixels.shape[:2])
         y0, x0 = np.broadcast_arrays(y0[:, None], x0[None, :])
         score_parts.append(scores.ravel())
         window_parts.append(np.stack([np.full(scores.size, s_idx), y0.ravel(), x0.ravel(),

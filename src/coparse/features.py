@@ -21,8 +21,7 @@ CELL = 8
 HOG_BINS = 9
 COLOR_BINS = 8          # per RGB channel
 GRAD_BINS = 16
-HOG_STACK = 10          # crops per HOG stack: keeps its temporaries to a few MB
-MIN_PATCH_SIDE = 2      # pixels: the shortest crop side HOG accepts
+MIN_PATCH_SIDE = 2      # pixels: the shortest patch side HOG accepts
 
 # scale -> (resized height, resized width, HOG blocks), as hog_pyramid builds it
 HogPyramid = dict[float, tuple[int, int, np.ndarray]]
@@ -32,15 +31,6 @@ def luma(pixels: np.ndarray) -> np.ndarray:
     """Rec. 601 luminance as float64."""
     px = pixels.astype(np.float64)
     return 0.299 * px[..., 0] + 0.587 * px[..., 1] + 0.114 * px[..., 2]
-
-
-def gradients(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d/drow, d/dcol) central differences, one-sided at the borders.
-
-    Leading axes, if any, stack independent rasters.
-    """
-    gy, gx = np.gradient(gray.astype(np.float64), axis=(-2, -1))
-    return gy, gx
 
 
 @dataclass(frozen=True)
@@ -61,7 +51,8 @@ class ImageMaps:
 def image_maps(pixels: np.ndarray) -> ImageMaps:
     """Luma, gradient magnitude and the histogram bin indexes of every pixel."""
     gray = luma(pixels)
-    gy, gx = gradients(gray)
+    # central differences, one-sided at the borders
+    gy, gx = np.gradient(gray)
     theta = np.mod(np.arctan2(gy, gx), 2.0 * np.pi)
     grad_bin = np.minimum((theta * GRAD_BINS / (2.0 * np.pi)).astype(np.int64), GRAD_BINS - 1)
     color_bin = pixels.astype(np.int64) * COLOR_BINS // 256
@@ -123,34 +114,16 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Pixel-center-aligned bilinear resampling of a 2-D float raster."""
     src = np.asarray(img, dtype=np.float64)
     h, w = src.shape
-    return resample_crops(src.ravel(), [0], [w], [h], [w], out_h, out_w)[0]
-
-
-def resample_crops(flat: np.ndarray, start, pitch, heights, widths,
-                   out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resampling of n crops of one flat buffer onto one grid.
-
-    Crop i is the ``heights[i]`` x ``widths[i]`` raster whose rows begin
-    ``pitch[i]`` apart from ``flat[start[i]]``. Output (n, out_h, out_w);
-    each crop is resampled exactly as ``bilinear_resize`` resamples it alone.
-    """
-    def column(v):
-        return np.asarray(v, dtype=np.int64)[:, None]
-
-    h, w = column(heights), column(widths)
     r = (np.arange(out_h) + 0.5) * h / out_h - 0.5
     c = (np.arange(out_w) + 0.5) * w / out_w - 0.5
     r0 = np.clip(np.floor(r).astype(np.int64), 0, h - 1)
     c0 = np.clip(np.floor(c).astype(np.int64), 0, w - 1)
     r1 = np.minimum(r0 + 1, h - 1)
     c1 = np.minimum(c0 + 1, w - 1)
-    fr = np.clip(r - r0, 0.0, 1.0)[:, :, None]
-    fc = np.clip(c - c0, 0.0, 1.0)[:, None, :]
-    row0 = (column(start) + r0 * column(pitch))[:, :, None]
-    row1 = (column(start) + r1 * column(pitch))[:, :, None]
-    c0, c1 = c0[:, None, :], c1[:, None, :]
-    top = flat[row0 + c0] * (1 - fc) + flat[row0 + c1] * fc
-    bot = flat[row1 + c0] * (1 - fc) + flat[row1 + c1] * fc
+    fr = np.clip(r - r0, 0.0, 1.0)[:, None]
+    fc = np.clip(c - c0, 0.0, 1.0)[None, :]
+    top = src[r0[:, None], c0] * (1 - fc) + src[r0[:, None], c1] * fc
+    bot = src[r1[:, None], c0] * (1 - fc) + src[r1[:, None], c1] * fc
     return top * (1 - fr) + bot * fr
 
 
@@ -160,12 +133,6 @@ def nearest_resize_mask(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     rows = np.minimum(((np.arange(out_h) + 0.5) * h / out_h).astype(np.int64), h - 1)
     cols = np.minimum(((np.arange(out_w) + 0.5) * w / out_w).astype(np.int64), w - 1)
     return src[rows[:, None], cols[None, :]]
-
-
-def orientation_bins(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitude and unsigned 9-bin orientation index per pixel."""
-    gy, gx = gradients(gray)
-    return np.hypot(gx, gy), unsigned_bins(np.arctan2(gy, gx))
 
 
 def unsigned_bins(theta: np.ndarray) -> np.ndarray:
@@ -198,43 +165,31 @@ def block_normalize(cells: np.ndarray) -> np.ndarray:
     return blocks / norm
 
 
+def hog_blocks(gray: np.ndarray, grid_y: int, grid_x: int) -> np.ndarray:
+    """Block-normalized HOG of a float64 raster's top-left grid_y x grid_x
+    cells, (grid_y - 1, grid_x - 1, 36): gradient magnitude binned by
+    unsigned orientation."""
+    gy, gx = np.gradient(gray)
+    return block_normalize(kernels.cell_histograms(
+        np.hypot(gx, gy), unsigned_bins(np.arctan2(gy, gx)), grid_y, grid_x))
+
+
 def hog(patch: np.ndarray, template: tuple[int, int]) -> np.ndarray:
-    """HOG descriptor of a 2-D luminance patch resampled to the template's pixel grid."""
-    patch = np.asarray(patch, dtype=np.float64)
-    h, w = patch.shape
-    return hog_crops(patch.ravel(), [0], [w], [h], [w], template)[0]
-
-
-def hog_crops(flat: np.ndarray, start, pitch, heights, widths,
-              template: tuple[int, int]) -> np.ndarray:
-    """HOG descriptors of n crops of one flat luminance buffer, one per row.
-
-    The crops are laid out as in ``resample_crops``; each is resampled to the
-    template's pixel grid, and stacks of up to ``HOG_STACK`` crops go through
-    the gradients, cell histograms and block normalization at once. Row i
-    equals ``hog`` of crop i alone.
-    """
+    """HOG descriptor of a 2-D luminance patch resampled to the template's
+    pixel grid: the template's blocks, flattened in the order
+    ``kernels.score_windows`` reads a window of a ``hog_pyramid`` level."""
     cy, cx = template
     if cy < 2 or cx < 2:
         raise PatchTooSmallError(f"template {template} smaller than 2x2 cells")
-    start, pitch, heights, widths = (np.asarray(v) for v in (start, pitch, heights, widths))
-    small = (heights < MIN_PATCH_SIDE) | (widths < MIN_PATCH_SIDE)
-    if small.any():
-        i = int(np.argmax(small))
-        raise PatchTooSmallError(f"patch {(int(heights[i]), int(widths[i]))} too small")
-    out = np.empty((heights.size, (cy - 1) * (cx - 1) * 4 * HOG_BINS))
-    for i in range(0, heights.size, HOG_STACK):
-        part = slice(i, i + HOG_STACK)
-        resized = resample_crops(flat, start[part], pitch[part], heights[part], widths[part],
-                                 cy * CELL, cx * CELL)
-        mag, obin = orientation_bins(resized)
-        cells = kernels.cell_histograms(mag, obin, cy, cx)
-        out[part] = block_normalize(cells).reshape(len(resized), -1)
-    return out
+    patch = np.asarray(patch, dtype=np.float64)
+    if min(patch.shape) < MIN_PATCH_SIDE:
+        raise PatchTooSmallError(f"patch {patch.shape} too small")
+    return hog_blocks(bilinear_resize(patch, cy * CELL, cx * CELL), cy, cx).ravel()
 
 
 def hog_pyramid(gray: np.ndarray, scales) -> HogPyramid:
-    """HOG blocks of a whole luminance raster at each scale, for detection.
+    """HOG blocks of a whole luminance raster at each scale, for detection
+    and for exemplar negatives.
 
     Maps each scale s to (sh, sw, blocks): the raster resized to
     sh x sw = round(H * s) x round(W * s) (at least 1), binned into its
@@ -248,8 +203,7 @@ def hog_pyramid(gray: np.ndarray, scales) -> HogPyramid:
         grid_y, grid_x = sh // CELL, sw // CELL
         blocks = np.empty((0, 0, 4 * HOG_BINS))
         if grid_y >= 2 and grid_x >= 2:
-            mag, obin = orientation_bins(bilinear_resize(gray, sh, sw))
-            blocks = block_normalize(kernels.cell_histograms(mag, obin, grid_y, grid_x))
+            blocks = hog_blocks(bilinear_resize(gray, sh, sw), grid_y, grid_x)
         pyramid[s] = sh, sw, blocks
     return pyramid
 

@@ -27,21 +27,16 @@ from scipy.optimize import Bounds, minimize
 def cell_histograms(mag, obin, cells_y, cells_x):
     """Accumulate 9 orientation bins per 8x8 cell, magnitude weighted.
 
-    ``mag`` float64 and ``obin`` int64 rasters, or stacks of rasters along
-    leading axes; pixels beyond the cell grid are ignored. Each bin adds its
-    pixels in row-major order, so a raster's histogram is the same whether
-    it comes alone or in a stack.
+    ``mag`` float64 and ``obin`` int64 rasters; pixels beyond the cell grid
+    are ignored. Each bin adds its pixels in row-major order.
     """
     h, w = cells_y * 8, cells_x * 8
-    lead = mag.shape[:-2]
-    size = cells_y * cells_x * 9
     rows = np.arange(h)[:, None] // 8
     cols = np.arange(w)[None, :] // 8
-    raster = np.arange(int(np.prod(lead))).reshape(lead + (1, 1)) * size
-    flat = raster + (rows * cells_x + cols) * 9 + obin[..., :h, :w]
-    out = np.bincount(flat.ravel(), weights=mag[..., :h, :w].ravel(),
-                      minlength=raster.size * size)
-    return out.reshape(lead + (cells_y, cells_x, 9))
+    flat = (rows * cells_x + cols) * 9 + obin[:h, :w]
+    out = np.bincount(flat.ravel(), weights=mag[:h, :w].ravel(),
+                      minlength=cells_y * cells_x * 9)
+    return out.reshape(cells_y, cells_x, 9)
 
 
 # ---------------------------------------------------------------------------

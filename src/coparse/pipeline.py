@@ -124,6 +124,8 @@ class Phase1Result:
     multicuts_reused: int = 0
     exemplars_trained: int = 0
     exemplars_reused: int = 0
+    exemplars_unplaceable: int = 0     # selected regions whose template fits no pyramid level
+    detections_kept: int = 0           # propagations of the exemplars propagated here
     esvm_max_duality_gap: float = 0.0   # over the exemplars trained here
     esvm_degenerate_calibrations: int = 0   # of the exemplars trained here
     # sums over the multicuts solved here (not the reused ones)
@@ -145,6 +147,8 @@ class Phase1Result:
             "phase1_multicuts_reused": self.multicuts_reused,
             "phase1_exemplars_trained": self.exemplars_trained,
             "phase1_exemplars_reused": self.exemplars_reused,
+            "phase1_exemplars_unplaceable": self.exemplars_unplaceable,
+            "phase1_detections_kept": self.detections_kept,
             "phase1_esvm_max_duality_gap": self.esvm_max_duality_gap,
             "phase1_esvm_degenerate_calibrations": self.esvm_degenerate_calibrations,
             "phase1_images_changed": list(self.images_changed),
@@ -194,9 +198,14 @@ def _group_all(images: list[ImageRecord], propagations, config: Config,
 
 
 def _train_and_propagate(images: list[ImageRecord], regions_by_image: dict[str, list[Region]],
-                         config: Config, trained: dict[tuple, tuple],
+                         config: Config, trained: dict[tuple, esvm.Exemplar],
+                         propagated: dict[tuple, list], unplaceable: set,
                          maps: dict[str, features.ImageMaps],
                          pyramids: dict[str, features.HogPyramid]):
+    """Train and propagate each image's selected regions, through the
+    run's caches. A region whose template fits no pyramid level of any
+    image is skipped, as ``detect`` could place it nowhere, and its key goes
+    into ``unplaceable``."""
     exemplars: list[esvm.Exemplar] = []
     propagations = []
     for image in images:
@@ -214,17 +223,25 @@ def _train_and_propagate(images: list[ImageRecord], regions_by_image: dict[str, 
             content = zlib.crc32(np.asarray(regions[k].superpixels, dtype=np.int64).tobytes())
             exemplar_id = f"{image.id}:r{content:08x}"
             key = (exemplar_id, regions[k].superpixels, excluded_key)
+            template = esvm.region_template(regions[k])
+            if not any(esvm.fits(blocks, template)
+                       for other in images for _, _, blocks in pyramids[other.id].values()):
+                unplaceable.add(key)
+                continue
             if key not in trained:
-                exemplar = esvm.build_exemplar(
+                trained[key] = esvm.build_exemplar(
                     exemplar_id, image, regions[k], images, excluded,
-                    config.lambda1, config.lambda2, config.seed, maps)
-                trained[key] = exemplar, esvm.propagate(exemplar, images, pyramids,
-                                                        config.k_top, config.stride,
-                                                        config.scales)
-            exemplar, props = trained[key]
+                    config.lambda1, config.lambda2, config.seed, maps, pyramids)
+            exemplar = trained[key]
+            # another excluded mask can leave the negatives, and so the
+            # exemplar, as they were
+            detector = (*key[:2], exemplar.w.tobytes(), exemplar.alpha, exemplar.beta)
+            if detector not in propagated:
+                propagated[detector] = esvm.propagate(exemplar, images, pyramids, config.k_top,
+                                                      config.stride, config.scales)
             # the same content may sit at another region index this pass
             exemplars.append(replace(exemplar, source_region=regions[k].id))
-            propagations.extend(props)
+            propagations.extend(propagated[detector])
     return exemplars, propagations
 
 
@@ -238,20 +255,24 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     exactly (no new regions can ever appear), so the loop also terminates
     there, reporting fixed_point=False.
 
-    Multicuts are cached on their instance and exemplars on (id, region
-    superpixels, excluded mask); theta, the image set, the training and the
-    propagation settings are fixed within the call, so a hit returns what
-    the same inputs computed. ``maps`` holds each selected image's maps by
-    id; each image's superpixel graph and HOG pyramid are built once, up
-    front, and read by every iteration, and its regions are built again only
-    in an iteration that changed its partition.
+    Multicuts are cached on their instance, exemplars on (id, region
+    superpixels, excluded mask) and propagations on (id, region
+    superpixels, weights, calibration); theta, the image set, the training
+    and the propagation settings are fixed within the call, so a hit
+    returns what the same inputs computed. ``maps`` holds each selected
+    image's maps by id; each image's superpixel graph and HOG pyramid are
+    built once, up front, and read by every iteration (the pyramids by
+    detection and by the exemplars' negatives), and its regions are built
+    again only in an iteration that changed its partition.
     """
     images = _select_images(corpus, image_ids, "co-segmentation")
     graphs = {image.id: grouping.superpixel_graph(image) for image in images}
     pyramids = {image.id: features.hog_pyramid(maps[image.id].luma, config.scales)
                 for image in images}
     solved: dict[grouping.MulticutInstance, grouping.MulticutSolution] = {}
-    trained: dict[tuple, tuple] = {}
+    trained: dict[tuple, esvm.Exemplar] = {}
+    propagated: dict[tuple, list] = {}
+    unplaceable: set[tuple] = set()
     exemplar_count = 0
     exemplars: list[esvm.Exemplar] = []
     propagations: list = []
@@ -281,7 +302,7 @@ def run_cosegmentation(corpus: Corpus, config: Config,
         regions = {**regions, **{image.id: regions_of(image, partitions[image.id])
                                  for image in changed}}
         exemplars, propagations = _train_and_propagate(images, regions, config, trained,
-                                                       maps, pyramids)
+                                                       propagated, unplaceable, maps, pyramids)
         exemplar_count += len(exemplars)
         if converged:
             break
@@ -292,10 +313,12 @@ def run_cosegmentation(corpus: Corpus, config: Config,
                         multicuts_reused=iteration * len(images) - len(solved),
                         exemplars_trained=len(trained),
                         exemplars_reused=exemplar_count - len(trained),
+                        exemplars_unplaceable=len(unplaceable),
+                        detections_kept=sum(len(props) for props in propagated.values()),
                         esvm_max_duality_gap=max(
-                            (ex.duality_gap for ex, _ in trained.values()), default=0.0),
+                            (ex.duality_gap for ex in trained.values()), default=0.0),
                         esvm_degenerate_calibrations=sum(
-                            ex.degenerate_calibration for ex, _ in trained.values()),
+                            ex.degenerate_calibration for ex in trained.values()),
                         multicut_lp_solves=sum(s.lp_solves for s in solved.values()),
                         multicut_nodes=sum(s.nodes for s in solved.values()),
                         multicut_cuts=sum(s.cuts for s in solved.values()),
@@ -356,13 +379,15 @@ class Phase2Result:
     # expansion's start), and the pixels of their regions
     overruled_vertices: int
     overruled_pixels: int
+    exterior_edges: int      # cross-image edges the propagations built
 
     def counters(self) -> dict:
         """What the run did, under the names ``run-meta.json`` gives it."""
         return {"phase2_sweeps": self.sweeps, "phase2_converged": self.converged,
                 "phase2_truncated_terms": self.truncated_terms,
                 "phase2_overruled_vertices": self.overruled_vertices,
-                "phase2_overruled_pixels": self.overruled_pixels}
+                "phase2_overruled_pixels": self.overruled_pixels,
+                "phase2_exterior_edges": self.exterior_edges}
 
 
 def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
@@ -404,7 +429,8 @@ def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
                         converged=result.converged, truncated_terms=result.truncated_terms,
                         overruled_vertices=int(overruled.size),
                         overruled_pixels=sum(int(graph.vertex_regions[v].area)
-                                             for v in overruled))
+                                             for v in overruled),
+                        exterior_edges=len(graph.exterior_edges))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coparse import cli, colabel, grouping, io, kernels, pipeline, synthgen
+from coparse import cli, colabel, esvm, grouping, io, kernels, pipeline, synthgen
 
 
 def write_tiny_corpus(tmp_path, n=3, seed=5):
@@ -449,6 +449,45 @@ class TestFuzz:
                                  "--out", str(tmp_path / "out")])
         assert (code, err) == (0, "")
 
+    def test_templates_that_fit_no_pyramid_level_are_counted(self, tmp_path):
+        # a template's longer side is 8 cells, 7 blocks; the 48x40 images at
+        # scale 1.25 hold 7x6 cells, 6x5 blocks, so no selected region can
+        # train or place an exemplar
+        manifest = io.save_corpus(synthgen.generate(FUZZ_SPEC, 2), tmp_path / "corpus")
+        (tmp_path / "config.json").write_text(json.dumps({"a_min": 0.0}))
+        assert cli.main(["run", "--manifest", str(manifest),
+                         "--config", str(tmp_path / "config.json"),
+                         "--out", str(tmp_path / "out")]) == 0
+        meta = json.loads((tmp_path / "out" / "run-meta.json").read_text())
+        assert meta["phase1_exemplars_unplaceable"] > 0
+        assert meta["phase1_exemplars_trained"] == meta["phase1_detections_kept"] == 0
+        assert meta["phase2_exterior_edges"] == 0
+
+    def test_source_image_without_a_fitting_level_draws_every_negative_elsewhere(
+            self, tmp_path, monkeypatch):
+        # the 48x40 image holds no 7-block window at any level, the 96x80 one
+        # does, so the small image's selected regions train on negatives of
+        # the large image alone
+        small = synthgen.generate(FUZZ_SPEC, 1)
+        large = synthgen.generate(replace(FUZZ_SPEC, height=96, width=80), 1)
+        corpus = replace(small, images=(small.images[0],
+                                        replace(large.images[0], id="img0001")))
+        manifest = io.save_corpus(corpus, tmp_path / "corpus")
+        (tmp_path / "config.json").write_text(json.dumps({"a_min": 0.0}))
+        sources = []
+        sample = esvm.sample_negatives
+
+        def spy(corpus_images, image, *args):
+            sources.append(image.id)
+            return sample(corpus_images, image, *args)
+
+        monkeypatch.setattr(esvm, "sample_negatives", spy)
+        code, err = run_quietly(["run", "--manifest", str(manifest),
+                                 "--config", str(tmp_path / "config.json"),
+                                 "--out", str(tmp_path / "out")])
+        assert (code, err) == (0, "")
+        assert "img0000" in sources
+
 
 class TestGroup:
     def test_group_outputs(self, tmp_path):
@@ -479,6 +518,9 @@ class TestPhasedCommands:
         assert meta["phase1_multicut_lp_solves"] >= meta["phase1_multicuts_solved"]
         assert meta["phase1_multicuts_unproven"] == 0
         assert len(meta["phase1_images_changed"]) == meta["phase1_iterations"]
+        assert meta["phase1_exemplars_unplaceable"] == 0
+        propagation_count = len(json.loads((phase1 / "propagations.json").read_text()))
+        assert meta["phase1_detections_kept"] >= propagation_count
 
         out = tmp_path / "labeled"
         assert cli.main(["colabel", "--manifest", str(manifest),
@@ -489,7 +531,7 @@ class TestPhasedCommands:
         meta = json.loads((out / "run-meta.json").read_text())
         assert set(meta) == {"config", "versions", "phase2_sweeps", "phase2_converged",
                              "phase2_truncated_terms", "phase2_overruled_vertices",
-                             "phase2_overruled_pixels"}
+                             "phase2_overruled_pixels", "phase2_exterior_edges"}
         assert meta["config"]["seed"] == 0 and "numpy" in meta["versions"]
         assert meta["phase2_sweeps"] >= 1 and meta["phase2_overruled_vertices"] >= 0
         corpus = io.load_corpus(manifest)
@@ -750,11 +792,13 @@ class TestCv:
                 "fold", "phase1_iterations", "phase1_converged", "phase1_fixed_point",
                 "phase1_multicuts_solved", "phase1_multicuts_reused",
                 "phase1_exemplars_trained", "phase1_exemplars_reused",
+                "phase1_exemplars_unplaceable", "phase1_detections_kept",
                 "phase1_esvm_max_duality_gap", "phase1_esvm_degenerate_calibrations",
                 "phase1_images_changed", "phase1_multicut_lp_solves", "phase1_multicut_nodes",
                 "phase1_multicut_cuts", "phase1_multicuts_unproven", "phase2_sweeps",
                 "phase2_converged", "phase2_truncated_terms", "phase2_overruled_vertices",
-                "phase2_overruled_pixels", "label_model_sweep_capped_machines"}
+                "phase2_overruled_pixels", "phase2_exterior_edges",
+                "label_model_sweep_capped_machines"}
             assert fold["phase1_iterations"] == summary["phase1_iterations"]
             assert fold["phase1_converged"] == summary["phase1_converged"]
             assert len(fold["phase1_images_changed"]) == fold["phase1_iterations"]

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coparse import colabel, features
+from coparse import colabel, features, graphcut
 from coparse.core import Partition, PropagationRecord, Region, label_components, regions_of
 from coparse.errors import ConfigError, MalformedInputError, UnknownLabelError
 from coparse.pipeline import Config, build_maps
@@ -323,6 +325,35 @@ class TestEnergies:
         raw = q_u + q_v + appearance_one(0.0, 1, 1, "smoothing")
         assert raw == pytest.approx(0.5)
 
+    def test_background_fragments_do_not_pull_a_region_off_its_label(self):
+        # four training images, background next to every label: plain
+        # -log psi makes (pants, background) dearer than (background,
+        # background), so each background fragment pulls a pants region
+        # toward background; the mutual information takes background's
+        # frequency out, and the pull turns around
+        present = [{0, 1, 2}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2, 3}]
+        pairs = [pair for labels in present for pair in
+                 [(l, l) for l in labels] + [(0, l) for l in labels if l]
+                 + [(1, 2)] * ({1, 2} <= labels)]
+        model = replace(simple_model(vocab=("background", "shirt", "pants", "hat")),
+                        cooccurrence=colabel.fit_cooccurrence(pairs, 4))
+        cands = np.array([0, 2])
+        hist = random_histograms(np.random.default_rng(13), 1, [0, 1])[0]
+        # vertex 0: a large region whose unary favours pants by 0.5; vertices
+        # 1-4: background fragments around it; no appearance term
+        unary = (np.array([0.5, 0.0]),) + (np.array([0.0, 5.0]),) * 4
+        plain = -np.log(model.cooccurrence[np.ix_(cands, cands)])
+        labelings = {}
+        for name, table in [
+                ("plain", np.minimum(plain - plain.min(), 20.0)),
+                ("pmi", colabel.interior_table(model, hist, hist, cands, cands,
+                                               "smoothing", 0.0, 20.0))]:
+            problem = graphcut.LabelingProblem(
+                candidates=(cands,) * 5, unary=unary,
+                edges=tuple((0, v, table) for v in range(1, 5)))
+            labelings[name] = graphcut.alpha_expansion(problem).labeling.tolist()
+        assert labelings == {"plain": [0, 0, 0, 0, 0], "pmi": [2, 0, 0, 0, 0]}
+
     @pytest.mark.parametrize("mode", ["smoothing", "literal"])
     def test_tables_match_scalar_formulas_bit_for_bit(self, mode):
         base = simple_model(mu={1: (0.3, 0.6), 2: (0.7, 0.4)})
@@ -346,8 +377,10 @@ class TestEnergies:
             unary = colabel.unary_energies(votes[cands_u], loc_u, sharpness, 20.0)
             assert unary.tolist() == [scalar_unary(float(votes[l]), float(g), sharpness, 20.0)
                                       for l, g in zip(cands_u, loc_u)]
+            psi = model.cooccurrence
+            p = psi.sum(axis=1)
             interior = np.array([[scalar_appearance(chi2, m, n, mode, 2.0)
-                                  - np.log(model.cooccurrence[m, n]) for n in cands_v]
+                                  - np.log(psi[m, n] / (p[m] * p[n])) for n in cands_v]
                                  for m in cands_u])
             exterior = loc_u[:, None] + loc_v[None, :]
             exterior += [[scalar_appearance(chi2, m, n, mode, 2.0) for n in cands_v]

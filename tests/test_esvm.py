@@ -215,56 +215,74 @@ def _hog_reference(patch, template):
     return (blocks / norm).ravel()
 
 
-def _sample_negatives_per_crop(corpus_images, image, excluded, bbox_hw, template, count, rng):
-    """The crop draws of sample_negatives, each crop through HOG on its own."""
-    bh, bw = bbox_hw
-
-    def crop(rec, forbid):
-        h, w = rec.pixels.shape[:2]
-        for _ in range(50):
-            sc = rng.uniform(0.8, 1.25)
-            ch = min(max(8, int(round(bh * sc))), h)
-            cw = min(max(8, int(round(bw * sc))), w)
-            y = int(rng.integers(0, h - ch + 1))
-            x = int(rng.integers(0, w - cw + 1))
-            if forbid is not None and forbid[y + ch // 2, x + cw // 2]:
-                continue
-            return features.luma(rec.pixels)[y:y + ch, x:x + cw]
-        return features.luma(rec.pixels)[0:min(bh, h), 0:min(bw, w)]
-
-    others = [rec for rec in corpus_images if rec.id != image.id]
-    n_same = count if not others else count // 2
-    crops = [crop(image, excluded) for _ in range(n_same)]
-    crops += [crop(others[i % len(others)], None) for i in range(count - n_same)]
-    return crops
+def _pyramid_windows(pyramid, template, image_shape):
+    """Every template window of every pyramid level it fits, keyed by its
+    bytes, as (blocks, (y0, x0, height, width)) pairs: the window and its
+    box in image pixels, mapped back with Python's round."""
+    cy, cx = template
+    h, w = image_shape
+    windows = {}
+    for sh, sw, blocks in pyramid.values():
+        for y in range(blocks.shape[0] - cy + 2):
+            for x in range(blocks.shape[1] - cx + 2):
+                wh = max(1, int(round(cy * features.CELL * h / sh)))
+                ww = max(1, int(round(cx * features.CELL * w / sw)))
+                y0 = min(int(round(y * features.CELL * h / sh)), h - wh)
+                x0 = min(int(round(x * features.CELL * w / sw)), w - ww)
+                window = blocks[y:y + cy - 1, x:x + cx - 1]
+                windows.setdefault(window.tobytes(), []).append((window, (y0, x0, wh, ww)))
+    return windows
 
 
 class TestNegatives:
-    def test_batched_hog_equals_per_crop_hog(self, monkeypatch):
+    def test_rows_are_pyramid_windows_off_the_foreground(self, monkeypatch):
         # every negative set Phase I samples on four images of the criterion-8
         # scene, whose iterations train exemplars of at least three templates
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 4)
         config = pipeline.Config(seed=8)
         checked = []
         sample = esvm.sample_negatives
+        rng = np.random.default_rng(3)
+        windows = {}
 
-        def checked_sample(corpus_images, image, excluded, bbox_hw, template, count, rng, maps):
-            ref_rng = np.random.Generator(np.random.PCG64())
-            ref_rng.bit_generator.state = rng.bit_generator.state
-            got = sample(corpus_images, image, excluded, bbox_hw, template, count, rng, maps)
-            crops = _sample_negatives_per_crop(corpus_images, image, excluded, bbox_hw,
-                                               template, count, ref_rng)
-            assert ref_rng.bit_generator.state == rng.bit_generator.state
-            assert got.shape == (count, features.hog(crops[0], template).size)
-            for row, patch in zip(got, crops):
-                assert (row == features.hog(patch, template)).all()
-                assert (row == _hog_reference(patch, template)).all()
+        def checked_sample(corpus_images, image, excluded, template, count, rng_, pyramids):
+            got = sample(corpus_images, image, excluded, template, count, rng_, pyramids)
+            def fitting(rec):
+                return any(esvm.fits(blocks, template)
+                           for _, _, blocks in pyramids[rec.id].values())
+
+            others = [rec for rec in corpus_images if rec.id != image.id and fitting(rec)]
+            assert got.shape == (count, (template[0] - 1) * (template[1] - 1) * 36)
+            n_same = 0 if not fitting(image) else count if not others else count // 2
+            for i, row in enumerate(got):
+                source = image if i < n_same else others[(i - n_same) % len(others)]
+                if (source.id, template) not in windows:
+                    windows[source.id, template] = _pyramid_windows(
+                        pyramids[source.id], template, source.pixels.shape[:2])
+                matches = windows[source.id, template].get(row.tobytes())
+                assert matches, f"row {i} is no window of {source.id}"
+                window, _ = matches[0]
+                # the vector score_windows dots with the template weights
+                wvec = rng.standard_normal(row.size)
+                score = kernels.score_windows(window, template[0] - 1, template[1] - 1,
+                                              wvec, 1)
+                assert score.shape == (1, 1) and score[0, 0] == pytest.approx(row @ wvec)
+                if source is image:
+                    assert any(2 * excluded[y0:y0 + wh, x0:x0 + ww].sum() <= wh * ww
+                               for _, (y0, x0, wh, ww) in matches)
             checked.append(template)
             return got
 
         monkeypatch.setattr(esvm, "sample_negatives", checked_sample)
         pipeline.run_cosegmentation(corpus, config, pipeline.build_maps(corpus.images))
-        assert len(checked) >= 3
+        assert len(set(checked)) >= 3
+
+    def test_hog_matches_written_out_reference(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            patch = rng.uniform(0, 255, size=tuple(rng.integers(2, 80, size=2)))
+            template = tuple(int(v) for v in rng.integers(2, 9, size=2))
+            assert (features.hog(patch, template) == _hog_reference(patch, template)).all()
 
 
 class TestCalibration:
@@ -497,7 +515,8 @@ class TestPropagation:
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
         excluded = regions[1].region_map == 1
         ex = esvm.build_exemplar("e0", images[0], regions[1], images, excluded,
-                                 0.5, 0.01, seed=7, maps=maps_of(images))
+                                 0.5, 0.01, seed=7, maps=maps_of(images),
+                                 pyramids=pyramids_of(images))
         assert esvm.propagate(ex, images, pyramids_of(images), k=0) == []
 
     def test_self_detection_overlaps_source(self):
@@ -505,7 +524,8 @@ class TestPropagation:
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
         excluded = regions[1].region_map == 1
         ex = esvm.build_exemplar("e0", images[0], regions[1], images, excluded,
-                                 0.5, 0.01, seed=7, maps=maps_of(images))
+                                 0.5, 0.01, seed=7, maps=maps_of(images),
+                                 pyramids=pyramids_of(images))
         dets = esvm.detect(ex, images[0], pyramids_of(images)[images[0].id])
         assert dets
         top = dets[0]
@@ -518,7 +538,7 @@ class TestPropagation:
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
         ex = esvm.build_exemplar("e0", images[0], regions[1], images,
                                  regions[1].region_map == 1, 0.5, 0.01, seed=7,
-                                 maps=maps_of(images))
+                                 maps=maps_of(images), pyramids=pyramids_of(images))
         # a flat image scores every window alike, so only the tie-breaks order
         # them; at scale 16/17 every odd window offset lands on a half pixel
         flat = make_image(np.zeros((170, 136), dtype=np.int64), image_id="flat")
@@ -536,7 +556,8 @@ class TestPropagation:
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
         excluded = regions[1].region_map == 1
         ex = esvm.build_exemplar("e0", images[0], regions[1], images, excluded,
-                                 0.5, 0.01, seed=7, maps=maps_of(images))
+                                 0.5, 0.01, seed=7, maps=maps_of(images),
+                                 pyramids=pyramids_of(images))
         props = esvm.propagate(ex, images, pyramids_of(images), k=8)
         assert len(props) <= 8
         scores = [p.score for p in props]
@@ -556,7 +577,7 @@ class TestPropagation:
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
         ex = esvm.build_exemplar("e0", images[0], regions[1], images,
                                  regions[1].region_map == 1, 0.5, 0.01, seed=7,
-                                 maps=maps_of(images))
+                                 maps=maps_of(images), pyramids=pyramids_of(images))
         for p in esvm.propagate(ex, images, pyramids_of(images), k=6):
             h, w = p.mask.shape
             img = next(i for i in images if i.id == p.target_image)
@@ -579,7 +600,7 @@ class TestEarlyStoppingNms:
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
         return esvm.build_exemplar("e0", images[0], regions[1], images,
                                    regions[1].region_map == 1, 0.5, 0.01, seed=7,
-                                   maps=maps_of(images))
+                                   maps=maps_of(images), pyramids=pyramids_of(images))
 
     def test_propagate_equals_full_nms_and_a_global_sort(self):
         images = make_detection_corpus()

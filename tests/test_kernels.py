@@ -88,15 +88,6 @@ class TestCellHistograms:
         b = _cell_histograms_ref(mag, obin, 3, 4)
         assert np.allclose(a, b)
 
-    def test_stack_equals_each_raster(self):
-        rng = np.random.default_rng(1)
-        pairs = [random_cell_inputs(rng, 3, 4) for _ in range(5)]
-        mags, obins = (np.stack(v) for v in zip(*pairs))
-        stacked = kernels.cell_histograms(mags, obins, 3, 4)
-        assert stacked.shape == (5, 3, 4, 9)
-        for out, (mag, obin) in zip(stacked, pairs):
-            assert (out == kernels.cell_histograms(mag, obin, 3, 4)).all()
-
 
 def _svm_dual_instance(rng):
     """Chi-square RBF kernel SVM dual on random histograms, as colabel builds it."""

@@ -1,13 +1,13 @@
 import json
 import multiprocessing
 import zlib
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from coparse import cli, colabel, esvm, features, grouping, io, pipeline, synthgen
-from coparse.core import regions_of, superpixel_adjacency
+from coparse.core import PropagationRecord, regions_of, superpixel_adjacency
 from coparse.errors import (ConfigError, InsufficientDataError, MalformedInputError,
                             SolverError)
 from coparse.io import Corpus
@@ -315,6 +315,18 @@ class TestColabeling:
         model = fit_label_model(corpus)
         maps = pipeline.build_maps(corpus.images)
         phase1 = pipeline.run_cosegmentation(corpus, config, maps)
+        # one more propagation, of an exemplar onto a region of another image,
+        # so that the graph holds an exterior edge whatever Phase I placed
+        exemplar = phase1.exemplars[0]
+        target = next(image.id for image in corpus.images
+                      if image.id != exemplar.source_region[0])
+        region = phase1.regions[target][-1]
+        rows, cols = region.bbox
+        crossing = PropagationRecord(source_exemplar=exemplar.id, target_image=target,
+                                     x=cols.start, y=rows.start,
+                                     mask=region.region_map[rows, cols] == region.id[1],
+                                     score=0.5)
+        phase1 = replace(phase1, propagations=[*phase1.propagations, crossing])
         graphs = []
         build_graph = colabel.build_graph
         monkeypatch.setattr(colabel, "build_graph",
@@ -586,6 +598,8 @@ def _reference_group_all(images, propagations, config):
 
 def _reference_train_and_propagate(images, partitions, config):
     maps = {image.id: features.image_maps(image.pixels) for image in images}
+    pyramids = {image.id: features.hog_pyramid(maps[image.id].luma, config.scales)
+                for image in images}
     exemplars = []
     for image in images:
         regions = regions_of(image, partitions[image.id])
@@ -600,9 +614,7 @@ def _reference_train_and_propagate(images, partitions, config):
             content = zlib.crc32(np.asarray(regions[k].superpixels, dtype=np.int64).tobytes())
             exemplars.append(esvm.build_exemplar(
                 f"{image.id}:r{content:08x}", image, regions[k], images, excluded,
-                config.lambda1, config.lambda2, config.seed, maps))
-    pyramids = {image.id: features.hog_pyramid(maps[image.id].luma, config.scales)
-                for image in images}
+                config.lambda1, config.lambda2, config.seed, maps, pyramids))
     propagations = []
     for exemplar in exemplars:
         propagations.extend(esvm.propagate(exemplar, images, pyramids, config.k_top,
@@ -655,13 +667,13 @@ class _CallLog:
             return self.solutions[-1]
 
         def counted_build(exemplar_id, image, region, corpus_images, excluded,
-                          lam1, lam2, seed, maps):
+                          lam1, lam2, seed, maps, pyramids):
             key = (exemplar_id, image.id, region.superpixels, excluded.tobytes(),
                    tuple(rec.id for rec in corpus_images), lam1, lam2, seed)
             self.builds.append(key)
             self.first_region.setdefault(exemplar_id, region.id)
             return build(exemplar_id, image, region, corpus_images, excluded,
-                         lam1, lam2, seed, maps)
+                         lam1, lam2, seed, maps, pyramids)
 
         def counted_propagate(exemplar, corpus_images, pyramids, k=5, stride=8,
                               scales=(1.0, 0.8, 1.25)):
