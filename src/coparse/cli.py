@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 
 # One BLAS thread, set before numpy loads: the output bytes then do not hang on
-# the host's thread count, and BLAS does not compete with the CV's worker
+# the host's thread count
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
@@ -212,7 +212,7 @@ def cmd_run(args) -> int:
     _dump_json(out / "run-meta.json", _run_meta(config, {
         **phase1.counters(),
         **phase2.counters(),
-        "label_model_sweep_capped_machines": model.appearance.sweep_capped,
+        "label_model_max_duality_gap": model.appearance.max_duality_gap,
         "total_energy": phase2.total_energy,
         "note": "metrics are in-sample (model trained on this corpus); use cv for held-out numbers",
     }))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import features
+from . import features, kernels
 from .core import (BACKGROUND, ImageRecord, Region, labels_under_mask, region_moments,
                    superpixel_adjacency)
 from .errors import ConfigError, InsufficientDataError, UnknownLabelError
@@ -40,7 +40,7 @@ class AppearanceModel:
     # per label pair (a, b) with a < b: support vectors and signed dual coefs
     machines: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
     vocab_size: int
-    sweep_capped: int = 0   # machines whose dual ascent stopped at its sweep cap
+    max_duality_gap: float   # of the machines' dual solves; 0 with no machine
     # every machine's support vectors, stacked once; machine i owns the rows
     # bounds[i]:bounds[i + 1]
     support: np.ndarray = field(init=False, repr=False)
@@ -72,36 +72,6 @@ class AppearanceModel:
         return s / len(self.machines)
 
 
-def _dual_coordinate_ascent(kernel: np.ndarray, y: np.ndarray, c: float,
-                            max_sweeps: int = 200) -> tuple[np.ndarray, bool]:
-    """Box-constrained dual ascent for a bias-free kernel SVM, y in {-1, 1}.
-
-    Returns the dual variables and whether ``max_sweeps`` stopped the loop
-    before a sweep moved every variable by less than 1e-8. The loop runs on
-    Python floats: each step touches one variable and one kernel column.
-    """
-    n = y.size
-    signs = y.tolist()
-    diagonal = np.diagonal(kernel).tolist()
-    # column i of the kernel signed by y_i, the change of f per unit of alpha_i
-    columns = (y[:, None] * kernel.T).tolist()
-    alpha = [0.0] * n
-    f = [0.0] * n   # f_j = sum_i alpha_i y_i K_ji
-    for _ in range(max_sweeps):
-        biggest = 0.0
-        for i in range(n):
-            new = alpha[i] + (1.0 - signs[i] * f[i]) / diagonal[i]
-            new = min(max(new, 0.0), c)
-            delta = new - alpha[i]
-            if delta != 0.0:
-                alpha[i] = new
-                f = [fj + delta * kj for fj, kj in zip(f, columns[i])]
-                biggest = max(biggest, abs(delta))
-        if biggest < 1e-8:
-            return np.array(alpha), False
-    return np.array(alpha), True
-
-
 def train_appearance(hists: np.ndarray, labels: np.ndarray, vocab_size: int,
                      c: float = 10.0) -> AppearanceModel:
     """One-against-one decomposition with a chi-square RBF kernel."""
@@ -114,20 +84,20 @@ def train_appearance(hists: np.ndarray, labels: np.ndarray, vocab_size: int,
     med = float(np.median(dists[np.triu_indices(len(hists), k=1)])) if len(hists) > 1 else 0.0
     gamma = 1.0 / med if med > 1e-12 else 1.0
     machines = []
-    capped = 0
+    gaps = []
     for i, a in enumerate(present):
         for b in present[i + 1:]:
             sel = (labels == a) | (labels == b)
             idx = np.flatnonzero(sel)
             y = np.where(labels[idx] == a, 1.0, -1.0)
             k = np.exp(-gamma * dists[np.ix_(idx, idx)])
-            alpha, hit_cap = _dual_coordinate_ascent(k, y, c)
-            capped += hit_cap
+            alpha, gap = kernels.solve_box_qp(k * np.outer(y, y), c)
+            gaps.append(gap)
             keep = alpha > 1e-12
             machines.append((a, b, hists[idx[keep]], alpha[keep] * y[keep]))
     return AppearanceModel(gamma=gamma, trained_labels=tuple(present),
                            machines=tuple(machines), vocab_size=vocab_size,
-                           sweep_capped=capped)
+                           max_duality_gap=max(gaps, default=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,10 @@ def train_esvm(positive: np.ndarray, negatives: list[np.ndarray] | np.ndarray,
     With the signed rows X = [positive; -negatives] the energy is a linear
     SVM with C = (lam1, lam2, ..., lam2) per row, whose dual is the box QP
     min 0.5 a'(XX')a - sum(a), 0 <= a <= C, solved by
-    ``kernels.solve_box_qp``; then w = X'a. The trace holds the best primal
+    ``kernels.solve_box_qp``; then w = X'a. Identical negatives are merged
+    first into one row whose C is lam2 times their count: the energy of
+    every w is the same, so is its minimiser, and the Gram matrix has no
+    repeated rows, which would make it singular. The trace holds the best primal
     energy seen up to each solver iteration plus one entry that also counts
     the returned ``w``, so it is never empty. The solve is deterministic;
     ``seed`` is unused.
@@ -159,10 +162,12 @@ def train_esvm(positive: np.ndarray, negatives: list[np.ndarray] | np.ndarray,
     if lam1 <= 0 or lam2 <= 0:
         raise MalformedInputError("regularization weights must be positive")
     pos = np.asarray(positive, dtype=np.float64)
-    x = np.vstack([pos, -negs])
+    copies: dict[bytes, list[int]] = {}
+    for i, row in enumerate(negs):
+        copies.setdefault(row.tobytes(), []).append(i)
+    x = np.vstack([pos, -negs[[rows[0] for rows in copies.values()]]])
     gram = x @ x.T
-    c = np.full(x.shape[0], lam2)
-    c[0] = lam1
+    c = np.array([lam1] + [lam2 * len(rows) for rows in copies.values()])
     energies = []
 
     def record(a):

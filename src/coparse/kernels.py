@@ -2,14 +2,15 @@
 
 HOG cell accumulation and sliding-window template scoring are vectorized
 with ``np.bincount`` and strided matrix products; the multicut objective is
-scored over a node-major table of assignments at once, whether the table
-holds every set partition (the oracle, looped over edge by edge once it is
-wide) or one column (a rounded LP point of the solver, summed by one
-``np.cumsum``: the same additions in the same order); Dinic max-flow is a plain Python loop
-(Phase II, where it runs, is a small share of a run); the box-constrained
-SVM dual that trains each exemplar is solved by L-BFGS-B. The tests check
-the vectorized kernels against straightforward reference loops, Dinic
-through flow/cut duality and the dual solver through its duality gap.
+scored over a node-major table of assignments at once, one pass over the
+columns per edge and per mask, whether the table holds every set partition
+(the oracle) or one column (a rounded LP point of the solver); Dinic
+max-flow is a plain Python loop (Phase II, where it runs, is a small share
+of a run); the box-constrained dual of both SVMs, the exemplar SVMs of
+Phase I and the appearance machines of Phase II, is solved by projected
+Newton. The tests check the vectorized kernels against straightforward
+reference loops, Dinic through flow/cut duality and the dual solver
+through its KKT conditions and duality gap.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
+import scipy.linalg
 
 
 # ---------------------------------------------------------------------------
@@ -67,38 +68,94 @@ def score_windows(blocks, win_by, win_bx, wvec, step):
 # Box-constrained SVM dual
 # ---------------------------------------------------------------------------
 
+def _newton_step(q, g, free):
+    """The Newton step -Q_FF^-1 g_F on the free variables, zero elsewhere,
+    and whether Q_FF was positive definite; where it is not, the
+    least-squares solution of Q_FF d_F = -g_F."""
+    d = np.zeros(g.size)
+    qf, gf = q[np.ix_(free, free)], g[free]
+    try:
+        d[free] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(qf, check_finite=False),
+                                         -gf, check_finite=False)
+        return d, True
+    except np.linalg.LinAlgError:
+        d[free] = np.linalg.lstsq(qf, -gf, rcond=None)[0]
+        return d, False
+
+
+def _projected_search(q, a, f, c, g, d, t):
+    """The first point ``b = clip(a + t d, 0, c)``, halving ``t`` at most 60
+    times, whose objective lies below ``f`` by at least 1e-4 of g'(b - a);
+    returned with its gradient, objective and ``t``, or None."""
+    for _ in range(60):
+        b = np.clip(a + t * d, 0.0, c)
+        qb = q @ b
+        fb = 0.5 * float(b @ qb) - float(b.sum())
+        if fb < f and fb - f <= 1e-4 * float(g @ (b - a)):
+            return b, qb - 1.0, fb, t
+        t *= 0.5
+    return None
+
+
 def solve_box_qp(q, c, callback=None):
-    """Minimise 0.5 a'Qa - sum(a) subject to 0 <= a <= c by L-BFGS-B.
+    """Minimise f(a) = 0.5 a'Qa - sum(a) subject to 0 <= a <= c by projected
+    Newton (Bertsekas, SIAM J. Control Optim. 1982).
 
     This is the dual of a bias-free hinge-loss SVM with a C per sample:
     ``Q[i, j] = y_i y_j k(x_i, x_j)`` and the primal weights are
     ``w = sum_i a_i y_i phi(x_i)``, so ``(Qa)_i`` is sample i's margin.
-    ``callback(a)`` sees each iterate. Returns ``a`` and the duality gap
-    ``P(w) - D(a)``, which bounds how far ``w`` is from the primal optimum
-    of ``P(w) = 0.5 |w|^2 + sum_i c_i max(0, 1 - (Qa)_i)``; it is never
-    negative in exact arithmetic, so rounding below 0 is reported as 0.
+    ``callback(a)`` sees each accepted iterate. Returns ``a`` and the duality
+    gap ``P(w) - D(a)``, which bounds how far ``w`` is from the primal
+    optimum of ``P(w) = 0.5 |w|^2 + sum_i c_i max(0, 1 - (Qa)_i)``; it is
+    never negative in exact arithmetic, so rounding below 0 is reported as 0.
 
-    On ill-conditioned Q, L-BFGS-B can stop after a stalled iteration far
-    from the optimum. So it is restarted from where it stopped, with a
-    fresh curvature memory, for as long as a restart still lowers the
-    objective by more than 1e-10 of its size; the last restart's point is
-    kept only if it did.
+    Each iteration frees every variable but those at a bound that the
+    gradient pushes against, and takes the Newton step on the free ones;
+    a free variable at a bound that the step would push out of the box is
+    fixed too, and the step solved again. The step's projected path
+    ``clip(a + t d, 0, c)`` is searched from t = 1 by halving. Where the
+    free block is singular the step is its least-squares solution, and
+    where no point of the path lowers f, the projected gradient's path is
+    searched from the ray's exact minimiser. The solve ends when a full,
+    unclipped Newton step leaves the free set as it was, so the iterate
+    minimises f on its face and satisfies the KKT conditions, or when
+    neither path lowers f as computed.
     """
     q = np.asarray(q, dtype=np.float64)
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), q.shape[:1])
-
-    def dual(a):
-        qa = q @ a
-        return 0.5 * float(a @ qa) - float(a.sum()), qa - 1.0
-
-    a, f = np.zeros(c.size), 0.0
+    a, g, f = np.zeros(c.size), -np.ones(c.size), 0.0
+    solved = None
     while True:
-        res = minimize(dual, a, jac=True, method="L-BFGS-B",
-                       bounds=Bounds(0.0, c), callback=callback,
-                       options={"ftol": 1e-15, "gtol": 1e-12})
-        if not res.fun < f - 1e-10 * max(1.0, abs(f)):
+        movable = ~(((a <= 0.0) & (g > 0.0)) | ((a >= c) & (g < 0.0)))
+        free = movable.copy()
+        while True:
+            d, exact = _newton_step(q, g, free)
+            out = free & (((a <= 0.0) & (d < 0.0)) | ((a >= c) & (d > 0.0)))
+            if not out.any():
+                break
+            free &= ~out
+        if solved is not None and np.array_equal(free, solved):
             break
-        a, f = res.x, res.fun
+        step = _projected_search(q, a, f, c, g, d, 1.0)
+        solved = (free if step is not None and exact and step[3] == 1.0
+                  and np.array_equal(step[0], a + d) else None)
+        if step is None:
+            d = np.where(movable, -g, 0.0)
+            if not d.any():
+                break
+            # from the ray's exact minimiser, or from where the ray has
+            # crossed the whole box if that comes first: the path stops there
+            dqd = float(d @ (q @ d))
+            t = float(np.divide(np.where(d > 0.0, c - a, a), np.abs(d),
+                                out=np.zeros(d.size), where=d != 0.0).max())
+            if dqd > 0.0:
+                t = min(t, float(d @ d) / dqd)
+            step = _projected_search(q, a, f, c, g, d, t)
+            if step is None:
+                break
+        a, g, f = step[:3]
+        if callback is not None:
+            callback(a)
     qa = q @ a
     gap = float(a @ qa) - float(a.sum()) + float(c @ np.maximum(0.0, 1.0 - qa))
     return a, max(gap, 0.0)
@@ -183,11 +240,6 @@ def dinic(n, s, t, ptr, adj_arc, arc_to, cap):
 # Multicut objective over a table of assignments (oracle scan, rounded points)
 # ---------------------------------------------------------------------------
 
-# widest table multicut_objectives sums with one cumsum: a single column, or
-# the oracle's whole table for n <= 5 (Bell(5) = 52)
-NARROW_COLUMNS = 64
-
-
 @functools.cache
 def rgs_table(n):
     """Every restricted-growth string of length ``n``, in lexicographic order.
@@ -223,23 +275,9 @@ def multicut_objectives(table, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_
     region. Terms are added edge by edge, then mask by mask, in the order
     given, so an assignment gets the same bits in any table.
 
-    A table of at most ``NARROW_COLUMNS`` columns (one rounded LP point, or
-    the oracle's table for n <= 5) is summed by one ``np.cumsum`` down a
-    (1 + edges + masks, K) array of its terms, a zero for each edge or mask
-    that does not count: the same additions in the same order, since adding
-    zero leaves a sum unchanged. A wider table (the oracle's) loops over the edges and masks,
-    each step one pass over the columns, and never holds that array.
+    Each step is one pass over the columns, so no (edges, columns) array
+    is held.
     """
-    if table.shape[1] <= NARROW_COLUMNS:
-        rows = table[mask_ids]
-        same = np.logical_and.reduceat(
-            rows == np.repeat(rows[mask_ptr[:-1]], np.diff(mask_ptr), axis=0),
-            mask_ptr[:-1], axis=0) if mask_h.size else np.empty((0, table.shape[1]), bool)
-        terms = np.concatenate([
-            np.zeros((1, table.shape[1])),
-            np.where(table[edge_u] == table[edge_v], edge_w[:, None], 0.0),
-            np.where(same, -mask_h[:, None], 0.0)])
-        return np.cumsum(terms, axis=0)[-1]
     obj = np.zeros(table.shape[1], np.float64)
     for e in range(edge_u.shape[0]):
         np.add(obj, edge_w[e], out=obj, where=table[edge_u[e]] == table[edge_v[e]])

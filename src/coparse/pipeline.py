@@ -10,20 +10,16 @@ same run already did, and builds each image's HOG pyramid and superpixel
 graph once. A command builds each image's appearance maps once
 (``build_maps``) and hands them to the ground-truth rows, Phase I and
 Phase II. Phase II builds one multi-image graph over the whole batch and
-minimizes it with alpha-expansion. ``cross_validate`` trains every fold's
-label model in one forked worker process while the parent runs the folds'
-Phase I, since a label model reads only training ground truth and Phase I
-only the test images. Metric conventions: aPA
+minimizes it with alpha-expansion. ``cross_validate`` runs the folds one
+after another, each training its label model on its training ground truth
+and running both phases on its test images. Metric conventions: aPA
 averages pixel accuracy per image; mAGR is the macro mean over labels of
 per-image recall, skipping images that lack the label.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import zlib
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -31,7 +27,7 @@ import numpy as np
 from . import colabel, esvm, features, grouping
 from .colabel import LabelModel
 from .core import BACKGROUND, ImageRecord, Partition, Region, label_components, regions_of
-from .errors import ConfigError, MalformedInputError, SolverError
+from .errors import ConfigError, MalformedInputError
 from .graphcut import alpha_expansion
 from .io import Corpus, dataclass_from_json, read_json
 
@@ -380,6 +376,7 @@ class Phase2Result:
     overruled_vertices: int
     overruled_pixels: int
     exterior_edges: int      # cross-image edges the propagations built
+    move_energies: tuple[float, ...]   # the energy after every accepted expansion move
 
     def counters(self) -> dict:
         """What the run did, under the names ``run-meta.json`` gives it."""
@@ -387,7 +384,8 @@ class Phase2Result:
                 "phase2_truncated_terms": self.truncated_terms,
                 "phase2_overruled_vertices": self.overruled_vertices,
                 "phase2_overruled_pixels": self.overruled_pixels,
-                "phase2_exterior_edges": self.exterior_edges}
+                "phase2_exterior_edges": self.exterior_edges,
+                "phase2_move_energies": list(self.move_energies)}
 
 
 def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
@@ -430,7 +428,8 @@ def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
                         overruled_vertices=int(overruled.size),
                         overruled_pixels=sum(int(graph.vertex_regions[v].area)
                                              for v in overruled),
-                        exterior_edges=len(graph.exterior_edges))
+                        exterior_edges=len(graph.exterior_edges),
+                        move_energies=result.move_energies)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +488,8 @@ class FoldOutcome:
     metrics: Metrics
     phase1_iterations: int
     phase1_converged: bool
-    # the fold's Phase I and Phase II counters and its label model's
-    # sweep-capped machines, as ``coparse run`` writes them; no timings
+    # the fold's Phase I and Phase II counters and its label model's largest
+    # duality gap, as ``coparse run`` writes them; no timings
     counters: dict
 
 
@@ -504,53 +503,32 @@ class CrossValidationResult:
     label_maps: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
 
 
-def _fold_model(vocabulary: tuple[str, ...], rows) -> LabelModel:
-    """``train_label_model`` looked up when called: the pool pickles this
-    function by name, which works even while ``train_label_model`` is
-    replaced by a closure (as a tracer does)."""
-    return train_label_model(vocabulary, rows)
-
-
 def cross_validate(corpus: Corpus, config: Config) -> CrossValidationResult:
     """Each image's maps and ground-truth rows are built once per call, up
-    front, so an image without ground truth fails before any fold runs.
-
-    A fold's label model reads only its training rows and its Phase I only
-    its test images, so the models train in one forked worker process while
-    the parent runs Phase I, and each fold's Phase II waits only for its own
-    model. If the worker dies, a ``SolverError`` says so; a package error
-    raised in it reaches the caller with its own type. On any error the
-    models not yet started are dropped and the worker is joined.
-    """
+    front, so an image without ground truth fails before any fold runs; each
+    fold then trains its label model on its training rows and labels its
+    test images."""
     ids = [rec.id for rec in corpus.images]
     assignment = fold_assignment(ids, config.fold_count, config.seed)
     maps = build_maps(corpus.images)
     # with at least two folds every image trains some fold
     rows = {rec.id: ground_truth_rows(rec, maps[rec.id]) for rec in corpus.images}
-    pool = ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
-    try:
-        models = [pool.submit(_fold_model, corpus.vocabulary,
-                              [rows[i] for i in sorted(ids) if assignment[i] != fold])
-                  for fold in range(config.fold_count)]
-        outcomes = []
-        label_maps: dict[str, np.ndarray] = {}
-        for fold in range(config.fold_count):
-            test_ids = sorted(i for i in ids if assignment[i] == fold)
-            phase1 = run_cosegmentation(corpus, config, maps, test_ids)
-            model = models[fold].result()
-            phase2 = run_colabeling(corpus, phase1, model, config, maps, test_ids)
-            metrics = evaluate(phase2.label_maps, corpus, test_ids)
-            label_maps.update(phase2.label_maps)
-            outcomes.append(FoldOutcome(
-                fold=fold, test_ids=tuple(test_ids), metrics=metrics,
-                phase1_iterations=phase1.iteration_count,
-                phase1_converged=phase1.converged,
-                counters={**phase1.counters(), **phase2.counters(),
-                          "label_model_sweep_capped_machines": model.appearance.sweep_capped}))
-    except BrokenProcessPool as exc:
-        raise SolverError(f"label model worker stopped: {exc}") from exc
-    finally:
-        pool.shutdown(cancel_futures=True)
+    outcomes = []
+    label_maps: dict[str, np.ndarray] = {}
+    for fold in range(config.fold_count):
+        test_ids = sorted(i for i in ids if assignment[i] == fold)
+        model = train_label_model(corpus.vocabulary,
+                                  [rows[i] for i in sorted(ids) if assignment[i] != fold])
+        phase1 = run_cosegmentation(corpus, config, maps, test_ids)
+        phase2 = run_colabeling(corpus, phase1, model, config, maps, test_ids)
+        metrics = evaluate(phase2.label_maps, corpus, test_ids)
+        label_maps.update(phase2.label_maps)
+        outcomes.append(FoldOutcome(
+            fold=fold, test_ids=tuple(test_ids), metrics=metrics,
+            phase1_iterations=phase1.iteration_count,
+            phase1_converged=phase1.converged,
+            counters={**phase1.counters(), **phase2.counters(),
+                      "label_model_max_duality_gap": model.appearance.max_duality_gap}))
     apas = np.array([o.metrics.apa for o in outcomes])
     magrs = np.array([o.metrics.magr for o in outcomes])
     return CrossValidationResult(

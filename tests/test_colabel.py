@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coparse import colabel, features, graphcut
+from coparse import colabel, features, graphcut, kernels
 from coparse.core import Partition, PropagationRecord, Region, label_components, regions_of
 from coparse.errors import ConfigError, MalformedInputError, UnknownLabelError
 from coparse.pipeline import Config, build_maps
@@ -83,29 +83,27 @@ class TestAppearance:
                 correct += int(np.argmax(model.votes(t)) == label)
         assert correct == 40
 
-    def test_machines_at_sweep_cap_counted(self, monkeypatch):
+    def test_max_duality_gap_over_machines(self, monkeypatch):
         rng = np.random.default_rng(2)
         hists = np.vstack([random_histograms(rng, 12, [0, 1, 2]),
                            random_histograms(rng, 12, [0, 1, 30]),
                            random_histograms(rng, 12, [30, 31, 32])])
         labels = np.repeat([0, 1, 2], 12)
-        capped = []
-        ascent = colabel._dual_coordinate_ascent
+        gaps = []
+        solve = kernels.solve_box_qp
 
-        def recorded(kernel, y, c):
-            alpha, hit = ascent(kernel, y, c, max_sweeps=3)
-            capped.append(hit)
-            return alpha, hit
+        def recorded(q, c):
+            alpha, gap = solve(q, c)
+            gaps.append(gap)
+            return alpha, gap
 
-        monkeypatch.setattr(colabel, "_dual_coordinate_ascent", recorded)
+        monkeypatch.setattr(kernels, "solve_box_qp", recorded)
         model = colabel.train_appearance(hists, labels, vocab_size=3)
-        assert len(capped) == 3 and any(capped)
-        assert model.sweep_capped == sum(capped)
-        # one sweep over a single sample reaches its optimum; the second
-        # moves nothing, which ends the loop before its cap
-        kernel, y = np.ones((1, 1)), np.ones(1)
-        assert ascent(kernel, y, 10.0, max_sweeps=2)[1] is False
-        assert ascent(kernel, y, 10.0, max_sweeps=1)[1] is True
+        assert len(gaps) == 3
+        assert model.max_duality_gap == max(gaps) <= 1e-9
+        # one trained label has no machine
+        one = colabel.train_appearance(hists[:12], labels[:12], vocab_size=3)
+        assert one.machines == () and one.max_duality_gap == 0.0
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5))

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
-from scipy.optimize import OptimizeResult
 
 from coparse import esvm, features, kernels, pipeline, synthgen
 from coparse.core import Partition, PropagationRecord, label_components, regions_of
@@ -153,17 +152,46 @@ class TestTraining:
         assert trace[-1] <= res.energy
 
     def test_trace_kept_when_solver_stops_at_start(self, monkeypatch):
-        def stop_at_start(fun, x0, **kwargs):
-            return OptimizeResult(x=np.asarray(x0, dtype=np.float64), fun=fun(x0)[0],
-                                  nit=0, success=True)
+        def stop_at_start(q, c, callback=None):
+            # no accepted iterate, so the callback never runs
+            a = np.zeros(len(c))
+            return a, float(c.sum())
 
-        monkeypatch.setattr(kernels, "minimize", stop_at_start)
+        monkeypatch.setattr(kernels, "solve_box_qp", stop_at_start)
         negs = np.random.default_rng(5).standard_normal((30, 20))
         res = esvm.train_esvm(np.ones(20), negs, 0.5, 0.01)
         assert not res.w.any()
         assert res.best_energy_trace.tolist() == [res.energy]
         assert res.energy == pytest.approx(0.5 + 0.01 * 30)
         assert res.duality_gap == pytest.approx(0.5 + 0.01 * 30)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_negatives_merged_with_their_count(self, seed, monkeypatch):
+        # build_exemplar's shape: 200 negatives, a third of them repeats
+        pos, negs, lam1, lam2 = _training_instance(2 * seed)
+        rng = np.random.default_rng(seed)
+        negs = np.vstack([negs[:134], negs[rng.integers(0, 134, size=66)]])
+        negs = negs[rng.permutation(len(negs))]
+        sizes = []
+        solve = kernels.solve_box_qp
+
+        def recorded(q, c, callback=None):
+            sizes.append((len(c), float(c[1:].sum())))
+            return solve(q, c, callback)
+
+        monkeypatch.setattr(kernels, "solve_box_qp", recorded)
+        res = esvm.train_esvm(pos, negs, lam1, lam2)
+        # one dual variable per distinct negative, each with C = lam2 * count
+        assert sizes == [(1 + 134, pytest.approx(lam2 * 200))]
+        assert res.energy == esvm.esvm_energy(res.w, pos, negs, lam1, lam2)
+        assert 0.0 <= res.duality_gap <= 1e-9
+        # the same optimum as the solve over every row
+        monkeypatch.undo()
+        unmerged = kernels.solve_box_qp(
+            np.vstack([pos, -negs]) @ np.vstack([pos, -negs]).T,
+            np.array([lam1] + [lam2] * len(negs)))[0]
+        w = np.vstack([pos, -negs]).T @ unmerged
+        assert res.energy <= esvm.esvm_energy(w, pos, negs, lam1, lam2) + 1e-9
 
 
 def logistic_refit_data(alpha, beta, seed, n_points=50, per_point=10):

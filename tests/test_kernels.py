@@ -100,7 +100,9 @@ def _svm_dual_instance(rng):
 
 
 def _dual_coordinate_ascent_numpy(kernel, y, c, max_sweeps=200):
-    """The dual loop on numpy arrays, updating f by a whole kernel column."""
+    """Coordinate ascent on the SVM dual, one variable at a time, for at most
+    ``max_sweeps`` sweeps: the reference whose dual objective
+    ``kernels.solve_box_qp`` must reach."""
     n = y.size
     alpha = np.zeros(n)
     f = np.zeros(n)
@@ -119,21 +121,6 @@ def _dual_coordinate_ascent_numpy(kernel, y, c, max_sweeps=200):
     return alpha, True
 
 
-class TestDualCoordinateAscent:
-    @settings(derandomize=True, deadline=None, max_examples=40)
-    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 5, 200]), st.booleans())
-    def test_equals_numpy_loop(self, seed, max_sweeps, asymmetric):
-        k, y, c = _svm_dual_instance(np.random.default_rng(seed))
-        if asymmetric:
-            # the loop reads columns, so a kernel that is not symmetric tells
-            # columns from rows
-            k = k * np.random.default_rng(seed + 1).uniform(0.9, 1.1, size=k.shape)
-        alpha, capped = colabel._dual_coordinate_ascent(k, y, c, max_sweeps)
-        ref_alpha, ref_capped = _dual_coordinate_ascent_numpy(k, y, c, max_sweeps)
-        assert alpha.dtype == ref_alpha.dtype and alpha.tobytes() == ref_alpha.tobytes()
-        assert capped is ref_capped
-
-
 class TestSolveBoxQP:
     def test_reaches_coordinate_ascent_dual_objective(self):
         rng = np.random.default_rng(11)
@@ -141,7 +128,7 @@ class TestSolveBoxQP:
             k, y, c = _svm_dual_instance(rng)
             q = k * np.outer(y, y)
             alpha, gap = kernels.solve_box_qp(q, c)
-            reference, _ = colabel._dual_coordinate_ascent(k, y, c)
+            reference, _ = _dual_coordinate_ascent_numpy(k, y, c)
             dual = alpha.sum() - 0.5 * alpha @ q @ alpha
             dual_ref = reference.sum() - 0.5 * reference @ q @ reference
             # equal optima may differ in the last bits of their evaluation
@@ -152,9 +139,8 @@ class TestSolveBoxQP:
             assert gap == pytest.approx(max(primal - dual, 0.0), abs=1e-12)
 
     def test_reaches_coordinate_ascent_dual_objective_on_cv_models(self, monkeypatch):
-        # the label models of folds 3 and 4 of the seed-42 10-fold CV each hold
-        # a machine (labels 1 and 3) on which a single L-BFGS-B run stalls far
-        # from the optimum
+        # the appearance machines of folds 3 and 4 of the seed-42 10-fold CV,
+        # on which the reference ascent stops at its 200-sweep cap
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=42), 20)
         ids = [rec.id for rec in corpus.images]
         folds = pipeline.fold_assignment(ids, 10, 42)
@@ -178,11 +164,38 @@ class TestSolveBoxQP:
                     k = np.exp(-gamma * dists[np.ix_(idx, idx)])
                     q = k * np.outer(y, y)
                     alpha, _ = kernels.solve_box_qp(q, 10.0)
-                    reference, _ = colabel._dual_coordinate_ascent(k, y, 10.0)
+                    reference, _ = _dual_coordinate_ascent_numpy(k, y, 10.0)
                     assert (alpha.sum() - 0.5 * alpha @ q @ alpha
                             >= reference.sum() - 0.5 * reference @ q @ reference), (a, b)
                     checked += 1
         assert checked >= 20
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 12),
+           st.integers(0, 5))
+    def test_optimal_on_random_psd_matrices(self, seed, rows, dim, copies):
+        # the Gram matrix of random signed rows, singular when there are
+        # fewer feature dimensions than rows or some rows repeat
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, dim)) * rng.uniform(0.1, 3.0)
+        x = np.vstack([x, x[rng.integers(0, rows, size=copies)]])
+        q = x @ x.T
+        c = rng.choice([0.01, 0.1, 1.0, 10.0], size=len(x)) * rng.uniform(0.5, 2.0, len(x))
+        iterates = []
+        alpha, gap = kernels.solve_box_qp(q, c, callback=iterates.append)
+        assert ((alpha >= 0.0) & (alpha <= c)).all()
+        # KKT: no variable can lower f by moving into the box
+        grad = q @ alpha - 1.0
+        assert (grad[alpha < c] >= -1e-9).all() and (grad[alpha > 0.0] <= 1e-9).all()
+        margins = q @ alpha
+        primal = 0.5 * alpha @ margins + c @ np.maximum(0.0, 1.0 - margins)
+        dual = alpha.sum() - 0.5 * alpha @ margins
+        assert gap == pytest.approx(max(primal - dual, 0.0), abs=1e-12)
+        assert gap <= 1e-9
+        # the callback saw the returned point last, and f fell at every step
+        assert iterates == [] or iterates[-1].tobytes() == alpha.tobytes()
+        objectives = [0.0] + [0.5 * float(a @ (q @ a)) - float(a.sum()) for a in iterates]
+        assert all(b < a for a, b in zip(objectives, objectives[1:]))
 
     def test_per_sample_bounds(self):
         # orthogonal signed rows of norm 2 decouple into min 2a^2 - a, a <= c:
@@ -255,10 +268,10 @@ class TestMulticutObjectives:
 
 
     @pytest.mark.parametrize("seed", [8, 9])
-    def test_narrow_and_wide_tables_give_the_same_bits(self, seed, monkeypatch):
-        # the cumsum over a narrow table and the per-edge loop over a wide
-        # one add the same terms in the same order; zero rewards and edge
-        # weights d - theta are included
+    def test_narrow_and_wide_tables_give_the_same_bits(self, seed):
+        # a column scores the same bits alone, as the solver passes a
+        # rounded point, as in a wide table, as the oracle passes every
+        # partition; zero rewards and edge weights d - theta are included
         rng = np.random.default_rng(seed)
         for _ in range(40):
             n = int(rng.integers(1, 12))
@@ -268,13 +281,10 @@ class TestMulticutObjectives:
                                           terms[5]),)
             table = rng.integers(0, n, size=(n, int(rng.integers(0, 200)))).astype(
                 rng.choice([np.int8, np.int32, np.int64]))
-            got = {}
-            for columns in (table.shape[1], -1):
-                monkeypatch.setattr(kernels, "NARROW_COLUMNS", columns)
-                got[columns] = kernels.multicut_objectives(table, *terms)
-            assert got[table.shape[1]].tobytes() == got[-1].tobytes()
-            # each column alone, as the local search's rescoring takes it
-            monkeypatch.undo()
+            whole = kernels.multicut_objectives(table, *terms)
             for k in range(min(table.shape[1], 5)):
                 one = kernels.multicut_objectives(table[:, k:k + 1], *terms)
-                assert one.tobytes() == got[-1][k:k + 1].tobytes()
+                assert one.tobytes() == whole[k:k + 1].tobytes()
+            cut = int(rng.integers(0, table.shape[1] + 1))
+            assert (kernels.multicut_objectives(table[:, cut:], *terms).tobytes()
+                    == whole[cut:].tobytes())

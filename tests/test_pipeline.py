@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import zlib
 from dataclasses import fields, replace
 
@@ -382,7 +381,7 @@ class TestCrossValidate:
         colabeling = pipeline.run_colabeling
 
         def recorded_colabeling(corpus, phase1, model, *args):
-            # Phase II runs in the parent and takes each fold's model there
+            # the model each fold's Phase II takes
             trained.append(model)
             return colabeling(corpus, phase1, model, *args)
 
@@ -406,28 +405,27 @@ class TestCrossValidate:
             for name in ("location_mean", "location_cov", "cooccurrence"):
                 assert getattr(model, name).tobytes() == getattr(alone, name).tobytes()
 
-    def test_train_label_model_replaced_by_a_closure(self, monkeypatch, tmp_path):
-        """A tracer replaces ``train_label_model`` with a closure, which cannot
-        be pickled; the forked worker still calls it, once per fold."""
+    def test_train_label_model_replaced_by_a_closure(self, monkeypatch):
+        """A tracer replaces ``train_label_model`` with a closure; the CV calls
+        the replacement, once per fold, and its results are unchanged."""
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=21), 4)
         config = pipeline.Config(seed=21, fold_count=2)
         plain = pipeline.cross_validate(corpus, config)
-        calls = tmp_path / "calls"
+        calls = []
         train = pipeline.train_label_model
 
         def wrapped(vocabulary, rows):
-            with open(calls, "a") as f:
-                f.write(f"{len(rows)}\n")
+            calls.append(len(rows))
             return train(vocabulary, rows)
 
         monkeypatch.setattr(pipeline, "train_label_model", wrapped)
         traced = pipeline.cross_validate(corpus, config)
-        assert calls.read_text().split() == ["2", "2"]
+        assert calls == [2, 2]
         assert traced.folds == plain.folds
         for key in plain.label_maps:
             assert traced.label_maps[key].tobytes() == plain.label_maps[key].tobytes()
 
-    def test_worker_package_error_keeps_its_type(self, monkeypatch):
+    def test_label_model_package_error_keeps_its_type(self, monkeypatch):
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=21), 4)
 
         def no_fit(*_args):
@@ -438,6 +436,8 @@ class TestCrossValidate:
             pipeline.cross_validate(corpus, pipeline.Config(seed=21, fold_count=2))
 
     def test_failed_fold_leaves_no_worker(self, monkeypatch):
+        """A fold's solver error reaches the caller with its type, and no
+        process is left behind (the autouse fixture checks that)."""
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=21), 6)
 
         def failing(*_args):
@@ -446,7 +446,6 @@ class TestCrossValidate:
         monkeypatch.setattr(grouping, "solve_multicut", failing)
         with pytest.raises(SolverError, match="fold 0 fails"):
             pipeline.cross_validate(corpus, pipeline.Config(seed=21, fold_count=3))
-        assert multiprocessing.active_children() == []
 
 
 class TestFeaturesBuiltOncePerCall:
