@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__, esvm, grouping, io, pipeline, synthgen
-from .core import Partition, regions_of
+from .core import Partition, Region, regions_of
 from .errors import ConfigError, CoparseError, DataError
 
 
@@ -111,8 +111,9 @@ def cmd_esvm(args) -> int:
     return 0
 
 
-def _partitions_from_dir(corpus, phase1_dir: Path) -> dict[str, Partition]:
-    partitions = {}
+def _regions_from_dir(corpus, phase1_dir: Path) -> dict[str, list[Region]]:
+    """Each image's regions, from the region map ``esvm`` wrote for it."""
+    regions = {}
     for image in corpus.images:
         path = phase1_dir / f"{image.id}.regions.pgm"
         region_map = io.read_pgm(path)
@@ -125,8 +126,8 @@ def _partitions_from_dir(corpus, phase1_dir: Path) -> dict[str, Partition]:
         split = sp[assignment[sp] != region_map]
         if split.size:
             raise DataError(f"{path}: superpixel {int(split[0])} lies in more than one region")
-        partitions[image.id] = Partition.from_assignment(assignment)
-    return partitions
+        regions[image.id] = regions_of(image, Partition.from_assignment(assignment))
+    return regions
 
 
 def _phase1_records(phase1_dir: Path, corpus) -> list[list]:
@@ -155,11 +156,11 @@ def _phase1_records(phase1_dir: Path, corpus) -> list[list]:
 def cmd_colabel(args) -> int:
     corpus, config, out = _inputs(args)
     phase1_dir = Path(args.phase1)
-    partitions = _partitions_from_dir(corpus, phase1_dir)
+    regions = _regions_from_dir(corpus, phase1_dir)
     exemplars, propagations = _phase1_records(phase1_dir, corpus)
     for exemplar in exemplars:
         image_id, index = exemplar.source_region
-        if image_id not in partitions or not 0 <= index < partitions[image_id].k:
+        if image_id not in regions or not 0 <= index < len(regions[image_id]):
             raise DataError(f"{phase1_dir / 'exemplars.jsonl'}: exemplar {exemplar.id!r} has "
                             f"no source region {index} in image {image_id!r}")
     exemplar_ids = {exemplar.id for exemplar in exemplars}
@@ -179,11 +180,8 @@ def cmd_colabel(args) -> int:
     model = pipeline.train_label_model(
         train_corpus.vocabulary,
         [pipeline.ground_truth_rows(r, train_maps[r.id]) for r in train_corpus.images])
-    regions = {image.id: regions_of(image, partitions[image.id]) for image in corpus.images}
-    phase1 = pipeline.Phase1Result(partitions=partitions, regions=regions, exemplars=exemplars,
-                                   propagations=propagations, iteration_count=0,
-                                   converged=True, fixed_point=True)
-    phase2 = pipeline.run_colabeling(corpus, phase1, model, config, maps)
+    phase2 = pipeline.run_colabeling(corpus, regions, exemplars, propagations, model, config,
+                                     maps)
     for image_id, label_map in sorted(phase2.label_maps.items()):
         io.write_pgm16(out / f"{image_id}.labels.pgm", label_map)
     _dump_json(out / "energy.json", {
@@ -204,10 +202,11 @@ def cmd_run(args) -> int:
     model = pipeline.train_label_model(
         corpus.vocabulary, [pipeline.ground_truth_rows(rec, maps[rec.id]) for rec in labeled])
     phase1 = pipeline.run_cosegmentation(corpus, config, maps)
-    phase2 = pipeline.run_colabeling(corpus, phase1, model, config, maps)
+    phase2 = pipeline.run_colabeling(corpus, phase1.regions, phase1.exemplars,
+                                     phase1.propagations, model, config, maps)
     for image_id, label_map in sorted(phase2.label_maps.items()):
         io.write_pgm16(out / f"{image_id}.labels.pgm", label_map)
-    metrics = pipeline.evaluate(phase2.label_maps, corpus, [rec.id for rec in labeled])
+    metrics = pipeline.evaluate(phase2.label_maps, replace(corpus, images=tuple(labeled)))
     _dump_json(out / "metrics.json", metrics.to_dict())
     _dump_json(out / "run-meta.json", _run_meta(config, {
         **phase1.counters(),

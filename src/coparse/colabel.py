@@ -23,7 +23,7 @@ import numpy as np
 from . import features, kernels
 from .core import (BACKGROUND, ImageRecord, Region, labels_under_mask, region_moments,
                    superpixel_adjacency)
-from .errors import ConfigError, InsufficientDataError, UnknownLabelError
+from .errors import InsufficientDataError, UnknownLabelError
 from .graphcut import LabelingProblem
 
 WIDE_PRIOR_VARIANCE = 0.25   # location prior for labels unseen in training
@@ -214,15 +214,11 @@ def unary_energies(votes: np.ndarray, location: np.ndarray,
 
 
 def pair_appearance(chi2: float, cands_m: np.ndarray, cands_n: np.ndarray,
-                    mode: str, beta_pair: float) -> np.ndarray:
+                    beta_pair: float) -> np.ndarray:
     """Raw (pre-shift) appearance term of an interior or exterior edge, per
-    candidate pair."""
+    candidate pair: 0 for equal labels, beta_pair * exp(-chi2) otherwise."""
     same = cands_m[:, None] == cands_n[None, :]
-    if mode == "literal":
-        return np.where(same, chi2, 0.0)
-    if mode == "smoothing":
-        return np.where(same, 0.0, beta_pair * float(np.exp(-chi2)))
-    raise ConfigError(f"unknown pairwise mode {mode!r}")
+    return np.where(same, 0.0, beta_pair * float(np.exp(-chi2)))
 
 
 def _shift_clamp(table: np.ndarray, e_max: float) -> np.ndarray:
@@ -231,14 +227,14 @@ def _shift_clamp(table: np.ndarray, e_max: float) -> np.ndarray:
 
 
 def interior_table(model: LabelModel, hist_m: np.ndarray, hist_n: np.ndarray,
-                   cands_m: np.ndarray, cands_n: np.ndarray, mode: str,
+                   cands_m: np.ndarray, cands_n: np.ndarray,
                    beta_pair: float, e_max: float) -> np.ndarray:
     """Appearance minus the pointwise mutual information log psi(a, b) /
     (p(a) p(b)) of the label pair, shifted and clamped; p is the row sum of
     the co-occurrence table psi. Plain -log psi mostly measures how often
     each label occurs, so each edge would pull toward background."""
     appearance = pair_appearance(features.chi_square(hist_m, hist_n), cands_m, cands_n,
-                                 mode, beta_pair)
+                                 beta_pair)
     psi = model.cooccurrence
     p = psi.sum(axis=1)
     pmi = psi[np.ix_(cands_m, cands_n)] / (p[cands_m][:, None] * p[cands_n][None, :])
@@ -247,12 +243,12 @@ def interior_table(model: LabelModel, hist_m: np.ndarray, hist_n: np.ndarray,
 
 def exterior_table(hist_u: np.ndarray, hist_v: np.ndarray,
                    location_u: np.ndarray, location_v: np.ndarray,
-                   cands_u: np.ndarray, cands_v: np.ndarray, mode: str,
+                   cands_u: np.ndarray, cands_v: np.ndarray,
                    beta_pair: float, e_max: float) -> np.ndarray:
     """Both endpoints' location energies (per candidate) plus appearance,
     shifted and clamped."""
     appearance = pair_appearance(features.chi_square(hist_u, hist_v), cands_u, cands_v,
-                                 mode, beta_pair)
+                                 beta_pair)
     return _shift_clamp((location_u[:, None] + location_v[None, :]) + appearance, e_max)
 
 
@@ -287,7 +283,7 @@ def match_propagation_target(mask: np.ndarray, x: int, y: int,
 def build_graph(images: list[ImageRecord], regions: dict[str, list[Region]],
                 propagations, source_regions: dict[str, tuple[str, int]],
                 model: LabelModel, maps: dict[str, features.ImageMaps],
-                mode: str, beta_pair: float, sharpness: float, e_max: float) -> CoLabelGraph:
+                beta_pair: float, sharpness: float, e_max: float) -> CoLabelGraph:
     """Assemble vertices, interior/exterior edges and all energy tables.
 
     ``regions`` holds each image's ``regions_of`` its partition by id;
@@ -339,9 +335,9 @@ def build_graph(images: list[ImageRecord], regions: dict[str, list[Region]],
     exterior = sorted(exterior_set)
 
     edges = [(u, v, interior_table(model, hists[u], hists[v], candidates[u], candidates[v],
-                                   mode, beta_pair, e_max)) for u, v in interior]
+                                   beta_pair, e_max)) for u, v in interior]
     edges += [(u, v, exterior_table(hists[u], hists[v], locations[u], locations[v],
-                                    candidates[u], candidates[v], mode, beta_pair, e_max))
+                                    candidates[u], candidates[v], beta_pair, e_max))
               for u, v in exterior]
 
     problem = LabelingProblem(candidates=tuple(candidates), unary=tuple(unary),

@@ -61,13 +61,8 @@ class Partition:
     def equals(self, other: "Partition") -> bool:
         return np.array_equal(self.assignment, other.assignment)
 
-    def edge_labels(self, pairs: np.ndarray) -> np.ndarray:
-        """Merge indicator per (u, v) pair: 1 iff endpoints share a region."""
-        a = self.assignment
-        return (a[pairs[:, 0]] == a[pairs[:, 1]]).astype(np.int64)
-
     @staticmethod
-    def from_edge_labels(node_count: int, pairs: np.ndarray, merged: np.ndarray) -> "Partition":
+    def from_merged_pairs(node_count: int, pairs: np.ndarray, merged: np.ndarray) -> "Partition":
         """Rebuild a partition as connected components of merged pairs."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)[np.asarray(merged, dtype=bool)]
         # both directions of every merged pair, so the strongly connected

@@ -140,7 +140,7 @@ class TrainResult:
 
 
 def train_esvm(positive: np.ndarray, negatives: list[np.ndarray] | np.ndarray,
-               lam1: float = 0.5, lam2: float = 0.01, seed: int = 0) -> TrainResult:
+               lam1: float = 0.5, lam2: float = 0.01) -> TrainResult:
     """Minimize ``esvm_energy`` exactly through its dual.
 
     With the signed rows X = [positive; -negatives] the energy is a linear
@@ -151,8 +151,7 @@ def train_esvm(positive: np.ndarray, negatives: list[np.ndarray] | np.ndarray,
     every w is the same, so is its minimiser, and the Gram matrix has no
     repeated rows, which would make it singular. The trace holds the best primal
     energy seen up to each solver iteration plus one entry that also counts
-    the returned ``w``, so it is never empty. The solve is deterministic;
-    ``seed`` is unused.
+    the returned ``w``, so it is never empty. The solve is deterministic.
     Features are taken as given; callers wanting a bias append a constant
     coordinate (build_exemplar does).
     """

@@ -248,8 +248,8 @@ class _MulticutSolver:
             local = np.searchsorted(ordered, edge_pairs)
             inside = np.flatnonzero(
                 (ordered[np.minimum(local, ordered.size - 1)] == edge_pairs).all(axis=1))
-            component = Partition.from_edge_labels(ordered.size, local[inside],
-                                                   np.ones(inside.size, dtype=bool)).assignment
+            component = Partition.from_merged_pairs(ordered.size, local[inside],
+                                                    np.ones(inside.size, dtype=bool)).assignment
             _, heads = np.unique(component, return_index=True)
             root = int(ordered[0])
             mask_vars.append(inside.tolist() + [
@@ -437,8 +437,8 @@ class _MulticutSolver:
 
     def _round(self, x: np.ndarray) -> np.ndarray:
         merged = x[:self.n_pairs] >= 0.5
-        return Partition.from_edge_labels(self.instance.node_count, self._pair_array,
-                                          merged).assignment
+        return Partition.from_merged_pairs(self.instance.node_count, self._pair_array,
+                                           merged).assignment
 
     # -- branch and cut --------------------------------------------------------
 

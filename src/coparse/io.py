@@ -28,12 +28,6 @@ class Corpus:
     vocabulary: tuple[str, ...]
     images: tuple[ImageRecord, ...]
 
-    def image_by_id(self, image_id: str) -> ImageRecord:
-        for rec in self.images:
-            if rec.id == image_id:
-                return rec
-        raise DataError(f"no image with id {image_id!r}")
-
 
 def read_json(path, error: type[CoparseError], what: str):
     """The JSON document in the UTF-8 file ``path``; a file that cannot be

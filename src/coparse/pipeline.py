@@ -9,10 +9,13 @@ inputs, so a pass repeats no solve or training that an earlier pass of the
 same run already did, and builds each image's HOG pyramid and superpixel
 graph once. A command builds each image's appearance maps once
 (``build_maps``) and hands them to the ground-truth rows, Phase I and
-Phase II. Phase II builds one multi-image graph over the whole batch and
-minimizes it with alpha-expansion. ``cross_validate`` runs the folds one
-after another, each training its label model on its training ground truth
-and running both phases on its test images. Metric conventions: aPA
+Phase II. Phase II reads three of Phase I's records, each image's final
+regions, the exemplars and their propagations, builds one multi-image graph
+over the corpus from them and minimizes it with alpha-expansion. Every
+driver works on the whole corpus it is given: ``cross_validate`` runs the
+folds one after another, each training its label model on its training
+ground truth and running both phases and the evaluation on the sub-corpus
+of its test images. Metric conventions: aPA
 averages pixel accuracy per image; mAGR is the macro mean over labels of
 per-image recall, skipping images that lack the label.
 """
@@ -50,7 +53,6 @@ class Config:
     tau_sel: float = 0.05
     n_sel: int = 4
     e_max: float = 20.0
-    pairwise_mode: str = "smoothing"
     beta_pair: float = 2.0
     # one-vs-one vote fractions cap at 2/V, so the sigmoid needs to be much
     # sharper than its formula-level default of 4 to spread the appearance
@@ -74,8 +76,6 @@ class Config:
             raise ConfigError("need 0 <= a_min < a_max <= 1")
         if self.tau_sel < 0 or self.e_max <= 0 or self.beta_pair < 0:
             raise ConfigError("tau_sel/e_max/beta_pair out of range")
-        if self.pairwise_mode not in ("smoothing", "literal"):
-            raise ConfigError("pairwise_mode must be 'smoothing' or 'literal'")
         if self.sigmoid_sharpness <= 0:
             raise ConfigError("sigmoid_sharpness must be positive")
         if self.max_phase1_iters < 1 or self.max_sweeps < 1 or self.fold_count < 2:
@@ -108,30 +108,29 @@ class Metrics:
 
 @dataclass(frozen=True)
 class Phase1Result:
-    partitions: dict[str, Partition]
-    regions: dict[str, list[Region]]   # each image's ``regions_of`` its partition
+    regions: dict[str, list[Region]]   # each image's ``regions_of`` its final partition
     exemplars: list[esvm.Exemplar]
     propagations: list
     iteration_count: int
     converged: bool        # terminated before the cap (fixed point or closed orbit)
     fixed_point: bool      # strict consecutive-iteration equality
-    # work done vs. taken from the run's caches; 0 when not computed here
-    multicuts_solved: int = 0
-    multicuts_reused: int = 0
-    exemplars_trained: int = 0
-    exemplars_reused: int = 0
-    exemplars_unplaceable: int = 0     # selected regions whose template fits no pyramid level
-    detections_kept: int = 0           # propagations of the exemplars propagated here
-    esvm_max_duality_gap: float = 0.0   # over the exemplars trained here
-    esvm_degenerate_calibrations: int = 0   # of the exemplars trained here
+    # work done vs. taken from the run's caches
+    multicuts_solved: int
+    multicuts_reused: int
+    exemplars_trained: int
+    exemplars_reused: int
+    exemplars_unplaceable: int     # selected regions whose template fits no pyramid level
+    detections_kept: int           # propagations of the exemplars propagated here
+    esvm_max_duality_gap: float    # over the exemplars trained here; 0 with none
+    esvm_degenerate_calibrations: int   # of the exemplars trained here
     # sums over the multicuts solved here (not the reused ones)
-    multicut_lp_solves: int = 0
-    multicut_nodes: int = 0
-    multicut_cuts: int = 0
-    multicuts_unproven: int = 0        # stopped by the node cap
+    multicut_lp_solves: int
+    multicut_nodes: int
+    multicut_cuts: int
+    multicuts_unproven: int        # stopped by the node cap
     # per iteration, the images whose partition differs from the previous
     # iteration's (every image in the first)
-    images_changed: tuple[int, ...] = ()
+    images_changed: tuple[int, ...]
 
     def counters(self) -> dict:
         """What the run did, under the names ``run-meta.json`` gives it."""
@@ -153,22 +152,6 @@ class Phase1Result:
             "phase1_multicut_cuts": self.multicut_cuts,
             "phase1_multicuts_unproven": self.multicuts_unproven,
         }
-
-
-def _select_images(corpus: Corpus, image_ids: list[str] | None,
-                   purpose: str) -> list[ImageRecord]:
-    """The corpus images named in image_ids (all when None), in corpus order.
-
-    Raises MalformedInputError naming the purpose when none is selected.
-    """
-    if image_ids is None:
-        images = list(corpus.images)
-    else:
-        wanted = set(image_ids)
-        images = [rec for rec in corpus.images if rec.id in wanted]
-    if not images:
-        raise MalformedInputError(f"no images selected for {purpose}")
-    return images
 
 
 def build_maps(images) -> dict[str, features.ImageMaps]:
@@ -242,8 +225,7 @@ def _train_and_propagate(images: list[ImageRecord], regions_by_image: dict[str, 
 
 
 def run_cosegmentation(corpus: Corpus, config: Config,
-                       maps: dict[str, features.ImageMaps],
-                       image_ids: list[str] | None = None) -> Phase1Result:
+                       maps: dict[str, features.ImageMaps]) -> Phase1Result:
     """Iterate grouping/training/propagation until regions stop changing.
 
     The alternation can fall into a short limit cycle instead of a fixed
@@ -255,13 +237,13 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     superpixels, excluded mask) and propagations on (id, region
     superpixels, weights, calibration); theta, the image set, the training
     and the propagation settings are fixed within the call, so a hit
-    returns what the same inputs computed. ``maps`` holds each selected
+    returns what the same inputs computed. ``maps`` holds each corpus
     image's maps by id; each image's superpixel graph and HOG pyramid are
     built once, up front, and read by every iteration (the pyramids by
     detection and by the exemplars' negatives), and its regions are built
     again only in an iteration that changed its partition.
     """
-    images = _select_images(corpus, image_ids, "co-segmentation")
+    images = list(corpus.images)
     graphs = {image.id: grouping.superpixel_graph(image) for image in images}
     pyramids = {image.id: features.hog_pyramid(maps[image.id].luma, config.scales)
                 for image in images}
@@ -291,7 +273,7 @@ def run_cosegmentation(corpus: Corpus, config: Config,
             break
         signature = tuple(partitions[i.id].assignment.tobytes() for i in images)
         # a repeated state closes the orbit; its exemplars are still refreshed
-        # so their source regions exist in the returned partitions
+        # so their source regions exist in the returned regions
         converged = signature in seen
         seen.add(signature)
         previous = partitions
@@ -302,7 +284,7 @@ def run_cosegmentation(corpus: Corpus, config: Config,
         exemplar_count += len(exemplars)
         if converged:
             break
-    return Phase1Result(partitions=previous, regions=regions, exemplars=exemplars,
+    return Phase1Result(regions=regions, exemplars=exemplars,
                         propagations=propagations, iteration_count=iteration,
                         converged=converged, fixed_point=fixed_point,
                         multicuts_solved=len(solved),
@@ -388,21 +370,23 @@ class Phase2Result:
                 "phase2_move_energies": list(self.move_energies)}
 
 
-def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
-                   config: Config, maps: dict[str, features.ImageMaps],
-                   image_ids: list[str] | None = None) -> Phase2Result:
-    """Joint MAP labeling of the whole batch, painted back to label maps;
-    ``maps`` holds each selected image's maps by id."""
-    images = _select_images(corpus, image_ids, "co-labeling")
+def run_colabeling(corpus: Corpus, regions: dict[str, list[Region]],
+                   exemplars: list[esvm.Exemplar], propagations: list, model: LabelModel,
+                   config: Config, maps: dict[str, features.ImageMaps]) -> Phase2Result:
+    """Joint MAP labeling of the corpus, painted back to label maps.
+
+    ``regions`` holds each image's ``regions_of`` its partition by id; each
+    propagation's edge starts at its exemplar's source region; ``maps``
+    holds each image's maps by id.
+    """
+    images = corpus.images
     for image in images:
         for tag in image.tags:
             if not 0 <= tag < len(corpus.vocabulary):
                 raise ConfigError(f"{image.id}: tag {tag} outside vocabulary")
-    source_regions = {ex.id: ex.source_region for ex in phase1.exemplars}
-    graph = colabel.build_graph(images, phase1.regions, phase1.propagations,
-                                source_regions, model, maps, config.pairwise_mode,
-                                config.beta_pair, config.sigmoid_sharpness,
-                                config.e_max)
+    source_regions = {ex.id: ex.source_region for ex in exemplars}
+    graph = colabel.build_graph(images, regions, propagations, source_regions, model, maps,
+                                config.beta_pair, config.sigmoid_sharpness, config.e_max)
     result = alpha_expansion(graph.problem, max_sweeps=config.max_sweeps)
 
     # an image's regions are consecutive vertices from its region 0 on, so
@@ -436,12 +420,11 @@ def run_colabeling(corpus: Corpus, phase1: Phase1Result, model: LabelModel,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(predictions: dict[str, np.ndarray], corpus: Corpus,
-             image_ids: list[str] | None = None) -> Metrics:
-    images = _select_images(corpus, image_ids, "evaluation")
+def evaluate(predictions: dict[str, np.ndarray], corpus: Corpus) -> Metrics:
+    """aPA and mAGR of the predicted label maps over every corpus image."""
     accuracies = []
     recall_lists: dict[int, list[float]] = {}
-    for image in images:
+    for image in corpus.images:
         gt = image.ground_truth
         if gt is None:
             raise MalformedInputError(f"{image.id}: no ground truth to evaluate against")
@@ -460,10 +443,9 @@ def evaluate(predictions: dict[str, np.ndarray], corpus: Corpus,
                    per_label_recall=per_label)
 
 
-def background_fraction(corpus: Corpus, image_ids: list[str] | None = None) -> float:
+def background_fraction(corpus: Corpus) -> float:
     """Mean per-image background pixel fraction (the all-background aPA)."""
-    images = _select_images(corpus, image_ids, "background fraction")
-    fractions = [float((rec.ground_truth == BACKGROUND).mean()) for rec in images]
+    fractions = [float((rec.ground_truth == BACKGROUND).mean()) for rec in corpus.images]
     return float(np.mean(fractions))
 
 
@@ -471,12 +453,13 @@ def background_fraction(corpus: Corpus, image_ids: list[str] | None = None) -> f
 # Cross-validation
 # ---------------------------------------------------------------------------
 
-def fold_assignment(image_ids: list[str], fold_count: int, seed: int) -> dict[str, int]:
-    """Deterministic shuffled round-robin folds; sizes differ by at most 1."""
-    if fold_count > len(image_ids):
-        raise ConfigError(f"fold_count {fold_count} exceeds image count {len(image_ids)}")
+def fold_assignment(ids: list[str], fold_count: int, seed: int) -> dict[str, int]:
+    """Deterministic shuffled round-robin folds of the image ids; sizes
+    differ by at most 1."""
+    if fold_count > len(ids):
+        raise ConfigError(f"fold_count {fold_count} exceeds image count {len(ids)}")
     rng = np.random.default_rng([seed, 0xF01D])
-    order = sorted(image_ids)
+    order = sorted(ids)
     rng.shuffle(order)
     return {image_id: i % fold_count for i, image_id in enumerate(order)}
 
@@ -506,8 +489,8 @@ class CrossValidationResult:
 def cross_validate(corpus: Corpus, config: Config) -> CrossValidationResult:
     """Each image's maps and ground-truth rows are built once per call, up
     front, so an image without ground truth fails before any fold runs; each
-    fold then trains its label model on its training rows and labels its
-    test images."""
+    fold then trains its label model on its training rows and runs both
+    phases on the sub-corpus of its test images, in corpus order."""
     ids = [rec.id for rec in corpus.images]
     assignment = fold_assignment(ids, config.fold_count, config.seed)
     maps = build_maps(corpus.images)
@@ -516,15 +499,17 @@ def cross_validate(corpus: Corpus, config: Config) -> CrossValidationResult:
     outcomes = []
     label_maps: dict[str, np.ndarray] = {}
     for fold in range(config.fold_count):
-        test_ids = sorted(i for i in ids if assignment[i] == fold)
+        test = Corpus(vocabulary=corpus.vocabulary, images=tuple(
+            rec for rec in corpus.images if assignment[rec.id] == fold))
         model = train_label_model(corpus.vocabulary,
                                   [rows[i] for i in sorted(ids) if assignment[i] != fold])
-        phase1 = run_cosegmentation(corpus, config, maps, test_ids)
-        phase2 = run_colabeling(corpus, phase1, model, config, maps, test_ids)
-        metrics = evaluate(phase2.label_maps, corpus, test_ids)
+        phase1 = run_cosegmentation(test, config, maps)
+        phase2 = run_colabeling(test, phase1.regions, phase1.exemplars, phase1.propagations,
+                                model, config, maps)
+        metrics = evaluate(phase2.label_maps, test)
         label_maps.update(phase2.label_maps)
         outcomes.append(FoldOutcome(
-            fold=fold, test_ids=tuple(test_ids), metrics=metrics,
+            fold=fold, test_ids=tuple(sorted(rec.id for rec in test.images)), metrics=metrics,
             phase1_iterations=phase1.iteration_count,
             phase1_converged=phase1.converged,
             counters={**phase1.counters(), **phase2.counters(),

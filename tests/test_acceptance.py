@@ -167,7 +167,7 @@ def test_criterion_5_esvm_convexity_and_gradients():
         srng = np.random.default_rng(seed)
         res = esvm.train_esvm(srng.standard_normal(16),
                               srng.standard_normal((30, 16)),
-                              lam1, lam2, seed=seed)
+                              lam1, lam2)
         assert (np.diff(res.best_energy_trace) <= 0).all()
     elapsed = time.time() - start
     assert elapsed < 60
@@ -254,8 +254,7 @@ def test_criterion_9_energy_model_sanity():
     source_regions = {e.id: e.source_region for e in phase1.exemplars}
     graph = colabel.build_graph(list(corpus.images), phase1.regions,
                                 phase1.propagations, source_regions, model, maps,
-                                config.pairwise_mode, config.beta_pair,
-                                config.sigmoid_sharpness, config.e_max)
+                                config.beta_pair, config.sigmoid_sharpness, config.e_max)
     for u in graph.problem.unary:
         assert np.isfinite(u).all() and (u >= 0).all() and (u <= config.e_max).all()
     for _, _, table in graph.problem.edges:

@@ -4,6 +4,7 @@ import io as stdio
 import json
 import shutil
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +144,16 @@ class TestExitCodes:
                        "--config", str(tmp_path / "bad.json"),
                        "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    def test_pairwise_mode_is_an_unknown_config_key(self, tmp_path, capsys):
+        manifest = write_tiny_corpus(tmp_path, n=1)
+        config = tmp_path / "cfg.json"
+        config.write_text('{"pairwise_mode": "literal"}')
+        rc = cli.main(["group", "--manifest", str(manifest), "--config", str(config),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"configuration error: bad config {config}: "
+                                           "unknown keys ['pairwise_mode']\n")
 
     def test_missing_manifest_is_3(self, tmp_path):
         rc = cli.main(["group", "--manifest", str(tmp_path / "none.json"),
@@ -504,7 +515,12 @@ class TestGroup:
 
 class TestPhasedCommands:
     def test_esvm_then_colabel(self, tmp_path):
-        manifest = write_tiny_corpus(tmp_path, n=2, seed=9)
+        # a near-colour corpus whose Phase II energy moves with the exemplars'
+        # source regions, through its exterior edge
+        spec = Path(__file__).parent / "near_colour_spec.json"
+        assert cli.main(["gen", "--spec", str(spec), "--n", "3", "--seed", "1",
+                         "--out", str(tmp_path / "corpus")]) == 0
+        manifest = tmp_path / "corpus" / "manifest.json"
         phase1 = tmp_path / "phase1"
         assert cli.main(["esvm", "--manifest", str(manifest),
                          "--out", str(phase1)]) == 0
@@ -534,10 +550,22 @@ class TestPhasedCommands:
                              "phase2_move_energies"}
         assert meta["config"]["seed"] == 0 and "numpy" in meta["versions"]
         assert meta["phase2_sweeps"] >= 1 and meta["phase2_overruled_vertices"] >= 0
+        assert meta["phase2_exterior_edges"] > 0
         corpus = io.load_corpus(manifest)
         for image in corpus.images:
             labels = io.read_pgm(out / f"{image.id}.labels.pgm")
             assert set(np.unique(labels)) <= set(image.tags) | {0}
+
+        # the two phased commands label as ``run`` does in one
+        ran = tmp_path / "run"
+        assert cli.main(["run", "--manifest", str(manifest), "--out", str(ran)]) == 0
+        run_meta = json.loads((ran / "run-meta.json").read_text())
+        assert energy["total_energy"] == run_meta["total_energy"]
+        assert {key: run_meta[key] for key in meta if key.startswith("phase2_")} == \
+            {key: meta[key] for key in meta if key.startswith("phase2_")}
+        for image in corpus.images:
+            name = f"{image.id}.labels.pgm"
+            assert (out / name).read_bytes() == (ran / name).read_bytes()
 
 
 # a well-formed exemplar of image 0's region 0 (a 2x2-cell template: 36 HOG

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from coparse import colabel, features, graphcut, kernels
 from coparse.core import Partition, PropagationRecord, Region, label_components, regions_of
-from coparse.errors import ConfigError, MalformedInputError, UnknownLabelError
+from coparse.errors import MalformedInputError, UnknownLabelError
 from coparse.pipeline import Config, build_maps
 
 from conftest import make_image
 
 # the energy settings of a default pipeline run
-ENERGY = dict(mode=Config.pairwise_mode, beta_pair=Config.beta_pair,
+ENERGY = dict(beta_pair=Config.beta_pair,
               sharpness=Config.sigmoid_sharpness, e_max=Config.e_max)
 
 
@@ -226,9 +226,9 @@ def unary_one(vote, location, sharpness=4.0, e_max=20.0):
                                         sharpness, e_max)[0])
 
 
-def appearance_one(chi2, label_m, label_n, mode, beta_pair=2.0):
+def appearance_one(chi2, label_m, label_n, beta_pair=2.0):
     return float(colabel.pair_appearance(chi2, np.array([label_m]), np.array([label_n]),
-                                         mode, beta_pair)[0, 0])
+                                         beta_pair)[0, 0])
 
 
 def scalar_unary(vote, location, sharpness, e_max):
@@ -237,10 +237,8 @@ def scalar_unary(vote, location, sharpness, e_max):
     return float(min(max(val, 0.0), e_max))
 
 
-def scalar_appearance(chi2, label_m, label_n, mode, beta_pair):
+def scalar_appearance(chi2, label_m, label_n, beta_pair):
     """Reference: one candidate pair's raw appearance term."""
-    if mode == "literal":
-        return chi2 if label_m == label_n else 0.0
     return beta_pair * float(np.exp(-chi2)) if label_m != label_n else 0.0
 
 
@@ -262,27 +260,16 @@ class TestEnergies:
                                       4.0, 20.0)
         assert vals == pytest.approx([np.log(2), 0.1269 + 0.5, 20.0], abs=1e-4)
 
-    def test_interior_appearance_literal_equal_labels(self):
-        assert appearance_one(0.0, 1, 1, "literal") == 0.0
-        assert appearance_one(0.7, 1, 1, "literal") == pytest.approx(0.7)
-        assert appearance_one(0.7, 1, 2, "literal") == 0.0
-
     def test_interior_appearance_smoothing(self):
-        assert appearance_one(0.3, 1, 1, "smoothing") == 0.0
-        val = appearance_one(1.0, 1, 2, "smoothing", beta_pair=2.0)
+        assert appearance_one(0.3, 1, 1) == 0.0
+        val = appearance_one(1.0, 1, 2, beta_pair=2.0)
         assert val == pytest.approx(2.0 * np.exp(-1.0))
 
     def test_appearance_per_candidate_pair(self):
         cands_m, cands_n = np.array([0, 1, 2]), np.array([1, 2])
-        literal = colabel.pair_appearance(0.7, cands_m, cands_n, "literal", 2.0)
-        assert literal.tolist() == [[0.0, 0.0], [0.7, 0.0], [0.0, 0.7]]
-        smooth = colabel.pair_appearance(1.0, cands_m, cands_n, "smoothing", 2.0)
+        smooth = colabel.pair_appearance(1.0, cands_m, cands_n, 2.0)
         off = 2.0 * np.exp(-1.0)
         assert smooth == pytest.approx(np.array([[off, off], [0.0, off], [off, 0.0]]))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            colabel.pair_appearance(0.5, np.array([0]), np.array([0]), "potts", 2.0)
 
     def test_interior_table_min_shift_and_clamp(self):
         model = simple_model()
@@ -290,19 +277,17 @@ class TestEnergies:
         h1 = random_histograms(rng, 1, [0, 1])[0]
         h2 = random_histograms(rng, 1, [20, 21])[0]
         cands = np.array([0, 1, 2])
-        for mode in ("smoothing", "literal"):
-            table = colabel.interior_table(model, h1, h2, cands, cands, mode, 2.0, 20.0)
-            assert table.min() == pytest.approx(0.0, abs=1e-12)
-            assert table.max() <= 20.0
-            assert np.isfinite(table).all()
+        table = colabel.interior_table(model, h1, h2, cands, cands, 2.0, 20.0)
+        assert table.min() == pytest.approx(0.0, abs=1e-12)
+        assert table.max() <= 20.0
+        assert np.isfinite(table).all()
 
     def test_exterior_zero_at_means_equal_labels(self):
         model = simple_model(mu={1: (0.2, 0.8)})
         h = random_histograms(np.random.default_rng(7), 1, [10, 11])[0]
         cands = np.array([1, 2])
         location = colabel.location_energies(model, (0.2, 0.8))[cands]
-        table = colabel.exterior_table(h, h, location, location, cands, cands,
-                                       "smoothing", 2.0, 20.0)
+        table = colabel.exterior_table(h, h, location, location, cands, cands, 2.0, 20.0)
         assert table[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_exterior_symmetric_for_equal_histograms(self):
@@ -310,8 +295,7 @@ class TestEnergies:
         h = random_histograms(np.random.default_rng(8), 1, [10, 11])[0]
         cands = np.array([0, 1, 2])
         location = colabel.location_energies(model, (0.45, 0.5))[cands]
-        table = colabel.exterior_table(h, h, location, location, cands, cands,
-                                       "smoothing", 2.0, 20.0)
+        table = colabel.exterior_table(h, h, location, location, cands, cands, 2.0, 20.0)
         assert np.allclose(table, table.T)
 
     def test_exterior_preshift_half_nat(self):
@@ -320,7 +304,7 @@ class TestEnergies:
         sigma = float(np.sqrt(model.location_cov[1][0, 0]))
         q_u = colabel.location_energies(model, (0.3 + sigma, 0.5))[1]
         q_v = colabel.location_energies(model, (0.3, 0.5))[1]
-        raw = q_u + q_v + appearance_one(0.0, 1, 1, "smoothing")
+        raw = q_u + q_v + appearance_one(0.0, 1, 1)
         assert raw == pytest.approx(0.5)
 
     def test_background_fragments_do_not_pull_a_region_off_its_label(self):
@@ -344,16 +328,14 @@ class TestEnergies:
         labelings = {}
         for name, table in [
                 ("plain", np.minimum(plain - plain.min(), 20.0)),
-                ("pmi", colabel.interior_table(model, hist, hist, cands, cands,
-                                               "smoothing", 0.0, 20.0))]:
+                ("pmi", colabel.interior_table(model, hist, hist, cands, cands, 0.0, 20.0))]:
             problem = graphcut.LabelingProblem(
                 candidates=(cands,) * 5, unary=unary,
                 edges=tuple((0, v, table) for v in range(1, 5)))
             labelings[name] = graphcut.alpha_expansion(problem).labeling.tolist()
         assert labelings == {"plain": [0, 0, 0, 0, 0], "pmi": [2, 0, 0, 0, 0]}
 
-    @pytest.mark.parametrize("mode", ["smoothing", "literal"])
-    def test_tables_match_scalar_formulas_bit_for_bit(self, mode):
+    def test_tables_match_scalar_formulas_bit_for_bit(self):
         base = simple_model(mu={1: (0.3, 0.6), 2: (0.7, 0.4)})
         # wide location Gaussians, so that few entries reach the clamp
         model = colabel.LabelModel(vocabulary=base.vocabulary, appearance=base.appearance,
@@ -377,17 +359,17 @@ class TestEnergies:
                                       for l, g in zip(cands_u, loc_u)]
             psi = model.cooccurrence
             p = psi.sum(axis=1)
-            interior = np.array([[scalar_appearance(chi2, m, n, mode, 2.0)
+            interior = np.array([[scalar_appearance(chi2, m, n, 2.0)
                                   - np.log(psi[m, n] / (p[m] * p[n])) for n in cands_v]
                                  for m in cands_u])
             exterior = loc_u[:, None] + loc_v[None, :]
-            exterior += [[scalar_appearance(chi2, m, n, mode, 2.0) for n in cands_v]
+            exterior += [[scalar_appearance(chi2, m, n, 2.0) for n in cands_v]
                          for m in cands_u]
             for got, raw in [
-                (colabel.interior_table(model, h_u, h_v, cands_u, cands_v, mode, 2.0, 20.0),
+                (colabel.interior_table(model, h_u, h_v, cands_u, cands_v, 2.0, 20.0),
                  interior),
-                (colabel.exterior_table(h_u, h_v, loc_u, loc_v, cands_u, cands_v, mode,
-                                        2.0, 20.0), exterior),
+                (colabel.exterior_table(h_u, h_v, loc_u, loc_v, cands_u, cands_v, 2.0, 20.0),
+                 exterior),
             ]:
                 assert got.tolist() == np.minimum(raw - raw.min(), 20.0).tolist()
 

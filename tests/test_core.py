@@ -18,6 +18,12 @@ from coparse.synthgen import FOUR_CONN
 from conftest import make_image
 
 
+def _merged(part, pairs):
+    """Merge indicator per (u, v) pair: True iff both ends share a region."""
+    a = part.assignment
+    return a[pairs[:, 0]] == a[pairs[:, 1]]
+
+
 def _merged_components_ref(n, pairs, merged):
     """Smallest node id reachable over merged pairs, by repeated relaxation."""
     root = np.arange(n)
@@ -148,11 +154,11 @@ class TestPartition:
             part = Partition.from_assignment(assignment)
             pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)
                               if not sparse or rng.uniform() < 0.3], dtype=np.int64).reshape(-1, 2)
-            merged = part.edge_labels(pairs)
-            rebuilt = Partition.from_edge_labels(n, pairs, merged)
+            merged = _merged(part, pairs)
+            rebuilt = Partition.from_merged_pairs(n, pairs, merged)
             expected = Partition.from_assignment(_merged_components_ref(n, pairs, merged))
             assert rebuilt.equals(expected)
-            assert np.array_equal(rebuilt.edge_labels(pairs), merged)
+            assert np.array_equal(_merged(rebuilt, pairs), merged)
             if not sparse:
                 assert part.equals(rebuilt)
 
@@ -182,9 +188,9 @@ class TestPartition:
         keep = data.draw(st.lists(st.booleans(), min_size=len(all_pairs),
                                   max_size=len(all_pairs)))
         pairs = np.array([p for p, k in zip(all_pairs, keep) if k], dtype=np.int64).reshape(-1, 2)
-        merged = part.edge_labels(pairs)
-        rebuilt = Partition.from_edge_labels(n, pairs, merged)
-        assert np.array_equal(rebuilt.edge_labels(pairs), merged)
+        merged = _merged(part, pairs)
+        rebuilt = Partition.from_merged_pairs(n, pairs, merged)
+        assert np.array_equal(_merged(rebuilt, pairs), merged)
         # the rebuilt regions refine the original ones, and equal them on all pairs
         a, b = part.assignment, rebuilt.assignment
         assert not ((b[:, None] == b[None, :]) & (a[:, None] != a[None, :])).any()

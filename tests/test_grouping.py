@@ -546,7 +546,7 @@ def milp_optimum(instance, theta):
                options={"mip_rel_gap": 0.0})
     assert res.status == 0
     merged = np.array([pair for pair, x in zip(pairs, res.x) if x > 0.5]).reshape(-1, 2)
-    assign = Partition.from_edge_labels(n, merged, np.ones(len(merged), dtype=bool)).assignment
+    assign = Partition.from_merged_pairs(n, merged, np.ones(len(merged), dtype=bool)).assignment
     return python_objective(instance, assign, theta)
 
 

@@ -148,9 +148,10 @@ class TestSolveBoxQP:
         monkeypatch.setattr(colabel, "train_appearance",
                             lambda hists, labels, vocab_size: captured.append((hists, labels)))
         maps = pipeline.build_maps(corpus.images)
+        image = {rec.id: rec for rec in corpus.images}
         for fold in (3, 4):
             pipeline.train_label_model(corpus.vocabulary, [
-                pipeline.ground_truth_rows(corpus.image_by_id(i), maps[i])
+                pipeline.ground_truth_rows(image[i], maps[i])
                 for i in sorted(i for i in ids if folds[i] != fold)])
         checked = 0
         for hists, labels in captured:

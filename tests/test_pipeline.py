@@ -1,6 +1,8 @@
 import json
 import zlib
-from dataclasses import fields, replace
+from dataclasses import fields
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,10 +23,21 @@ def fit_label_model(corpus):
         corpus.vocabulary, [pipeline.ground_truth_rows(r, maps[r.id]) for r in corpus.images])
 
 
-def cosegment(corpus, config, image_ids=None):
+def cosegment(corpus, config):
     """Phase I on maps built for the call."""
-    return pipeline.run_cosegmentation(corpus, config, pipeline.build_maps(corpus.images),
-                                       image_ids)
+    return pipeline.run_cosegmentation(corpus, config, pipeline.build_maps(corpus.images))
+
+
+def colabel_phase1(corpus, phase1, model, config, maps):
+    """Phase II on the records of a Phase I result."""
+    return pipeline.run_colabeling(corpus, phase1.regions, phase1.exemplars,
+                                   phase1.propagations, model, config, maps)
+
+
+def region_maps(phase1):
+    """Each image's final region map, as bytes."""
+    return {image_id: regions[0].region_map.tobytes()
+            for image_id, regions in phase1.regions.items()}
 
 
 def uniform_corpus(n_images=2):
@@ -51,8 +64,6 @@ class TestConfig:
             pipeline.Config(theta=0.0).validate()
         with pytest.raises(ConfigError):
             pipeline.Config(a_min=0.7, a_max=0.6).validate()
-        with pytest.raises(ConfigError):
-            pipeline.Config(pairwise_mode="bogus").validate()
 
     def test_json_round_trip(self, tmp_path):
         cfg = pipeline.Config(theta=0.4, k_top=3, scales=(1.0, 0.5))
@@ -108,15 +119,6 @@ class TestEvaluate:
         with pytest.raises(MalformedInputError):
             pipeline.evaluate({"e": np.zeros((3, 3), dtype=int)}, corpus)
 
-    def test_unmatched_image_ids_rejected(self):
-        corpus = self.corpus_2x2()
-        pred = {"e": corpus.images[0].ground_truth.copy()}
-        with pytest.raises(MalformedInputError, match="^no images selected for evaluation$"):
-            pipeline.evaluate(pred, corpus, ["nope"])
-        with pytest.raises(MalformedInputError,
-                           match="^no images selected for background fraction$"):
-            pipeline.background_fraction(corpus, ["nope"])
-
     def test_all_background_equals_background_fraction(self):
         # an instance of the baseline arithmetic with fraction 0.7763 exactly
         gt = np.zeros(10000, dtype=np.int64)
@@ -146,20 +148,7 @@ class TestCosegmentation:
     def test_rerun_reproduces_partitions(self):
         corpus = uniform_corpus()
         config = pipeline.Config(seed=1)
-        a = cosegment(corpus, config)
-        b = cosegment(corpus, config)
-        for key in a.partitions:
-            assert a.partitions[key].equals(b.partitions[key])
-
-    def test_empty_selection_rejected(self):
-        corpus = uniform_corpus()
-        with pytest.raises(MalformedInputError):
-            cosegment(corpus, pipeline.Config(), image_ids=["nope"])
-
-    def test_empty_selection_message(self):
-        with pytest.raises(MalformedInputError) as info:
-            cosegment(uniform_corpus(), pipeline.Config(), image_ids=[])
-        assert str(info.value) == "no images selected for co-segmentation"
+        assert region_maps(cosegment(corpus, config)) == region_maps(cosegment(corpus, config))
 
     def test_max_duality_gap_over_trained_exemplars(self, monkeypatch):
         gaps = []
@@ -175,7 +164,7 @@ class TestCosegmentation:
         result = cosegment(corpus, pipeline.Config(seed=28))
         assert len(gaps) == result.exemplars_trained > 0
         assert result.esvm_max_duality_gap == max(gaps)
-        assert 0.0 < result.esvm_max_duality_gap <= 1e-6
+        assert 0.0 <= result.esvm_max_duality_gap <= 1e-6
         assert cosegment(uniform_corpus(), pipeline.Config(seed=1)).esvm_max_duality_gap == 0.0
 
 
@@ -221,14 +210,12 @@ class TestColabeling:
         pixels[4:12, 4:8] = (200, 30, 30)
         train = make_image(np.zeros((16, 12), dtype=np.int64), pixels=pixels,
                            gt=shirt_gt, tags=(0, 1), image_id="train")
-        full = Corpus(vocabulary=corpus.vocabulary,
-                      images=corpus.images + (train,))
-        maps = pipeline.build_maps(full.images)
+        maps = pipeline.build_maps(corpus.images + (train,))
         model = pipeline.train_label_model(
-            full.vocabulary, [pipeline.ground_truth_rows(full.image_by_id(i), maps[i])
-                              for i in ("flat0", "train")])
-        phase1 = pipeline.run_cosegmentation(full, config, maps, ["flat0"])
-        phase2 = pipeline.run_colabeling(full, phase1, model, config, maps, ["flat0"])
+            corpus.vocabulary, [pipeline.ground_truth_rows(image, maps[image.id])
+                                for image in corpus.images + (train,)])
+        phase1 = pipeline.run_cosegmentation(corpus, config, maps)
+        phase2 = colabel_phase1(corpus, phase1, model, config, maps)
         assert (phase2.label_maps["flat0"] == 0).all()
 
     def test_output_labels_within_tags(self):
@@ -237,7 +224,7 @@ class TestColabeling:
         model = fit_label_model(corpus)
         maps = pipeline.build_maps(corpus.images)
         phase1 = pipeline.run_cosegmentation(corpus, config, maps)
-        phase2 = pipeline.run_colabeling(corpus, phase1, model, config, maps)
+        phase2 = colabel_phase1(corpus, phase1, model, config, maps)
         for image in corpus.images:
             allowed = set(image.tags) | {0}
             assert set(np.unique(phase2.label_maps[image.id])) <= allowed
@@ -248,11 +235,11 @@ class TestColabeling:
         model = fit_label_model(corpus)
         maps = pipeline.build_maps(corpus.images)
         phase1 = pipeline.run_cosegmentation(corpus, config, maps)
-        phase2 = pipeline.run_colabeling(corpus, phase1, model, config, maps)
+        phase2 = colabel_phase1(corpus, phase1, model, config, maps)
         graph = colabel.build_graph(
             list(corpus.images), phase1.regions, phase1.propagations,
             {ex.id: ex.source_region for ex in phase1.exemplars}, model, maps,
-            config.pairwise_mode, config.beta_pair, config.sigmoid_sharpness, config.e_max)
+            config.beta_pair, config.sigmoid_sharpness, config.e_max)
         vertices = pixels = 0
         for region, cand, unary in zip(graph.vertex_regions, graph.problem.candidates,
                                        graph.problem.unary):
@@ -265,20 +252,6 @@ class TestColabeling:
         assert (counters["phase2_overruled_vertices"],
                 counters["phase2_overruled_pixels"]) == (vertices, pixels)
 
-    def test_literal_pairwise_mode_end_to_end(self):
-        corpus = synthgen.generate(synthgen.default_scene_spec(seed=13), 2)
-        config = pipeline.Config(seed=13, pairwise_mode="literal")
-        model = fit_label_model(corpus)
-        maps = pipeline.build_maps(corpus.images)
-        phase1 = pipeline.run_cosegmentation(corpus, config, maps)
-        phase2 = pipeline.run_colabeling(corpus, phase1, model, config, maps)
-        assert np.isfinite(phase2.total_energy)
-        metrics = pipeline.evaluate(phase2.label_maps, corpus)
-        assert metrics.apa > 0.5
-        # a literal appearance term charges label agreement, which some
-        # expansion moves cannot represent without truncation
-        assert phase2.truncated_terms > 0
-
     def test_joint_energy_not_worse_than_independent(self):
         from coparse import colabel
         from coparse.graphcut import energy_of
@@ -288,18 +261,18 @@ class TestColabeling:
         model = fit_label_model(corpus)
         maps = pipeline.build_maps(corpus.images)
         phase1 = pipeline.run_cosegmentation(corpus, config, maps)
-        joint = pipeline.run_colabeling(corpus, phase1, model, config, maps)
+        joint = colabel_phase1(corpus, phase1, model, config, maps)
 
         # label each image independently, then score the merged labeling on
         # the joint multi-image graph
         source_regions = {e.id: e.source_region for e in phase1.exemplars}
         graph = colabel.build_graph(list(corpus.images), phase1.regions,
                                     phase1.propagations, source_regions, model, maps,
-                                    config.pairwise_mode, config.beta_pair,
-                                    config.sigmoid_sharpness, config.e_max)
+                                    config.beta_pair, config.sigmoid_sharpness, config.e_max)
         merged = np.empty(len(graph.vertex_regions), dtype=np.int64)
         for image in corpus.images:
-            solo = pipeline.run_colabeling(corpus, phase1, model, config, maps, [image.id])
+            solo = colabel_phase1(Corpus(vocabulary=corpus.vocabulary, images=(image,)),
+                                  phase1, model, config, maps)
             for idx, region in enumerate(graph.vertex_regions):
                 if region.id[0] == image.id:
                     ys, xs = np.nonzero(region.region_map == region.id[1])
@@ -325,12 +298,12 @@ class TestColabeling:
                                      x=cols.start, y=rows.start,
                                      mask=region.region_map[rows, cols] == region.id[1],
                                      score=0.5)
-        phase1 = replace(phase1, propagations=[*phase1.propagations, crossing])
         graphs = []
         build_graph = colabel.build_graph
         monkeypatch.setattr(colabel, "build_graph",
                             lambda *a: graphs.append(build_graph(*a)) or graphs[-1])
-        result = pipeline.run_colabeling(corpus, phase1, model, config, maps)
+        result = pipeline.run_colabeling(corpus, phase1.regions, phase1.exemplars,
+                                         [*phase1.propagations, crossing], model, config, maps)
         graph, = graphs
         assert graph.exterior_edges
         # reference: each image's unaries, its interior edges and half of each
@@ -377,13 +350,14 @@ class TestCrossValidate:
     def test_fold_models_equal_models_trained_alone(self, monkeypatch):
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=21), 6)
         config = pipeline.Config(seed=21, fold_count=3)
-        trained = []
+        trained, labeled = [], []
         colabeling = pipeline.run_colabeling
 
-        def recorded_colabeling(corpus, phase1, model, *args):
-            # the model each fold's Phase II takes
+        def recorded_colabeling(corpus, regions, exemplars, propagations, model, *args):
+            # the corpus and the model each fold's Phase II takes
+            labeled.append([rec.id for rec in corpus.images])
             trained.append(model)
-            return colabeling(corpus, phase1, model, *args)
+            return colabeling(corpus, regions, exemplars, propagations, model, *args)
 
         monkeypatch.setattr(pipeline, "run_colabeling", recorded_colabeling)
         pipeline.cross_validate(corpus, config)
@@ -391,11 +365,14 @@ class TestCrossValidate:
         ids = [rec.id for rec in corpus.images]
         folds = pipeline.fold_assignment(ids, config.fold_count, config.seed)
         assert len(trained) == config.fold_count
+        # each fold labels the sub-corpus of its test images, in corpus order
+        assert labeled == [[i for i in ids if folds[i] == fold]
+                           for fold in range(config.fold_count)]
+        image = {rec.id: rec for rec in corpus.images}
         for fold, model in enumerate(trained):
             alone = fit_label_model(Corpus(
                 vocabulary=corpus.vocabulary,
-                images=tuple(corpus.image_by_id(i)
-                             for i in sorted(i for i in ids if folds[i] != fold))))
+                images=tuple(image[i] for i in sorted(i for i in ids if folds[i] != fold))))
             got, want = model.appearance, alone.appearance
             assert (got.gamma, got.trained_labels) == (want.gamma, want.trained_labels)
             assert len(got.machines) == len(want.machines) > 0
@@ -424,6 +401,21 @@ class TestCrossValidate:
         assert traced.folds == plain.folds
         for key in plain.label_maps:
             assert traced.label_maps[key].tobytes() == plain.label_maps[key].tobytes()
+
+    def test_near_colour_corpus_meets_its_targets(self, tmp_path):
+        """The 10-fold CV on the near-colour corpus (seed 42, 20 images):
+        the default scene with the four garment colours drawn close to each
+        other, wider colour spread and more noise, so appearance alone
+        confuses labels and Phase II's contexts have to settle them. The
+        targets sit just under the measured aPA 0.9992 and mAGR 0.9979."""
+        spec = Path(__file__).parent / "near_colour_spec.json"
+        assert cli.main(["gen", "--spec", str(spec), "--n", "20",
+                         "--out", str(tmp_path / "corpus")]) == 0
+        corpus = io.load_corpus(tmp_path / "corpus" / "manifest.json")
+        result = pipeline.cross_validate(corpus, pipeline.Config(seed=42))
+        assert all(fold.phase1_converged for fold in result.folds)
+        assert result.apa_mean >= 0.999
+        assert result.magr_mean >= 0.99
 
     def test_label_model_package_error_keeps_its_type(self, monkeypatch):
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=21), 4)
@@ -645,10 +637,10 @@ def _reference_cosegmentation(corpus, config):
         previous = partitions
         exemplars, propagations = _reference_train_and_propagate(images, partitions, config)
     regions = {image.id: regions_of(image, previous[image.id]) for image in images}
-    return pipeline.Phase1Result(partitions=previous, regions=regions, exemplars=exemplars,
-                                 propagations=propagations, iteration_count=iteration,
-                                 converged=converged, fixed_point=fixed_point,
-                                 images_changed=tuple(changed))
+    # the fields of a Phase1Result that the uncached loop can check
+    return SimpleNamespace(regions=regions, exemplars=exemplars, propagations=propagations,
+                           iteration_count=iteration, converged=converged,
+                           fixed_point=fixed_point, images_changed=tuple(changed))
 
 
 class _CallLog:
@@ -737,9 +729,7 @@ class TestPhase1Memo:
 
     def test_result_equals_uncached_loop(self, phase1_runs):
         reference, _, result, _ = phase1_runs
-        assert result.partitions.keys() == reference.partitions.keys()
-        for image_id, partition in reference.partitions.items():
-            assert result.partitions[image_id].equals(partition)
+        assert region_maps(result) == region_maps(reference)
         _assert_same_records(result.exemplars, reference.exemplars)
         _assert_same_records(result.propagations, reference.propagations)
         assert (result.iteration_count, result.converged, result.fixed_point) == \
