@@ -65,8 +65,6 @@ class AppearanceModel:
         if len(self.trained_labels) == 1:
             s[self.trained_labels[0]] = 1.0
             return s
-        if not self.machines:
-            return s
         for (a, b, _, _), decision in zip(self.machines, self.decisions(hist)):
             s[a if decision >= 0 else b] += 1.0
         return s / len(self.machines)

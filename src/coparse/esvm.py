@@ -140,7 +140,7 @@ class TrainResult:
 
 
 def train_esvm(positive: np.ndarray, negatives: list[np.ndarray] | np.ndarray,
-               lam1: float = 0.5, lam2: float = 0.01) -> TrainResult:
+               lam1: float, lam2: float) -> TrainResult:
     """Minimize ``esvm_energy`` exactly through its dual.
 
     With the signed rows X = [positive; -negatives] the energy is a linear

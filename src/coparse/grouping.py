@@ -15,14 +15,14 @@ S and, when S induces several components, for one merge variable joining
 min(S) to the smallest node of each other component; on integer points that
 holds exactly when S lies in one region. Each structure is built once per
 instance: one sorted index of the pairs, where cycle and path rows look
-their pairs up, and the LP rows, stored by their start offsets. Cycle
-inequalities are separated lazily (short chordless cycles, enumerated once,
-first; then every edge whose cut weight exceeds its cheapest detour, all
-detours from one ``csgraph.dijkstra`` call per round). Each LP goes to
-scipy's bundled HiGHS as those row-wise arrays and is solved cold with the
-options ``linprog(method="highs")`` sets. Every branch-and-bound node rounds
-its LP point by connected components of the merged pairs, scores that
-partition as its candidate, and branches while the relaxation stays
+their pairs up, and one HiGHS model holding the columns and every row.
+Cycle inequalities are separated lazily (short chordless cycles, enumerated
+once, first; then every edge whose cut weight exceeds its cheapest detour,
+all detours from one ``csgraph.dijkstra`` call per round) and added to that
+model; a node's 0/1 fixings are column bounds. Each LP is solved cold, with
+the options ``linprog(method="highs")`` sets. Every branch-and-bound node
+rounds its LP point by connected components of the merged pairs, scores
+that partition as its candidate, and branches while the relaxation stays
 fractional (Kappes et al., EMMCVPR 2011). Instances small enough for the
 exhaustive oracle are therefore solved to proven optimality.
 """
@@ -190,37 +190,25 @@ _HIGHS_OPTIONS.log_to_console = False
 _HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
 
 
-def _solve_highs(cost: np.ndarray, start: np.ndarray, col: np.ndarray, coef: np.ndarray,
-                 rhs: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-    """min cost @ x s.t. A @ x <= rhs, lower <= x <= upper, by one cold HiGHS
-    solve, where row r of A holds ``coef[k]`` at column ``col[k]`` for k from
-    ``start[r]`` to the next row's start (``start`` and ``col`` int32).
-
-    A goes to HiGHS row-wise, as these arrays; HiGHS stores it column-wise
-    with row indexes ascending, which is the model ``linprog(method="highs")``
-    builds. A model without rows goes column-wise, with zero column starts,
-    since HiGHS refuses an empty row-wise matrix. Returns the model status
-    and, when it is optimal, the objective and x.
-    """
-    n_cols, n_rows = cost.size, rhs.size
-    matrix_format = highs.MatrixFormat.kRowwise if n_rows else highs.MatrixFormat.kColwise
-    if not n_rows:
-        start = np.zeros(n_cols, dtype=np.int32)
-    solver = highs._Highs()
-    solver.passOptions(_HIGHS_OPTIONS)
-    # an empty integrality array is refused, so every column is marked continuous
-    status = solver.passModel(
-        n_cols, n_rows, coef.size, int(matrix_format), int(highs.ObjSense.kMinimize), 0.0,
-        cost, lower, upper, np.full(n_rows, -np.inf), rhs,
-        start, col, coef, np.zeros(n_cols, dtype=np.int32))
+def _check_edit(status) -> None:
+    """Raise ``SolverError`` when HiGHS refused a model edit."""
     if status == highs.HighsStatus.kError:
-        return highs.HighsModelStatus.kModelError, None, None
-    solver.run()
-    status = solver.getModelStatus()
+        raise SolverError("HiGHS refused an edit of the multicut LP")
+
+
+def _solve_highs(lp, lower: np.ndarray, upper: np.ndarray):
+    """Solve the model ``lp`` within column bounds ``lower``/``upper`` from
+    scratch, as ``linprog(method="highs")`` would: the last run's solver data
+    is cleared first. Returns the model status and, when it is optimal, the
+    objective and x."""
+    cols = np.arange(lower.size, dtype=np.int32)
+    _check_edit(lp.changeColsBounds(lower.size, cols, lower, upper))
+    lp.clearSolver()
+    lp.run()
+    status = lp.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
         return status, None, None
-    return (status, solver.getInfo().objective_function_value,
-            np.array(solver.getSolution().col_value))
+    return status, lp.getInfo().objective_function_value, np.array(lp.getSolution().col_value)
 
 
 class _MulticutSolver:
@@ -242,8 +230,8 @@ class _MulticutSolver:
         # S induces. Such a pair is never an edge, since an edge inside S
         # joins one component; masks share it, numbered after the edges.
         extra: dict[tuple[int, int], int] = {}
-        mask_vars: list[list[int]] = []
-        for ids, _ in instance.mask_constraints:
+        mask_rows: list[tuple[int, int]] = []     # (c, pair) of each row z_c <= x_pair
+        for c, (ids, _) in enumerate(instance.mask_constraints):
             ordered = np.array(sorted(ids), dtype=np.int64)
             local = np.searchsorted(ordered, edge_pairs)
             inside = np.flatnonzero(
@@ -252,9 +240,9 @@ class _MulticutSolver:
                                                     np.ones(inside.size, dtype=bool)).assignment
             _, heads = np.unique(component, return_index=True)
             root = int(ordered[0])
-            mask_vars.append(inside.tolist() + [
+            mask_rows += [(c, var) for var in inside.tolist() + [
                 extra.setdefault((root, b), edge_w.size + len(extra))
-                for b in ordered[heads[1:]].tolist()])
+                for b in ordered[heads[1:]].tolist()]]
         # pair p joins _pair_array[p] = (u, v), u < v: the edges in edge
         # order, then the masks' extra pairs
         self._pair_array = np.concatenate(
@@ -267,22 +255,22 @@ class _MulticutSolver:
         key_order = np.argsort(keys)
         self._pair_keys = np.append(keys[key_order], n * n)
         self._pair_ids = np.append(key_order, -1)
-        self.cost = np.concatenate([edge_w, np.zeros(self.n_pairs - edge_w.size), -mask_h])
-        # LP rows as growing lists: row r holds coef[k] at column col_of[k]
-        # for k from row_start[r] up to the next row's start; _rows() mirrors
-        # them as arrays, converting only the rows added since its last call
-        self.row_start: list[int] = []
-        self.col_of: list[int] = []
-        self.coef: list[float] = []
-        self.rhs: list[float] = []
-        self._row_arrays = (np.empty(0, dtype=np.int32),) * 2 + (np.empty(0),) * 2
+        cost = np.concatenate([edge_w, np.zeros(self.n_pairs - edge_w.size), -mask_h])
+        # one HiGHS model per instance: its columns and the mask rows are
+        # added here, each cycle row as separation finds it
+        self._lp = highs._Highs()
+        self._lp.passOptions(_HIGHS_OPTIONS)
+        _check_edit(self._lp.addVars(cost.size, np.zeros(cost.size), np.ones(cost.size)))
+        _check_edit(self._lp.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32), cost))
+        cols = np.array([(self.n_pairs + c, var) for c, var in mask_rows], dtype=np.int32).ravel()
+        _check_edit(self._lp.addRows(len(mask_rows), np.full(len(mask_rows), -np.inf),
+                                     np.zeros(len(mask_rows)), cols.size,
+                                     np.arange(0, cols.size, 2, dtype=np.int32), cols,
+                                     np.tile([1.0, -1.0], len(mask_rows))))
         # search counters; proven_optimal turns false when NODE_CAP stops it
         self.lp_solves = self.nodes = 0
         self.proven_optimal = True
         self._row_keys: set = set()      # one key per cycle row added
-        for ci, variables in enumerate(mask_vars):
-            for var in variables:
-                self._append_row([self.n_pairs + ci, var], [1.0, -1.0], 0.0)
         self._triangles, self._quads = self._enumerate_short_cycles()
 
     def _pair_of(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -338,25 +326,6 @@ class _MulticutSolver:
 
     # -- LP ------------------------------------------------------------------
 
-    def _append_row(self, cols: list[int], coefs: list[float], rhs: float) -> None:
-        self.row_start.append(len(self.col_of))
-        self.col_of.extend(cols)
-        self.coef.extend(coefs)
-        self.rhs.append(rhs)
-
-    def _rows(self):
-        """The LP rows as arrays (start, col, coef, rhs), as ``_solve_highs``
-        takes them; only the rows appended since the last call are converted."""
-        start, col, coef, rhs = self._row_arrays
-        if rhs.size < len(self.rhs):
-            nnz = col.size
-            self._row_arrays = start, col, coef, rhs = (
-                np.concatenate([start, np.array(self.row_start[rhs.size:], dtype=np.int32)]),
-                np.concatenate([col, np.array(self.col_of[nnz:], dtype=np.int32)]),
-                np.concatenate([coef, np.array(self.coef[nnz:], dtype=np.float64)]),
-                np.concatenate([rhs, np.array(self.rhs[rhs.size:], dtype=np.float64)]))
-        return start, col, coef, rhs
-
     def _solve_lp(self, fixed: dict[int, int]):
         """(objective, x) of the LP with ``fixed`` variables held at their
         0/1 values, or None when those fixings make it infeasible."""
@@ -365,9 +334,8 @@ class _MulticutSolver:
         for var, val in fixed.items():
             lower[var] = upper[var] = val
         self.lp_solves += 1
-        status, fun, x = _solve_highs(self.cost, *self._rows(), lower, upper)
-        # linprog reports a model HiGHS refuses to load as infeasible, too
-        if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):
+        status, fun, x = _solve_highs(self._lp, lower, upper)
+        if status == highs.HighsModelStatus.kInfeasible:
             return None
         if status != highs.HighsModelStatus.kOptimal:
             raise SolverError(f"LP solver failed with HiGHS model status {status.name}")
@@ -381,8 +349,9 @@ class _MulticutSolver:
         if key in self._row_keys:
             return False
         self._row_keys.add(key)
-        self._append_row([chosen] + others, [-1.0] + [1.0] * len(others),
-                         float(len(others) - 1))
+        _check_edit(self._lp.addRow(-np.inf, float(len(others) - 1), len(others) + 1,
+                                    np.array([chosen] + others, dtype=np.int32),
+                                    np.array([-1.0] + [1.0] * len(others))))
         return True
 
     def _separate(self, x: np.ndarray) -> int:
@@ -484,7 +453,7 @@ class _MulticutSolver:
         return best_assign, float(best_obj)
 
 
-def solve_multicut(instance: MulticutInstance, theta: float = 0.5) -> MulticutSolution:
+def solve_multicut(instance: MulticutInstance, theta: float) -> MulticutSolution:
     """Minimize the biased grouping objective over partition-consistent labelings."""
     if not 0.0 < theta < 1.0:
         raise MalformedInputError(f"merge bias theta must lie in (0, 1), got {theta}")

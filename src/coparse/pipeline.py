@@ -68,6 +68,10 @@ class Config:
             raise ConfigError("theta must lie in (0, 1)")
         if self.lambda1 <= 0 or self.lambda2 <= 0:
             raise ConfigError("lambda1 and lambda2 must be positive")
+        # a merged negative's dual bound is lambda2 times its count, at most this many
+        if not np.isfinite(self.lambda2 * esvm.NEGATIVES_PER_EXEMPLAR):
+            raise ConfigError(f"lambda2 times {esvm.NEGATIVES_PER_EXEMPLAR} negatives per "
+                              f"exemplar must be finite, got lambda2 = {self.lambda2}")
         if self.k_top < 0 or self.stride < 1 or self.n_sel < 0:
             raise ConfigError("k_top/n_sel must be >= 0 and stride >= 1")
         if not self.scales or any(not 0 < s <= MAX_SCALE for s in self.scales):

@@ -155,6 +155,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == (f"configuration error: bad config {config}: "
                                            "unknown keys ['pairwise_mode']\n")
 
+    def test_lambda2_overflowing_the_dual_box_is_2(self, tmp_path, capsys):
+        manifest = write_tiny_corpus(tmp_path, n=1)
+        config = tmp_path / "cfg.json"
+        config.write_text('{"lambda2": 1e308}')
+        rc = cli.main(["run", "--manifest", str(manifest), "--config", str(config),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: lambda2 times 200 negatives per exemplar must be finite, "
+            "got lambda2 = 1e+308\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_manifest_is_3(self, tmp_path):
         rc = cli.main(["group", "--manifest", str(tmp_path / "none.json"),
                        "--out", str(tmp_path / "out")])
@@ -747,6 +759,12 @@ class TestRunAndEval:
         manifest = write_tiny_corpus(tmp_path, n=2, seed=11)
         out = tmp_path / "run"
         assert cli.main(["run", "--manifest", str(manifest), "--out", str(out)]) == 0
+
+        def not_json(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=not_json)
         metrics = json.loads((out / "metrics.json").read_text())
         assert 0.0 <= metrics["aPA"] <= 1.0
         meta = json.loads((out / "run-meta.json").read_text())

@@ -220,10 +220,10 @@ class TestSolveMulticut:
         with pytest.raises(SolverError, match="kSolveError"):
             grouping.solve_multicut(inst, 0.5)
 
-    @pytest.mark.parametrize("status", ["kInfeasible", "kModelError"])
+    @pytest.mark.parametrize("status", ["kInfeasible"])
     def test_root_lp_without_solution_raises_solver_error(self, monkeypatch, status):
         # the LP without fixings is feasible (x = 0), so a root LP reported
-        # infeasible or refused leaves no partition to return
+        # infeasible leaves no partition to return
         inst = grouping.MulticutInstance(node_count=3, edges=((0, 1, 1), (1, 2, 0)))
         monkeypatch.setattr(grouping, "_solve_highs", lambda *a: (
             getattr(grouping.highs.HighsModelStatus, status), None, None))
@@ -263,16 +263,33 @@ def neighbour_dicts(solver):
     return adj
 
 
+def model_rows(solver):
+    """The solver's LP rows A @ x <= rhs as (A in CSR, rhs), read from its
+    HiGHS model in whichever format HiGHS holds the matrix; within a row the
+    entries come in column order."""
+    lp = solver._lp.getLp()
+    m = lp.a_matrix_
+    shape = (lp.num_row_, lp.num_col_)
+    if m.format_ == grouping.highs.MatrixFormat.kRowwise:
+        a = sparse.csr_matrix((m.value_, m.index_, m.start_), shape=shape)
+    else:
+        assert m.format_ == grouping.highs.MatrixFormat.kColwise
+        a = sparse.csc_matrix((m.value_, m.index_, m.start_), shape=shape).tocsr()
+    a.sort_indices()
+    assert np.all(np.isneginf(lp.row_lower_))
+    return a, np.array(lp.row_upper_)
+
+
 def mask_rows(solver):
     """The mask rows z_c <= x_ab of a fresh solver, as (c, (a, b)) in row order.
 
-    Before any separation every row is a mask row, stored as its z_c entry
-    then its x_ab entry."""
-    assert solver.row_start == list(range(0, len(solver.col_of), 2))
-    cols = np.array(solver.col_of).reshape(-1, 2)
-    assert (np.array(solver.coef).reshape(-1, 2) == [1.0, -1.0]).all()
+    Before any separation every row is a mask row: +1 at z_c, -1 at x_ab."""
+    a, rhs = model_rows(solver)
+    assert (np.diff(a.indptr) == 2).all() and (rhs == 0.0).all()
+    cols = a.indices.reshape(-1, 2)
+    assert (a.data.reshape(-1, 2) == [-1.0, 1.0]).all() and (cols[:, 1] >= solver.n_pairs).all()
     return [(int(z) - solver.n_pairs, tuple(solver._pair_array[int(x)].tolist()))
-            for z, x in cols]
+            for x, z in cols]
 
 
 class TestMaskEncoding:
@@ -338,9 +355,11 @@ def linprog_reference(solver, fixed):
     bounds = [(0.0, 1.0)] * n_vars
     for var, val in fixed.items():
         bounds[var] = (float(val), float(val))
-    a_ub = sparse.csr_matrix((solver.coef, solver.col_of, solver.row_start + [len(solver.coef)]),
-                             shape=(len(solver.rhs), n_vars)) if solver.rhs else None
-    return linprog(solver.cost, A_ub=a_ub, b_ub=solver.rhs, bounds=bounds, method="highs")
+    a_ub, b_ub = model_rows(solver)
+    if not b_ub.size:
+        a_ub = b_ub = None
+    return linprog(solver._lp.getLp().col_cost_, A_ub=a_ub, b_ub=b_ub, bounds=bounds,
+                   method="highs")
 
 
 class TestHighsLp:
@@ -353,8 +372,8 @@ class TestHighsLp:
         assume(n_vars > 0)
         value = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
         # several LPs on one solver, separation rows added between them, so
-        # the row arrays grow as in the cutting-plane loop; zero rounds and
-        # no masks leave the LP without rows
+        # the model grows and is solved again as in the cutting-plane loop;
+        # zero rounds and no masks leave the LP without rows
         for _ in range(data.draw(st.integers(1, 3))):
             # random 0/1 fixings; contradictory ones make the LP infeasible
             fixed = data.draw(st.dictionaries(st.integers(0, n_vars - 1), st.integers(0, 1),
@@ -368,6 +387,25 @@ class TestHighsLp:
                 assert got[0] == ref.fun and got[1].tobytes() == ref.x.tobytes()
             x = np.array(data.draw(st.lists(value, min_size=n_vars, max_size=n_vars)))
             solver._separate(x)
+
+    def test_one_model_per_solve(self, monkeypatch):
+        # BRANCHING runs 4 LPs over 3 nodes, all on the one model
+        models = []
+        real = grouping.highs._Highs
+
+        def counted():
+            models.append(real())
+            return models[-1]
+
+        monkeypatch.setattr(grouping.highs, "_Highs", counted)
+        sol = grouping.solve_multicut(BRANCHING, 0.5)
+        assert sol.lp_solves == 4 and len(models) == 1
+        assert models[0].getNumRow() == sol.cuts
+
+    def test_refused_model_edit_raises_solver_error(self):
+        solver = grouping._MulticutSolver(BRANCHING, 0.5)
+        with pytest.raises(SolverError, match="refused"):
+            solver._add_row(0, [solver.n_pairs + solver.n_masks])   # no such column
 
     def test_contradictory_fixings_are_infeasible(self):
         # a mask row z <= x_ab: the mask joined while a and b stay apart
@@ -640,13 +678,12 @@ def _floyd_warshall(n, pairs, y, skip):
 class TestPathSeparation:
     def check_rows(self, instance, x):
         solver = grouping._MulticutSolver(instance, 0.5)
-        first = len(solver.rhs)
+        first = solver._lp.getNumRow()
         added = solver._separate_paths(x)
-        assert added == len(solver.rhs) - first
-        col_of, coef = np.array(solver.col_of), np.array(solver.coef)
-        bounds = solver.row_start + [col_of.size]
-        rows = [(col_of[bounds[r]:bounds[r + 1]], coef[bounds[r]:bounds[r + 1]], solver.rhs[r])
-                for r in range(first, len(solver.rhs))]
+        a, b = model_rows(solver)
+        assert added == b.size - first
+        rows = [(a.indices[a.indptr[r]:a.indptr[r + 1]], a.data[a.indptr[r]:a.indptr[r + 1]],
+                 b[r]) for r in range(first, b.size)]
         tol = solver.SEPARATION_TOL
         pairs = solver._pair_array
         y = 1.0 - x[:solver.n_pairs]
@@ -655,9 +692,9 @@ class TestPathSeparation:
         violated = {e for e, d in detour.items() if d < y[e] - tol}
         chosen = set()
         for cols, coefs, rhs in rows:
-            e, path = int(cols[0]), [int(c) for c in cols[1:]]
-            assert e in violated and e not in path
-            assert coefs.tolist() == [-1.0] + [1.0] * len(path) and rhs == len(path) - 1
+            assert sorted(coefs.tolist()) == [-1.0] + [1.0] * (coefs.size - 1)
+            e, path = int(cols[coefs == -1.0][0]), cols[coefs == 1.0].tolist()
+            assert e in violated and e not in path and rhs == len(path) - 1
             # the path's pairs form one simple path between e's endpoints
             degree = np.bincount(pairs[path].ravel(), minlength=instance.node_count)
             ends = set(pairs[e].tolist())
