@@ -109,6 +109,14 @@ class LabelModel:
     location_mean: np.ndarray        # (V, 2)
     location_cov: np.ndarray         # (V, 2, 2)
     cooccurrence: np.ndarray         # (V, V), symmetric positive
+    # log psi(a, b) / (p(a) p(b)), p being psi's row sum: the pointwise mutual
+    # information of every label pair
+    pmi: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        psi = self.cooccurrence
+        p = psi.sum(axis=1)
+        object.__setattr__(self, "pmi", np.log(psi / (p[:, None] * p[None, :])))
 
     @property
     def vocab_size(self) -> int:
@@ -227,16 +235,12 @@ def _shift_clamp(table: np.ndarray, e_max: float) -> np.ndarray:
 def interior_table(model: LabelModel, hist_m: np.ndarray, hist_n: np.ndarray,
                    cands_m: np.ndarray, cands_n: np.ndarray,
                    beta_pair: float, e_max: float) -> np.ndarray:
-    """Appearance minus the pointwise mutual information log psi(a, b) /
-    (p(a) p(b)) of the label pair, shifted and clamped; p is the row sum of
-    the co-occurrence table psi. Plain -log psi mostly measures how often
+    """Appearance minus the pointwise mutual information ``model.pmi`` of the
+    label pair, shifted and clamped. Plain -log psi mostly measures how often
     each label occurs, so each edge would pull toward background."""
     appearance = pair_appearance(features.chi_square(hist_m, hist_n), cands_m, cands_n,
                                  beta_pair)
-    psi = model.cooccurrence
-    p = psi.sum(axis=1)
-    pmi = psi[np.ix_(cands_m, cands_n)] / (p[cands_m][:, None] * p[cands_n][None, :])
-    return _shift_clamp(appearance - np.log(pmi), e_max)
+    return _shift_clamp(appearance - model.pmi[np.ix_(cands_m, cands_n)], e_max)
 
 
 def exterior_table(hist_u: np.ndarray, hist_v: np.ndarray,
@@ -293,9 +297,8 @@ def build_graph(images: list[ImageRecord], regions: dict[str, list[Region]],
     hists: list[np.ndarray] = []
     candidates: list[np.ndarray] = []
     interior: list[tuple[int, int]] = []
-    regions_by_image = {image.id: regions[image.id] for image in images}
     for image in images:
-        regs = regions_by_image[image.id]
+        regs = regions[image.id]
         region_map = regs[0].region_map
         hists.extend(features.region_histograms(maps[image.id], region_map, len(regs)))
         cand = np.array(sorted(set(image.tags) | {BACKGROUND}), dtype=np.int64)
@@ -321,10 +324,10 @@ def build_graph(images: list[ImageRecord], regions: dict[str, list[Region]],
     for prop in propagations:
         src = source_regions.get(prop.source_exemplar)
         if (src not in vertex_of or src[0] == prop.target_image
-                or prop.target_image not in regions_by_image):
+                or (prop.target_image, 0) not in vertex_of):
             continue
         target_k = match_propagation_target(prop.mask, prop.x, prop.y,
-                                            regions_by_image[prop.target_image])
+                                            regions[prop.target_image])
         if target_k is None:
             continue
         # the endpoints lie in different images, so they never coincide

@@ -28,14 +28,6 @@ class ImageRecord:
     contour_map: np.ndarray     # (H, W) bool
     ground_truth: np.ndarray | None = None  # (H, W) int64 vocabulary indices
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class Partition:

@@ -86,8 +86,7 @@ def region_saliency(maps: features.ImageMaps, region: Region,
 
 
 def select_regions(maps: features.ImageMaps, regions: list[Region],
-                   a_min: float = 0.02, a_max: float = 0.6,
-                   tau_sel: float = 0.05, n_sel: int = 4) -> list[int]:
+                   a_min: float, a_max: float, tau_sel: float, n_sel: int) -> list[int]:
     """Region indices ranked by saliency, thresholded and capped; a region
     whose bounding box is too thin for a HOG patch is never selected."""
     scored = []
@@ -373,8 +372,7 @@ def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
 # ---------------------------------------------------------------------------
 
 def detect(exemplar: Exemplar, image: ImageRecord,
-           pyramid: features.HogPyramid,
-           stride: int = 8, scales: tuple[float, ...] = (1.0, 0.8, 1.25),
+           pyramid: features.HogPyramid, stride: int, scales: tuple[float, ...],
            k: int | None = None) -> list[DetectionWindow]:
     """Score all windows of one image over the scale set, then NMS at IoU 0.5.
 
@@ -433,9 +431,7 @@ def detect(exemplar: Exemplar, image: ImageRecord,
 
 def propagate(exemplar: Exemplar, corpus_images: list[ImageRecord],
               pyramids: dict[str, features.HogPyramid],
-              k: int = 5, stride: int = 8,
-              scales: tuple[float, ...] = (1.0, 0.8, 1.25)
-              ) -> list[PropagationRecord]:
+              k: int, stride: int, scales: tuple[float, ...]) -> list[PropagationRecord]:
     """Global top-k NMS-filtered detections, each carrying the resized mask;
     ``pyramids`` holds each corpus image's HOG pyramid by id. Each image's
     NMS stops after its own top k (and the windows tied with its k-th), the

@@ -1,11 +1,12 @@
 """Discrete MAP inference: max-flow/min-cut and alpha-expansion.
 
-The flow solver is Dinic's algorithm over a CSR residual network with
-deterministic arc ordering; its last BFS gives the source side of the cut.
+The flow solver is Dinic's algorithm over per-node adjacency lists that
+keep each node's arcs in insertion order, so augmentations run in a
+deterministic order; its last BFS gives the source side of the cut.
 Alpha-expansion sweeps labels in vocabulary order, reduces each move to a
 binary min-cut, truncates non-submodular edge terms, and accepts a move only
-when the true energy strictly decreases. Labelings are handled as candidate
-positions, from a label -> position table built once per problem, and one
+when the true energy strictly decreases. A labeling is handled as candidate
+positions until ``LabelingProblem.labels_of`` turns it into labels, and one
 scorer (``LabelingProblem.energies``) prices every energy that is compared.
 """
 
@@ -33,7 +34,7 @@ class FlowNetwork:
         self.node_count = node_count
         self.source = source
         self.sink = sink
-        self._from: list[int] = []
+        self._adj: list[list[int]] = [[] for _ in range(node_count)]
         self._to: list[int] = []
         self._cap: list[float] = []
 
@@ -42,17 +43,10 @@ class FlowNetwork:
             raise MalformedInputError(f"bad arc ({u}, {v})")
         if not np.isfinite(capacity) or capacity < 0:
             raise MalformedInputError(f"arc capacity must be finite and >= 0, got {capacity}")
-        self._from.extend([u, v])
+        self._adj[u].append(len(self._to))
+        self._adj[v].append(len(self._to) + 1)
         self._to.extend([v, u])
         self._cap.extend([float(capacity), 0.0])
-
-    def _csr(self):
-        """(ptr, arc ids per node, arc tails, arc heads, capacities)."""
-        frm = np.asarray(self._from, dtype=np.int64)
-        ptr = np.zeros(self.node_count + 1, dtype=np.int64)
-        np.add.at(ptr[1:], frm, 1)
-        return (np.cumsum(ptr), np.argsort(frm, kind="stable"), frm,
-                np.asarray(self._to, dtype=np.int64), np.asarray(self._cap, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -64,11 +58,11 @@ class FlowResult:
 
 def max_flow(network: FlowNetwork) -> FlowResult:
     """Max flow with the min-cut side assignment; duality checked internally."""
-    ptr, adj_arc, arc_from, arc_to, cap0 = network._csr()
     flow, side = kernels.dinic(network.node_count, network.source, network.sink,
-                               ptr, adj_arc, arc_to, cap0.copy())
-    # forward arcs sit at even indices
-    cut = float(cap0[::2][side[arc_from[::2]] & ~side[arc_to[::2]]].sum())
+                               network._adj, network._to, network._cap.copy())
+    # forward arcs sit at even indices; a forward arc's tail is its reverse's head
+    to, cap = np.array(network._to, dtype=np.int64), np.array(network._cap)
+    cut = float(cap[::2][side[to[1::2]] & ~side[to[::2]]].sum())
     if abs(cut - flow) > 1e-6 * max(1.0, abs(flow)):
         raise SolverError(f"flow/cut mismatch: flow={flow!r} cut={cut!r}")
     return FlowResult(float(flow), side, cut)
@@ -131,26 +125,24 @@ class LabelingProblem:
         return pos
 
     def lowest_unary(self) -> np.ndarray:
-        """Each vertex's candidate of lowest unary energy, the first on ties."""
-        return np.array([cand[np.argmin(un)] for cand, un in zip(self.candidates, self.unary)],
-                        dtype=np.int64)
+        """Each vertex's candidate position of lowest unary energy, the first on ties."""
+        return np.array([np.argmin(un) for un in self.unary], dtype=np.int64)
 
-    def energies(self, pos: np.ndarray, vertex_weight: np.ndarray | None = None,
-                 edge_weight: np.ndarray | None = None) -> np.ndarray:
+    def labels_of(self, pos: np.ndarray) -> np.ndarray:
+        """The labels at one labeling's candidate positions."""
+        return np.array([cand[p] for cand, p in zip(self.candidates, pos)], dtype=np.int64)
+
+    def energies(self, pos: np.ndarray) -> np.ndarray:
         """Energy of each row of a (k, n) table of candidate positions.
 
         Adds the unary terms vertex by vertex, then the edge terms in order,
-        so a labeling gets the same bits in any table. Optional (k, n) vertex
-        and (k, edges) edge weights scale each term of each row; rows that
-        repeat one labeling with per-image weights split its energy by image.
+        so a labeling gets the same bits in any table.
         """
         total = np.zeros(pos.shape[0])
         for i, unary in enumerate(self.unary):
-            term = unary[pos[:, i]]
-            total += term if vertex_weight is None else term * vertex_weight[:, i]
-        for e, (u, v, table) in enumerate(self.edges):
-            term = table[pos[:, u], pos[:, v]]
-            total += term if edge_weight is None else term * edge_weight[:, e]
+            total += unary[pos[:, i]]
+        for u, v, table in self.edges:
+            total += table[pos[:, u], pos[:, v]]
         return total
 
 
@@ -168,11 +160,10 @@ class ExpansionResult:
     truncated_terms: int = 0   # non-submodular edge terms truncated over every move built
 
 
-def alpha_expansion(problem: LabelingProblem, max_sweeps: int = 10) -> ExpansionResult:
+def alpha_expansion(problem: LabelingProblem, max_sweeps: int) -> ExpansionResult:
     """Move-making minimization from each vertex's lowest unary; sweeps labels
     in ascending (vocabulary) order."""
-    labeling = problem.lowest_unary()
-    pos = problem.positions(labeling)
+    pos = problem.lowest_unary()
     energy = float(problem.energies(pos[None])[0])
     move_energies: list[float] = []
     sweeps_done = 0
@@ -182,32 +173,31 @@ def alpha_expansion(problem: LabelingProblem, max_sweeps: int = 10) -> Expansion
         sweeps_done += 1
         changed = False
         for col in range(problem.labels.size):
-            proposal = _expansion_move(problem, labeling, pos, col)
+            proposal = _expansion_move(problem, pos, col)
             if proposal is None:
                 continue
-            new_labeling, new_pos, move_truncated = proposal
+            new_pos, move_truncated = proposal
             truncated += move_truncated
             new_energy = float(problem.energies(new_pos[None])[0])
             if new_energy < energy - 1e-12:
-                labeling, pos = new_labeling, new_pos
+                pos = new_pos
                 energy = new_energy
                 move_energies.append(energy)
                 changed = True
         if not changed:
             break
-    return ExpansionResult(labeling=labeling, energy=energy,
+    return ExpansionResult(labeling=problem.labels_of(pos), energy=energy,
                            move_energies=tuple(move_energies), sweeps=sweeps_done,
                            converged=not changed, truncated_terms=truncated)
 
 
-def _expansion_move(problem: LabelingProblem, labeling: np.ndarray, pos_cur: np.ndarray,
-                    col: int) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """Best alpha-expansion of ``labeling`` (candidate positions ``pos_cur``)
-    for alpha = ``problem.labels[col]``, as (labeling, positions, number of
+def _expansion_move(problem: LabelingProblem, pos_cur: np.ndarray,
+                    col: int) -> tuple[np.ndarray, int] | None:
+    """Best alpha-expansion of the labeling at candidate positions
+    ``pos_cur`` for alpha = ``problem.labels[col]``, as (positions, number of
     edge terms truncated)."""
-    alpha = problem.labels[col]
     pos_alpha = problem.label_positions[:, col]
-    movers = np.flatnonzero((pos_alpha >= 0) & (labeling != alpha))
+    movers = np.flatnonzero((pos_alpha >= 0) & (pos_cur != pos_alpha))
     if movers.size == 0:
         return None
     node_of = {int(v): i for i, v in enumerate(movers)}
@@ -254,10 +244,9 @@ def _expansion_move(problem: LabelingProblem, labeling: np.ndarray, pos_cur: np.
     for iu, iv, cap in pair_arcs:
         net.add_arc(iu, iv, cap)
     switch = movers[~max_flow(net).source_side[:m]]
-    labeling, pos = labeling.copy(), pos_cur.copy()
-    labeling[switch] = alpha
+    pos = pos_cur.copy()
     pos[switch] = pos_alpha[switch]
-    return labeling, pos, truncated
+    return pos, truncated
 
 
 def brute_force_map(problem: LabelingProblem) -> tuple[np.ndarray, float]:
@@ -282,5 +271,4 @@ def brute_force_map(problem: LabelingProblem) -> tuple[np.ndarray, float]:
         if energy[j] < best_energy:
             best_energy = float(energy[j])
             best_pos = pos[j].copy()
-    labeling = np.array([cand[p] for cand, p in zip(problem.candidates, best_pos)], np.int64)
-    return labeling, best_energy
+    return problem.labels_of(best_pos), best_energy

@@ -5,12 +5,12 @@ with ``np.bincount`` and strided matrix products; the multicut objective is
 scored over a node-major table of assignments at once, one pass over the
 columns per edge and per mask, whether the table holds every set partition
 (the oracle) or one column (a rounded LP point of the solver); Dinic
-max-flow is a plain Python loop (Phase II, where it runs, is a small share
-of a run); the box-constrained dual of both SVMs, the exemplar SVMs of
-Phase I and the appearance machines of Phase II, is solved by projected
-Newton. The tests check the vectorized kernels against straightforward
-reference loops, Dinic through flow/cut duality and the dual solver
-through its KKT conditions and duality gap.
+max-flow is a plain Python loop over per-node adjacency lists (Phase II,
+where it runs, is a small share of a run); the box-constrained dual of both
+SVMs, the exemplar SVMs of Phase I and the appearance machines of Phase II,
+is solved by projected Newton. The tests check the vectorized kernels
+against straightforward reference loops, Dinic through flow/cut duality
+and the dual solver through its KKT conditions and duality gap.
 """
 
 from __future__ import annotations
@@ -165,38 +165,30 @@ def solve_box_qp(q, c, callback=None):
 # Max-flow (Dinic: BFS level phases, each reused for many augmentations)
 # ---------------------------------------------------------------------------
 
-def dinic(n, s, t, ptr, adj_arc, arc_to, cap):
-    """Max flow on a CSR residual network. Mutates ``cap`` in place.
+def dinic(n, s, t, adj, arc_to, cap):
+    """Max flow on a residual network of Python lists. Mutates ``cap`` in place.
 
-    Arcs come in (forward, reverse) pairs at indices (2k, 2k^1); ``adj_arc``
-    lists arc ids per node in insertion order so augmenting order is
+    Arcs come in (forward, reverse) pairs at indices (2k, 2k^1); ``adj[v]``
+    lists node v's arc ids in insertion order so augmenting order is
     deterministic. Returns the flow value and the source side of a minimum
     cut: the nodes that the last BFS (the one that misses ``t``) reached.
     """
     eps = 1e-12
-    level = np.empty(n, np.int64)
-    itp = np.empty(n, np.int64)
-    parent = np.empty(n, np.int64)
-    queue = np.empty(n, np.int64)
     flow = 0.0
     while True:
-        level[:] = -1
+        level = [-1] * n
         level[s] = 0
-        queue[0] = s
-        qh, qt = 0, 1
-        while qh < qt:
-            v = queue[qh]
-            qh += 1
-            for p in range(ptr[v], ptr[v + 1]):
-                a = adj_arc[p]
+        queue = [s]
+        for v in queue:
+            for a in adj[v]:
                 u = arc_to[a]
                 if cap[a] > eps and level[u] < 0:
                     level[u] = level[v] + 1
-                    queue[qt] = u
-                    qt += 1
+                    queue.append(u)
         if level[t] < 0:
             break
-        itp[:] = ptr[:-1]
+        it = [0] * n
+        parent = [0] * n
         v = s
         while True:
             if v == t:
@@ -216,24 +208,24 @@ def dinic(n, s, t, ptr, adj_arc, arc_to, cap):
                 flow += f
                 v = s
                 continue
-            advanced = False
-            p = itp[v]
-            while p < ptr[v + 1]:
-                a = adj_arc[p]
+            arcs = adj[v]
+            p = it[v]
+            while p < len(arcs):
+                a = arcs[p]
                 u = arc_to[a]
                 if cap[a] > eps and level[u] == level[v] + 1:
                     parent[u] = a
-                    v = u
-                    advanced = True
                     break
                 p += 1
-                itp[v] = p
-            if not advanced:
-                if v == s:
-                    break
+            it[v] = p
+            if p < len(arcs):
+                v = u
+            elif v == s:
+                break
+            else:
                 level[v] = -1
                 v = arc_to[parent[v] ^ 1]
-    return flow, level >= 0
+    return flow, np.array(level) >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -170,10 +170,12 @@ def build_maps(images) -> dict[str, features.ImageMaps]:
 def _group_all(images: list[ImageRecord], propagations, config: Config,
                solved: dict[grouping.MulticutInstance, grouping.MulticutSolution],
                graphs: dict[str, grouping.SuperpixelGraph]) -> dict[str, Partition]:
+    by_target: dict[str, list] = {image.id: [] for image in images}
+    for prop in propagations:
+        by_target[prop.target_image].append(prop)
     partitions = {}
     for image in images:
-        props = [p for p in propagations if p.target_image == image.id]
-        instance = grouping.instance_for_image(image, props, graphs[image.id])
+        instance = grouping.instance_for_image(image, by_target[image.id], graphs[image.id])
         if instance not in solved:
             solved[instance] = grouping.solve_multicut(instance, config.theta)
         partitions[image.id] = solved[instance].partition
@@ -391,25 +393,29 @@ def run_colabeling(corpus: Corpus, regions: dict[str, list[Region]],
     source_regions = {ex.id: ex.source_region for ex in exemplars}
     graph = colabel.build_graph(images, regions, propagations, source_regions, model, maps,
                                 config.beta_pair, config.sigmoid_sharpness, config.e_max)
-    result = alpha_expansion(graph.problem, max_sweeps=config.max_sweeps)
+    result = alpha_expansion(graph.problem, config.max_sweeps)
 
     # an image's regions are consecutive vertices from its region 0 on, so
     # one lookup through its region map paints it
     label_maps = {region.id[0]: result.labeling[v + region.region_map]
                   for v, region in enumerate(graph.vertex_regions) if region.id[1] == 0}
 
-    # one row per image: its vertices' unaries, plus half of an edge's term for
-    # each end in the image, so interior edges count whole and exterior ones half
-    row = {image.id: r for r, image in enumerate(images)}
-    image_of = np.array([row[region.id[0]] for region in graph.vertex_regions])
-    ends = image_of[np.array([(u, v) for u, v, _ in graph.problem.edges], int).reshape(-1, 2)]
-    rows = np.arange(len(images))[:, None]
-    edge_weight = ((ends[:, 0] == rows) * 1.0 + (ends[:, 1] == rows)) * 0.5
-    pos = graph.problem.positions(result.labeling)
-    split = graph.problem.energies(np.broadcast_to(pos, (len(images), pos.size)),
-                                   (image_of == rows) * 1.0, edge_weight)
-    per_image = {image.id: float(split[row[image.id]]) for image in images}
-    overruled = np.flatnonzero(result.labeling != graph.problem.lowest_unary())
+    # each image's vertices' unaries, then its interior edges whole and half
+    # of each exterior edge it touches, added in term order
+    problem = graph.problem
+    pos = problem.positions(result.labeling)
+    image_of = [region.id[0] for region in graph.vertex_regions]
+    per_image = {image.id: 0.0 for image in images}
+    for i, unary in enumerate(problem.unary):
+        per_image[image_of[i]] += float(unary[pos[i]])
+    for u, v, table in problem.edges:
+        term = float(table[pos[u], pos[v]])
+        if image_of[u] == image_of[v]:
+            per_image[image_of[u]] += term
+        else:
+            per_image[image_of[u]] += 0.5 * term
+            per_image[image_of[v]] += 0.5 * term
+    overruled = np.flatnonzero(pos != problem.lowest_unary())
     return Phase2Result(label_maps=label_maps, total_energy=result.energy,
                         per_image_energy=per_image, sweeps=result.sweeps,
                         converged=result.converged, truncated_terms=result.truncated_terms,

@@ -89,7 +89,7 @@ def test_criterion_3_map_oracle():
                     edges.append((u, v, table))
         problem = graphcut.LabelingProblem(candidates=cands, unary=unary,
                                            edges=tuple(edges))
-        result = graphcut.alpha_expansion(problem)
+        result = graphcut.alpha_expansion(problem, pipeline.Config().max_sweeps)
         _, optimum = graphcut.brute_force_map(problem)
         moves = result.move_energies
         assert all(moves[i + 1] < moves[i] for i in range(len(moves) - 1)), \
@@ -278,8 +278,8 @@ def test_criterion_9_energy_model_sanity():
         shifted = graphcut.LabelingProblem(
             candidates=cands, unary=unary,
             edges=tuple((u, v, t - t.min()) for u, v, t in edges))
-        res_a = graphcut.alpha_expansion(base)
-        res_b = graphcut.alpha_expansion(shifted)
+        res_a = graphcut.alpha_expansion(base, pipeline.Config().max_sweeps)
+        res_b = graphcut.alpha_expansion(shifted, pipeline.Config().max_sweeps)
         assert (res_a.labeling == res_b.labeling).all()
     elapsed = time.time() - start
     assert elapsed < 30

@@ -332,7 +332,8 @@ class TestEnergies:
             problem = graphcut.LabelingProblem(
                 candidates=(cands,) * 5, unary=unary,
                 edges=tuple((0, v, table) for v in range(1, 5)))
-            labelings[name] = graphcut.alpha_expansion(problem).labeling.tolist()
+            result = graphcut.alpha_expansion(problem, Config().max_sweeps)
+            labelings[name] = result.labeling.tolist()
         assert labelings == {"plain": [0, 0, 0, 0, 0], "pmi": [2, 0, 0, 0, 0]}
 
     def test_tables_match_scalar_formulas_bit_for_bit(self):

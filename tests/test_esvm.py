@@ -11,6 +11,10 @@ from coparse.errors import InsufficientDataError
 from conftest import assert_calibration_stationary, make_image
 
 
+CONFIG = pipeline.Config()
+SELECTION = (CONFIG.a_min, CONFIG.a_max, CONFIG.tau_sel, CONFIG.n_sel)
+
+
 def maps_of(images):
     return {image.id: features.image_maps(image.pixels) for image in images}
 
@@ -491,7 +495,8 @@ class TestSelection:
                     == _region_saliency_full(maps, region, 0.0, 1.0))
 
     def test_empty_regions(self, quad_image):
-        assert esvm.select_regions(features.image_maps(quad_image.pixels), []) == []
+        maps = features.image_maps(quad_image.pixels)
+        assert esvm.select_regions(maps, [], *SELECTION) == []
 
     def test_area_gate(self):
         images = make_detection_corpus()
@@ -503,7 +508,8 @@ class TestSelection:
     def test_centered_contrast_region_selected_first(self):
         images = make_detection_corpus()
         regions = regions_of(images[0], Partition.from_assignment([0, 1]))
-        selected = esvm.select_regions(features.image_maps(images[0].pixels), regions)
+        maps = features.image_maps(images[0].pixels)
+        selected = esvm.select_regions(maps, regions, *SELECTION)
         assert selected[0] == 1
 
     def test_centered_region_outranks_border_sliver_of_equal_area(self):
@@ -521,7 +527,7 @@ class TestSelection:
         s_center = esvm.region_saliency(maps, regions[1], 0.02, 0.6)
         s_corner = esvm.region_saliency(maps, regions[2], 0.02, 0.6)
         assert s_center > s_corner > 0.0
-        assert esvm.select_regions(maps, regions)[0] == 1
+        assert esvm.select_regions(maps, regions, *SELECTION)[0] == 1
 
     def test_region_too_thin_for_hog_is_skipped(self):
         # a salient centered line one pixel wide passes a zero area floor
@@ -534,7 +540,7 @@ class TestSelection:
         regions = regions_of(image, Partition.from_assignment([0, 1]))
         maps = features.image_maps(image.pixels)
         assert esvm.region_saliency(maps, regions[1], 0.0, 0.6) > 0.05
-        assert esvm.select_regions(maps, regions, a_min=0.0) == []
+        assert esvm.select_regions(maps, regions, 0.0, *SELECTION[1:]) == []
 
 
 class TestPropagation:
@@ -545,7 +551,8 @@ class TestPropagation:
         ex = esvm.build_exemplar("e0", images[0], regions[1], images, excluded,
                                  0.5, 0.01, seed=7, maps=maps_of(images),
                                  pyramids=pyramids_of(images))
-        assert esvm.propagate(ex, images, pyramids_of(images), k=0) == []
+        assert esvm.propagate(ex, images, pyramids_of(images), 0, CONFIG.stride,
+                              CONFIG.scales) == []
 
     def test_self_detection_overlaps_source(self):
         images = make_detection_corpus()
@@ -554,7 +561,8 @@ class TestPropagation:
         ex = esvm.build_exemplar("e0", images[0], regions[1], images, excluded,
                                  0.5, 0.01, seed=7, maps=maps_of(images),
                                  pyramids=pyramids_of(images))
-        dets = esvm.detect(ex, images[0], pyramids_of(images)[images[0].id])
+        dets = esvm.detect(ex, images[0], pyramids_of(images)[images[0].id], CONFIG.stride,
+                           CONFIG.scales)
         assert dets
         top = dets[0]
         bbox = (24, 32, 24 + 48, 32 + 64)  # (x0, y0, x1, y1)
@@ -586,7 +594,7 @@ class TestPropagation:
         ex = esvm.build_exemplar("e0", images[0], regions[1], images, excluded,
                                  0.5, 0.01, seed=7, maps=maps_of(images),
                                  pyramids=pyramids_of(images))
-        props = esvm.propagate(ex, images, pyramids_of(images), k=8)
+        props = esvm.propagate(ex, images, pyramids_of(images), 8, CONFIG.stride, CONFIG.scales)
         assert len(props) <= 8
         scores = [p.score for p in props]
         assert scores == sorted(scores, reverse=True)
@@ -606,11 +614,12 @@ class TestPropagation:
         ex = esvm.build_exemplar("e0", images[0], regions[1], images,
                                  regions[1].region_map == 1, 0.5, 0.01, seed=7,
                                  maps=maps_of(images), pyramids=pyramids_of(images))
-        for p in esvm.propagate(ex, images, pyramids_of(images), k=6):
+        for p in esvm.propagate(ex, images, pyramids_of(images), 6, CONFIG.stride,
+                                CONFIG.scales):
             h, w = p.mask.shape
             img = next(i for i in images if i.id == p.target_image)
-            assert 0 <= p.x and p.x + w <= img.width
-            assert 0 <= p.y and p.y + h <= img.height
+            assert 0 <= p.x and p.x + w <= img.pixels.shape[1]
+            assert 0 <= p.y and p.y + h <= img.pixels.shape[0]
             assert 0.0 < p.score < 1.0
 
 
@@ -651,9 +660,9 @@ class TestEarlyStoppingNms:
         flat = make_image(np.zeros((96, 80), dtype=np.int64), image_id="flat")
         for image in images + [flat]:
             pyramid = pyramids_of([image])[image.id]
-            full = esvm.detect(ex, image, pyramid)
+            full = esvm.detect(ex, image, pyramid, CONFIG.stride, CONFIG.scales)
             for k in (1, 2, 4, 9):
-                got = esvm.detect(ex, image, pyramid, k=k)
+                got = esvm.detect(ex, image, pyramid, CONFIG.stride, CONFIG.scales, k=k)
                 assert got == full[:len(got)]
                 assert len(got) >= min(k, len(full))
                 # what is left scores below the last window kept
@@ -661,8 +670,9 @@ class TestEarlyStoppingNms:
                 assert all(d.raw_score == got[k - 1].raw_score for d in got[k - 1:])
         # a uniform image's windows all tie, so none is dropped
         pyramid = pyramids_of([flat])[flat.id]
-        assert esvm.detect(ex, flat, pyramid, k=1) == esvm.detect(ex, flat, pyramid)
-        assert esvm.detect(ex, flat, pyramid, k=0) == []
+        full = esvm.detect(ex, flat, pyramid, CONFIG.stride, CONFIG.scales)
+        assert esvm.detect(ex, flat, pyramid, CONFIG.stride, CONFIG.scales, k=1) == full
+        assert esvm.detect(ex, flat, pyramid, CONFIG.stride, CONFIG.scales, k=0) == []
 
 
 def rle_round_trip(mask: np.ndarray) -> tuple[dict, np.ndarray]:

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from coparse import graphcut, kernels
+from coparse import graphcut, kernels, pipeline
 from coparse.errors import MalformedInputError, OracleTooLargeError, SolverError
+
+
+MAX_SWEEPS = pipeline.Config().max_sweeps
 
 
 def potts_problem(unaries, lam, n_labels=2, chain=True):
@@ -40,15 +43,13 @@ def draw_problem(data, n_max=6, n_labels=4):
     return graphcut.LabelingProblem(candidates=cands, unary=unary, edges=tuple(edges))
 
 
-def python_energy(problem, pos, vertex_weight=None, edge_weight=None):
+def python_energy(problem, pos):
     """Reference scorer: one labeling's terms in a plain loop, unaries first."""
     total = 0.0
     for i, unary in enumerate(problem.unary):
-        term = float(unary[pos[i]])
-        total += term if vertex_weight is None else term * vertex_weight[i]
-    for e, (u, v, table) in enumerate(problem.edges):
-        term = float(table[pos[u], pos[v]])
-        total += term if edge_weight is None else term * edge_weight[e]
+        total += float(unary[pos[i]])
+    for u, v, table in problem.edges:
+        total += float(table[pos[u], pos[v]])
     return total
 
 
@@ -65,9 +66,9 @@ def python_positions(problem, labeling):
 
 def residual_source_side(network, cap):
     """Reference: BFS from the source over arcs of residual capacity > 1e-12."""
-    frm = np.asarray(network._from)
     to = np.asarray(network._to)
-    open_arc = cap > 1e-12
+    frm = to.reshape(-1, 2)[:, ::-1].ravel()   # an arc's tail is its partner's head
+    open_arc = np.asarray(cap) > 1e-12
     residual = sparse.csr_array((np.ones(open_arc.sum()), (frm[open_arc], to[open_arc])),
                                 shape=(network.node_count, network.node_count))
     side = np.zeros(network.node_count, dtype=bool)
@@ -175,9 +176,8 @@ class TestMaxFlow:
                     cap = [rng.integers(0, 20), rng.uniform(0.0, 10.0),
                            rng.choice([0.0, 1e-13, 1e-11, 1e-6, 1.0])][trial % 3]
                     net.add_arc(int(u), int(v), float(cap))
-            ptr, adj_arc, _, arc_to, cap0 = net._csr()
-            cap = cap0.copy()
-            flow, side = kernels.dinic(n, 0, n - 1, ptr, adj_arc, arc_to, cap)
+            cap = net._cap.copy()
+            flow, side = kernels.dinic(n, 0, n - 1, net._adj, net._to, cap)
             assert side.tolist() == residual_source_side(net, cap).tolist()
             assert flow == graphcut.max_flow(net).flow
 
@@ -187,21 +187,14 @@ class TestScorer:
     @given(st.data())
     def test_energies_match_python_loop(self, data):
         prob = draw_problem(data)
-        n, m = len(prob.candidates), len(prob.edges)
         k = data.draw(st.integers(1, 8))
         pos = np.array([[data.draw(st.integers(0, c.size - 1)) for c in prob.candidates]
                         for _ in range(k)], dtype=np.int64)
-        weight = st.sampled_from([0.0, 0.5, 1.0])
-        vertex_weight = np.array(data.draw(st.lists(weight, min_size=k * n, max_size=k * n)))
-        edge_weight = np.array(data.draw(st.lists(weight, min_size=k * m, max_size=k * m)))
-        vertex_weight, edge_weight = vertex_weight.reshape(k, n), edge_weight.reshape(k, m)
-        plain = prob.energies(pos)
-        weighted = prob.energies(pos, vertex_weight, edge_weight)
+        energies = prob.energies(pos)
         for r in range(k):
-            assert plain[r] == python_energy(prob, pos[r])
-            assert weighted[r] == python_energy(prob, pos[r], vertex_weight[r], edge_weight[r])
+            assert energies[r] == python_energy(prob, pos[r])
             labeling = np.array([c[p] for c, p in zip(prob.candidates, pos[r])])
-            assert graphcut.energy_of(prob, labeling) == plain[r]
+            assert graphcut.energy_of(prob, labeling) == energies[r]
 
     @settings(derandomize=True, deadline=None)
     @given(st.data())
@@ -232,18 +225,18 @@ class TestScorer:
 class TestAlphaExpansion:
     def test_zero_pairwise_gives_unary_argmin(self):
         prob = potts_problem([(0.0, 2.0), (2.0, 0.0), (0.5, 0.1)], 0.0)
-        res = graphcut.alpha_expansion(prob)
+        res = graphcut.alpha_expansion(prob, MAX_SWEEPS)
         assert res.labeling.tolist() == [0, 1, 1]
 
     def test_single_vertex(self):
         prob = potts_problem([(3.0, 1.0)], 1.0)
-        res = graphcut.alpha_expansion(prob)
+        res = graphcut.alpha_expansion(prob, MAX_SWEEPS)
         assert res.labeling.tolist() == [1]
         assert res.energy == 1.0
 
     def test_three_chain_matches_exhaustive(self):
         prob = potts_problem([(0.0, 2.0), (2.0, 0.0), (0.0, 2.0)], 1.0)
-        res = graphcut.alpha_expansion(prob)
+        res = graphcut.alpha_expansion(prob, MAX_SWEEPS)
         best, _ = exhaustive_energy(prob)
         assert best == 2.0
         assert res.energy == pytest.approx(best)
@@ -251,7 +244,7 @@ class TestAlphaExpansion:
     def test_sweep_cap_clears_converged(self):
         # the second sweep still moves (6.0 -> 5.0); only the third is quiet
         prob = potts_problem([(0, 2, 0), (3, 3, 0), (3, 1, 3), (2, 2, 3)], 2.0, n_labels=3)
-        full = graphcut.alpha_expansion(prob)
+        full = graphcut.alpha_expansion(prob, MAX_SWEEPS)
         assert (full.sweeps, full.converged, full.energy) == (3, True, 5.0)
         for cap in (1, 2):
             capped = graphcut.alpha_expansion(prob, max_sweeps=cap)
@@ -266,12 +259,12 @@ class TestAlphaExpansion:
         cands = (np.array([0, 1]), np.array([0, 1]))
         prob = graphcut.LabelingProblem(candidates=cands, unary=(np.zeros(2), np.zeros(2)),
                                         edges=((0, 1, table),))
-        res = graphcut.alpha_expansion(prob)
+        res = graphcut.alpha_expansion(prob, MAX_SWEEPS)
         assert (res.labeling.tolist(), res.energy, res.sweeps) == ([0, 0], 0.0, 1)
         assert res.truncated_terms == 1
         # Potts terms are metric, so no expansion move truncates them
         potts = potts_problem([(0, 2, 0), (3, 3, 0), (3, 1, 3), (2, 2, 3)], 2.0, n_labels=3)
-        assert graphcut.alpha_expansion(potts).truncated_terms == 0
+        assert graphcut.alpha_expansion(potts, MAX_SWEEPS).truncated_terms == 0
 
     def test_moves_strictly_decrease(self):
         rng = np.random.default_rng(37)
@@ -279,7 +272,7 @@ class TestAlphaExpansion:
             n = int(rng.integers(2, 7))
             unaries = [rng.uniform(0, 5, size=3) for _ in range(n)]
             prob = potts_problem(unaries, float(rng.uniform(0, 3)), n_labels=3)
-            res = graphcut.alpha_expansion(prob)
+            res = graphcut.alpha_expansion(prob, MAX_SWEEPS)
             me = res.move_energies
             assert all(me[i + 1] < me[i] for i in range(len(me) - 1))
 
@@ -289,7 +282,7 @@ class TestAlphaExpansion:
         # arbitrary tables, non-submodular ones included
         prob = draw_problem(data)
         initial = [cand[np.argmin(un)] for cand, un in zip(prob.candidates, prob.unary)]
-        res = graphcut.alpha_expansion(prob)
+        res = graphcut.alpha_expansion(prob, MAX_SWEEPS)
         assert res.energy == graphcut.energy_of(prob, res.labeling)
         assert res.energy <= graphcut.energy_of(prob, initial)
         steps = (graphcut.energy_of(prob, initial),) + res.move_energies
@@ -301,7 +294,7 @@ class TestAlphaExpansion:
         table = np.zeros((2, 2))
         prob = graphcut.LabelingProblem(candidates=cands, unary=unary,
                                         edges=((0, 1, table),))
-        res = graphcut.alpha_expansion(prob)
+        res = graphcut.alpha_expansion(prob, MAX_SWEEPS)
         assert res.labeling[0] in {0, 2}
         assert res.labeling[1] in {1, 2}
 
@@ -325,7 +318,7 @@ class TestAlphaExpansion:
                     edges.append((u, v, table))
             prob = graphcut.LabelingProblem(candidates=cands, unary=unary,
                                             edges=tuple(edges))
-            res = graphcut.alpha_expansion(prob)
+            res = graphcut.alpha_expansion(prob, MAX_SWEEPS)
             best, _ = exhaustive_energy(prob)
             assert res.energy >= best - 1e-9
             me = res.move_energies
@@ -365,6 +358,6 @@ class TestBruteForceMap:
             unaries = [rng.uniform(0, 5, size=n_labels) for _ in range(n)]
             prob = potts_problem(unaries, lam, n_labels=n_labels)
             lab, best = graphcut.brute_force_map(prob)
-            res = graphcut.alpha_expansion(prob)
+            res = graphcut.alpha_expansion(prob, MAX_SWEEPS)
             assert best <= res.energy + 1e-9
             assert best == pytest.approx(exhaustive_energy(prob)[0])

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coparse import cli, colabel, esvm, features, grouping, io, pipeline, synthgen
+from coparse import cli, colabel, esvm, features, graphcut, grouping, io, pipeline, synthgen
 from coparse.core import PropagationRecord, regions_of, superpixel_adjacency
 from coparse.errors import (ConfigError, InsufficientDataError, MalformedInputError,
                             SolverError)
@@ -324,6 +324,21 @@ class TestColabeling:
                 expected[image_v] += term / 2.0
         assert result.per_image_energy == expected
         assert sum(expected.values()) == pytest.approx(result.total_energy, rel=1e-12)
+
+    def test_every_energy_call_scores_one_row(self, monkeypatch):
+        """Phase II prices one labeling per scorer call, also when it splits
+        the energy by image, so no table grows with the image count."""
+        corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 3)
+        config = pipeline.Config(seed=8)
+        maps = pipeline.build_maps(corpus.images)
+        phase1 = pipeline.run_cosegmentation(corpus, config, maps)
+        rows = []
+        energies = graphcut.LabelingProblem.energies
+        monkeypatch.setattr(graphcut.LabelingProblem, "energies",
+                            lambda self, pos, *weights:
+                            rows.append(len(pos)) or energies(self, pos, *weights))
+        colabel_phase1(corpus, phase1, fit_label_model(corpus), config, maps)
+        assert rows and set(rows) == {1}
 
 
 class TestCrossValidate:
