@@ -3,7 +3,9 @@
 All types are immutable after construction; coordinates are normalized to
 [0, 1]^2 using pixel centers ((row + 0.5) / H, (col + 0.5) / W) so location
 statistics transfer across image sizes. Label 0 is the reserved background
-label of the corpus vocabulary.
+label of the corpus vocabulary. Connected components and bounding boxes
+are computed over row runs, the components with one ``csgraph`` call, and
+a dilation is shifted ORs, so the package needs no ``scipy.ndimage``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from .errors import MalformedInputError
@@ -166,28 +168,52 @@ def validate_image_record(record: ImageRecord, vocabulary_size: int | None = Non
                 raise MalformedInputError(f"{record.id}: tag {tag} outside vocabulary")
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values along a row of a raster begins: at
+    every row start and wherever a pixel differs from its left neighbour."""
+    starts = np.ones(values.shape, dtype=bool)
+    starts[:, 1:] = values[:, 1:] != values[:, :-1]
+    return starts
+
+
 def label_components(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """4-connected components of a non-negative integer raster.
 
     Returns (component map, value per component). Components are numbered
-    by value, then by their first pixel in raster order. One
-    ``ndimage.label`` runs over a grid that interleaves the pixels with
-    their links to the right and below, each set iff the two pixels hold
-    the same value; a component's first grid cell is its first pixel.
+    by value, then by their first pixel in raster order. The nodes are the
+    row runs, numbered in raster order, so a component's first run holds
+    its first pixel. Two vertically adjacent runs of one value overlap in a
+    column where one of the two starts, so joining the equal pixel pairs
+    where either starts a run links every such pair of runs; one
+    ``csgraph.connected_components`` call then joins the runs.
     """
     h, w = values.shape
-    grid = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
-    grid[::2, ::2] = True
-    grid[::2, 1::2] = values[:, :-1] == values[:, 1:]
-    grid[1::2, ::2] = values[:-1, :] == values[1:, :]
-    labels, count = ndimage.label(grid)  # the default 2-D structure is the 4-cross
-    labels = labels[::2, ::2] - 1
-    comp_values = np.empty(count, dtype=np.int64)
-    comp_values[labels] = values   # every pixel of a component holds its value
-    order = np.argsort(comp_values, kind="stable")
+    starts = _run_starts(values)
+    run = np.cumsum(starts).reshape(h, w) - 1
+    joins = (values[:-1] == values[1:]) & (starts[:-1] | starts[1:])
+    pairs = np.stack([run[:-1][joins], run[1:][joins]], axis=1)
+    graph = pair_graph(int(run[-1, -1]) + 1, pairs, np.ones(len(pairs)))
+    count, comp = csgraph.connected_components(graph, connection="strong")
+    _, first = np.unique(comp, return_index=True)   # each component's first run
+    comp_values = values[starts][first].astype(np.int64)
+    order = np.lexsort((first, comp_values))
     rank = np.empty(count, dtype=np.int64)
     rank[order] = np.arange(count)
-    return rank[labels], comp_values[order]
+    return rank[comp][run], comp_values[order]
+
+
+def dilate(mask: np.ndarray, iterations: int = 1) -> np.ndarray:
+    """``mask`` grown by ``iterations`` steps to the 4 neighbours of each set
+    pixel; nothing outside the raster is set."""
+    grown = np.array(mask, dtype=bool)
+    for _ in range(iterations):
+        step = grown.copy()
+        step[1:] |= grown[:-1]
+        step[:-1] |= grown[1:]
+        step[:, 1:] |= grown[:, :-1]
+        step[:, :-1] |= grown[:, 1:]
+        grown = step
+    return grown
 
 
 def region_moments(label_map: np.ndarray, count: int
@@ -215,7 +241,20 @@ def regions_of(image: ImageRecord, partition: Partition) -> list[Region]:
     region_map.flags.writeable = False
     k = partition.k
     n, rows, cols = region_moments(region_map, k)
-    boxes = ndimage.find_objects(region_map + 1, max_label=k)
+    # each region's bounds: min and max row and column over its row runs
+    h, w = region_map.shape
+    starts = np.flatnonzero(_run_starts(region_map))
+    labels = region_map.ravel()[starts]
+    run_rows, first_cols = np.divmod(starts, w)
+    last_cols = (np.append(starts[1:], h * w) - 1) % w   # a run ends where the next starts
+    top, left = np.full(k, h), np.full(k, w)
+    bottom, right = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    np.minimum.at(top, labels, run_rows)
+    np.maximum.at(bottom, labels, run_rows)
+    np.minimum.at(left, labels, first_cols)
+    np.maximum.at(right, labels, last_cols)
+    boxes = [(slice(t, b + 1), slice(l, r + 1)) for t, b, l, r
+             in zip(top.tolist(), bottom.tolist(), left.tolist(), right.tolist())]
     # region i's superpixels, ascending, are members[bounds[i]:bounds[i + 1]]
     members = np.argsort(assignment, kind="stable").tolist()
     bounds = np.concatenate([[0], np.cumsum(np.bincount(assignment, minlength=k))]).tolist()

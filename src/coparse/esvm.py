@@ -11,15 +11,14 @@ exemplar's mask into other images.
 from __future__ import annotations
 
 import base64
+import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.special import expit
 
 from . import features, kernels
-from .core import ImageRecord, PropagationRecord, Region, check_placement
+from .core import ImageRecord, PropagationRecord, Region, check_placement, dilate
 from .errors import DataError, InsufficientDataError, MalformedInputError
 from .io import check_json_types
 
@@ -38,6 +37,7 @@ class Exemplar:
     mask: np.ndarray                   # bool at template pixel resolution
     template: tuple[int, int]          # (cells_y, cells_x)
     duality_gap: float = 0.0           # of the training; 0 when read from JSON
+    relative_duality_gap: float = 0.0  # over max(1, lam1 + lam2 * negatives); 0 from JSON
     degenerate_calibration: bool = False   # the logistic fit fell back; False from JSON
 
 
@@ -76,7 +76,7 @@ def region_saliency(maps: features.ImageMaps, region: Region,
     rows = slice(max(box_rows.start - BAND_WIDTH, 0), min(box_rows.stop + BAND_WIDTH, h))
     cols = slice(max(box_cols.start - BAND_WIDTH, 0), min(box_cols.stop + BAND_WIDTH, w))
     mask = region.region_map[rows, cols] == region.id[1]
-    band = ndimage.binary_dilation(mask, iterations=BAND_WIDTH) & ~mask
+    band = dilate(mask, BAND_WIDTH) & ~mask
     if not band.any():
         return 0.0
     local = maps.window(rows, cols)
@@ -198,6 +198,19 @@ def calibrated_score(alpha: float, beta: float, raw) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-alpha * (np.asarray(raw, dtype=np.float64) - beta)))
 
 
+def _expit(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) of each entry with the C library's ``exp``, which
+    gives ``scipy.special.expit``'s bits (numpy's vectorised ``exp`` may
+    round otherwise), and 0 where ``exp(-z)`` overflows."""
+    q = np.zeros(z.shape)
+    for i, v in enumerate(z.tolist()):
+        try:
+            q[i] = 1.0 / (1.0 + math.exp(-v))
+        except OverflowError:
+            pass
+    return q
+
+
 def calibrate(scores: np.ndarray, is_positive: np.ndarray) -> CalibrationResult:
     """Fit the logistic (alpha, beta) by Newton's method on the log-likelihood.
 
@@ -225,7 +238,7 @@ def calibrate(scores: np.ndarray, is_positive: np.ndarray) -> CalibrationResult:
     p = np.array([1.0, float(s.mean())])
     value = objective(p)
     for _ in range(100):
-        q = expit(x @ p)
+        q = _expit(x @ p)
         grad = x.T @ (y - q) - 2.0 * ridge * p
         if np.abs(grad).max() < 1e-9:
             break
@@ -364,6 +377,8 @@ def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
     return Exemplar(id=exemplar_id, w=trained.w, alpha=cal.alpha, beta=cal.beta,
                     source_region=region.id, mask=mask, template=template,
                     duality_gap=trained.duality_gap,
+                    relative_duality_gap=trained.duality_gap
+                    / max(1.0, lam1 + lam2 * negatives.shape[0]),
                     degenerate_calibration=cal.degenerate)
 
 

@@ -41,7 +41,7 @@ class FlowNetwork:
     def add_arc(self, u: int, v: int, capacity: float) -> None:
         if not (0 <= u < self.node_count and 0 <= v < self.node_count) or u == v:
             raise MalformedInputError(f"bad arc ({u}, {v})")
-        if not np.isfinite(capacity) or capacity < 0:
+        if not math.isfinite(capacity) or capacity < 0:
             raise MalformedInputError(f"arc capacity must be finite and >= 0, got {capacity}")
         self._adj[u].append(len(self._to))
         self._adj[v].append(len(self._to) + 1)

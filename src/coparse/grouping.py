@@ -25,14 +25,25 @@ rounds its LP point by connected components of the merged pairs, scores
 that partition as its candidate, and branches while the relaxation stays
 fractional (Kappes et al., EMMCVPR 2011). Instances small enough for the
 exhaustive oracle are therefore solved to proven optimality.
+
+The model is scipy's bundled HiGHS binding, the extension module
+``scipy.optimize._highspy._core``, loaded straight from its file: importing
+it through the ``scipy.optimize`` package would also load linprog,
+minimize, shgo and the rest of that package, none of which runs here. The
+module is registered under its own name, so a later ``import scipy.optimize``
+reuses it, and one already imported is reused here.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
+import scipy
 from scipy.sparse import csgraph
 
 from . import kernels
@@ -41,6 +52,29 @@ from .core import (ImageRecord, Partition, PropagationRecord, labels_under_mask,
 from .errors import MalformedInputError, OracleTooLargeError, SolverError
 
 ORACLE_MAX_NODES = 10
+
+
+def _load_highs():
+    """scipy's HiGHS extension module, loaded from its file and registered
+    under its own name, or the module already registered there."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no HiGHS extension module _core in {folder}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+highs = _load_highs()
 
 
 @dataclass(frozen=True)

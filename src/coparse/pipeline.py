@@ -126,6 +126,7 @@ class Phase1Result:
     exemplars_unplaceable: int     # selected regions whose template fits no pyramid level
     detections_kept: int           # propagations of the exemplars propagated here
     esvm_max_duality_gap: float    # over the exemplars trained here; 0 with none
+    esvm_max_relative_duality_gap: float   # of each gap over max(1, its total hinge weight)
     esvm_degenerate_calibrations: int   # of the exemplars trained here
     # sums over the multicuts solved here (not the reused ones)
     multicut_lp_solves: int
@@ -149,6 +150,7 @@ class Phase1Result:
             "phase1_exemplars_unplaceable": self.exemplars_unplaceable,
             "phase1_detections_kept": self.detections_kept,
             "phase1_esvm_max_duality_gap": self.esvm_max_duality_gap,
+            "phase1_esvm_max_relative_duality_gap": self.esvm_max_relative_duality_gap,
             "phase1_esvm_degenerate_calibrations": self.esvm_degenerate_calibrations,
             "phase1_images_changed": list(self.images_changed),
             "phase1_multicut_lp_solves": self.multicut_lp_solves,
@@ -301,6 +303,8 @@ def run_cosegmentation(corpus: Corpus, config: Config,
                         detections_kept=sum(len(props) for props in propagated.values()),
                         esvm_max_duality_gap=max(
                             (ex.duality_gap for ex in trained.values()), default=0.0),
+                        esvm_max_relative_duality_gap=max(
+                            (ex.relative_duality_gap for ex in trained.values()), default=0.0),
                         esvm_degenerate_calibrations=sum(
                             ex.degenerate_calibration for ex in trained.values()),
                         multicut_lp_solves=sum(s.lp_solves for s in solved.values()),

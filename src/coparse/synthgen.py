@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .core import ImageRecord, label_components
+from .core import ImageRecord, dilate, label_components
 from .errors import GenerationError, MalformedInputError
 from .io import Corpus
 
-FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 SHAPE_KINDS = ("rect", "ellipse")
 
 
@@ -142,7 +140,7 @@ def _generate_image(spec: SceneSpec, image_id: str,
             cx = int(np.clip(cx, sw // 2 + 2, w - sw // 2 - 3))
             kind = spec.shape_kinds[int(rng.integers(0, len(spec.shape_kinds)))]
             mask = _shape_mask(kind, h, w, cy, cx, sh, sw)
-            grown = ndimage.binary_dilation(mask, iterations=3)
+            grown = dilate(mask, 3)
             if (grown & occupied).any():
                 continue
             occupied |= grown
@@ -163,7 +161,7 @@ def _generate_image(spec: SceneSpec, image_id: str,
     boundary[:, 1:] |= gt[:, :-1] != gt[:, 1:]
     boundary[:-1, :] |= gt[:-1, :] != gt[1:, :]
     boundary[1:, :] |= gt[:-1, :] != gt[1:, :]
-    contour = ndimage.binary_dilation(boundary, structure=FOUR_CONN)
+    contour = dilate(boundary)
 
     spmap = _superpixels(spec, gt, rng)
     tags = frozenset(int(v) for v in np.unique(gt))

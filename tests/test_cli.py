@@ -579,6 +579,18 @@ class TestPhasedCommands:
             name = f"{image.id}.labels.pgm"
             assert (out / name).read_bytes() == (ran / name).read_bytes()
 
+    @pytest.mark.parametrize("config", [{}, {"lambda2": 1e200}], ids=["default", "lambda2-1e200"])
+    def test_relative_esvm_duality_gap_is_small(self, tmp_path, config):
+        # the absolute gap scales with C = lambda2 x count; over the energy it does not
+        assert cli.main(["gen", "--n", "3", "--seed", "6", "--out", str(tmp_path / "c")]) == 0
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert cli.main(["esvm", "--manifest", str(tmp_path / "c" / "manifest.json"),
+                         "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]) == 0
+        meta = json.loads((tmp_path / "o" / "run-meta.json").read_text())
+        assert meta["phase1_exemplars_trained"] > 0
+        gap = meta["phase1_esvm_max_relative_duality_gap"]
+        assert 0.0 <= gap <= 1e-9 and gap <= meta["phase1_esvm_max_duality_gap"]
+
 
 # a well-formed exemplar of image 0's region 0 (a 2x2-cell template: 36 HOG
 # weights and the bias, a 16x16 mask) and its propagation into image 1
@@ -843,8 +855,9 @@ class TestCv:
                 "phase1_multicuts_solved", "phase1_multicuts_reused",
                 "phase1_exemplars_trained", "phase1_exemplars_reused",
                 "phase1_exemplars_unplaceable", "phase1_detections_kept",
-                "phase1_esvm_max_duality_gap", "phase1_esvm_degenerate_calibrations",
-                "phase1_images_changed", "phase1_multicut_lp_solves", "phase1_multicut_nodes",
+                "phase1_esvm_max_duality_gap", "phase1_esvm_max_relative_duality_gap",
+                "phase1_esvm_degenerate_calibrations", "phase1_images_changed",
+                "phase1_multicut_lp_solves", "phase1_multicut_nodes",
                 "phase1_multicut_cuts", "phase1_multicuts_unproven", "phase2_sweeps",
                 "phase2_converged", "phase2_truncated_terms", "phase2_overruled_vertices",
                 "phase2_overruled_pixels", "phase2_exterior_edges", "phase2_move_energies",

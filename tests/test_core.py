@@ -13,9 +13,10 @@ from coparse.core import (
     validate_image_record,
 )
 from coparse.errors import MalformedInputError
-from coparse.synthgen import FOUR_CONN
 
 from conftest import make_image
+
+FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 def _merged(part, pairs):

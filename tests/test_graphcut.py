@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -132,6 +133,20 @@ class TestMaxFlow:
         net = graphcut.FlowNetwork(2, 0, 1)
         with pytest.raises(MalformedInputError):
             net.add_arc(0, 1, -1.0)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, -math.inf, -1.0, -1e-300,
+                                          np.float64(-2.0), np.float64(np.nan),
+                                          np.float64(np.inf)])
+    def test_non_finite_or_negative_capacity_rejected(self, capacity):
+        net = graphcut.FlowNetwork(2, 0, 1)
+        with pytest.raises(MalformedInputError):
+            net.add_arc(0, 1, capacity)
+
+    @pytest.mark.parametrize("capacity", [0.0, -0.0, 2, 1e308, np.float64(2.5), np.int64(3)])
+    def test_finite_non_negative_capacity_accepted(self, capacity):
+        net = graphcut.FlowNetwork(2, 0, 1)
+        net.add_arc(0, 1, capacity)
+        assert graphcut.max_flow(net).flow == float(capacity)
 
     def test_duality_on_random_integer_networks(self):
         rng = np.random.default_rng(31)
