@@ -17,10 +17,13 @@ holds exactly when S lies in one region. Each structure is built once per
 instance: one sorted index of the pairs, where cycle and path rows look
 their pairs up, and one HiGHS model holding the columns and every row.
 Cycle inequalities are separated lazily (short chordless cycles, enumerated
-once, first; then every edge whose cut weight exceeds its cheapest detour,
-all detours from one ``csgraph.dijkstra`` call per round) and added to that
-model; a node's 0/1 fixings are column bounds. Each LP is solved cold, with
-the options ``linprog(method="highs")`` sets. Every branch-and-bound node
+once, first; then every edge whose cut weight exceeds its cheapest detour)
+and added to that model; a node's 0/1 fixings are column bounds. The
+detours come from one ``csgraph.dijkstra`` call per round, run only from
+the candidate edges whose endpoints the pairs cheaper than the largest
+candidate cut weight join (one connected-components pass), so a round at a
+cycle-consistent integral point searches nothing. Each LP is solved cold,
+with the options ``linprog(method="highs")`` sets. Every branch-and-bound node
 rounds its LP point by connected components of the merged pairs, scores
 that partition as its candidate, and branches while the relaxation stays
 fractional (Kappes et al., EMMCVPR 2011). Instances small enough for the
@@ -99,8 +102,8 @@ class MulticutInstance:
         for ids, h in self.mask_constraints:
             if len(ids) < 2:
                 raise MalformedInputError("mask constraint needs >= 2 superpixels")
-            if h < 0:
-                raise MalformedInputError("mask reward must be non-negative")
+            if not 0.0 <= h < np.inf:
+                raise MalformedInputError(f"mask reward must be finite and >= 0, got {h}")
             for i in ids:
                 if not 0 <= i < self.node_count:
                     raise MalformedInputError(f"mask id {i} out of range")
@@ -131,10 +134,20 @@ class MulticutSolution:
     proven_optimal: bool = True        # false when NODE_CAP left nodes unexplored
 
 
+def _check_theta(theta: float) -> None:
+    """Raise ``MalformedInputError`` unless the merge bias lies in (0, 1)."""
+    if not 0.0 < theta < 1.0:
+        raise MalformedInputError(f"merge bias theta must lie in (0, 1), got {theta}")
+
+
 def objective_of(instance: MulticutInstance, assignment: np.ndarray, theta: float) -> float:
     """Biased objective of a concrete partition, recomputed from scratch."""
-    column = np.asarray(assignment)[:, None]
-    return float(kernels.multicut_objectives(column, *instance.arrays(theta))[0])
+    _check_theta(theta)
+    assignment = np.asarray(assignment)
+    if assignment.shape != (instance.node_count,):
+        raise MalformedInputError(f"assignment of shape {assignment.shape} for "
+                                  f"{instance.node_count} nodes")
+    return float(kernels.multicut_objectives(assignment[:, None], *instance.arrays(theta))[0])
 
 
 def _mask_active(instance: MulticutInstance, assignment: np.ndarray) -> tuple[bool, ...]:
@@ -198,6 +211,7 @@ def instance_for_image(image: ImageRecord, propagations: list[PropagationRecord]
 
 def brute_force_multicut(instance: MulticutInstance, theta: float) -> MulticutSolution:
     """Exact optimum by scanning every set partition (node_count <= 10)."""
+    _check_theta(theta)
     n = instance.node_count
     if n > ORACLE_MAX_NODES:
         raise OracleTooLargeError(f"{n} nodes exceeds the oracle cap of {ORACLE_MAX_NODES}")
@@ -412,15 +426,31 @@ class _MulticutSolver:
 
         Any path that uses edge e costs at least y_e, so dist(u, v) < y_e
         means the shortest u-v path avoids e and closes a violated cycle
-        with it. One Dijkstra call serves every candidate edge's source.
+        with it. Every pair on such a path has y below y_e - tol, so only
+        an edge whose endpoints those cheap pairs join can close one:
+        one connected-components pass over the pairs below the largest
+        candidate's y_e - tol drops the rest, and one Dijkstra call serves
+        the sources left, if any. Dijkstra computes each source's row on
+        its own, so those rows, and the rows added, are those a search
+        from every candidate's source would give.
         """
         added = 0
         tol = self.SEPARATION_TOL
         y = np.clip(1.0 - x[:self.n_pairs], 0.0, None)
         candidates = np.flatnonzero(y > tol)
+        if candidates.size == 0:
+            return 0
+        n = self.instance.node_count
+        cheap = self._pair_array[y < y[candidates].max() - tol]
+        _, component = csgraph.connected_components(
+            pair_graph(n, cheap, np.ones(len(cheap))), connection="strong")
         src, dst = self._pair_array[candidates].T
+        joined = component[src] == component[dst]
+        if not joined.any():
+            return 0
+        candidates, src, dst = candidates[joined], src[joined], dst[joined]
         sources = np.unique(src)
-        dist, pred = csgraph.dijkstra(pair_graph(self.instance.node_count, self._pair_array, y),
+        dist, pred = csgraph.dijkstra(pair_graph(n, self._pair_array, y),
                                       indices=sources, return_predecessors=True)
         rows = np.searchsorted(sources, src)
         violated = dist[rows, dst] < y[candidates] - tol
@@ -489,8 +519,7 @@ class _MulticutSolver:
 
 def solve_multicut(instance: MulticutInstance, theta: float) -> MulticutSolution:
     """Minimize the biased grouping objective over partition-consistent labelings."""
-    if not 0.0 < theta < 1.0:
-        raise MalformedInputError(f"merge bias theta must lie in (0, 1), got {theta}")
+    _check_theta(theta)
     if not isinstance(instance, MulticutInstance):
         raise MalformedInputError("expected a MulticutInstance")
     solver = _MulticutSolver(instance, theta)

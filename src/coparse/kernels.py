@@ -2,9 +2,10 @@
 
 HOG cell accumulation and sliding-window template scoring are vectorized
 with ``np.bincount`` and strided matrix products; the multicut objective is
-scored over a node-major table of assignments at once, one pass over the
-columns per edge and per mask, whether the table holds every set partition
-(the oracle) or one column (a rounded LP point of the solver); Dinic
+scored over a node-major table of assignments at once, whether the table
+holds every set partition (the oracle: one pass over the columns per edge)
+or one column (a rounded LP point of the solver: the edges in bounded
+chunks, each summed down by ``cumsum``), in the same order and bits; Dinic
 max-flow is a plain Python loop over per-node adjacency lists (Phase II,
 where it runs, is a small share of a run); the box-constrained dual of both
 SVMs, the exemplar SVMs of Phase I and the appearance machines of Phase II,
@@ -258,6 +259,11 @@ def rgs_table(n):
     return table
 
 
+# above NARROW_COLUMNS columns the per-edge pass is the faster one
+NARROW_COLUMNS = 256
+CHUNK_CELLS = 1 << 14
+
+
 def multicut_objectives(table, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_h):
     """Multicut objective of every column of a node-major assignment table.
 
@@ -267,15 +273,32 @@ def multicut_objectives(table, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_
     region. Terms are added edge by edge, then mask by mask, in the order
     given, so an assignment gets the same bits in any table.
 
-    Each step is one pass over the columns, so no (edges, columns) array
-    is held.
+    A table of at most ``NARROW_COLUMNS`` columns (a rounded LP point, a
+    single partition) takes its edges in chunks of at most ``CHUNK_CELLS``
+    edge-column cells: each chunk's (edges, columns) array holds an edge's
+    weight where it is merged and 0.0 elsewhere, and ``cumsum`` down the
+    edges, from the running objective, adds them in order. Adding 0.0
+    leaves every sum bit for bit as it was, since a sum that starts at +0.0
+    is never -0.0. A wider table (the oracle's) takes one pass over the
+    columns per edge, so no (edges, columns) array is held. Masks take one
+    pass over the columns each.
     """
-    obj = np.zeros(table.shape[1], np.float64)
-    for e in range(edge_u.shape[0]):
-        np.add(obj, edge_w[e], out=obj, where=table[edge_u[e]] == table[edge_v[e]])
+    cols = table.shape[1]
+    obj = np.zeros(cols, np.float64)
+    if cols <= NARROW_COLUMNS:
+        step = CHUNK_CELLS // max(cols, 1)
+        for lo in range(0, edge_u.shape[0], step):
+            hi = lo + step
+            terms = np.where(table[edge_u[lo:hi]] == table[edge_v[lo:hi]],
+                             edge_w[lo:hi, None], 0.0)
+            terms[0] += obj
+            obj = np.cumsum(terms, axis=0)[-1]
+    else:
+        for e in range(edge_u.shape[0]):
+            np.add(obj, edge_w[e], out=obj, where=table[edge_u[e]] == table[edge_v[e]])
     for c in range(mask_h.shape[0]):
         first = table[mask_ids[mask_ptr[c]]]
-        same = np.ones(table.shape[1], np.bool_)
+        same = np.ones(cols, np.bool_)
         for p in range(mask_ptr[c] + 1, mask_ptr[c + 1]):
             same &= table[mask_ids[p]] == first
         np.subtract(obj, mask_h[c], out=obj, where=same)

@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.sparse import csgraph
 
 from coparse import grouping
-from coparse.core import Partition, PropagationRecord
+from coparse.core import Partition, PropagationRecord, pair_graph
 from coparse.errors import MalformedInputError, OracleTooLargeError, SolverError
 
 from conftest import make_image
@@ -75,6 +76,14 @@ class TestInstanceValidation:
             grouping.MulticutInstance(node_count=2, edges=((0, 1, 0),),
                                       mask_constraints=((frozenset({0, 1}), -0.1),))
 
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), np.float64("nan")])
+    def test_non_finite_reward_rejected(self, h):
+        # a NaN reward would drop its mask from the objective silently,
+        # and +inf would make the objective -inf
+        with pytest.raises(MalformedInputError):
+            grouping.MulticutInstance(node_count=3, edges=((0, 1, 0), (1, 2, 0)),
+                                      mask_constraints=((frozenset({0, 1, 2}), h),))
+
     def test_singleton_mask_rejected(self):
         with pytest.raises(MalformedInputError):
             grouping.MulticutInstance(node_count=2, edges=((0, 1, 0),),
@@ -84,6 +93,21 @@ class TestInstanceValidation:
         inst = grouping.MulticutInstance(node_count=2, edges=((0, 1, 0),))
         with pytest.raises(MalformedInputError):
             grouping.solve_multicut(inst, 1.5)
+
+    @pytest.mark.parametrize("theta", [float("nan"), 0.0, 1.0, 2.0, -0.5, float("inf")])
+    def test_every_scorer_checks_theta(self, theta):
+        inst = grouping.MulticutInstance(node_count=3, edges=((0, 1, 0), (1, 2, 1)))
+        for call in (lambda: grouping.solve_multicut(inst, theta),
+                     lambda: grouping.brute_force_multicut(inst, theta),
+                     lambda: grouping.objective_of(inst, np.zeros(3, np.int64), theta)):
+            with pytest.raises(MalformedInputError):
+                call()
+
+    @pytest.mark.parametrize("assignment", [[0, 0], [0, 1, 0, 1], [[0, 0, 1]], []])
+    def test_objective_of_checks_the_assignment_length(self, assignment):
+        inst = grouping.MulticutInstance(node_count=3, edges=((0, 1, 0), (1, 2, 1)))
+        with pytest.raises(MalformedInputError):
+            grouping.objective_of(inst, np.array(assignment, dtype=np.int64), 0.5)
 
 
 class TestEdgeDissimilarity:
@@ -733,6 +757,103 @@ class TestPathSeparation:
         inst = grouping.MulticutInstance(
             node_count=n, edges=tuple((u, v, 0) for u in range(n) for v in range(u + 1, n)))
         assert self.check_rows(inst, rng.uniform(size=len(inst.edges))) == 50
+
+
+DIJKSTRA = csgraph.dijkstra      # unpatched, for the reference
+
+
+def paths_reference(solver, x):
+    """The rows ``_separate_paths`` adds to a fresh solver, found with Dijkstra
+    from the source of every candidate edge: (columns, coefficients, rhs)
+    per row in row order, the columns sorted, and the sources searched."""
+    tol = solver.SEPARATION_TOL
+    y = np.clip(1.0 - x[:solver.n_pairs], 0.0, None)
+    candidates = np.flatnonzero(y > tol)
+    src, dst = solver._pair_array[candidates].T
+    sources = np.unique(src)
+    if sources.size == 0:
+        return [], 0
+    dist, pred = DIJKSTRA(pair_graph(solver.instance.node_count, solver._pair_array, y),
+                          indices=sources, return_predecessors=True)
+    rows = []
+    for e, a, b in zip(candidates.tolist(), src.tolist(), dst.tolist()):
+        r = int(np.searchsorted(sources, a))
+        if not dist[r, b] < y[e] - tol:
+            continue
+        path = [b]
+        while pred[r, path[-1]] >= 0:
+            path.append(int(pred[r, path[-1]]))
+        others = solver._pair_of(np.array(path[1:]), np.array(path[:-1])).tolist()
+        coef = {e: -1.0, **{o: 1.0 for o in others}}
+        rows.append((sorted(coef), [coef[c] for c in sorted(coef)], float(len(others) - 1)))
+        if len(rows) == 50:
+            break
+    return rows, sources.size
+
+
+def tied_point(rng, size):
+    """A point of 0s, 1s, halves and uniform draws, so cut weights tie."""
+    return np.choose(rng.integers(0, 4, size=size),
+                     [np.zeros(size), np.ones(size), np.full(size, 0.5), rng.uniform(size=size)])
+
+
+class TestPathSourceFilter:
+    """Dijkstra runs only from sources whose edge the cheap pairs can close,
+    and the rows added are those of a search from every candidate's source."""
+
+    def count_searches(self, monkeypatch):
+        searched = []
+
+        def counting(graph, **kwargs):
+            searched.append(len(kwargs["indices"]))
+            return DIJKSTRA(graph, **kwargs)
+        monkeypatch.setattr(grouping.csgraph, "dijkstra", counting)
+        return searched
+
+    def test_rows_match_search_from_every_source(self, monkeypatch):
+        searched = self.count_searches(monkeypatch)
+        rng = np.random.default_rng(71)
+        total_rows = reference_sources = 0
+        for k in range(300):
+            inst = (random_instance(rng, max_nodes=12) if k % 2
+                    else random_grid_instance(rng))
+            solver = grouping._MulticutSolver(inst, 0.5)
+            n_vars = solver.n_pairs + solver.n_masks
+            x = tied_point(rng, n_vars) if k % 3 else np.where(
+                rng.uniform(size=n_vars) < 0.4, rng.integers(0, 2, size=n_vars),
+                rng.uniform(size=n_vars))
+            reference, sources = paths_reference(grouping._MulticutSolver(inst, 0.5), x)
+            first = solver._lp.getNumRow()
+            added = solver._separate_paths(x)
+            a, rhs = model_rows(solver)
+            rows = [(a.indices[a.indptr[r]:a.indptr[r + 1]].tolist(),
+                     a.data[a.indptr[r]:a.indptr[r + 1]].tolist(), float(rhs[r]))
+                    for r in range(first, rhs.size)]
+            assert added == len(rows)
+            assert rows == reference
+            total_rows += added
+            reference_sources += sources
+        assert total_rows > 300
+        assert sum(searched) < reference_sources
+
+    def test_no_search_at_a_cycle_consistent_integral_point(self, monkeypatch):
+        searched = self.count_searches(monkeypatch)
+        rng = np.random.default_rng(72)
+        for k in range(100):
+            inst = random_instance(rng, max_nodes=12) if k % 2 else random_grid_instance(rng)
+            solver = grouping._MulticutSolver(inst, 0.5)
+            blocks = rng.integers(0, int(rng.integers(1, 5)), size=inst.node_count)
+            u, v = solver._pair_array.T
+            x = np.concatenate([(blocks[u] == blocks[v]).astype(float),
+                                rng.integers(0, 2, size=solver.n_masks)])
+            assert solver._separate_paths(x) == 0
+        assert searched == []
+        # the 5-cycle with one cut edge is not cycle-consistent: it searches
+        inst = grouping.MulticutInstance(
+            node_count=5, edges=((0, 1, 1), (1, 2, 0), (2, 3, 0), (3, 4, 0), (0, 4, 0)))
+        assert grouping._MulticutSolver(inst, 0.5)._separate_paths(
+            np.array([0.0, 1.0, 1.0, 1.0, 1.0])) == 1
+        assert searched == [1]
 
 
 class TestInstanceForImage:

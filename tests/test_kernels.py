@@ -289,3 +289,27 @@ class TestMulticutObjectives:
             cut = int(rng.integers(0, table.shape[1] + 1))
             assert (kernels.multicut_objectives(table[:, cut:], *terms).tobytes()
                     == whole[cut:].tobytes())
+
+    @pytest.mark.parametrize("cols", [1, 2, 37, kernels.NARROW_COLUMNS,
+                                      kernels.NARROW_COLUMNS + 1, 3000])
+    def test_chunk_boundaries(self, cols):
+        # 60 nodes and 600 edges: a narrow table of 37 or more columns spans
+        # several chunks, the widest takes the per-edge pass; edge weights
+        # d - theta and zero rewards are included
+        rng = np.random.default_rng(cols)
+        n = 60
+        pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
+        eu, ev = pairs[np.sort(rng.choice(len(pairs), size=600, replace=False))].T
+        ew = rng.integers(0, 2, size=eu.size) - rng.uniform(size=eu.size)
+        ids = [np.sort(rng.choice(n, size=int(rng.integers(2, 6)), replace=False))
+               for _ in range(8)]
+        mask_ptr = np.cumsum([0] + [i.size for i in ids])
+        mask_h = np.where(rng.uniform(size=8) < 0.4, 0.0, rng.uniform(size=8))
+        terms = (eu, ev, ew, mask_ptr, np.concatenate(ids), mask_h)
+        if 37 <= cols <= kernels.NARROW_COLUMNS:
+            assert eu.size > kernels.CHUNK_CELLS // cols
+        # few regions, so that many edges and masks are merged
+        table = rng.integers(0, 3, size=(n, cols)).astype(np.int8)
+        obj = kernels.multicut_objectives(table, *terms)
+        assert obj.tolist() == [_multicut_objective_ref(table[:, k], *terms)
+                                for k in range(cols)]
