@@ -22,12 +22,24 @@ and added to that model; a node's 0/1 fixings are column bounds. The
 detours come from one ``csgraph.dijkstra`` call per round, run only from
 the candidate edges whose endpoints the pairs cheaper than the largest
 candidate cut weight join (one connected-components pass), so a round at a
-cycle-consistent integral point searches nothing. Each LP is solved cold,
-with the options ``linprog(method="highs")`` sets. Every branch-and-bound node
-rounds its LP point by connected components of the merged pairs, scores
-that partition as its candidate, and branches while the relaxation stays
-fractional (Kappes et al., EMMCVPR 2011). Instances small enough for the
-exhaustive oracle are therefore solved to proven optimality.
+cycle-consistent integral point searches nothing. Each LP starts from the
+last one's basis, with the options ``linprog(method="highs")`` sets and a
+tighter dual feasibility tolerance. Every branch-and-bound node rounds its
+LP point by connected components of the merged pairs, scores that partition
+as its candidate, and branches while the relaxation stays fractional
+(Kappes et al., EMMCVPR 2011).
+
+Ties between optima are broken by the instance alone: each pair's cost is
+perturbed by a tiny amount of fixed sign and distinct size (Charnes,
+Econometrica 1952), up for a contour edge, which a tie keeps cut, and down
+for every other pair, which a tie merges. Every LP then has one optimum,
+which a warm and a cold solve both reach, and every decision reads x
+rounded to 1e-6. The search stays exact: candidates are scored at the true
+weights, nodes are pruned on the perturbed LP's value less the most the
+perturbation can add, and a node whose perturbed optimum is integral closes
+only once that bound or the true costs' LP shows that it holds nothing
+better than the incumbent. Instances small enough for the exhaustive oracle
+are therefore solved to proven optimality.
 
 The model is scipy's bundled HiGHS binding, the extension module
 ``scipy.optimize._highspy._core``, loaded straight from its file: importing
@@ -229,13 +241,16 @@ def brute_force_multicut(instance: MulticutInstance, theta: float) -> MulticutSo
 # Cutting-plane solver with branch-and-cut closure
 # ---------------------------------------------------------------------------
 
-# linprog(method="highs")'s settings: presolve on, dual simplex, no output
+# linprog(method="highs")'s settings (presolve on, dual simplex, no output),
+# with a dual feasibility tolerance well below the smallest cost perturbation
 _HIGHS_OPTIONS = highs.HighsOptions()
 _HIGHS_OPTIONS.presolve = "on"
 _HIGHS_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_HIGHS_OPTIONS.dual_feasibility_tolerance = 1e-9
 _HIGHS_OPTIONS.output_flag = False
 _HIGHS_OPTIONS.log_to_console = False
 _HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+_PRIMAL_SIMPLEX = highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
 
 
 def _check_edit(status) -> None:
@@ -244,14 +259,12 @@ def _check_edit(status) -> None:
         raise SolverError("HiGHS refused an edit of the multicut LP")
 
 
-def _solve_highs(lp, lower: np.ndarray, upper: np.ndarray):
-    """Solve the model ``lp`` within column bounds ``lower``/``upper`` from
-    scratch, as ``linprog(method="highs")`` would: the last run's solver data
-    is cleared first. Returns the model status and, when it is optimal, the
-    objective and x."""
-    cols = np.arange(lower.size, dtype=np.int32)
-    _check_edit(lp.changeColsBounds(lower.size, cols, lower, upper))
-    lp.clearSolver()
+def _solve_highs(lp, cols: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """Set the bounds of columns ``cols`` to ``lower``/``upper`` and solve
+    the model ``lp`` from the basis of its last run. Returns the model
+    status and, when it is optimal, the objective and x."""
+    if cols.size:
+        _check_edit(lp.changeColsBounds(cols.size, cols, lower, upper))
     lp.run()
     status = lp.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
@@ -261,8 +274,11 @@ def _solve_highs(lp, lower: np.ndarray, upper: np.ndarray):
 
 class _MulticutSolver:
     INTEGRALITY_TOL = 1e-6
+    DECISION_DIGITS = 6       # x is rounded to 1e-6 before any decision reads it
     SEPARATION_TOL = 1e-7
     PRUNE_SLACK = 1e-8
+    PERTURBATION = 1e-5       # a pair's cost moves by PERTURBATION * (1 + d + u_p)
+    PERTURBATION_SEED = 0x7E5
     NODE_CAP = 500
     ROOT_ROUNDS = 50
     CHILD_ROUNDS = 10
@@ -303,13 +319,28 @@ class _MulticutSolver:
         key_order = np.argsort(keys)
         self._pair_keys = np.append(keys[key_order], n * n)
         self._pair_ids = np.append(key_order, -1)
-        cost = np.concatenate([edge_w, np.zeros(self.n_pairs - edge_w.size), -mask_h])
+        self._cost = np.concatenate([edge_w, np.zeros(self.n_pairs - edge_w.size), -mask_h])
+        # the tie rule: each pair's cost moves by a distinct tiny amount,
+        # up for a contour edge (d - theta > 0), so that a tie keeps it cut,
+        # and down for every other pair, so that a tie merges it. A contour
+        # edge's amount exceeds every other pair's, so a tie between cutting
+        # it and cutting another pair of its cycle keeps it cut. Every LP
+        # then has one optimum, which any starting basis reaches.
+        contour = np.concatenate([edge_w > 0, np.zeros(self.n_pairs - edge_w.size, dtype=bool)])
+        size = self.PERTURBATION * (1.0 + contour + np.random.default_rng(
+            self.PERTURBATION_SEED).random(self.n_pairs))
+        self._eps = np.concatenate([np.where(contour, size, -size), np.zeros(self.n_masks)])
+        # the most the perturbation adds to the objective of any point
+        self._max_perturbation = float(size[contour].sum())
         # one HiGHS model per instance: its columns and the mask rows are
-        # added here, each cycle row as separation finds it
+        # added here, each cycle row as separation finds it; every LP starts
+        # from the last one's basis
         self._lp = highs._Highs()
         self._lp.passOptions(_HIGHS_OPTIONS)
-        _check_edit(self._lp.addVars(cost.size, np.zeros(cost.size), np.ones(cost.size)))
-        _check_edit(self._lp.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32), cost))
+        n_vars = self._cost.size
+        _check_edit(self._lp.addVars(n_vars, np.zeros(n_vars), np.ones(n_vars)))
+        self._set_costs(self._cost + self._eps)
+        self._lower, self._upper = np.zeros(n_vars), np.ones(n_vars)
         cols = np.array([(self.n_pairs + c, var) for c, var in mask_rows], dtype=np.int32).ravel()
         _check_edit(self._lp.addRows(len(mask_rows), np.full(len(mask_rows), -np.inf),
                                      np.zeros(len(mask_rows)), cols.size,
@@ -374,20 +405,44 @@ class _MulticutSolver:
 
     # -- LP ------------------------------------------------------------------
 
+    def _set_costs(self, cost: np.ndarray) -> None:
+        _check_edit(self._lp.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32),
+                                            cost))
+
     def _solve_lp(self, fixed: dict[int, int]):
         """(objective, x) of the LP with ``fixed`` variables held at their
-        0/1 values, or None when those fixings make it infeasible."""
-        n_vars = self.n_pairs + self.n_masks
-        lower, upper = np.zeros(n_vars), np.ones(n_vars)
+        0/1 values, at the model's current costs, or None when those
+        fixings make it infeasible. x comes rounded to ``DECISION_DIGITS``,
+        so that a vertex reached from two bases gives every decision the
+        same input."""
+        lower, upper = np.zeros(self._lower.size), np.ones(self._upper.size)
         for var, val in fixed.items():
             lower[var] = upper[var] = val
+        moved = np.flatnonzero((lower != self._lower) | (upper != self._upper)).astype(np.int32)
+        self._lower, self._upper = lower, upper
         self.lp_solves += 1
-        status, fun, x = _solve_highs(self._lp, lower, upper)
+        status, fun, x = _solve_highs(self._lp, moved, lower[moved], upper[moved])
         if status == highs.HighsModelStatus.kInfeasible:
             return None
         if status != highs.HighsModelStatus.kOptimal:
             raise SolverError(f"LP solver failed with HiGHS model status {status.name}")
-        return fun, x
+        return fun, np.round(x, self.DECISION_DIGITS)
+
+    def _solve_unperturbed_lp(self, fixed: dict[int, int]):
+        """``_solve_lp`` of the node just solved, under the true costs, by
+        primal simplex from the perturbed optimum's basis, which stays
+        primal feasible. The perturbed costs, the dual simplex and that
+        basis come back after, so the next LP starts dual feasible: dual
+        simplex from the other costs' optimum can end in HiGHS's status
+        Unknown."""
+        basis = self._lp.getBasis()
+        self._set_costs(self._cost)
+        _check_edit(self._lp.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX))
+        lp = self._solve_lp(fixed)
+        _check_edit(self._lp.setOptionValue("simplex_strategy", _HIGHS_OPTIONS.simplex_strategy))
+        self._set_costs(self._cost + self._eps)
+        _check_edit(self._lp.setBasis(basis))
+        return lp
 
     # -- separation ----------------------------------------------------------
 
@@ -466,12 +521,22 @@ class _MulticutSolver:
                 break
         return added
 
-    # -- rounding -------------------------------------------------------------
+    # -- rounding and branching -----------------------------------------------
 
-    def _round(self, x: np.ndarray) -> np.ndarray:
+    def _round(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """The partition into connected components of the pairs x merges,
+        and its objective under the true weights."""
         merged = x[:self.n_pairs] >= 0.5
-        return Partition.from_merged_pairs(self.instance.node_count, self._pair_array,
-                                           merged).assignment
+        assign = Partition.from_merged_pairs(self.instance.node_count, self._pair_array,
+                                             merged).assignment
+        return assign, kernels.multicut_objectives(assign[:, None], *self._arrays)[0]
+
+    def _branch_var(self, x: np.ndarray, fixed: dict[int, int], among: np.ndarray):
+        """The unfixed pair in the mask ``among`` whose x lies nearest 0.5, the
+        first in pair order on ties, or None."""
+        frac = np.abs(x[:self.n_pairs] - 0.5)
+        return next((int(i) for i in np.argsort(frac, kind="stable")
+                     if among[i] and int(i) not in fixed), None)
 
     # -- branch and cut --------------------------------------------------------
 
@@ -495,18 +560,36 @@ class _MulticutSolver:
             if lp is None:
                 continue
             obj, x = lp
-            cand = self._round(x)
-            cand_obj = kernels.multicut_objectives(cand[:, None], *self._arrays)[0]
+            cand, cand_obj = self._round(x)
             if cand_obj < best_obj - 1e-12:
                 best_obj, best_assign = cand_obj, cand
-            if obj >= best_obj + self.PRUNE_SLACK:
+            # the perturbed LP's value less the most the perturbation adds
+            # bounds the true objective of every point in the node
+            bound = obj - self._max_perturbation
+            if bound >= best_obj + self.PRUNE_SLACK:
                 continue
-            frac = np.abs(x[:self.n_pairs] - 0.5)
-            branch_var = next((int(i) for i in np.argsort(frac, kind="stable")
-                               if frac[i] < 0.5 - self.INTEGRALITY_TOL and int(i) not in fixed),
-                              None)
+            branch_var = self._branch_var(x, fixed, np.abs(x[:self.n_pairs] - 0.5)
+                                          < 0.5 - self.INTEGRALITY_TOL)
             if branch_var is None:
-                continue  # integral and cycle-consistent: node fully solved
+                # x is integral, the optimum under the perturbed costs.
+                # Unless the bound shows that nothing in the node beats the
+                # incumbent, the true costs' LP decides; when a true gap
+                # smaller than the perturbation hid a better point, the node
+                # branches on a pair where the two optima differ.
+                if bound >= best_obj - self.PRUNE_SLACK:
+                    continue
+                true_obj, true_x = self._solve_unperturbed_lp(fixed)
+                differ = true_x[:self.n_pairs] != x[:self.n_pairs]
+                if differ.any():
+                    cand, cand_obj = self._round(true_x)
+                    if cand_obj < best_obj - 1e-12:
+                        best_obj, best_assign = cand_obj, cand
+                if true_obj >= best_obj - self.PRUNE_SLACK:
+                    continue
+                branch_var = self._branch_var(true_x, fixed, differ)
+                if branch_var is None:
+                    continue
+                x = true_x
             first = int(x[branch_var] >= 0.5)   # the nearer value is explored first
             stack.append({**fixed, branch_var: 1 - first})
             stack.append({**fixed, branch_var: first})

@@ -136,6 +136,10 @@ class Phase1Result:
     # per iteration, the images whose partition differs from the previous
     # iteration's (every image in the first)
     images_changed: tuple[int, ...]
+    # a closed orbit's length in iterations and the ids of the images whose
+    # partition changes within it; 0 and () at a fixed point or the cap
+    orbit_length: int
+    cycling_images: tuple[str, ...]
 
     def counters(self) -> dict:
         """What the run did, under the names ``run-meta.json`` gives it."""
@@ -153,6 +157,8 @@ class Phase1Result:
             "phase1_esvm_max_relative_duality_gap": self.esvm_max_relative_duality_gap,
             "phase1_esvm_degenerate_calibrations": self.esvm_degenerate_calibrations,
             "phase1_images_changed": list(self.images_changed),
+            "phase1_orbit_length": self.orbit_length,
+            "phase1_cycling_images": list(self.cycling_images),
             "phase1_multicut_lp_solves": self.multicut_lp_solves,
             "phase1_multicut_nodes": self.multicut_nodes,
             "phase1_multicut_cuts": self.multicut_cuts,
@@ -264,7 +270,7 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     propagations: list = []
     previous: dict[str, Partition] | None = None
     regions: dict[str, list[Region]] = {}
-    seen: set[tuple] = set()
+    states: list[tuple] = []      # each iteration's joint partition state
     iteration = 0
     converged = False
     fixed_point = False
@@ -282,8 +288,8 @@ def run_cosegmentation(corpus: Corpus, config: Config,
         signature = tuple(partitions[i.id].assignment.tobytes() for i in images)
         # a repeated state closes the orbit; its exemplars are still refreshed
         # so their source regions exist in the returned regions
-        converged = signature in seen
-        seen.add(signature)
+        converged = signature in states
+        states.append(signature)
         previous = partitions
         regions = {**regions, **{image.id: regions_of(image, partitions[image.id])
                                  for image in changed}}
@@ -292,6 +298,8 @@ def run_cosegmentation(corpus: Corpus, config: Config,
         exemplar_count += len(exemplars)
         if converged:
             break
+    # the orbit runs from the repeated state's first iteration to the last
+    orbit = states[states.index(states[-1]):-1] if converged and not fixed_point else []
     return Phase1Result(regions=regions, exemplars=exemplars,
                         propagations=propagations, iteration_count=iteration,
                         converged=converged, fixed_point=fixed_point,
@@ -311,7 +319,10 @@ def run_cosegmentation(corpus: Corpus, config: Config,
                         multicut_nodes=sum(s.nodes for s in solved.values()),
                         multicut_cuts=sum(s.cuts for s in solved.values()),
                         multicuts_unproven=sum(not s.proven_optimal for s in solved.values()),
-                        images_changed=tuple(images_changed))
+                        images_changed=tuple(images_changed),
+                        orbit_length=len(orbit),
+                        cycling_images=tuple(image.id for k, image in enumerate(images)
+                                             if len({state[k] for state in orbit}) > 1))
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,8 @@ def test_criterion_7_end_to_end_cross_validation():
         assert outcome.phase1_iterations <= 10
         assert outcome.phase1_converged, \
             f"fold {outcome.fold} hit the iteration cap without terminating"
+        assert outcome.counters["phase1_fixed_point"], \
+            f"fold {outcome.fold} ended in a closed orbit, not at a fixed point"
     assert result.apa_mean >= 0.90, f"aPA {result.apa_mean}"
     assert result.magr_mean >= 0.75, f"mAGR {result.magr_mean}"
     elapsed = time.time() - start

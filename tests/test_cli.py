@@ -806,6 +806,9 @@ class TestRunAndEval:
         changed = meta["phase1_images_changed"]
         assert len(changed) == meta["phase1_iterations"] and changed[0] == 2
         assert (changed[-1] == 0) == meta["phase1_fixed_point"]
+        # an orbit has a length and images that cycle in it; a fixed point neither
+        assert (meta["phase1_orbit_length"] > 0) == bool(meta["phase1_cycling_images"])
+        assert not (meta["phase1_fixed_point"] and meta["phase1_orbit_length"])
 
         rc = cli.main(["eval", "--manifest", str(manifest), "--pred", str(out),
                        "--out", str(tmp_path / "m.json")])
@@ -857,6 +860,7 @@ class TestCv:
                 "phase1_exemplars_unplaceable", "phase1_detections_kept",
                 "phase1_esvm_max_duality_gap", "phase1_esvm_max_relative_duality_gap",
                 "phase1_esvm_degenerate_calibrations", "phase1_images_changed",
+                "phase1_orbit_length", "phase1_cycling_images",
                 "phase1_multicut_lp_solves", "phase1_multicut_nodes",
                 "phase1_multicut_cuts", "phase1_multicuts_unproven", "phase2_sweeps",
                 "phase2_converged", "phase2_truncated_terms", "phase2_overruled_vertices",

@@ -255,23 +255,25 @@ class TestSolveMulticut:
             grouping.solve_multicut(inst, 0.5)
 
 
-# a branching instance: its root LP stays fractional (3 nodes, 4 LPs)
+# a branching instance: its root LP stays fractional (3 nodes, 6 LPs)
 BRANCHING = grouping.MulticutInstance(
     node_count=4, edges=((0, 1, 1), (0, 2, 0), (0, 3, 1), (1, 2, 0), (1, 3, 1), (2, 3, 0)))
 
 
 class TestSolverCounters:
     def test_hand_counts(self):
-        # a path has no cycle to separate: one node, one LP
+        # a path has no cycle to separate: one node, its LP, and the true
+        # costs' LP that confirms the integral perturbed optimum
         path = grouping.MulticutInstance(node_count=3, edges=((0, 1, 1), (1, 2, 0)))
         sol = grouping.solve_multicut(path, 0.5)
-        assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (1, 1, 0, True)
+        assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (2, 1, 0, True)
         sol = grouping.solve_multicut(grouping.MulticutInstance(node_count=2, edges=()), 0.5)
         assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (0, 0, 0, True)
         # the root LP merges the three edges at node 2 and cuts the others:
-        # one row for each of the three triangles through node 2
+        # one row for each of the three triangles through node 2; each
+        # child's integral optimum is confirmed by the true costs' LP
         sol = grouping.solve_multicut(BRANCHING, 0.5)
-        assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (4, 3, 3, True)
+        assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (6, 3, 3, True)
 
     def test_node_cap_clears_proven_optimal(self, monkeypatch):
         monkeypatch.setattr(grouping._MulticutSolver, "NODE_CAP", 1)
@@ -374,7 +376,9 @@ class TestPairIndex:
 
 
 def linprog_reference(solver, fixed):
-    """The solver's LP as scipy.optimize.linprog(method="highs") solves it."""
+    """The solver's LP, at the model's perturbed costs, as
+    scipy.optimize.linprog(method="highs") solves it with the solver's dual
+    feasibility tolerance."""
     n_vars = solver.n_pairs + solver.n_masks
     bounds = [(0.0, 1.0)] * n_vars
     for var, val in fixed.items():
@@ -383,7 +387,7 @@ def linprog_reference(solver, fixed):
     if not b_ub.size:
         a_ub = b_ub = None
     return linprog(solver._lp.getLp().col_cost_, A_ub=a_ub, b_ub=b_ub, bounds=bounds,
-                   method="highs")
+                   method="highs", options={"dual_feasibility_tolerance": 1e-9})
 
 
 class TestHighsLp:
@@ -395,9 +399,10 @@ class TestHighsLp:
         n_vars = solver.n_pairs + solver.n_masks
         assume(n_vars > 0)
         value = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
-        # several LPs on one solver, separation rows added between them, so
-        # the model grows and is solved again as in the cutting-plane loop;
-        # zero rounds and no masks leave the LP without rows
+        # several LPs on one solver, each from the last one's basis, with
+        # separation rows added between them, so the model grows and is
+        # solved again as in the cutting-plane loop; zero rounds and no
+        # masks leave the LP without rows
         for _ in range(data.draw(st.integers(1, 3))):
             # random 0/1 fixings; contradictory ones make the LP infeasible
             fixed = data.draw(st.dictionaries(st.integers(0, n_vars - 1), st.integers(0, 1),
@@ -408,12 +413,17 @@ class TestHighsLp:
             if ref.status == 2:
                 assert got is None
             else:
-                assert got[0] == ref.fun and got[1].tobytes() == ref.x.tobytes()
+                # the perturbation leaves one optimum, so the merge
+                # variables agree once rounded; a mask whose reward is
+                # (nearly) zero may leave its z anywhere below its pairs
+                assert abs(got[0] - ref.fun) <= 1e-9
+                assert np.array_equal(got[1][:solver.n_pairs],
+                                      np.round(ref.x[:solver.n_pairs], 6))
             x = np.array(data.draw(st.lists(value, min_size=n_vars, max_size=n_vars)))
             solver._separate(x)
 
     def test_one_model_per_solve(self, monkeypatch):
-        # BRANCHING runs 4 LPs over 3 nodes, all on the one model
+        # BRANCHING runs 6 LPs over 3 nodes, all on the one model
         models = []
         real = grouping.highs._Highs
 
@@ -423,7 +433,7 @@ class TestHighsLp:
 
         monkeypatch.setattr(grouping.highs, "_Highs", counted)
         sol = grouping.solve_multicut(BRANCHING, 0.5)
-        assert sol.lp_solves == 4 and len(models) == 1
+        assert sol.lp_solves == 6 and len(models) == 1
         assert models[0].getNumRow() == sol.cuts
 
     def test_refused_model_edit_raises_solver_error(self):
@@ -439,6 +449,70 @@ class TestHighsLp:
         fixed = {solver.n_pairs: 1, int(solver._pair_of(np.array([0]), np.array([2]))[0]): 0}
         assert linprog_reference(solver, fixed).status == 2
         assert solver._solve_lp(fixed) is None
+
+
+def solve_cold(instance, theta):
+    """solve_multicut with every LP solved from scratch: HiGHS's solver data
+    is cleared before each run, so no LP starts from another's basis."""
+    real = grouping._solve_highs
+
+    def cold(lp, *args):
+        lp.clearSolver()
+        return real(lp, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grouping, "_solve_highs", cold)
+        return grouping.solve_multicut(instance, theta)
+
+
+# a 4-cycle whose one contour edge is (0, 1): merging all four nodes ties
+# with cutting (0, 1) and any one other edge, at objective -1
+CONTOUR_CYCLE = ((0, 1, 1), (1, 2, 0), (2, 3, 0), (0, 3, 0))
+
+
+class TestTieRule:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_cold_and_warm_solves_agree(self, data):
+        inst = draw_instance(data, 8)
+        theta = data.draw(st.sampled_from([0.5]) | st.floats(0.05, 0.95))
+        warm, cold = grouping.solve_multicut(inst, theta), solve_cold(inst, theta)
+        assert np.array_equal(warm.partition.assignment, cold.partition.assignment)
+        assert warm.objective == cold.objective and warm.proven_optimal
+        oracle = grouping.brute_force_multicut(inst, theta)
+        assert abs(warm.objective - oracle.objective) <= 1e-9
+
+    def test_another_solve_first_changes_nothing(self):
+        rng = np.random.default_rng(31)
+        instances = [random_grid_instance(rng) for _ in range(6)]
+        alone = [grouping.solve_multicut(inst, 0.5) for inst in instances]
+        for inst, first in zip(instances, alone):
+            grouping.solve_multicut(instances[0], 0.5)
+            again = grouping.solve_multicut(inst, 0.5)
+            assert np.array_equal(again.partition.assignment, first.partition.assignment)
+            assert (again.objective, again.lp_solves, again.nodes, again.cuts) == \
+                (first.objective, first.lp_solves, first.nodes, first.cuts)
+
+    def test_tie_keeps_the_contour_edge_cut(self):
+        # every edge order and every rotation of the node labels
+        for edges in itertools.permutations(CONTOUR_CYCLE):
+            for shift in range(4):
+                inst = grouping.MulticutInstance(node_count=4, edges=tuple(
+                    ((u + shift) % 4, (v + shift) % 4, d) for u, v, d in edges))
+                sol = grouping.solve_multicut(inst, 0.5)
+                assign = sol.partition.assignment
+                assert sol.objective == -1.0
+                assert assign[shift % 4] != assign[(1 + shift) % 4]
+
+    @pytest.mark.parametrize("gap", [2e-8, 1e-7, 1e-6, 1e-5])
+    def test_a_gap_below_the_perturbation_is_still_found(self, gap):
+        # merging the contour edge under the mask beats cutting it by gap,
+        # less than the perturbation that favours the cut
+        inst = grouping.MulticutInstance(node_count=2, edges=((0, 1, 1),),
+                                         mask_constraints=((frozenset({0, 1}), 0.5 + gap),))
+        sol = grouping.solve_multicut(inst, 0.5)
+        assert sol.partition.assignment.tolist() == [0, 0] and sol.proven_optimal
+        assert sol.objective == pytest.approx(-gap, rel=1e-6)
 
 
 class TestBruteForce:

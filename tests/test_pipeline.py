@@ -632,6 +632,7 @@ def _reference_cosegmentation(corpus, config):
     images = list(corpus.images)
     exemplars, propagations = [], []
     previous, seen, changed = None, set(), []
+    history = []    # each iteration's partitions, until the loop stops
     iteration, converged, fixed_point = 0, False, False
     while iteration < config.max_phase1_iters:
         iteration += 1
@@ -643,6 +644,7 @@ def _reference_cosegmentation(corpus, config):
             converged = fixed_point = True
             break
         signature = tuple(partitions[i.id].assignment.tobytes() for i in images)
+        history.append(partitions)
         if signature in seen:
             converged = True
             previous = partitions
@@ -652,10 +654,18 @@ def _reference_cosegmentation(corpus, config):
         previous = partitions
         exemplars, propagations = _reference_train_and_propagate(images, partitions, config)
     regions = {image.id: regions_of(image, previous[image.id]) for image in images}
+    # an orbit: the iterations from the first visit of the repeated state on
+    orbit = []
+    if converged and not fixed_point:
+        orbit = next(history[k:-1] for k in range(len(history)) if all(
+            history[k][i.id].equals(history[-1][i.id]) for i in images))
+    cycling = tuple(i.id for i in images
+                    if any(not state[i.id].equals(orbit[0][i.id]) for state in orbit))
     # the fields of a Phase1Result that the uncached loop can check
     return SimpleNamespace(regions=regions, exemplars=exemplars, propagations=propagations,
                            iteration_count=iteration, converged=converged,
-                           fixed_point=fixed_point, images_changed=tuple(changed))
+                           fixed_point=fixed_point, images_changed=tuple(changed),
+                           orbit_length=len(orbit), cycling_images=cycling)
 
 
 class _CallLog:
@@ -713,7 +723,7 @@ def _assert_same_records(got, expected):
 # (scene seed, image count): a 3-image corpus whose Phase I closes an orbit,
 # and a 2-image corpus where a returned exemplar's region kept its
 # superpixels but moved to another index since the exemplar was first built
-MEMO_CASES = {"closed-orbit": (34, 3), "region-index-change": (28, 2)}
+MEMO_CASES = {"closed-orbit": (34, 3), "region-index-change": (11, 2)}
 
 
 @pytest.fixture(scope="module", params=sorted(MEMO_CASES))
@@ -752,6 +762,13 @@ class TestPhase1Memo:
         assert result.images_changed == reference.images_changed
         assert len(result.images_changed) == result.iteration_count
         assert (result.images_changed[-1] == 0) == result.fixed_point
+
+    def test_orbit_equals_uncached_loop(self, phase1_runs):
+        reference, _, result, _ = phase1_runs
+        assert (result.orbit_length, result.cycling_images) == \
+            (reference.orbit_length, reference.cycling_images)
+        assert (result.orbit_length > 0) == bool(result.cycling_images) == \
+            (result.converged and not result.fixed_point)
 
     def test_counts_split_the_uncached_calls(self, phase1_runs):
         _, reference_log, result, log = phase1_runs
