@@ -4,8 +4,8 @@ All types are immutable after construction; coordinates are normalized to
 [0, 1]^2 using pixel centers ((row + 0.5) / H, (col + 0.5) / W) so location
 statistics transfer across image sizes. Label 0 is the reserved background
 label of the corpus vocabulary. Connected components and bounding boxes
-are computed over row runs, the components with one ``csgraph`` call, and
-a dilation is shifted ORs, so the package needs no ``scipy.ndimage``.
+are computed over row runs, the components with ``kernels.components``,
+and a dilation is shifted ORs, so the package needs no ``scipy.ndimage``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
+from . import kernels
 from .errors import MalformedInputError
 
 BACKGROUND = 0
@@ -59,11 +59,7 @@ class Partition:
     def from_merged_pairs(node_count: int, pairs: np.ndarray, merged: np.ndarray) -> "Partition":
         """Rebuild a partition as connected components of merged pairs."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)[np.asarray(merged, dtype=bool)]
-        # both directions of every merged pair, so the strongly connected
-        # components are the connected ones
-        graph = pair_graph(node_count, pairs, np.ones(len(pairs)))
-        _, labels = csgraph.connected_components(graph, connection="strong")
-        return Partition.from_assignment(labels)
+        return Partition.from_assignment(kernels.components(node_count, pairs[:, 0], pairs[:, 1]))
 
 
 def pair_graph(node_count: int, pairs: np.ndarray, weights: np.ndarray) -> sparse.csr_array:
@@ -71,8 +67,8 @@ def pair_graph(node_count: int, pairs: np.ndarray, weights: np.ndarray) -> spars
 
     Built straight as CSR, since the COO conversion and the undirected mode's
     transpose cost more than the search on small graphs. Zero weights stay
-    stored, and csgraph's directed routines take a stored zero as an arc of
-    length zero.
+    stored, and ``csgraph.dijkstra`` takes a stored zero as an arc of length
+    zero.
     """
     src = np.concatenate([pairs[:, 0], pairs[:, 1]])
     dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
@@ -184,21 +180,20 @@ def label_components(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row runs, numbered in raster order, so a component's first run holds
     its first pixel. Two vertically adjacent runs of one value overlap in a
     column where one of the two starts, so joining the equal pixel pairs
-    where either starts a run links every such pair of runs; one
-    ``csgraph.connected_components`` call then joins the runs.
+    where either starts a run links every such pair of runs;
+    ``kernels.components`` then labels each run with the smallest run of its
+    component, which is the component's first.
     """
     h, w = values.shape
     starts = _run_starts(values)
     run = np.cumsum(starts).reshape(h, w) - 1
     joins = (values[:-1] == values[1:]) & (starts[:-1] | starts[1:])
-    pairs = np.stack([run[:-1][joins], run[1:][joins]], axis=1)
-    graph = pair_graph(int(run[-1, -1]) + 1, pairs, np.ones(len(pairs)))
-    count, comp = csgraph.connected_components(graph, connection="strong")
-    _, first = np.unique(comp, return_index=True)   # each component's first run
+    comp = kernels.components(int(run[-1, -1]) + 1, run[:-1][joins], run[1:][joins])
+    first = np.flatnonzero(comp == np.arange(comp.size))   # each component's first run
     comp_values = values[starts][first].astype(np.int64)
     order = np.lexsort((first, comp_values))
-    rank = np.empty(count, dtype=np.int64)
-    rank[order] = np.arange(count)
+    rank = np.empty(comp.size, dtype=np.int64)
+    rank[first[order]] = np.arange(first.size)
     return rank[comp][run], comp_values[order]
 
 

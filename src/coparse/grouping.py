@@ -21,13 +21,14 @@ once, first; then every edge whose cut weight exceeds its cheapest detour)
 and added to that model; a node's 0/1 fixings are column bounds. The
 detours come from one ``csgraph.dijkstra`` call per round, run only from
 the candidate edges whose endpoints the pairs cheaper than the largest
-candidate cut weight join (one connected-components pass), so a round at a
+candidate cut weight join (``kernels.components``), so a round at a
 cycle-consistent integral point searches nothing. Each LP starts from the
 last one's basis, with the options ``linprog(method="highs")`` sets and a
 tighter dual feasibility tolerance. Every branch-and-bound node rounds its
-LP point by connected components of the merged pairs, scores that partition
-as its candidate, and branches while the relaxation stays fractional
-(Kappes et al., EMMCVPR 2011).
+LP point to the connected components of the merged pairs
+(``kernels.components`` again, with no sparse matrix), scores that
+partition as its candidate, and branches while the relaxation stays
+fractional (Kappes et al., EMMCVPR 2011).
 
 Ties between optima are broken by the instance alone: each pair's cost is
 perturbed by a tiny amount of fixed sign and distinct size (Charnes,
@@ -37,9 +38,14 @@ which a warm and a cold solve both reach, and every decision reads x
 rounded to 1e-6. The search stays exact: candidates are scored at the true
 weights, nodes are pruned on the perturbed LP's value less the most the
 perturbation can add, and a node whose perturbed optimum is integral closes
-only once that bound or the true costs' LP shows that it holds nothing
-better than the incumbent. Instances small enough for the exhaustive oracle
-are therefore solved to proven optimality.
+only once it is shown to hold nothing better than the incumbent: by that
+bound; by a certificate read from the perturbed optimum's basis, whose
+duals under the true costs (one ``getBasisTransposeSolve`` of the
+perturbation of the basic columns, and A^T of that from the solver's own
+record of the rows) are feasible, so that the true costs' LP would stop
+at the same x; or, failing both, by the true costs' LP itself. Instances
+small enough for the exhaustive oracle are therefore solved to proven
+optimality.
 
 The model is scipy's bundled HiGHS binding, the extension module
 ``scipy.optimize._highspy._core``, loaded straight from its file: importing
@@ -51,6 +57,7 @@ reuses it, and one already imported is reused here.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import sys
@@ -141,6 +148,7 @@ class MulticutSolution:
     objective: float
     mask_active: tuple[bool, ...]
     lp_solves: int = 0                 # LPs the cutting-plane solver ran
+    true_cost_lps: int = 0             # of those, the true costs' LPs at integral nodes
     nodes: int = 0                     # branch-and-bound nodes it explored
     cuts: int = 0                      # cycle rows separation added to the LP
     proven_optimal: bool = True        # false when NODE_CAP left nodes unexplored
@@ -259,6 +267,15 @@ def _check_edit(status) -> None:
         raise SolverError("HiGHS refused an edit of the multicut LP")
 
 
+@functools.cache
+def _tie_draws(seed: int, count: int) -> np.ndarray:
+    """``count`` uniform draws of a generator seeded with ``seed``, built
+    once per pair count and read-only."""
+    draws = np.random.default_rng(seed).random(count)
+    draws.flags.writeable = False
+    return draws
+
+
 def _solve_highs(lp, cols: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     """Set the bounds of columns ``cols`` to ``lower``/``upper`` and solve
     the model ``lp`` from the basis of its last run. Returns the model
@@ -300,9 +317,8 @@ class _MulticutSolver:
             local = np.searchsorted(ordered, edge_pairs)
             inside = np.flatnonzero(
                 (ordered[np.minimum(local, ordered.size - 1)] == edge_pairs).all(axis=1))
-            component = Partition.from_merged_pairs(ordered.size, local[inside],
-                                                    np.ones(inside.size, dtype=bool)).assignment
-            _, heads = np.unique(component, return_index=True)
+            component = kernels.components(ordered.size, *local[inside].T)
+            heads = np.flatnonzero(component == np.arange(ordered.size))
             root = int(ordered[0])
             mask_rows += [(c, var) for var in inside.tolist() + [
                 extra.setdefault((root, b), edge_w.size + len(extra))
@@ -327,8 +343,8 @@ class _MulticutSolver:
         # it and cutting another pair of its cycle keeps it cut. Every LP
         # then has one optimum, which any starting basis reaches.
         contour = np.concatenate([edge_w > 0, np.zeros(self.n_pairs - edge_w.size, dtype=bool)])
-        size = self.PERTURBATION * (1.0 + contour + np.random.default_rng(
-            self.PERTURBATION_SEED).random(self.n_pairs))
+        size = self.PERTURBATION * (1.0 + contour
+                                    + _tie_draws(self.PERTURBATION_SEED, self.n_pairs))
         self._eps = np.concatenate([np.where(contour, size, -size), np.zeros(self.n_masks)])
         # the most the perturbation adds to the objective of any point
         self._max_perturbation = float(size[contour].sum())
@@ -342,12 +358,16 @@ class _MulticutSolver:
         self._set_costs(self._cost + self._eps)
         self._lower, self._upper = np.zeros(n_vars), np.ones(n_vars)
         cols = np.array([(self.n_pairs + c, var) for c, var in mask_rows], dtype=np.int32).ravel()
+        vals = np.tile([1.0, -1.0], len(mask_rows))
         _check_edit(self._lp.addRows(len(mask_rows), np.full(len(mask_rows), -np.inf),
                                      np.zeros(len(mask_rows)), cols.size,
-                                     np.arange(0, cols.size, 2, dtype=np.int32), cols,
-                                     np.tile([1.0, -1.0], len(mask_rows))))
+                                     np.arange(0, cols.size, 2, dtype=np.int32), cols, vals))
+        # the model's rows as (row, column, coefficient) entries, for the
+        # certificate's A^T delta: HiGHS's getLp() copies the whole model
+        self._entry_rows = np.repeat(np.arange(len(mask_rows)), 2).tolist()
+        self._entry_cols, self._entry_vals = cols.tolist(), vals.tolist()
         # search counters; proven_optimal turns false when NODE_CAP stops it
-        self.lp_solves = self.nodes = 0
+        self.lp_solves = self.nodes = self.true_cost_lps = 0
         self.proven_optimal = True
         self._row_keys: set = set()      # one key per cycle row added
         self._triangles, self._quads = self._enumerate_short_cycles()
@@ -435,6 +455,7 @@ class _MulticutSolver:
         basis come back after, so the next LP starts dual feasible: dual
         simplex from the other costs' optimum can end in HiGHS's status
         Unknown."""
+        self.true_cost_lps += 1
         basis = self._lp.getBasis()
         self._set_costs(self._cost)
         _check_edit(self._lp.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX))
@@ -444,6 +465,51 @@ class _MulticutSolver:
         _check_edit(self._lp.setBasis(basis))
         return lp
 
+    def _true_duals(self):
+        """The row duals and reduced costs of the perturbed optimum's basis
+        under the true costs, or None when HiGHS gives no basis.
+
+        The costs move by -eps, so the basic columns' duals move by delta,
+        the solution of B^T delta = eps_B (eps of each basic column, 0 for
+        a basic row): the row duals become ``row_dual - delta`` and the
+        reduced costs ``col_dual - eps + A^T delta``, A^T delta summed over
+        the solver's own record of the rows.
+        """
+        status, basic = self._lp.getBasicVariables()
+        if status != highs.HighsStatus.kOk:
+            return None
+        delta = np.zeros(0)
+        if basic.size:
+            status, delta = self._lp.getBasisTransposeSolve(
+                np.where(basic >= 0, self._eps[np.maximum(basic, 0)], 0.0))
+            if status != highs.HighsStatus.kOk:
+                return None
+        solution = self._lp.getSolution()
+        rows = np.array(self._entry_rows, dtype=np.int64)
+        a_t_delta = np.bincount(np.array(self._entry_cols, dtype=np.int64),
+                                weights=np.array(self._entry_vals) * delta[rows],
+                                minlength=self._eps.size)
+        return (np.array(solution.row_dual) - delta,
+                np.array(solution.col_dual) - self._eps + a_t_delta)
+
+    def _certified(self, x: np.ndarray) -> bool:
+        """Whether the basis of the LP just solved, whose rounded optimum is
+        ``x``, is optimal under the true costs too, at the model's dual
+        feasibility tolerance: every row dual at most tol (every row is a
+        <= row), and every unfixed column's reduced cost at least -tol at
+        0, at most tol at 1 and within tol of 0 in between. The true costs'
+        LP from that basis would then stop at once, at the same x."""
+        duals = self._true_duals()
+        if duals is None:
+            return False
+        row_dual, reduced = duals
+        tol = _HIGHS_OPTIONS.dual_feasibility_tolerance
+        if (row_dual > tol).any():
+            return False
+        optimal = np.where(x == 0.0, reduced >= -tol,
+                           np.where(x == 1.0, reduced <= tol, np.abs(reduced) <= tol))
+        return bool(optimal[self._lower != self._upper].all())
+
     # -- separation ----------------------------------------------------------
 
     def _add_row(self, chosen: int, others: list[int]) -> bool:
@@ -452,9 +518,12 @@ class _MulticutSolver:
         if key in self._row_keys:
             return False
         self._row_keys.add(key)
-        _check_edit(self._lp.addRow(-np.inf, float(len(others) - 1), len(others) + 1,
-                                    np.array([chosen] + others, dtype=np.int32),
-                                    np.array([-1.0] + [1.0] * len(others))))
+        cols, vals = [chosen] + others, [-1.0] + [1.0] * len(others)
+        self._entry_rows += [self._lp.getNumRow()] * len(cols)
+        self._entry_cols += cols
+        self._entry_vals += vals
+        _check_edit(self._lp.addRow(-np.inf, float(len(others) - 1), len(cols),
+                                    np.array(cols, dtype=np.int32), np.array(vals)))
         return True
 
     def _separate(self, x: np.ndarray) -> int:
@@ -483,11 +552,11 @@ class _MulticutSolver:
         means the shortest u-v path avoids e and closes a violated cycle
         with it. Every pair on such a path has y below y_e - tol, so only
         an edge whose endpoints those cheap pairs join can close one:
-        one connected-components pass over the pairs below the largest
-        candidate's y_e - tol drops the rest, and one Dijkstra call serves
-        the sources left, if any. Dijkstra computes each source's row on
-        its own, so those rows, and the rows added, are those a search
-        from every candidate's source would give.
+        ``kernels.components`` over the pairs below the largest candidate's
+        y_e - tol drops the rest, and one Dijkstra call serves the sources
+        left, if any. Dijkstra computes each source's row on its own, so
+        those rows, and the rows added, are those a search from every
+        candidate's source would give.
         """
         added = 0
         tol = self.SEPARATION_TOL
@@ -497,8 +566,7 @@ class _MulticutSolver:
             return 0
         n = self.instance.node_count
         cheap = self._pair_array[y < y[candidates].max() - tol]
-        _, component = csgraph.connected_components(
-            pair_graph(n, cheap, np.ones(len(cheap))), connection="strong")
+        component = kernels.components(n, cheap[:, 0], cheap[:, 1])
         src, dst = self._pair_array[candidates].T
         joined = component[src] == component[dst]
         if not joined.any():
@@ -525,10 +593,11 @@ class _MulticutSolver:
 
     def _round(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """The partition into connected components of the pairs x merges,
-        and its objective under the true weights."""
-        merged = x[:self.n_pairs] >= 0.5
-        assign = Partition.from_merged_pairs(self.instance.node_count, self._pair_array,
-                                             merged).assignment
+        each node labelled with its component's smallest node, and its
+        objective under the true weights, which reads only which labels
+        are equal; ``solve_multicut`` makes the labels canonical once."""
+        u, v = self._pair_array[x[:self.n_pairs] >= 0.5].T
+        assign = kernels.components(self.instance.node_count, u, v)
         return assign, kernels.multicut_objectives(assign[:, None], *self._arrays)[0]
 
     def _branch_var(self, x: np.ndarray, fixed: dict[int, int], among: np.ndarray):
@@ -573,10 +642,11 @@ class _MulticutSolver:
             if branch_var is None:
                 # x is integral, the optimum under the perturbed costs.
                 # Unless the bound shows that nothing in the node beats the
-                # incumbent, the true costs' LP decides; when a true gap
-                # smaller than the perturbation hid a better point, the node
+                # incumbent, or the basis is optimal under the true costs
+                # too, the true costs' LP decides; when a true gap smaller
+                # than the perturbation hid a better point, the node
                 # branches on a pair where the two optima differ.
-                if bound >= best_obj - self.PRUNE_SLACK:
+                if bound >= best_obj - self.PRUNE_SLACK or self._certified(x):
                     continue
                 true_obj, true_x = self._solve_unperturbed_lp(fixed)
                 differ = true_x[:self.n_pairs] != x[:self.n_pairs]
@@ -612,5 +682,6 @@ def solve_multicut(instance: MulticutInstance, theta: float) -> MulticutSolution
         partition=partition,
         objective=objective,
         mask_active=_mask_active(instance, partition.assignment),
-        lp_solves=solver.lp_solves, nodes=solver.nodes, cuts=len(solver._row_keys),
+        lp_solves=solver.lp_solves, true_cost_lps=solver.true_cost_lps, nodes=solver.nodes,
+        cuts=len(solver._row_keys),
         proven_optimal=solver.proven_optimal)

@@ -5,13 +5,16 @@ with ``np.bincount`` and strided matrix products; the multicut objective is
 scored over a node-major table of assignments at once, whether the table
 holds every set partition (the oracle: one pass over the columns per edge)
 or one column (a rounded LP point of the solver: the edges in bounded
-chunks, each summed down by ``cumsum``), in the same order and bits; Dinic
-max-flow is a plain Python loop over per-node adjacency lists (Phase II,
-where it runs, is a small share of a run); the box-constrained dual of both
-SVMs, the exemplar SVMs of Phase I and the appearance machines of Phase II,
-is solved by projected Newton. The tests check the vectorized kernels
-against straightforward reference loops, Dinic through flow/cut duality
-and the dual solver through its KKT conditions and duality gap.
+chunks, each summed down by ``cumsum``), in the same order and bits;
+connected components, of a raster's row runs or of a multicut's merged
+pairs, come from hooking roots and pointer jumping over the edge arrays,
+with no sparse matrix; Dinic max-flow is a plain Python loop over per-node
+adjacency lists (Phase II, where it runs, is a small share of a run); the
+box-constrained dual of both SVMs, the exemplar SVMs of Phase I and the
+appearance machines of Phase II, is solved by projected Newton. The tests
+check the vectorized kernels against straightforward reference loops, the
+components against a union-find, Dinic through flow/cut duality and the
+dual solver through its KKT conditions and duality gap.
 """
 
 from __future__ import annotations
@@ -160,6 +163,40 @@ def solve_box_qp(q, c, callback=None):
     qa = q @ a
     gap = float(a @ qa) - float(a.sum()) + float(c @ np.maximum(0.0, 1.0 - qa))
     return a, max(gap, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Connected components (hooking and pointer jumping)
+# ---------------------------------------------------------------------------
+
+def components(n, u, v):
+    """Each of the nodes 0..n-1 labelled with the smallest node of its
+    connected component under the edges (u[k], v[k]).
+
+    Every node starts as its own root. Each round hooks, for every edge
+    whose endpoints still have different roots, the larger root to the
+    smaller (``np.minimum.at``, so a root hooked by several edges takes
+    the smallest), then jumps each node's pointer to its pointer's pointer
+    until no pointer moves, so every node points at its root again. A
+    pointer only ever moves to a smaller node, so the root of a component
+    is its smallest node, and a round leaves every component that still
+    has an edge to another joined to at least one other: the rounds
+    number at most about log2(n) (Shiloach & Vishkin, J. Algorithms 1982).
+    """
+    label = np.arange(n, dtype=np.int64)
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    while True:
+        lu, lv = label[u], label[v]
+        apart = lu != lv
+        if not apart.any():
+            return label
+        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 # ---------------------------------------------------------------------------

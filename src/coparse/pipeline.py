@@ -130,6 +130,7 @@ class Phase1Result:
     esvm_degenerate_calibrations: int   # of the exemplars trained here
     # sums over the multicuts solved here (not the reused ones)
     multicut_lp_solves: int
+    multicut_true_cost_lps: int    # of those, the true costs' LPs at integral nodes
     multicut_nodes: int
     multicut_cuts: int
     multicuts_unproven: int        # stopped by the node cap
@@ -160,6 +161,7 @@ class Phase1Result:
             "phase1_orbit_length": self.orbit_length,
             "phase1_cycling_images": list(self.cycling_images),
             "phase1_multicut_lp_solves": self.multicut_lp_solves,
+            "phase1_multicut_true_cost_lps": self.multicut_true_cost_lps,
             "phase1_multicut_nodes": self.multicut_nodes,
             "phase1_multicut_cuts": self.multicut_cuts,
             "phase1_multicuts_unproven": self.multicuts_unproven,
@@ -316,6 +318,7 @@ def run_cosegmentation(corpus: Corpus, config: Config,
                         esvm_degenerate_calibrations=sum(
                             ex.degenerate_calibration for ex in trained.values()),
                         multicut_lp_solves=sum(s.lp_solves for s in solved.values()),
+                        multicut_true_cost_lps=sum(s.true_cost_lps for s in solved.values()),
                         multicut_nodes=sum(s.nodes for s in solved.values()),
                         multicut_cuts=sum(s.cuts for s in solved.values()),
                         multicuts_unproven=sum(not s.proven_optimal for s in solved.values()),

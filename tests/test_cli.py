@@ -543,6 +543,7 @@ class TestPhasedCommands:
         assert meta["phase1_exemplars_trained"] + meta["phase1_exemplars_reused"] >= exemplar_count
         assert 0.0 <= meta["phase1_esvm_max_duality_gap"] <= 1e-6
         assert meta["phase1_multicut_lp_solves"] >= meta["phase1_multicuts_solved"]
+        assert 0 <= meta["phase1_multicut_true_cost_lps"] <= meta["phase1_multicut_lp_solves"]
         assert meta["phase1_multicuts_unproven"] == 0
         assert len(meta["phase1_images_changed"]) == meta["phase1_iterations"]
         assert meta["phase1_exemplars_unplaceable"] == 0
@@ -790,6 +791,7 @@ class TestRunAndEval:
         # solver counters over the multicuts the run solved, and the sweep cap
         assert meta["phase1_multicut_nodes"] >= meta["phase1_multicuts_solved"]
         assert meta["phase1_multicut_lp_solves"] >= meta["phase1_multicut_nodes"]
+        assert 0 <= meta["phase1_multicut_true_cost_lps"] <= meta["phase1_multicut_lp_solves"]
         assert meta["phase1_multicut_cuts"] >= 0
         assert meta["phase1_multicuts_unproven"] == 0
         assert meta["phase2_converged"] is True
@@ -861,8 +863,9 @@ class TestCv:
                 "phase1_esvm_max_duality_gap", "phase1_esvm_max_relative_duality_gap",
                 "phase1_esvm_degenerate_calibrations", "phase1_images_changed",
                 "phase1_orbit_length", "phase1_cycling_images",
-                "phase1_multicut_lp_solves", "phase1_multicut_nodes",
-                "phase1_multicut_cuts", "phase1_multicuts_unproven", "phase2_sweeps",
+                "phase1_multicut_lp_solves", "phase1_multicut_true_cost_lps",
+                "phase1_multicut_nodes", "phase1_multicut_cuts", "phase1_multicuts_unproven",
+                "phase2_sweeps",
                 "phase2_converged", "phase2_truncated_terms", "phase2_overruled_vertices",
                 "phase2_overruled_pixels", "phase2_exterior_edges", "phase2_move_energies",
                 "label_model_max_duality_gap"}

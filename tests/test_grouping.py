@@ -255,25 +255,25 @@ class TestSolveMulticut:
             grouping.solve_multicut(inst, 0.5)
 
 
-# a branching instance: its root LP stays fractional (3 nodes, 6 LPs)
+# a branching instance: its root LP stays fractional (3 nodes, 4 LPs)
 BRANCHING = grouping.MulticutInstance(
     node_count=4, edges=((0, 1, 1), (0, 2, 0), (0, 3, 1), (1, 2, 0), (1, 3, 1), (2, 3, 0)))
 
 
 class TestSolverCounters:
     def test_hand_counts(self):
-        # a path has no cycle to separate: one node, its LP, and the true
-        # costs' LP that confirms the integral perturbed optimum
+        # a path has no cycle to separate: one node and its LP, whose
+        # integral perturbed optimum the basis certifies under the true costs
         path = grouping.MulticutInstance(node_count=3, edges=((0, 1, 1), (1, 2, 0)))
         sol = grouping.solve_multicut(path, 0.5)
-        assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (2, 1, 0, True)
+        assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (1, 1, 0, True)
         sol = grouping.solve_multicut(grouping.MulticutInstance(node_count=2, edges=()), 0.5)
         assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (0, 0, 0, True)
         # the root LP merges the three edges at node 2 and cuts the others:
         # one row for each of the three triangles through node 2; each
-        # child's integral optimum is confirmed by the true costs' LP
+        # child's integral optimum is certified by its basis
         sol = grouping.solve_multicut(BRANCHING, 0.5)
-        assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (6, 3, 3, True)
+        assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (4, 3, 3, True)
 
     def test_node_cap_clears_proven_optimal(self, monkeypatch):
         monkeypatch.setattr(grouping._MulticutSolver, "NODE_CAP", 1)
@@ -423,7 +423,7 @@ class TestHighsLp:
             solver._separate(x)
 
     def test_one_model_per_solve(self, monkeypatch):
-        # BRANCHING runs 6 LPs over 3 nodes, all on the one model
+        # BRANCHING runs 4 LPs over 3 nodes, all on the one model
         models = []
         real = grouping.highs._Highs
 
@@ -433,7 +433,7 @@ class TestHighsLp:
 
         monkeypatch.setattr(grouping.highs, "_Highs", counted)
         sol = grouping.solve_multicut(BRANCHING, 0.5)
-        assert sol.lp_solves == 6 and len(models) == 1
+        assert sol.lp_solves == 4 and len(models) == 1
         assert models[0].getNumRow() == sol.cuts
 
     def test_refused_model_edit_raises_solver_error(self):
@@ -513,6 +513,113 @@ class TestTieRule:
         sol = grouping.solve_multicut(inst, 0.5)
         assert sol.partition.assignment.tolist() == [0, 0] and sol.proven_optimal
         assert sol.objective == pytest.approx(-gap, rel=1e-6)
+
+
+def near_tie_instance(rng, k):
+    """A random or grid instance; on two of every three ``k`` its masks'
+    rewards are a multiple of 0.5 off by 1e-8 to 1e-5, so that a true gap
+    can sit below the perturbation and the certificate can fail."""
+    inst = random_instance(rng, max_nodes=10) if k % 2 else random_grid_instance(rng)
+    if k % 3 == 0:
+        return inst
+    masks = tuple((ids, 0.5 * int(rng.integers(1, 4))
+                   + float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, -5.0)))
+                  for ids, _ in inst.mask_constraints)
+    return grouping.MulticutInstance(node_count=inst.node_count, edges=inst.edges,
+                                     mask_constraints=masks)
+
+
+def integral_nodes(solver, rng):
+    """(fixings, x) of LPs whose optimum is integral on the pairs, each
+    separated as the search's root is: without fixings, then under a few
+    random fixings of one to three pairs."""
+    for trial in range(4):
+        size = min(solver.n_pairs, int(rng.integers(1, 4)))
+        fixed = {} if trial == 0 else {
+            int(var): int(rng.integers(0, 2))
+            for var in rng.choice(solver.n_pairs, size=size, replace=False)}
+        lp = solver._solve_lp(fixed)
+        for _ in range(solver.ROOT_ROUNDS):
+            if lp is None or solver._separate(lp[1]) == 0:
+                break
+            lp = solver._solve_lp(fixed)
+        if lp is not None and (np.abs(lp[1][:solver.n_pairs] - 0.5)
+                               >= 0.5 - solver.INTEGRALITY_TOL).all():
+            yield fixed, lp[1]
+
+
+class TestCertificate:
+    """An integral node closes on its basis when that basis is optimal under
+    the true costs too; otherwise the true costs' LP runs."""
+
+    def test_certified_basis_is_the_true_costs_optimum(self, monkeypatch):
+        # whenever the certificate holds, the true costs' LP stops at once at
+        # the same x, and wherever that LP makes no pivot, the duals read
+        # from the perturbed basis are the ones HiGHS computes
+        seen = {}
+        real = grouping._solve_highs
+
+        def spy(lp, *args):
+            result = real(lp, *args)
+            solution = lp.getSolution()
+            seen.update(row=np.array(solution.row_dual), col=np.array(solution.col_dual),
+                        pivots=lp.getInfo().simplex_iteration_count)
+            return result
+
+        monkeypatch.setattr(grouping, "_solve_highs", spy)
+        rng = np.random.default_rng(83)
+        certified = uncertified = 0
+        for k in range(180):
+            solver = grouping._MulticutSolver(near_tie_instance(rng, k), 0.5)
+            for fixed, x in integral_nodes(solver, rng):
+                row_dual, reduced = solver._true_duals()
+                holds = solver._certified(x)
+                true_x = solver._solve_unperturbed_lp(fixed)[1]
+                if holds:
+                    certified += 1
+                    assert seen["pivots"] == 0 and np.array_equal(true_x, x)
+                else:
+                    uncertified += 1
+                if seen["pivots"] == 0:
+                    assert np.allclose(row_dual, seen["row"], rtol=0.0, atol=1e-12)
+                    assert np.allclose(reduced, seen["col"], rtol=0.0, atol=1e-12)
+        assert certified >= 150 and uncertified >= 10
+
+    def test_outputs_equal_the_search_without_it(self, monkeypatch):
+        # with the certificate off, every integral node that the bound does
+        # not close runs the true costs' LP: the same answer and search, and
+        # exactly the certified nodes' LPs more
+        rng = np.random.default_rng(84)
+        instances = [near_tie_instance(rng, k) for k in range(120)]
+        with_it = [grouping.solve_multicut(inst, 0.5) for inst in instances]
+        monkeypatch.setattr(grouping._MulticutSolver, "_certified", lambda self, x: False)
+        certified = 0
+        for inst, sol in zip(instances, with_it):
+            off = grouping.solve_multicut(inst, 0.5)
+            assert np.array_equal(sol.partition.assignment, off.partition.assignment)
+            assert (sol.objective, sol.nodes, sol.cuts, sol.proven_optimal, sol.mask_active) \
+                == (off.objective, off.nodes, off.cuts, off.proven_optimal, off.mask_active)
+            assert off.lp_solves - sol.lp_solves == off.true_cost_lps - sol.true_cost_lps
+            certified += off.true_cost_lps - sol.true_cost_lps
+        assert certified > 100
+
+    def test_hand_counts_run_no_true_costs_lp(self):
+        path = grouping.MulticutInstance(node_count=3, edges=((0, 1, 1), (1, 2, 0)))
+        assert grouping.solve_multicut(path, 0.5).true_cost_lps == 0
+        assert grouping.solve_multicut(BRANCHING, 0.5).true_cost_lps == 0
+
+    @pytest.mark.parametrize("gap", [2e-8, 1e-7, 1e-6, 1e-5])
+    def test_a_gap_below_the_perturbation_takes_the_true_costs_lp(self, gap):
+        inst = grouping.MulticutInstance(node_count=2, edges=((0, 1, 1),),
+                                         mask_constraints=((frozenset({0, 1}), 0.5 + gap),))
+        sol = grouping.solve_multicut(inst, 0.5)
+        assert 0 < sol.true_cost_lps < sol.lp_solves
+
+    def test_tie_draws_are_built_once_with_the_generators_bits(self):
+        seed = grouping._MulticutSolver.PERTURBATION_SEED
+        draws = grouping._tie_draws(seed, 37)
+        assert draws is grouping._tie_draws(seed, 37) and not draws.flags.writeable
+        assert draws.tobytes() == np.random.default_rng(seed).random(37).tobytes()
 
 
 class TestBruteForce:

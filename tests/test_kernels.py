@@ -313,3 +313,87 @@ class TestMulticutObjectives:
         obj = kernels.multicut_objectives(table, *terms)
         assert obj.tolist() == [_multicut_objective_ref(table[:, k], *terms)
                                 for k in range(cols)]
+
+
+def _components_ref(n, u, v):
+    """Union-find with path halving; each node labelled with the smallest
+    node of its set."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in zip(u, v):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    smallest = {}
+    for a in range(n):
+        smallest.setdefault(find(a), a)
+    return [smallest[find(a)] for a in range(n)]
+
+
+def _canonical(labels):
+    """Labels renumbered by first occurrence, so equal partitions compare equal."""
+    seen = {}
+    return [seen.setdefault(label, len(seen)) for label in labels]
+
+
+@st.composite
+def component_graphs(draw):
+    """A node count and edge lists, with repeated and reversed pairs."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    return n, [a for a, _ in pairs], [b for _, b in pairs]
+
+
+class TestComponents:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(component_graphs())
+    def test_equals_union_find(self, graph):
+        n, u, v = graph
+        labels = kernels.components(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64))
+        ref = _components_ref(n, u, v)
+        assert labels.dtype == np.int64 and labels.shape == (n,)
+        assert _canonical(labels.tolist()) == _canonical(ref)
+        assert labels.tolist() == ref
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_no_pairs_leaves_every_node_alone(self, n):
+        empty = np.zeros(0, dtype=np.int64)
+        assert kernels.components(n, empty, empty).tolist() == list(range(n))
+
+    def test_repeated_pairs(self):
+        u, v = np.array([3, 1, 3, 1, 4, 1]), np.array([1, 3, 1, 3, 4, 1])
+        assert kernels.components(5, u, v).tolist() == [0, 1, 2, 1, 4]
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_serpentine_chain(self, relabel):
+        # a path that snakes through a 40 x 30 grid, row by row, so that
+        # consecutive nodes of a row-major numbering are far apart on it;
+        # relabelled at random, its edges are also shuffled
+        rows, cols = 40, 30
+        order = np.concatenate([np.arange(r * cols, (r + 1) * cols)[::1 - 2 * (r % 2)]
+                                for r in range(rows)])
+        rng = np.random.default_rng(3)
+        if relabel:
+            order = rng.permutation(rows * cols)[order]
+        u, v = order[:-1], order[1:]
+        if relabel:
+            shuffle = rng.permutation(u.size)
+            u, v = u[shuffle], v[shuffle]
+        labels = kernels.components(rows * cols, u, v)
+        assert labels.tolist() == [0] * (rows * cols)
+        # two chains: the halves of the path, cut in the middle
+        half = u.size // 2
+        keep = np.flatnonzero(~((u == order[half]) & (v == order[half + 1])
+                                | (v == order[half]) & (u == order[half + 1])))
+        labels = kernels.components(rows * cols, u[keep], v[keep])
+        assert labels.tolist() == _components_ref(rows * cols, u[keep].tolist(),
+                                                  v[keep].tolist())
+        assert np.unique(labels).size == 2

@@ -781,6 +781,7 @@ class TestPhase1Memo:
         _, _, result, log = phase1_runs
         solutions = log.solutions
         assert result.multicut_lp_solves == sum(s.lp_solves for s in solutions)
+        assert result.multicut_true_cost_lps == sum(s.true_cost_lps for s in solutions)
         assert result.multicut_nodes == sum(s.nodes for s in solutions)
         assert result.multicut_cuts == sum(s.cuts for s in solutions)
         assert result.multicuts_unproven == sum(not s.proven_optimal for s in solutions) == 0
