@@ -104,7 +104,7 @@ def cmd_esvm(args) -> int:
                [esvm.propagation_to_json(p) for p in phase1.propagations])
     for image in corpus.images:
         io.write_pgm16(out / f"{image.id}.regions.pgm", phase1.regions[image.id][0].region_map)
-    _dump_json(out / "run-meta.json", _run_meta(config, phase1.counters()))
+    _dump_json(out / "run-meta.json", _run_meta(config, phase1.counters))
     print(f"phase I: {len(phase1.exemplars)} exemplars, "
           f"{len(phase1.propagations)} propagations, "
           f"{phase1.iteration_count} iterations")
@@ -188,7 +188,7 @@ def cmd_colabel(args) -> int:
         "total_energy": phase2.total_energy,
         "per_image_energy": dict(sorted(phase2.per_image_energy.items())),
     })
-    _dump_json(out / "run-meta.json", _run_meta(config, phase2.counters()))
+    _dump_json(out / "run-meta.json", _run_meta(config, phase2.counters))
     print(f"co-labeling energy {phase2.total_energy:.6f} over {len(phase2.label_maps)} images")
     return 0
 
@@ -209,8 +209,8 @@ def cmd_run(args) -> int:
     metrics = pipeline.evaluate(phase2.label_maps, replace(corpus, images=tuple(labeled)))
     _dump_json(out / "metrics.json", metrics.to_dict())
     _dump_json(out / "run-meta.json", _run_meta(config, {
-        **phase1.counters(),
-        **phase2.counters(),
+        **phase1.counters,
+        **phase2.counters,
         "label_model_max_duality_gap": model.appearance.max_duality_gap,
         "total_energy": phase2.total_energy,
         "note": "metrics are in-sample (model trained on this corpus); use cv for held-out numbers",
@@ -244,7 +244,7 @@ def cmd_cv(args) -> int:
             "fold": o.fold,
             "test_ids": list(o.test_ids),
             "metrics": o.metrics.to_dict(),
-            "phase1_iterations": o.phase1_iterations,
+            "phase1_iterations": o.counters["phase1_iterations"],
             "phase1_converged": o.phase1_converged,
         } for o in result.folds],
     })

@@ -27,6 +27,8 @@ from .errors import InsufficientDataError, UnknownLabelError
 from .graphcut import LabelingProblem
 
 WIDE_PRIOR_VARIANCE = 0.25   # location prior for labels unseen in training
+SVM_C = 10.0                 # box bound of every appearance machine's dual
+LOCATION_RIDGE = 1e-3        # added to each trained label's location covariance
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +72,7 @@ class AppearanceModel:
         return s / len(self.machines)
 
 
-def train_appearance(hists: np.ndarray, labels: np.ndarray, vocab_size: int,
-                     c: float = 10.0) -> AppearanceModel:
+def train_appearance(hists: np.ndarray, labels: np.ndarray, vocab_size: int) -> AppearanceModel:
     """One-against-one decomposition with a chi-square RBF kernel."""
     hists = np.asarray(hists, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -89,7 +90,7 @@ def train_appearance(hists: np.ndarray, labels: np.ndarray, vocab_size: int,
             idx = np.flatnonzero(sel)
             y = np.where(labels[idx] == a, 1.0, -1.0)
             k = np.exp(-gamma * dists[np.ix_(idx, idx)])
-            alpha, gap = kernels.solve_box_qp(k * np.outer(y, y), c)
+            alpha, gap = kernels.solve_box_qp(k * np.outer(y, y), SVM_C)
             gaps.append(gap)
             keep = alpha > 1e-12
             machines.append((a, b, hists[idx[keep]], alpha[keep] * y[keep]))
@@ -123,8 +124,8 @@ class LabelModel:
         return len(self.vocabulary)
 
 
-def fit_location(centroids_by_label: dict[int, np.ndarray], vocab_size: int,
-                 ridge: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
+def fit_location(centroids_by_label: dict[int, np.ndarray], vocab_size: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-label mean and ridge-regularized sample covariance of centroids.
 
     Labels with no samples get a wide centered prior so the model stays total
@@ -140,9 +141,9 @@ def fit_location(centroids_by_label: dict[int, np.ndarray], vocab_size: int,
             continue
         means[label] = pts.mean(axis=0)
         if pts.shape[0] > 1:
-            covs[label] = np.cov(pts.T, ddof=1) + ridge * np.eye(2)
+            covs[label] = np.cov(pts.T, ddof=1) + LOCATION_RIDGE * np.eye(2)
         else:
-            covs[label] = ridge * np.eye(2)
+            covs[label] = LOCATION_RIDGE * np.eye(2)
     return means, covs
 
 

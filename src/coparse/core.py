@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import kernels
 from .errors import MalformedInputError
@@ -54,28 +53,6 @@ class Partition:
 
     def equals(self, other: "Partition") -> bool:
         return np.array_equal(self.assignment, other.assignment)
-
-    @staticmethod
-    def from_merged_pairs(node_count: int, pairs: np.ndarray, merged: np.ndarray) -> "Partition":
-        """Rebuild a partition as connected components of merged pairs."""
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)[np.asarray(merged, dtype=bool)]
-        return Partition.from_assignment(kernels.components(node_count, pairs[:, 0], pairs[:, 1]))
-
-
-def pair_graph(node_count: int, pairs: np.ndarray, weights: np.ndarray) -> sparse.csr_array:
-    """Directed CSR graph with both arcs u->v and v->u of every (u, v) pair.
-
-    Built straight as CSR, since the COO conversion and the undirected mode's
-    transpose cost more than the search on small graphs. Zero weights stay
-    stored, and ``csgraph.dijkstra`` takes a stored zero as an arc of length
-    zero.
-    """
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.argsort(src, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=node_count))])
-    return sparse.csr_array((np.concatenate([weights, weights])[order], dst[order], indptr),
-                            shape=(node_count, node_count))
 
 
 @dataclass(frozen=True)

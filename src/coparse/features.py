@@ -22,6 +22,7 @@ HOG_BINS = 9
 COLOR_BINS = 8          # per RGB channel
 GRAD_BINS = 16
 MIN_PATCH_SIDE = 2      # pixels: the shortest patch side HOG accepts
+TEMPLATE_CELLS = 8      # cells along an exemplar template's longer side
 
 # scale -> (resized height, resized width, HOG blocks), as hog_pyramid builds it
 HogPyramid = dict[float, tuple[int, int, np.ndarray]]
@@ -208,12 +209,13 @@ def hog_pyramid(gray: np.ndarray, scales) -> HogPyramid:
     return pyramid
 
 
-def template_from_bbox(height: int, width: int, max_cells: int = 8) -> tuple[int, int]:
-    """Cell grid nearest the bbox aspect ratio with the longer side at max_cells."""
+def template_from_bbox(height: int, width: int) -> tuple[int, int]:
+    """Cell grid nearest the bbox aspect ratio with the longer side at
+    ``TEMPLATE_CELLS``."""
     if height >= width:
-        cy = max_cells
-        cx = int(np.clip(round(max_cells * width / height), 2, max_cells))
+        cy = TEMPLATE_CELLS
+        cx = int(np.clip(round(TEMPLATE_CELLS * width / height), 2, TEMPLATE_CELLS))
     else:
-        cx = max_cells
-        cy = int(np.clip(round(max_cells * height / width), 2, max_cells))
+        cx = TEMPLATE_CELLS
+        cy = int(np.clip(round(TEMPLATE_CELLS * height / width), 2, TEMPLATE_CELLS))
     return cy, cx

@@ -66,10 +66,11 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from . import kernels
-from .core import (ImageRecord, Partition, PropagationRecord, labels_under_mask, pair_graph,
+from .core import (ImageRecord, Partition, PropagationRecord, labels_under_mask,
                    superpixel_adjacency)
 from .errors import MalformedInputError, OracleTooLargeError, SolverError
 
@@ -287,6 +288,22 @@ def _solve_highs(lp, cols: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     if status != highs.HighsModelStatus.kOptimal:
         return status, None, None
     return status, lp.getInfo().objective_function_value, np.array(lp.getSolution().col_value)
+
+
+def pair_graph(node_count: int, pairs: np.ndarray, weights: np.ndarray) -> sparse.csr_array:
+    """Directed CSR graph with both arcs u->v and v->u of every (u, v) pair.
+
+    Built straight as CSR, since the COO conversion and the undirected mode's
+    transpose cost more than the search on small graphs. Zero weights stay
+    stored, and ``csgraph.dijkstra`` takes a stored zero as an arc of length
+    zero.
+    """
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.argsort(src, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=node_count))])
+    return sparse.csr_array((np.concatenate([weights, weights])[order], dst[order], indptr),
+                            shape=(node_count, node_count))
 
 
 class _MulticutSolver:

@@ -116,56 +116,7 @@ class Phase1Result:
     exemplars: list[esvm.Exemplar]
     propagations: list
     iteration_count: int
-    converged: bool        # terminated before the cap (fixed point or closed orbit)
-    fixed_point: bool      # strict consecutive-iteration equality
-    # work done vs. taken from the run's caches
-    multicuts_solved: int
-    multicuts_reused: int
-    exemplars_trained: int
-    exemplars_reused: int
-    exemplars_unplaceable: int     # selected regions whose template fits no pyramid level
-    detections_kept: int           # propagations of the exemplars propagated here
-    esvm_max_duality_gap: float    # over the exemplars trained here; 0 with none
-    esvm_max_relative_duality_gap: float   # of each gap over max(1, its total hinge weight)
-    esvm_degenerate_calibrations: int   # of the exemplars trained here
-    # sums over the multicuts solved here (not the reused ones)
-    multicut_lp_solves: int
-    multicut_true_cost_lps: int    # of those, the true costs' LPs at integral nodes
-    multicut_nodes: int
-    multicut_cuts: int
-    multicuts_unproven: int        # stopped by the node cap
-    # per iteration, the images whose partition differs from the previous
-    # iteration's (every image in the first)
-    images_changed: tuple[int, ...]
-    # a closed orbit's length in iterations and the ids of the images whose
-    # partition changes within it; 0 and () at a fixed point or the cap
-    orbit_length: int
-    cycling_images: tuple[str, ...]
-
-    def counters(self) -> dict:
-        """What the run did, under the names ``run-meta.json`` gives it."""
-        return {
-            "phase1_iterations": self.iteration_count,
-            "phase1_converged": self.converged,
-            "phase1_fixed_point": self.fixed_point,
-            "phase1_multicuts_solved": self.multicuts_solved,
-            "phase1_multicuts_reused": self.multicuts_reused,
-            "phase1_exemplars_trained": self.exemplars_trained,
-            "phase1_exemplars_reused": self.exemplars_reused,
-            "phase1_exemplars_unplaceable": self.exemplars_unplaceable,
-            "phase1_detections_kept": self.detections_kept,
-            "phase1_esvm_max_duality_gap": self.esvm_max_duality_gap,
-            "phase1_esvm_max_relative_duality_gap": self.esvm_max_relative_duality_gap,
-            "phase1_esvm_degenerate_calibrations": self.esvm_degenerate_calibrations,
-            "phase1_images_changed": list(self.images_changed),
-            "phase1_orbit_length": self.orbit_length,
-            "phase1_cycling_images": list(self.cycling_images),
-            "phase1_multicut_lp_solves": self.multicut_lp_solves,
-            "phase1_multicut_true_cost_lps": self.multicut_true_cost_lps,
-            "phase1_multicut_nodes": self.multicut_nodes,
-            "phase1_multicut_cuts": self.multicut_cuts,
-            "phase1_multicuts_unproven": self.multicuts_unproven,
-        }
+    counters: dict         # what the run did, under the names ``run-meta.json`` gives it
 
 
 def build_maps(images) -> dict[str, features.ImageMaps]:
@@ -247,7 +198,7 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     The alternation can fall into a short limit cycle instead of a fixed
     point; a repeat of any earlier joint partition state closes the orbit
     exactly (no new regions can ever appear), so the loop also terminates
-    there, reporting fixed_point=False.
+    there, reporting ``phase1_fixed_point`` false.
 
     Multicuts are cached on their instance, exemplars on (id, region
     superpixels, excluded mask) and propagations on (id, region
@@ -302,30 +253,42 @@ def run_cosegmentation(corpus: Corpus, config: Config,
             break
     # the orbit runs from the repeated state's first iteration to the last
     orbit = states[states.index(states[-1]):-1] if converged and not fixed_point else []
-    return Phase1Result(regions=regions, exemplars=exemplars,
-                        propagations=propagations, iteration_count=iteration,
-                        converged=converged, fixed_point=fixed_point,
-                        multicuts_solved=len(solved),
-                        multicuts_reused=iteration * len(images) - len(solved),
-                        exemplars_trained=len(trained),
-                        exemplars_reused=exemplar_count - len(trained),
-                        exemplars_unplaceable=len(unplaceable),
-                        detections_kept=sum(len(props) for props in propagated.values()),
-                        esvm_max_duality_gap=max(
-                            (ex.duality_gap for ex in trained.values()), default=0.0),
-                        esvm_max_relative_duality_gap=max(
-                            (ex.relative_duality_gap for ex in trained.values()), default=0.0),
-                        esvm_degenerate_calibrations=sum(
-                            ex.degenerate_calibration for ex in trained.values()),
-                        multicut_lp_solves=sum(s.lp_solves for s in solved.values()),
-                        multicut_true_cost_lps=sum(s.true_cost_lps for s in solved.values()),
-                        multicut_nodes=sum(s.nodes for s in solved.values()),
-                        multicut_cuts=sum(s.cuts for s in solved.values()),
-                        multicuts_unproven=sum(not s.proven_optimal for s in solved.values()),
-                        images_changed=tuple(images_changed),
-                        orbit_length=len(orbit),
-                        cycling_images=tuple(image.id for k, image in enumerate(images)
-                                             if len({state[k] for state in orbit}) > 1))
+    counters = {
+        "phase1_iterations": iteration,
+        "phase1_converged": converged,       # ended before the cap, at a fixed point or an orbit
+        "phase1_fixed_point": fixed_point,   # strict consecutive-iteration equality
+        # work done vs. taken from the run's caches
+        "phase1_multicuts_solved": len(solved),
+        "phase1_multicuts_reused": iteration * len(images) - len(solved),
+        "phase1_exemplars_trained": len(trained),
+        "phase1_exemplars_reused": exemplar_count - len(trained),
+        "phase1_exemplars_unplaceable": len(unplaceable),   # templates that fit no pyramid level
+        "phase1_detections_kept": sum(len(props) for props in propagated.values()),
+        # over the exemplars trained here, 0 with none; the relative gap is
+        # each gap over max(1, its total hinge weight)
+        "phase1_esvm_max_duality_gap": max(
+            (ex.duality_gap for ex in trained.values()), default=0.0),
+        "phase1_esvm_max_relative_duality_gap": max(
+            (ex.relative_duality_gap for ex in trained.values()), default=0.0),
+        "phase1_esvm_degenerate_calibrations": sum(
+            ex.degenerate_calibration for ex in trained.values()),
+        # per iteration, the images whose partition differs from the previous
+        # iteration's (every image in the first)
+        "phase1_images_changed": images_changed,
+        # a closed orbit's length in iterations and the ids of the images whose
+        # partition changes within it; 0 and [] at a fixed point or the cap
+        "phase1_orbit_length": len(orbit),
+        "phase1_cycling_images": [image.id for k, image in enumerate(images)
+                                  if len({state[k] for state in orbit}) > 1],
+        # sums over the multicuts solved here (not the reused ones); an
+        # unproven one stopped at the node cap
+        "phase1_multicut_lp_solves": sum(s.lp_solves for s in solved.values()),
+        "phase1_multicut_true_cost_lps": sum(s.true_cost_lps for s in solved.values()),
+        "phase1_multicut_nodes": sum(s.nodes for s in solved.values()),
+        "phase1_multicut_cuts": sum(s.cuts for s in solved.values()),
+        "phase1_multicuts_unproven": sum(not s.proven_optimal for s in solved.values()),
+    }
+    return Phase1Result(regions, exemplars, propagations, iteration, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -374,24 +337,7 @@ class Phase2Result:
     label_maps: dict[str, np.ndarray]
     total_energy: float
     per_image_energy: dict[str, float]
-    sweeps: int
-    converged: bool          # false when the sweep cap stopped a sweep that still moved
-    truncated_terms: int     # non-submodular edge terms the expansion moves truncated
-    # vertices whose final label is not their lowest-unary one (the
-    # expansion's start), and the pixels of their regions
-    overruled_vertices: int
-    overruled_pixels: int
-    exterior_edges: int      # cross-image edges the propagations built
-    move_energies: tuple[float, ...]   # the energy after every accepted expansion move
-
-    def counters(self) -> dict:
-        """What the run did, under the names ``run-meta.json`` gives it."""
-        return {"phase2_sweeps": self.sweeps, "phase2_converged": self.converged,
-                "phase2_truncated_terms": self.truncated_terms,
-                "phase2_overruled_vertices": self.overruled_vertices,
-                "phase2_overruled_pixels": self.overruled_pixels,
-                "phase2_exterior_edges": self.exterior_edges,
-                "phase2_move_energies": list(self.move_energies)}
+    counters: dict         # what the run did, under the names ``run-meta.json`` gives it
 
 
 def run_colabeling(corpus: Corpus, regions: dict[str, list[Region]],
@@ -434,14 +380,18 @@ def run_colabeling(corpus: Corpus, regions: dict[str, list[Region]],
             per_image[image_of[u]] += 0.5 * term
             per_image[image_of[v]] += 0.5 * term
     overruled = np.flatnonzero(pos != problem.lowest_unary())
-    return Phase2Result(label_maps=label_maps, total_energy=result.energy,
-                        per_image_energy=per_image, sweeps=result.sweeps,
-                        converged=result.converged, truncated_terms=result.truncated_terms,
-                        overruled_vertices=int(overruled.size),
-                        overruled_pixels=sum(int(graph.vertex_regions[v].area)
-                                             for v in overruled),
-                        exterior_edges=len(graph.exterior_edges),
-                        move_energies=result.move_energies)
+    counters = {
+        "phase2_sweeps": result.sweeps,
+        "phase2_converged": result.converged,   # false when the cap stopped a moving sweep
+        "phase2_truncated_terms": result.truncated_terms,   # non-submodular edge terms
+        # vertices whose final label is not their lowest-unary one (the
+        # expansion's start), and the pixels of their regions
+        "phase2_overruled_vertices": int(overruled.size),
+        "phase2_overruled_pixels": sum(int(graph.vertex_regions[v].area) for v in overruled),
+        "phase2_exterior_edges": len(graph.exterior_edges),   # cross-image edges
+        "phase2_move_energies": list(result.move_energies),   # after every accepted move
+    }
+    return Phase2Result(label_maps, result.energy, per_image, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +447,6 @@ class FoldOutcome:
     fold: int
     test_ids: tuple[str, ...]
     metrics: Metrics
-    phase1_iterations: int
     phase1_converged: bool
     # the fold's Phase I and Phase II counters and its label model's largest
     # duality gap, as ``coparse run`` writes them; no timings
@@ -538,9 +487,8 @@ def cross_validate(corpus: Corpus, config: Config) -> CrossValidationResult:
         label_maps.update(phase2.label_maps)
         outcomes.append(FoldOutcome(
             fold=fold, test_ids=tuple(sorted(rec.id for rec in test.images)), metrics=metrics,
-            phase1_iterations=phase1.iteration_count,
-            phase1_converged=phase1.converged,
-            counters={**phase1.counters(), **phase2.counters(),
+            phase1_converged=phase1.counters["phase1_converged"],
+            counters={**phase1.counters, **phase2.counters,
                       "label_model_max_duality_gap": model.appearance.max_duality_gap}))
     apas = np.array([o.metrics.apa for o in outcomes])
     magrs = np.array([o.metrics.magr for o in outcomes])

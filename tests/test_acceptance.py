@@ -208,7 +208,7 @@ def test_criterion_7_end_to_end_cross_validation():
     config = pipeline.Config(seed=42)
     result = pipeline.cross_validate(corpus, config)
     for outcome in result.folds:
-        assert outcome.phase1_iterations <= 10
+        assert outcome.counters["phase1_iterations"] <= 10
         assert outcome.phase1_converged, \
             f"fold {outcome.fold} hit the iteration cap without terminating"
         assert outcome.counters["phase1_fixed_point"], \

@@ -14,6 +14,24 @@ from hypothesis import strategies as st
 from coparse import cli, esvm, grouping, io, kernels, pipeline, synthgen
 
 
+# the counter keys each phase writes into run-meta.json, spelled out here so
+# that a counter dropped or renamed fails a test
+PHASE1_KEYS = {
+    "phase1_iterations", "phase1_converged", "phase1_fixed_point",
+    "phase1_multicuts_solved", "phase1_multicuts_reused",
+    "phase1_exemplars_trained", "phase1_exemplars_reused",
+    "phase1_exemplars_unplaceable", "phase1_detections_kept",
+    "phase1_esvm_max_duality_gap", "phase1_esvm_max_relative_duality_gap",
+    "phase1_esvm_degenerate_calibrations", "phase1_images_changed",
+    "phase1_orbit_length", "phase1_cycling_images",
+    "phase1_multicut_lp_solves", "phase1_multicut_true_cost_lps",
+    "phase1_multicut_nodes", "phase1_multicut_cuts", "phase1_multicuts_unproven"}
+PHASE2_KEYS = {
+    "phase2_sweeps", "phase2_converged", "phase2_truncated_terms",
+    "phase2_overruled_vertices", "phase2_overruled_pixels", "phase2_exterior_edges",
+    "phase2_move_energies"}
+
+
 def write_tiny_corpus(tmp_path, n=3, seed=5):
     corpus = synthgen.generate(synthgen.default_scene_spec(seed=seed), n)
     return io.save_corpus(corpus, tmp_path / "corpus")
@@ -539,6 +557,7 @@ class TestPhasedCommands:
         assert (phase1 / "exemplars.jsonl").exists()
         assert (phase1 / "propagations.json").exists()
         meta = json.loads((phase1 / "run-meta.json").read_text())
+        assert set(meta) == {"config", "versions"} | PHASE1_KEYS
         exemplar_count = sum(1 for line in (phase1 / "exemplars.jsonl").open() if line.strip())
         assert meta["phase1_exemplars_trained"] + meta["phase1_exemplars_reused"] >= exemplar_count
         assert 0.0 <= meta["phase1_esvm_max_duality_gap"] <= 1e-6
@@ -557,10 +576,7 @@ class TestPhasedCommands:
         assert np.isfinite(energy["total_energy"])
         # the Phase II counters, with the config and versions, and no timings
         meta = json.loads((out / "run-meta.json").read_text())
-        assert set(meta) == {"config", "versions", "phase2_sweeps", "phase2_converged",
-                             "phase2_truncated_terms", "phase2_overruled_vertices",
-                             "phase2_overruled_pixels", "phase2_exterior_edges",
-                             "phase2_move_energies"}
+        assert set(meta) == {"config", "versions"} | PHASE2_KEYS
         assert meta["config"]["seed"] == 0 and "numpy" in meta["versions"]
         assert meta["phase2_sweeps"] >= 1 and meta["phase2_overruled_vertices"] >= 0
         assert meta["phase2_exterior_edges"] > 0
@@ -781,6 +797,8 @@ class TestRunAndEval:
         metrics = json.loads((out / "metrics.json").read_text())
         assert 0.0 <= metrics["aPA"] <= 1.0
         meta = json.loads((out / "run-meta.json").read_text())
+        assert set(meta) == {"config", "versions", "label_model_max_duality_gap",
+                             "total_energy", "note"} | PHASE1_KEYS | PHASE2_KEYS
         assert meta["config"]["seed"] == 0
         assert "numpy" in meta["versions"]
         # every pass groups both images, from the run's cache or by a solve
@@ -855,20 +873,8 @@ class TestCv:
         assert [f["fold"] for f in folds] == [0, 1]
         metrics = json.loads((tmp_path / "a" / "metrics.json").read_text())["folds"]
         for fold, summary in zip(folds, metrics):
-            assert set(fold) == {
-                "fold", "phase1_iterations", "phase1_converged", "phase1_fixed_point",
-                "phase1_multicuts_solved", "phase1_multicuts_reused",
-                "phase1_exemplars_trained", "phase1_exemplars_reused",
-                "phase1_exemplars_unplaceable", "phase1_detections_kept",
-                "phase1_esvm_max_duality_gap", "phase1_esvm_max_relative_duality_gap",
-                "phase1_esvm_degenerate_calibrations", "phase1_images_changed",
-                "phase1_orbit_length", "phase1_cycling_images",
-                "phase1_multicut_lp_solves", "phase1_multicut_true_cost_lps",
-                "phase1_multicut_nodes", "phase1_multicut_cuts", "phase1_multicuts_unproven",
-                "phase2_sweeps",
-                "phase2_converged", "phase2_truncated_terms", "phase2_overruled_vertices",
-                "phase2_overruled_pixels", "phase2_exterior_edges", "phase2_move_energies",
-                "label_model_max_duality_gap"}
+            assert set(fold) == \
+                {"fold", "label_model_max_duality_gap"} | PHASE1_KEYS | PHASE2_KEYS
             assert fold["phase1_iterations"] == summary["phase1_iterations"]
             assert fold["phase1_converged"] == summary["phase1_converged"]
             assert len(fold["phase1_images_changed"]) == fold["phase1_iterations"]

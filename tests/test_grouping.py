@@ -8,8 +8,9 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csgraph
 
-from coparse import grouping
-from coparse.core import Partition, PropagationRecord, pair_graph
+from coparse import grouping, kernels
+from coparse.core import Partition, PropagationRecord
+from coparse.grouping import pair_graph
 from coparse.errors import MalformedInputError, OracleTooLargeError, SolverError
 
 from conftest import make_image
@@ -788,8 +789,10 @@ def milp_optimum(instance, theta):
                constraints=LinearConstraint(a, -np.inf, [r for _, _, r in rows]),
                options={"mip_rel_gap": 0.0})
     assert res.status == 0
-    merged = np.array([pair for pair, x in zip(pairs, res.x) if x > 0.5]).reshape(-1, 2)
-    assign = Partition.from_merged_pairs(n, merged, np.ones(len(merged), dtype=bool)).assignment
+    merged = np.array([pair for pair, x in zip(pairs, res.x) if x > 0.5],
+                      dtype=np.int64).reshape(-1, 2)
+    assign = Partition.from_assignment(
+        kernels.components(n, merged[:, 0], merged[:, 1])).assignment
     return python_objective(instance, assign, theta)
 
 

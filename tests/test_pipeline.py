@@ -143,7 +143,7 @@ class TestCosegmentation:
         # no exemplar passes the gates, so iteration 2 confirms iteration 1
         assert result.exemplars == []
         assert result.iteration_count == 2
-        assert result.converged and result.fixed_point
+        assert result.counters["phase1_converged"] and result.counters["phase1_fixed_point"]
 
     def test_rerun_reproduces_partitions(self):
         corpus = uniform_corpus()
@@ -162,10 +162,12 @@ class TestCosegmentation:
         monkeypatch.setattr(esvm, "build_exemplar", recorded_build)
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=28), 2)
         result = cosegment(corpus, pipeline.Config(seed=28))
-        assert len(gaps) == result.exemplars_trained > 0
-        assert result.esvm_max_duality_gap == max(gaps)
-        assert 0.0 <= result.esvm_max_duality_gap <= 1e-6
-        assert cosegment(uniform_corpus(), pipeline.Config(seed=1)).esvm_max_duality_gap == 0.0
+        counters = result.counters
+        assert len(gaps) == counters["phase1_exemplars_trained"] > 0
+        assert counters["phase1_esvm_max_duality_gap"] == max(gaps)
+        assert 0.0 <= counters["phase1_esvm_max_duality_gap"] <= 1e-6
+        uniform = cosegment(uniform_corpus(), pipeline.Config(seed=1))
+        assert uniform.counters["phase1_esvm_max_duality_gap"] == 0.0
 
 
     def test_degenerate_calibrations_counted(self, monkeypatch):
@@ -173,12 +175,13 @@ class TestCosegmentation:
         config = pipeline.Config(seed=28)
         # every exemplar calibrates against one positive and its negatives,
         # so a degenerate fit has to be forced: here every score is positive
-        assert cosegment(corpus, config).esvm_degenerate_calibrations == 0
+        assert cosegment(corpus, config).counters["phase1_esvm_degenerate_calibrations"] == 0
         calibrate = esvm.calibrate
         monkeypatch.setattr(esvm, "calibrate",
                             lambda scores, flags: calibrate(scores, np.ones_like(flags)))
-        result = cosegment(corpus, config)
-        assert result.esvm_degenerate_calibrations == result.exemplars_trained > 0
+        counters = cosegment(corpus, config).counters
+        assert counters["phase1_esvm_degenerate_calibrations"] == \
+            counters["phase1_exemplars_trained"] > 0
 
 
     def test_every_calibration_reaches_its_fit(self, monkeypatch):
@@ -193,7 +196,7 @@ class TestCosegmentation:
 
         monkeypatch.setattr(esvm, "calibrate", recorded)
         result = cosegment(corpus, pipeline.Config(seed=8))
-        assert len(fits) == result.exemplars_trained > 0
+        assert len(fits) == result.counters["phase1_exemplars_trained"] > 0
         for scores, flags, cal in fits:
             assert cal.alpha != 1.0 and not cal.degenerate
             assert_calibration_stationary(scores, flags, cal)
@@ -248,7 +251,7 @@ class TestColabeling:
                 vertices += 1
                 pixels += final.size
         assert vertices > 0
-        counters = phase2.counters()
+        counters = phase2.counters
         assert (counters["phase2_overruled_vertices"],
                 counters["phase2_overruled_pixels"]) == (vertices, pixels)
 
@@ -659,13 +662,15 @@ def _reference_cosegmentation(corpus, config):
     if converged and not fixed_point:
         orbit = next(history[k:-1] for k in range(len(history)) if all(
             history[k][i.id].equals(history[-1][i.id]) for i in images))
-    cycling = tuple(i.id for i in images
-                    if any(not state[i.id].equals(orbit[0][i.id]) for state in orbit))
-    # the fields of a Phase1Result that the uncached loop can check
+    cycling = [i.id for i in images
+               if any(not state[i.id].equals(orbit[0][i.id]) for state in orbit)]
+    # the fields and counters of a Phase1Result that the uncached loop can check
     return SimpleNamespace(regions=regions, exemplars=exemplars, propagations=propagations,
-                           iteration_count=iteration, converged=converged,
-                           fixed_point=fixed_point, images_changed=tuple(changed),
-                           orbit_length=len(orbit), cycling_images=cycling)
+                           iteration_count=iteration, counters={
+                               "phase1_converged": converged, "phase1_fixed_point": fixed_point,
+                               "phase1_images_changed": changed,
+                               "phase1_orbit_length": len(orbit),
+                               "phase1_cycling_images": cycling})
 
 
 class _CallLog:
@@ -739,7 +744,8 @@ def phase1_runs(request):
         result = cosegment(corpus, config)
     # the corpus shows the case it stands for, and the uncached loop repeats work
     if request.param == "closed-orbit":
-        assert reference.converged and not reference.fixed_point
+        assert reference.counters["phase1_converged"]
+        assert not reference.counters["phase1_fixed_point"]
     else:
         assert any(ex.source_region != reference_log.first_region[ex.id]
                    for ex in reference.exemplars)
@@ -757,32 +763,41 @@ class TestPhase1Memo:
         assert region_maps(result) == region_maps(reference)
         _assert_same_records(result.exemplars, reference.exemplars)
         _assert_same_records(result.propagations, reference.propagations)
-        assert (result.iteration_count, result.converged, result.fixed_point) == \
-            (reference.iteration_count, reference.converged, reference.fixed_point)
-        assert result.images_changed == reference.images_changed
-        assert len(result.images_changed) == result.iteration_count
-        assert (result.images_changed[-1] == 0) == result.fixed_point
+        assert result.iteration_count == reference.iteration_count
+        counters, expected = result.counters, reference.counters
+        for key in ("phase1_converged", "phase1_fixed_point", "phase1_images_changed"):
+            assert counters[key] == expected[key], key
+        changed = counters["phase1_images_changed"]
+        assert len(changed) == counters["phase1_iterations"] == result.iteration_count
+        assert (changed[-1] == 0) == counters["phase1_fixed_point"]
 
     def test_orbit_equals_uncached_loop(self, phase1_runs):
         reference, _, result, _ = phase1_runs
-        assert (result.orbit_length, result.cycling_images) == \
-            (reference.orbit_length, reference.cycling_images)
-        assert (result.orbit_length > 0) == bool(result.cycling_images) == \
-            (result.converged and not result.fixed_point)
+        counters, expected = result.counters, reference.counters
+        for key in ("phase1_orbit_length", "phase1_cycling_images"):
+            assert counters[key] == expected[key], key
+        assert (counters["phase1_orbit_length"] > 0) == bool(counters["phase1_cycling_images"]) \
+            == (counters["phase1_converged"] and not counters["phase1_fixed_point"])
 
     def test_counts_split_the_uncached_calls(self, phase1_runs):
         _, reference_log, result, log = phase1_runs
-        assert result.multicuts_solved == len(log.solves)
-        assert result.multicuts_solved + result.multicuts_reused == len(reference_log.solves)
-        assert result.exemplars_trained == len(log.builds)
-        assert result.exemplars_trained + result.exemplars_reused == len(reference_log.builds)
+        counters = result.counters
+        assert counters["phase1_multicuts_solved"] == len(log.solves)
+        assert counters["phase1_multicuts_solved"] + counters["phase1_multicuts_reused"] == \
+            len(reference_log.solves)
+        assert counters["phase1_exemplars_trained"] == len(log.builds)
+        assert counters["phase1_exemplars_trained"] + counters["phase1_exemplars_reused"] == \
+            len(reference_log.builds)
 
     def test_multicut_counters_sum_the_solves(self, phase1_runs):
         _, _, result, log = phase1_runs
-        solutions = log.solutions
-        assert result.multicut_lp_solves == sum(s.lp_solves for s in solutions)
-        assert result.multicut_true_cost_lps == sum(s.true_cost_lps for s in solutions)
-        assert result.multicut_nodes == sum(s.nodes for s in solutions)
-        assert result.multicut_cuts == sum(s.cuts for s in solutions)
-        assert result.multicuts_unproven == sum(not s.proven_optimal for s in solutions) == 0
-        assert result.multicut_cuts > 0 and result.multicut_nodes >= result.multicuts_solved
+        solutions, counters = log.solutions, result.counters
+        assert counters["phase1_multicut_lp_solves"] == sum(s.lp_solves for s in solutions)
+        assert counters["phase1_multicut_true_cost_lps"] == \
+            sum(s.true_cost_lps for s in solutions)
+        assert counters["phase1_multicut_nodes"] == sum(s.nodes for s in solutions)
+        assert counters["phase1_multicut_cuts"] == sum(s.cuts for s in solutions)
+        assert counters["phase1_multicuts_unproven"] == \
+            sum(not s.proven_optimal for s in solutions) == 0
+        assert counters["phase1_multicut_cuts"] > 0
+        assert counters["phase1_multicut_nodes"] >= counters["phase1_multicuts_solved"]
