@@ -6,13 +6,6 @@ success, 1 for solver errors, 2 for configuration errors, 3 for data errors.
 
 from __future__ import annotations
 
-import os
-
-# One BLAS thread, set before numpy loads: the output bytes then do not hang on
-# the host's thread count
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
-
 import argparse
 import json
 import sys

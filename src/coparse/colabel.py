@@ -29,6 +29,7 @@ from .graphcut import LabelingProblem
 WIDE_PRIOR_VARIANCE = 0.25   # location prior for labels unseen in training
 SVM_C = 10.0                 # box bound of every appearance machine's dual
 LOCATION_RIDGE = 1e-3        # added to each trained label's location covariance
+MATCH_MIN_IOU = 0.3          # least overlap/union of a propagation with its target region
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +269,16 @@ class CoLabelGraph:
 
 
 def match_propagation_target(mask: np.ndarray, x: int, y: int,
-                             regions: list[Region],
-                             min_iou: float = 0.3) -> int | None:
+                             regions: list[Region]) -> int | None:
     """Index of the first of ``regions`` (of one partition, so sharing its region
     map) with maximal overlap/union against the placed mask, or None below
-    ``min_iou`` or without overlap; MalformedInputError if the mask leaves the image."""
+    ``MATCH_MIN_IOU``; MalformedInputError if the mask leaves the image."""
     ks = np.array([region.id[1] for region in regions])
     overlap = labels_under_mask(regions[0].region_map, mask, x, y, regions[0].id[0],
                                 ks.max() + 1)[ks]
     iou = overlap / (np.array([region.area for region in regions]) + int(mask.sum()) - overlap)
     best = int(np.argmax(iou))
-    if 0.0 < iou[best] and iou[best] >= min_iou:
-        return int(ks[best])
-    return None
+    return int(ks[best]) if iou[best] >= MATCH_MIN_IOU else None
 
 
 def build_graph(images: list[ImageRecord], regions: dict[str, list[Region]],

@@ -14,21 +14,23 @@ over superpixels S earns its reward through z_c <= x_e for each edge e inside
 S and, when S induces several components, for one merge variable joining
 min(S) to the smallest node of each other component; on integer points that
 holds exactly when S lies in one region. Each structure is built once per
-instance: one sorted index of the pairs, where cycle and path rows look
-their pairs up, and one HiGHS model holding the columns and every row.
-Cycle inequalities are separated lazily (short chordless cycles, enumerated
-once, first; then every edge whose cut weight exceeds its cheapest detour)
-and added to that model; a node's 0/1 fixings are column bounds. The
-detours come from one ``csgraph.dijkstra`` call per round, run only from
-the candidate edges whose endpoints the pairs cheaper than the largest
-candidate cut weight join (``kernels.components``), so a round at a
-cycle-consistent integral point searches nothing. Each LP starts from the
-last one's basis, with the options ``linprog(method="highs")`` sets and a
-tighter dual feasibility tolerance. Every branch-and-bound node rounds its
-LP point to the connected components of the merged pairs
-(``kernels.components`` again, with no sparse matrix), scores that
-partition as its candidate, and branches while the relaxation stays
-fractional (Kappes et al., EMMCVPR 2011).
+instance: one arc index, both arcs of every pair sorted by (tail, head),
+and one HiGHS model holding the columns and every row. The short cycles
+are enumerated over the arc index, cycle and path rows look their pairs up
+in its sorted keys, and every Dijkstra round reads it as a CSR graph with
+that round's weights, so no round sorts anything. Cycle inequalities are
+separated lazily (short chordless cycles, enumerated once, first; then
+every edge whose cut weight exceeds its cheapest detour) and added to that
+model; a node's 0/1 fixings are column bounds. The detours come from one
+``csgraph.dijkstra`` call per round, run only from the candidate edges
+whose endpoints the pairs cheaper than the largest candidate cut weight
+join (``kernels.components``), so a round at a cycle-consistent integral
+point searches nothing. Each LP starts from the last one's basis, with the
+options ``linprog(method="highs")`` sets and a tighter dual feasibility
+tolerance. Every branch-and-bound node rounds its LP point to the connected
+components of the merged pairs (``kernels.components`` again, with no
+sparse matrix), scores that partition as its candidate, and branches while
+the relaxation stays fractional (Kappes et al., EMMCVPR 2011).
 
 Ties between optima are broken by the instance alone: each pair's cost is
 perturbed by a tiny amount of fixed sign and distinct size (Charnes,
@@ -290,22 +292,6 @@ def _solve_highs(lp, cols: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     return status, lp.getInfo().objective_function_value, np.array(lp.getSolution().col_value)
 
 
-def pair_graph(node_count: int, pairs: np.ndarray, weights: np.ndarray) -> sparse.csr_array:
-    """Directed CSR graph with both arcs u->v and v->u of every (u, v) pair.
-
-    Built straight as CSR, since the COO conversion and the undirected mode's
-    transpose cost more than the search on small graphs. Zero weights stay
-    stored, and ``csgraph.dijkstra`` takes a stored zero as an arc of length
-    zero.
-    """
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.argsort(src, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=node_count))])
-    return sparse.csr_array((np.concatenate([weights, weights])[order], dst[order], indptr),
-                            shape=(node_count, node_count))
-
-
 class _MulticutSolver:
     INTEGRALITY_TOL = 1e-6
     DECISION_DIGITS = 6       # x is rounded to 1e-6 before any decision reads it
@@ -345,13 +331,17 @@ class _MulticutSolver:
         self._pair_array = np.concatenate(
             [edge_pairs, np.array(list(extra), dtype=np.int64).reshape(-1, 2)])
         self.n_pairs, self.n_masks = len(self._pair_array), len(instance.mask_constraints)
-        # _pair_of's index: the keys u * n + v sorted, then n * n, which no
-        # pair has, so every lookup lands on an entry
+        # the arc index: both arcs of every pair, sorted by (tail, head);
+        # arc i runs from its tail to _arc_head[i] along pair _arc_pair[i],
+        # node t's arcs are _arc_ptr[t]:_arc_ptr[t + 1], and the sorted keys
+        # tail * n + head, then n * n, which no arc has, serve _pair_of
         u, v = self._pair_array.T
-        keys = u * n + v
-        key_order = np.argsort(keys)
-        self._pair_keys = np.append(keys[key_order], n * n)
-        self._pair_ids = np.append(key_order, -1)
+        keys = np.concatenate([u * n + v, v * n + u])
+        arc_order = np.argsort(keys)
+        self._arc_keys = np.append(keys[arc_order], n * n)
+        self._arc_head = np.concatenate([v, u])[arc_order]
+        self._arc_pair = np.tile(np.arange(self.n_pairs), 2)[arc_order]
+        self._arc_ptr = np.searchsorted(self._arc_keys, np.arange(n + 1) * n)
         self._cost = np.concatenate([edge_w, np.zeros(self.n_pairs - edge_w.size), -mask_h])
         # the tie rule: each pair's cost moves by a distinct tiny amount,
         # up for a contour edge (d - theta > 0), so that a tie keeps it cut,
@@ -391,39 +381,34 @@ class _MulticutSolver:
 
     def _pair_of(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Index of each pair {a, b}, or -1 where there is none."""
-        n = self.instance.node_count
-        q = np.minimum(a, b) * n + np.maximum(a, b)
-        pos = np.searchsorted(self._pair_keys, q)
-        return np.where(self._pair_keys[pos] == q, self._pair_ids[pos], -1)
+        q = a * self.instance.node_count + b
+        pos = np.searchsorted(self._arc_keys, q)
+        found = self._arc_keys[pos] == q
+        pair = np.full(q.shape, -1)
+        pair[found] = self._arc_pair[pos[found]]
+        return pair
 
     def _enumerate_short_cycles(self):
         """Chordless cycles of length 3 and 4 as var-index arrays, found once.
 
-        Each pair (u, v), u < v, is expanded over the arcs out of u (and, for
-        quads, then over those out of v), every node's arcs in pair order.
-        So triangles (e_uv, e_uw, e_vw), w > v, come in (e_uv, e_uw) order
-        and quads (e_uv, e_ua, e_ab, e_vb), whose chords {a, v} and {u, b}
-        are not pairs and whose (u, v) is below the sorted (a, b), in
-        (e_uv, e_ua, e_vb) order.
+        Each pair (u, v), u < v, is expanded over the arc index's arcs out of
+        u (and, for quads, then over those out of v), every node's arcs in
+        head order. So triangles (e_uv, e_uw, e_vw), w > v, come in
+        (e_uv, w) order and quads (e_uv, e_ua, e_ab, e_vb), whose chords
+        {a, v} and {u, b} are not pairs and whose (u, v) is below the sorted
+        (a, b), in (e_uv, a, b) order.
         """
-        n = self.instance.node_count
         u, v = self._pair_array.T
-        arc_src, arc_dst = np.concatenate([u, v]), np.concatenate([v, u])
-        pair_ids = np.tile(np.arange(self.n_pairs), 2)
-        arc_order = np.lexsort((pair_ids, arc_src))
-        arc_node, arc_pair = arc_dst[arc_order], pair_ids[arc_order]
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(arc_src, minlength=n))])
 
         def expand(nodes):
             """(position in ``nodes``, arc) for every arc out of each node, in order."""
-            counts = ptr[nodes + 1] - ptr[nodes]
+            start = self._arc_ptr[nodes]
+            counts = self._arc_ptr[nodes + 1] - start
             at = np.repeat(np.arange(nodes.size), counts)
-            arc = (np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
-                   + ptr[nodes][at])
-            return at, arc
+            return at, np.arange(at.size) - np.repeat(np.cumsum(counts) - counts - start, counts)
 
         e, arc = expand(u)
-        w, e_uw = arc_node[arc], arc_pair[arc]
+        w, e_uw = self._arc_head[arc], self._arc_pair[arc]
         e_vw = self._pair_of(v[e], w)
         tri = np.stack([e, e_uw, e_vw], axis=1)[(w > v[e]) & (e_vw >= 0)]
 
@@ -432,7 +417,7 @@ class _MulticutSolver:
         e, a, e_ua = e[keep], w[keep], e_uw[keep]
         at, arc = expand(v[e])
         e, a, e_ua = e[at], a[at], e_ua[at]
-        b, e_vb = arc_node[arc], arc_pair[arc]
+        b, e_vb = self._arc_head[arc], self._arc_pair[arc]
         e_ab = self._pair_of(a, b)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         keep = ((b != u[e]) & (b != a) & (self._pair_of(u[e], b) < 0) & (e_ab >= 0)
@@ -573,7 +558,9 @@ class _MulticutSolver:
         y_e - tol drops the rest, and one Dijkstra call serves the sources
         left, if any. Dijkstra computes each source's row on its own, so
         those rows, and the rows added, are those a search from every
-        candidate's source would give.
+        candidate's source would give. The graph is the arc index with
+        each arc weighted by its pair's y; a stored zero is an arc of
+        length zero to ``csgraph.dijkstra``.
         """
         added = 0
         tol = self.SEPARATION_TOL
@@ -590,8 +577,9 @@ class _MulticutSolver:
             return 0
         candidates, src, dst = candidates[joined], src[joined], dst[joined]
         sources = np.unique(src)
-        dist, pred = csgraph.dijkstra(pair_graph(n, self._pair_array, y),
-                                      indices=sources, return_predecessors=True)
+        graph = sparse.csr_array((y[self._arc_pair], self._arc_head, self._arc_ptr),
+                                 shape=(n, n))
+        dist, pred = csgraph.dijkstra(graph, indices=sources, return_predecessors=True)
         rows = np.searchsorted(sources, src)
         violated = dist[rows, dst] < y[candidates] - tol
         for e_idx, row, node in zip(candidates[violated], rows[violated], dst[violated]):

@@ -4,8 +4,8 @@ HOG cell accumulation and sliding-window template scoring are vectorized
 with ``np.bincount`` and strided matrix products; the multicut objective is
 scored over a node-major table of assignments at once, whether the table
 holds every set partition (the oracle: one pass over the columns per edge)
-or one column (a rounded LP point of the solver: the edges in bounded
-chunks, each summed down by ``cumsum``), in the same order and bits;
+or one column (a rounded LP point of the solver: every edge at once,
+summed down by ``cumsum``), in the same order and bits;
 connected components, of a raster's row runs or of a multicut's merged
 pairs, come from hooking roots and pointer jumping over the edge arrays,
 with no sparse matrix; Dinic max-flow is a plain Python loop over per-node
@@ -298,7 +298,6 @@ def rgs_table(n):
 
 # above NARROW_COLUMNS columns the per-edge pass is the faster one
 NARROW_COLUMNS = 256
-CHUNK_CELLS = 1 << 14
 
 
 def multicut_objectives(table, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_h):
@@ -311,25 +310,20 @@ def multicut_objectives(table, edge_u, edge_v, edge_w, mask_ptr, mask_ids, mask_
     given, so an assignment gets the same bits in any table.
 
     A table of at most ``NARROW_COLUMNS`` columns (a rounded LP point, a
-    single partition) takes its edges in chunks of at most ``CHUNK_CELLS``
-    edge-column cells: each chunk's (edges, columns) array holds an edge's
-    weight where it is merged and 0.0 elsewhere, and ``cumsum`` down the
-    edges, from the running objective, adds them in order. Adding 0.0
-    leaves every sum bit for bit as it was, since a sum that starts at +0.0
-    is never -0.0. A wider table (the oracle's) takes one pass over the
-    columns per edge, so no (edges, columns) array is held. Masks take one
-    pass over the columns each.
+    single partition) takes its edges in one pass: an (edges, columns)
+    array holds an edge's weight where it is merged and 0.0 elsewhere, and
+    ``cumsum`` down the edges adds them in order, onto the zero objective.
+    Adding 0.0 leaves every sum bit for bit as it was, since a sum that
+    starts at +0.0 is never -0.0. A wider table (the oracle's) takes one
+    pass over the columns per edge, so no (edges, columns) array is held.
+    Masks take one pass over the columns each.
     """
     cols = table.shape[1]
     obj = np.zeros(cols, np.float64)
     if cols <= NARROW_COLUMNS:
-        step = CHUNK_CELLS // max(cols, 1)
-        for lo in range(0, edge_u.shape[0], step):
-            hi = lo + step
-            terms = np.where(table[edge_u[lo:hi]] == table[edge_v[lo:hi]],
-                             edge_w[lo:hi, None], 0.0)
-            terms[0] += obj
-            obj = np.cumsum(terms, axis=0)[-1]
+        if edge_u.shape[0]:
+            obj += np.cumsum(np.where(table[edge_u] == table[edge_v], edge_w[:, None], 0.0),
+                             axis=0)[-1]
     else:
         for e in range(edge_u.shape[0]):
             np.add(obj, edge_w[e], out=obj, where=table[edge_u[e]] == table[edge_v[e]])

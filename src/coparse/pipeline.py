@@ -160,8 +160,10 @@ def _train_and_propagate(images: list[ImageRecord], regions_by_image: dict[str, 
                                        config.tau_sel, config.n_sel)
         if not selected:
             continue
-        excluded = np.isin(regions[0].region_map, selected)
-        excluded_key = excluded.tobytes()
+        # the selected regions' superpixels, which partition the pixels the
+        # negatives exclude; the mask itself is built at the image's first miss
+        excluded_key = tuple(sorted(i for k in selected for i in regions[k].superpixels))
+        excluded = None
         for k in selected:
             # content-based id: an unchanged region retrains into the
             # identical exemplar even when other regions renumber, which
@@ -175,6 +177,8 @@ def _train_and_propagate(images: list[ImageRecord], regions_by_image: dict[str, 
                 unplaceable.add(key)
                 continue
             if key not in trained:
+                if excluded is None:
+                    excluded = np.isin(regions[0].region_map, selected)
                 trained[key] = esvm.build_exemplar(
                     exemplar_id, image, regions[k], images, excluded,
                     config.lambda1, config.lambda2, config.seed, maps, pyramids)
@@ -201,8 +205,8 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     there, reporting ``phase1_fixed_point`` false.
 
     Multicuts are cached on their instance, exemplars on (id, region
-    superpixels, excluded mask) and propagations on (id, region
-    superpixels, weights, calibration); theta, the image set, the training
+    superpixels, the selected regions' superpixels) and propagations on
+    (id, region superpixels, weights, calibration); theta, the image set, the training
     and the propagation settings are fixed within the call, so a hit
     returns what the same inputs computed. ``maps`` holds each corpus
     image's maps by id; each image's superpixel graph and HOG pyramid are

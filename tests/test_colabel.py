@@ -447,9 +447,9 @@ class TestBuildGraph:
             assert table.max() <= 20.0
 
 
-def _match_loop(mask, x, y, regions, min_iou=0.3):
+def _match_loop(mask, x, y, regions):
     """The per-region loop over full-image masks: the first region of
-    strictly largest IoU."""
+    strictly largest IoU, if it reaches ``colabel.MATCH_MIN_IOU``."""
     mh, mw = mask.shape
     mask_area = int(mask.sum())
     best_iou, best_k = 0.0, None
@@ -461,7 +461,7 @@ def _match_loop(mask, x, y, regions, min_iou=0.3):
         iou = overlap / (int(full.sum()) + mask_area - overlap)
         if iou > best_iou:
             best_iou, best_k = iou, region.id[1]
-    if best_k is not None and best_iou >= min_iou:
+    if best_k is not None and best_iou >= colabel.MATCH_MIN_IOU:
         return best_k
     return None
 
@@ -504,7 +504,7 @@ class TestMatchTarget:
     def test_no_overlap_is_no_match(self):
         regions = _halves()
         mask = np.zeros((3, 3), dtype=bool)
-        assert colabel.match_propagation_target(mask, 0, 0, regions, min_iou=0.0) is None
+        assert colabel.match_propagation_target(mask, 0, 0, regions) is None
 
     @pytest.mark.parametrize("x, y, shape", [(-1, 0, (2, 2)), (0, -1, (2, 2)),
                                              (7, 0, (2, 2)), (0, 7, (2, 2)),
@@ -532,6 +532,5 @@ class TestMatchTarget:
         x = data.draw(st.sampled_from([0, w - mw]) | st.integers(0, w - mw))
         mask = np.array(data.draw(st.lists(st.booleans(), min_size=mh * mw,
                                            max_size=mh * mw))).reshape(mh, mw)
-        min_iou = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
-        assert (colabel.match_propagation_target(mask, x, y, regions, min_iou)
-                == _match_loop(mask, x, y, regions, min_iou))
+        assert (colabel.match_propagation_target(mask, x, y, regions)
+                == _match_loop(mask, x, y, regions))

@@ -10,7 +10,6 @@ from scipy.sparse import csgraph
 
 from coparse import grouping, kernels
 from coparse.core import Partition, PropagationRecord
-from coparse.grouping import pair_graph
 from coparse.errors import MalformedInputError, OracleTooLargeError, SolverError
 
 from conftest import make_image
@@ -283,9 +282,10 @@ class TestSolverCounters:
 
 
 def neighbour_dicts(solver):
-    """adj[u][v] = index of pair {u, v}, each node's dict filled in pair order."""
+    """adj[u][v] = index of pair {u, v}, each node's dict filled in
+    neighbour order."""
     adj = [{} for _ in range(solver.instance.node_count)]
-    for idx, (u, v) in enumerate(solver._pair_array.tolist()):
+    for idx, (u, v) in sorted(enumerate(solver._pair_array.tolist()), key=lambda item: item[1]):
         adj[u][v] = adj[v][u] = idx
     return adj
 
@@ -946,6 +946,18 @@ class TestPathSeparation:
 DIJKSTRA = csgraph.dijkstra      # unpatched, for the reference
 
 
+def arc_graph(node_count, pairs, weights):
+    """Directed CSR graph with both arcs u->v and v->u of every (u, v) pair
+    and the pair's weight, each node's arcs in head order; stored zeros
+    stay, as arcs of length zero."""
+    tail = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    head = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((head, tail))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=node_count))])
+    return sparse.csr_array((np.concatenate([weights, weights])[order], head[order], indptr),
+                            shape=(node_count, node_count))
+
+
 def paths_reference(solver, x):
     """The rows ``_separate_paths`` adds to a fresh solver, found with Dijkstra
     from the source of every candidate edge: (columns, coefficients, rhs)
@@ -957,7 +969,7 @@ def paths_reference(solver, x):
     sources = np.unique(src)
     if sources.size == 0:
         return [], 0
-    dist, pred = DIJKSTRA(pair_graph(solver.instance.node_count, solver._pair_array, y),
+    dist, pred = DIJKSTRA(arc_graph(solver.instance.node_count, solver._pair_array, y),
                           indices=sources, return_predecessors=True)
     rows = []
     for e, a, b in zip(candidates.tolist(), src.tolist(), dst.tolist()):

@@ -1,7 +1,9 @@
-"""What ``import coparse.cli`` loads, and the numpy code that stands in for
-the scipy routines it no longer imports, checked against those routines."""
+"""What ``import coparse.cli`` loads, the BLAS thread cap ``import coparse``
+sets, and the numpy code that stands in for the scipy routines the package
+no longer imports, checked against those routines."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,9 +41,19 @@ print(coparse.grouping.highs is core)
 """
 
 
-def _run(code: str) -> str:
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+BLAS_CAP = f"""
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import coparse
+print(json.dumps({{name: os.environ.get(name) for name in {BLAS_VARS!r}}}))
+"""
+
+
+def _run(code: str, env: dict | None = None) -> str:
     out = subprocess.run([sys.executable, "-c", code, SRC], capture_output=True, text=True,
-                         check=True, timeout=120)
+                         check=True, timeout=120, env=env)
     return out.stdout
 
 
@@ -55,6 +67,13 @@ class TestImports:
 
     def test_grouping_reuses_a_loaded_highs_module(self):
         assert _run(OPTIMIZE_FIRST).strip() == "True"
+
+    def test_import_caps_blas_threads_unless_set(self):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        assert json.loads(_run(BLAS_CAP, env)) == dict.fromkeys(BLAS_VARS, "1")
+        env["OMP_NUM_THREADS"] = "3"
+        assert json.loads(_run(BLAS_CAP, env)) == {**dict.fromkeys(BLAS_VARS, "1"),
+                                                   "OMP_NUM_THREADS": "3"}
 
 
 # rasters of every shape down to 1x1, many of them one row or one column

@@ -293,9 +293,9 @@ class TestMulticutObjectives:
     @pytest.mark.parametrize("cols", [1, 2, 37, kernels.NARROW_COLUMNS,
                                       kernels.NARROW_COLUMNS + 1, 3000])
     def test_chunk_boundaries(self, cols):
-        # 60 nodes and 600 edges: a narrow table of 37 or more columns spans
-        # several chunks, the widest takes the per-edge pass; edge weights
-        # d - theta and zero rewards are included
+        # 60 nodes and 600 edges: a narrow table takes them in one pass, the
+        # widest one edge at a time; edge weights d - theta and zero rewards
+        # are included
         rng = np.random.default_rng(cols)
         n = 60
         pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
@@ -306,8 +306,6 @@ class TestMulticutObjectives:
         mask_ptr = np.cumsum([0] + [i.size for i in ids])
         mask_h = np.where(rng.uniform(size=8) < 0.4, 0.0, rng.uniform(size=8))
         terms = (eu, ev, ew, mask_ptr, np.concatenate(ids), mask_h)
-        if 37 <= cols <= kernels.NARROW_COLUMNS:
-            assert eu.size > kernels.CHUNK_CELLS // cols
         # few regions, so that many edges and masks are merged
         table = rng.integers(0, 3, size=(n, cols)).astype(np.int8)
         obj = kernels.multicut_objectives(table, *terms)
