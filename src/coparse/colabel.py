@@ -5,13 +5,15 @@ vote with a per-label location Gaussian. Interior edges couple adjacent
 regions of one image through appearance compatibility and the pointwise
 mutual information of a smoothed label co-occurrence table; exterior edges
 couple regions of different images that were matched by a propagated mask.
-All energy tables are min-shifted per edge to be non-negative and clamped,
-which leaves the MAP labeling unchanged.
+Every pairwise table comes from one formula, ``edge_table``: a context term
+plus the appearance term, min-shifted per table to be non-negative and
+clamped, which leaves the MAP labeling unchanged.
 
-Each table is built by broadcasting over the candidate label arrays of its
-vertices: a region's location energies for the whole vocabulary come from
-one batched solve, computed once per region and shared by its unary and its
-exterior edges.
+``build_graph`` works one image at a time: one kernel block scores every
+region's appearance votes, one batched solve gives every region's location
+energies for the whole vocabulary (shared by its unary and its exterior
+edges), and one chi-square pass and one ``edge_table`` call give every
+interior edge's table.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ WIDE_PRIOR_VARIANCE = 0.25   # location prior for labels unseen in training
 SVM_C = 10.0                 # box bound of every appearance machine's dual
 LOCATION_RIDGE = 1e-3        # added to each trained label's location covariance
 MATCH_MIN_IOU = 0.3          # least overlap/union of a propagation with its target region
+_DIST_BLOCK_ROWS = 64        # rows of the label model's distance matrix per chi-square pass
 
 
 # ---------------------------------------------------------------------------
@@ -55,21 +58,22 @@ class AppearanceModel:
         sizes = [len(sv) for sv in svs]
         object.__setattr__(self, "bounds", tuple(np.cumsum([0] + sizes).tolist()))
 
-    def decisions(self, hist: np.ndarray) -> np.ndarray:
-        """Every machine's decision value on one histogram; one kernel row
-        against the stacked support vectors serves them all."""
-        k = np.exp(-self.gamma * features.chi_square_matrix(hist[None, :], self.support)[0])
-        return np.array([float(coef @ k[lo:hi]) for (_, _, _, coef), lo, hi
-                         in zip(self.machines, self.bounds, self.bounds[1:])])
-
-    def votes(self, hist: np.ndarray) -> np.ndarray:
-        """Fraction of pairwise votes per label; sums to 1 over trained labels."""
-        s = np.zeros(self.vocab_size)
+    def votes(self, hists: np.ndarray) -> np.ndarray:
+        """(n, vocab) fraction of pairwise votes per label for each of n
+        histograms; each row sums to 1 over trained labels. One kernel block
+        against the stacked support vectors serves every machine, and
+        ``np.vecdot`` takes each decision as the dot product of one kernel
+        row with the machine's coefficients (a matrix-vector product would
+        round differently, and a decision near 0 could change sign)."""
+        s = np.zeros((len(hists), self.vocab_size))
         if len(self.trained_labels) == 1:
-            s[self.trained_labels[0]] = 1.0
+            s[:, self.trained_labels[0]] = 1.0
             return s
-        for (a, b, _, _), decision in zip(self.machines, self.decisions(hist)):
-            s[a if decision >= 0 else b] += 1.0
+        k = np.exp(-self.gamma * features.chi_square(hists[:, None], self.support[None]))
+        for (a, b, _, coef), lo, hi in zip(self.machines, self.bounds, self.bounds[1:]):
+            won = np.vecdot(k[:, lo:hi], coef) >= 0
+            s[won, a] += 1.0
+            s[~won, b] += 1.0
         return s / len(self.machines)
 
 
@@ -80,9 +84,12 @@ def train_appearance(hists: np.ndarray, labels: np.ndarray, vocab_size: int) -> 
     present = sorted(set(int(v) for v in labels))
     if not present:
         raise InsufficientDataError("no training regions")
-    dists = features.chi_square_matrix(hists, hists)
+    # row blocks bound the (rows, N, 40) temporaries of the distance matrix
+    dists = np.concatenate([features.chi_square(hists[lo:lo + _DIST_BLOCK_ROWS, None], hists[None])
+                            for lo in range(0, len(hists), _DIST_BLOCK_ROWS)])
     med = float(np.median(dists[np.triu_indices(len(hists), k=1)])) if len(hists) > 1 else 0.0
     gamma = 1.0 / med if med > 1e-12 else 1.0
+    kernel = np.exp(-gamma * dists)
     machines = []
     gaps = []
     for i, a in enumerate(present):
@@ -90,8 +97,7 @@ def train_appearance(hists: np.ndarray, labels: np.ndarray, vocab_size: int) -> 
             sel = (labels == a) | (labels == b)
             idx = np.flatnonzero(sel)
             y = np.where(labels[idx] == a, 1.0, -1.0)
-            k = np.exp(-gamma * dists[np.ix_(idx, idx)])
-            alpha, gap = kernels.solve_box_qp(k * np.outer(y, y), SVM_C)
+            alpha, gap = kernels.solve_box_qp(kernel[np.ix_(idx, idx)] * np.outer(y, y), SVM_C)
             gaps.append(gap)
             keep = alpha > 1e-12
             machines.append((a, b, hists[idx[keep]], alpha[keep] * y[keep]))
@@ -148,19 +154,20 @@ def fit_location(centroids_by_label: dict[int, np.ndarray], vocab_size: int
     return means, covs
 
 
-def location_energies(model: LabelModel, point) -> np.ndarray:
-    """-log of every label's mode-normalized location Gaussian at ``point``.
+def location_energies(model: LabelModel, points) -> np.ndarray:
+    """-log of every label's mode-normalized location Gaussian at each of
+    ``points`` (one (row, col) point, or any stack of them), vocabulary last.
 
-    Entry l is 0.5 * the squared Mahalanobis distance from ``point`` to label
+    Entry l is 0.5 * the squared Mahalanobis distance from a point to label
     l's mean, so exp(-entry) is in (0, 1] and exactly 1 at the mean.
     Background is exempt (0): it has no canonical location, and the centroids
     of whole training-set background components badly misstate where
     background subregions produced by grouping may sit.
     """
-    diff = np.asarray(point, dtype=np.float64) - model.location_mean
-    solved = np.linalg.solve(model.location_cov, diff[:, :, None])[:, :, 0]
+    diff = np.asarray(points, dtype=np.float64)[..., None, :] - model.location_mean
+    solved = np.linalg.solve(model.location_cov, diff[..., None])[..., 0]
     energies = 0.5 * np.vecdot(diff, solved)
-    energies[BACKGROUND] = 0.0
+    energies[..., BACKGROUND] = 0.0
     return energies
 
 
@@ -221,39 +228,21 @@ def unary_energies(votes: np.ndarray, location: np.ndarray,
     return np.minimum(np.maximum(sigmoid + location, 0.0), e_max)
 
 
-def pair_appearance(chi2: float, cands_m: np.ndarray, cands_n: np.ndarray,
-                    beta_pair: float) -> np.ndarray:
-    """Raw (pre-shift) appearance term of an interior or exterior edge, per
-    candidate pair: 0 for equal labels, beta_pair * exp(-chi2) otherwise."""
+def edge_table(chi2, cands_m: np.ndarray, cands_n: np.ndarray, context: np.ndarray,
+               beta_pair: float, e_max: float) -> np.ndarray:
+    """One pairwise table per entry of ``chi2``, indexed by candidate
+    positions: ``context`` plus the appearance term (0 for equal labels,
+    beta_pair * exp(-chi2) otherwise), shifted to a minimum of 0 and clamped
+    at ``e_max``, which leaves the MAP labeling unchanged.
+
+    An interior edge's context is -``model.pmi`` of the label pair (plain
+    -log psi mostly measures how often each label occurs, so each edge would
+    pull toward background); an exterior edge's is the sum of both endpoints'
+    location energies.
+    """
     same = cands_m[:, None] == cands_n[None, :]
-    return np.where(same, 0.0, beta_pair * float(np.exp(-chi2)))
-
-
-def _shift_clamp(table: np.ndarray, e_max: float) -> np.ndarray:
-    shifted = table - table.min()
-    return np.minimum(shifted, e_max)
-
-
-def interior_table(model: LabelModel, hist_m: np.ndarray, hist_n: np.ndarray,
-                   cands_m: np.ndarray, cands_n: np.ndarray,
-                   beta_pair: float, e_max: float) -> np.ndarray:
-    """Appearance minus the pointwise mutual information ``model.pmi`` of the
-    label pair, shifted and clamped. Plain -log psi mostly measures how often
-    each label occurs, so each edge would pull toward background."""
-    appearance = pair_appearance(features.chi_square(hist_m, hist_n), cands_m, cands_n,
-                                 beta_pair)
-    return _shift_clamp(appearance - model.pmi[np.ix_(cands_m, cands_n)], e_max)
-
-
-def exterior_table(hist_u: np.ndarray, hist_v: np.ndarray,
-                   location_u: np.ndarray, location_v: np.ndarray,
-                   cands_u: np.ndarray, cands_v: np.ndarray,
-                   beta_pair: float, e_max: float) -> np.ndarray:
-    """Both endpoints' location energies (per candidate) plus appearance,
-    shifted and clamped."""
-    appearance = pair_appearance(features.chi_square(hist_u, hist_v), cands_u, cands_v,
-                                 beta_pair)
-    return _shift_clamp((location_u[:, None] + location_v[None, :]) + appearance, e_max)
+    table = context + np.where(same, 0.0, (beta_pair * np.exp(-chi2))[..., None, None])
+    return np.minimum(table - table.min(axis=(-2, -1), keepdims=True), e_max)
 
 
 # ---------------------------------------------------------------------------
@@ -294,30 +283,34 @@ def build_graph(images: list[ImageRecord], regions: dict[str, list[Region]],
     """
     vertex_regions: list[Region] = []
     hists: list[np.ndarray] = []
+    locations: list[np.ndarray] = []
     candidates: list[np.ndarray] = []
-    interior: list[tuple[int, int]] = []
+    unary: list[np.ndarray] = []
+    edges: list[tuple[int, int, np.ndarray]] = []
     for image in images:
         regs = regions[image.id]
         region_map = regs[0].region_map
-        hists.extend(features.region_histograms(maps[image.id], region_map, len(regs)))
         cand = np.array(sorted(set(image.tags) | {BACKGROUND}), dtype=np.int64)
         if cand[-1] >= model.vocab_size:
             raise UnknownLabelError(f"{image.id}: tag {cand[-1]} outside the label model's "
                                     f"vocabulary")
-        candidates.extend([cand] * len(regs))
-        # 4-adjacent region pairs (a, b), a < b, sorted
-        first = len(vertex_regions)
-        pairs, _ = superpixel_adjacency(region_map)
-        interior.extend((first + int(a), first + int(b)) for a, b in pairs)
-        vertex_regions.extend(regs)
-    vertex_of = {region.id: v for v, region in enumerate(vertex_regions)}
-
-    unary, locations = [], []
-    for region, hist, cand in zip(vertex_regions, hists, candidates):
-        location = location_energies(model, region.centroid)[cand]
-        unary.append(unary_energies(model.appearance.votes(hist)[cand], location,
+        block = features.region_histograms(maps[image.id], region_map, len(regs))
+        location = location_energies(model, [region.centroid for region in regs])[:, cand]
+        unary.extend(unary_energies(model.appearance.votes(block)[:, cand], location,
                                     sharpness, e_max))
-        locations.append(location)
+        # 4-adjacent region pairs (a, b), a < b, sorted
+        pairs, _ = superpixel_adjacency(region_map)
+        tables = edge_table(features.chi_square(block[pairs[:, 0]], block[pairs[:, 1]]),
+                            cand, cand, -model.pmi[np.ix_(cand, cand)], beta_pair, e_max)
+        first = len(vertex_regions)
+        edges.extend((first + int(a), first + int(b), table)
+                     for (a, b), table in zip(pairs, tables))
+        hists.extend(block)
+        locations.extend(location)
+        candidates.extend([cand] * len(regs))
+        vertex_regions.extend(regs)
+    interior = [(u, v) for u, v, _ in edges]
+    vertex_of = {region.id: v for v, region in enumerate(vertex_regions)}
 
     exterior_set: set[tuple[int, int]] = set()
     for prop in propagations:
@@ -334,11 +327,9 @@ def build_graph(images: list[ImageRecord], regions: dict[str, list[Region]],
         exterior_set.add((min(u, v), max(u, v)))
     exterior = sorted(exterior_set)
 
-    edges = [(u, v, interior_table(model, hists[u], hists[v], candidates[u], candidates[v],
-                                   beta_pair, e_max)) for u, v in interior]
-    edges += [(u, v, exterior_table(hists[u], hists[v], locations[u], locations[v],
-                                    candidates[u], candidates[v], beta_pair, e_max))
-              for u, v in exterior]
+    edges += [(u, v, edge_table(features.chi_square(hists[u], hists[v]), candidates[u],
+                                candidates[v], locations[u][:, None] + locations[v][None, :],
+                                beta_pair, e_max)) for u, v in exterior]
 
     problem = LabelingProblem(candidates=tuple(candidates), unary=tuple(unary),
                               edges=tuple(edges))

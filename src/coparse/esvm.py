@@ -80,8 +80,8 @@ def region_saliency(maps: features.ImageMaps, region: Region,
     if not band.any():
         return 0.0
     local = maps.window(rows, cols)
-    contrast = features.chi_square(features.region_histogram(local, mask),
-                                   features.region_histogram(local, band))
+    contrast = float(features.chi_square(features.region_histogram(local, mask),
+                                         features.region_histogram(local, band)))
     return centrality * contrast
 
 

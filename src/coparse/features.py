@@ -2,7 +2,9 @@
 
 Two descriptor families: a 40-bin region histogram (24 color bins, 8 per RGB
 channel, plus 16 gradient-orientation bins weighted by gradient magnitude)
-compared with a bounded chi-square distance, and a classic HOG descriptor
+compared with a bounded chi-square distance (``chi_square``, one kernel that
+reduces over the last axis of histograms broadcast against each other, from
+one pair to a whole distance matrix), and a classic HOG descriptor
 (8x8 cells, 9 unsigned orientation bins, 2x2 blocks, L2-hys) for template
 detection. The callers build each image's ``ImageMaps`` and HOG pyramid once
 per call and pass them to every stage that reads the image's pixels.
@@ -96,19 +98,16 @@ def region_histogram(maps: ImageMaps, region_mask: np.ndarray) -> np.ndarray:
     return region_histograms(maps, mask, 2)[1]
 
 
-def chi_square_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Chi-square distance 0.5 * sum (a-b)^2 / (a+b) between every row of a
-    and every row of b; zero-denominator terms contribute 0."""
-    num = (a[:, None, :] - b[None, :, :]) ** 2
-    den = a[:, None, :] + b[None, :, :]
+def chi_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Chi-square distance 0.5 * sum (a-b)^2 / (a+b) over the last axis of
+    histograms broadcast against each other (``a[:, None], b[None]`` pairs
+    every row of a with every row of b); zero-denominator terms contribute 0.
+    Each distance sums its own contiguous row of terms, so it has the same
+    bits in any batch."""
+    num = (a - b) ** 2
+    den = a + b
     terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return 0.5 * terms.sum(axis=2)
-
-
-def chi_square(a: np.ndarray, b: np.ndarray) -> float:
-    """Chi-square distance between two histograms (``chi_square_matrix``)."""
-    pair = np.asarray([a, b], dtype=np.float64)
-    return float(chi_square_matrix(pair[:1], pair[1:])[0, 0])
+    return 0.5 * terms.sum(axis=-1)
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

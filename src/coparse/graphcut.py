@@ -4,10 +4,12 @@ The flow solver is Dinic's algorithm over per-node adjacency lists that
 keep each node's arcs in insertion order, so augmentations run in a
 deterministic order; its last BFS gives the source side of the cut.
 Alpha-expansion sweeps labels in vocabulary order, reduces each move to a
-binary min-cut, truncates non-submodular edge terms, and accepts a move only
-when the true energy strictly decreases. A labeling is handled as candidate
-positions until ``LabelingProblem.labels_of`` turns it into labels, and one
-scorer (``LabelingProblem.energies``) prices every energy that is compared.
+binary min-cut (Kolmogorov & Zabih: one cost of taking alpha per mover, and a
+pair arc only where both ends of an edge move), truncates non-submodular
+edge terms, and accepts a move only when the true energy strictly decreases.
+A labeling is handled as candidate positions until
+``LabelingProblem.labels_of`` turns it into labels, and one scorer
+(``LabelingProblem.energies``) prices every energy that is compared.
 """
 
 from __future__ import annotations
@@ -202,45 +204,40 @@ def _expansion_move(problem: LabelingProblem, pos_cur: np.ndarray,
         return None
     node_of = {int(v): i for i, v in enumerate(movers)}
     m = movers.size
+    # each vertex's position after the move: alpha's if it moves, its own otherwise
+    to = np.where(pos_alpha >= 0, pos_alpha, pos_cur)
 
-    theta0 = np.array([problem.unary[v][pos_cur[v]] for v in movers])   # keep the label
-    theta1 = np.array([problem.unary[v][pos_alpha[v]] for v in movers])  # switch to alpha
-
+    # Kolmogorov & Zabih's reduction: delta is a mover's cost of taking alpha
+    delta = np.array([problem.unary[v][pos_alpha[v]] - problem.unary[v][pos_cur[v]]
+                      for v in movers])
     pair_arcs: list[tuple[int, int, float]] = []
     truncated = 0
     for u, v, table in problem.edges:
-        u_mov, v_mov = u in node_of, v in node_of
-        if u_mov and v_mov:
-            a = float(table[pos_cur[u], pos_cur[v]])
-            b = float(table[pos_cur[u], pos_alpha[v]])
-            c = float(table[pos_alpha[u], pos_cur[v]])
-            d = float(table[pos_alpha[u], pos_alpha[v]])
-            if a + d > b + c:
-                d = b + c - a   # truncate the both-switch cost to restore submodularity
-                truncated += 1
-            iu, iv = node_of[u], node_of[v]
-            theta1[iu] += c - a
-            theta1[iv] += d - c
-            cap = b + c - a - d
-            if cap > 1e-15:
-                pair_arcs.append((iu, iv, cap))
-        elif u_mov:
-            iu = node_of[u]
-            theta0[iu] += float(table[pos_cur[u], pos_cur[v]])
-            theta1[iu] += float(table[pos_alpha[u], pos_cur[v]])
-        elif v_mov:
-            iv = node_of[v]
-            theta0[iv] += float(table[pos_cur[u], pos_cur[v]])
-            theta1[iv] += float(table[pos_cur[u], pos_alpha[v]])
+        iu, iv = node_of.get(u), node_of.get(v)
+        if iu is None and iv is None:
+            continue
+        a = float(table[pos_cur[u], pos_cur[v]])
+        b = float(table[pos_cur[u], to[v]])
+        c = float(table[to[u], pos_cur[v]])
+        d = float(table[to[u], to[v]])
+        if a + d > b + c:
+            d = b + c - a   # truncate the both-switch cost to restore submodularity
+            truncated += 1
+        if iu is not None:
+            delta[iu] += c - a
+        if iv is not None:
+            delta[iv] += d - c
+        # with one end fixed, b + c - a - d is 0 up to rounding
+        if iu is not None and iv is not None and b + c - a - d > 1e-15:
+            pair_arcs.append((iu, iv, b + c - a - d))
 
     source, sink = m, m + 1
     net = FlowNetwork(m + 2, source, sink)
     for i in range(m):
-        delta = theta1[i] - theta0[i]
-        if delta > 0:
-            net.add_arc(source, i, delta)   # cut when i takes alpha
-        elif delta < 0:
-            net.add_arc(i, sink, -delta)    # cut when i keeps its label
+        if delta[i] > 0:
+            net.add_arc(source, i, delta[i])   # cut when i takes alpha
+        elif delta[i] < 0:
+            net.add_arc(i, sink, -delta[i])    # cut when i keeps its label
     for iu, iv, cap in pair_arcs:
         net.add_arc(iu, iv, cap)
     switch = movers[~max_flow(net).source_side[:m]]

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,9 +30,8 @@ def random_histograms(rng, n, hot_bins):
 def _decisions_per_machine(model, hist):
     """Decision values with one kernel row per machine, against its own
     support vectors."""
-    return np.array([
-        float(coef @ np.exp(-model.gamma * features.chi_square_matrix(hist[None, :], sv)[0]))
-        for _, _, sv, coef in model.machines])
+    return np.array([float(coef @ np.exp(-model.gamma * features.chi_square(hist, sv)))
+                     for _, _, sv, coef in model.machines])
 
 
 def regions_for(images, parts):
@@ -65,7 +65,7 @@ class TestAppearance:
         rng = np.random.default_rng(1)
         hists = random_histograms(rng, 5, [3, 4])
         model = colabel.train_appearance(hists, np.full(5, 2), vocab_size=4)
-        votes = model.votes(random_histograms(rng, 1, [8])[0])
+        votes = model.votes(random_histograms(rng, 1, [8]))[0]
         assert votes[2] == 1.0
         assert votes.sum() == 1.0
 
@@ -79,8 +79,7 @@ class TestAppearance:
         correct = 0
         for label, hot in ((0, [0, 1, 2]), (1, [30, 31, 32])):
             test = random_histograms(rng, 20, hot)
-            for t in test:
-                correct += int(np.argmax(model.votes(t)) == label)
+            correct += int((np.argmax(model.votes(test), axis=1) == label).sum())
         assert correct == 40
 
     def test_max_duality_gap_over_machines(self, monkeypatch):
@@ -114,19 +113,33 @@ class TestAppearance:
         hists = np.vstack([random_histograms(rng, n, hot) for n, hot in zip(sizes, families)])
         labels = np.repeat(np.arange(n_labels), sizes)
         model = colabel.train_appearance(hists, labels, vocab_size=n_labels + 1)
-        for hist in np.vstack([hists[:3], rng.dirichlet(np.ones(40), size=5)]):
-            got = model.decisions(hist)
-            assert got.tobytes() == _decisions_per_machine(model, hist).tobytes()
+        probe = np.vstack([hists[:3], rng.dirichlet(np.ones(40), size=5)])
+        got = model.votes(probe)
+        assert got.shape == (8, n_labels + 1)
+        for hist, row in zip(probe, got):
             votes = np.zeros(n_labels + 1)
-            for (a, b, _, _), decision in zip(model.machines, got):
+            for (a, b, _, _), decision in zip(model.machines, _decisions_per_machine(model, hist)):
                 votes[a if decision >= 0 else b] += 1.0
-            assert model.votes(hist).tobytes() == (votes / len(model.machines)).tobytes()
+            assert row.tobytes() == (votes / len(model.machines)).tobytes()
+
+    def test_distance_matrix_memory_is_bounded(self):
+        # 600 histograms: the whole (N, N, 40) chi-square temporaries would
+        # take 110 MiB each
+        rng = np.random.default_rng(14)
+        hists = rng.dirichlet(np.full(40, 0.5), size=600)
+        labels = rng.integers(0, 2, size=600)
+        tracemalloc.start()
+        try:
+            colabel.train_appearance(hists, labels, vocab_size=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_votes_sum_to_one(self):
         model = simple_model()
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            votes = model.appearance.votes(random_histograms(rng, 1, [5, 6])[0])
+        for votes in model.appearance.votes(random_histograms(rng, 10, [5, 6])):
             assert votes.sum() == pytest.approx(1.0)
 
 
@@ -191,6 +204,15 @@ class TestLocation:
                 diff = np.asarray(point) - model.location_mean[label]
                 assert got[label] == 0.5 * float(diff @ np.linalg.solve(covs[label], diff))
 
+    def test_points_in_one_call_equal_each_point_alone(self):
+        model = simple_model(mu={1: (0.3, 0.7), 2: (0.6, 0.4)})
+        points = np.random.default_rng(11).uniform(0, 1, size=(4, 5, 2))
+        got = colabel.location_energies(model, points)
+        assert got.shape == (4, 5, 3)
+        for i, j in np.ndindex(4, 5):
+            assert (got[i, j].tobytes()
+                    == colabel.location_energies(model, tuple(points[i, j])).tobytes())
+
     def test_unknown_label_rejected(self):
         model = simple_model()
         image = make_image(np.zeros((4, 4), dtype=int), tags=(9,))
@@ -227,8 +249,10 @@ def unary_one(vote, location, sharpness=4.0, e_max=20.0):
 
 
 def appearance_one(chi2, label_m, label_n, beta_pair=2.0):
-    return float(colabel.pair_appearance(chi2, np.array([label_m]), np.array([label_n]),
-                                         beta_pair)[0, 0])
+    """The raw appearance term of one label pair: with no context, the
+    equal-label entry (label_m, label_m) is 0 and pins the shift at 0."""
+    return float(colabel.edge_table(chi2, np.array([label_m]), np.array([label_m, label_n]),
+                                    np.zeros((1, 2)), beta_pair, np.inf)[0, 1])
 
 
 def scalar_unary(vote, location, sharpness, e_max):
@@ -267,7 +291,7 @@ class TestEnergies:
 
     def test_appearance_per_candidate_pair(self):
         cands_m, cands_n = np.array([0, 1, 2]), np.array([1, 2])
-        smooth = colabel.pair_appearance(1.0, cands_m, cands_n, 2.0)
+        smooth = colabel.edge_table(1.0, cands_m, cands_n, np.zeros((3, 2)), 2.0, np.inf)
         off = 2.0 * np.exp(-1.0)
         assert smooth == pytest.approx(np.array([[off, off], [0.0, off], [off, 0.0]]))
 
@@ -277,7 +301,8 @@ class TestEnergies:
         h1 = random_histograms(rng, 1, [0, 1])[0]
         h2 = random_histograms(rng, 1, [20, 21])[0]
         cands = np.array([0, 1, 2])
-        table = colabel.interior_table(model, h1, h2, cands, cands, 2.0, 20.0)
+        table = colabel.edge_table(features.chi_square(h1, h2), cands, cands,
+                                   -model.pmi[np.ix_(cands, cands)], 2.0, 20.0)
         assert table.min() == pytest.approx(0.0, abs=1e-12)
         assert table.max() <= 20.0
         assert np.isfinite(table).all()
@@ -287,7 +312,8 @@ class TestEnergies:
         h = random_histograms(np.random.default_rng(7), 1, [10, 11])[0]
         cands = np.array([1, 2])
         location = colabel.location_energies(model, (0.2, 0.8))[cands]
-        table = colabel.exterior_table(h, h, location, location, cands, cands, 2.0, 20.0)
+        table = colabel.edge_table(features.chi_square(h, h), cands, cands,
+                                   location[:, None] + location[None, :], 2.0, 20.0)
         assert table[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_exterior_symmetric_for_equal_histograms(self):
@@ -295,7 +321,8 @@ class TestEnergies:
         h = random_histograms(np.random.default_rng(8), 1, [10, 11])[0]
         cands = np.array([0, 1, 2])
         location = colabel.location_energies(model, (0.45, 0.5))[cands]
-        table = colabel.exterior_table(h, h, location, location, cands, cands, 2.0, 20.0)
+        table = colabel.edge_table(features.chi_square(h, h), cands, cands,
+                                   location[:, None] + location[None, :], 2.0, 20.0)
         assert np.allclose(table, table.T)
 
     def test_exterior_preshift_half_nat(self):
@@ -328,7 +355,8 @@ class TestEnergies:
         labelings = {}
         for name, table in [
                 ("plain", np.minimum(plain - plain.min(), 20.0)),
-                ("pmi", colabel.interior_table(model, hist, hist, cands, cands, 0.0, 20.0))]:
+                ("pmi", colabel.edge_table(features.chi_square(hist, hist), cands, cands,
+                                           -model.pmi[np.ix_(cands, cands)], 0.0, 20.0))]:
             problem = graphcut.LabelingProblem(
                 candidates=(cands,) * 5, unary=unary,
                 edges=tuple((0, v, table) for v in range(1, 5)))
@@ -366,13 +394,16 @@ class TestEnergies:
             exterior = loc_u[:, None] + loc_v[None, :]
             exterior += [[scalar_appearance(chi2, m, n, 2.0) for n in cands_v]
                          for m in cands_u]
-            for got, raw in [
-                (colabel.interior_table(model, h_u, h_v, cands_u, cands_v, 2.0, 20.0),
-                 interior),
-                (colabel.exterior_table(h_u, h_v, loc_u, loc_v, cands_u, cands_v, 2.0, 20.0),
-                 exterior),
-            ]:
-                assert got.tolist() == np.minimum(raw - raw.min(), 20.0).tolist()
+            # the edge's table alone and as one of a batch of edges
+            batch = np.array([rng.uniform(), chi2, rng.uniform()])
+            for context, raw in [(-model.pmi[np.ix_(cands_u, cands_v)], interior),
+                                 (loc_u[:, None] + loc_v[None, :], exterior)]:
+                expected = np.minimum(raw - raw.min(), 20.0).tolist()
+                got = colabel.edge_table(chi2, cands_u, cands_v, context, 2.0, 20.0)
+                assert got.tolist() == expected
+                tables = colabel.edge_table(batch, cands_u, cands_v, context, 2.0, 20.0)
+                assert tables.shape == (3, *got.shape)
+                assert tables[1].tolist() == expected
 
 
 class TestBuildGraph:

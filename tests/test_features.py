@@ -179,7 +179,7 @@ class TestChiSquare:
         b = rng.dirichlet(np.full(40, 0.3), size=5)
         a[a < 0.01] = 0.0   # shared empty bins take the zero-denominator branch
         b[b < 0.01] = 0.0
-        matrix = features.chi_square_matrix(a, b)
+        matrix = features.chi_square(a[:, None], b[None])
         assert matrix.shape == (6, 5)
         for i in range(6):
             for j in range(5):

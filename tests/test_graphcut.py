@@ -313,6 +313,22 @@ class TestAlphaExpansion:
         assert res.labeling[0] in {0, 2}
         assert res.labeling[1] in {1, 2}
 
+    @pytest.mark.parametrize("fixed_first", [True, False])
+    def test_one_fixed_end_adds_no_pair_arc(self, fixed_first):
+        # vertex "fixed" has no alpha candidate; the edge's cost falls from
+        # 20 to 0.1 when the other end moves, and (20 + 0.1) - 20 - 0.1 leaves
+        # a rounding residue above 1e-15 that must not become a pair arc
+        cands = {"fixed": np.array([0]), "mover": np.array([0, 1])}
+        unary = {"fixed": np.array([0.0]), "mover": np.array([0.0, 0.0])}
+        order = ["fixed", "mover"] if fixed_first else ["mover", "fixed"]
+        table = np.array([[20.0, 0.1]]) if fixed_first else np.array([[20.0], [0.1]])
+        prob = graphcut.LabelingProblem(candidates=tuple(cands[k] for k in order),
+                                        unary=tuple(unary[k] for k in order),
+                                        edges=((0, 1, table),))
+        res = graphcut.alpha_expansion(prob, MAX_SWEEPS)
+        assert res.labeling.tolist() == ([0, 1] if fixed_first else [1, 0])
+        assert res.energy == 0.1
+
     def test_labeling_outside_candidates_rejected(self):
         prob = potts_problem([(0.0, 1.0)], 0.0)
         with pytest.raises(MalformedInputError):

@@ -94,7 +94,7 @@ def _svm_dual_instance(rng):
     n = int(rng.integers(2, 50))
     hists = rng.dirichlet(np.ones(40) * rng.uniform(0.2, 3.0), size=n)
     y = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
-    dists = features.chi_square_matrix(hists, hists)
+    dists = features.chi_square(hists[:, None], hists[None])
     k = np.exp(-dists / max(float(np.median(dists)), 1e-12))
     return k, y, float(rng.choice([0.1, 1.0, 10.0]))
 
@@ -155,7 +155,7 @@ class TestSolveBoxQP:
                 for i in sorted(i for i in ids if folds[i] != fold)])
         checked = 0
         for hists, labels in captured:
-            dists = features.chi_square_matrix(hists, hists)
+            dists = features.chi_square(hists[:, None], hists[None])
             gamma = 1.0 / float(np.median(dists[np.triu_indices(len(hists), k=1)]))
             present = sorted(set(labels.tolist()))
             for i, a in enumerate(present):

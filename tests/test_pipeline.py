@@ -1,6 +1,6 @@
 import json
 import zlib
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -342,6 +342,33 @@ class TestColabeling:
                             rows.append(len(pos)) or energies(self, pos, *weights))
         colabel_phase1(corpus, phase1, fit_label_model(corpus), config, maps)
         assert rows and set(rows) == {1}
+
+    def test_exterior_edges_reach_the_labeling(self, tmp_path):
+        """On the near-colour corpus the exterior edge's term moves the final
+        labeling: anchoring every propagation at its source image's region 0
+        instead of the exemplar's own source region changes the total energy
+        and the label maps. (On the default spec's small corpora exterior
+        edges cost nothing at the final labeling, so they could not show a
+        fault there.)"""
+        spec = Path(__file__).parent / "near_colour_spec.json"
+        assert cli.main(["gen", "--spec", str(spec), "--n", "4", "--seed", "1",
+                         "--out", str(tmp_path / "corpus")]) == 0
+        corpus = io.load_corpus(tmp_path / "corpus" / "manifest.json")
+        config = pipeline.Config()
+        maps = pipeline.build_maps(corpus.images)
+        model = fit_label_model(corpus)
+        phase1 = pipeline.run_cosegmentation(corpus, config, maps)
+        own = colabel_phase1(corpus, phase1, model, config, maps)
+        moved = pipeline.run_colabeling(
+            corpus, phase1.regions,
+            [replace(ex, source_region=(ex.source_region[0], 0)) for ex in phase1.exemplars],
+            phase1.propagations, model, config, maps)
+        assert own.counters["phase2_exterior_edges"] == 1
+        assert moved.counters["phase2_exterior_edges"] == 1
+        assert own.total_energy == pytest.approx(405.0803, abs=1e-4)
+        assert moved.total_energy == pytest.approx(404.8229, abs=1e-4)
+        assert any(own.label_maps[i].tobytes() != moved.label_maps[i].tobytes()
+                   for i in own.label_maps)
 
 
 class TestCrossValidate:
