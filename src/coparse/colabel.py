@@ -253,7 +253,6 @@ def edge_table(chi2, cands_m: np.ndarray, cands_n: np.ndarray, context: np.ndarr
 class CoLabelGraph:
     vertex_regions: tuple[Region, ...]
     problem: LabelingProblem
-    interior_edges: tuple[tuple[int, int], ...]
     exterior_edges: tuple[tuple[int, int], ...]
 
 
@@ -309,7 +308,6 @@ def build_graph(images: list[ImageRecord], regions: dict[str, list[Region]],
         locations.extend(location)
         candidates.extend([cand] * len(regs))
         vertex_regions.extend(regs)
-    interior = [(u, v) for u, v, _ in edges]
     vertex_of = {region.id: v for v, region in enumerate(vertex_regions)}
 
     exterior_set: set[tuple[int, int]] = set()
@@ -334,4 +332,4 @@ def build_graph(images: list[ImageRecord], regions: dict[str, list[Region]],
     problem = LabelingProblem(candidates=tuple(candidates), unary=tuple(unary),
                               edges=tuple(edges))
     return CoLabelGraph(vertex_regions=tuple(vertex_regions), problem=problem,
-                        interior_edges=tuple(interior), exterior_edges=tuple(exterior))
+                        exterior_edges=tuple(exterior))

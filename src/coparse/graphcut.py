@@ -8,8 +8,14 @@ binary min-cut (Kolmogorov & Zabih: one cost of taking alpha per mover, and a
 pair arc only where both ends of an edge move), truncates non-submodular
 edge terms, and accepts a move only when the true energy strictly decreases.
 A labeling is handled as candidate positions until
-``LabelingProblem.labels_of`` turns it into labels, and one scorer
-(``LabelingProblem.energies``) prices every energy that is compared.
+``LabelingProblem.labels_of`` turns it into labels.
+
+``LabelingProblem`` keeps every term in one flat array: vertex i's unary at
+position p sits at ``unary_at[i] + p``, and edge e's table entry at (p_u,
+p_v) at ``table_at[e] + p_u * width[e] + p_v``, ``width[e]`` being the size
+of v's candidate set. That one formula gathers the terms of any table of
+labelings (``terms``), which ``energies`` adds in term order, and the four
+edge terms of each expansion move.
 """
 
 from __future__ import annotations
@@ -89,6 +95,13 @@ class LabelingProblem:
     edges: tuple[tuple[int, int, np.ndarray], ...] = ()
     labels: np.ndarray = field(init=False, repr=False, compare=False)
     label_positions: np.ndarray = field(init=False, repr=False, compare=False)
+    # the term store and its index formula (module docstring)
+    term_values: np.ndarray = field(init=False, repr=False, compare=False)
+    unary_at: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_u: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_v: np.ndarray = field(init=False, repr=False, compare=False)
+    table_at: np.ndarray = field(init=False, repr=False, compare=False)
+    width: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.candidates)
@@ -110,8 +123,16 @@ class LabelingProblem:
         table = np.full((n, labels.size), -1, dtype=np.int64)
         for i, cand in enumerate(self.candidates):
             table[i, np.searchsorted(labels, cand)] = np.arange(cand.size)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "label_positions", table)
+        tables = [t.ravel() for _, _, t in self.edges]
+        starts = np.cumsum([0, *(t.size for t in [*self.unary, *tables])], dtype=np.int64)
+        ends = np.array([(u, v) for u, v, _ in self.edges], dtype=np.int64).reshape(-1, 2)
+        # a vertex's unary block is as long as its candidate set, so it gives the width
+        for name, value in dict(
+                labels=labels, label_positions=table,
+                term_values=np.concatenate([*self.unary, *tables]), unary_at=starts[:n],
+                edge_u=ends[:, 0], edge_v=ends[:, 1], table_at=starts[n:-1],
+                width=np.diff(starts)[ends[:, 1]]).items():
+            object.__setattr__(self, name, value)
 
     def positions(self, labeling: np.ndarray) -> np.ndarray:
         """Candidate position of each vertex's label."""
@@ -134,18 +155,22 @@ class LabelingProblem:
         """The labels at one labeling's candidate positions."""
         return np.array([cand[p] for cand, p in zip(self.candidates, pos)], dtype=np.int64)
 
+    def terms(self, pos: np.ndarray) -> np.ndarray:
+        """The (k, vertices + edges) term values of each row of a (k, n)
+        table of candidate positions: the unaries in vertex order, then the
+        edge terms in edge order."""
+        return self.term_values[np.concatenate(
+            [self.unary_at + pos,
+             self.table_at + pos[:, self.edge_u] * self.width + pos[:, self.edge_v]], axis=1)]
+
     def energies(self, pos: np.ndarray) -> np.ndarray:
         """Energy of each row of a (k, n) table of candidate positions.
 
-        Adds the unary terms vertex by vertex, then the edge terms in order,
-        so a labeling gets the same bits in any table.
+        ``cumsum`` adds a row's terms one by one in term order onto 0.0, so a
+        labeling gets the same bits in any table.
         """
-        total = np.zeros(pos.shape[0])
-        for i, unary in enumerate(self.unary):
-            total += unary[pos[:, i]]
-        for u, v, table in self.edges:
-            total += table[pos[:, u], pos[:, v]]
-        return total
+        return np.cumsum(np.concatenate([np.zeros((len(pos), 1)), self.terms(pos)], axis=1),
+                         axis=1)[:, -1]
 
 
 def energy_of(problem: LabelingProblem, labeling: np.ndarray) -> float:
@@ -202,34 +227,32 @@ def _expansion_move(problem: LabelingProblem, pos_cur: np.ndarray,
     movers = np.flatnonzero((pos_alpha >= 0) & (pos_cur != pos_alpha))
     if movers.size == 0:
         return None
-    node_of = {int(v): i for i, v in enumerate(movers)}
     m = movers.size
+    node = np.full(pos_cur.size, -1, dtype=np.int64)
+    node[movers] = np.arange(m)
     # each vertex's position after the move: alpha's if it moves, its own otherwise
     to = np.where(pos_alpha >= 0, pos_alpha, pos_cur)
 
     # Kolmogorov & Zabih's reduction: delta is a mover's cost of taking alpha
-    delta = np.array([problem.unary[v][pos_alpha[v]] - problem.unary[v][pos_cur[v]]
-                      for v in movers])
-    pair_arcs: list[tuple[int, int, float]] = []
-    truncated = 0
-    for u, v, table in problem.edges:
-        iu, iv = node_of.get(u), node_of.get(v)
-        if iu is None and iv is None:
-            continue
-        a = float(table[pos_cur[u], pos_cur[v]])
-        b = float(table[pos_cur[u], to[v]])
-        c = float(table[to[u], pos_cur[v]])
-        d = float(table[to[u], to[v]])
-        if a + d > b + c:
-            d = b + c - a   # truncate the both-switch cost to restore submodularity
-            truncated += 1
-        if iu is not None:
-            delta[iu] += c - a
-        if iv is not None:
-            delta[iv] += d - c
-        # with one end fixed, b + c - a - d is 0 up to rounding
-        if iu is not None and iv is not None and b + c - a - d > 1e-15:
-            pair_arcs.append((iu, iv, b + c - a - d))
+    values, first = problem.term_values, problem.unary_at[movers]
+    delta = values[first + pos_alpha[movers]] - values[first + pos_cur[movers]]
+    u, v = problem.edge_u, problem.edge_v
+    iu, iv = node[u], node[v]
+    # each edge's terms with its ends at (now, now), (now, to), (to, now) and
+    # (to, to); an edge with no moving end has a = b = c = d, so it is never
+    # truncated and adds nothing
+    a, b, c, d = values[problem.table_at + np.stack([pos_cur[u], pos_cur[u], to[u], to[u]])
+                        * problem.width + np.stack([pos_cur[v], to[v], pos_cur[v], to[v]])]
+    truncate = a + d > b + c
+    # truncate the both-switch cost to restore submodularity
+    d = np.where(truncate, b + c - a, d)
+    # edge by edge, c - a onto u's delta, then d - c onto v's: np.add.at adds
+    # in index order, so every delta gets the bits of that sequence
+    nodes = np.stack([iu, iv], axis=1).ravel()
+    np.add.at(delta, nodes[nodes >= 0], np.stack([c - a, d - c], axis=1).ravel()[nodes >= 0])
+    # with one end fixed, b + c - a - d is 0 up to rounding
+    pair = b + c - a - d
+    arcs = np.flatnonzero((iu >= 0) & (iv >= 0) & (pair > 1e-15))
 
     source, sink = m, m + 1
     net = FlowNetwork(m + 2, source, sink)
@@ -238,12 +261,11 @@ def _expansion_move(problem: LabelingProblem, pos_cur: np.ndarray,
             net.add_arc(source, i, delta[i])   # cut when i takes alpha
         elif delta[i] < 0:
             net.add_arc(i, sink, -delta[i])    # cut when i keeps its label
-    for iu, iv, cap in pair_arcs:
-        net.add_arc(iu, iv, cap)
-    switch = movers[~max_flow(net).source_side[:m]]
+    for k in arcs:
+        net.add_arc(int(iu[k]), int(iv[k]), pair[k])
     pos = pos_cur.copy()
-    pos[switch] = pos_alpha[switch]
-    return pos, truncated
+    pos[movers] = np.where(max_flow(net).source_side[:m], pos_cur[movers], pos_alpha[movers])
+    return pos, int(truncate.sum())
 
 
 def brute_force_map(problem: LabelingProblem) -> tuple[np.ndarray, float]:
@@ -256,7 +278,8 @@ def brute_force_map(problem: LabelingProblem) -> tuple[np.ndarray, float]:
         raise OracleTooLargeError(f"state space exceeds {ORACLE_MAX_STATES}")
     best_energy = np.inf
     best_pos: np.ndarray | None = None
-    chunk = 1 << 18
+    # at most 2**16 terms gathered at once, which keeps each chunk in cache
+    chunk = max(1, (1 << 16) // (len(sizes) + len(problem.edges)))
     # vertex 0 varies slowest so enumeration order is lexicographic
     strides = np.cumprod([1] + sizes[:0:-1], dtype=np.int64)[::-1]
     for start in range(0, total, chunk):

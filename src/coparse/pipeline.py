@@ -368,21 +368,20 @@ def run_colabeling(corpus: Corpus, regions: dict[str, list[Region]],
     label_maps = {region.id[0]: result.labeling[v + region.region_map]
                   for v, region in enumerate(graph.vertex_regions) if region.id[1] == 0}
 
-    # each image's vertices' unaries, then its interior edges whole and half
-    # of each exterior edge it touches, added in term order
+    # (image, term) pairs in term order: each vertex's unary to its image, then
+    # each edge's term whole to u's image and 0.0 to v's, or half to each when
+    # they differ; np.add.at adds in that order, and 0.0 leaves a sum begun at
+    # 0.0 as it is. An image's regions are consecutive vertices.
     problem = graph.problem
     pos = problem.positions(result.labeling)
-    image_of = [region.id[0] for region in graph.vertex_regions]
-    per_image = {image.id: 0.0 for image in images}
-    for i, unary in enumerate(problem.unary):
-        per_image[image_of[i]] += float(unary[pos[i]])
-    for u, v, table in problem.edges:
-        term = float(table[pos[u], pos[v]])
-        if image_of[u] == image_of[v]:
-            per_image[image_of[u]] += term
-        else:
-            per_image[image_of[u]] += 0.5 * term
-            per_image[image_of[v]] += 0.5 * term
+    image_of = np.repeat(np.arange(len(images)), [len(regions[image.id]) for image in images])
+    ends = image_of[np.stack([problem.edge_u, problem.edge_v], axis=1)]
+    share = np.where(ends[:, :1] == ends[:, 1:], [1.0, 0.0], 0.5)
+    terms = problem.terms(pos[None])[0]
+    sums = np.zeros(len(images))
+    np.add.at(sums, np.concatenate([image_of, ends.ravel()]), np.concatenate(
+        [terms[:image_of.size], (share * terms[image_of.size:, None]).ravel()]))
+    per_image = {image.id: float(total) for image, total in zip(images, sums)}
     overruled = np.flatnonzero(pos != problem.lowest_unary())
     counters = {
         "phase2_sweeps": result.sweeps,

@@ -77,6 +77,66 @@ def residual_source_side(network, cap):
     return side
 
 
+def reference_expansion_move(problem, pos_cur, col):
+    """Reference: the alpha-expansion move built edge by edge from the
+    problem's own tables, with a branch per moving end, and cut by
+    ``graphcut.max_flow``."""
+    pos_alpha = problem.label_positions[:, col]
+    movers = np.flatnonzero((pos_alpha >= 0) & (pos_cur != pos_alpha))
+    if movers.size == 0:
+        return None
+    node_of = {int(v): i for i, v in enumerate(movers)}
+    m = movers.size
+    to = np.where(pos_alpha >= 0, pos_alpha, pos_cur)
+    delta = np.array([problem.unary[v][pos_alpha[v]] - problem.unary[v][pos_cur[v]]
+                      for v in movers])
+    pair_arcs = []
+    truncated = 0
+    for u, v, table in problem.edges:
+        iu, iv = node_of.get(u), node_of.get(v)
+        if iu is None and iv is None:
+            continue
+        a = float(table[pos_cur[u], pos_cur[v]])
+        b = float(table[pos_cur[u], to[v]])
+        c = float(table[to[u], pos_cur[v]])
+        d = float(table[to[u], to[v]])
+        if a + d > b + c:
+            d = b + c - a
+            truncated += 1
+        if iu is not None:
+            delta[iu] += c - a
+        if iv is not None:
+            delta[iv] += d - c
+        if iu is not None and iv is not None and b + c - a - d > 1e-15:
+            pair_arcs.append((iu, iv, b + c - a - d))
+    source, sink = m, m + 1
+    net = graphcut.FlowNetwork(m + 2, source, sink)
+    for i in range(m):
+        if delta[i] > 0:
+            net.add_arc(source, i, delta[i])
+        elif delta[i] < 0:
+            net.add_arc(i, sink, -delta[i])
+    for iu, iv, cap in pair_arcs:
+        net.add_arc(iu, iv, cap)
+    switch = movers[~graphcut.max_flow(net).source_side[:m]]
+    pos = pos_cur.copy()
+    pos[switch] = pos_alpha[switch]
+    return pos, truncated
+
+
+def built_move(build, problem, pos, col):
+    """``build``'s move as (positions, truncated) or None, and each network it
+    cuts as (nodes, source, sink, arc heads, capacity bytes)."""
+    networks = []
+    max_flow = graphcut.max_flow
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphcut, "max_flow", lambda net: networks.append(
+            (net.node_count, net.source, net.sink, list(net._to),
+             np.array(net._cap).tobytes())) or max_flow(net))
+        move = build(problem, pos, col)
+    return (None if move is None else (move[0].tolist(), move[1])), networks
+
+
 def exhaustive_energy(problem):
     sizes = [c.size for c in problem.candidates]
     best, best_lab = np.inf, None
@@ -354,6 +414,38 @@ class TestAlphaExpansion:
             assert res.energy >= best - 1e-9
             me = res.move_energies
             assert all(me[i + 1] < me[i] for i in range(len(me) - 1))
+
+
+class TestExpansionMove:
+    @settings(derandomize=True, deadline=None)
+    @given(st.data())
+    def test_matches_per_edge_reference(self, data):
+        # arbitrary tables, non-submodular ones included, from any labeling
+        prob = draw_problem(data)
+        pos = np.array([data.draw(st.integers(0, c.size - 1)) for c in prob.candidates],
+                       dtype=np.int64)
+        for col in range(prob.labels.size):
+            assert (built_move(graphcut._expansion_move, prob, pos, col)
+                    == built_move(reference_expansion_move, prob, pos, col))
+
+    def test_delta_adds_edge_terms_in_edge_order(self):
+        # vertex 0 alone can take label 1; it is the first end of edges 0, 2
+        # and 4 and the second of edges 1, 3 and 5, which make its move cost
+        # ``gains``; adding its first-end terms before its second-end ones
+        # gives other bits, as do 708 of the 720 orders of the six terms
+        gains = [-1.4e-12, 1.1e-12, 1000.0, 63.0, 3e-10, -1e-16]
+        edges = tuple((0, k + 1, np.array([[0.0], [g]])) if k % 2 == 0
+                      else (k + 1, 0, np.array([[0.0, g]])) for k, g in enumerate(gains))
+        prob = graphcut.LabelingProblem(candidates=(np.array([0, 1]),) + (np.array([0]),) * 6,
+                                        unary=(np.zeros(2),) + (np.zeros(1),) * 6,
+                                        edges=edges)
+        pos = np.zeros(7, dtype=np.int64)
+        delta = 0.0
+        for g in gains:
+            delta += g
+        move, networks = built_move(graphcut._expansion_move, prob, pos, 1)
+        assert networks == [(3, 1, 2, [0, 1], np.array([delta, 0.0]).tobytes())]
+        assert (move, networks) == built_move(reference_expansion_move, prob, pos, 1)
 
 
 class TestBruteForceMap:

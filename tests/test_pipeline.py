@@ -282,16 +282,17 @@ class TestColabeling:
                     merged[idx] = solo.label_maps[image.id][ys[0], xs[0]]
         assert joint.total_energy <= energy_of(graph.problem, merged) + 1e-9
 
-    def test_per_image_energy_matches_plain_split(self, monkeypatch):
-        from coparse import colabel
-
+    @staticmethod
+    def crossing_phase1():
+        """Phase I on 3 images, with one more propagation, of an exemplar onto
+        a region of another image, so that the graph holds an exterior edge
+        whatever Phase I placed: (corpus, config, model, maps, phase1,
+        propagations)."""
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 3)
         config = pipeline.Config(seed=8)
         model = fit_label_model(corpus)
         maps = pipeline.build_maps(corpus.images)
         phase1 = pipeline.run_cosegmentation(corpus, config, maps)
-        # one more propagation, of an exemplar onto a region of another image,
-        # so that the graph holds an exterior edge whatever Phase I placed
         exemplar = phase1.exemplars[0]
         target = next(image.id for image in corpus.images
                       if image.id != exemplar.source_region[0])
@@ -301,12 +302,45 @@ class TestColabeling:
                                      x=cols.start, y=rows.start,
                                      mask=region.region_map[rows, cols] == region.id[1],
                                      score=0.5)
+        return corpus, config, model, maps, phase1, [*phase1.propagations, crossing]
+
+    def test_build_graph_wires_both_table_contexts(self):
+        """Each interior table takes the label model's -PMI as its context and
+        each exterior table the sum of its ends' location energies, checked
+        bit for bit against ``edge_table`` on one edge's own inputs."""
+        corpus, config, model, maps, phase1, props = self.crossing_phase1()
+        graph = colabel.build_graph(list(corpus.images), phase1.regions, props,
+                                    {ex.id: ex.source_region for ex in phase1.exemplars},
+                                    model, maps, config.beta_pair, config.sigmoid_sharpness,
+                                    config.e_max)
+        hist, location = [], []
+        for image in corpus.images:
+            regs = phase1.regions[image.id]
+            cand = np.array(sorted(set(image.tags) | {0}))
+            hist.extend(features.region_histograms(maps[image.id], regs[0].region_map,
+                                                   len(regs)))
+            location.extend(colabel.location_energies(model, [r.centroid for r in regs])[:, cand])
+        kinds = []
+        for u, v, table in graph.problem.edges:
+            cand_u, cand_v = graph.problem.candidates[u], graph.problem.candidates[v]
+            if graph.vertex_regions[u].id[0] == graph.vertex_regions[v].id[0]:
+                context = -model.pmi[np.ix_(cand_u, cand_v)]
+            else:
+                context = location[u][:, None] + location[v][None, :]
+            kinds.append((u, v) in graph.exterior_edges)
+            expected = colabel.edge_table(features.chi_square(hist[u], hist[v]), cand_u, cand_v,
+                                          context, config.beta_pair, config.e_max)
+            assert (table.shape, table.tobytes()) == (expected.shape, expected.tobytes())
+        assert sum(kinds) == len(graph.exterior_edges) >= 1 and not all(kinds)
+
+    def test_per_image_energy_matches_plain_split(self, monkeypatch):
+        corpus, config, model, maps, phase1, props = self.crossing_phase1()
         graphs = []
         build_graph = colabel.build_graph
         monkeypatch.setattr(colabel, "build_graph",
                             lambda *a: graphs.append(build_graph(*a)) or graphs[-1])
         result = pipeline.run_colabeling(corpus, phase1.regions, phase1.exemplars,
-                                         [*phase1.propagations, crossing], model, config, maps)
+                                         props, model, config, maps)
         graph, = graphs
         assert graph.exterior_edges
         # reference: each image's unaries, its interior edges and half of each
@@ -320,7 +354,7 @@ class TestColabeling:
         for u, v, table in graph.problem.edges:
             term = float(table[pos[u], pos[v]])
             image_u, image_v = graph.vertex_regions[u].id[0], graph.vertex_regions[v].id[0]
-            if (u, v) in graph.interior_edges:
+            if image_u == image_v:
                 expected[image_u] += term
             else:
                 expected[image_u] += term / 2.0
@@ -329,17 +363,17 @@ class TestColabeling:
         assert sum(expected.values()) == pytest.approx(result.total_energy, rel=1e-12)
 
     def test_every_energy_call_scores_one_row(self, monkeypatch):
-        """Phase II prices one labeling per scorer call, also when it splits
-        the energy by image, so no table grows with the image count."""
+        """Phase II gathers one labeling's terms per call, when it prices a
+        labeling and when it splits the energy by image, so no table grows
+        with the image count."""
         corpus = synthgen.generate(synthgen.default_scene_spec(seed=8), 3)
         config = pipeline.Config(seed=8)
         maps = pipeline.build_maps(corpus.images)
         phase1 = pipeline.run_cosegmentation(corpus, config, maps)
         rows = []
-        energies = graphcut.LabelingProblem.energies
-        monkeypatch.setattr(graphcut.LabelingProblem, "energies",
-                            lambda self, pos, *weights:
-                            rows.append(len(pos)) or energies(self, pos, *weights))
+        terms = graphcut.LabelingProblem.terms
+        monkeypatch.setattr(graphcut.LabelingProblem, "terms",
+                            lambda self, pos: rows.append(len(pos)) or terms(self, pos))
         colabel_phase1(corpus, phase1, fit_label_model(corpus), config, maps)
         assert rows and set(rows) == {1}
 
