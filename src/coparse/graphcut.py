@@ -1,8 +1,9 @@
 """Discrete MAP inference: max-flow/min-cut and alpha-expansion.
 
-The flow solver is Dinic's algorithm over per-node adjacency lists that
-keep each node's arcs in insertion order, so augmentations run in a
-deterministic order; its last BFS gives the source side of the cut.
+``max_flow`` takes a network as three arc arrays (tails, heads,
+capacities) and runs Dinic's algorithm over per-node adjacency lists that
+keep each node's arcs in arc order, so augmentations run in a deterministic
+order; its last BFS gives the source side of the cut.
 Alpha-expansion sweeps labels in vocabulary order, reduces each move to a
 binary min-cut (Kolmogorov & Zabih: one cost of taking alpha per mover, and a
 pair arc only where both ends of an edge move), truncates non-submodular
@@ -15,7 +16,8 @@ position p sits at ``unary_at[i] + p``, and edge e's table entry at (p_u,
 p_v) at ``table_at[e] + p_u * width[e] + p_v``, ``width[e]`` being the size
 of v's candidate set. That one formula gathers the terms of any table of
 labelings (``terms``), which ``energies`` adds in term order, and the four
-edge terms of each expansion move.
+edge terms of each expansion move. Each move's arcs are built as arrays
+too: the terminal arcs in mover order, then the pair arcs in edge order.
 """
 
 from __future__ import annotations
@@ -31,32 +33,6 @@ from .errors import MalformedInputError, OracleTooLargeError, SolverError
 ORACLE_MAX_STATES = 2_000_000
 
 
-class FlowNetwork:
-    """Directed arcs with capacities; reverse arcs are added automatically."""
-
-    def __init__(self, node_count: int, source: int, sink: int):
-        if node_count < 2 or source == sink:
-            raise MalformedInputError("network needs distinct source and sink")
-        if not (0 <= source < node_count and 0 <= sink < node_count):
-            raise MalformedInputError("source/sink out of range")
-        self.node_count = node_count
-        self.source = source
-        self.sink = sink
-        self._adj: list[list[int]] = [[] for _ in range(node_count)]
-        self._to: list[int] = []
-        self._cap: list[float] = []
-
-    def add_arc(self, u: int, v: int, capacity: float) -> None:
-        if not (0 <= u < self.node_count and 0 <= v < self.node_count) or u == v:
-            raise MalformedInputError(f"bad arc ({u}, {v})")
-        if not math.isfinite(capacity) or capacity < 0:
-            raise MalformedInputError(f"arc capacity must be finite and >= 0, got {capacity}")
-        self._adj[u].append(len(self._to))
-        self._adj[v].append(len(self._to) + 1)
-        self._to.extend([v, u])
-        self._cap.extend([float(capacity), 0.0])
-
-
 @dataclass(frozen=True)
 class FlowResult:
     flow: float
@@ -64,13 +40,34 @@ class FlowResult:
     cut_capacity: float
 
 
-def max_flow(network: FlowNetwork) -> FlowResult:
-    """Max flow with the min-cut side assignment; duality checked internally."""
-    flow, side = kernels.dinic(network.node_count, network.source, network.sink,
-                               network._adj, network._to, network._cap.copy())
-    # forward arcs sit at even indices; a forward arc's tail is its reverse's head
-    to, cap = np.array(network._to, dtype=np.int64), np.array(network._cap)
-    cut = float(cap[::2][side[to[1::2]] & ~side[to[::2]]].sum())
+def max_flow(node_count: int, source: int, sink: int, tail: np.ndarray, head: np.ndarray,
+             capacity: np.ndarray) -> FlowResult:
+    """Max flow over the arcs ``tail[k] -> head[k]`` of ``capacity[k]``, with
+    the min-cut side assignment; duality checked internally.
+
+    Arc k is Dinic's residual arc 2k and its reverse 2k + 1; each node lists
+    its residual arcs in arc order, so augmentations follow the arc order.
+    """
+    if source == sink or not (0 <= source < node_count and 0 <= sink < node_count):
+        raise MalformedInputError("network needs distinct source and sink in range")
+    tail, head = np.asarray(tail, dtype=np.int64), np.asarray(head, dtype=np.int64)
+    capacity = np.asarray(capacity, dtype=np.float64)
+    if tail.ndim != 1 or not tail.shape == head.shape == capacity.shape:
+        raise MalformedInputError("arc tails, heads and capacities must be 1-D and of one length")
+    for k in np.flatnonzero((np.minimum(tail, head) < 0) | (np.maximum(tail, head) >= node_count)
+                            | (tail == head))[:1]:
+        raise MalformedInputError(f"bad arc ({tail[k]}, {head[k]})")
+    for k in np.flatnonzero(~(np.isfinite(capacity) & (capacity >= 0)))[:1]:
+        raise MalformedInputError(f"arc capacity must be finite and >= 0, got {capacity[k]}")
+    ends = np.stack([tail, head], axis=1)
+    # residual arc a leaves ends.ravel()[a] and enters the other end of its pair
+    order = np.argsort(ends.ravel(), kind="stable").tolist()
+    stops = np.cumsum(np.bincount(ends.ravel(), minlength=node_count)).tolist()
+    adj = [order[start:stop] for start, stop in zip([0, *stops], stops)]
+    residual = np.stack([capacity, np.zeros_like(capacity)], axis=1).ravel().tolist()
+    flow, side = kernels.dinic(node_count, source, sink, adj, ends[:, ::-1].ravel().tolist(),
+                               residual)
+    cut = float(capacity[side[tail] & ~side[head]].sum())
     if abs(cut - flow) > 1e-6 * max(1.0, abs(flow)):
         raise SolverError(f"flow/cut mismatch: flow={flow!r} cut={cut!r}")
     return FlowResult(float(flow), side, cut)
@@ -95,7 +92,9 @@ class LabelingProblem:
     edges: tuple[tuple[int, int, np.ndarray], ...] = ()
     labels: np.ndarray = field(init=False, repr=False, compare=False)
     label_positions: np.ndarray = field(init=False, repr=False, compare=False)
-    # the term store and its index formula (module docstring)
+    # the term store and its index formula (module docstring); vertex i's
+    # candidate at position p is candidate_labels[unary_at[i] + p]
+    candidate_labels: np.ndarray = field(init=False, repr=False, compare=False)
     term_values: np.ndarray = field(init=False, repr=False, compare=False)
     unary_at: np.ndarray = field(init=False, repr=False, compare=False)
     edge_u: np.ndarray = field(init=False, repr=False, compare=False)
@@ -107,31 +106,33 @@ class LabelingProblem:
         n = len(self.candidates)
         if n == 0 or len(self.unary) != n:
             raise MalformedInputError("candidates/unary length mismatch")
-        for cand, un in zip(self.candidates, self.unary):
-            if cand.size == 0 or (np.diff(cand) <= 0).any():
-                raise MalformedInputError("candidate sets must be nonempty and ascending")
-            if un.shape != cand.shape or not np.isfinite(un).all():
-                raise MalformedInputError("unary table mismatch or non-finite")
-        for u, v, table in self.edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise MalformedInputError(f"bad edge ({u}, {v})")
-            if table.shape != (self.candidates[u].size, self.candidates[v].size):
-                raise MalformedInputError(f"pairwise table shape mismatch on ({u}, {v})")
-            if not np.isfinite(table).all():
-                raise MalformedInputError("pairwise table non-finite")
-        labels = np.unique(np.concatenate(self.candidates))
-        table = np.full((n, labels.size), -1, dtype=np.int64)
-        for i, cand in enumerate(self.candidates):
-            table[i, np.searchsorted(labels, cand)] = np.arange(cand.size)
-        tables = [t.ravel() for _, _, t in self.edges]
-        starts = np.cumsum([0, *(t.size for t in [*self.unary, *tables])], dtype=np.int64)
+        if any(un.shape != cand.shape for cand, un in zip(self.candidates, self.unary)):
+            raise MalformedInputError("unary table shape mismatch")
+        sizes = [cand.size for cand in self.candidates]
+        cand, vertex = np.concatenate(self.candidates), np.repeat(np.arange(n), sizes)
+        # each set ascends; the steps where the vertex changes may fall
+        if 0 in sizes or cand.shape != vertex.shape or not (
+                (np.diff(cand) > 0) | (np.diff(vertex) > 0)).all():
+            raise MalformedInputError("candidate sets must be nonempty, 1-D and ascending")
         ends = np.array([(u, v) for u, v, _ in self.edges], dtype=np.int64).reshape(-1, 2)
-        # a vertex's unary block is as long as its candidate set, so it gives the width
+        for e in np.flatnonzero((ends.min(axis=1) < 0) | (ends.max(axis=1) >= n)
+                                | (ends[:, 0] == ends[:, 1]))[:1]:
+            raise MalformedInputError(f"bad edge ({ends[e, 0]}, {ends[e, 1]})")
+        for u, v, table in self.edges:
+            if table.shape != (sizes[u], sizes[v]):
+                raise MalformedInputError(f"pairwise table shape mismatch on ({u}, {v})")
+        tables = [t.ravel() for _, _, t in self.edges]
+        values = np.concatenate([*self.unary, *tables])
+        if not np.isfinite(values).all():
+            raise MalformedInputError("unary or pairwise table non-finite")
+        starts = np.cumsum([0, *sizes, *(t.size for t in tables)], dtype=np.int64)
+        labels = np.unique(cand)
+        table = np.full((n, labels.size), -1, dtype=np.int64)
+        table[vertex, np.searchsorted(labels, cand)] = np.arange(cand.size) - starts[vertex]
         for name, value in dict(
-                labels=labels, label_positions=table,
-                term_values=np.concatenate([*self.unary, *tables]), unary_at=starts[:n],
-                edge_u=ends[:, 0], edge_v=ends[:, 1], table_at=starts[n:-1],
-                width=np.diff(starts)[ends[:, 1]]).items():
+                labels=labels, label_positions=table, candidate_labels=cand,
+                term_values=values, unary_at=starts[:n], edge_u=ends[:, 0], edge_v=ends[:, 1],
+                table_at=starts[n:-1], width=np.diff(starts)[ends[:, 1]]).items():
             object.__setattr__(self, name, value)
 
     def positions(self, labeling: np.ndarray) -> np.ndarray:
@@ -149,11 +150,15 @@ class LabelingProblem:
 
     def lowest_unary(self) -> np.ndarray:
         """Each vertex's candidate position of lowest unary energy, the first on ties."""
-        return np.array([np.argmin(un) for un in self.unary], dtype=np.int64)
+        vertex = np.repeat(np.arange(self.unary_at.size),
+                           np.diff(self.unary_at, append=self.candidate_labels.size))
+        # a stable sort by vertex, then unary, keeps the first position on ties
+        order = np.lexsort((self.term_values[:vertex.size], vertex))
+        return order[self.unary_at] - self.unary_at
 
     def labels_of(self, pos: np.ndarray) -> np.ndarray:
         """The labels at one labeling's candidate positions."""
-        return np.array([cand[p] for cand, p in zip(self.candidates, pos)], dtype=np.int64)
+        return self.candidate_labels[self.unary_at + pos].astype(np.int64)
 
     def terms(self, pos: np.ndarray) -> np.ndarray:
         """The (k, vertices + edges) term values of each row of a (k, n)
@@ -254,17 +259,17 @@ def _expansion_move(problem: LabelingProblem, pos_cur: np.ndarray,
     pair = b + c - a - d
     arcs = np.flatnonzero((iu >= 0) & (iv >= 0) & (pair > 1e-15))
 
+    # terminal arcs in mover order (source -> i costs taking alpha, i -> sink
+    # keeping the label), then pair arcs in edge order
     source, sink = m, m + 1
-    net = FlowNetwork(m + 2, source, sink)
-    for i in range(m):
-        if delta[i] > 0:
-            net.add_arc(source, i, delta[i])   # cut when i takes alpha
-        elif delta[i] < 0:
-            net.add_arc(i, sink, -delta[i])    # cut when i keeps its label
-    for k in arcs:
-        net.add_arc(int(iu[k]), int(iv[k]), pair[k])
+    moves = np.flatnonzero(delta != 0)
+    takes = delta[moves] > 0
+    tail = np.concatenate([np.where(takes, source, moves), iu[arcs]])
+    head = np.concatenate([np.where(takes, moves, sink), iv[arcs]])
+    side = max_flow(m + 2, source, sink, tail, head,
+                    np.concatenate([np.abs(delta[moves]), pair[arcs]])).source_side
     pos = pos_cur.copy()
-    pos[movers] = np.where(max_flow(net).source_side[:m], pos_cur[movers], pos_alpha[movers])
+    pos[movers] = np.where(side[:m], pos_cur[movers], pos_alpha[movers])
     return pos, int(truncate.sum())
 
 

@@ -9,7 +9,8 @@ summed down by ``cumsum``), in the same order and bits;
 connected components, of a raster's row runs or of a multicut's merged
 pairs, come from hooking roots and pointer jumping over the edge arrays,
 with no sparse matrix; Dinic max-flow is a plain Python loop over per-node
-adjacency lists (Phase II, where it runs, is a small share of a run); the
+adjacency lists in arc order, which ``graphcut.max_flow`` builds from arc
+arrays (Phase II, where it runs, is a small share of a run); the
 box-constrained dual of both SVMs, the exemplar SVMs of Phase I and the
 appearance machines of Phase II, is solved by projected Newton. The tests
 check the vectorized kernels against straightforward reference loops, the
@@ -207,9 +208,10 @@ def dinic(n, s, t, adj, arc_to, cap):
     """Max flow on a residual network of Python lists. Mutates ``cap`` in place.
 
     Arcs come in (forward, reverse) pairs at indices (2k, 2k^1); ``adj[v]``
-    lists node v's arc ids in insertion order so augmenting order is
-    deterministic. Returns the flow value and the source side of a minimum
-    cut: the nodes that the last BFS (the one that misses ``t``) reached.
+    lists node v's arc ids in arc order, as ``graphcut.max_flow`` builds
+    them from arc arrays, so augmenting order is deterministic. Returns the
+    flow value and the source side of a minimum cut: the nodes that the last
+    BFS (the one that misses ``t``) reached.
     """
     eps = 1e-12
     flow = 0.0

@@ -109,21 +109,19 @@ def test_criterion_4_flow_cut_duality():
     rng = np.random.default_rng(1004)
     for _ in range(1000):
         n = int(rng.integers(2, 31))
-        net = graphcut.FlowNetwork(n, 0, n - 1)
+        tail, head, cap = [], [], []
         for _ in range(int(rng.integers(1, 3 * n))):
             u, v = rng.integers(0, n, size=2)
             if u != v:
-                net.add_arc(int(u), int(v), float(rng.integers(0, 50)))
-        res = graphcut.max_flow(net)
+                tail.append(u)
+                head.append(v)
+                cap.append(float(rng.integers(0, 50)))
+        res = graphcut.max_flow(n, 0, n - 1, tail, head, cap)
         assert res.flow == res.cut_capacity
 
-    diamond = graphcut.FlowNetwork(4, 0, 3)
-    diamond.add_arc(0, 1, 2.0)
-    diamond.add_arc(0, 2, 2.0)
-    diamond.add_arc(1, 3, 1.0)
-    diamond.add_arc(2, 3, 3.0)
-    diamond.add_arc(1, 2, 1.0)
-    assert graphcut.max_flow(diamond).flow == 4.0
+    diamond = graphcut.max_flow(4, 0, 3, [0, 0, 1, 2, 1], [1, 2, 3, 3, 2],
+                                [2.0, 2.0, 1.0, 3.0, 1.0])
+    assert diamond.flow == 4.0
     elapsed = time.time() - start
     assert elapsed < 30
     report("4 flow/cut duality", elapsed, 30, "1000 networks + diamond=4")

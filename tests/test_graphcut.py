@@ -27,10 +27,10 @@ def potts_problem(unaries, lam, n_labels=2, chain=True):
     return graphcut.LabelingProblem(candidates=cands, unary=unary, edges=edges)
 
 
-def draw_problem(data, n_max=6, n_labels=4):
-    """Random candidate sets with arbitrary (non-submodular) float tables."""
+def draw_problem(data, n_max=6, n_labels=4, energy=st.floats(-5.0, 5.0)):
+    """Random candidate sets with arbitrary (non-submodular) tables of
+    ``energy`` values."""
     n = data.draw(st.integers(1, n_max))
-    energy = st.floats(-5.0, 5.0)
     cands = tuple(np.array(sorted(data.draw(st.sets(st.integers(0, n_labels - 1), min_size=1))))
                   for _ in range(n))
     unary = tuple(np.array(data.draw(st.lists(energy, min_size=c.size, max_size=c.size)))
@@ -65,15 +65,36 @@ def python_positions(problem, labeling):
     return pos
 
 
-def residual_source_side(network, cap):
+def arc_arrays(arcs):
+    """The (tail, head, capacity) arrays of a list of (u, v, capacity) arcs."""
+    tail, head, capacity = zip(*arcs) if arcs else ((), (), ())
+    return (np.array(tail, dtype=np.int64), np.array(head, dtype=np.int64),
+            np.array(capacity, dtype=np.float64))
+
+
+def arc_lists(node_count, arcs):
+    """Reference: Dinic's residual lists built by appending one arc at a
+    time: arc k goes onto its tail's list as residual arc 2k, and its reverse
+    onto its head's list as 2k + 1."""
+    adj = [[] for _ in range(node_count)]
+    arc_to, cap = [], []
+    for u, v, capacity in arcs:
+        adj[u].append(len(arc_to))
+        adj[v].append(len(arc_to) + 1)
+        arc_to.extend([v, u])
+        cap.extend([float(capacity), 0.0])
+    return adj, arc_to, cap
+
+
+def residual_source_side(node_count, source, arc_to, cap):
     """Reference: BFS from the source over arcs of residual capacity > 1e-12."""
-    to = np.asarray(network._to)
+    to = np.asarray(arc_to)
     frm = to.reshape(-1, 2)[:, ::-1].ravel()   # an arc's tail is its partner's head
     open_arc = np.asarray(cap) > 1e-12
     residual = sparse.csr_array((np.ones(open_arc.sum()), (frm[open_arc], to[open_arc])),
-                                shape=(network.node_count, network.node_count))
-    side = np.zeros(network.node_count, dtype=bool)
-    side[csgraph.breadth_first_order(residual, network.source, return_predecessors=False)] = True
+                                shape=(node_count, node_count))
+    side = np.zeros(node_count, dtype=bool)
+    side[csgraph.breadth_first_order(residual, source, return_predecessors=False)] = True
     return side
 
 
@@ -110,15 +131,14 @@ def reference_expansion_move(problem, pos_cur, col):
         if iu is not None and iv is not None and b + c - a - d > 1e-15:
             pair_arcs.append((iu, iv, b + c - a - d))
     source, sink = m, m + 1
-    net = graphcut.FlowNetwork(m + 2, source, sink)
+    arcs = []
     for i in range(m):
         if delta[i] > 0:
-            net.add_arc(source, i, delta[i])
+            arcs.append((source, i, delta[i]))
         elif delta[i] < 0:
-            net.add_arc(i, sink, -delta[i])
-    for iu, iv, cap in pair_arcs:
-        net.add_arc(iu, iv, cap)
-    switch = movers[~graphcut.max_flow(net).source_side[:m]]
+            arcs.append((i, sink, -delta[i]))
+    arcs.extend(pair_arcs)
+    switch = movers[~graphcut.max_flow(m + 2, source, sink, *arc_arrays(arcs)).source_side[:m]]
     pos = pos_cur.copy()
     pos[switch] = pos_alpha[switch]
     return pos, truncated
@@ -126,13 +146,13 @@ def reference_expansion_move(problem, pos_cur, col):
 
 def built_move(build, problem, pos, col):
     """``build``'s move as (positions, truncated) or None, and each network it
-    cuts as (nodes, source, sink, arc heads, capacity bytes)."""
+    cuts as (nodes, source, sink, arc tails, arc heads, capacity bytes)."""
     networks = []
     max_flow = graphcut.max_flow
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graphcut, "max_flow", lambda net: networks.append(
-            (net.node_count, net.source, net.sink, list(net._to),
-             np.array(net._cap).tobytes())) or max_flow(net))
+        patch.setattr(graphcut, "max_flow", lambda n, s, t, tail, head, cap: networks.append(
+            (n, s, t, np.asarray(tail).tolist(), np.asarray(head).tolist(),
+             np.asarray(cap).tobytes())) or max_flow(n, s, t, tail, head, cap))
         move = build(problem, pos, col)
     return (None if move is None else (move[0].tolist(), move[1])), networks
 
@@ -150,26 +170,17 @@ def exhaustive_energy(problem):
 
 class TestMaxFlow:
     def test_single_arc(self):
-        net = graphcut.FlowNetwork(2, 0, 1)
-        net.add_arc(0, 1, 3.0)
-        res = graphcut.max_flow(net)
+        res = graphcut.max_flow(2, 0, 1, [0], [1], [3.0])
         assert res.flow == 3.0
         assert res.cut_capacity == 3.0
 
     def test_disconnected(self):
-        net = graphcut.FlowNetwork(3, 0, 2)
-        net.add_arc(0, 1, 5.0)
-        res = graphcut.max_flow(net)
+        res = graphcut.max_flow(3, 0, 2, [0], [1], [5.0])
         assert res.flow == 0.0
 
     def test_diamond(self):
-        net = graphcut.FlowNetwork(4, 0, 3)
-        net.add_arc(0, 1, 2.0)
-        net.add_arc(0, 2, 2.0)
-        net.add_arc(1, 3, 1.0)
-        net.add_arc(2, 3, 3.0)
-        net.add_arc(1, 2, 1.0)
-        res = graphcut.max_flow(net)
+        res = graphcut.max_flow(4, 0, 3, [0, 0, 1, 2, 1], [1, 2, 3, 3, 2],
+                                [2.0, 2.0, 1.0, 3.0, 1.0])
         # oracle: enumerate the 4 s/t cuts over {a, b}
         caps = {
             (0, 0): 1.0 + 3.0,            # a, b with s
@@ -182,42 +193,56 @@ class TestMaxFlow:
         assert res.cut_capacity == 4.0
 
     def test_flow_cut_mismatch_raises_solver_error(self, monkeypatch):
-        net = graphcut.FlowNetwork(2, 0, 1)
-        net.add_arc(0, 1, 3.0)
         # a flow of 2 with only the source on its side: the cut carries 3
         monkeypatch.setattr(kernels, "dinic", lambda n, s, *args: (2.0, np.arange(n) == s))
         with pytest.raises(SolverError):
-            graphcut.max_flow(net)
+            graphcut.max_flow(2, 0, 1, [0], [1], [3.0])
 
     def test_negative_capacity_rejected(self):
-        net = graphcut.FlowNetwork(2, 0, 1)
         with pytest.raises(MalformedInputError):
-            net.add_arc(0, 1, -1.0)
+            graphcut.max_flow(2, 0, 1, [0], [1], [-1.0])
 
     @pytest.mark.parametrize("capacity", [math.nan, math.inf, -math.inf, -1.0, -1e-300,
                                           np.float64(-2.0), np.float64(np.nan),
                                           np.float64(np.inf)])
     def test_non_finite_or_negative_capacity_rejected(self, capacity):
-        net = graphcut.FlowNetwork(2, 0, 1)
         with pytest.raises(MalformedInputError):
-            net.add_arc(0, 1, capacity)
+            graphcut.max_flow(2, 0, 1, [0], [1], [capacity])
+        # also behind a valid arc
+        with pytest.raises(MalformedInputError):
+            graphcut.max_flow(3, 0, 2, [0, 1], [1, 2], [1.0, capacity])
 
     @pytest.mark.parametrize("capacity", [0.0, -0.0, 2, 1e308, np.float64(2.5), np.int64(3)])
     def test_finite_non_negative_capacity_accepted(self, capacity):
-        net = graphcut.FlowNetwork(2, 0, 1)
-        net.add_arc(0, 1, capacity)
-        assert graphcut.max_flow(net).flow == float(capacity)
+        assert graphcut.max_flow(2, 0, 1, [0], [1], [capacity]).flow == float(capacity)
+
+    @pytest.mark.parametrize("network", [
+        (2, 0, 0, [], [], []),                                # source is the sink
+        (1, 0, 0, [], [], []),                                # one node
+        (2, 0, 2, [], [], []),                                # sink out of range
+        (2, -1, 1, [], [], []),                               # source out of range
+        (3, 0, 2, [0, 1], [1], [1.0, 1.0]),                   # lengths differ
+        (3, 0, 2, [0, 1], [1, 2], [1.0]),
+        (3, 0, 2, [[0, 1]], [[1, 2]], [[1.0, 1.0]]),          # 2-D arrays
+        (3, 0, 2, 0, 1, 1.0),                                 # 0-D arrays
+        (3, 0, 2, [0, 1], [1, 1], [1.0, 1.0]),                # a self-loop
+        (3, 0, 2, [0, -1], [1, 2], [1.0, 1.0]),               # a tail out of range
+        (3, 0, 2, [0, 1], [1, 3], [1.0, 1.0]),                # a head out of range
+    ])
+    def test_malformed_network_rejected(self, network):
+        with pytest.raises(MalformedInputError):
+            graphcut.max_flow(*network)
 
     def test_duality_on_random_integer_networks(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             n = int(rng.integers(2, 15))
-            net = graphcut.FlowNetwork(n, 0, n - 1)
+            arcs = []
             for _ in range(int(rng.integers(1, 4 * n))):
                 u, v = rng.integers(0, n, size=2)
                 if u != v:
-                    net.add_arc(int(u), int(v), float(rng.integers(0, 20)))
-            res = graphcut.max_flow(net)
+                    arcs.append((int(u), int(v), float(rng.integers(0, 20))))
+            res = graphcut.max_flow(n, 0, n - 1, *arc_arrays(arcs))
             assert res.flow == res.cut_capacity  # exact for integer capacities
             assert res.source_side[0] and not res.source_side[n - 1]
 
@@ -228,33 +253,53 @@ class TestMaxFlow:
         n = data.draw(st.integers(2, 10))
         arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
                                             st.floats(0.0, 100.0)), max_size=4 * n))
-        net = graphcut.FlowNetwork(n, 0, n - 1)
-        for u, v, cap in arcs:
-            if u != v:
-                net.add_arc(u, v, cap)
-        res = graphcut.max_flow(net)
+        res = graphcut.max_flow(n, 0, n - 1, *arc_arrays([a for a in arcs if a[0] != a[1]]))
         side = res.source_side
         assert side[0] and not side[n - 1]
         cut = sum(cap for u, v, cap in arcs if u != v and side[u] and not side[v])
         assert res.flow == pytest.approx(cut, rel=1e-9, abs=1e-9)
         assert res.cut_capacity == pytest.approx(cut, rel=1e-9, abs=1e-9)
 
+    @settings(derandomize=True, deadline=None)
+    @given(st.data())
+    def test_dinic_gets_the_arcs_in_arc_order(self, data):
+        # Dinic must get the lists that appending the arcs one by one builds,
+        # so that it augments in the same order: the same flow bits, cut side
+        # and residual capacities
+        n = data.draw(st.integers(2, 10))
+        capacity = st.one_of(st.floats(0.0, 100.0), st.sampled_from([0.0, 1e-13, 1e-11, 1.0]))
+        arcs = [(u, v, cap) for u, v, cap in data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), capacity), max_size=5 * n))
+            if u != v]
+        seen = []
+        dinic = kernels.dinic
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "dinic", lambda *args: seen.append(args) or dinic(*args))
+            res = graphcut.max_flow(n, 0, n - 1, *arc_arrays(arcs))
+        adj, arc_to, cap = arc_lists(n, arcs)
+        flow, side = dinic(n, 0, n - 1, adj, arc_to, cap)
+        [(nodes, source, sink, got_adj, got_to, got_cap)] = seen
+        assert (nodes, source, sink, got_adj, got_to) == (n, 0, n - 1, adj, arc_to)
+        assert np.array(got_cap).tobytes() == np.array(cap).tobytes()
+        assert np.float64(res.flow).tobytes() == np.float64(flow).tobytes()
+        assert res.source_side.tolist() == side.tolist()
+
     def test_dinic_side_is_residual_reachability(self):
         rng = np.random.default_rng(47)
         for trial in range(200):
             n = int(rng.integers(2, 30))
-            net = graphcut.FlowNetwork(n, 0, n - 1)
+            arcs = []
             for _ in range(int(rng.integers(0, 5 * n))):
                 u, v = rng.integers(0, n, size=2)
                 if u != v:
                     # integer, float, and tiny capacities near the 1e-12 residual test
                     cap = [rng.integers(0, 20), rng.uniform(0.0, 10.0),
                            rng.choice([0.0, 1e-13, 1e-11, 1e-6, 1.0])][trial % 3]
-                    net.add_arc(int(u), int(v), float(cap))
-            cap = net._cap.copy()
-            flow, side = kernels.dinic(n, 0, n - 1, net._adj, net._to, cap)
-            assert side.tolist() == residual_source_side(net, cap).tolist()
-            assert flow == graphcut.max_flow(net).flow
+                    arcs.append((int(u), int(v), float(cap)))
+            adj, arc_to, cap = arc_lists(n, arcs)
+            flow, side = kernels.dinic(n, 0, n - 1, adj, arc_to, cap)
+            assert side.tolist() == residual_source_side(n, 0, arc_to, cap).tolist()
+            assert flow == graphcut.max_flow(n, 0, n - 1, *arc_arrays(arcs)).flow
 
 
 class TestScorer:
@@ -283,6 +328,54 @@ class TestScorer:
                 prob.positions(labeling)
         else:
             assert prob.positions(labeling).tolist() == expected
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.data())
+    def test_lowest_unary_and_labels_match_per_vertex(self, data):
+        # unaries from a few values, -0.0 and 0.0 among them, so that ties occur
+        prob = draw_problem(data, n_max=8, n_labels=6,
+                            energy=st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0]))
+        lowest = prob.lowest_unary()
+        assert lowest.tolist() == [int(np.argmin(un)) for un in prob.unary]
+        pos = np.array([data.draw(st.integers(0, c.size - 1)) for c in prob.candidates])
+        for p in (lowest, pos):
+            labels = prob.labels_of(p)
+            assert labels.dtype == np.int64
+            assert labels.tolist() == [int(cand[i]) for cand, i in zip(prob.candidates, p)]
+        for i, cand in enumerate(prob.candidates):
+            row = prob.label_positions[i]
+            assert row[np.searchsorted(prob.labels, cand)].tolist() == list(range(cand.size))
+            assert (row >= 0).sum() == cand.size
+
+    @pytest.mark.parametrize("candidates, unary, edges", [
+        ((), (), ()),                                                 # no vertex
+        ((np.array([0]),), (), ()),                                   # no unary
+        ((np.array([], dtype=np.int64),), (np.zeros(0),), ()),        # an empty set
+        ((np.array([[0, 1]]),), (np.zeros((1, 2)),), ()),             # a 2-D set
+        ((np.array([0, 1]), np.array([1, 0])), (np.zeros(2),) * 2, ()),    # descending
+        ((np.array([0, 1]), np.array([2, 2])), (np.zeros(2),) * 2, ()),    # repeated
+        ((np.array([0, 1]),), (np.zeros(3),), ()),                    # unary too long
+        ((np.array([0, 1]),), (np.array([0.0, np.nan]),), ()),        # unary non-finite
+        ((np.array([0]), np.array([1, 2])), (np.zeros(1), np.array([np.inf, 0.0])), ()),
+        ((np.array([0]), np.array([1])), (np.zeros(1),) * 2, ((0, 2, np.zeros((1, 1))),)),
+        ((np.array([0]), np.array([1])), (np.zeros(1),) * 2, ((-1, 1, np.zeros((1, 1))),)),
+        ((np.array([0]), np.array([1])), (np.zeros(1),) * 2, ((1, 1, np.zeros((1, 1))),)),
+        ((np.array([0]), np.array([1, 2])), (np.zeros(1), np.zeros(2)),
+         ((0, 1, np.zeros((2, 1))),)),                                # table shape
+        ((np.array([0]), np.array([1, 2])), (np.zeros(1), np.zeros(2)),
+         ((0, 1, np.zeros((1, 2))), (1, 0, np.array([[0.0], [np.nan]])))),  # table non-finite
+    ])
+    def test_malformed_problem_rejected(self, candidates, unary, edges):
+        with pytest.raises(MalformedInputError):
+            graphcut.LabelingProblem(candidates=candidates, unary=unary, edges=edges)
+
+    def test_candidates_may_fall_between_vertices(self):
+        # only each vertex's own set must ascend
+        cands = (np.array([3, 4]), np.array([0, 1, 2]), np.array([0]))
+        prob = graphcut.LabelingProblem(candidates=cands,
+                                        unary=tuple(np.zeros(c.size) for c in cands))
+        assert prob.label_positions.tolist() == [[-1, -1, -1, 0, 1], [0, 1, 2, -1, -1],
+                                                 [0, -1, -1, -1, -1]]
 
     def test_label_position_table(self):
         cands = (np.array([0, 2]), np.array([2, 5]), np.array([5]))
@@ -444,7 +537,7 @@ class TestExpansionMove:
         for g in gains:
             delta += g
         move, networks = built_move(graphcut._expansion_move, prob, pos, 1)
-        assert networks == [(3, 1, 2, [0, 1], np.array([delta, 0.0]).tobytes())]
+        assert networks == [(3, 1, 2, [1], [0], np.array([delta]).tobytes())]
         assert (move, networks) == built_move(reference_expansion_move, prob, pos, 1)
 
 
