@@ -7,13 +7,13 @@ success, 1 for solver errors, 2 for configuration errors, 3 for data errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, esvm, grouping, io, pipeline, synthgen
 from .core import Partition, Region, regions_of
@@ -35,13 +35,23 @@ def _inputs(args) -> tuple[io.Corpus, pipeline.Config, Path]:
     return corpus, config, out
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """scipy's version from its installed metadata, read once per process:
+    the package never imports ``scipy`` itself, and ``importlib.metadata``
+    (milliseconds to import, and each lookup scans the path) waits for the
+    first run-meta.json."""
+    from importlib import metadata
+    return metadata.version("scipy")
+
+
 def _run_meta(config: pipeline.Config, extra: dict) -> dict:
     return {
         "config": config.to_dict(),
         "versions": {
             "coparse": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
         },
         **extra,
     }

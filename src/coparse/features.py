@@ -100,14 +100,15 @@ def region_histogram(maps: ImageMaps, region_mask: np.ndarray) -> np.ndarray:
 
 def chi_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Chi-square distance 0.5 * sum (a-b)^2 / (a+b) over the last axis of
-    histograms broadcast against each other (``a[:, None], b[None]`` pairs
-    every row of a with every row of b); zero-denominator terms contribute 0.
-    Each distance sums its own contiguous row of terms, so it has the same
-    bits in any batch."""
+    non-negative histograms broadcast against each other (``a[:, None],
+    b[None]`` pairs every row of a with every row of b); a bin empty in both
+    contributes 0. Each distance sums its own contiguous row of terms, so it
+    has the same bits in any batch."""
     num = (a - b) ** 2
     den = a + b
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return 0.5 * terms.sum(axis=-1)
+    den += den == 0.0       # a bin empty in both: 0 / 1, in place
+    num /= den
+    return 0.5 * num.sum(axis=-1)
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -16,16 +16,17 @@ min(S) to the smallest node of each other component; on integer points that
 holds exactly when S lies in one region. Each structure is built once per
 instance: one arc index, both arcs of every pair sorted by (tail, head),
 and one HiGHS model holding the columns and every row. The short cycles
-are enumerated over the arc index, cycle and path rows look their pairs up
-in its sorted keys, and every Dijkstra round reads it as a CSR graph with
-that round's weights, so no round sorts anything. Cycle inequalities are
+are enumerated over the arc index and their rows look their pairs up in
+its sorted keys, so no round sorts anything. Cycle inequalities are
 separated lazily (short chordless cycles, enumerated once, first; then
 every edge whose cut weight exceeds its cheapest detour) and added to that
-model; a node's 0/1 fixings are column bounds. The detours come from one
-``csgraph.dijkstra`` call per round, run only from the candidate edges
-whose endpoints the pairs cheaper than the largest candidate cut weight
-join (``kernels.components``), so a round at a cycle-consistent integral
-point searches nothing. Each LP starts from the last one's basis, with the
+model; a node's 0/1 fixings are column bounds. The detours are searched
+only from the candidate edges whose endpoints the pairs cheaper than the
+largest candidate cut weight join (``kernels.components``), so a round at
+a cycle-consistent integral point searches nothing, and on the graph that
+the pairs of cut weight zero contract: a binary-heap Dijkstra over its few
+arcs, each path expanded inside a contracted component along the arc
+index's zero pairs. Each LP starts from the last one's basis, with the
 options ``linprog(method="highs")`` sets and a tighter dual feasibility
 tolerance. Every branch-and-bound node rounds its LP point to the connected
 components of the merged pairs (``kernels.components`` again, with no
@@ -60,16 +61,15 @@ reuses it, and one already imported is reused here.
 from __future__ import annotations
 
 import functools
+import heapq
 import importlib.machinery
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from . import kernels
 from .core import (ImageRecord, Partition, PropagationRecord, labels_under_mask,
@@ -81,11 +81,15 @@ ORACLE_MAX_NODES = 10
 
 def _load_highs():
     """scipy's HiGHS extension module, loaded from its file and registered
-    under its own name, or the module already registered there."""
+    under its own name, or the module already registered there. The file is
+    found from scipy's import spec, which does not import scipy."""
     name = "scipy.optimize._highspy._core"
     if name in sys.modules:
         return sys.modules[name]
-    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    package = importlib.util.find_spec("scipy")
+    if package is None:
+        raise ImportError("no module named 'scipy', whose HiGHS extension coparse loads")
+    folder = Path(package.origin).parent / "optimize" / "_highspy"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = folder / f"_core{suffix}"
         if path.is_file():
@@ -290,6 +294,27 @@ def _solve_highs(lp, cols: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     if status != highs.HighsModelStatus.kOptimal:
         return status, None, None
     return status, lp.getInfo().objective_function_value, np.array(lp.getSolution().col_value)
+
+
+def _dijkstra(out: dict[int, list], source: int) -> tuple[dict, dict]:
+    """Shortest distances from ``source`` over the arcs ``out[node]``, each
+    ``(length, head, pair, tail node, head node)``, and the arc into each
+    node reached as ``(pair, tail node, head node)``. A distance adds
+    the lengths in path order from 0.0, the least such sum over all paths.
+    Each node is settled once, from a binary heap."""
+    dist, into = {source: 0.0}, {}
+    heap, settled = [(0.0, source)], set()
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        for length, head, pair, a, b in out.get(node, ()):
+            if d + length < dist.get(head, math.inf):
+                dist[head] = d + length
+                into[head] = (pair, a, b)
+                heapq.heappush(heap, (d + length, head))
+    return dist, into
 
 
 class _MulticutSolver:
@@ -555,12 +580,19 @@ class _MulticutSolver:
         with it. Every pair on such a path has y below y_e - tol, so only
         an edge whose endpoints those cheap pairs join can close one:
         ``kernels.components`` over the pairs below the largest candidate's
-        y_e - tol drops the rest, and one Dijkstra call serves the sources
-        left, if any. Dijkstra computes each source's row on its own, so
-        those rows, and the rows added, are those a search from every
-        candidate's source would give. The graph is the arc index with
-        each arc weighted by its pair's y; a stored zero is an arc of
-        length zero to ``csgraph.dijkstra``.
+        y_e - tol drops the rest, so a cycle-consistent integral point
+        searches nothing.
+
+        A path's length is the sum of its non-zero y in path order, so the
+        search runs on the graph that the pairs with y = 0 contract (at a
+        rounded x, every pair with y <= tol): its nodes are the components
+        of those pairs, its arcs the cheap non-zero pairs between two of
+        them, a handful where a cycle row is still missing. ``_dijkstra``
+        gives that graph's distances, those of the full graph bit for bit
+        wherever a row is added, once per source component, in candidate
+        order. A path is expanded inside each component it crosses along
+        zero pairs, breadth first over the arc index; any such path gives an
+        equally violated row.
         """
         added = 0
         tol = self.SEPARATION_TOL
@@ -569,26 +601,57 @@ class _MulticutSolver:
         if candidates.size == 0:
             return 0
         n = self.instance.node_count
-        cheap = self._pair_array[y < y[candidates].max() - tol]
-        component = kernels.components(n, cheap[:, 0], cheap[:, 1])
-        src, dst = self._pair_array[candidates].T
+        u, v = self._pair_array.T
+        cheap = y < y[candidates].max() - tol
+        component = kernels.components(n, u[cheap], v[cheap])
+        src, dst = u[candidates], v[candidates]
         joined = component[src] == component[dst]
         if not joined.any():
             return 0
         candidates, src, dst = candidates[joined], src[joined], dst[joined]
-        sources = np.unique(src)
-        graph = sparse.csr_array((y[self._arc_pair], self._arc_head, self._arc_ptr),
-                                 shape=(n, n))
-        dist, pred = csgraph.dijkstra(graph, indices=sources, return_predecessors=True)
-        rows = np.searchsorted(sources, src)
-        violated = dist[rows, dst] < y[candidates] - tol
-        for e_idx, row, node in zip(candidates[violated], rows[violated], dst[violated]):
-            path = [node]
-            while pred[row, node] >= 0:
-                node = pred[row, node]
-                path.append(node)
-            path = np.array(path, dtype=np.int64)
-            if self._add_row(int(e_idx), self._pair_of(path[1:], path[:-1]).tolist()):
+        zero = y == 0.0
+        block = kernels.components(n, u[zero], v[zero])
+        arcs = np.flatnonzero(cheap & ~zero & (block[u] != block[v]))
+        block, zero, weight = block.tolist(), zero.tolist(), y.tolist()
+        out: dict[int, list] = {}       # block -> [(length, head block, pair, tail, head)]
+        for p, a, b in zip(arcs.tolist(), u[arcs].tolist(), v[arcs].tolist()):
+            out.setdefault(block[a], []).append((weight[p], block[b], p, a, b))
+            out.setdefault(block[b], []).append((weight[p], block[a], p, b, a))
+        ptr, head, pair = (self._arc_ptr.tolist(), self._arc_head.tolist(),
+                           self._arc_pair.tolist())
+
+        def zero_path(start: int, goal: int) -> list[int]:
+            """The pairs of a path of zero pairs from start to goal, goal first."""
+            into = {start: None}
+            queue = [start]
+            for node in queue:
+                if node == goal:
+                    break
+                for i in range(ptr[node], ptr[node + 1]):
+                    if zero[pair[i]] and head[i] not in into:
+                        into[head[i]] = (node, pair[i])
+                        queue.append(head[i])
+            pairs = []
+            while goal != start:
+                goal, p = into[goal]
+                pairs.append(p)
+            return pairs
+
+        searched: dict[int, tuple[dict, dict]] = {}
+        for e, s, t in zip(candidates.tolist(), src.tolist(), dst.tolist()):
+            source = block[s]
+            if source not in searched:
+                searched[source] = _dijkstra(out, source)
+            dist, into = searched[source]
+            if not dist.get(block[t], math.inf) < weight[e] - tol:
+                continue
+            others, node = [], t
+            while block[node] != source:
+                p, a, b = into[block[node]]
+                others += zero_path(b, node) + [p]
+                node = a
+            others += zero_path(s, node)
+            if self._add_row(e, others):
                 added += 1
             if added >= 50:
                 break

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.linalg
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +74,18 @@ def score_windows(blocks, win_by, win_bx, wvec, step):
 
 def _newton_step(q, g, free):
     """The Newton step -Q_FF^-1 g_F on the free variables, zero elsewhere,
-    and whether Q_FF was positive definite; where it is not, the
-    least-squares solution of Q_FF d_F = -g_F."""
+    and whether it is exact: Q_FF positive definite and nonsingular to LU.
+    Otherwise the step is the least-squares solution of Q_FF d_F = -g_F.
+
+    The upper Cholesky factorization, the one ``scipy.linalg.cho_factor``
+    makes, only tests positive definiteness; one LU solve takes the step.
+    A rank-deficient block can pass that test by rounding and still leave
+    LU an exact zero pivot."""
     d = np.zeros(g.size)
     qf, gf = q[np.ix_(free, free)], g[free]
     try:
-        d[free] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(qf, check_finite=False),
-                                         -gf, check_finite=False)
+        np.linalg.cholesky(qf, upper=True)
+        d[free] = np.linalg.solve(qf, -gf)
         return d, True
     except np.linalg.LinAlgError:
         d[free] = np.linalg.lstsq(qf, -gf, rcond=None)[0]

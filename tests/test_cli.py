@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -578,6 +579,7 @@ class TestPhasedCommands:
         meta = json.loads((out / "run-meta.json").read_text())
         assert set(meta) == {"config", "versions"} | PHASE2_KEYS
         assert meta["config"]["seed"] == 0 and "numpy" in meta["versions"]
+        assert meta["versions"]["scipy"] == scipy.__version__
         assert meta["phase2_sweeps"] >= 1 and meta["phase2_overruled_vertices"] >= 0
         assert meta["phase2_exterior_edges"] > 0
         corpus = io.load_corpus(manifest)

@@ -187,6 +187,23 @@ class TestChiSquare:
                 plain = sum(0.5 * (x - y) ** 2 / (x + y) for x, y in zip(a[i], b[j]) if x + y > 0)
                 assert matrix[i, j] == pytest.approx(plain, rel=1e-12)
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 6),
+           st.floats(0.0, 0.9))
+    def test_bits_equal_the_zero_buffer_formula(self, seed, rows_a, rows_b, empty):
+        # histograms with empty bins, the first ten empty in every one, so
+        # that many terms take the zero-denominator branch
+        rng = np.random.default_rng(seed)
+        a = rng.dirichlet(np.full(40, 0.3), size=rows_a)
+        b = rng.dirichlet(np.full(40, 0.3), size=rows_b)
+        a[rng.uniform(size=a.shape) < empty] = 0.0
+        b[rng.uniform(size=b.shape) < empty] = 0.0
+        a[:, :10] = b[:, :10] = 0.0
+        for x, y in ((a[:, None], b[None]), (a[0], b[0])):
+            num, den = (x - y) ** 2, x + y
+            old = 0.5 * np.divide(num, den, out=np.zeros_like(num), where=den > 0).sum(axis=-1)
+            assert features.chi_square(x, y).tobytes() == old.tobytes()
+
 
 class TestHog:
     def test_constant_patch_all_zero(self):

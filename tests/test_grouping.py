@@ -959,9 +959,10 @@ def arc_graph(node_count, pairs, weights):
 
 
 def paths_reference(solver, x):
-    """The rows ``_separate_paths`` adds to a fresh solver, found with Dijkstra
-    from the source of every candidate edge: (columns, coefficients, rhs)
-    per row in row order, the columns sorted, and the sources searched."""
+    """The rows ``_separate_paths`` adds to a fresh solver, found with
+    Dijkstra from the source of every candidate edge: each violated
+    candidate in candidate order, at most 50, with the distance between its
+    endpoints; and the sources searched."""
     tol = solver.SEPARATION_TOL
     y = np.clip(1.0 - x[:solver.n_pairs], 0.0, None)
     candidates = np.flatnonzero(y > tol)
@@ -969,22 +970,32 @@ def paths_reference(solver, x):
     sources = np.unique(src)
     if sources.size == 0:
         return [], 0
-    dist, pred = DIJKSTRA(arc_graph(solver.instance.node_count, solver._pair_array, y),
-                          indices=sources, return_predecessors=True)
+    dist = DIJKSTRA(arc_graph(solver.instance.node_count, solver._pair_array, y),
+                    indices=sources)
     rows = []
     for e, a, b in zip(candidates.tolist(), src.tolist(), dst.tolist()):
-        r = int(np.searchsorted(sources, a))
-        if not dist[r, b] < y[e] - tol:
-            continue
-        path = [b]
-        while pred[r, path[-1]] >= 0:
-            path.append(int(pred[r, path[-1]]))
-        others = solver._pair_of(np.array(path[1:]), np.array(path[:-1])).tolist()
-        coef = {e: -1.0, **{o: 1.0 for o in others}}
-        rows.append((sorted(coef), [coef[c] for c in sorted(coef)], float(len(others) - 1)))
+        d = dist[int(np.searchsorted(sources, a)), b]
+        if d < y[e] - tol:
+            rows.append((e, d))
         if len(rows) == 50:
             break
     return rows, sources.size
+
+
+def path_from(pairs, path, start):
+    """The pairs ``path`` in the order of a simple path from ``start`` that
+    uses each once, and the node where it ends."""
+    left, node, seen, order = set(path), start, {start}, []
+    while left:
+        step = [p for p in left if node in pairs[p]]
+        assert len(step) == 1
+        left.remove(step[0])
+        order.append(step[0])
+        u, v = pairs[step[0]].tolist()
+        node = v if node == u else u
+        assert node not in seen
+        seen.add(node)
+    return order, node
 
 
 def tied_point(rng, size):
@@ -994,16 +1005,20 @@ def tied_point(rng, size):
 
 
 class TestPathSourceFilter:
-    """Dijkstra runs only from sources whose edge the cheap pairs can close,
-    and the rows added are those of a search from every candidate's source."""
+    """Shortest paths are searched only from the sources whose edge the cheap
+    pairs can close, and the rows added are those of a search from every
+    candidate's source: the same edges, each closed by a path as long as
+    ``csgraph.dijkstra``'s, bit for bit. Which shortest path closes it may
+    differ, since zero cut weights tie many."""
 
     def count_searches(self, monkeypatch):
         searched = []
+        search = grouping._dijkstra
 
-        def counting(graph, **kwargs):
-            searched.append(len(kwargs["indices"]))
-            return DIJKSTRA(graph, **kwargs)
-        monkeypatch.setattr(grouping.csgraph, "dijkstra", counting)
+        def counting(out, source):
+            searched.append(source)
+            return search(out, source)
+        monkeypatch.setattr(grouping, "_dijkstra", counting)
         return searched
 
     def test_rows_match_search_from_every_source(self, monkeypatch):
@@ -1022,15 +1037,26 @@ class TestPathSourceFilter:
             first = solver._lp.getNumRow()
             added = solver._separate_paths(x)
             a, rhs = model_rows(solver)
-            rows = [(a.indices[a.indptr[r]:a.indptr[r + 1]].tolist(),
-                     a.data[a.indptr[r]:a.indptr[r + 1]].tolist(), float(rhs[r]))
-                    for r in range(first, rhs.size)]
-            assert added == len(rows)
-            assert rows == reference
+            assert added == rhs.size - first == len(reference)
+            y = np.clip(1.0 - x[:solver.n_pairs], 0.0, None)
+            for r, (e, dist) in zip(range(first, rhs.size), reference):
+                coef = dict(zip(a.indices[a.indptr[r]:a.indptr[r + 1]].tolist(),
+                                a.data[a.indptr[r]:a.indptr[r + 1]].tolist()))
+                # the row x_e >= sum(path) - (len(path) - 1) of the edge
+                # the reference takes here
+                assert coef.pop(e) == -1.0
+                assert set(coef.values()) == {1.0} and rhs[r] == len(coef) - 1
+                u, v = solver._pair_array[e].tolist()
+                order, end = path_from(solver._pair_array, list(coef), u)
+                assert end == v
+                length = 0.0
+                for pair in order:
+                    length += y[pair]
+                assert length == dist
             total_rows += added
             reference_sources += sources
         assert total_rows > 300
-        assert sum(searched) < reference_sources
+        assert len(searched) < reference_sources
 
     def test_no_search_at_a_cycle_consistent_integral_point(self, monkeypatch):
         searched = self.count_searches(monkeypatch)
@@ -1049,7 +1075,7 @@ class TestPathSourceFilter:
             node_count=5, edges=((0, 1, 1), (1, 2, 0), (2, 3, 0), (3, 4, 0), (0, 4, 0)))
         assert grouping._MulticutSolver(inst, 0.5)._separate_paths(
             np.array([0.0, 1.0, 1.0, 1.0, 1.0])) == 1
-        assert searched == [1]
+        assert len(searched) == 1
 
 
 class TestInstanceForImage:

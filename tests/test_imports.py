@@ -2,6 +2,7 @@
 sets, and the numpy code that stands in for the scipy routines the package
 no longer imports, checked against those routines."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,12 +10,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage, special
 
 import coparse
-from coparse import esvm
+from coparse import esvm, grouping
 from coparse.core import Partition, dilate, label_components, regions_of
 
 from conftest import make_image
@@ -26,10 +28,12 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 import coparse.cli
 absent = [m for m in ("scipy.optimize", "scipy.ndimage", "scipy.special") if m not in sys.modules]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from scipy.optimize import linprog
 res = linprog([-1.0, -2.0], A_ub=[[1.0, 1.0]], b_ub=[3.0], bounds=[(0, 2), (0, 2)])
 same = sys.modules["scipy.optimize._highspy._core"] is coparse.grouping.highs
-print(json.dumps({"absent": absent, "status": res.status, "fun": res.fun, "same": same}))
+print(json.dumps({"absent": absent, "loaded": loaded, "status": res.status, "fun": res.fun,
+                  "same": same}))
 """
 
 OPTIMIZE_FIRST = """
@@ -61,12 +65,24 @@ class TestImports:
     def test_cli_loads_no_optimize_ndimage_or_special(self):
         doc = json.loads(_run(CLI_FIRST))
         assert doc["absent"] == ["scipy.optimize", "scipy.ndimage", "scipy.special"]
+        # nothing of scipy but its HiGHS extension: not the package itself,
+        # nor linalg, sparse or the _lib layer they load
+        assert not {"scipy", "scipy.linalg", "scipy.sparse", "scipy._lib"} & set(doc["loaded"])
+        core = "scipy.optimize._highspy._core"
+        assert core in doc["loaded"]
+        assert all(m == core or m.startswith(core + ".") for m in doc["loaded"])
         # linprog still solves on the HiGHS module coparse loaded
         assert doc["status"] == 0 and doc["fun"] == -5.0
         assert doc["same"] is True
 
     def test_grouping_reuses_a_loaded_highs_module(self):
         assert _run(OPTIMIZE_FIRST).strip() == "True"
+
+    def test_missing_scipy_raises_import_error(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="scipy"):
+            grouping._load_highs()
 
     def test_import_caps_blas_threads_unless_set(self):
         env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -205,6 +206,61 @@ class TestSolveBoxQP:
         alpha, gap = kernels.solve_box_qp(x @ x.T, np.array([0.1, 10.0]))
         assert alpha == pytest.approx([0.1, 0.25], abs=1e-9)
         assert gap <= 1e-9
+
+
+class TestNewtonStep:
+    """``_newton_step`` against scipy's Cholesky solve, which it replaced."""
+
+    @staticmethod
+    def reference(q, g, free):
+        qf, gf = q[np.ix_(free, free)], g[free]
+        try:
+            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(qf), -gf), True
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(qf, -gf, rcond=None)[0], False
+
+    @staticmethod
+    def gram_block(seed, rows, dim):
+        """A signed Gram matrix of ``rows`` random rows in ``dim`` dimensions,
+        a gradient and a free set of at least one variable."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, dim)) * rng.uniform(0.1, 3.0)
+        y = rng.choice([-1.0, 1.0], size=rows)
+        free = rng.uniform(size=rows) < 0.8
+        free[rng.integers(0, rows)] = True
+        return (x @ x.T) * np.outer(y, y), rng.standard_normal(rows), free
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(0, 30))
+    def test_matches_cho_solve_on_positive_definite_blocks(self, seed, rows, extra):
+        # twice as many dimensions as rows, and more, keep the block well
+        # conditioned
+        q, g, free = self.gram_block(seed, rows, 2 * rows + 2 + extra)
+        d, exact = kernels._newton_step(q, g, free)
+        reference, reference_exact = self.reference(q, g, free)
+        assert exact and reference_exact
+        assert (d[~free] == 0.0).all()
+        np.testing.assert_allclose(d[free], reference, rtol=1e-10, atol=0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.integers(1, 29))
+    def test_positive_definiteness_flag_matches_on_rank_deficient_blocks(self, seed, rows, dim):
+        q, g, free = self.gram_block(seed, rows, min(dim, rows - 1))
+        d, exact = kernels._newton_step(q, g, free)
+        reference, reference_exact = self.reference(q, g, free)
+        qf = q[np.ix_(free, free)]
+        try:
+            np.linalg.solve(qf, -g[free])
+            lu_solves = True
+        except np.linalg.LinAlgError:
+            lu_solves = False
+        # positive definite only by rounding, a block can leave LU an exact
+        # zero pivot: then the step is not exact, whatever Cholesky says
+        assert exact == (reference_exact and lu_solves)
+        if not exact:
+            lstsq = np.linalg.lstsq(qf, -g[free], rcond=None)[0]
+            assert d[free].tobytes() == lstsq.tobytes()
+        assert (d[~free] == 0.0).all()
 
 
 class TestScoreWindows:
