@@ -33,22 +33,13 @@ components of the merged pairs (``kernels.components`` again, with no
 sparse matrix), scores that partition as its candidate, and branches while
 the relaxation stays fractional (Kappes et al., EMMCVPR 2011).
 
-Ties between optima are broken by the instance alone: each pair's cost is
-perturbed by a tiny amount of fixed sign and distinct size (Charnes,
-Econometrica 1952), up for a contour edge, which a tie keeps cut, and down
-for every other pair, which a tie merges. Every LP then has one optimum,
-which a warm and a cold solve both reach, and every decision reads x
-rounded to 1e-6. The search stays exact: candidates are scored at the true
-weights, nodes are pruned on the perturbed LP's value less the most the
-perturbation can add, and a node whose perturbed optimum is integral closes
-only once it is shown to hold nothing better than the incumbent: by that
-bound; by a certificate read from the perturbed optimum's basis, whose
-duals under the true costs (one ``getBasisTransposeSolve`` of the
-perturbation of the basic columns, and A^T of that from the solver's own
-record of the rows) are feasible, so that the true costs' LP would stop
-at the same x; or, failing both, by the true costs' LP itself. Instances
-small enough for the exhaustive oracle are therefore solved to proven
-optimality.
+Every LP is solved at the true costs. A node whose LP optimum is integral
+is exact: its LP value is the objective of its rounded partition, so it
+closes. Of several tied optima the search keeps the first it rounds; which
+one that is depends on the rows separation added, so ties between optima
+are left to the caller: Phase I keeps an image's previous partition when
+the new optimum ties it (``pipeline._group_all``). Instances small enough
+for the exhaustive oracle are solved to proven optimality.
 
 The model is scipy's bundled HiGHS binding, the extension module
 ``scipy.optimize._highspy._core``, loaded straight from its file: importing
@@ -60,7 +51,6 @@ reuses it, and one already imported is reused here.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import importlib.machinery
 import importlib.util
@@ -155,7 +145,6 @@ class MulticutSolution:
     objective: float
     mask_active: tuple[bool, ...]
     lp_solves: int = 0                 # LPs the cutting-plane solver ran
-    true_cost_lps: int = 0             # of those, the true costs' LPs at integral nodes
     nodes: int = 0                     # branch-and-bound nodes it explored
     cuts: int = 0                      # cycle rows separation added to the LP
     proven_optimal: bool = True        # false when NODE_CAP left nodes unexplored
@@ -257,7 +246,8 @@ def brute_force_multicut(instance: MulticutInstance, theta: float) -> MulticutSo
 # ---------------------------------------------------------------------------
 
 # linprog(method="highs")'s settings (presolve on, dual simplex, no output),
-# with a dual feasibility tolerance well below the smallest cost perturbation
+# with a dual feasibility tolerance below HiGHS's default 1e-7, at which a
+# mask reward 2e-8 or 1e-7 above its cut's cost is not found to pay
 _HIGHS_OPTIONS = highs.HighsOptions()
 _HIGHS_OPTIONS.presolve = "on"
 _HIGHS_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -265,22 +255,12 @@ _HIGHS_OPTIONS.dual_feasibility_tolerance = 1e-9
 _HIGHS_OPTIONS.output_flag = False
 _HIGHS_OPTIONS.log_to_console = False
 _HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
-_PRIMAL_SIMPLEX = highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
 
 
 def _check_edit(status) -> None:
     """Raise ``SolverError`` when HiGHS refused a model edit."""
     if status == highs.HighsStatus.kError:
         raise SolverError("HiGHS refused an edit of the multicut LP")
-
-
-@functools.cache
-def _tie_draws(seed: int, count: int) -> np.ndarray:
-    """``count`` uniform draws of a generator seeded with ``seed``, built
-    once per pair count and read-only."""
-    draws = np.random.default_rng(seed).random(count)
-    draws.flags.writeable = False
-    return draws
 
 
 def _solve_highs(lp, cols: np.ndarray, lower: np.ndarray, upper: np.ndarray):
@@ -322,8 +302,6 @@ class _MulticutSolver:
     DECISION_DIGITS = 6       # x is rounded to 1e-6 before any decision reads it
     SEPARATION_TOL = 1e-7
     PRUNE_SLACK = 1e-8
-    PERTURBATION = 1e-5       # a pair's cost moves by PERTURBATION * (1 + d + u_p)
-    PERTURBATION_SEED = 0x7E5
     NODE_CAP = 500
     ROOT_ROUNDS = 50
     CHILD_ROUNDS = 10
@@ -367,39 +345,23 @@ class _MulticutSolver:
         self._arc_head = np.concatenate([v, u])[arc_order]
         self._arc_pair = np.tile(np.arange(self.n_pairs), 2)[arc_order]
         self._arc_ptr = np.searchsorted(self._arc_keys, np.arange(n + 1) * n)
-        self._cost = np.concatenate([edge_w, np.zeros(self.n_pairs - edge_w.size), -mask_h])
-        # the tie rule: each pair's cost moves by a distinct tiny amount,
-        # up for a contour edge (d - theta > 0), so that a tie keeps it cut,
-        # and down for every other pair, so that a tie merges it. A contour
-        # edge's amount exceeds every other pair's, so a tie between cutting
-        # it and cutting another pair of its cycle keeps it cut. Every LP
-        # then has one optimum, which any starting basis reaches.
-        contour = np.concatenate([edge_w > 0, np.zeros(self.n_pairs - edge_w.size, dtype=bool)])
-        size = self.PERTURBATION * (1.0 + contour
-                                    + _tie_draws(self.PERTURBATION_SEED, self.n_pairs))
-        self._eps = np.concatenate([np.where(contour, size, -size), np.zeros(self.n_masks)])
-        # the most the perturbation adds to the objective of any point
-        self._max_perturbation = float(size[contour].sum())
+        cost = np.concatenate([edge_w, np.zeros(self.n_pairs - edge_w.size), -mask_h])
         # one HiGHS model per instance: its columns and the mask rows are
         # added here, each cycle row as separation finds it; every LP starts
         # from the last one's basis
         self._lp = highs._Highs()
         self._lp.passOptions(_HIGHS_OPTIONS)
-        n_vars = self._cost.size
+        n_vars = cost.size
         _check_edit(self._lp.addVars(n_vars, np.zeros(n_vars), np.ones(n_vars)))
-        self._set_costs(self._cost + self._eps)
+        _check_edit(self._lp.changeColsCost(n_vars, np.arange(n_vars, dtype=np.int32), cost))
         self._lower, self._upper = np.zeros(n_vars), np.ones(n_vars)
         cols = np.array([(self.n_pairs + c, var) for c, var in mask_rows], dtype=np.int32).ravel()
         vals = np.tile([1.0, -1.0], len(mask_rows))
         _check_edit(self._lp.addRows(len(mask_rows), np.full(len(mask_rows), -np.inf),
                                      np.zeros(len(mask_rows)), cols.size,
                                      np.arange(0, cols.size, 2, dtype=np.int32), cols, vals))
-        # the model's rows as (row, column, coefficient) entries, for the
-        # certificate's A^T delta: HiGHS's getLp() copies the whole model
-        self._entry_rows = np.repeat(np.arange(len(mask_rows)), 2).tolist()
-        self._entry_cols, self._entry_vals = cols.tolist(), vals.tolist()
         # search counters; proven_optimal turns false when NODE_CAP stops it
-        self.lp_solves = self.nodes = self.true_cost_lps = 0
+        self.lp_solves = self.nodes = 0
         self.proven_optimal = True
         self._row_keys: set = set()      # one key per cycle row added
         self._triangles, self._quads = self._enumerate_short_cycles()
@@ -452,16 +414,11 @@ class _MulticutSolver:
 
     # -- LP ------------------------------------------------------------------
 
-    def _set_costs(self, cost: np.ndarray) -> None:
-        _check_edit(self._lp.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32),
-                                            cost))
-
     def _solve_lp(self, fixed: dict[int, int]):
         """(objective, x) of the LP with ``fixed`` variables held at their
-        0/1 values, at the model's current costs, or None when those
-        fixings make it infeasible. x comes rounded to ``DECISION_DIGITS``,
-        so that a vertex reached from two bases gives every decision the
-        same input."""
+        0/1 values, or None when those fixings make it infeasible. x comes
+        rounded to ``DECISION_DIGITS``, so that a vertex reached from two
+        bases gives every decision the same input."""
         lower, upper = np.zeros(self._lower.size), np.ones(self._upper.size)
         for var, val in fixed.items():
             lower[var] = upper[var] = val
@@ -475,68 +432,6 @@ class _MulticutSolver:
             raise SolverError(f"LP solver failed with HiGHS model status {status.name}")
         return fun, np.round(x, self.DECISION_DIGITS)
 
-    def _solve_unperturbed_lp(self, fixed: dict[int, int]):
-        """``_solve_lp`` of the node just solved, under the true costs, by
-        primal simplex from the perturbed optimum's basis, which stays
-        primal feasible. The perturbed costs, the dual simplex and that
-        basis come back after, so the next LP starts dual feasible: dual
-        simplex from the other costs' optimum can end in HiGHS's status
-        Unknown."""
-        self.true_cost_lps += 1
-        basis = self._lp.getBasis()
-        self._set_costs(self._cost)
-        _check_edit(self._lp.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX))
-        lp = self._solve_lp(fixed)
-        _check_edit(self._lp.setOptionValue("simplex_strategy", _HIGHS_OPTIONS.simplex_strategy))
-        self._set_costs(self._cost + self._eps)
-        _check_edit(self._lp.setBasis(basis))
-        return lp
-
-    def _true_duals(self):
-        """The row duals and reduced costs of the perturbed optimum's basis
-        under the true costs, or None when HiGHS gives no basis.
-
-        The costs move by -eps, so the basic columns' duals move by delta,
-        the solution of B^T delta = eps_B (eps of each basic column, 0 for
-        a basic row): the row duals become ``row_dual - delta`` and the
-        reduced costs ``col_dual - eps + A^T delta``, A^T delta summed over
-        the solver's own record of the rows.
-        """
-        status, basic = self._lp.getBasicVariables()
-        if status != highs.HighsStatus.kOk:
-            return None
-        delta = np.zeros(0)
-        if basic.size:
-            status, delta = self._lp.getBasisTransposeSolve(
-                np.where(basic >= 0, self._eps[np.maximum(basic, 0)], 0.0))
-            if status != highs.HighsStatus.kOk:
-                return None
-        solution = self._lp.getSolution()
-        rows = np.array(self._entry_rows, dtype=np.int64)
-        a_t_delta = np.bincount(np.array(self._entry_cols, dtype=np.int64),
-                                weights=np.array(self._entry_vals) * delta[rows],
-                                minlength=self._eps.size)
-        return (np.array(solution.row_dual) - delta,
-                np.array(solution.col_dual) - self._eps + a_t_delta)
-
-    def _certified(self, x: np.ndarray) -> bool:
-        """Whether the basis of the LP just solved, whose rounded optimum is
-        ``x``, is optimal under the true costs too, at the model's dual
-        feasibility tolerance: every row dual at most tol (every row is a
-        <= row), and every unfixed column's reduced cost at least -tol at
-        0, at most tol at 1 and within tol of 0 in between. The true costs'
-        LP from that basis would then stop at once, at the same x."""
-        duals = self._true_duals()
-        if duals is None:
-            return False
-        row_dual, reduced = duals
-        tol = _HIGHS_OPTIONS.dual_feasibility_tolerance
-        if (row_dual > tol).any():
-            return False
-        optimal = np.where(x == 0.0, reduced >= -tol,
-                           np.where(x == 1.0, reduced <= tol, np.abs(reduced) <= tol))
-        return bool(optimal[self._lower != self._upper].all())
-
     # -- separation ----------------------------------------------------------
 
     def _add_row(self, chosen: int, others: list[int]) -> bool:
@@ -546,9 +441,6 @@ class _MulticutSolver:
             return False
         self._row_keys.add(key)
         cols, vals = [chosen] + others, [-1.0] + [1.0] * len(others)
-        self._entry_rows += [self._lp.getNumRow()] * len(cols)
-        self._entry_cols += cols
-        self._entry_vals += vals
         _check_edit(self._lp.addRow(-np.inf, float(len(others) - 1), len(cols),
                                     np.array(cols, dtype=np.int32), np.array(vals)))
         return True
@@ -668,12 +560,12 @@ class _MulticutSolver:
         assign = kernels.components(self.instance.node_count, u, v)
         return assign, kernels.multicut_objectives(assign[:, None], *self._arrays)[0]
 
-    def _branch_var(self, x: np.ndarray, fixed: dict[int, int], among: np.ndarray):
-        """The unfixed pair in the mask ``among`` whose x lies nearest 0.5, the
-        first in pair order on ties, or None."""
+    def _branch_var(self, x: np.ndarray, fixed: dict[int, int]):
+        """The unfixed fractional pair whose x lies nearest 0.5, the first in
+        pair order on ties, or None when every pair is integral."""
         frac = np.abs(x[:self.n_pairs] - 0.5)
         return next((int(i) for i in np.argsort(frac, kind="stable")
-                     if among[i] and int(i) not in fixed), None)
+                     if frac[i] < 0.5 - self.INTEGRALITY_TOL and int(i) not in fixed), None)
 
     # -- branch and cut --------------------------------------------------------
 
@@ -700,34 +592,13 @@ class _MulticutSolver:
             cand, cand_obj = self._round(x)
             if cand_obj < best_obj - 1e-12:
                 best_obj, best_assign = cand_obj, cand
-            # the perturbed LP's value less the most the perturbation adds
-            # bounds the true objective of every point in the node
-            bound = obj - self._max_perturbation
-            if bound >= best_obj + self.PRUNE_SLACK:
+            if obj >= best_obj + self.PRUNE_SLACK:
                 continue
-            branch_var = self._branch_var(x, fixed, np.abs(x[:self.n_pairs] - 0.5)
-                                          < 0.5 - self.INTEGRALITY_TOL)
+            branch_var = self._branch_var(x, fixed)
             if branch_var is None:
-                # x is integral, the optimum under the perturbed costs.
-                # Unless the bound shows that nothing in the node beats the
-                # incumbent, or the basis is optimal under the true costs
-                # too, the true costs' LP decides; when a true gap smaller
-                # than the perturbation hid a better point, the node
-                # branches on a pair where the two optima differ.
-                if bound >= best_obj - self.PRUNE_SLACK or self._certified(x):
-                    continue
-                true_obj, true_x = self._solve_unperturbed_lp(fixed)
-                differ = true_x[:self.n_pairs] != x[:self.n_pairs]
-                if differ.any():
-                    cand, cand_obj = self._round(true_x)
-                    if cand_obj < best_obj - 1e-12:
-                        best_obj, best_assign = cand_obj, cand
-                if true_obj >= best_obj - self.PRUNE_SLACK:
-                    continue
-                branch_var = self._branch_var(true_x, fixed, differ)
-                if branch_var is None:
-                    continue
-                x = true_x
+                # x is integral, so no point in the node beats its LP value,
+                # the objective of the partition it rounds to
+                continue
             first = int(x[branch_var] >= 0.5)   # the nearer value is explored first
             stack.append({**fixed, branch_var: 1 - first})
             stack.append({**fixed, branch_var: first})
@@ -750,6 +621,6 @@ def solve_multicut(instance: MulticutInstance, theta: float) -> MulticutSolution
         partition=partition,
         objective=objective,
         mask_active=_mask_active(instance, partition.assignment),
-        lp_solves=solver.lp_solves, true_cost_lps=solver.true_cost_lps, nodes=solver.nodes,
+        lp_solves=solver.lp_solves, nodes=solver.nodes,
         cuts=len(solver._row_keys),
         proven_optimal=solver.proven_optimal)

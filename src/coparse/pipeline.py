@@ -74,12 +74,20 @@ class Config:
                               f"exemplar must be finite, got lambda2 = {self.lambda2}")
         if self.k_top < 0 or self.stride < 1 or self.n_sel < 0:
             raise ConfigError("k_top/n_sel must be >= 0 and stride >= 1")
+        # detection places its windows at int64 pixel offsets, multiples of the stride
+        if self.stride > np.iinfo(np.int64).max:
+            raise ConfigError(f"stride must be at most {np.iinfo(np.int64).max}, "
+                              f"got {self.stride}")
         if not self.scales or any(not 0 < s <= MAX_SCALE for s in self.scales):
             raise ConfigError(f"scales must be positive and at most {MAX_SCALE}")
         if not 0.0 <= self.a_min < self.a_max <= 1.0:
             raise ConfigError("need 0 <= a_min < a_max <= 1")
         if self.tau_sel < 0 or self.e_max <= 0 or self.beta_pair < 0:
             raise ConfigError("tau_sel/e_max/beta_pair out of range")
+        # Phase II's energies and expansion arcs sum terms of at most e_max
+        # each, far fewer than 2**53 of them
+        if not np.isfinite(self.e_max * 2.0 ** 53):
+            raise ConfigError(f"e_max times 2**53 terms must be finite, got e_max = {self.e_max}")
         if self.sigmoid_sharpness <= 0:
             raise ConfigError("sigmoid_sharpness must be positive")
         if self.max_phase1_iters < 1 or self.max_sweeps < 1 or self.fold_count < 2:
@@ -130,7 +138,13 @@ def build_maps(images) -> dict[str, features.ImageMaps]:
 
 def _group_all(images: list[ImageRecord], propagations, config: Config,
                solved: dict[grouping.MulticutInstance, grouping.MulticutSolution],
-               graphs: dict[str, grouping.SuperpixelGraph]) -> dict[str, Partition]:
+               graphs: dict[str, grouping.SuperpixelGraph],
+               previous: dict[str, Partition] | None) -> dict[str, Partition]:
+    """Each image's partition: the optimum of its multicut instance, solved
+    once per instance, or the image's ``previous`` partition when the optimum
+    is proven and the previous partition ties it. The previous partition is
+    then an optimum of this instance too, so no image flips between tied
+    optima."""
     by_target: dict[str, list] = {image.id: [] for image in images}
     for prop in propagations:
         by_target[prop.target_image].append(prop)
@@ -139,7 +153,13 @@ def _group_all(images: list[ImageRecord], propagations, config: Config,
         instance = grouping.instance_for_image(image, by_target[image.id], graphs[image.id])
         if instance not in solved:
             solved[instance] = grouping.solve_multicut(instance, config.theta)
-        partitions[image.id] = solved[instance].partition
+        solution = solved[instance]
+        kept = None if previous is None else previous[image.id]
+        if kept is not None and solution.proven_optimal and grouping.objective_of(
+                instance, kept.assignment, config.theta) <= solution.objective + 1e-9:
+            partitions[image.id] = kept
+        else:
+            partitions[image.id] = solution.partition
     return partitions
 
 
@@ -199,10 +219,12 @@ def run_cosegmentation(corpus: Corpus, config: Config,
                        maps: dict[str, features.ImageMaps]) -> Phase1Result:
     """Iterate grouping/training/propagation until regions stop changing.
 
-    The alternation can fall into a short limit cycle instead of a fixed
-    point; a repeat of any earlier joint partition state closes the orbit
-    exactly (no new regions can ever appear), so the loop also terminates
-    there, reporting ``phase1_fixed_point`` false.
+    An image keeps its partition when its new multicut optimum ties it
+    (``_group_all``), so no image flips between tied optima. Should the
+    alternation still fall into a short limit cycle, a repeat of any
+    earlier joint partition state closes the orbit exactly (no new regions
+    can ever appear), so the loop also terminates there, reporting
+    ``phase1_fixed_point`` false.
 
     Multicuts are cached on their instance, exemplars on (id, region
     superpixels, the selected regions' superpixels) and propagations on
@@ -234,7 +256,7 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     images_changed: list[int] = []
     while iteration < config.max_phase1_iters:
         iteration += 1
-        partitions = _group_all(images, propagations, config, solved, graphs)
+        partitions = _group_all(images, propagations, config, solved, graphs, previous)
         changed = [image for image in images
                    if previous is None or not partitions[image.id].equals(previous[image.id])]
         images_changed.append(len(changed))
@@ -287,7 +309,6 @@ def run_cosegmentation(corpus: Corpus, config: Config,
         # sums over the multicuts solved here (not the reused ones); an
         # unproven one stopped at the node cap
         "phase1_multicut_lp_solves": sum(s.lp_solves for s in solved.values()),
-        "phase1_multicut_true_cost_lps": sum(s.true_cost_lps for s in solved.values()),
         "phase1_multicut_nodes": sum(s.nodes for s in solved.values()),
         "phase1_multicut_cuts": sum(s.cuts for s in solved.values()),
         "phase1_multicuts_unproven": sum(not s.proven_optimal for s in solved.values()),

@@ -25,8 +25,8 @@ PHASE1_KEYS = {
     "phase1_esvm_max_duality_gap", "phase1_esvm_max_relative_duality_gap",
     "phase1_esvm_degenerate_calibrations", "phase1_images_changed",
     "phase1_orbit_length", "phase1_cycling_images",
-    "phase1_multicut_lp_solves", "phase1_multicut_true_cost_lps",
-    "phase1_multicut_nodes", "phase1_multicut_cuts", "phase1_multicuts_unproven"}
+    "phase1_multicut_lp_solves", "phase1_multicut_nodes", "phase1_multicut_cuts",
+    "phase1_multicuts_unproven"}
 PHASE2_KEYS = {
     "phase2_sweeps", "phase2_converged", "phase2_truncated_terms",
     "phase2_overruled_vertices", "phase2_overruled_pixels", "phase2_exterior_edges",
@@ -184,6 +184,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "configuration error: lambda2 times 200 negatives per exemplar must be finite, "
             "got lambda2 = 1e+308\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        # detection's window offsets would overflow int64
+        ('{"stride": 100000000000000000000}',
+         "stride must be at most 9223372036854775807, got 100000000000000000000"),
+        # an expansion's summed terms would overflow to an infinite arc capacity
+        ('{"e_max": 1e308, "beta_pair": 1e308}',
+         "e_max times 2**53 terms must be finite, got e_max = 1e+308"),
+    ])
+    def test_overflowing_value_is_2(self, tmp_path, capsys, text, message):
+        manifest = write_tiny_corpus(tmp_path, n=1)
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        rc = cli.main(["run", "--manifest", str(manifest), "--config", str(config),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_missing_manifest_is_3(self, tmp_path):
@@ -563,7 +581,6 @@ class TestPhasedCommands:
         assert meta["phase1_exemplars_trained"] + meta["phase1_exemplars_reused"] >= exemplar_count
         assert 0.0 <= meta["phase1_esvm_max_duality_gap"] <= 1e-6
         assert meta["phase1_multicut_lp_solves"] >= meta["phase1_multicuts_solved"]
-        assert 0 <= meta["phase1_multicut_true_cost_lps"] <= meta["phase1_multicut_lp_solves"]
         assert meta["phase1_multicuts_unproven"] == 0
         assert len(meta["phase1_images_changed"]) == meta["phase1_iterations"]
         assert meta["phase1_exemplars_unplaceable"] == 0
@@ -811,7 +828,6 @@ class TestRunAndEval:
         # solver counters over the multicuts the run solved, and the sweep cap
         assert meta["phase1_multicut_nodes"] >= meta["phase1_multicuts_solved"]
         assert meta["phase1_multicut_lp_solves"] >= meta["phase1_multicut_nodes"]
-        assert 0 <= meta["phase1_multicut_true_cost_lps"] <= meta["phase1_multicut_lp_solves"]
         assert meta["phase1_multicut_cuts"] >= 0
         assert meta["phase1_multicuts_unproven"] == 0
         assert meta["phase2_converged"] is True

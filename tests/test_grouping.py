@@ -263,7 +263,7 @@ BRANCHING = grouping.MulticutInstance(
 class TestSolverCounters:
     def test_hand_counts(self):
         # a path has no cycle to separate: one node and its LP, whose
-        # integral perturbed optimum the basis certifies under the true costs
+        # optimum is integral
         path = grouping.MulticutInstance(node_count=3, edges=((0, 1, 1), (1, 2, 0)))
         sol = grouping.solve_multicut(path, 0.5)
         assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (1, 1, 0, True)
@@ -271,7 +271,7 @@ class TestSolverCounters:
         assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (0, 0, 0, True)
         # the root LP merges the three edges at node 2 and cuts the others:
         # one row for each of the three triangles through node 2; each
-        # child's integral optimum is certified by its basis
+        # child closes after one LP
         sol = grouping.solve_multicut(BRANCHING, 0.5)
         assert (sol.lp_solves, sol.nodes, sol.cuts, sol.proven_optimal) == (4, 3, 3, True)
 
@@ -377,9 +377,8 @@ class TestPairIndex:
 
 
 def linprog_reference(solver, fixed):
-    """The solver's LP, at the model's perturbed costs, as
-    scipy.optimize.linprog(method="highs") solves it with the solver's dual
-    feasibility tolerance."""
+    """The solver's LP as scipy.optimize.linprog(method="highs") solves it
+    with the solver's dual feasibility tolerance."""
     n_vars = solver.n_pairs + solver.n_masks
     bounds = [(0.0, 1.0)] * n_vars
     for var, val in fixed.items():
@@ -394,7 +393,7 @@ def linprog_reference(solver, fixed):
 class TestHighsLp:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
-    def test_solve_lp_is_linprog_bit_for_bit(self, data):
+    def test_solve_lp_matches_linprog(self, data):
         inst = draw_instance(data, 8)
         solver = grouping._MulticutSolver(inst, 0.5)
         n_vars = solver.n_pairs + solver.n_masks
@@ -414,12 +413,9 @@ class TestHighsLp:
             if ref.status == 2:
                 assert got is None
             else:
-                # the perturbation leaves one optimum, so the merge
-                # variables agree once rounded; a mask whose reward is
-                # (nearly) zero may leave its z anywhere below its pairs
-                assert abs(got[0] - ref.fun) <= 1e-9
-                assert np.array_equal(got[1][:solver.n_pairs],
-                                      np.round(ref.x[:solver.n_pairs], 6))
+                # the LP can have several optimal vertices, so only the
+                # values are compared
+                assert got is not None and abs(got[0] - ref.fun) <= 1e-9
             x = np.array(data.draw(st.lists(value, min_size=n_vars, max_size=n_vars)))
             solver._separate(x)
 
@@ -466,22 +462,21 @@ def solve_cold(instance, theta):
         return grouping.solve_multicut(instance, theta)
 
 
-# a 4-cycle whose one contour edge is (0, 1): merging all four nodes ties
-# with cutting (0, 1) and any one other edge, at objective -1
-CONTOUR_CYCLE = ((0, 1, 1), (1, 2, 0), (2, 3, 0), (0, 3, 0))
-
-
 class TestTieRule:
+    """A solve's answer depends on its instance alone. Which of several
+    tied optima it returns is left to the caller (``pipeline._group_all``)."""
+
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
     def test_cold_and_warm_solves_agree(self, data):
+        # from another basis the search may round another tied optimum
         inst = draw_instance(data, 8)
         theta = data.draw(st.sampled_from([0.5]) | st.floats(0.05, 0.95))
         warm, cold = grouping.solve_multicut(inst, theta), solve_cold(inst, theta)
-        assert np.array_equal(warm.partition.assignment, cold.partition.assignment)
-        assert warm.objective == cold.objective and warm.proven_optimal
+        assert warm.proven_optimal and cold.proven_optimal
         oracle = grouping.brute_force_multicut(inst, theta)
         assert abs(warm.objective - oracle.objective) <= 1e-9
+        assert abs(cold.objective - oracle.objective) <= 1e-9
 
     def test_another_solve_first_changes_nothing(self):
         rng = np.random.default_rng(31)
@@ -494,21 +489,11 @@ class TestTieRule:
             assert (again.objective, again.lp_solves, again.nodes, again.cuts) == \
                 (first.objective, first.lp_solves, first.nodes, first.cuts)
 
-    def test_tie_keeps_the_contour_edge_cut(self):
-        # every edge order and every rotation of the node labels
-        for edges in itertools.permutations(CONTOUR_CYCLE):
-            for shift in range(4):
-                inst = grouping.MulticutInstance(node_count=4, edges=tuple(
-                    ((u + shift) % 4, (v + shift) % 4, d) for u, v, d in edges))
-                sol = grouping.solve_multicut(inst, 0.5)
-                assign = sol.partition.assignment
-                assert sol.objective == -1.0
-                assert assign[shift % 4] != assign[(1 + shift) % 4]
-
     @pytest.mark.parametrize("gap", [2e-8, 1e-7, 1e-6, 1e-5])
     def test_a_gap_below_the_perturbation_is_still_found(self, gap):
-        # merging the contour edge under the mask beats cutting it by gap,
-        # less than the perturbation that favours the cut
+        # merging the contour edge under the mask beats cutting it by gap;
+        # at HiGHS's default dual feasibility tolerance of 1e-7 the LP
+        # misses the 2e-8 and 1e-7 gaps
         inst = grouping.MulticutInstance(node_count=2, edges=((0, 1, 1),),
                                          mask_constraints=((frozenset({0, 1}), 0.5 + gap),))
         sol = grouping.solve_multicut(inst, 0.5)
@@ -518,8 +503,8 @@ class TestTieRule:
 
 def near_tie_instance(rng, k):
     """A random or grid instance; on two of every three ``k`` its masks'
-    rewards are a multiple of 0.5 off by 1e-8 to 1e-5, so that a true gap
-    can sit below the perturbation and the certificate can fail."""
+    rewards are a multiple of 0.5 off by 1e-8 to 1e-5, so that two
+    partitions' objectives can differ by that little."""
     inst = random_instance(rng, max_nodes=10) if k % 2 else random_grid_instance(rng)
     if k % 3 == 0:
         return inst
@@ -528,99 +513,6 @@ def near_tie_instance(rng, k):
                   for ids, _ in inst.mask_constraints)
     return grouping.MulticutInstance(node_count=inst.node_count, edges=inst.edges,
                                      mask_constraints=masks)
-
-
-def integral_nodes(solver, rng):
-    """(fixings, x) of LPs whose optimum is integral on the pairs, each
-    separated as the search's root is: without fixings, then under a few
-    random fixings of one to three pairs."""
-    for trial in range(4):
-        size = min(solver.n_pairs, int(rng.integers(1, 4)))
-        fixed = {} if trial == 0 else {
-            int(var): int(rng.integers(0, 2))
-            for var in rng.choice(solver.n_pairs, size=size, replace=False)}
-        lp = solver._solve_lp(fixed)
-        for _ in range(solver.ROOT_ROUNDS):
-            if lp is None or solver._separate(lp[1]) == 0:
-                break
-            lp = solver._solve_lp(fixed)
-        if lp is not None and (np.abs(lp[1][:solver.n_pairs] - 0.5)
-                               >= 0.5 - solver.INTEGRALITY_TOL).all():
-            yield fixed, lp[1]
-
-
-class TestCertificate:
-    """An integral node closes on its basis when that basis is optimal under
-    the true costs too; otherwise the true costs' LP runs."""
-
-    def test_certified_basis_is_the_true_costs_optimum(self, monkeypatch):
-        # whenever the certificate holds, the true costs' LP stops at once at
-        # the same x, and wherever that LP makes no pivot, the duals read
-        # from the perturbed basis are the ones HiGHS computes
-        seen = {}
-        real = grouping._solve_highs
-
-        def spy(lp, *args):
-            result = real(lp, *args)
-            solution = lp.getSolution()
-            seen.update(row=np.array(solution.row_dual), col=np.array(solution.col_dual),
-                        pivots=lp.getInfo().simplex_iteration_count)
-            return result
-
-        monkeypatch.setattr(grouping, "_solve_highs", spy)
-        rng = np.random.default_rng(83)
-        certified = uncertified = 0
-        for k in range(180):
-            solver = grouping._MulticutSolver(near_tie_instance(rng, k), 0.5)
-            for fixed, x in integral_nodes(solver, rng):
-                row_dual, reduced = solver._true_duals()
-                holds = solver._certified(x)
-                true_x = solver._solve_unperturbed_lp(fixed)[1]
-                if holds:
-                    certified += 1
-                    assert seen["pivots"] == 0 and np.array_equal(true_x, x)
-                else:
-                    uncertified += 1
-                if seen["pivots"] == 0:
-                    assert np.allclose(row_dual, seen["row"], rtol=0.0, atol=1e-12)
-                    assert np.allclose(reduced, seen["col"], rtol=0.0, atol=1e-12)
-        assert certified >= 150 and uncertified >= 10
-
-    def test_outputs_equal_the_search_without_it(self, monkeypatch):
-        # with the certificate off, every integral node that the bound does
-        # not close runs the true costs' LP: the same answer and search, and
-        # exactly the certified nodes' LPs more
-        rng = np.random.default_rng(84)
-        instances = [near_tie_instance(rng, k) for k in range(120)]
-        with_it = [grouping.solve_multicut(inst, 0.5) for inst in instances]
-        monkeypatch.setattr(grouping._MulticutSolver, "_certified", lambda self, x: False)
-        certified = 0
-        for inst, sol in zip(instances, with_it):
-            off = grouping.solve_multicut(inst, 0.5)
-            assert np.array_equal(sol.partition.assignment, off.partition.assignment)
-            assert (sol.objective, sol.nodes, sol.cuts, sol.proven_optimal, sol.mask_active) \
-                == (off.objective, off.nodes, off.cuts, off.proven_optimal, off.mask_active)
-            assert off.lp_solves - sol.lp_solves == off.true_cost_lps - sol.true_cost_lps
-            certified += off.true_cost_lps - sol.true_cost_lps
-        assert certified > 100
-
-    def test_hand_counts_run_no_true_costs_lp(self):
-        path = grouping.MulticutInstance(node_count=3, edges=((0, 1, 1), (1, 2, 0)))
-        assert grouping.solve_multicut(path, 0.5).true_cost_lps == 0
-        assert grouping.solve_multicut(BRANCHING, 0.5).true_cost_lps == 0
-
-    @pytest.mark.parametrize("gap", [2e-8, 1e-7, 1e-6, 1e-5])
-    def test_a_gap_below_the_perturbation_takes_the_true_costs_lp(self, gap):
-        inst = grouping.MulticutInstance(node_count=2, edges=((0, 1, 1),),
-                                         mask_constraints=((frozenset({0, 1}), 0.5 + gap),))
-        sol = grouping.solve_multicut(inst, 0.5)
-        assert 0 < sol.true_cost_lps < sol.lp_solves
-
-    def test_tie_draws_are_built_once_with_the_generators_bits(self):
-        seed = grouping._MulticutSolver.PERTURBATION_SEED
-        draws = grouping._tie_draws(seed, 37)
-        assert draws is grouping._tie_draws(seed, 37) and not draws.flags.writeable
-        assert draws.tobytes() == np.random.default_rng(seed).random(37).tobytes()
 
 
 class TestBruteForce:
@@ -734,6 +626,24 @@ class TestSolverOracleAgreement:
         sol = grouping.solve_multicut(inst, theta)
         assert sol.proven_optimal
         assert sol.objective == pytest.approx(milp_optimum(inst, theta), abs=1e-9)
+
+    def test_near_ties_match_the_oracle(self):
+        # two partitions 1e-8 apart are told apart. A grid beyond the
+        # exhaustive oracle's reach is checked against the MILP, whose
+        # absolute gap of 1e-6 lets it stop at the worse of the two
+        rng = np.random.default_rng(84)
+        oracle_checked = 0
+        for k in range(120):
+            inst = near_tie_instance(rng, k)
+            sol = grouping.solve_multicut(inst, 0.5)
+            assert sol.proven_optimal
+            if inst.node_count <= grouping.ORACLE_MAX_NODES:
+                oracle = grouping.brute_force_multicut(inst, 0.5)
+                assert abs(sol.objective - oracle.objective) <= 1e-9
+                oracle_checked += 1
+            else:
+                assert sol.objective <= milp_optimum(inst, 0.5) + 1e-9
+        assert oracle_checked >= 60
 
     def test_random_instances_match_oracle(self):
         rng = np.random.default_rng(23)

@@ -16,7 +16,6 @@ TEST_ONLY = {
     ("esvm", "esvm_subgradient"),
     ("graphcut", "brute_force_map"),
     ("graphcut", "energy_of"),
-    ("grouping", "objective_of"),
     ("pipeline", "background_fraction"),
 }
 
