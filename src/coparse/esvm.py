@@ -4,8 +4,9 @@ calibration, and sliding-window propagation of segmentation masks.
 One linear classifier is trained per selected region (single positive
 against sampled negatives) by solving its SVM dual, a box-constrained QP,
 to optimality; its raw responses are mapped through a fitted logistic so
-scores are comparable across exemplars, and the top detections place the
-exemplar's mask into other images.
+scores are comparable across exemplars. Propagation scores every window of
+every corpus image, ranks them all in one pass with one greedy NMS, and
+places the exemplar's mask at the top k.
 """
 
 from __future__ import annotations
@@ -39,17 +40,6 @@ class Exemplar:
     duality_gap: float = 0.0           # of the training; 0 when read from JSON
     relative_duality_gap: float = 0.0  # over max(1, lam1 + lam2 * negatives); 0 from JSON
     degenerate_calibration: bool = False   # the logistic fit fell back; False from JSON
-
-
-@dataclass(frozen=True)
-class DetectionWindow:
-    image_id: str
-    x: int
-    y: int
-    width: int
-    height: int
-    raw_score: float
-    calibrated: float
 
 
 # ---------------------------------------------------------------------------
@@ -387,23 +377,17 @@ def build_exemplar(exemplar_id: str, image: ImageRecord, region: Region,
 # ---------------------------------------------------------------------------
 
 def detect(exemplar: Exemplar, image: ImageRecord,
-           pyramid: features.HogPyramid, stride: int, scales: tuple[float, ...],
-           k: int | None = None) -> list[DetectionWindow]:
-    """Score all windows of one image over the scale set, then NMS at IoU 0.5.
-
-    ``pyramid`` is ``features.hog_pyramid`` of the image's luma over (at
-    least) ``scales``. Windows are ranked by raw score, then scale index, row
-    and column; ``calibrate`` keeps alpha positive, so that is also the order
-    of the calibrated score, which is computed only for the windows returned.
-    With ``k``, NMS stops once k windows are kept and the next live window
-    scores below the last kept one, so every window tied with the k-th is
-    still kept and a global top k over several images is unchanged.
+           pyramid: features.HogPyramid, stride: int, scales: tuple[float, ...]) -> np.ndarray:
+    """The window table of one image: a row (raw score, scale index, y0, x0,
+    height, width) per template window over the scale set, in scale, row and
+    column order; boxes are in image pixels. ``pyramid`` is
+    ``features.hog_pyramid`` of the image's luma over (at least) ``scales``.
     """
     cy, cx = exemplar.template
     w_blocks = exemplar.w[:-1]
     bias = float(exemplar.w[-1])
     step = max(1, stride // features.CELL)
-    score_parts, window_parts = [], []
+    parts = [np.empty((0, 6))]
     for s_idx, s in enumerate(scales):
         sh, sw, blocks = pyramid[s]
         if not fits(blocks, exemplar.template):
@@ -414,15 +398,38 @@ def detect(exemplar: Exemplar, image: ImageRecord,
         y0, x0, wh, ww = window_boxes(ys, xs, exemplar.template, (sh, sw),
                                       image.pixels.shape[:2])
         y0, x0 = np.broadcast_arrays(y0[:, None], x0[None, :])
-        score_parts.append(scores.ravel())
-        window_parts.append(np.stack([np.full(scores.size, s_idx), y0.ravel(), x0.ravel(),
-                                      np.full(scores.size, wh), np.full(scores.size, ww)]))
-    if not score_parts:
+        parts.append(np.stack([scores.ravel(), np.full(scores.size, s_idx), y0.ravel(),
+                               x0.ravel(), np.full(scores.size, wh),
+                               np.full(scores.size, ww)], axis=1))
+    return np.concatenate(parts)
+
+
+def propagate(exemplar: Exemplar, corpus_images: list[ImageRecord],
+              pyramids: dict[str, features.HogPyramid],
+              k: int, stride: int, scales: tuple[float, ...]) -> list[PropagationRecord]:
+    """Global top-k NMS-filtered detections, each carrying the resized mask;
+    ``pyramids`` holds each corpus image's HOG pyramid by id.
+
+    Every image's windows are ranked at once by raw score, then image
+    position, scale, row and column. Greedy NMS drops the later windows of a
+    kept window's image that overlap it at IoU above 0.5, and stops once k
+    windows are kept and the next live one scores below the last kept, so
+    every window tied with the k-th is still kept. The kept windows are
+    ordered by raw score, image id, row, column and scale, and the first k
+    are placed; ``calibrate`` keeps alpha positive, so that is also the order
+    of the calibrated score, which is computed for those k only.
+    """
+    if k <= 0:
         return []
-    raws = np.concatenate(score_parts)
-    s_idx, y0, x0, wh, ww = np.concatenate(window_parts, axis=1)
-    order = np.lexsort((x0, y0, s_idx, -raws))
-    raws, y0, x0, wh, ww = (a[order] for a in (raws, y0, x0, wh, ww))
+    tables = [detect(exemplar, image, pyramids[image.id], stride=stride, scales=scales)
+              for image in corpus_images]
+    owner = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
+    table = np.concatenate(tables)
+    raws = table[:, 0]
+    s_idx, y0, x0, wh, ww = table[:, 1:].T.astype(np.int64)
+    order = np.lexsort((x0, y0, s_idx, owner, -raws))
+    raws, owner, s_idx, y0, x0, wh, ww = (a[order] for a in (raws, owner, s_idx, y0, x0,
+                                                            wh, ww))
     y1, x1 = y0 + wh, x0 + ww
     area = wh * ww
     alive = np.ones(order.size, dtype=bool)
@@ -430,42 +437,22 @@ def detect(exemplar: Exemplar, image: ImageRecord,
     for i in range(order.size):
         if not alive[i]:
             continue
-        if k is not None and len(kept) >= k and (not kept or raws[i] < raws[kept[-1]]):
+        if len(kept) >= k and raws[i] < raws[kept[-1]]:
             break
         kept.append(i)
         # IoU is symmetric, so a kept window drops every later one it overlaps
         inter = (np.maximum(np.minimum(x1, x1[i]) - np.maximum(x0, x0[i]), 0)
                  * np.maximum(np.minimum(y1, y1[i]) - np.maximum(y0, y0[i]), 0))
-        alive &= inter / (area + area[i] - inter) <= 0.5
-    cal = calibrated_score(exemplar.alpha, exemplar.beta, raws[kept])
-    return [DetectionWindow(image_id=image.id, x=int(x0[i]), y=int(y0[i]),
-                            width=int(ww[i]), height=int(wh[i]),
-                            raw_score=float(raws[i]), calibrated=float(c))
-            for i, c in zip(kept, cal)]
-
-
-def propagate(exemplar: Exemplar, corpus_images: list[ImageRecord],
-              pyramids: dict[str, features.HogPyramid],
-              k: int, stride: int, scales: tuple[float, ...]) -> list[PropagationRecord]:
-    """Global top-k NMS-filtered detections, each carrying the resized mask;
-    ``pyramids`` holds each corpus image's HOG pyramid by id. Each image's
-    NMS stops after its own top k (and the windows tied with its k-th), the
-    most any one image can place in the global top k."""
-    if k <= 0:
-        return []
-    windows: list[DetectionWindow] = []
-    for image in corpus_images:
-        windows.extend(detect(exemplar, image, pyramids[image.id], stride=stride,
-                              scales=scales, k=k))
-    # the raw-score order is the calibrated one, as alpha > 0
-    windows.sort(key=lambda d: (-d.raw_score, d.image_id, d.y, d.x))
-    records = []
-    for det in windows[:k]:
-        mask = features.nearest_resize_mask(exemplar.mask, det.height, det.width)
-        records.append(PropagationRecord(
-            source_exemplar=exemplar.id, target_image=det.image_id,
-            x=det.x, y=det.y, mask=mask, score=det.calibrated))
-    return records
+        alive &= (owner != owner[i]) | (inter / (area + area[i] - inter) <= 0.5)
+    ids = np.array([im.id for im in corpus_images])
+    top = np.array(kept, dtype=np.int64)
+    top = top[np.lexsort((s_idx[top], x0[top], y0[top], ids[owner[top]], -raws[top]))][:k]
+    scores = calibrated_score(exemplar.alpha, exemplar.beta, raws[top])
+    return [PropagationRecord(
+        source_exemplar=exemplar.id, target_image=corpus_images[owner[i]].id,
+        x=int(x0[i]), y=int(y0[i]),
+        mask=features.nearest_resize_mask(exemplar.mask, int(wh[i]), int(ww[i])),
+        score=float(c)) for i, c in zip(top, scores)]
 
 
 # ---------------------------------------------------------------------------

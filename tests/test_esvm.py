@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -414,8 +417,9 @@ def _iou(a, b) -> float:
     return inter / union
 
 
-def _detect_ref(exemplar, image, stride, scales):
-    """Scalar window list, sorted() order and pairwise-IoU greedy NMS."""
+def _windows_ref(exemplar, image, stride, scales):
+    """Scalar window list (raw, scale index, y0, x0, height, width) in scale,
+    row and column order, from a pyramid built here."""
     cy, cx = exemplar.template
     gray = features.luma(image.pixels)
     h, w = gray.shape
@@ -440,10 +444,27 @@ def _detect_ref(exemplar, image, stride, scales):
                 x0 = min(int(round(j * step * features.CELL * w / sw)), w - ww)
                 y0 = min(int(round(i * step * features.CELL * h / sh)), h - wh)
                 raw_windows.append((float(scores[i, j]), s_idx, y0, x0, wh, ww))
+    return raw_windows
+
+
+@dataclass(frozen=True)
+class _Detection:
+    image_id: str
+    x: int
+    y: int
+    width: int
+    height: int
+    raw_score: float
+    calibrated: float
+
+
+def _nms_ref(image_id, raw_windows, alpha, beta):
+    """sorted() order and pairwise-IoU greedy NMS over one image's windows
+    (raw, scale index, y0, x0, height, width)."""
     if not raw_windows:
         return []
     raws = np.array([rw[0] for rw in raw_windows])
-    cal = esvm.calibrated_score(exemplar.alpha, exemplar.beta, raws)
+    cal = esvm.calibrated_score(alpha, beta, raws)
     order = sorted(range(len(raw_windows)),
                    key=lambda i: (-cal[i], -raws[i], raw_windows[i][1],
                                   raw_windows[i][2], raw_windows[i][3]))
@@ -454,9 +475,23 @@ def _detect_ref(exemplar, image, stride, scales):
         if any(_iou(box, kb) > 0.5 for kb in kept_boxes):
             continue
         kept_boxes.append(box)
-        kept.append(esvm.DetectionWindow(image_id=image.id, x=x0, y=y0, width=ww, height=wh,
-                                         raw_score=float(raws[i]), calibrated=float(cal[i])))
+        kept.append(_Detection(image_id=image_id, x=x0, y=y0, width=ww, height=wh,
+                               raw_score=float(raws[i]), calibrated=float(cal[i])))
     return kept
+
+
+def _detect_ref(exemplar, image, stride, scales):
+    """Full NMS over the scalar window list of one image."""
+    return _nms_ref(image.id, _windows_ref(exemplar, image, stride, scales),
+                    exemplar.alpha, exemplar.beta)
+
+
+def _global_top_k(detections, k):
+    """One global sort of every image's NMS survivors on (calibrated, raw,
+    image, row, column), as (image, x, y, height, width, score)."""
+    detections = sorted(detections, key=lambda d: (-d.calibrated, -d.raw_score,
+                                                   d.image_id, d.y, d.x))
+    return [(d.image_id, d.x, d.y, d.height, d.width, d.calibrated) for d in detections[:k]]
 
 
 def _region_saliency_full(maps, region, a_min, a_max):
@@ -561,13 +596,12 @@ class TestPropagation:
         ex = esvm.build_exemplar("e0", images[0], regions[1], images, excluded,
                                  0.5, 0.01, seed=7, maps=maps_of(images),
                                  pyramids=pyramids_of(images))
-        dets = esvm.detect(ex, images[0], pyramids_of(images)[images[0].id], CONFIG.stride,
-                           CONFIG.scales)
-        assert dets
-        top = dets[0]
+        table = esvm.detect(ex, images[0], pyramids_of(images)[images[0].id], CONFIG.stride,
+                            CONFIG.scales)
+        assert table.shape[1] == 6 and len(table)
+        _, _, y0, x0, wh, ww = table[table[:, 0].argmax()]
         bbox = (24, 32, 24 + 48, 32 + 64)  # (x0, y0, x1, y1)
-        box = (top.x, top.y, top.x + top.width, top.y + top.height)
-        assert _iou(box, bbox) >= 0.5
+        assert _iou((x0, y0, x0 + ww, y0 + wh), bbox) >= 0.5
 
     def test_detect_matches_scalar_reference(self):
         images = make_detection_corpus()
@@ -575,17 +609,20 @@ class TestPropagation:
         ex = esvm.build_exemplar("e0", images[0], regions[1], images,
                                  regions[1].region_map == 1, 0.5, 0.01, seed=7,
                                  maps=maps_of(images), pyramids=pyramids_of(images))
-        # a flat image scores every window alike, so only the tie-breaks order
-        # them; at scale 16/17 every odd window offset lands on a half pixel
+        # at scale 16/17 every odd window offset lands on a half pixel, and
+        # at scale 0.05 no template fits, so the table is empty
         flat = make_image(np.zeros((170, 136), dtype=np.int64), image_id="flat")
-        settings = ((8, (1.0, 0.8, 1.25)), (16, (0.7, 1.1)), (4, (1.0,)), (8, (16 / 17,)))
+        settings = ((8, (1.0, 0.8, 1.25)), (16, (0.7, 1.1)), (4, (1.0,)), (8, (16 / 17,)),
+                    (8, (0.05,)))
         every_scale = sorted({s for _, scales in settings for s in scales})
         for image in images + [flat]:
             # one pyramid per image serves every call, whatever its scale subset
             pyramid = features.hog_pyramid(features.luma(image.pixels), every_scale)
             for stride, scales in settings:
-                assert esvm.detect(ex, image, pyramid, stride, scales) == \
-                    _detect_ref(ex, image, stride, scales)
+                table = esvm.detect(ex, image, pyramid, stride, scales)
+                assert table.shape == (len(table), 6)
+                assert [tuple(row) for row in table.tolist()] == \
+                    _windows_ref(ex, image, stride, scales)
 
     def test_nms_and_ordering(self):
         images = make_detection_corpus()
@@ -623,13 +660,22 @@ class TestPropagation:
             assert 0.0 < p.score < 1.0
 
 
-def _propagate_ref(exemplar, images, pyramids, k, stride, scales):
-    """Full NMS on every image, then one global sort on (calibrated, raw,
-    image, row, column), as (image, x, y, height, width, score)."""
-    windows = [det for image in images
-               for det in esvm.detect(exemplar, image, pyramids[image.id], stride, scales)]
-    windows.sort(key=lambda d: (-d.calibrated, -d.raw_score, d.image_id, d.y, d.x))
-    return [(d.image_id, d.x, d.y, d.height, d.width, d.calibrated) for d in windows[:k]]
+def _propagate_ref(exemplar, images, k, stride, scales):
+    """Full NMS on every image, then one global sort, from the scalar
+    reference alone."""
+    return _global_top_k([d for image in images
+                          for d in _detect_ref(exemplar, image, stride, scales)], k)
+
+
+def _window_tables(draw, n_images):
+    """Random window tables, one per image: raw scores from a few values, so
+    ties are common, and boxes on a coarse grid, so windows overlap."""
+    side = st.sampled_from([8, 16, 24])
+    row = st.tuples(st.sampled_from([-1.0, 0.0, 0.25, 2.0]), st.integers(0, 2),
+                    st.integers(0, 4).map(lambda v: 8 * v), st.integers(0, 4).map(lambda v: 8 * v),
+                    side, side)
+    return [np.array(draw(st.lists(row, max_size=25)), dtype=np.float64).reshape(-1, 6)
+            for _ in range(n_images)]
 
 
 class TestEarlyStoppingNms:
@@ -652,27 +698,26 @@ class TestEarlyStoppingNms:
                 for k in (1, 2, 3, 5, 8, 40, 1000):
                     got = [(p.target_image, p.x, p.y, *p.mask.shape, p.score)
                            for p in esvm.propagate(ex, corpus, pyramids, k, stride, scales)]
-                    assert got == _propagate_ref(ex, corpus, pyramids, k, stride, scales)
+                    assert got == _propagate_ref(ex, corpus, k, stride, scales)
 
-    def test_detect_stops_after_the_ties_of_the_kth(self):
-        images = make_detection_corpus()
-        ex = self.exemplar(images)
-        flat = make_image(np.zeros((96, 80), dtype=np.int64), image_id="flat")
-        for image in images + [flat]:
-            pyramid = pyramids_of([image])[image.id]
-            full = esvm.detect(ex, image, pyramid, CONFIG.stride, CONFIG.scales)
-            for k in (1, 2, 4, 9):
-                got = esvm.detect(ex, image, pyramid, CONFIG.stride, CONFIG.scales, k=k)
-                assert got == full[:len(got)]
-                assert len(got) >= min(k, len(full))
-                # what is left scores below the last window kept
-                assert all(d.raw_score < got[-1].raw_score for d in full[len(got):])
-                assert all(d.raw_score == got[k - 1].raw_score for d in got[k - 1:])
-        # a uniform image's windows all tie, so none is dropped
-        pyramid = pyramids_of([flat])[flat.id]
-        full = esvm.detect(ex, flat, pyramid, CONFIG.stride, CONFIG.scales)
-        assert esvm.detect(ex, flat, pyramid, CONFIG.stride, CONFIG.scales, k=1) == full
-        assert esvm.detect(ex, flat, pyramid, CONFIG.stride, CONFIG.scales, k=0) == []
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data(), st.permutations(["img2", "img0", "img3", "img1"]), st.integers(1, 4),
+           st.integers(0, 40))
+    def test_random_tables_rank_as_full_nms_and_a_global_sort(self, data, ids, n_images, k):
+        tables = dict(zip(ids, _window_tables(data.draw, n_images)))
+        corpus = [SimpleNamespace(id=image_id) for image_id in tables]
+        ex = esvm.Exemplar(id="e", w=np.zeros(1), alpha=0.7, beta=0.3,
+                           source_region=("src", 0), mask=np.ones((8, 8), dtype=bool),
+                           template=(2, 2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(esvm, "detect", lambda _ex, image, *_a, **_kw: tables[image.id])
+            got = [(p.target_image, p.x, p.y, *p.mask.shape, p.score)
+                   for p in esvm.propagate(ex, corpus, dict.fromkeys(tables), k, 8, (1.0,))]
+        want = _global_top_k([d for image_id, table in tables.items()
+                              for d in _nms_ref(image_id, [(row[0], *map(int, row[1:]))
+                                                           for row in table.tolist()],
+                                                ex.alpha, ex.beta)], k)
+        assert got == want
 
 
 def rle_round_trip(mask: np.ndarray) -> tuple[dict, np.ndarray]:
