@@ -112,9 +112,16 @@ def chi_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Pixel-center-aligned bilinear resampling of a 2-D float raster."""
+    """Pixel-center-aligned bilinear resampling of a 2-D float raster.
+
+    Every source row is interpolated along its columns once, then the
+    output rows between those. A same-shape resize returns the raster
+    itself, the bits the interpolation gives for a finite raster with no
+    negative zero."""
     src = np.asarray(img, dtype=np.float64)
     h, w = src.shape
+    if (out_h, out_w) == (h, w):
+        return src
     r = (np.arange(out_h) + 0.5) * h / out_h - 0.5
     c = (np.arange(out_w) + 0.5) * w / out_w - 0.5
     r0 = np.clip(np.floor(r).astype(np.int64), 0, h - 1)
@@ -123,9 +130,8 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     c1 = np.minimum(c0 + 1, w - 1)
     fr = np.clip(r - r0, 0.0, 1.0)[:, None]
     fc = np.clip(c - c0, 0.0, 1.0)[None, :]
-    top = src[r0[:, None], c0] * (1 - fc) + src[r0[:, None], c1] * fc
-    bot = src[r1[:, None], c0] * (1 - fc) + src[r1[:, None], c1] * fc
-    return top * (1 - fr) + bot * fr
+    across = src[:, c0] * (1 - fc) + src[:, c1] * fc
+    return across[r0] * (1 - fr) + across[r1] * fr
 
 
 def nearest_resize_mask(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -41,6 +41,14 @@ are left to the caller: Phase I keeps an image's previous partition when
 the new optimum ties it (``pipeline._group_all``). Instances small enough
 for the exhaustive oracle are solved to proven optimality.
 
+A solve can start from the cycle rows of an earlier solve over the same
+graph: ``MulticutSolution.rows`` gives every row its LP ended with as node
+pairs, and ``solve_multicut(instance, theta, rows)`` adds them to the model
+before the first LP. A cycle row holds at every multicut of the graph, so
+the optimum's value cannot move; only which of tied optima the search
+rounds first can, and that is the caller's to settle. A row over a pair the
+new instance lacks, one of an earlier mask's extra pairs, is dropped.
+
 The model is scipy's bundled HiGHS binding, the extension module
 ``scipy.optimize._highspy._core``, loaded straight from its file: importing
 it through the ``scipy.optimize`` package would also load linprog,
@@ -148,6 +156,10 @@ class MulticutSolution:
     nodes: int = 0                     # branch-and-bound nodes it explored
     cuts: int = 0                      # cycle rows separation added to the LP
     proven_optimal: bool = True        # false when NODE_CAP left nodes unexplored
+    rows_reused: int = 0               # seeded cycle rows the LP took
+    # every cycle row of the LP, seeded or separated, in the order added, as
+    # node pairs ((u, v), ((u, v), ...)): the chosen pair, then the others
+    rows: tuple = ()
 
 
 def _check_theta(theta: float) -> None:
@@ -306,7 +318,7 @@ class _MulticutSolver:
     ROOT_ROUNDS = 50
     CHILD_ROUNDS = 10
 
-    def __init__(self, instance: MulticutInstance, theta: float):
+    def __init__(self, instance: MulticutInstance, theta: float, rows=()):
         self.instance = instance
         self._arrays = instance.arrays(theta)
         n = instance.node_count
@@ -363,8 +375,9 @@ class _MulticutSolver:
         # search counters; proven_optimal turns false when NODE_CAP stops it
         self.lp_solves = self.nodes = 0
         self.proven_optimal = True
-        self._row_keys: set = set()      # one key per cycle row added
+        self._rows: dict = {}            # (chosen, others) of each cycle row added, by its key
         self._triangles, self._quads = self._enumerate_short_cycles()
+        self.rows_reused = self._seed(rows)
 
     def _pair_of(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Index of each pair {a, b}, or -1 where there is none."""
@@ -437,13 +450,44 @@ class _MulticutSolver:
     def _add_row(self, chosen: int, others: list[int]) -> bool:
         """Cycle row x_chosen >= sum(others) - (len(others) - 1), once per cycle."""
         key = (chosen, frozenset(others))
-        if key in self._row_keys:
+        if key in self._rows:
             return False
-        self._row_keys.add(key)
+        self._rows[key] = (chosen, others)
         cols, vals = [chosen] + others, [-1.0] + [1.0] * len(others)
         _check_edit(self._lp.addRow(-np.inf, float(len(others) - 1), len(cols),
                                     np.array(cols, dtype=np.int32), np.array(vals)))
         return True
+
+    def _seed(self, rows) -> int:
+        """Add the cycle rows ``rows``, given as node pairs, in order, before
+        any other cycle row, and return how many were added. A cycle row
+        holds at every multicut of the graph, so any row of an earlier solve
+        over the same superpixels holds here; one over a pair this instance
+        lacks, a mask's extra pair, is dropped, as is a repeat."""
+        if not rows:
+            return 0
+        n = self.instance.node_count
+        ends = np.array([pair for chosen, others in rows for pair in (chosen, *others)],
+                        dtype=np.int64).reshape(-1, 2)
+        # a node outside the instance joins none of its pairs
+        pairs = np.where(((ends >= 0) & (ends < n)).all(axis=1),
+                         self._pair_of(*np.clip(ends, 0, n - 1).T), -1).tolist()
+        start = 0
+        for _, others in rows:
+            row, start = pairs[start:start + 1 + len(others)], start + 1 + len(others)
+            key = (row[0], frozenset(row[1:]))
+            if -1 not in row and key not in self._rows:
+                self._rows[key] = (row[0], row[1:])
+        counts = np.array([1 + len(others) for _, others in self._rows.values()])
+        if counts.size:
+            cols = np.array([p for chosen, others in self._rows.values()
+                             for p in (chosen, *others)], dtype=np.int32)
+            starts = (np.cumsum(counts) - counts).astype(np.int32)
+            vals = np.ones(cols.size)
+            vals[starts] = -1.0
+            _check_edit(self._lp.addRows(counts.size, np.full(counts.size, -np.inf),
+                                         counts - 2.0, cols.size, starts, cols, vals))
+        return int(counts.size)
 
     def _separate(self, x: np.ndarray) -> int:
         return self._separate_short_cycles(x) or self._separate_paths(x)
@@ -609,18 +653,24 @@ class _MulticutSolver:
         return best_assign, float(best_obj)
 
 
-def solve_multicut(instance: MulticutInstance, theta: float) -> MulticutSolution:
-    """Minimize the biased grouping objective over partition-consistent labelings."""
+def solve_multicut(instance: MulticutInstance, theta: float, rows=()) -> MulticutSolution:
+    """Minimize the biased grouping objective over partition-consistent
+    labelings. ``rows`` are cycle rows, as a ``MulticutSolution`` over the
+    same superpixels gives them, that the LP holds from its start."""
     _check_theta(theta)
     if not isinstance(instance, MulticutInstance):
         raise MalformedInputError("expected a MulticutInstance")
-    solver = _MulticutSolver(instance, theta)
+    solver = _MulticutSolver(instance, theta, rows)
     assign, objective = solver.solve()
     partition = Partition.from_assignment(assign)
+    pair = [tuple(p) for p in solver._pair_array.tolist()]
     return MulticutSolution(
         partition=partition,
         objective=objective,
         mask_active=_mask_active(instance, partition.assignment),
         lp_solves=solver.lp_solves, nodes=solver.nodes,
-        cuts=len(solver._row_keys),
-        proven_optimal=solver.proven_optimal)
+        cuts=len(solver._rows) - solver.rows_reused,
+        proven_optimal=solver.proven_optimal,
+        rows_reused=solver.rows_reused,
+        rows=tuple((pair[chosen], tuple(pair[p] for p in others))
+                   for chosen, others in solver._rows.values()))

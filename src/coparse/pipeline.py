@@ -7,7 +7,10 @@ confirming pass counts as an iteration). Each run caches its multicut
 solutions and its exemplars (with their propagations) on their exact
 inputs, so a pass repeats no solve or training that an earlier pass of the
 same run already did, and builds each image's HOG pyramid and superpixel
-graph once. A command builds each image's appearance maps once
+graph once. A new multicut instance of an image starts from the cycle
+rows of the image's earlier solve; it is solved once more, from no rows,
+only when that seeded optimum does not tie the image's previous partition
+(``_group_all``). A command builds each image's appearance maps once
 (``build_maps``) and hands them to the ground-truth rows, Phase I and
 Phase II. Phase II reads three of Phase I's records, each image's final
 regions, the exemplars and their propagations, builds one multi-image graph
@@ -136,15 +139,35 @@ def build_maps(images) -> dict[str, features.ImageMaps]:
 # Phase I
 # ---------------------------------------------------------------------------
 
+def _ties(solution: grouping.MulticutSolution, kept_objective: float | None) -> bool:
+    """Whether a partition of objective ``kept_objective`` (None for no
+    partition) ties the proven optimum ``solution``."""
+    return (kept_objective is not None and solution.proven_optimal
+            and kept_objective <= solution.objective + 1e-9)
+
+
 def _group_all(images: list[ImageRecord], propagations, config: Config,
-               solved: dict[grouping.MulticutInstance, grouping.MulticutSolution],
-               graphs: dict[str, grouping.SuperpixelGraph],
+               solved: dict[grouping.MulticutInstance, list[grouping.MulticutSolution]],
+               rows: dict[str, tuple], graphs: dict[str, grouping.SuperpixelGraph],
                previous: dict[str, Partition] | None) -> dict[str, Partition]:
-    """Each image's partition: the optimum of its multicut instance, solved
-    once per instance, or the image's ``previous`` partition when the optimum
-    is proven and the previous partition ties it. The previous partition is
-    then an optimum of this instance too, so no image flips between tied
-    optima."""
+    """Each image's partition: the optimum of its multicut instance, or the
+    image's ``previous`` partition when the optimum is proven and the
+    previous partition ties it. The previous partition is then an optimum of
+    this instance too, so no image flips between tied optima.
+
+    ``solved`` holds every solve of each instance, in order; the last is its
+    answer. ``rows`` holds, by image id, the cycle rows of the first solve
+    of the image's latest new instance. Every instance of an image shares
+    its superpixel graph, and a cycle row holds at every multicut of that
+    graph, so a new instance is solved from them: the optimum's value is
+    the one a solve from no rows finds, so whether the previous partition
+    ties it is too. Which of several tied optima a seeded search rounds
+    first depends on its rows, so when the previous partition does not tie
+    a seeded optimum, the instance is solved again from no rows and that
+    solve's partition is handed on. While every solve from no rows is
+    proven optimal, every partition handed on is then the one such solves
+    give; a seeded optimum that the previous partition ties keeps it even
+    where a solve from no rows would stop unproven at the node cap."""
     by_target: dict[str, list] = {image.id: [] for image in images}
     for prop in propagations:
         by_target[prop.target_image].append(prop)
@@ -152,14 +175,17 @@ def _group_all(images: list[ImageRecord], propagations, config: Config,
     for image in images:
         instance = grouping.instance_for_image(image, by_target[image.id], graphs[image.id])
         if instance not in solved:
-            solved[instance] = grouping.solve_multicut(instance, config.theta)
-        solution = solved[instance]
+            solved[instance] = [grouping.solve_multicut(instance, config.theta,
+                                                        rows.get(image.id, ()))]
+            rows[image.id] = solved[instance][-1].rows
         kept = None if previous is None else previous[image.id]
-        if kept is not None and solution.proven_optimal and grouping.objective_of(
-                instance, kept.assignment, config.theta) <= solution.objective + 1e-9:
-            partitions[image.id] = kept
-        else:
-            partitions[image.id] = solution.partition
+        kept_objective = None if kept is None else grouping.objective_of(
+            instance, kept.assignment, config.theta)
+        solution = solved[instance][-1]
+        if solution.rows_reused and not _ties(solution, kept_objective):
+            solution = grouping.solve_multicut(instance, config.theta)
+            solved[instance].append(solution)
+        partitions[image.id] = kept if _ties(solution, kept_objective) else solution.partition
     return partitions
 
 
@@ -240,7 +266,8 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     graphs = {image.id: grouping.superpixel_graph(image) for image in images}
     pyramids = {image.id: features.hog_pyramid(maps[image.id].luma, config.scales)
                 for image in images}
-    solved: dict[grouping.MulticutInstance, grouping.MulticutSolution] = {}
+    solved: dict[grouping.MulticutInstance, list[grouping.MulticutSolution]] = {}
+    rows: dict[str, tuple] = {}     # each image's cycle rows, for its next new instance
     trained: dict[tuple, esvm.Exemplar] = {}
     propagated: dict[tuple, list] = {}
     unplaceable: set[tuple] = set()
@@ -256,7 +283,7 @@ def run_cosegmentation(corpus: Corpus, config: Config,
     images_changed: list[int] = []
     while iteration < config.max_phase1_iters:
         iteration += 1
-        partitions = _group_all(images, propagations, config, solved, graphs, previous)
+        partitions = _group_all(images, propagations, config, solved, rows, graphs, previous)
         changed = [image for image in images
                    if previous is None or not partitions[image.id].equals(previous[image.id])]
         images_changed.append(len(changed))
@@ -279,12 +306,16 @@ def run_cosegmentation(corpus: Corpus, config: Config,
             break
     # the orbit runs from the repeated state's first iteration to the last
     orbit = states[states.index(states[-1]):-1] if converged and not fixed_point else []
+    solves = [solution for tries in solved.values() for solution in tries]
     counters = {
         "phase1_iterations": iteration,
         "phase1_converged": converged,       # ended before the cap, at a fixed point or an orbit
         "phase1_fixed_point": fixed_point,   # strict consecutive-iteration equality
         # work done vs. taken from the run's caches
-        "phase1_multicuts_solved": len(solved),
+        "phase1_multicuts_solved": len(solves),
+        # solves again from no rows, of an instance whose seeded optimum the
+        # previous partition did not tie (_group_all)
+        "phase1_multicuts_resolved": len(solves) - len(solved),
         "phase1_multicuts_reused": iteration * len(images) - len(solved),
         "phase1_exemplars_trained": len(trained),
         "phase1_exemplars_reused": exemplar_count - len(trained),
@@ -308,10 +339,11 @@ def run_cosegmentation(corpus: Corpus, config: Config,
                                   if len({state[k] for state in orbit}) > 1],
         # sums over the multicuts solved here (not the reused ones); an
         # unproven one stopped at the node cap
-        "phase1_multicut_lp_solves": sum(s.lp_solves for s in solved.values()),
-        "phase1_multicut_nodes": sum(s.nodes for s in solved.values()),
-        "phase1_multicut_cuts": sum(s.cuts for s in solved.values()),
-        "phase1_multicuts_unproven": sum(not s.proven_optimal for s in solved.values()),
+        "phase1_multicut_lp_solves": sum(s.lp_solves for s in solves),
+        "phase1_multicut_nodes": sum(s.nodes for s in solves),
+        "phase1_multicut_cuts": sum(s.cuts for s in solves),
+        "phase1_multicut_rows_reused": sum(s.rows_reused for s in solves),
+        "phase1_multicuts_unproven": sum(not s.proven_optimal for s in solves),
     }
     return Phase1Result(regions, exemplars, propagations, iteration, counters)
 

@@ -19,14 +19,14 @@ from coparse import cli, esvm, grouping, io, kernels, pipeline, synthgen
 # that a counter dropped or renamed fails a test
 PHASE1_KEYS = {
     "phase1_iterations", "phase1_converged", "phase1_fixed_point",
-    "phase1_multicuts_solved", "phase1_multicuts_reused",
+    "phase1_multicuts_solved", "phase1_multicuts_resolved", "phase1_multicuts_reused",
     "phase1_exemplars_trained", "phase1_exemplars_reused",
     "phase1_exemplars_unplaceable", "phase1_detections_kept",
     "phase1_esvm_max_duality_gap", "phase1_esvm_max_relative_duality_gap",
     "phase1_esvm_degenerate_calibrations", "phase1_images_changed",
     "phase1_orbit_length", "phase1_cycling_images",
     "phase1_multicut_lp_solves", "phase1_multicut_nodes", "phase1_multicut_cuts",
-    "phase1_multicuts_unproven"}
+    "phase1_multicut_rows_reused", "phase1_multicuts_unproven"}
 PHASE2_KEYS = {
     "phase2_sweeps", "phase2_converged", "phase2_truncated_terms",
     "phase2_overruled_vertices", "phase2_overruled_pixels", "phase2_exterior_edges",
@@ -820,15 +820,17 @@ class TestRunAndEval:
                              "total_energy", "note"} | PHASE1_KEYS | PHASE2_KEYS
         assert meta["config"]["seed"] == 0
         assert "numpy" in meta["versions"]
-        # every pass groups both images, from the run's cache or by a solve
-        assert (meta["phase1_multicuts_solved"] + meta["phase1_multicuts_reused"]
-                == 2 * meta["phase1_iterations"])
+        # every pass groups both images, from the run's cache or by a solve;
+        # a re-solve from no rows follows a solve of the same instance
+        assert (meta["phase1_multicuts_solved"] - meta["phase1_multicuts_resolved"]
+                + meta["phase1_multicuts_reused"] == 2 * meta["phase1_iterations"])
+        assert 0 <= meta["phase1_multicuts_resolved"] <= meta["phase1_multicuts_solved"]
         assert isinstance(meta["phase1_fixed_point"], bool)
         assert 0.0 <= meta["phase1_esvm_max_duality_gap"] <= 1e-6
         # solver counters over the multicuts the run solved, and the sweep cap
         assert meta["phase1_multicut_nodes"] >= meta["phase1_multicuts_solved"]
         assert meta["phase1_multicut_lp_solves"] >= meta["phase1_multicut_nodes"]
-        assert meta["phase1_multicut_cuts"] >= 0
+        assert meta["phase1_multicut_cuts"] >= 0 and meta["phase1_multicut_rows_reused"] >= 0
         assert meta["phase1_multicuts_unproven"] == 0
         assert meta["phase2_converged"] is True
         # the silent conditions: degenerate calibrations and truncated terms;

@@ -250,7 +250,41 @@ class TestTemplateFromBbox:
         assert features.template_from_bbox(5, 100) == (2, 8)
 
 
+def bilinear_resize_2d(img, out_h, out_w):
+    """Bilinear resampling by a 2-D gather of each output pixel's four
+    source neighbours, the resize ``features.bilinear_resize`` replaced."""
+    src = np.asarray(img, dtype=np.float64)
+    h, w = src.shape
+    r = (np.arange(out_h) + 0.5) * h / out_h - 0.5
+    c = (np.arange(out_w) + 0.5) * w / out_w - 0.5
+    r0 = np.clip(np.floor(r).astype(np.int64), 0, h - 1)
+    c0 = np.clip(np.floor(c).astype(np.int64), 0, w - 1)
+    r1 = np.minimum(r0 + 1, h - 1)
+    c1 = np.minimum(c0 + 1, w - 1)
+    fr = np.clip(r - r0, 0.0, 1.0)[:, None]
+    fc = np.clip(c - c0, 0.0, 1.0)[None, :]
+    top = src[r0[:, None], c0] * (1 - fc) + src[r0[:, None], c1] * fc
+    bot = src[r1[:, None], c0] * (1 - fc) + src[r1[:, None], c1] * fc
+    return top * (1 - fr) + bot * fr
+
+
 class TestResize:
+    def test_bilinear_matches_the_2d_gather_bit_for_bit(self):
+        # up and down in each axis, 1-pixel sources and outputs, and the
+        # same shape, which returns the raster itself
+        rng = np.random.default_rng(7)
+        shapes = [((1, 1), (1, 1)), ((1, 1), (5, 3)), ((6, 4), (1, 1)), ((1, 9), (4, 1)),
+                  ((7, 9), (7, 9)), ((192, 256), (154, 205)), ((192, 256), (240, 320))]
+        shapes += [(tuple(rng.integers(1, 40, 2)), tuple(rng.integers(1, 60, 2)))
+                   for _ in range(300)]
+        for (h, w), (out_h, out_w) in shapes:
+            img = rng.uniform(-255.0, 255.0, size=(h, w))
+            got = features.bilinear_resize(img, out_h, out_w)
+            want = bilinear_resize_2d(img, out_h, out_w)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
+                ((h, w), (out_h, out_w))
+        assert features.bilinear_resize(img, h, w) is img
+
     def test_bilinear_identity(self):
         rng = np.random.default_rng(1)
         img = rng.uniform(size=(7, 9))

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -499,6 +500,95 @@ class TestTieRule:
         sol = grouping.solve_multicut(inst, 0.5)
         assert sol.partition.assignment.tolist() == [0, 0] and sol.proven_optimal
         assert sol.objective == pytest.approx(-gap, rel=1e-6)
+
+
+def remasked(rng, inst):
+    """``inst``'s graph with up to four new masks over random superpixels,
+    so that a mask may induce several components and add a pair."""
+    n = inst.node_count
+    masks = []
+    for _ in range(int(rng.integers(0, 5))):
+        size = int(rng.integers(2, min(n, 6) + 1))
+        ids = frozenset(int(i) for i in rng.choice(n, size=size, replace=False))
+        masks.append((ids, float(rng.uniform(0.0, 2.0))))
+    return grouping.MulticutInstance(node_count=n, edges=inst.edges,
+                                     mask_constraints=tuple(masks))
+
+
+# mask {0, 2} adds the pair (0, 2), which closes the triangle 0-1-2 with two
+# edges, and the triangle 3-4-5 has edges only
+EXTRA_PAIR_ROWS = grouping.MulticutInstance(
+    node_count=6, edges=((0, 1, 1), (1, 2, 0), (3, 4, 0), (4, 5, 0), (3, 5, 1)),
+    mask_constraints=((frozenset({0, 2}), 0.9),))
+
+
+class TestSeededRows:
+    """A solve seeded with the cycle rows of an earlier solve over the same
+    graph, as Phase I seeds an image's re-solve."""
+
+    def test_seeded_solves_match_the_cold_ones(self):
+        rng = np.random.default_rng(41)
+        reused = oracle_checked = 0
+        for k in range(80):
+            first = random_instance(rng) if k % 2 else random_grid_instance(rng)
+            inst = remasked(rng, first)
+            earlier = grouping.solve_multicut(first, 0.5)
+            seeded = grouping.solve_multicut(inst, 0.5, earlier.rows)
+            cold = grouping.solve_multicut(inst, 0.5)
+            assert seeded.proven_optimal
+            assert abs(seeded.objective - cold.objective) <= 1e-9
+            if inst.node_count <= grouping.ORACLE_MAX_NODES:
+                oracle = grouping.brute_force_multicut(inst, 0.5)
+                assert abs(seeded.objective - oracle.objective) <= 1e-9
+                oracle_checked += 1
+            # the seeded rows come first, in their order; every row over
+            # edges alone is among them
+            assert len(seeded.rows) == seeded.rows_reused + seeded.cuts
+            taken = set(seeded.rows[:seeded.rows_reused])
+            assert seeded.rows[:seeded.rows_reused] == tuple(r for r in earlier.rows if r in taken)
+            edges = {(u, v) for u, v, _ in inst.edges}
+            assert all(row in taken for row in earlier.rows
+                       if row[0] in edges and set(row[1]) <= edges)
+            reused += seeded.rows_reused
+        assert reused > 0 and oracle_checked >= 30
+
+    def test_a_row_over_a_missing_pair_is_dropped(self):
+        first = grouping.solve_multicut(EXTRA_PAIR_ROWS, 0.5)
+        assert first.rows == (((0, 1), ((0, 2), (1, 2))), ((3, 5), ((3, 4), (4, 5))))
+        assert (first.cuts, first.rows_reused) == (2, 0)
+        # without the mask there is no pair (0, 2): its row goes, the other stays
+        unmasked = grouping.MulticutInstance(node_count=6, edges=EXTRA_PAIR_ROWS.edges)
+        sol = grouping.solve_multicut(unmasked, 0.5, first.rows)
+        assert (sol.rows_reused, sol.cuts, sol.lp_solves) == (1, 0, 1)
+        assert sol.rows == (((3, 5), ((3, 4), (4, 5))),)
+        assert sol.objective == pytest.approx(grouping.solve_multicut(unmasked, 0.5).objective)
+        # node 8 of a 6-node instance: its key 0 * 6 + 8 is pair (1, 2)'s
+        outside = (((0, 8), ((0, 1), (1, 2))), ((3, 6), ((3, 4), (4, 6))))
+        assert grouping.solve_multicut(EXTRA_PAIR_ROWS, 0.5, outside).rows_reused == 0
+
+    def test_own_rows_close_the_root_in_one_lp(self):
+        # the cold solve needs a second root LP after separation; seeded
+        # with its own rows, the first LP is integral and nothing is added
+        first = grouping.solve_multicut(EXTRA_PAIR_ROWS, 0.5)
+        again = grouping.solve_multicut(EXTRA_PAIR_ROWS, 0.5, first.rows)
+        assert (first.lp_solves, again.lp_solves, again.cuts, again.rows_reused) == (2, 1, 0, 2)
+        assert again.rows == first.rows and again.objective == first.objective
+
+    def test_a_repeated_row_is_added_once(self):
+        first = grouping.solve_multicut(BRANCHING, 0.5)
+        sol = grouping.solve_multicut(BRANCHING, 0.5, first.rows + first.rows[::-1])
+        assert sol.rows_reused == len(first.rows) == 3 and sol.rows == first.rows
+
+    def test_the_same_rows_give_the_same_bits(self):
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            first = random_grid_instance(rng)
+            inst = remasked(rng, first)
+            rows = grouping.solve_multicut(first, 0.5).rows
+            a, b = (grouping.solve_multicut(inst, 0.5, rows) for _ in range(2))
+            assert a.partition.assignment.tobytes() == b.partition.assignment.tobytes()
+            assert [getattr(a, f.name) for f in fields(a) if f.name != "partition"] == \
+                [getattr(b, f.name) for f in fields(b) if f.name != "partition"]
 
 
 def near_tie_instance(rng, k):

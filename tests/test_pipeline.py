@@ -222,13 +222,13 @@ class TestKeepTiedPartition:
         previous = Partition.from_assignment([0, 1])
         merged = Partition.from_assignment([0, 0])
 
-        def solve(instance, theta):
+        def solve(instance, theta, rows=()):
             objective = grouping.objective_of(instance, previous.assignment, theta) - gain
             return grouping.MulticutSolution(partition=merged, objective=objective,
                                              mask_active=(), proven_optimal=proven)
 
         monkeypatch.setattr(grouping, "solve_multicut", solve)
-        partitions = pipeline._group_all([image], [], pipeline.Config(), {},
+        partitions = pipeline._group_all([image], [], pipeline.Config(), {}, {},
                                          {image.id: graph}, {image.id: previous})
         return partitions[image.id], previous, merged
 
@@ -243,6 +243,48 @@ class TestKeepTiedPartition:
     def test_an_unproven_tie_replaces_it(self, monkeypatch):
         got, _, merged = self.group(monkeypatch, 0.0, False)
         assert got is merged
+
+
+class TestSeededResolve:
+    """``_group_all`` seeds a new instance with the image's rows, and hands
+    on a seeded solve's partition only through the keep rule: when the
+    previous partition does not tie, the instance is solved again from no
+    rows, whose partition is handed on."""
+
+    def group(self, monkeypatch, previous):
+        # the seeded solve and the one from no rows return two partitions
+        # at the merged partition's objective, each a new object
+        image = uniform_corpus(1).images[0]
+        calls = []
+
+        def solve(instance, theta, rows=()):
+            calls.append(rows)
+            merged = Partition.from_assignment([0, 0])
+            return grouping.MulticutSolution(
+                partition=Partition.from_assignment([0, 0]), mask_active=(),
+                objective=grouping.objective_of(instance, merged.assignment, theta),
+                rows_reused=len(rows), rows=rows)
+
+        monkeypatch.setattr(grouping, "solve_multicut", solve)
+        rows = {image.id: (((0, 1), ((0, 2), (1, 2))),)}
+        solved = {}
+        got = pipeline._group_all([image], [], pipeline.Config(), solved, rows,
+                                  {image.id: grouping.superpixel_graph(image)},
+                                  {image.id: previous})
+        (tries,) = solved.values()
+        return got[image.id], calls, tries
+
+    def test_a_tie_hands_on_the_previous_partition_after_one_solve(self, monkeypatch):
+        previous = Partition.from_assignment([0, 0])
+        got, calls, tries = self.group(monkeypatch, previous)
+        assert got is previous
+        assert len(calls) == len(tries) == 1 and calls[0]
+
+    def test_no_tie_hands_on_the_partition_of_a_solve_from_no_rows(self, monkeypatch):
+        # apart, the two superpixels lose the contour-free edge's merge
+        got, calls, tries = self.group(monkeypatch, Partition.from_assignment([0, 1]))
+        assert len(calls) == len(tries) == 2 and calls[0] and calls[1] == ()
+        assert got is tries[1].partition
 
 
 class TestColabeling:
@@ -789,12 +831,14 @@ class _CallLog:
     def __init__(self, monkeypatch):
         self.solves, self.builds, self.propagations = [], [], []
         self.solutions = []      # what each solve_multicut call returned
+        self.seeds = []          # the rows each solve_multicut call started from
         self.first_region = {}   # exemplar id -> region id of its first build
         solve, build, propagate = grouping.solve_multicut, esvm.build_exemplar, esvm.propagate
 
-        def counted_solve(instance, theta=0.5):
+        def counted_solve(instance, theta=0.5, rows=()):
             self.solves.append((instance, theta))
-            self.solutions.append(solve(instance, theta))
+            self.seeds.append(rows)
+            self.solutions.append(solve(instance, theta, rows))
             return self.solutions[-1]
 
         def counted_build(exemplar_id, image, region, corpus_images, excluded,
@@ -889,8 +933,19 @@ def phase1_runs(request):
 
 class TestPhase1Memo:
     def test_no_call_repeats_its_inputs(self, phase1_runs):
-        _, _, _, log = phase1_runs
-        assert log.repeats() == (0, 0, 0)
+        _, _, result, log = phase1_runs
+        # the one repeated solve, which the run reports: an instance whose
+        # seeded optimum took rows and did not tie the previous partition is
+        # solved once more, from no rows (_group_all)
+        assert log.repeats() == (result.counters["phase1_multicuts_resolved"], 0, 0)
+        tries = {}
+        for (instance, _), rows, solution in zip(log.solves, log.seeds, log.solutions):
+            tries.setdefault(instance, []).append((rows, solution))
+        for calls in tries.values():
+            assert len(calls) <= 2
+            if len(calls) == 2:
+                (_, seeded), (again, _) = calls
+                assert seeded.rows_reused > 0 and again == ()
 
     def test_result_equals_uncached_loop(self, phase1_runs):
         reference, _, result, _ = phase1_runs
@@ -917,8 +972,8 @@ class TestPhase1Memo:
         _, reference_log, result, log = phase1_runs
         counters = result.counters
         assert counters["phase1_multicuts_solved"] == len(log.solves)
-        assert counters["phase1_multicuts_solved"] + counters["phase1_multicuts_reused"] == \
-            len(reference_log.solves)
+        assert counters["phase1_multicuts_solved"] - counters["phase1_multicuts_resolved"] \
+            + counters["phase1_multicuts_reused"] == len(reference_log.solves)
         assert counters["phase1_exemplars_trained"] == len(log.builds)
         assert counters["phase1_exemplars_trained"] + counters["phase1_exemplars_reused"] == \
             len(reference_log.builds)
@@ -931,5 +986,16 @@ class TestPhase1Memo:
         assert counters["phase1_multicut_cuts"] == sum(s.cuts for s in solutions)
         assert counters["phase1_multicuts_unproven"] == \
             sum(not s.proven_optimal for s in solutions) == 0
+        assert counters["phase1_multicut_rows_reused"] == sum(s.rows_reused for s in solutions)
         assert counters["phase1_multicut_cuts"] > 0
         assert counters["phase1_multicut_nodes"] >= counters["phase1_multicuts_solved"]
+
+    def test_re_solves_start_from_earlier_rows(self, phase1_runs):
+        # the uncached loop solves every instance cold; seeded with the
+        # image's earlier rows, the same instances take fewer LPs
+        _, reference_log, result, log = phase1_runs
+        cold = {instance: solution.lp_solves for (instance, _), solution
+                in zip(reference_log.solves, reference_log.solutions)}
+        assert result.counters["phase1_multicut_rows_reused"] > 0
+        assert result.counters["phase1_multicut_lp_solves"] < sum(
+            cold[instance] for instance in {instance for instance, _ in log.solves})
